@@ -11,7 +11,9 @@ entry points:
 * ``count_absolute_factors_pde`` -- the dimension of the solution space
   of the adjoint differential equation f*(g_v - h_u) = g*f_v - h*f_u,
   which equals the number of distinct absolutely irreducible factors
-  when the characteristic exceeds (2*deg_u - 1)*deg_v.
+  when the characteristic exceeds (2*deg_u - 1)*deg_v (Gao, Math. Comp.
+  72, 2003).  It runs over the prime field only, on plain ints mod p:
+  sparse columns ranked by forward elimination (``rank_mod_p``).
 * ``is_absolutely_irreducible`` -- decision routine combining the fast
   differential test with a fallback that factors over GF(p^ell) for
   primes ell dividing the degree.
@@ -22,6 +24,7 @@ Requires odd characteristic larger than the total degree throughout.
 from __future__ import annotations
 
 from . import unifactor as uni
+from .errors import FactorsNotCoprime
 from .unifactor import _prime_divisors
 
 
@@ -33,10 +36,6 @@ def vnormalize(F, f):
     while f and not f[-1]:
         f.pop()
     return f
-
-
-def vzero():
-    return []
 
 
 def is_vzero(f):
@@ -376,7 +375,8 @@ def hensel_pair(F, f, g0, h0, T):
     g0*h0 = f(0, v).
     """
     one, s, t = uni.ext_gcd(F, g0, h0)
-    assert uni.deg(one) == 0 and one == [F.one], "factors not coprime"
+    if one != [F.one]:
+        raise FactorsNotCoprime(f"gcd of g0 and h0 has degree {uni.deg(one)}")
     G = from_univariate_in_v(F, g0)
     H = from_univariate_in_v(F, h0)
     for k in range(1, T):
@@ -572,12 +572,6 @@ def _sort_key(F, g):
     return tuple(sorted(to_dict(F, g).keys()))
 
 
-def is_irreducible_rational(F, f, rng):
-    """Irreducibility over F itself (not the closure)."""
-    _, fs = factor_bivariate(F, f, rng)
-    return len(fs) == 1 and fs[0][1] == 1
-
-
 # -- absolute irreducibility -------------------------------------------------
 
 
@@ -587,86 +581,71 @@ def count_absolute_factors_pde(F, f):
     space.  Returns None when the characteristic is too small for the
     count to be trustworthy, i.e. unless char > (2m-1)n for (m, n) the
     bidegree in some orientation (both orientations are tried).
+
+    F is the prime field of f's coefficients; the system is built and
+    ranked on plain ints mod p.
     """
     m, n = deg_u(f), deg_v(f)
     if m < 1 or n < 1:
         return None
-    if F.char > (2 * m - 1) * n:
-        return _pde_dimension(F, f)
-    if F.char > (2 * n - 1) * m:
-        return _pde_dimension(F, _transpose(F, f))
+    if F.p > (2 * m - 1) * n:
+        return _pde_dimension(to_dict(F, f), m, n, F.p)
+    if F.p > (2 * n - 1) * m:
+        return _pde_dimension({(j, i): c for (i, j), c in to_dict(F, f).items()}, n, m, F.p)
     return None
 
 
-def _transpose(F, f):
-    return from_dict(F, {(j, i): c for (i, j), c in to_dict(F, f).items()})
+def _pde_dimension(terms, m, n, p):
+    """Dimension of {(g, h)}: f*(g_v - h_u) = g*f_v - h*f_u over GF(p),
+    deg g <= (m-1, n), deg h <= (m, n-1), for f = sum c u^a v^b given as
+    ``terms`` {(a, b): c}.
+
+    The unknown g = u^i v^j contributes f*j u^i v^(j-1) - u^i v^j f_v
+    = sum c*(j-b) u^(i+a) v^(j+b-1), and h = u^i v^j contributes
+    u^i v^j f_u - f*i u^(i-1) v^j = sum c*(a-i) u^(i+a-1) v^(j+b); every
+    row u^x v^y has x < 2m, y < 2n and is keyed x*2n + y.  The factors
+    j-b and a-i are nonzero and smaller than p in absolute value, so no
+    entry vanishes.
+    """
+    w = 2 * n
+    cols = [
+        {(i + a) * w + j + b - 1: c * (j - b) % p for (a, b), c in terms.items() if b != j}
+        for i in range(m)
+        for j in range(n + 1)
+    ]
+    cols += [
+        {(i + a - 1) * w + j + b: c * (a - i) % p for (a, b), c in terms.items() if a != i}
+        for i in range(m + 1)
+        for j in range(n)
+    ]
+    return len(cols) - rank_mod_p(cols, p)
 
 
-def _pde_dimension(F, f):
-    m, n = deg_u(f), deg_v(f)
-    fu = derivative_u(F, f)
-    fv = derivative_v(F, f)
-    g_monomials = [(i, j) for i in range(m) for j in range(n + 1)]
-    h_monomials = [(i, j) for i in range(m + 1) for j in range(n)]
-    cols = []
-    for i, j in g_monomials:
-        # contribution of g = u^i v^j:  f * j u^i v^(j-1) - u^i v^j * f_v
-        term = {}
-        if j > 0:
-            _accumulate(F, term, f, (i, j - 1), F.scalar(j))
-        _accumulate(F, term, fv, (i, j), F.neg(F.one))
-        cols.append(term)
-    for i, j in h_monomials:
-        # contribution of h = u^i v^j: -f * i u^(i-1) v^j + u^i v^j * f_u
-        term = {}
-        if i > 0:
-            _accumulate(F, term, f, (i - 1, j), F.neg(F.scalar(i)))
-        _accumulate(F, term, fu, (i, j), F.one)
-        cols.append(term)
-    rows_idx = sorted({k for col in cols for k in col})
-    row_pos = {k: idx for idx, k in enumerate(rows_idx)}
-    matrix = [[F.zero] * len(cols) for _ in rows_idx]
-    for cidx, col in enumerate(cols):
-        for k, val in col.items():
-            matrix[row_pos[k]][cidx] = val
-    rank = _rank(F, matrix)
-    return len(cols) - rank
+def rank_mod_p(vectors, p):
+    """Rank over GF(p) of sparse int vectors {index: entry}.
 
-
-def _accumulate(F, acc, poly, shift_exp, scalar):
-    si, sj = shift_exp
-    for (i, j), c in to_dict(F, poly).items():
-        k = (i + si, j + sj)
-        acc[k] = F.add(acc.get(k, F.zero), F.mul(c, scalar))
-        if F.is_zero(acc[k]):
-            del acc[k]
-
-
-def _rank(F, matrix):
-    if not matrix:
-        return 0
-    mat = [row[:] for row in matrix]
-    rows, cols = len(mat), len(mat[0])
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if not F.is_zero(mat[r][c]):
-                pivot = r
+    Forward elimination only: each vector is reduced against an echelon
+    basis keyed by leading (greatest) index until its lead is new, then
+    joins the basis scaled to lead 1.
+    """
+    basis = {}
+    for vec in vectors:
+        vec = {k: x % p for k, x in vec.items() if x % p}
+        while vec:
+            lead = max(vec)
+            row = basis.get(lead)
+            if row is None:
+                inv = pow(vec[lead], -1, p)
+                basis[lead] = {k: x * inv % p for k, x in vec.items()}
                 break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = F.inv(mat[rank][c])
-        mat[rank] = [F.mul(x, inv) for x in mat[rank]]
-        for r in range(rows):
-            if r != rank and not F.is_zero(mat[r][c]):
-                factor = mat[r][c]
-                mat[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+            c = vec[lead]
+            for k, x in row.items():
+                y = (vec.get(k, 0) - c * x) % p
+                if y:
+                    vec[k] = y
+                else:
+                    del vec[k]
+    return len(basis)
 
 
 def lift_coeffs(F_ext, f):

@@ -345,8 +345,3 @@ class ParamCoeff:
                 factors.append(name if e == 1 else f"{name}^{e}")
             bits.append("*".join(factors) if factors else str(c))
         return "ParamCoeff(" + " + ".join(bits) + ")"
-
-
-def param_specialize(c: ParamCoeff, assignment: dict) -> FieldElem:
-    """Evaluate a Laurent coefficient at a total parameter assignment."""
-    return c.specialize(assignment)

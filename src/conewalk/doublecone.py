@@ -37,6 +37,7 @@ from .errors import (
     EjTooSmall,
     IndexOutOfRange,
     SamplingExhausted,
+    StepInvariantViolated,
 )
 from .factorizer import IRREDUCIBLE, probably_irreducible
 from .gfext import sqrt_mod
@@ -267,14 +268,16 @@ def induct_step(
     )
     new.e[j0 - 1] -= 1
     recomputed = new.recompute_e(j0)
-    assert recomputed == new.e[j0 - 1], (
-        f"ladder decrement mismatch: recomputed {recomputed}, expected {new.e[j0 - 1]}"
-    )
+    if recomputed != new.e[j0 - 1]:
+        raise StepInvariantViolated(
+            f"ladder decrement mismatch: recomputed {recomputed}, expected {new.e[j0 - 1]}"
+        )
     for i in range(0, m + 1):
         poly = a0_new if i == 0 else a_new[(i, j0)]
         if not poly.is_zero():
             deg, hom = poly.degree_info()
-            assert hom and deg == d - i, f"transformed a'_{i} has wrong degree"
+            if not hom or deg != d - i:
+                raise StepInvariantViolated(f"transformed a'_{i} has wrong degree")
     step_entry = {"j0": j0, "seed": seed, "symbolic": symbolic}
     if not symbolic:
         step_entry["lam"] = lam_val

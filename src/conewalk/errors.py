@@ -58,6 +58,10 @@ class DegreeTooLargeForPrime(ConewalkError):
     """p <= deg^2, so random plane slices carry no statistical weight."""
 
 
+class FactorsNotCoprime(ConewalkError):
+    """Hensel lifting was started from factors with a common divisor."""
+
+
 # -- constructions ---------------------------------------------------------
 
 class IndexOutOfRange(ConewalkError):
@@ -74,6 +78,10 @@ class EjExhausted(ConewalkError):
 
 class DivisionFailure(ConewalkError):
     """Expected exact monomial division failed."""
+
+
+class StepInvariantViolated(ConewalkError):
+    """A cone step produced a state whose ladder values or degrees are off."""
 
 
 class SamplingExhausted(ConewalkError):

@@ -27,6 +27,7 @@ from . import unifactor as uni
 from .coeffs import FieldElem, ParamCoeff
 from .errors import (
     DegreeTooLargeForPrime,
+    DivisionFailure,
     UnspecializedParameter,
     ZeroPolynomial,
 )
@@ -137,7 +138,8 @@ def probably_irreducible(
         if val and val > 0:
             witness = SparsePoly.variable(a.universe, name)
             cofactor = a.divide_by_monomial(name, 1)
-            assert cofactor * witness == a
+            if cofactor * witness != a:
+                raise DivisionFailure(f"{name} * cofactor does not re-multiply to the input")
             return IrreducibilityVerdict(REDUCIBLE, witness=witness, note="monomial factor")
 
     if params == "random":

@@ -203,15 +203,6 @@ class SparsePoly:
         degs = {sum(e) for e in self.terms}
         return max(degs), len(degs) == 1
 
-    def is_homogeneous(self) -> bool:
-        return self.is_zero() or self.degree_info()[1]
-
-    def degree_in(self, name: str) -> int:
-        i = self.universe.index(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
-
     def uses_variable(self, name: str) -> bool:
         i = self.universe.index(name)
         return any(e[i] != 0 for e in self.terms)

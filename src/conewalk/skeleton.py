@@ -61,9 +61,6 @@ class DualGraph:
                 raise ValueError(f"duplicate edge {e!r}")
             seen.add((v, w))
 
-    def incident_edges(self, v):
-        return [e for e in self.edges if v in e]
-
 
 @dataclass(frozen=True)
 class FgModule:
@@ -305,9 +302,6 @@ class SubdividedSkeleton:
     r: int
     graph: DualGraph
 
-    def new_vertices(self):
-        return [(e, n) for e in self.base.graph.edges for n in range(1, self.r)]
-
     def chain_zero(self):
         chain = {v: self.base.ch1[v].zero() for v in self.base.graph.vertices}
         for e in self.base.graph.edges:
@@ -482,12 +476,8 @@ def _redc(vec, c):
 # -- cokernel torsion ---------------------------------------------------------
 
 
-def cokernel_torsion(matrix, m: int, ring: int = 0, dst_moduli=None) -> bool:
-    """True iff m * coker(matrix) = 0, over Z (ring=0) or Z/ring.
-
-    ``dst_moduli`` supplies per-generator torsion relations of the
-    target beyond the ambient ring (defaults to free).
-    """
+def cokernel_torsion(matrix, m: int, ring: int = 0) -> bool:
+    """True iff m * coker(matrix) = 0, over Z (ring=0) or Z/ring."""
     if m < 1:
         raise ValueError("need m >= 1")
     rows = len(matrix)
@@ -495,11 +485,10 @@ def cokernel_torsion(matrix, m: int, ring: int = 0, dst_moduli=None) -> bool:
         return True
     rels = [list(row) for row in matrix]
     extra = []
-    moduli = list(dst_moduli) if dst_moduli else [ring] * rows
-    for i, mod in enumerate(moduli):
-        if mod:
+    if ring:
+        for i in range(rows):
             col = [0] * rows
-            col[i] = mod
+            col[i] = ring
             extra.append(col)
     # append the relation columns
     full = [rels[i] + [col[i] for col in extra] for i in range(rows)]
@@ -507,13 +496,6 @@ def cokernel_torsion(matrix, m: int, ring: int = 0, dst_moduli=None) -> bool:
     if len(facs) < rows:
         return False
     return all(m % f == 0 for f in facs)
-
-
-def cokernel_torsion_map(lm: LinearMap, m: int) -> bool:
-    moduli = []
-    for _, mod in lm.dst:
-        moduli.extend(mod.moduli)
-    return cokernel_torsion(lm.matrix, m, ring=lm.ring, dst_moduli=moduli)
 
 
 # -- the transfer demonstration ----------------------------------------------

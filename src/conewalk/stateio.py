@@ -14,6 +14,8 @@ from .basecase import BaseParams, HypersurfaceState
 from .poly import coordinate_universe, parse_poly
 
 SCHEMA_VERSION = 1
+STATE_KEYS = ("p", "dims", "params", "f0", "a0", "a", "e", "h_poly", "provenance")
+DIMS_KEYS = ("n", "m", "r", "s", "d")
 
 
 def dumps_canonical(obj) -> str:
@@ -39,10 +41,21 @@ def state_to_dict(state: HypersurfaceState) -> dict:
     }
 
 
+def _require_keys(d, keys, where):
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{where} lacks key {key!r}")
+
+
 def state_from_dict(d: dict) -> HypersurfaceState:
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
+    _require_keys(d, ("schema_version",), "state")
+    if d["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {d['schema_version']!r}")
+    _require_keys(d, STATE_KEYS, "state")
     dims = d["dims"]
+    _require_keys(dims, DIMS_KEYS, "state dims")
     bp = BaseParams(n=dims["n"], m=dims["m"], r=dims["r"], d=dims["d"], p=d["p"])
     universe = coordinate_universe(dims["n"], dims["r"], dims["s"], bp.ring())
     a = {}
@@ -69,8 +82,19 @@ def save_state(state: HypersurfaceState, path: str):
 
 
 def load_state(path: str) -> HypersurfaceState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))
+    """Read a state file; an unreadable, non-JSON or incomplete file
+    raises ValueError naming the path."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as ex:
+        raise ValueError(f"cannot read state file {path}: {ex.strerror}") from None
+    except ValueError as ex:
+        raise ValueError(f"state file {path} is not valid JSON: {ex}") from None
+    try:
+        return state_from_dict(data)
+    except ValueError as ex:
+        raise ValueError(f"state file {path}: {ex}") from None
 
 
 def make_report(checks: list) -> dict:

@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 from conewalk import bifactor as bi
 from conewalk import unifactor as uni
+from conewalk.errors import FactorsNotCoprime
 from conewalk.gfext import PrimeField
 
 F101 = PrimeField(101)
@@ -140,7 +143,8 @@ def test_hensel_pair_reconstructs():
 
 
 def test_pde_count_on_constructed_products_gf101():
-    """Products of k absolutely irreducible factors have count exactly k."""
+    """Products of k absolutely irreducible factors of degree up to 4
+    have count exactly k, up to the pipeline's total degree 7."""
     rng = random.Random(424)
 
     def rand_irred(deg):
@@ -155,15 +159,65 @@ def test_pde_count_on_constructed_products_gf101():
             if bi.count_absolute_factors_pde(F101, f) == 1:
                 return f
 
-    for _ in range(8):
-        k = rng.randint(1, 3)
+    partitions = [
+        (1,), (2, 1), (2, 2), (3, 1), (4,), (3, 2), (4, 2), (2, 2, 2),
+        (4, 3), (4, 2, 1), (3, 3, 1), (3, 2, 2), (2, 2, 2, 1), (4, 1, 1, 1),
+    ]
+    checked = 0
+    for degs in partitions:
         f = [[F101.one]]
-        for _ in range(k):
-            f = bi.vmul(F101, f, rand_irred(rng.randint(1, 2)))
+        for deg in degs:
+            f = bi.vmul(F101, f, rand_irred(deg))
         gcd_sf = bi.biv_gcd(F101, f, bi.derivative_v(F101, f))
         if bi.deg_u(gcd_sf) > 0 or bi.deg_v(gcd_sf) > 0:
             continue
-        assert bi.count_absolute_factors_pde(F101, f) == k
+        assert bi.total_degree(f) == sum(degs)
+        assert bi.count_absolute_factors_pde(F101, f) == len(degs), degs
+        checked += 1
+    assert checked >= len(partitions) - 2
+
+
+def test_rank_mod_p_matches_sympy():
+    """The sparse echelon rank agrees with sympy's GF(p) rank, also on
+    rank-deficient products of thin matrices."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(2024)
+    checked = 0
+    for p in (5, 7, 101):
+        K = sympy.GF(p)
+        for t in range(110):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            if t % 3 == 0:
+                k = rng.randint(1, min(rows, cols))
+                A = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+                B = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+                M = [[sum(A[i][l] * B[l][j] for l in range(k)) % p for j in range(cols)]
+                     for i in range(rows)]
+            else:
+                density = rng.random()
+                M = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)]
+                     for _ in range(rows)]
+            want = DomainMatrix.from_list(M, K).rank()
+            # unreduced representatives, explicit zeros and sparse row keys
+            columns = [
+                {7 * i + 3: M[i][j] + p * rng.randint(-2, 2) for i in range(rows)}
+                for j in range(cols)
+            ]
+            assert bi.rank_mod_p(columns, p) == want, (p, M)
+            assert bi.rank_mod_p([dict(enumerate(row)) for row in M], p) == want, (p, M)
+            checked += 1
+    assert checked >= 300
+
+
+def test_hensel_pair_rejects_common_factor():
+    # g0 = v - 1 and h0 = (v - 1)(v - 2) share the factor v - 1
+    g0 = [100, 1]
+    h0 = uni.mul(F101, g0, [99, 1])
+    f = bi.from_univariate_in_v(F101, uni.mul(F101, g0, h0))
+    with pytest.raises(FactorsNotCoprime):
+        bi.hensel_pair(F101, f, g0, h0, T=3)
 
 
 def test_norm_forms_split_with_witness_iff_square():

@@ -217,3 +217,48 @@ def test_verify_reports_family_error_on_symbolic_state(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--state", str(path), "--seed", "2", "--trials", "4")
     assert code == 1
     assert "family-construction" in out
+
+
+def _assert_one_error_line(err, *needles):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for needle in needles:
+        assert needle in lines[0], err
+
+
+@pytest.mark.parametrize("cmd", ["verify", "induct"])
+def test_missing_state_file_is_a_usage_error(tmp_path, capsys, cmd):
+    missing = tmp_path / "missing.json"
+    argv = [cmd, "--state", str(missing), "--seed", "1"]
+    if cmd == "induct":
+        argv += ["--out", str(tmp_path / "out.json")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    _assert_one_error_line(err, str(missing))
+
+
+@pytest.mark.parametrize("drop", [("dims",), ("f0",), ("dims", "s")])
+def test_state_without_a_key_is_a_usage_error(tmp_path, capsys, drop):
+    path = tmp_path / "s0.json"
+    run(
+        capsys,
+        "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
+        "--p", "101", "--out", str(path),
+    )
+    data = json.loads(path.read_text())
+    holder = data
+    for key in drop[:-1]:
+        holder = holder[key]
+    del holder[drop[-1]]
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--state", str(path), "--seed", "1")
+    assert code == 2
+    _assert_one_error_line(err, str(path), repr(drop[-1]))
+
+
+def test_state_that_is_not_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code, _, err = run(capsys, "verify", "--state", str(path), "--seed", "1")
+    assert code == 2
+    _assert_one_error_line(err, str(path))
