@@ -14,9 +14,10 @@ entry points:
   when the characteristic exceeds (2*deg_u - 1)*deg_v (Gao, Math. Comp.
   72, 2003).  It runs over the prime field only, on plain ints mod p:
   sparse columns ranked by forward elimination (``rank_mod_p``).
-* ``is_absolutely_irreducible`` -- decision routine combining the fast
-  differential test with a fallback that factors over GF(p^ell) for
-  primes ell dividing the degree.
+* ``is_absolutely_irreducible`` -- the PDE count where it applies, else
+  factoring over F_p plus ``smooth_rational_point``, a search for a
+  nonsingular F_p-point.  No extension field is built; factoring over
+  GF(p^ell) is only the tests' reference.
 
 Requires odd characteristic larger than the total degree throughout.
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from . import unifactor as uni
 from .errors import FactorsNotCoprime
-from .unifactor import _prime_divisors
 
 
 # -- representation ----------------------------------------------------------
@@ -648,56 +648,40 @@ def rank_mod_p(vectors, p):
     return len(basis)
 
 
-def lift_coeffs(F_ext, f):
-    """Re-coefficient a prime-field bivariate into an extension field."""
-    return [[F_ext.from_base(c) for c in col] for col in f]
+def smooth_rational_point(F, f):
+    """A point (a, b) of F_p^2 with f(a, b) = 0 and (f_u, f_v)(a, b) != 0,
+    or None; exhaustive over u = a, then v = b, with no randomness.
+
+    Such a point certifies that an f irreducible over F_p is absolutely
+    irreducible: Frobenius permutes the conjugate absolute factors of f
+    transitively, so a rational point on one of them lies on all of them,
+    and a point on two or more factors is singular.
+    """
+    fu, fv = derivative_u(F, f), derivative_v(F, f)
+    for a in range(F.p):
+        g, gu, gv = (eval_u(F, h, a) for h in (f, fu, fv))
+        for b in range(F.p):
+            if F.is_zero(uni.eval_at(F, g, b)) and not (
+                F.is_zero(uni.eval_at(F, gu, b)) and F.is_zero(uni.eval_at(F, gv, b))
+            ):
+                return a, b
+    return None
 
 
-def is_absolutely_irreducible(F, f, rng, force_extension_path=False):
+def is_absolutely_irreducible(F, f, rng):
     """(verdict, rational_witness_or_None) for squarefree bivariate f over
     the prime field F.  The witness, when present, is a proper factor
     over F itself.
+    ``True`` is exact (a PDE count of 1, or F-irreducible with a smooth
+    rational point); where the count does not apply, ``False`` without a
+    witness may mean only that f has no smooth rational point.
     """
-    D = total_degree(f)
-    if D <= 0:
-        return False, None
-    if D == 1:
+    count = count_absolute_factors_pde(F, f)
+    if count == 1:
         return True, None
-    if deg_u(f) == 0 or deg_v(f) == 0:
-        # univariate: splits over the closure whenever the degree allows
-        g = f[0] if deg_v(f) == 0 else uni.normalize(F, [c[0] if c else F.zero for c in f])
-        if uni.deg(g) == 1:
-            return True, None
-        _, fs = uni.factor(F, g, rng)
-        witness = None
-        if len(fs) > 1 or fs[0][1] > 1:
-            w = fs[0][0]
-            witness = from_univariate_in_u(F, w) if deg_v(f) == 0 else from_univariate_in_v(F, w)
-        return False, witness
-
-    if not force_extension_path:
-        count = count_absolute_factors_pde(F, f)
-        if count is not None:
-            if count == 1:
-                return True, None
-            # reducible over the closure; look for a rational witness
-            _, fs = factor_bivariate(F, f, rng)
-            if len(fs) > 1:
-                return False, fs[0][0]
-            return False, None
-
-    # extension-field path
     _, fs = factor_bivariate(F, f, rng)
     if len(fs) > 1 or fs[0][1] > 1:
         return False, fs[0][0]
-    for ell in _prime_divisors(D):
-        from .unifactor import extension_field
-
-        F_ext = extension_field(F.p, ell, rng)
-        if F_ext.q == F.q:
-            continue
-        lifted = lift_coeffs(F_ext, f)
-        _, fs_ext = factor_bivariate(F_ext, lifted, rng)
-        if len(fs_ext) > 1:
-            return False, None
-    return True, None
+    if count is None:
+        return smooth_rational_point(F, f) is not None, None
+    return False, None

@@ -243,16 +243,13 @@ def induct_step(
     lam_val = rng.randrange(1, state.p)
     t_val = rng.randrange(1, state.p)
     params = dict(state.params)
+    params["lam"] = "symbolic"
+    params["t"] = "symbolic"
     if not symbolic:
         a0_new = a0_new.substitute_param("lam", lam_val).substitute_param("t", t_val)
         for i in range(1, m + 1):
             key = (i, j0)
             a_new[key] = a_new[key].substitute_param("lam", lam_val).substitute_param("t", t_val)
-        params["lam"] = "symbolic"
-        params["t"] = "symbolic"
-    else:
-        params["lam"] = "symbolic"
-        params["t"] = "symbolic"
 
     new = HypersurfaceState(
         bp=bp,
@@ -434,12 +431,8 @@ def lambda_zero_y1(fam: DoubleConeFamily) -> SparsePoly:
 # -- numeric smoothness sampling --------------------------------------------
 
 
-REGIONS = ("x0!=0", "x0z!=0")
-
-
 def smoothness_sample(
     fam: DoubleConeFamily,
-    region: str,
     samples: int,
     params: dict,
     seed: int = 0,
@@ -450,11 +443,9 @@ def smoothness_sample(
 
     Points are produced by drawing all coordinates except z, w and
     solving F1 = F2 = 0 for them (a quadratic in z).  Note t*x0^2 =
-    -z*w forces z != 0 wherever x0 != 0, so both admissible regions
-    coincide on the family.
+    -z*w forces z != 0 wherever x0 != 0, so every sampled point also
+    has x0*z != 0.
     """
-    if region not in REGIONS:
-        raise ValueError(f"region must be one of {REGIONS}")
     p = fam.state.p
     for name in ("lam", "t"):
         v = params.get(name)
@@ -536,7 +527,6 @@ def smoothness_sample(
         if has_rank2:
             rank2 += 1
     return {
-        "region": region,
         "samples": samples,
         "rank2": rank2,
         "attempts": attempts,

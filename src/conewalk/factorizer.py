@@ -3,18 +3,18 @@
 ``univariate_factor`` is a complete factorization for single-variable
 inputs.  ``probably_irreducible`` decides absolute irreducibility of a
 homogeneous multivariate polynomial by restricting to random affine
-planes: every slice is tested for absolute irreducibility over the
-closure, an ``Irreducible`` verdict carries an explicit failure bound,
-and a ``Reducible`` verdict always carries a re-multiplication-verified
-factor.  Whenever reducibility over the closure is detected but no
-rational witness can be produced, the verdict is ``Inconclusive`` --
-the oracle never claims more than it has checked.
+planes, redrawing maps that send the plane onto a line.  Slices keep the
+full degree, so a splitting of the input splits every slice: one slice
+certified absolutely irreducible (``bifactor.is_absolutely_irreducible``)
+makes ``Irreducible`` exact.  A ``Reducible`` verdict always carries a
+re-multiplication-verified factor.  Whenever reducibility over the
+closure is detected but no rational witness can be produced, the
+verdict is ``Inconclusive`` -- the oracle never claims more than it has
+checked.
 
-Failure bound: if the input is in fact reducible, a random affine plane
-slice fails to expose this only when the slice degenerates (its degree
-drops), which happens with probability at most deg/p per slice; we
-report the conservative per-trial bound c0 * deg^2 / p with c0 = 1, so
-``failure_bound = (deg^2 / p) ** trials``.
+``failure_bound = (deg^2 / p) ** trials`` is the conservative per-trial
+bound c0 * deg^2 / p (c0 = 1) on a slice degenerating; it over-states
+the chance of a wrong ``Irreducible``, which is zero.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ def probably_irreducible(
     params="random",
     trials: int = 20,
     seed: int = 0,
-    force_extension_path: bool = False,
 ) -> IrreducibilityVerdict:
     """Randomized absolute-irreducibility test by plane slicing.
 
@@ -182,9 +181,7 @@ def probably_irreducible(
                     note="slices persistently non-squarefree (repeated factor likely)",
                 )
             continue
-        ok, _ = bi.is_absolutely_irreducible(
-            F, slice_poly, rng, force_extension_path=force_extension_path
-        )
+        ok, _ = bi.is_absolutely_irreducible(F, slice_poly, rng)
         if not ok:
             return _witness_after_reducible_slice(a, int_terms, used, assignment, rng)
     return IrreducibilityVerdict(
@@ -208,6 +205,10 @@ def _sample_slice(F, int_terms, used, d, rng, attempts=64):
         bvec = [F.random(rng) for _ in range(n)]
         cvec = [F.random(rng) for _ in range(n)]
         if all(F.is_zero(c) for c in cvec):
+            continue
+        # a rank-deficient map sends the plane onto a line, where f splits
+        maps = [{k: v[i] for k, i in enumerate(used)} for v in (avec, bvec, cvec)]
+        if bi.rank_mod_p(maps, F.p) < 3:
             continue
         powers = {}
         for i in used:

@@ -49,6 +49,13 @@ def _require_keys(d, keys, where):
             raise ValueError(f"{where} lacks key {key!r}")
 
 
+def _require_type(value, kind, where):
+    # bool is an int subclass, but true/false is not a JSON integer
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        name = {int: "an integer", str: "a string", list: "a list"}[kind]
+        raise ValueError(f"state {where} must be {name}, got {type(value).__name__}")
+
+
 def state_from_dict(d: dict) -> HypersurfaceState:
     _require_keys(d, ("schema_version",), "state")
     if d["schema_version"] != SCHEMA_VERSION:
@@ -56,6 +63,19 @@ def state_from_dict(d: dict) -> HypersurfaceState:
     _require_keys(d, STATE_KEYS, "state")
     dims = d["dims"]
     _require_keys(dims, DIMS_KEYS, "state dims")
+    _require_keys(d["a"], (), "state a")
+    _require_keys(d["params"], (), "state params")
+    _require_type(d["p"], int, "p")
+    for key in DIMS_KEYS:
+        _require_type(dims[key], int, f"dims.{key}")
+    _require_type(d["e"], list, "e")
+    for k, v in enumerate(d["e"]):
+        _require_type(v, int, f"e[{k}]")
+    for key in ("f0", "a0", "h_poly"):
+        _require_type(d[key], str, key)
+    for key, text in d["a"].items():
+        _require_type(text, str, f"a[{key!r}]")
+    _require_type(d["provenance"], list, "provenance")
     bp = BaseParams(n=dims["n"], m=dims["m"], r=dims["r"], d=dims["d"], p=d["p"])
     universe = coordinate_universe(dims["n"], dims["r"], dims["s"], bp.ring())
     a = {}

@@ -14,6 +14,23 @@ F7 = PrimeField(7)
 F5 = PrimeField(5)
 
 
+def reference_absolutely_irreducible(F, f, rng):
+    """Reference decision by factoring over extension fields: a squarefree
+    f is absolutely irreducible iff it is irreducible over F and over
+    GF(p^l) for every prime l dividing its total degree (the conjugate
+    absolute factors of an F-irreducible f all have the same degree)."""
+    _, fs = bi.factor_bivariate(F, f, rng)
+    if len(fs) > 1 or fs[0][1] > 1:
+        return False
+    for ell in uni._prime_divisors(bi.total_degree(f)):
+        E = uni.extension_field(F.p, ell, rng)
+        lifted = [[E.from_base(c) for c in col] for col in f]
+        _, fs_ext = bi.factor_bivariate(E, lifted, rng)
+        if len(fs_ext) > 1:
+            return False
+    return True
+
+
 def rand_biv(F, rng, dmax=3, terms=5):
     d = {}
     for _ in range(rng.randint(1, terms)):
@@ -95,7 +112,7 @@ def test_pde_counts_against_extension_method():
         if count is None:
             continue
         ok_fast, _ = bi.is_absolutely_irreducible(F7, f, rng)
-        ok_slow, _ = bi.is_absolutely_irreducible(F7, f, rng, force_extension_path=True)
+        ok_slow = reference_absolutely_irreducible(F7, f, rng)
         assert ok_fast == ok_slow == (count == 1), bi.to_dict(F7, f)
         checked += 1
     assert checked >= 20
@@ -107,8 +124,7 @@ def test_sum_of_squares_splits_absolutely():
     assert bi.count_absolute_factors_pde(F7, f) == 2
     ok, witness = bi.is_absolutely_irreducible(F7, f, random.Random(1))
     assert not ok and witness is None
-    ok2, _ = bi.is_absolutely_irreducible(F7, f, random.Random(1), force_extension_path=True)
-    assert not ok2
+    assert not reference_absolutely_irreducible(F7, f, random.Random(1))
 
 
 def test_rational_split_over_small_field():
@@ -124,9 +140,7 @@ def test_smooth_conic_is_absolutely_irreducible():
     f = bi.from_dict(F101, {(2, 0): 1, (0, 2): 1, (0, 0): 1})
     ok, _ = bi.is_absolutely_irreducible(F101, f, random.Random(3))
     assert ok
-    # cross-check with the extension path
-    ok2, _ = bi.is_absolutely_irreducible(F101, f, random.Random(3), force_extension_path=True)
-    assert ok2
+    assert reference_absolutely_irreducible(F101, f, random.Random(3))
 
 
 def test_hensel_pair_reconstructs():
@@ -251,6 +265,76 @@ def test_fast_and_extension_paths_agree_at_pipeline_degrees():
         if bi.deg_u(gcd_sf) > 0 or bi.deg_v(gcd_sf) > 0:
             continue
         fast, _ = bi.is_absolutely_irreducible(F101, f, rng)
-        slow, _ = bi.is_absolutely_irreducible(F101, f, rng, force_extension_path=True)
+        slow = reference_absolutely_irreducible(F101, f, rng)
         assert fast == slow, bi.to_dict(F101, f)
         checked += 1
+
+
+def rand_of_degree(F, rng, deg, dense):
+    """A random bivariate of total degree exactly deg: every monomial, or
+    a few of them plus one of top degree."""
+    mons = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+    while True:
+        picked = mons
+        if not dense:
+            a = rng.randint(0, deg)
+            picked = rng.sample(mons, min(len(mons), rng.randint(2, 4))) + [(a, deg - a)]
+        f = bi.from_dict(F, {mon: rng.randrange(F.p) for mon in picked})
+        if bi.total_degree(f) == deg:
+            return f
+
+
+def is_squarefree(F, f):
+    g = bi.biv_gcd(F, f, bi.derivative_v(F, f))
+    return bi.deg_u(g) <= 0 and bi.deg_v(g) <= 0
+
+
+def test_decision_against_extension_reference():
+    """Dense and sparse random bivariates and products over GF(7), GF(11),
+    GF(31), GF(101) up to degree 7: True always agrees with the GF(p^l)
+    reference, and an absolutely irreducible f is answered False (an
+    under-claim: no smooth rational point) only where the PDE count does
+    not apply."""
+    cases = {2: 12, 3: 12, 4: 9, 5: 4, 6: 3, 7: 2}
+    rng = random.Random(303)
+    checked = under = 0
+    for p in (7, 11, 31, 101):
+        F = PrimeField(p)
+        for deg in range(2, min(7, p - 1) + 1):
+            for k in range(cases[deg]):
+                if k % 3 == 2:
+                    a = rng.randint(1, deg - 1)
+                    f = bi.vmul(F, rand_of_degree(F, rng, a, rng.random() < 0.5),
+                                rand_of_degree(F, rng, deg - a, rng.random() < 0.5))
+                else:
+                    f = rand_of_degree(F, rng, deg, k % 3 == 0)
+                if not is_squarefree(F, f):
+                    continue
+                ok, _ = bi.is_absolutely_irreducible(F, f, rng)
+                want = reference_absolutely_irreducible(F, f, rng)
+                assert want or not ok, (p, bi.to_dict(F, f))
+                if want and not ok:
+                    assert bi.count_absolute_factors_pde(F, f) is None, (p, bi.to_dict(F, f))
+                    under += 1
+                checked += 1
+    assert checked >= 120
+    assert under <= checked // 50, (under, checked)
+
+
+def test_twisted_norm_forms_are_never_certified():
+    """A^2 - nu*B^2 with nu a non-square mod p: every rational point has
+    A = B = 0 and is singular, so no smooth rational point exists and
+    the answer is False, with the PDE count (low degree) and without it."""
+    rng = random.Random(88)
+    regimes = set()
+    for p, halves in ((7, (1, 2)), (11, (1, 2, 3)), (31, (2, 3)), (101, (2, 4))):
+        F = PrimeField(p)
+        nu = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+        for k in halves:
+            A, B = rand_of_degree(F, rng, k, True), rand_of_degree(F, rng, k, True)
+            f = bi.vsub(F, bi.vmul(F, A, A), bi.vscale(F, bi.vmul(F, B, B), nu))
+            assert bi.smooth_rational_point(F, f) is None
+            ok, _ = bi.is_absolutely_irreducible(F, f, rng)
+            assert not ok, (p, bi.to_dict(F, f))
+            regimes.add(bi.count_absolute_factors_pde(F, f) is None)
+    assert regimes == {True, False}

@@ -262,3 +262,35 @@ def test_state_that_is_not_json_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--state", str(path), "--seed", "1")
     assert code == 2
     _assert_one_error_line(err, str(path))
+
+
+@pytest.mark.parametrize(
+    "path, value, needle",
+    [
+        (("e",), 5, "state e must be a list"),
+        (("e", 0), "2", "state e[0] must be an integer"),
+        (("dims", "n"), "3", "state dims.n must be an integer"),
+        (("dims", "d"), True, "state dims.d must be an integer"),
+        (("p",), 101.0, "state p must be an integer"),
+        (("f0",), 7, "state f0 must be a string"),
+        (("h_poly",), None, "state h_poly must be a string"),
+        (("a", "1,1"), ["x0"], "state a['1,1'] must be a string"),
+        (("a",), [], "state a is not a JSON object"),
+    ],
+)
+def test_state_with_a_mistyped_value_is_a_usage_error(tmp_path, capsys, path, value, needle):
+    state = tmp_path / "s0.json"
+    run(
+        capsys,
+        "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
+        "--p", "101", "--out", str(state),
+    )
+    data = json.loads(state.read_text())
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    state.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--state", str(state), "--seed", "1")
+    assert code == 2
+    _assert_one_error_line(err, str(state), needle)

@@ -245,23 +245,21 @@ def test_absorption_is_idempotent(base_state):
 
 def test_smoothness_sampling(family):
     params = {"pi": 3, "rho": 7, "lam": 5, "t": 11}
-    rep = smoothness_sample(family, "x0!=0", 50, params, seed=9)
+    rep = smoothness_sample(family, 50, params, seed=9)
     assert rep["pass"] and rep["rank2"] == 50
-    rep2 = smoothness_sample(family, "x0z!=0", 20, params, seed=10)
+    rep2 = smoothness_sample(family, 20, params, seed=10)
     assert rep2["pass"]
 
 
-def test_smoothness_region_gate(family):
+def test_smoothness_parameter_gate(family):
     with pytest.raises(ValueError):
-        smoothness_sample(family, "x0=0", 5, {"pi": 1, "rho": 1, "lam": 1, "t": 1})
-    with pytest.raises(ValueError):
-        smoothness_sample(family, "x0!=0", 5, {"pi": 1, "rho": 1, "lam": 0, "t": 1})
+        smoothness_sample(family, 5, {"pi": 1, "rho": 1, "lam": 0, "t": 1})
 
 
 def test_smoothness_budget_exhaustion(family):
     params = {"pi": 3, "rho": 7, "lam": 5, "t": 11}
     with pytest.raises(SamplingExhausted):
-        smoothness_sample(family, "x0!=0", 10**6, params, seed=9, budget_factor=0)
+        smoothness_sample(family, 10**6, params, seed=9, budget_factor=0)
 
 
 def test_lambda_zero_specialization(family):
