@@ -8,6 +8,7 @@ entry points:
 * ``factor_bivariate`` -- complete rational factorization, via a shear
   to v-regular position, Hensel lifting of a univariate factorization
   at a good expansion point, and subset recombination.
+* ``vdivexact`` -- the one division in F[u][v]: exact quotient or None.
 * ``count_absolute_factors_pde`` -- the dimension of the solution space
   of the adjoint differential equation f*(g_v - h_u) = g*f_v - h*f_u,
   which equals the number of distinct absolutely irreducible factors
@@ -24,8 +25,10 @@ Requires odd characteristic larger than the total degree throughout.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import unifactor as uni
-from .errors import FactorsNotCoprime
+from .errors import DivisionFailure, FactorsNotCoprime
 
 
 # -- representation ----------------------------------------------------------
@@ -191,30 +194,42 @@ def derivative_u(F, f):
 # -- division ----------------------------------------------------------------
 
 
-def vdivmod_monic(F, f, g):
-    """Division by g monic in v (unit leading v-coefficient in F)."""
-    if not g or uni.deg(g[-1]) != 0:
-        raise ValueError("divisor must have unit leading v-coefficient")
-    inv_lc = F.inv(g[-1][0])
+def vdivexact(F, f, g):
+    """f / g in F[u][v] when g divides f exactly, else None.
+
+    Long division in v from the top.  An exact quotient is unique, so when
+    g | f every top column of the remainder is divisible by lc_v(g) in
+    F[u]; a nonzero u-remainder there, or a nonzero column left below
+    deg_v g, means g does not divide f.
+    """
+    if not g:
+        raise ZeroDivisionError("division by zero in F[u][v]")
+    dg, lc = deg_v(g), g[-1]
+    if len(f) <= dg:
+        return None if f else []
     rem = [list(c) for c in f]
-    rem = vnormalize(F, rem)
-    q = []
-    dg = deg_v(g)
-    while rem and deg_v(rem) >= dg:
-        shift_v = deg_v(rem) - dg
-        c = uni.mul_scalar(F, rem[-1], inv_lc)
-        while len(q) <= shift_v:
-            q.append([])
-        q[shift_v] = uni.add(F, q[shift_v], c)
-        sub_term = [[] for _ in range(shift_v)] + [uni.mul(F, c, col) for col in g]
-        rem = vsub(F, rem, vnormalize(F, sub_term))
-    return vnormalize(F, q), rem
+    q = [[] for _ in range(len(f) - dg)]
+    for k in range(len(q) - 1, -1, -1):
+        c, r = uni.divmod_poly(F, rem[k + dg], lc)
+        if r:
+            return None
+        q[k] = c
+        if c:
+            # the top column rem[k + dg] cancels by construction
+            for i in range(dg):
+                if g[i]:
+                    rem[k + i] = uni.sub(F, rem[k + i], uni.mul(F, c, g[i]))
+    if any(rem[:dg]):
+        return None
+    return vnormalize(F, q)
 
 
-def trial_divide(F, f, g):
-    """Quotient of f by v-monic g if division is exact, else None."""
-    q, r = vdivmod_monic(F, f, g)
-    return q if is_vzero(r) else None
+def _divide(F, f, g):
+    """vdivexact where exactness is an invariant (content, squarefree split)."""
+    q = vdivexact(F, f, g)
+    if q is None:
+        raise DivisionFailure("expected exact division in F[u][v] failed")
+    return q
 
 
 # -- gcd via primitive pseudo-remainder sequence -----------------------------
@@ -230,21 +245,11 @@ def u_content(F, f):
     return c
 
 
-def divide_u_content(F, f, c):
-    out = []
-    for col in f:
-        q, r = uni.divmod_poly(F, col, c)
-        if r:
-            raise ArithmeticError("content division not exact")
-        out.append(q)
-    return vnormalize(F, out)
-
-
 def primitive_part(F, f):
     c = u_content(F, f)
     if uni.deg(c) == 0:
         return [list(col) for col in f]
-    return divide_u_content(F, f, c)
+    return _divide(F, f, [c])
 
 
 def pseudo_rem(F, f, g):
@@ -300,69 +305,17 @@ def squarefree_decomposition_v(F, f):
     if is_vzero(d):
         raise ArithmeticError("characteristic too small for squarefree split")
     g = biv_gcd(F, f, d)
-    h = trial_divide_general(F, f, g)
+    h = _divide(F, f, g)
     i = 1
     while deg_v(h) > 0 or deg_u(h) > 0:
         gh = biv_gcd(F, g, h)
-        piece = trial_divide_general(F, h, gh)
+        piece = _divide(F, h, gh)
         if deg_v(piece) > 0 or deg_u(piece) > 0:
             out.append((piece, i))
         i += 1
-        g = trial_divide_general(F, g, gh)
+        g = _divide(F, g, gh)
         h = gh
     return out
-
-
-def trial_divide_general(F, f, g):
-    """Exact division allowing a non-monic divisor (clears the leading unit)."""
-    if is_vzero(g):
-        raise ZeroDivisionError
-    if deg_v(g) == 0:
-        # divide by a univariate in u, coefficient-wise
-        out = []
-        for col in f:
-            q, r = uni.divmod_poly(F, col, g[0])
-            if r:
-                raise ArithmeticError("division not exact")
-            out.append(q)
-        return vnormalize(F, out)
-    lc = g[-1]
-    if uni.deg(lc) == 0:
-        q, r = vdivmod_monic(F, vscale(F, f, F.inv(lc[0])), vscale(F, g, F.inv(lc[0])))
-        if not is_vzero(r):
-            raise ArithmeticError("division not exact")
-        return q
-    # non-unit leading coefficient: fall back to pseudo-division bookkeeping
-    df, dg = deg_v(f), deg_v(g)
-    power = df - dg + 1
-    scaled = f
-    for _ in range(power):
-        scaled = vnormalize(F, [uni.mul(F, lc, col) for col in scaled])
-    q, r = _vdivmod_by_lead(F, scaled, g)
-    if not is_vzero(r):
-        raise ArithmeticError("division not exact")
-    # undo the lc^power scaling of the quotient
-    for _ in range(power):
-        q = trial_divide_general(F, q, [lc])
-    return q
-
-
-def _vdivmod_by_lead(F, f, g):
-    rem = vnormalize(F, [list(c) for c in f])
-    q = []
-    dg = deg_v(g)
-    lc = g[-1]
-    while not is_vzero(rem) and deg_v(rem) >= dg:
-        shift_v = deg_v(rem) - dg
-        c, r = uni.divmod_poly(F, rem[-1], lc)
-        if r:
-            raise ArithmeticError("division not exact")
-        while len(q) <= shift_v:
-            q.append([])
-        q[shift_v] = uni.add(F, q[shift_v], c)
-        sub_term = [[] for _ in range(shift_v)] + [uni.mul(F, c, col) for col in g]
-        rem = vsub(F, rem, vnormalize(F, sub_term))
-    return vnormalize(F, q), rem
 
 
 # -- Hensel lifting ----------------------------------------------------------
@@ -416,11 +369,6 @@ def hensel_multi(F, f, factors0, T):
 # -- rational factorization --------------------------------------------------
 
 
-def _monic_in_v(F, f):
-    """True when the leading v-coefficient is a unit of F."""
-    return bool(f) and uni.deg(f[-1]) == 0
-
-
 def factor_squarefree_regular(F, f, rng):
     """Irreducible factors of a squarefree f that is v-monic with
     deg_v f = total degree.  Returns a list of v-monic factors."""
@@ -459,48 +407,37 @@ def factor_squarefree_regular(F, f, rng):
     active = list(range(len(lifted)))
     size = 1
     while 2 * size <= len(active):
-        restart = False
-        for subset in _subsets(active, size):
+        for subset in combinations(active, size):
             cand = [[F.one]]
             for i in subset:
                 cand = vmul(F, cand, lifted[i], trunc=T)
             cand = vtrunc(F, cand, T)
-            q = trial_divide(F, remaining, cand)
+            q = vdivexact(F, remaining, cand)
             if q is not None:
                 found.append(cand)
                 remaining = q
                 active = [i for i in active if i not in subset]
-                restart = True
                 break
-        if restart:
-            continue
-        size += 1
+        else:
+            size += 1
     found.append(remaining)
     # undo the expansion-point translation
     return [translate_u(F, g, F.neg(point)) for g in found]
 
 
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)
-
-
 def regularize(F, f, rng):
-    """(sheared f made v-monic, theta, lc) with deg_v = total degree."""
+    """(f sheared by u -> u + theta*v and made v-monic, theta) with
+    deg_v = total degree; theta is None when f needs no shear."""
     D = total_degree(f)
-    if deg_v(f) == D and _monic_in_v(F, f):
-        return [list(c) for c in f], None, F.one
-    if deg_v(f) == D and uni.deg(f[-1]) == 0:
-        lc = f[-1][0]
-        return vscale(F, f, F.inv(lc)), None, lc
-    for _ in range(8 * max(D, 1) + 16):
+    cand, theta = f, None
+    draws = 8 * max(D, 1) + 16
+    while deg_v(cand) != D or uni.deg(cand[-1]) != 0:
+        if not draws:
+            raise ArithmeticError("could not reach v-regular position")
+        draws -= 1
         theta = F.random(rng)
         cand = shear(F, f, theta)
-        if deg_v(cand) == D and uni.deg(cand[-1]) == 0:
-            lc = cand[-1][0]
-            return vscale(F, cand, F.inv(lc)), theta, lc
-    raise ArithmeticError("could not reach v-regular position")
+    return vscale(F, cand, F.inv(cand[-1][0])), theta
 
 
 def factor_bivariate(F, f, rng):
@@ -521,13 +458,13 @@ def factor_bivariate(F, f, rng):
     if uni.deg(cont) > 0:
         _, fs = uni.factor(F, cont, rng)
         factors += [(from_univariate_in_u(F, g), m) for g, m in fs]
-        f = divide_u_content(F, f, cont)
+        f = _divide(F, f, [cont])
     if deg_u(f) <= 0:
         g = uni.normalize(F, [col[0] if col else F.zero for col in f])
         _, fs = uni.factor(F, g, rng)
         factors += [(from_univariate_in_v(F, h), m) for h, m in fs]
     else:
-        reg, theta, _ = regularize(F, f, rng)
+        reg, theta = regularize(F, f, rng)
         unshear_theta = F.neg(theta) if theta is not None else None
         for piece, mult in squarefree_decomposition_v(F, reg):
             piece = vscale(F, piece, F.inv(piece[-1][0]))
@@ -536,28 +473,16 @@ def factor_bivariate(F, f, rng):
                     g = shear(F, g, unshear_theta)
                 g = _normalize_lead(F, g)
                 factors.append((g, mult))
-    factors.sort(key=lambda gm: (total_degree(gm[0]), _sort_key(F, gm[0]), gm[1]))
+    factors.sort(key=lambda gm: (total_degree(gm[0]), tuple(sorted(to_dict(F, gm[0]))), gm[1]))
     # recover the scalar unit exactly
     prod = [[F.one]]
     for g, m in factors:
         for _ in range(m):
             prod = vmul(F, prod, g)
-    unit = _scalar_ratio(F, original, prod)
-    return unit, factors
-
-
-def _scalar_ratio(F, f, g):
-    """The scalar c with f == c*g (assumes proportionality)."""
-    fd, gd = to_dict(F, f), to_dict(F, g)
-    for k, v in gd.items():
-        if not F.is_zero(v):
-            c = F.mul(fd.get(k, F.zero), F.inv(v))
-            break
-    else:
-        raise ZeroDivisionError
-    if to_dict(F, vsub(F, f, vscale(F, g, c))):
+    unit = vdivexact(F, original, prod)
+    if unit is None or total_degree(unit) != 0:
         raise ArithmeticError("factorization does not re-multiply to the input")
-    return c
+    return unit[0][0], factors
 
 
 def _normalize_lead(F, g):
@@ -566,10 +491,6 @@ def _normalize_lead(F, g):
             if not F.is_zero(c):
                 return vscale(F, g, F.inv(c))
     return g
-
-
-def _sort_key(F, g):
-    return tuple(sorted(to_dict(F, g).keys()))
 
 
 # -- absolute irreducibility -------------------------------------------------

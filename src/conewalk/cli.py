@@ -172,20 +172,6 @@ def cmd_verify(args) -> int:
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
-def _unit_skeleton(c: int, k: int) -> sk_mod.ChainSkeleton:
-    mod = sk_mod.FgModule(ring=c, rank=k)
-    ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    e = (0, 1)
-    return sk_mod.ChainSkeleton(
-        graph=sk_mod.DualGraph((0, 1), (e,)),
-        ch1={0: mod, 1: mod},
-        ch0_vertex={0: mod, 1: mod},
-        ch0_edge={e: mod},
-        inter={(e, v): [row[:] for row in ident] for v in e},
-        push={(e, v): [row[:] for row in ident] for v in e},
-    )
-
-
 def cmd_skeleton(args) -> int:
     import random
 
@@ -208,7 +194,7 @@ def cmd_skeleton(args) -> int:
         return 0 if payload["pass"] else 1
     if args.skeleton_cmd == "telescope":
         seed = _require_seed(args)
-        sk = _unit_skeleton(args.c, args.k)
+        sk = sk_mod.unit_skeleton(args.c, args.k)
         ssk = sk_mod.subdivide(sk, args.r)
         rng = random.Random(seed)
         checks = []

@@ -38,64 +38,10 @@ def is_prime(n: int) -> bool:
 
 
 def ff_inv_int(a: int, p: int) -> int:
-    """Inverse of a mod p via the extended Euclidean algorithm."""
-    a %= p
-    if a == 0:
+    """Inverse of a mod p; raises ZeroInverse on 0."""
+    if a % p == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
-    # Invariants: old_r = old_s * a (mod p), r = s * a (mod p).
-    old_r, r = a, p
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_s % p
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """A fully reduced residue in GF(p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FieldElem"):
-        if self.p != other.p:
-            raise ModulusMismatch(f"GF({self.p}) vs GF({other.p})")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.value * other.value, self.p)
-
-    def __neg__(self):
-        return FieldElem(-self.value, self.p)
-
-    def inv(self) -> "FieldElem":
-        return FieldElem(ff_inv_int(self.value, self.p), self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"FieldElem({self.value} mod {self.p})"
-
-
-def ff_inv(a: FieldElem) -> FieldElem:
-    """Multiplicative inverse in GF(p); raises ZeroInverse on 0."""
-    return a.inv()
+    return pow(a, -1, p)
 
 
 @dataclass(frozen=True)
@@ -296,11 +242,11 @@ class ParamCoeff:
             out[e] = (out.get(e, 0) + c * k) % p
         return ParamCoeff(self.ring, out)
 
-    def specialize(self, assignment: dict) -> FieldElem:
+    def specialize(self, assignment: dict) -> int:
         """Evaluate at a total parameter assignment.
 
         Invertible-flagged parameters must receive nonzero values; a negative
-        exponent turns into a power of the inverse.
+        exponent turns into a power of the inverse.  Returns an int in [0, p).
         """
         p = self.ring.p
         values = {}
@@ -309,8 +255,7 @@ class ParamCoeff:
                 continue
             if name not in assignment:
                 raise UnassignedParameter(f"parameter {name!r} not assigned")
-            v = assignment[name]
-            v = v.value if isinstance(v, FieldElem) else v % p
+            v = assignment[name] % p
             if v == 0 and name in self.ring.invertible:
                 raise InvertibleAssignedZero(f"invertible parameter {name!r} assigned 0")
             values[name] = v
@@ -326,7 +271,7 @@ class ParamCoeff:
                 else:
                     acc = acc * pow(v, e, p) % p
             total = (total + acc) % p
-        return FieldElem(total, p)
+        return total
 
     # -- display --
 

@@ -77,7 +77,7 @@ class EjExhausted(ConewalkError):
 
 
 class DivisionFailure(ConewalkError):
-    """Expected exact monomial division failed."""
+    """A division expected to be exact (monomial, or in F[u][v]) left a remainder."""
 
 
 class StepInvariantViolated(ConewalkError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import bifactor as bi
 from . import unifactor as uni
-from .coeffs import FieldElem, ParamCoeff
+from .coeffs import ParamCoeff, ff_inv_int
 from .errors import (
     DegreeTooLargeForPrime,
     DivisionFailure,
@@ -69,9 +69,9 @@ def trials_for_failure_bound(degree: int, p: int, bound: float) -> int:
 def univariate_factor(a: SparsePoly, assignment: dict | None = None, seed: int = 0):
     """Complete factorization over GF(p) for a single-variable polynomial.
 
-    Returns (unit, factors) where unit is the leading FieldElem and
-    factors is a list of (monic irreducible SparsePoly, multiplicity);
-    unit * prod factor^mult == a.
+    Returns (unit, factors) where unit is the leading coefficient, an
+    int in [0, p), and factors is a list of (monic irreducible
+    SparsePoly, multiplicity); unit * prod factor^mult == a.
     """
     if a.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -87,7 +87,7 @@ def univariate_factor(a: SparsePoly, assignment: dict | None = None, seed: int =
     for g, mult in factors:
         terms = {(i,): ParamCoeff.from_int(universe.ring, c) for i, c in enumerate(g) if c}
         out.append((SparsePoly(universe, terms), mult))
-    return FieldElem(unit, p), out
+    return unit, out
 
 
 def _specialized_coeff_list(a: SparsePoly, assignment):
@@ -99,7 +99,7 @@ def _specialized_coeff_list(a: SparsePoly, assignment):
         else:
             if assignment is None:
                 raise UnspecializedParameter("parameters present but no assignment given")
-            v = c.specialize(assignment).value
+            v = c.specialize(assignment)
         coeffs[exps[0]] = (coeffs[exps[0]] + v) % p
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -294,8 +294,6 @@ def _exact_divide(universe, terms_f, terms_g, p):
     """f / g over GF(p) in dict form when exact, else None (monomial order
     long division; g's leading coefficient must be invertible, which it
     is over a field)."""
-    from .coeffs import ff_inv_int
-
     if not terms_g:
         return None
 

@@ -42,17 +42,11 @@ class PrimeField:
     def scalar(self, c: int):
         return c % self.p
 
-    def from_base(self, a: int):
-        return a % self.p
-
     def is_zero(self, a):
         return a % self.p == 0
 
     def random(self, rng):
         return rng.randrange(self.p)
-
-    def random_nonzero(self, rng):
-        return rng.randrange(1, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -137,12 +131,6 @@ class ExtField:
 
     def random(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(self.k))
-
-    def random_nonzero(self, rng):
-        while True:
-            a = self.random(rng)
-            if not self.is_zero(a):
-                return a
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .coeffs import FieldElem, ParamCoeff, ParamRing, _term_sort_key
+from .coeffs import ParamCoeff, ParamRing, _term_sort_key, ff_inv_int
 from .errors import (
     ParseError,
     UniverseMismatch,
@@ -52,14 +52,6 @@ class VarUniverse:
             return self.names.index(name)
         except ValueError:
             raise UnknownVariable(f"unknown variable {name!r}") from None
-
-    def extended(self, new_names, position=None) -> "VarUniverse":
-        """A universe with ``new_names`` inserted (appended by default)."""
-        names = list(self.names)
-        if position is None:
-            position = len(names)
-        names[position:position] = list(new_names)
-        return VarUniverse(tuple(names), self.ring)
 
 
 def coordinate_universe(n, r, s, ring, with_cone_vars=False) -> VarUniverse:
@@ -114,12 +106,6 @@ class SparsePoly:
         exps = [0] * len(universe)
         exps[i] = exp
         return cls(universe, {tuple(exps): ParamCoeff.one(universe.ring)})
-
-    @classmethod
-    def monomial(cls, universe: VarUniverse, exps, c) -> "SparsePoly":
-        if isinstance(c, int):
-            c = ParamCoeff.from_int(universe.ring, c)
-        return cls(universe, {tuple(exps): c})
 
     @classmethod
     def param(cls, universe: VarUniverse, name: str, exp: int = 1) -> "SparsePoly":
@@ -269,26 +255,27 @@ class SparsePoly:
 
     # -- evaluation / specialization --
 
-    def eval_point(self, point, params: dict | None = None) -> FieldElem:
-        """Exact evaluation at a point, with a total parameter assignment."""
+    def eval_point(self, point, params: dict | None = None) -> int:
+        """Exact evaluation at a point, with a total parameter assignment;
+        an int in [0, p)."""
         p = self.universe.ring.p
         if len(point) != len(self.universe):
             raise ValueError("point length mismatch")
-        vals = [v.value if isinstance(v, FieldElem) else v % p for v in point]
+        vals = [v % p for v in point]
         total = 0
         for exps, c in self.terms.items():
-            acc = c.specialize(params or {}).value
+            acc = c.specialize(params or {})
             for v, e in zip(vals, exps):
                 if e:
                     acc = acc * pow(v, e, p) % p
             total = (total + acc) % p
-        return FieldElem(total, p)
+        return total
 
     def specialize_params(self, assignment: dict) -> dict:
         """Terms with all parameters evaluated: exponent tuple -> residue."""
         out = {}
         for exps, c in self.terms.items():
-            v = c.specialize(assignment).value
+            v = c.specialize(assignment)
             if v:
                 out[exps] = v
         return out
@@ -319,8 +306,6 @@ class SparsePoly:
         ring = self.universe.ring
         p = ring.p
         i = ring.index(name)
-        from .coeffs import ff_inv_int
-
         out = {}
         for exps, c in self.terms.items():
             acc = {}

@@ -117,15 +117,6 @@ class FgModule:
             out.append(rng.randrange(m) if m else rng.randint(-4, 4))
         return tuple(out)
 
-    def elements(self):
-        """All elements (finite modules only)."""
-        from itertools import product
-
-        if any(m == 0 for m in self.moduli) and self.ngens:
-            raise ValueError("module is infinite")
-        ranges = [range(m) for m in self.moduli]
-        return [tuple(t) for t in product(*ranges)] if self.ngens else [()]
-
 
 def _zeros(rows, cols):
     return [[0] * cols for _ in range(rows)]
@@ -189,6 +180,22 @@ class ChainSkeleton:
             raise ValueError(f"incidence maps for non-incident pairs: {sorted(map(str, extra))}")
 
 
+def unit_skeleton(c: int, k: int) -> ChainSkeleton:
+    """One edge (0, 1) with the free rank-k module over Z/c (Z at c = 0)
+    in every slot and identity incidence and push maps."""
+    mod = FgModule(ring=c, rank=k)
+    ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    e = (0, 1)
+    return ChainSkeleton(
+        graph=DualGraph((0, 1), (e,)),
+        ch1={0: mod, 1: mod},
+        ch0_vertex={0: mod, 1: mod},
+        ch0_edge={e: mod},
+        inter={(e, v): [row[:] for row in ident] for v in e},
+        push={(e, v): [row[:] for row in ident] for v in e},
+    )
+
+
 def _check_shape(matrix, dst_mod, src_mod):
     if len(matrix) != dst_mod.ngens or any(len(r) != src_mod.ngens for r in matrix):
         raise ValueError("matrix shape does not match module ranks")
@@ -218,15 +225,6 @@ class LinearMap:
             out[label] = (pos, mod)
             pos += mod.ngens
         return out
-
-    def apply(self, vec):
-        out = matvec(self.matrix, list(vec))
-        reduced = []
-        pos = 0
-        for _, mod in self.dst:
-            reduced.extend(mod.reduce(out[pos : pos + mod.ngens]))
-            pos += mod.ngens
-        return tuple(reduced)
 
 
 def _assemble(src, dst, blocks, ring):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .basecase import BaseParams, HypersurfaceState
-from .poly import coordinate_universe, parse_poly
+from .poly import SparsePoly, coordinate_universe, parse_poly
 
 SCHEMA_VERSION = 1
 STATE_KEYS = ("p", "dims", "params", "f0", "a0", "a", "e", "h_poly", "provenance")
@@ -76,21 +76,34 @@ def state_from_dict(d: dict) -> HypersurfaceState:
     for key, text in d["a"].items():
         _require_type(text, str, f"a[{key!r}]")
     _require_type(d["provenance"], list, "provenance")
-    bp = BaseParams(n=dims["n"], m=dims["m"], r=dims["r"], d=dims["d"], p=d["p"])
-    universe = coordinate_universe(dims["n"], dims["r"], dims["s"], bp.ring())
-    a = {}
-    for key, text in d["a"].items():
-        i, j = (int(x) for x in key.split(","))
-        a[(i, j)] = parse_poly(text, universe)
+    m, r, s = dims["m"], dims["r"], dims["s"]
+    if s < 0:
+        raise ValueError(f"state dims.s must be >= 0, got {s}")
+    if len(d["e"]) != r:
+        raise ValueError(f"state e has {len(d['e'])} entries, dims.r is {r}")
+    slots = {f"{i},{j}": (i, j) for j in range(1, r + 1) for i in range(1, m + 1)}
+    for key in d["a"]:
+        if key not in slots:
+            raise ValueError(f"state a key {key!r} is not i,j with 1 <= i <= {m}, 1 <= j <= {r}")
+    _require_keys(d["a"], slots, "state a")
+    bp = BaseParams(n=dims["n"], m=m, r=r, d=dims["d"], p=d["p"])
+    universe = coordinate_universe(dims["n"], r, s, bp.ring())
+    h_poly = parse_poly(d["h_poly"], universe)
+    z_product = SparsePoly.constant(universe, 1)
+    for k in range(1, s + 1):
+        z_product = z_product * SparsePoly.variable(universe, f"z{k}")
+    if h_poly != z_product:
+        want = z_product.canonical_string()
+        raise ValueError(f"state h_poly is {d['h_poly']!r}, but dims.s = {s} needs {want!r}")
     return HypersurfaceState(
         bp=bp,
-        s=dims["s"],
+        s=s,
         universe=universe,
         f0=parse_poly(d["f0"], universe),
         a0=parse_poly(d["a0"], universe),
-        a=a,
+        a={slots[key]: parse_poly(text, universe) for key, text in d["a"].items()},
         e=list(d["e"]),
-        h_poly=parse_poly(d["h_poly"], universe),
+        h_poly=h_poly,
         params=dict(d["params"]),
         provenance=list(d["provenance"]),
     )

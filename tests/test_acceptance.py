@@ -38,6 +38,7 @@ from conewalk.skeleton import (
     normalize_chain,
     subdivide,
     telescope_check,
+    unit_skeleton,
 )
 
 
@@ -255,27 +256,13 @@ def test_criterion_07_univariate_oracle_equivalence():
     _report(7, "all monic degree <= 4 polynomials over GF(5), GF(7) match trial division", t0)
 
 
-def _unit_skeleton(c, rank):
-    mod = FgModule(ring=c, rank=rank)
-    ident = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    e = (0, 1)
-    return ChainSkeleton(
-        graph=DualGraph((0, 1), (e,)),
-        ch1={0: mod, 1: mod},
-        ch0_vertex={0: mod, 1: mod},
-        ch0_edge={e: mod},
-        inter={(e, v): [row[:] for row in ident] for v in e},
-        push={(e, v): [row[:] for row in ident] for v in e},
-    )
-
-
 def test_criterion_08_telescope():
     t0 = time.time()
     rng = random.Random(88)
     for c in (2, 3, 4, 6):
         for r in (c, 2 * c, 3 * c):
             for k in (1, 2, 3, 4):
-                sk = _unit_skeleton(c, k)
+                sk = unit_skeleton(c, k)
                 ssk = subdivide(sk, r)
                 trials = 100 // 4  # 25 per rank, 100 per (c, r)
                 for _ in range(trials):
@@ -284,7 +271,7 @@ def test_criterion_08_telescope():
     # negative control: c does not divide r
     failures = trials_total = 0
     for c, r in ((2, 3), (3, 4), (4, 6), (6, 8)):
-        sk = _unit_skeleton(c, 4)
+        sk = unit_skeleton(c, 4)
         ssk = subdivide(sk, r)
         for _ in range(25):
             chain = normalize_chain(ssk, ssk.random_chain(rng))
@@ -310,7 +297,6 @@ def test_criterion_09_subdivision_counts():
         )
         if not edges:
             continue
-        sk = _unit_skeleton(0, 1)
         mod = FgModule(ring=0, rank=1)
         sk = ChainSkeleton(
             graph=DualGraph(vertices, edges),

@@ -50,11 +50,34 @@ def test_gcd_of_multiples():
             continue
         got = bi.biv_gcd(F101, a, b)
         # g divides the gcd of its multiples
-        assert bi.trial_divide_general(F101, got, bi.primitive_part(F101, g)) is not None or True
+        assert bi.vdivexact(F101, got, bi.primitive_part(F101, g)) is not None
         # and the gcd divides both inputs
         for h in (a, b):
-            q = bi.trial_divide_general(F101, h, got)
+            q = bi.vdivexact(F101, h, got)
             assert q is not None
+
+
+@pytest.mark.parametrize("F", [F5, F101])
+def test_vdivexact_with_a_non_unit_lead(F):
+    """g has a leading v-coefficient that depends on u: g*q gives back q,
+    and g*q + r gives None for r != 0 below deg_v g (no multiple of g is
+    that small) or r = v^deg_v(g*q) (the top column is then not divisible
+    by lc_v(g))."""
+    rng = random.Random(F.p)
+    checked = 0
+    while checked < 60:
+        g = rand_biv(F, rng, dmax=3, terms=5)
+        if bi.deg_v(g) < 1 or uni.deg(g[-1]) < 1:
+            continue
+        q = rand_biv(F, rng, dmax=3, terms=5)
+        f = bi.vmul(F, g, q)
+        assert bi.vdivexact(F, f, g) == q
+        low = bi.vnormalize(F, rand_biv(F, rng, dmax=3, terms=5)[: bi.deg_v(g)])
+        if low:
+            assert bi.vdivexact(F, bi.vadd(F, f, low), g) is None
+        top = [[] for _ in range(bi.deg_v(f))] + [[F.one]]
+        assert bi.vdivexact(F, bi.vadd(F, f, top), g) is None
+        checked += 1
 
 
 def test_factor_remultiplies_randomized():
@@ -132,7 +155,7 @@ def test_rational_split_over_small_field():
     f = bi.from_dict(F5, {(2, 0): 1, (0, 2): 1})
     ok, witness = bi.is_absolutely_irreducible(F5, f, random.Random(2))
     assert not ok and witness is not None
-    q = bi.trial_divide_general(F5, f, witness)
+    q = bi.vdivexact(F5, f, witness)
     assert q is not None
 
 

@@ -237,7 +237,7 @@ def test_missing_state_file_is_a_usage_error(tmp_path, capsys, cmd):
     _assert_one_error_line(err, str(missing))
 
 
-@pytest.mark.parametrize("drop", [("dims",), ("f0",), ("dims", "s")])
+@pytest.mark.parametrize("drop", [("dims",), ("f0",), ("dims", "s"), ("a", "1,1")])
 def test_state_without_a_key_is_a_usage_error(tmp_path, capsys, drop):
     path = tmp_path / "s0.json"
     run(
@@ -276,6 +276,12 @@ def test_state_that_is_not_json_is_a_usage_error(tmp_path, capsys):
         (("h_poly",), None, "state h_poly must be a string"),
         (("a", "1,1"), ["x0"], "state a['1,1'] must be a string"),
         (("a",), [], "state a is not a JSON object"),
+        # values of the right type that disagree with dims (r = 6, m = 2, s = 0)
+        (("e",), [1, 1], "state e has 2 entries, dims.r is 6"),
+        (("a", "x,1"), "x0", "state a key 'x,1' is not i,j"),
+        (("a", "3,1"), "x0", "state a key '3,1' is not i,j"),
+        (("dims", "s"), 3, "state h_poly is '1', but dims.s = 3 needs 'z1*z2*z3'"),
+        (("dims", "s"), -1, "state dims.s must be >= 0, got -1"),
     ],
 )
 def test_state_with_a_mistyped_value_is_a_usage_error(tmp_path, capsys, path, value, needle):

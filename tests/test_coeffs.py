@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conewalk.coeffs import FieldElem, ParamCoeff, ParamRing, ff_inv, ff_inv_int
+from conewalk.coeffs import ParamCoeff, ParamRing, ff_inv_int
 from conewalk.errors import InvertibleAssignedZero, ModulusMismatch, UnassignedParameter, ZeroInverse
 
 RING = ParamRing(101)
@@ -17,24 +17,23 @@ def C(ring, **monomials):
 
 
 def test_ff_inv_identity():
-    assert ff_inv(FieldElem(1, 101)) == FieldElem(1, 101)
+    assert ff_inv_int(1, 101) == 1
 
 
 def test_ff_inv_two_mod_101():
     # extended Euclid oracle: 2 * 51 = 102 = 1 (mod 101)
-    assert ff_inv(FieldElem(2, 101)) == FieldElem(51, 101)
-    assert (FieldElem(2, 101) * FieldElem(51, 101)).value == 1
+    assert ff_inv_int(2, 101) == 51
+    assert 2 * ff_inv_int(2, 101) % 101 == 1
 
 
 def test_ff_inv_zero_raises():
     with pytest.raises(ZeroInverse):
-        ff_inv(FieldElem(0, 7))
+        ff_inv_int(0, 7)
 
 
 def test_ff_inv_involution():
     for a in range(1, 101):
-        x = FieldElem(a, 101)
-        assert ff_inv(ff_inv(x)) == x
+        assert ff_inv_int(ff_inv_int(a, 101), 101) == a
 
 
 def test_ff_inv_oracle_against_exhaustive():
@@ -70,13 +69,13 @@ def test_negative_exponent_rejected_for_non_invertible():
 
 def test_specialize_laurent_inverse():
     lam_inv = ParamCoeff.param(RING, "lam", -1)
-    assert lam_inv.specialize({"lam": 2}) == FieldElem(51, 101)
+    assert lam_inv.specialize({"lam": 2}) == 51
 
 
 def test_specialize_affine():
     pi = ParamCoeff.param(RING7, "pi")
     one = ParamCoeff.one(RING7)
-    assert (pi + one).specialize({"pi": 0}) == FieldElem(1, 7)
+    assert (pi + one).specialize({"pi": 0}) == 1
 
 
 def test_specialize_invertible_zero_raises():
@@ -128,8 +127,8 @@ def test_specialize_is_ring_homomorphism():
         a, b = _random_coeff(rng, RING), _random_coeff(rng, RING)
         assignment = {name: rng.randrange(1, 101) for name in RING.names}
         sa, sb = a.specialize(assignment), b.specialize(assignment)
-        assert (a * b).specialize(assignment) == sa * sb
-        assert (a + b).specialize(assignment) == sa + sb
+        assert (a * b).specialize(assignment) == sa * sb % 101
+        assert (a + b).specialize(assignment) == (sa + sb) % 101
 
 
 def test_derivative_of_laurent_term():
@@ -147,7 +146,7 @@ def test_no_zero_terms_stored():
 def test_caller_flagged_invertible_parameter():
     ring = ParamRing(101, invertible=frozenset({"lam", "rho"}))
     rho_inv = ParamCoeff.param(ring, "rho", -1)
-    assert rho_inv.specialize({"rho": 2}).value == 51
+    assert rho_inv.specialize({"rho": 2}) == 51
     with pytest.raises(InvertibleAssignedZero):
         rho_inv.specialize({"rho": 0})
     # pi stays non-invertible

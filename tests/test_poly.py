@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conewalk.coeffs import FieldElem, ParamCoeff, ParamRing
+from conewalk.coeffs import ParamCoeff, ParamRing
 from conewalk.errors import (
     DivisionFailure,
     ParseError,
@@ -104,7 +104,7 @@ def test_homogeneous_product_degree_adds():
 def test_eval_point():
     u = VarUniverse(("x0", "x1"), ParamRing(7))
     f = parse_poly("x0*x1", u)
-    assert f.eval_point((2, 3)) == FieldElem(6, 7)
+    assert f.eval_point((2, 3)) == 6
 
 
 def test_eval_commutes_with_arithmetic():
@@ -114,20 +114,20 @@ def test_eval_commutes_with_arithmetic():
         pt = [rng.randrange(101) for _ in U3.names]
         params = {n: rng.randrange(1, 101) for n in RING.names}
         ea, eb = a.eval_point(pt, params), b.eval_point(pt, params)
-        assert (a * b).eval_point(pt, params) == ea * eb
-        assert (a + b).eval_point(pt, params) == ea + eb
+        assert (a * b).eval_point(pt, params) == ea * eb % 101
+        assert (a + b).eval_point(pt, params) == (ea + eb) % 101
 
 
 def test_membership_evaluation():
     # a point on {f = 0} evaluates to zero
     f = P("x0 + 100*x1")
-    assert f.eval_point((5, 5, 17)).value == 0
+    assert f.eval_point((5, 5, 17)) == 0
 
 
 def test_minus_one_displays_as_p_minus_one():
     f = -V("x0", 6)
     # at x0 = 1 the value is p - 1
-    assert f.eval_point((1, 0, 0)).value == 100
+    assert f.eval_point((1, 0, 0)) == 100
 
 
 def test_canonical_string_examples():
