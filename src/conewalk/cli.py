@@ -5,11 +5,17 @@ Subcommands: bounds, construct, induct, verify, skeleton.  Exit codes:
 complete, 2 usage error.  Machine mode (--json) demands explicit seeds
 wherever randomness is involved, so identical invocations produce
 byte-identical output.
+
+The argparse parser is built once per process (``build_parser`` is
+cached), because building its ~40 options costs more than a short
+command; each subcommand names its ``cmd_*`` handler, which ``main``
+looks up on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -258,6 +264,7 @@ file formats:
 """
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="conewalk",
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sum", type=int, nargs=2, metavar=("N", "M"), help="print S(n, m) both ways")
     b.add_argument("--table", type=lambda s: tuple(int(x) for x in s.split(":")), metavar="D1:D2")
     b.add_argument("--json", action="store_true")
-    b.set_defaults(func=cmd_bounds)
+    b.set_defaults(func="cmd_bounds")
 
     c = sub.add_parser("construct", help="write a fresh seed state file")
     csub = c.add_subparsers(dest="construct_cmd", required=True)
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--seed", type=int, default=None, help="assign pi/rho sampling values")
     cb.add_argument("--out", required=True)
     cb.add_argument("--json", action="store_true")
-    cb.set_defaults(func=cmd_construct)
+    cb.set_defaults(func="cmd_construct")
 
     i = sub.add_parser("induct", help="apply cone steps to a state file")
     i.add_argument("--state", required=True)
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--seed", type=int, default=None)
     i.add_argument("--out", required=True)
     i.add_argument("--json", action="store_true")
-    i.set_defaults(func=cmd_induct)
+    i.set_defaults(func="cmd_induct")
 
     v = sub.add_parser("verify", help="run all structural checks on a state file")
     v.add_argument("--state", required=True)
@@ -306,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--report", default=None, help="also write the JSON report here")
     v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func="cmd_verify")
 
     s = sub.add_parser("skeleton", help="dual-graph obstruction calculus")
     ssub = s.add_subparsers(dest="skeleton_cmd", required=True)
     s1 = ssub.add_parser("subdivide")
     s1.add_argument("--graph", required=True)
     s1.add_argument("--r", type=int, required=True)
-    s1.set_defaults(func=cmd_skeleton)
+    s1.set_defaults(func="cmd_skeleton")
     s2 = ssub.add_parser("telescope")
     s2.add_argument("--c", type=int, required=True)
     s2.add_argument("--r", type=int, required=True)
@@ -321,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     s2.add_argument("--trials", type=int, default=10)
     s2.add_argument("--seed", type=int, default=None)
     s2.add_argument("--json", action="store_true")
-    s2.set_defaults(func=cmd_skeleton)
+    s2.set_defaults(func="cmd_skeleton")
     s3 = ssub.add_parser("coker")
     s3.add_argument("--map", required=True, help="matrix as inline JSON or a file path")
     s3.add_argument("--m", type=int, required=True)
     s3.add_argument("--c", type=int, default=0, help="ring modulus (0 = integers)")
     s3.add_argument("--json", action="store_true")
-    s3.set_defaults(func=cmd_skeleton)
+    s3.set_defaults(func="cmd_skeleton")
     s4 = ssub.add_parser("transfer")
     s4.add_argument("--graph", required=True)
     s4.add_argument("--c", type=int, required=True)
@@ -336,15 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     s4.add_argument("--seed", type=int, default=None)
     s4.add_argument("--m", type=int, default=1)
     s4.add_argument("--json", action="store_true")
-    s4.set_defaults(func=cmd_skeleton)
+    s4.set_defaults(func="cmd_skeleton")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the handler is named, not held, by the cached parser, so a replaced
+    # cmd_* (a test's monkeypatch, a tracer's wrapper) is the one that runs
+    handler = globals()[args.func]
     try:
-        return args.func(args)
+        return handler(args)
     except ConewalkError as ex:
         print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import add
 
 from .coeffs import ParamCoeff, ParamRing, _term_sort_key, ff_inv_int
 from .errors import (
@@ -36,6 +37,7 @@ class VarUniverse:
 
     names: tuple
     ring: ParamRing
+    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -43,14 +45,15 @@ class VarUniverse:
         overlap = set(self.names) & set(self.ring.names)
         if overlap:
             raise ValueError(f"names {sorted(overlap)} used as both variable and parameter")
+        object.__setattr__(self, "_positions", {name: k for k, name in enumerate(self.names)})
 
     def __len__(self):
         return len(self.names)
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise UnknownVariable(f"unknown variable {name!r}") from None
 
 
@@ -75,7 +78,7 @@ class SparsePoly:
         for exps, c in terms.items():
             if len(exps) != nv:
                 raise ValueError("exponent tuple length mismatch")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise ValueError("negative variable exponent")
             if not isinstance(c, ParamCoeff):
                 raise TypeError("coefficients must be ParamCoeff")
@@ -155,7 +158,7 @@ class SparsePoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 prod = c1 * c2
                 acc = out.get(e)
                 out[e] = prod if acc is None else acc + prod
@@ -381,18 +384,26 @@ class SparsePoly:
 
 
 _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\^|-?\d+|\*|\+|-|\S")
+_INT = re.compile(r"-?\d+")
 
 
 def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
-    """Parse the grammar above into a canonical ``SparsePoly``."""
+    """Parse the grammar above into a canonical ``SparsePoly``.
+
+    Terms are summed in one ``{var_exps: {par_exps: residue}}`` dict, so
+    monomials keep the order of their first appearance in ``text``.
+    """
     ring = universe.ring
+    p = ring.p
+    var_index = universe._positions
+    par_index = {name: k for k, name in enumerate(ring.names)}
     tokens = []
     for m in _TOKEN.finditer(text):
         tokens.append((m.group(0), m.start()))
     if not tokens:
         raise ParseError("empty polynomial text", 0)
 
-    result = SparsePoly.zero(universe)
+    acc = {}
     i = 0
     n = len(tokens)
     sign = 1
@@ -415,26 +426,26 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
                 continue
             if not expect_factor:
                 raise ParseError(f"expected '*' or '+' before {tok!r}", pos)
-            if re.fullmatch(r"-?\d+", tok):
+            if _INT.fullmatch(tok):
                 if tok.startswith("-"):
                     raise ParseError("negative coefficient not in grammar", pos)
-                scalar = scalar * int(tok) % ring.p
-            elif tok in universe.names or tok in ring.names:
+                scalar = scalar * int(tok) % p
+            elif tok in var_index or tok in par_index:
                 name = tok
                 exp = 1
                 if i + 1 < n and tokens[i + 1][0] == "^":
-                    if i + 2 >= n or not re.fullmatch(r"-?\d+", tokens[i + 2][0]):
+                    if i + 2 >= n or not _INT.fullmatch(tokens[i + 2][0]):
                         raise ParseError("expected integer exponent after '^'", tokens[i + 1][1])
                     exp = int(tokens[i + 2][0])
                     i += 2
-                if name in universe.names:
+                if name in var_index:
                     if exp < 0:
                         raise ParseError(f"negative exponent at variable {name!r}", pos)
-                    var_exps[universe.index(name)] += exp
+                    var_exps[var_index[name]] += exp
                 else:
                     if exp < 0 and name not in ring.invertible:
                         raise ParseError(f"negative exponent at parameter {name!r}", pos)
-                    par_exps[ring.index(name)] += exp
+                    par_exps[par_index[name]] += exp
             else:
                 raise ParseError(f"unknown name {tok!r}", pos)
             any_factor = True
@@ -443,11 +454,12 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
         if not any_factor:
             pos = tokens[i][1] if i < n else len(text)
             raise ParseError("empty term", pos)
-        coeff = ParamCoeff(ring, {tuple(par_exps): scalar * sign})
-        return SparsePoly(universe, {tuple(var_exps): coeff}), i
+        coeff = acc.setdefault(tuple(var_exps), {})
+        key = tuple(par_exps)
+        coeff[key] = (coeff.get(key, 0) + scalar * sign) % p
+        return i
 
-    term, i = parse_term(i, sign)
-    result = result + term
+    i = parse_term(i, sign)
     while i < n:
         tok, pos = tokens[i]
         if tok == "+":
@@ -457,6 +469,5 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
         else:
             raise ParseError(f"expected '+' between terms, got {tok!r}", pos)
         i += 1
-        term, i = parse_term(i, sign)
-        result = result + term
-    return result
+        i = parse_term(i, sign)
+    return SparsePoly(universe, {exps: ParamCoeff(ring, c) for exps, c in acc.items()})

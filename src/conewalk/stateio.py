@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 from .basecase import BaseParams, HypersurfaceState
+from .coeffs import ParamCoeff
 from .poly import SparsePoly, coordinate_universe, parse_poly
 
 SCHEMA_VERSION = 1
@@ -89,9 +90,9 @@ def state_from_dict(d: dict) -> HypersurfaceState:
     bp = BaseParams(n=dims["n"], m=m, r=r, d=dims["d"], p=d["p"])
     universe = coordinate_universe(dims["n"], r, s, bp.ring())
     h_poly = parse_poly(d["h_poly"], universe)
-    z_product = SparsePoly.constant(universe, 1)
-    for k in range(1, s + 1):
-        z_product = z_product * SparsePoly.variable(universe, f"z{k}")
+    zs = {f"z{k}" for k in range(1, s + 1)}
+    z_exps = tuple(int(name in zs) for name in universe.names)
+    z_product = SparsePoly(universe, {z_exps: ParamCoeff.one(universe.ring)})
     if h_poly != z_product:
         want = z_product.canonical_string()
         raise ValueError(f"state h_poly is {d['h_poly']!r}, but dims.s = {s} needs {want!r}")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conewalk import cli
 from conewalk.cli import main
 from conewalk.skeleton import ChainSkeleton, DualGraph, FgModule, skeleton_to_json
 
@@ -300,3 +301,22 @@ def test_state_with_a_mistyped_value_is_a_usage_error(tmp_path, capsys, path, va
     code, _, err = run(capsys, "verify", "--state", str(state), "--seed", "1")
     assert code == 2
     _assert_one_error_line(err, str(state), needle)
+
+
+def test_cached_parser_carries_no_option_into_the_next_call(monkeypatch):
+    cli.build_parser()  # the parser exists before the handler is replaced
+    seen = []
+    monkeypatch.setattr(cli, "cmd_induct", lambda args: seen.append((args.j, args.steps)) or 0)
+    assert main(["induct", "--state", "s.json", "--j", "1", "--steps", "3", "--out", "t.json"]) == 0
+    assert main(["induct", "--state", "s.json", "--out", "t.json"]) == 0
+    assert seen == [(1, 3), (None, 1)]
+
+
+def test_usage_error_then_valid_command(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["bounds", "--sum", "4"])
+    assert ex.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "bounds", "--sum", "4", "2")
+    assert code == 0
+    assert out.strip() == "S(4,2) = 10 (closed form 10)"

@@ -270,3 +270,85 @@ def test_roundtrip_laurent_and_multiparam():
             terms[exps] = coeff if prev is None else prev + coeff
         f = SparsePoly(U3, {e: c for e, c in terms.items() if not c.is_zero()})
         assert parse_poly(f.canonical_string(), U3) == f
+
+
+# -- constructor checks --
+
+
+def test_constructor_rejects_wrong_exponent_length():
+    one = ParamCoeff.one(RING)
+    for exps in [(), (1, 0), (1, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="exponent tuple length mismatch"):
+            SparsePoly(U3, {exps: one})
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_constructor_rejects_negative_exponent(slot):
+    exps = [2, 2, 2]
+    exps[slot] = -1
+    with pytest.raises(ValueError, match="negative variable exponent"):
+        SparsePoly(U3, {tuple(exps): ParamCoeff.one(RING)})
+
+
+def test_constructor_rejects_non_paramcoeff():
+    with pytest.raises(TypeError, match="coefficients must be ParamCoeff"):
+        SparsePoly(U3, {(1, 0, 0): 5})
+
+
+def test_constant_over_zero_variable_universe():
+    u0 = VarUniverse((), RING)
+    c = SparsePoly.constant(u0, 7)
+    assert list(c.terms) == [()]
+    assert c.canonical_string() == "7"
+    assert parse_poly("3*lam^-1 + 4", u0).canonical_string() == "4 + 3*lam^-1"
+
+
+# -- parse semantics: one sum per monomial --
+
+
+def test_parse_cancelling_terms_give_zero():
+    f = P("x0 + 100*x0")
+    assert f.is_zero()
+    assert f == SparsePoly.zero(U3)
+
+
+def test_parse_sums_per_monomial():
+    f = P("x0*lam + 2*x0*lam^-1 + x0*lam")
+    lam = SparsePoly.param(U3, "lam")
+    lam_inv = SparsePoly.param(U3, "lam", -1)
+    assert f == (lam.scale(2) + lam_inv.scale(2)) * V("x0")
+    assert list(f.terms) == [(1, 0, 0)]
+
+
+def test_parse_keeps_first_appearance_order():
+    f = P("x2 + x0^2 + 3*x1 + x0*x1 + 5*x2")
+    assert list(f.terms) == [(0, 0, 1), (2, 0, 0), (0, 1, 0), (1, 1, 0)]
+    assert f.terms[(0, 0, 1)] == ParamCoeff.from_int(RING, 6)
+
+
+def test_parse_is_the_sum_of_single_term_parses():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # few monomials and residues near 0 and p, so terms repeat and cancel
+    factor = st.sampled_from(["x0", "x1", "x1^2", "x2^3", "pi", "t^2", "lam", "lam^-1", "lam^-3"])
+    scalar = st.sampled_from([None, "0", "1", "2", "50", "51", "99", "100", "101", "203"])
+    term = st.tuples(st.sampled_from(["+", "-"]), scalar, st.lists(factor, max_size=3))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.lists(term, min_size=1, max_size=10))
+    def check(terms):
+        pieces, expected = [], SparsePoly.zero(U3)
+        for k, (sign, c, factors) in enumerate(terms):
+            words = ([c] if c is not None else []) + factors
+            text = "*".join(words) if words else "1"
+            single = P(text)
+            expected = expected + single if sign == "+" else expected - single
+            pieces.append(text if k == 0 and sign == "+" else f"{sign} {text}")
+        if terms[0][0] == "-":
+            pieces[0] = "0 " + pieces[0]
+        f = P(" ".join(pieces))
+        assert f == expected
+        assert P(f.canonical_string()) == f
+
+    check()
