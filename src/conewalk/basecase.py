@@ -157,23 +157,6 @@ def cj_degree(j: int) -> int:
     return bin(j).count("1")
 
 
-def build_F(bp: BaseParams, universe: VarUniverse | None = None) -> SparsePoly:
-    """g*x0^(m+n-deg g) + sum_j x0^(n-deg c_j) c_j y_j^m + (-1)^n x1..xn y_{r+1}^m."""
-    if universe is None:
-        universe = coordinate_universe(bp.n, bp.r, 0, bp.ring())
-    total = build_g(bp, universe) * SparsePoly.variable(universe, "x0", bp.m + bp.n - bp.deg_g)
-    for j in range(1, bp.r + 1):
-        cj = build_cj(j, bp.n, universe)
-        term = SparsePoly.variable(universe, "x0", bp.n - cj_degree(j)) * cj
-        term = term * SparsePoly.variable(universe, f"y{j}", bp.m)
-        total = total + term
-    last = SparsePoly.variable(universe, f"y{bp.r + 1}", bp.m)
-    for i in range(1, bp.n + 1):
-        last = last * SparsePoly.variable(universe, f"x{i}")
-    sign = 1 if bp.n % 2 == 0 else -1
-    return total + last.scale(sign)
-
-
 def build_h(bp: BaseParams, h_choice: str = "default", universe: VarUniverse | None = None) -> SparsePoly:
     """The degree-d irreducible pivot: sum x_i^d, or the chain form
     x0^d + sum x_{i-1} x_i^(d-1) used when the characteristic divides d.

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, factorial
+from math import comb, gcd
 
 from .coeffs import is_prime
-from .errors import NonIntegralResult, NotFano
+from .errors import NonIntegralResult
 
 #: delta correction table for the m = 3 closed form, indexed by n mod 6
 DELTA_MOD6 = (
@@ -108,42 +108,6 @@ def max_N(d: int, m: int) -> int:
     if d < m + 2:
         raise ValueError("need d >= m + 2")
     return max(n + (2**n - 2) + sum_S(n, m) for n in range(2, d - m + 1))
-
-
-def divisor_report(d: int, N: int, char_p: int = 0, allow_non_fano: bool = False) -> dict:
-    """All certified torsion divisors m for (d, N), plus their lcm and the
-    classical factorial upper bound.
-
-    m is enumerated over 2..d-2: beyond that m + n <= d forces n < 2.
-    Inputs outside the range d <= N + 1 are rejected (the divisibility
-    statement concerns Fano hypersurfaces) unless ``allow_non_fano`` is
-    set, which runs the bare witness enumeration anyway.
-    """
-    if d > N + 1 and not allow_non_fano:
-        raise NotFano(f"d={d} > N+1={N + 1}")
-    divisors = []
-    witnesses = {}
-    for m in range(2, max(d - 1, 2)):
-        if char_p and gcd(m, char_p) != 1:
-            continue
-        if d < m + 2:
-            continue
-        w = applicable(d, N, m, char_p)
-        if w is not None:
-            divisors.append(m)
-            witnesses[m] = w
-    running = 1
-    for m in divisors:
-        running = running * m // gcd(running, m)
-    return {
-        "d": d,
-        "N": N,
-        "char_p": char_p,
-        "divisors": divisors,
-        "witnesses": witnesses,
-        "lcm": running,
-        "factorial_upper_bound": factorial(d),
-    }
 
 
 def step_budget(n: int, m: int, d: int, r: int) -> int:

@@ -223,11 +223,7 @@ def induct_step(
     s_new = state.s + 1
     z_name = f"z{s_new}"
     new_universe = coordinate_universe(bp.n, bp.r, s_new, bp.ring())
-    a_sub = [state.a0.embed(new_universe)]
-    a_sub += [
-        state.a[(i, j0)].divide_by_monomial("x0", i).embed(new_universe)
-        for i in range(1, m + 1)
-    ]
+    a_sub = [poly.embed(new_universe) for poly in split_column(state, j0)]
 
     a_new = {}
     for j in range(1, state.r + 1):
@@ -281,17 +277,6 @@ def induct_step(
         step_entry["t"] = t_val
     new.log("induct", **step_entry)
     return new
-
-
-def run_induction(state: HypersurfaceState, steps: int, j0: int | None = None, seed: int = 0):
-    """Apply ``steps`` cone steps (tie-break column choice unless j0 given).
-
-    Raises EjExhausted when the ladder budget runs out first.
-    """
-    out = [state]
-    for k in range(steps):
-        out.append(induct_step(out[-1], j0=j0, seed=seed + k))
-    return out
 
 
 # -- symbolic verifiers ------------------------------------------------------
@@ -417,15 +402,6 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
     )
     checks.append(_entry("h-poly-shape", "pivot-product", True, shape_ok))
     return checks
-
-
-def lambda_zero_y1(fam: DoubleConeFamily) -> SparsePoly:
-    """The Y1 equation after clearing lam-denominators and sending lam to 0.
-
-    This is the inspection-only specialization path; it never feeds back
-    into Laurent arithmetic.
-    """
-    return fam.Y1_eq.set_param_zero("lam")
 
 
 # -- numeric smoothness sampling --------------------------------------------

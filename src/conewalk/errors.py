@@ -94,10 +94,6 @@ class NonIntegralResult(ConewalkError):
     """A closed form that must be an integer evaluated to a non-integer."""
 
 
-class NotFano(ConewalkError):
-    """Degree/dimension pair outside the range d <= N + 1."""
-
-
 # -- chain skeletons -------------------------------------------------------
 
 class RDivisibilityViolated(ConewalkError):

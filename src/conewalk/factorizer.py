@@ -2,15 +2,25 @@
 
 ``univariate_factor`` is a complete factorization for single-variable
 inputs.  ``probably_irreducible`` decides absolute irreducibility of a
-homogeneous multivariate polynomial by restricting to random affine
-planes, redrawing maps that send the plane onto a line.  Slices keep the
-full degree, so a splitting of the input splits every slice: one slice
-certified absolutely irreducible (``bifactor.is_absolutely_irreducible``)
-makes ``Irreducible`` exact.  A ``Reducible`` verdict always carries a
-re-multiplication-verified factor.  Whenever reducibility over the
-closure is detected but no rational witness can be produced, the
-verdict is ``Inconclusive`` -- the oracle never claims more than it has
-checked.
+homogeneous multivariate polynomial of degree d in k used variables, in
+one sequence:
+
+- d = 1 is ``Irreducible``;
+- a variable dividing every term of the specialized input is a witness;
+- for k >= 3, restrict to random affine planes, redrawing maps that send
+  the plane onto a line.  Slices keep the full degree, so a splitting of
+  the input splits every slice: one slice certified absolutely
+  irreducible (``bifactor.is_absolutely_irreducible``) makes
+  ``Irreducible`` exact;
+- otherwise the input is reducible over the closure (a binary form of
+  degree >= 2 splits into linear forms; a slice split).  For k <= 3 its
+  dehomogenization is bivariate and ``bifactor.factor_bivariate`` finds
+  a rational factor if there is one; for k >= 4 no factor is recovered.
+
+A ``Reducible`` verdict always carries a factor that divides exactly.
+Whenever reducibility over the closure is detected but no rational
+witness can be produced, the verdict is ``Inconclusive`` -- the oracle
+never claims more than it has checked.
 
 ``failure_bound = (deg^2 / p) ** trials`` is the conservative per-trial
 bound c0 * deg^2 / p (c0 = 1) on a slice degenerating; it over-states
@@ -53,17 +63,6 @@ class IrreducibilityVerdict:
 
     def __bool__(self):
         return self.verdict == IRREDUCIBLE
-
-
-def trials_for_failure_bound(degree: int, p: int, bound: float) -> int:
-    """Smallest trial count making (deg^2/p)^trials <= bound."""
-    per = SLICE_FAILURE_C0 * degree * degree / p
-    if per >= 1.0:
-        raise DegreeTooLargeForPrime(f"p={p} too small for degree {degree}")
-    t = 1
-    while per**t > bound:
-        t += 1
-    return t
 
 
 def univariate_factor(a: SparsePoly, assignment: dict | None = None, seed: int = 0):
@@ -131,16 +130,6 @@ def probably_irreducible(
         raise DegreeTooLargeForPrime(f"p={p} <= deg^2={d * d}")
     rng = random.Random(seed)
 
-    # visible monomial factors are decided symbolically, before any sampling
-    for name in a.universe.names:
-        val = a.variable_valuation(name)
-        if val and val > 0:
-            witness = SparsePoly.variable(a.universe, name)
-            cofactor = a.divide_by_monomial(name, 1)
-            if cofactor * witness != a:
-                raise DivisionFailure(f"{name} * cofactor does not re-multiply to the input")
-            return IrreducibilityVerdict(REDUCIBLE, witness=witness, note="monomial factor")
-
     if params == "random":
         assignment = {name: rng.randrange(1, p) for name in a.universe.ring.names}
     else:
@@ -150,46 +139,51 @@ def probably_irreducible(
         return IrreducibilityVerdict(
             INCONCLUSIVE, assignment=assignment, note="polynomial vanished at the assignment"
         )
-
-    used = [i for i in range(len(a.universe)) if any(e[i] for e in int_terms)]
     if d == 1:
         return IrreducibilityVerdict(IRREDUCIBLE, failure_bound=0.0, assignment=assignment)
-    if len(used) == 1:
-        # c * x^d with d >= 2 would have been caught by the monomial check
-        name = a.universe.names[used[0]]
-        witness = SparsePoly.variable(a.universe, name)
-        return IrreducibilityVerdict(REDUCIBLE, witness=witness, note="single variable power")
-    if len(used) == 2:
-        return _binary_form_verdict(a, int_terms, used, assignment, rng)
 
-    F = PrimeField(p)
-    per_trial = SLICE_FAILURE_C0 * d * d / p
-    nonsquarefree_slices = 0
-    for _ in range(trials):
-        slice_poly = _sample_slice(F, int_terms, used, d, rng)
-        if slice_poly is None:
+    used = [i for i in range(len(a.universe)) if any(e[i] for e in int_terms)]
+    for i in used:
+        if all(e[i] for e in int_terms):
+            witness = SparsePoly.variable(a.universe, a.universe.names[i])
+            if _exact_divide(int_terms, witness.specialize_params({}), p) is None:
+                raise DivisionFailure(f"{witness!r} does not divide the input exactly")
             return IrreducibilityVerdict(
-                INCONCLUSIVE, assignment=assignment, note="no non-degenerate slice found"
+                REDUCIBLE, witness=witness, assignment=assignment, note="variable factor"
             )
-        gcd_sf = bi.biv_gcd(F, slice_poly, bi.derivative_v(F, slice_poly))
-        if bi.deg_v(gcd_sf) > 0 or bi.deg_u(gcd_sf) > 0:
-            nonsquarefree_slices += 1
-            if nonsquarefree_slices >= 3:
+
+    # no variable factor, so len(used) >= 2; a binary form of degree >= 2
+    # splits into linear forms over the closure and needs no slice
+    if len(used) >= 3:
+        F = PrimeField(p)
+        nonsquarefree_slices = 0
+        for _ in range(trials):
+            slice_poly = _sample_slice(F, int_terms, used, d, rng)
+            if slice_poly is None:
                 return IrreducibilityVerdict(
-                    INCONCLUSIVE,
-                    assignment=assignment,
-                    note="slices persistently non-squarefree (repeated factor likely)",
+                    INCONCLUSIVE, assignment=assignment, note="no non-degenerate slice found"
                 )
-            continue
-        ok, _ = bi.is_absolutely_irreducible(F, slice_poly, rng)
-        if not ok:
-            return _witness_after_reducible_slice(a, int_terms, used, assignment, rng)
-    return IrreducibilityVerdict(
-        IRREDUCIBLE,
-        failure_bound=per_trial**trials,
-        trials=trials,
-        assignment=assignment,
-    )
+            gcd_sf = bi.biv_gcd(F, slice_poly, bi.derivative_v(F, slice_poly))
+            if bi.deg_v(gcd_sf) > 0 or bi.deg_u(gcd_sf) > 0:
+                nonsquarefree_slices += 1
+                if nonsquarefree_slices >= 3:
+                    return IrreducibilityVerdict(
+                        INCONCLUSIVE,
+                        assignment=assignment,
+                        note="slices persistently non-squarefree (repeated factor likely)",
+                    )
+                continue
+            ok, _ = bi.is_absolutely_irreducible(F, slice_poly, rng)
+            if not ok:
+                break
+        else:
+            return IrreducibilityVerdict(
+                IRREDUCIBLE,
+                failure_bound=(SLICE_FAILURE_C0 * d * d / p) ** trials,
+                trials=trials,
+                assignment=assignment,
+            )
+    return _rational_witness(a, int_terms, used, assignment, rng)
 
 
 def _sample_slice(F, int_terms, used, d, rng, attempts=64):
@@ -204,8 +198,6 @@ def _sample_slice(F, int_terms, used, d, rng, attempts=64):
         avec = [F.random(rng) for _ in range(n)]
         bvec = [F.random(rng) for _ in range(n)]
         cvec = [F.random(rng) for _ in range(n)]
-        if all(F.is_zero(c) for c in cvec):
-            continue
         # a rank-deficient map sends the plane onto a line, where f splits
         maps = [{k: v[i] for k, i in enumerate(used)} for v in (avec, bvec, cvec)]
         if bi.rank_mod_p(maps, F.p) < 3:
@@ -229,68 +221,7 @@ def _sample_slice(F, int_terms, used, d, rng, attempts=64):
     return None
 
 
-def _binary_form_verdict(a, int_terms, used, assignment, rng):
-    """Homogeneous in two variables: splits into linear forms over the
-    closure, so degree >= 2 is never absolutely irreducible.  A rational
-    witness exists iff the dehomogenization has a proper factor."""
-    p = a.universe.ring.p
-    F = PrimeField(p)
-    i, j = used
-    deg = max(e[i] + e[j] for e in int_terms)
-    # the specialization may acquire a variable factor the symbolic form lacks
-    for idx in (i, j):
-        if all(e[idx] > 0 for e in int_terms):
-            witness = SparsePoly.variable(a.universe, a.universe.names[idx])
-            return IrreducibilityVerdict(
-                REDUCIBLE, witness=witness, assignment=assignment, note="monomial factor at assignment"
-            )
-    coeffs = [0] * (deg + 1)
-    for e, c in int_terms.items():
-        coeffs[e[i]] = (coeffs[e[i]] + c) % p
-    g = uni.normalize(F, coeffs)
-    if uni.deg(g) >= 1:
-        _, fs = uni.factor(F, g, rng)
-        if len(fs) > 1 or fs[0][1] > 1:
-            w, _ = fs[0]
-            witness = _homogenize_univariate(
-                a.universe, w, a.universe.names[i], a.universe.names[j], deg_total=uni.deg(w)
-            )
-            if _verify_witness(a, int_terms, witness):
-                return IrreducibilityVerdict(
-                    REDUCIBLE, witness=witness, assignment=assignment, note="binary form split"
-                )
-    # x_j^k content would have been caught earlier; the remaining case is a
-    # rationally irreducible binary form, reducible over the closure only
-    return IrreducibilityVerdict(
-        INCONCLUSIVE,
-        assignment=assignment,
-        note="binary form of degree >= 2: reducible over the closure, no rational witness",
-    )
-
-
-def _homogenize_univariate(universe, w, var_main, var_hom, deg_total):
-    ring = universe.ring
-    terms = {}
-    i_main = universe.index(var_main)
-    i_hom = universe.index(var_hom)
-    for k, c in enumerate(w):
-        if c == 0:
-            continue
-        e = [0] * len(universe)
-        e[i_main] = k
-        e[i_hom] = deg_total - k
-        terms[tuple(e)] = ParamCoeff.from_int(ring, c)
-    return SparsePoly(universe, terms)
-
-
-def _verify_witness(a, int_terms, witness):
-    """Check the witness divides the specialized polynomial exactly."""
-    p = a.universe.ring.p
-    quotient = _exact_divide(a.universe, int_terms, witness.specialize_params({}), p)
-    return quotient is not None
-
-
-def _exact_divide(universe, terms_f, terms_g, p):
+def _exact_divide(terms_f, terms_g, p):
     """f / g over GF(p) in dict form when exact, else None (monomial order
     long division; g's leading coefficient must be invertible, which it
     is over a field)."""
@@ -322,46 +253,40 @@ def _exact_divide(universe, terms_f, terms_g, p):
     return q
 
 
-def _witness_after_reducible_slice(a, int_terms, used, assignment, rng):
-    """A slice was reducible over the closure.  Try to recover a verified
-    rational factor of the specialized polynomial; with three effective
-    variables the dehomogenization is bivariate, where the factorization
-    is complete.  Otherwise report honestly."""
-    p = a.universe.ring.p
-    F = PrimeField(p)
-    if len(used) == 3:
-        i0, i1, i2 = used
+def _rational_witness(a, int_terms, used, assignment, rng):
+    """A form without a variable factor, known reducible over the closure
+    (a binary form of degree >= 2, or one with a reducible slice).  With
+    at most three used variables its dehomogenization at the last one is
+    bivariate (of v-degree 0 for a binary form), where factorization is
+    complete: the first factor, rehomogenized, is a rational witness when
+    it divides exactly.  Otherwise report honestly."""
+    universe = a.universe
+    p = universe.ring.p
+    if len(used) <= 3:
+        F = PrimeField(p)
+        *axes, last = used
         biv_terms = {}
         for e, c in int_terms.items():
-            key = (e[i0], e[i1])
+            key = (e[axes[0]], e[axes[1]] if len(axes) == 2 else 0)
             biv_terms[key] = (biv_terms.get(key, 0) + c) % p
-        f2 = bi.from_dict(F, biv_terms)
-        _, fs = bi.factor_bivariate(F, f2, rng)
-        if len(fs) > 1 or (fs and fs[0][1] > 1):
-            g, _ = fs[0]
-            witness = _rehomogenize_bivariate(a.universe, F, g, used)
-            if _exact_divide(a.universe, int_terms, witness.specialize_params({}), p) is not None:
+        _, fs = bi.factor_bivariate(F, bi.from_dict(F, biv_terms), rng)
+        if len(fs) > 1 or fs[0][1] > 1:
+            g = bi.to_dict(F, fs[0][0])
+            deg = max(i + j for i, j in g)
+            terms = {}
+            for ij, c in g.items():
+                e = [0] * len(universe)
+                for idx, k in zip(axes, ij):
+                    e[idx] = k
+                e[last] = deg - sum(ij)
+                terms[tuple(e)] = ParamCoeff.from_int(universe.ring, c)
+            witness = SparsePoly(universe, terms)
+            if _exact_divide(int_terms, witness.specialize_params({}), p) is not None:
                 return IrreducibilityVerdict(
-                    REDUCIBLE, witness=witness, assignment=assignment, note="slice split, factor lifted"
+                    REDUCIBLE, witness=witness, assignment=assignment, note="rational factor"
                 )
     return IrreducibilityVerdict(
         INCONCLUSIVE,
         assignment=assignment,
-        note="a slice is reducible over the closure but no rational witness was recovered",
+        note="reducible over the closure but no rational witness was recovered",
     )
-
-
-def _rehomogenize_bivariate(universe, F, g, used):
-    """Bivariate factor of the dehomogenization -> homogeneous multivariate."""
-    ring = universe.ring
-    gd = bi.to_dict(F, g)
-    deg = max(i + j for (i, j) in gd)
-    i0, i1, i2 = used
-    terms = {}
-    for (i, j), c in gd.items():
-        e = [0] * len(universe)
-        e[i0] = i
-        e[i1] = j
-        e[i2] = deg - i - j
-        terms[tuple(e)] = ParamCoeff.from_int(ring, c)
-    return SparsePoly(universe, terms)

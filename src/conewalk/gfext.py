@@ -123,9 +123,6 @@ class ExtField:
     def scalar(self, c: int):
         return tuple([c % self.p] + [0] * (self.k - 1))
 
-    def from_base(self, a: int):
-        return self.scalar(a)
-
     def is_zero(self, a):
         return all(x % self.p == 0 for x in a)
 

@@ -168,36 +168,3 @@ def solve_mod(A, b, c):
     if c:
         x = [v % c for v in x]
     return x
-
-
-def max_abs_minor_gcd(A, k):
-    """gcd of all k x k minors (the k-th determinantal divisor); 0 if all vanish.
-
-    Exponential enumeration; intended for small test oracles only.
-    """
-    from itertools import combinations
-
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if k == 0:
-        return 1
-    g = 0
-    for rsel in combinations(range(rows), k):
-        for csel in combinations(range(cols), k):
-            sub = [[A[i][j] for j in csel] for i in rsel]
-            g = gcd(g, _det(sub))
-    return abs(g)
-
-
-def _det(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    total = 0
-    for j in range(n):
-        if M[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-            total += (-1) ** j * M[0][j] * _det(minor)
-    return total

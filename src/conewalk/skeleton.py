@@ -210,37 +210,20 @@ class LinearMap:
     matrix: list
     ring: int
 
-    def src_offsets(self):
-        out = {}
-        pos = 0
-        for label, mod in self.src:
-            out[label] = (pos, mod)
-            pos += mod.ngens
-        return out
 
-    def dst_offsets(self):
-        out = {}
-        pos = 0
-        for label, mod in self.dst:
-            out[label] = (pos, mod)
-            pos += mod.ngens
-        return out
+def _offsets(labelled):
+    """({label: first index}, total rank) of a direct sum [(label, module)]."""
+    out, pos = {}, 0
+    for label, mod in labelled:
+        out[label] = pos
+        pos += mod.ngens
+    return out, pos
 
 
 def _assemble(src, dst, blocks, ring):
     """blocks: {(dst_label, src_label): matrix} -> one big matrix."""
-    src_off = {}
-    pos = 0
-    for label, mod in src:
-        src_off[label] = pos
-        pos += mod.ngens
-    total_src = pos
-    dst_off = {}
-    pos = 0
-    for label, mod in dst:
-        dst_off[label] = pos
-        pos += mod.ngens
-    total_dst = pos
+    src_off, total_src = _offsets(src)
+    dst_off, total_dst = _offsets(dst)
     M = _zeros(total_dst, total_src)
     for (dl, sl), B in blocks.items():
         r0, c0 = dst_off[dl], src_off[sl]
@@ -512,11 +495,10 @@ def transfer_single(ssk: SubdividedSkeleton, z: dict, m: int):
     if any(mod.factors for mod in list(sk.ch1.values()) + list(sk.ch0_edge.values()) + list(sk.ch0_vertex.values())):
         raise ValueError("transfer demo supports free modules only")
     lm = phi_map_subdivided(ssk)
-    dst_off = lm.dst_offsets()
-    total_dst = len(lm.matrix)
+    dst_off, total_dst = _offsets(lm.dst)
     beta = [0] * total_dst
     for e in sk.graph.edges:
-        pos, mod = dst_off[(e, 1)]
+        pos = dst_off[(e, 1)]
         for k, val in enumerate(z[e]):
             beta[pos + k] = m * val % c
     x = solve_mod(lm.matrix, beta, c)

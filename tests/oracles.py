@@ -1,0 +1,56 @@
+"""Slow, independent reference computations that the tests compare the
+package against; nothing in the package calls them."""
+
+from itertools import combinations
+from math import gcd
+
+from conewalk.basecase import BaseParams, build_cj, build_g, cj_degree
+from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe
+
+
+def max_abs_minor_gcd(A, k):
+    """gcd of all k x k minors (the k-th determinantal divisor); 0 if all vanish.
+
+    Exponential enumeration, for small matrices only.
+    """
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    if k == 0:
+        return 1
+    g = 0
+    for rsel in combinations(range(rows), k):
+        for csel in combinations(range(cols), k):
+            sub = [[A[i][j] for j in csel] for i in rsel]
+            g = gcd(g, _det(sub))
+    return abs(g)
+
+
+def _det(M):
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    if n == 2:
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    total = 0
+    for j in range(n):
+        if M[0][j]:
+            minor = [row[:j] + row[j + 1 :] for row in M[1:]]
+            total += (-1) ** j * M[0][j] * _det(minor)
+    return total
+
+
+def build_F(bp: BaseParams, universe: VarUniverse | None = None) -> SparsePoly:
+    """g*x0^(m+n-deg g) + sum_j x0^(n-deg c_j) c_j y_j^m + (-1)^n x1..xn y_{r+1}^m."""
+    if universe is None:
+        universe = coordinate_universe(bp.n, bp.r, 0, bp.ring())
+    total = build_g(bp, universe) * SparsePoly.variable(universe, "x0", bp.m + bp.n - bp.deg_g)
+    for j in range(1, bp.r + 1):
+        cj = build_cj(j, bp.n, universe)
+        term = SparsePoly.variable(universe, "x0", bp.n - cj_degree(j)) * cj
+        term = term * SparsePoly.variable(universe, f"y{j}", bp.m)
+        total = total + term
+    last = SparsePoly.variable(universe, f"y{bp.r + 1}", bp.m)
+    for i in range(1, bp.n + 1):
+        last = last * SparsePoly.variable(universe, f"x{i}")
+    sign = 1 if bp.n % 2 == 0 else -1
+    return total + last.scale(sign)

@@ -28,7 +28,6 @@ from conewalk.doublecone import (
 from conewalk.errors import EjExhausted
 from conewalk.factorizer import univariate_factor
 from conewalk.gfext import PrimeField
-from conewalk.intlinalg import max_abs_minor_gcd
 from conewalk.poly import SparsePoly, VarUniverse, parse_poly
 from conewalk.skeleton import (
     ChainSkeleton,
@@ -40,6 +39,8 @@ from conewalk.skeleton import (
     telescope_check,
     unit_skeleton,
 )
+
+from oracles import max_abs_minor_gcd
 
 
 def _report(k, label, t0):

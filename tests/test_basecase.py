@@ -6,13 +6,14 @@ from conewalk.basecase import (
     BaseParams,
     build_base_state,
     build_cj,
-    build_F,
     build_g,
     build_h,
     cj_degree,
 )
 from conewalk.errors import IndexOutOfRange
 from conewalk.poly import SparsePoly, coordinate_universe, parse_poly
+
+from oracles import build_F
 
 BP32 = BaseParams(n=3, m=2, r=6, d=5, p=101)
 BP22 = BaseParams(n=2, m=2, r=2, d=4, p=101)

@@ -24,7 +24,7 @@ def reference_absolutely_irreducible(F, f, rng):
         return False
     for ell in uni._prime_divisors(bi.total_degree(f)):
         E = uni.extension_field(F.p, ell, rng)
-        lifted = [[E.from_base(c) for c in col] for col in f]
+        lifted = [[E.scalar(c) for c in col] for col in f]
         _, fs_ext = bi.factor_bivariate(E, lifted, rng)
         if len(fs_ext) > 1:
             return False

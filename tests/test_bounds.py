@@ -6,14 +6,12 @@ from conewalk.bounds import (
     BoundWitness,
     applicable,
     closed_form_S,
-    divisor_report,
     max_N,
     sandwich_check,
     step_budget,
     step_budget_closed_form,
     sum_S,
 )
-from conewalk.errors import NotFano
 
 
 def test_sum_values():
@@ -99,24 +97,6 @@ def test_threshold_reproduction():
     for d in range(5, 17):
         assert max_N(d, 2) >= (d + 1) * 2 ** (d - 4), d
         assert max_N(d, 3) >= (d + 1) * 2 ** (d - 4) // 3, d
-
-
-def test_divisor_report():
-    rep = divisor_report(5, 10)
-    assert rep["divisors"] == [2]
-    assert rep["lcm"] == 2
-    assert rep["factorial_upper_bound"] == 120
-
-    rep = divisor_report(7, 4, allow_non_fano=True)
-    assert set(rep["divisors"]) >= {2, 3, 4, 5}
-
-    rep = divisor_report(5, 10, char_p=2)
-    assert 2 not in rep["divisors"]
-
-
-def test_divisor_report_fano_gate():
-    with pytest.raises(NotFano):
-        divisor_report(7, 4)
 
 
 def test_step_budget_identity():

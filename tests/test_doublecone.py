@@ -11,8 +11,6 @@ from conewalk.doublecone import (
     build_family,
     choose_j0,
     induct_step,
-    lambda_zero_y1,
-    run_induction,
     smoothness_sample,
     split_column,
     transformed_coefficient,
@@ -184,8 +182,16 @@ def test_ladder_decrement_and_h_growth(base_state):
     assert st2.h_poly == parse_poly("z1*z2", st2.universe)
 
 
+def _walk(state, steps, seed):
+    """The states of ``steps`` cone steps from ``state``, seeds counting up."""
+    states = [state]
+    for k in range(steps):
+        states.append(induct_step(states[-1], seed=seed + k))
+    return states
+
+
 def test_pipeline_exhausts_after_budget(base_state):
-    states = run_induction(base_state, 3, seed=40)
+    states = _walk(base_state, 3, seed=40)
     assert [s.s for s in states] == [0, 1, 2, 3]
     assert states[-1].e == [0] * 6
     with pytest.raises(EjExhausted):
@@ -202,7 +208,7 @@ def test_j0_errors(base_state):
 
 
 def test_verify_state_passes_on_pipeline(base_state):
-    for idx, st in enumerate(run_induction(base_state, 3, seed=60)):
+    for idx, st in enumerate(_walk(base_state, 3, seed=60)):
         checks = verify_state(st, irreducibility_trials=6, seed=11)
         assert all(c["pass"] for c in checks), (idx, [c for c in checks if not c["pass"]])
 
@@ -263,7 +269,8 @@ def test_smoothness_budget_exhaustion(family):
 
 
 def test_lambda_zero_specialization(family):
-    y10 = lambda_zero_y1(family)
+    """The Y1 equation after clearing lam-denominators and sending lam to 0."""
+    y10 = family.Y1_eq.set_param_zero("lam")
     u = family.universe
     assert not y10.uses_param("lam")
     # the cleared equation keeps the x0^(d-1) w tail

@@ -11,7 +11,6 @@ from conewalk.factorizer import (
     IRREDUCIBLE,
     REDUCIBLE,
     probably_irreducible,
-    trials_for_failure_bound,
     univariate_factor,
 )
 from conewalk.poly import SparsePoly, VarUniverse, parse_poly
@@ -113,7 +112,7 @@ def test_three_variable_product_witness_lifts():
     # verify: witness divides the (parameter-free) polynomial
     from conewalk.factorizer import _exact_divide
 
-    q = _exact_divide(U3, f.specialize_params({}), v.witness.specialize_params({}), 101)
+    q = _exact_divide(f.specialize_params({}), v.witness.specialize_params({}), 101)
     assert q is not None
 
 
@@ -137,15 +136,18 @@ def test_symbolic_pivot_polynomial_is_irreducible():
     assert v.failure_bound <= 2**-40
 
 
-def test_trials_for_failure_bound():
-    t = trials_for_failure_bound(5, 101, 2**-40)
-    assert (25 / 101) ** t <= 2**-40
-    assert (25 / 101) ** (t - 1) > 2**-40
-
-
 def test_linear_form_certain():
     v = probably_irreducible(parse_poly("x0 + 2*x1", U3), trials=3, seed=0)
     assert v.verdict == IRREDUCIBLE and v.failure_bound == 0.0
+
+
+def test_linear_monomial_is_irreducible():
+    """A linear form is absolutely irreducible; its variable is the input
+    itself, not a proper factor."""
+    for text in ("x0", "5*x1", "pi*x0"):
+        v = probably_irreducible(parse_poly(text, U3), trials=3, seed=0)
+        assert v.verdict == IRREDUCIBLE and v.failure_bound == 0.0, text
+        assert v.witness is None
 
 
 def test_unspecialized_parameter_error():
@@ -162,10 +164,9 @@ def test_unspecialized_parameter_error():
 
 
 def test_reducible_always_carries_verified_factor():
-    """Randomized: whenever the verdict is Reducible, the witness divides
-    the polynomial at the recorded assignment."""
-    from conewalk.factorizer import _exact_divide
-
+    """Randomized, plus linear monomials: whenever the verdict is
+    Reducible, the witness is a proper factor of the polynomial at the
+    recorded assignment."""
     rng = random.Random(71)
     for _ in range(40):
         deg = rng.randint(2, 4)
@@ -185,10 +186,22 @@ def test_reducible_always_carries_verified_factor():
         if poly.is_zero():
             continue
         v = probably_irreducible(poly, trials=4, seed=rng.randrange(10**6))
-        if v.verdict == REDUCIBLE:
-            spec_terms = poly.specialize_params(v.assignment or {})
-            q = _exact_divide(U3, spec_terms, v.witness.specialize_params({}), 101)
-            assert q is not None
+        _check_reducible_witness(poly, v)
+    for text in ("x0", "5*x1", "pi*x2"):
+        poly = parse_poly(text, U3)
+        _check_reducible_witness(poly, probably_irreducible(poly, trials=4, seed=0))
+
+
+def _check_reducible_witness(poly, v):
+    """A Reducible verdict carries a proper factor of ``poly`` at the
+    recorded assignment."""
+    from conewalk.factorizer import _exact_divide
+
+    if v.verdict == REDUCIBLE:
+        assert 0 < v.witness.total_degree() < poly.total_degree()
+        spec_terms = poly.specialize_params(v.assignment or {})
+        q = _exact_divide(spec_terms, v.witness.specialize_params({}), 101)
+        assert q is not None
 
 
 def test_fermat_cubic_never_inconclusive():
@@ -201,3 +214,131 @@ def test_fermat_cubic_never_inconclusive():
         for seed in range(40):
             v = probably_irreducible(f, trials=trials, seed=seed)
             assert v.verdict == IRREDUCIBLE, (trials, seed)
+
+
+def _exponents(n, degree):
+    if n == 1:
+        yield (degree,)
+        return
+    for k in range(degree + 1):
+        for rest in _exponents(n - 1, degree - k):
+            yield (k,) + rest
+
+
+def _form(universe, idx, degree, rng):
+    """A random form of ``degree`` in the variables at positions ``idx``,
+    with at least two terms."""
+    ring = universe.ring
+    while True:
+        terms = {}
+        for e in _exponents(len(idx), degree):
+            c = rng.randrange(ring.p)
+            if c:
+                full = [0] * len(universe)
+                for i, k in zip(idx, e):
+                    full[i] = k
+                terms[tuple(full)] = ParamCoeff.from_int(ring, c)
+        if len(terms) > 1:
+            return SparsePoly(universe, terms)
+
+
+def _parity_cases():
+    """(label, polynomial, params) over GF(101) and GF(103): monomials
+    c*x^d, dense and product binary forms, three-variable products A*B,
+    and variable factors visible symbolically or only at the assignment."""
+    cases = []
+    for p in (101, 103):
+        u = VarUniverse(("x0", "x1", "x2"), ParamRing(p))
+        x0, x1, x2 = (SparsePoly.variable(u, x) for x in u.names)
+        rng = random.Random(p)
+        for d in range(2, 6):
+            f = SparsePoly.variable(u, u.names[rng.randrange(3)], d) * SparsePoly.constant(u, rng.randrange(1, p))
+            cases.append((f"{p} monomial {d}", f, "random"))
+        cases.append((f"{p} closed monomial", x1**2 * x2**3, "random"))
+        for d in range(2, 7):
+            idx = [(0, 1), (0, 2), (1, 2)][d % 3]
+            cases.append((f"{p} binary dense {d}", _form(u, idx, d, rng), "random"))
+            k = rng.randint(1, d - 1)
+            cases.append((f"{p} binary product {d}", _form(u, idx, k, rng) * _form(u, idx, d - k, rng), "random"))
+        cases.append((f"{p} binary without rational factor", x0**2 + SparsePoly.constant(u, 2) * x1**2, "random"))
+        for d in range(2, 7):
+            for n in range(2):
+                k = rng.randint(1, d - 1)
+                f = _form(u, (0, 1, 2), k, rng) * _form(u, (0, 1, 2), d - k, rng)
+                cases.append((f"{p} ternary product {d}.{n}", f, "random"))
+        cases.append((f"{p} variable times ternary", x2 * _form(u, (0, 1, 2), 3, rng), "random"))
+        # x0 divides only at pi = 3; x1^2 + 2*x2^2 has no rational factor
+        pi = SparsePoly.param(u, "pi")
+        f = x0 * (x1**2 + SparsePoly.constant(u, 2) * x2**2) + (pi - SparsePoly.constant(u, 3)) * x1**3
+        cases.append((f"{p} variable factor at pi=3", f, {"pi": 3}))
+    return cases
+
+
+PINNED = {
+    '101 monomial 2': ('Reducible', 'x2'),
+    '101 monomial 3': ('Reducible', 'x2'),
+    '101 monomial 4': ('Reducible', 'x1'),
+    '101 monomial 5': ('Reducible', 'x2'),
+    '101 closed monomial': ('Reducible', 'x1'),
+    '101 binary dense 2': ('Reducible', 'x1 + 64*x2'),
+    '101 binary product 2': ('Reducible', 'x1 + 3*x2'),
+    '101 binary dense 3': ('Reducible', 'x0 + 3*x1'),
+    '101 binary product 3': ('Reducible', 'x0 + 11*x1'),
+    '101 binary dense 4': ('Reducible', 'x0 + 58*x2'),
+    '101 binary product 4': ('Reducible', 'x0 + 61*x2'),
+    '101 binary dense 5': ('Reducible', 'x1 + 70*x2'),
+    '101 binary product 5': ('Reducible', 'x1 + 6*x2'),
+    '101 binary dense 6': ('Reducible', 'x0^2 + 35*x0*x1 + 20*x1^2'),
+    '101 binary product 6': ('Reducible', 'x0 + x1'),
+    '101 binary without rational factor': ('Inconclusive', None),
+    '101 ternary product 2.0': ('Reducible', '64*x0 + x1 + 41*x2'),
+    '101 ternary product 2.1': ('Reducible', '8*x0 + x1 + 37*x2'),
+    '101 ternary product 3.0': ('Reducible', 'x1 + 89*x2'),
+    '101 ternary product 3.1': ('Reducible', '94*x0 + x1 + 2*x2'),
+    '101 ternary product 4.0': ('Reducible', '57*x0 + x1 + 3*x2'),
+    '101 ternary product 4.1': ('Reducible', '27*x0 + x1 + 73*x2'),
+    '101 ternary product 5.0': ('Reducible', '32*x0^2 + 50*x0*x1 + 46*x0*x2 + x1^2 + 86*x1*x2 + 38*x2^2'),
+    '101 ternary product 5.1': ('Reducible', '88*x0^2 + 87*x0*x1 + 48*x0*x2 + x1^2 + 5*x1*x2 + 5*x2^2'),
+    '101 ternary product 6.0': ('Reducible', '99*x0 + x1 + 38*x2'),
+    '101 ternary product 6.1': ('Reducible', '18*x0^3 + 15*x0^2*x1 + 53*x0^2*x2 + 36*x0*x1^2 + 99*x0*x1*x2 + 92*x0*x2^2 + x1^3 + 90*x1^2*x2 + 17*x1*x2^2 + 5*x2^3'),
+    '101 variable times ternary': ('Reducible', 'x2'),
+    '101 variable factor at pi=3': ('Reducible', 'x0'),
+    '103 monomial 2': ('Reducible', 'x2'),
+    '103 monomial 3': ('Reducible', 'x2'),
+    '103 monomial 4': ('Reducible', 'x2'),
+    '103 monomial 5': ('Reducible', 'x2'),
+    '103 closed monomial': ('Reducible', 'x1'),
+    '103 binary dense 2': ('Inconclusive', None),
+    '103 binary product 2': ('Reducible', 'x1 + 90*x2'),
+    '103 binary dense 3': ('Reducible', 'x0 + 48*x1'),
+    '103 binary product 3': ('Reducible', 'x0 + 48*x1'),
+    '103 binary dense 4': ('Reducible', 'x0^2 + 19*x0*x2 + 41*x2^2'),
+    '103 binary product 4': ('Reducible', 'x0 + 31*x2'),
+    '103 binary dense 5': ('Reducible', 'x1 + 31*x2'),
+    '103 binary product 5': ('Reducible', 'x1 + 6*x2'),
+    '103 binary dense 6': ('Reducible', 'x0^3 + 69*x0^2*x1 + 88*x0*x1^2 + 12*x1^3'),
+    '103 binary product 6': ('Reducible', 'x0 + x1'),
+    '103 binary without rational factor': ('Inconclusive', None),
+    '103 ternary product 2.0': ('Reducible', '10*x0 + x1 + 23*x2'),
+    '103 ternary product 2.1': ('Reducible', '13*x0 + x1 + 92*x2'),
+    '103 ternary product 3.0': ('Reducible', 'x0 + x1 + 68*x2'),
+    '103 ternary product 3.1': ('Reducible', '102*x0 + x1 + 86*x2'),
+    '103 ternary product 4.0': ('Reducible', '76*x0 + x1 + 89*x2'),
+    '103 ternary product 4.1': ('Reducible', '31*x0 + x1 + 8*x2'),
+    '103 ternary product 5.0': ('Reducible', '2*x0^2 + 80*x0*x1 + 31*x0*x2 + x1^2 + 83*x1*x2 + 85*x2^2'),
+    '103 ternary product 5.1': ('Reducible', '5*x0 + x1 + 50*x2'),
+    '103 ternary product 6.0': ('Reducible', '80*x0^2 + 65*x0*x1 + 11*x0*x2 + x1^2 + 46*x1*x2 + 71*x2^2'),
+    '103 ternary product 6.1': ('Reducible', '3*x0^2 + 26*x0*x1 + 30*x0*x2 + x1^2 + 59*x1*x2 + 22*x2^2'),
+    '103 variable times ternary': ('Reducible', 'x2'),
+    '103 variable factor at pi=3': ('Reducible', 'x0'),
+}
+
+
+def test_verdicts_and_witnesses_pinned():
+    """(verdict, witness) pairs for seeded inputs stay fixed, so a change
+    to the oracle's structure cannot move a verdict or a witness."""
+    got = {}
+    for label, f, params in _parity_cases():
+        v = probably_irreducible(f, params=params, trials=3, seed=len(label))
+        got[label] = (v.verdict, v.witness.canonical_string() if v.witness is not None else None)
+    assert got == PINNED

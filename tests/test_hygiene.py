@@ -69,18 +69,41 @@ def _used_names(tree):
                 yield from parts
 
 
+#: public API that only the README and the tests reach, kept on purpose
+DOCUMENTED_API = {
+    "univariate_factor": "the README's complete univariate factorization over GF(p)",
+    "smoothness_sample": "a README verifier that the verify command is still to wire in",
+    "psi_map": "the README's vertex-to-edge obstruction map",
+    "phi_map": "the README's vertex-to-vertex obstruction map",
+    "skeleton_to_json": "inverse of skeleton_from_json for the README's graph files",
+    "SparsePoly.eval_point": "the README's polynomial evaluation",
+    "sandwich_check": "the README's sandwich estimates",
+    "step_budget": "the paper's ladder budget, not yet printed by the bounds command",
+    "step_budget_closed_form": "its closed form, not yet printed by the bounds command",
+}
+
+
 def test_no_public_api_that_nothing_calls():
     """Every public function, class and method of the package is referred
-    to somewhere in src/, tests/ or bench/ besides its own definition."""
+    to in src/ or bench/ besides its own definition, or is documented API
+    listed in ``DOCUMENTED_API``; a reference from tests alone does not
+    count, and every listed name must still be defined."""
     root = Path(__file__).resolve().parents[1]
     used = set()
-    for folder in ("src", "tests", "bench"):
+    for folder in ("src", "bench"):
         for path in (root / folder).rglob("*.py"):
             used.update(_used_names(ast.parse(path.read_text(), filename=str(path))))
-    found = [
-        f"{name}:{line}: {qualname}"
+    defined = [
+        (f"{name}:{line}", qualname)
         for name, tree in _trees()
         for qualname, line in _public_definitions(tree)
-        if qualname.split(".")[-1] not in used
+    ]
+    found = [
+        f"{where}: {qualname}"
+        for where, qualname in defined
+        if qualname.split(".")[-1] not in used and qualname not in DOCUMENTED_API
     ]
     assert not found, found
+    # an allow-list entry whose definition is gone would hide nothing
+    stale = sorted(set(DOCUMENTED_API) - {qualname for _, qualname in defined})
+    assert not stale, stale

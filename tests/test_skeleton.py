@@ -22,7 +22,10 @@ from conewalk.skeleton import (
     surjectivity_transfer_demo,
     telescope_check,
     transfer_single,
+    _offsets,
 )
+
+from oracles import max_abs_minor_gcd
 
 
 def identity_matrix(k):
@@ -290,8 +293,6 @@ def brute_force_torsion_mod_c(matrix, m, c):
 def brute_force_torsion_integer(matrix, m):
     """m * coker = 0 over Z iff rank is full and the k-th determinantal
     divisors certify all invariant factors divide m."""
-    from conewalk.intlinalg import max_abs_minor_gcd
-
     rows = len(matrix)
     prev = 1
     for k in range(1, rows + 1):
@@ -366,21 +367,21 @@ def test_phi_subdivided_telescope_consistency():
         sk = unit_skeleton(c, rank=2, vertices=(0, 1, 2), edges=((0, 1), (1, 2)))
         ssk = subdivide(sk, r)
         lm = phi_map_subdivided(ssk)
-        src_off = lm.src_offsets()
+        src_off, _ = _offsets(lm.src)
+        dst_off, _ = _offsets(lm.dst)
         for _ in range(20):
             chain = normalize_chain(ssk, ssk.random_chain(rng))
             vec = [0] * len(lm.matrix[0])
-            for label, (pos, mod) in src_off.items():
+            for label, pos in src_off.items():
                 data = chain[label] if label in sk.graph.vertices else chain[label][0]
                 for k, val in enumerate(data):
                     vec[pos + k] = val
             img = matvec(lm.matrix, vec)
-            dst_off = lm.dst_offsets()
             for e in sk.graph.edges:
                 v, w = e
                 acc = [0, 0]
                 for n in range(1, r):
-                    pos, mod = dst_off[(e, n)]
+                    pos = dst_off[(e, n)]
                     acc = [a + n * img[pos + k] for k, a in enumerate(acc)]
                 psi_e = [
                     a - b

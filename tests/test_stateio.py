@@ -3,7 +3,7 @@
 import json
 
 from conewalk.basecase import BaseParams, build_base_state
-from conewalk.doublecone import induct_step, run_induction
+from conewalk.doublecone import induct_step
 from conewalk.stateio import (
     dumps_canonical,
     make_report,
