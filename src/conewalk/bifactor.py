@@ -7,7 +7,15 @@ entry points:
 
 * ``factor_bivariate`` -- complete rational factorization, via a shear
   to v-regular position, Hensel lifting of a univariate factorization
-  at a good expansion point, and subset recombination.
+  at a good expansion point, and subset recombination.  A factor of
+  v-degree e of a v-regular f has total degree e, so a candidate whose
+  v^j coefficient has u-degree above e - j is skipped before any
+  division: it cannot divide, and the factor list is unchanged.
+* ``squarefree_at_a_point`` -- f with a nonzero constant leading
+  v-coefficient is squarefree when f(a, v) is, for some a in 0..3: no
+  factor of f lies in F[u] and each keeps its v-degree at u = a.  The
+  squarefree split returns a v-monic input unchanged when a point
+  certifies it, and runs the gcd chain (``biv_gcd``) only otherwise.
 * ``vdivexact`` -- the one division in F[u][v]: exact quotient or None.
 * ``count_absolute_factors_pde`` -- the dimension of the solution space
   of the adjoint differential equation f*(g_v - h_u) = g*f_v - h*f_u,
@@ -297,8 +305,29 @@ def biv_gcd(F, f, g):
     return result
 
 
+def squarefree_at_a_point(F, f):
+    """True when f has positive v-degree and a nonzero constant leading
+    v-coefficient, and f(a, v) is squarefree for some a in 0..3; then f
+    is squarefree.
+
+    With a constant leading v-coefficient no factor of f lies in F[u], and
+    every factor keeps its v-degree at u = a; so a square factor h^2 of f
+    would give the square factor h(a, v)^2 of f(a, v).  False proves
+    nothing.
+    """
+    if len(f) < 2 or uni.deg(f[-1]) != 0:
+        return False
+    for a in range(4):
+        g = eval_u(F, f, F.scalar(a))
+        if uni.deg(uni.gcd(F, g, uni.derivative(F, g))) == 0:
+            return True
+    return False
+
+
 def squarefree_decomposition_v(F, f):
     """[(g, m)] for f with nonzero v-derivative chain (needs char > deg)."""
+    if squarefree_at_a_point(F, f):
+        return [(f, 1)]
     out = []
     f = [list(c) for c in f]
     d = derivative_v(F, f)
@@ -412,6 +441,11 @@ def factor_squarefree_regular(F, f, rng):
             for i in subset:
                 cand = vmul(F, cand, lifted[i], trunc=T)
             cand = vtrunc(F, cand, T)
+            # a factor of v-degree e of the v-regular f has total degree e,
+            # so u-degree <= e - j at v^j; a candidate beyond that cannot divide
+            e = deg_v(cand)
+            if any(len(col) > e - j + 1 for j, col in enumerate(cand)):
+                continue
             q = vdivexact(F, remaining, cand)
             if q is not None:
                 found.append(cand)

@@ -200,33 +200,6 @@ class ParamCoeff:
 
     # -- parameter calculus --
 
-    def min_exp(self, name: str) -> int:
-        """Smallest exponent of ``name`` over all terms (0 for the zero coefficient)."""
-        if not self.terms:
-            return 0
-        i = self.ring.index(name)
-        return min(exps[i] for exps in self.terms)
-
-    def shift(self, name: str, k: int) -> "ParamCoeff":
-        """Multiply by name^k."""
-        i = self.ring.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            e = list(exps)
-            e[i] += k
-            out[tuple(e)] = c
-        return ParamCoeff(self.ring, out)
-
-    def set_param_zero(self, name: str) -> "ParamCoeff":
-        """Substitute name -> 0.  Requires no negative exponents at ``name``."""
-        i = self.ring.index(name)
-        if self.min_exp(name) < 0:
-            raise InvertibleAssignedZero(
-                f"parameter {name!r} occurs inverted; clear denominators first"
-            )
-        out = {exps: c for exps, c in self.terms.items() if exps[i] == 0}
-        return ParamCoeff(self.ring, out)
-
     def derivative(self, name: str) -> "ParamCoeff":
         """Formal derivative with respect to a parameter (Laurent rule)."""
         i = self.ring.index(name)

@@ -11,7 +11,13 @@ one sequence:
   the plane onto a line.  Slices keep the full degree, so a splitting of
   the input splits every slice: one slice certified absolutely
   irreducible (``bifactor.is_absolutely_irreducible``) makes
-  ``Irreducible`` exact;
+  ``Irreducible`` exact, and without one (every slice non-squarefree)
+  the verdict is ``Inconclusive``.  A slice f(a u + b v + c) is built by
+  nested Horner in the used variables, so every product is by one
+  linear form.  A full-degree slice has a constant v^d coefficient, so
+  ``bifactor.squarefree_at_a_point`` proves it squarefree from one
+  squarefree univariate value, and the bivariate gcd runs only when no
+  point certifies;
 - otherwise the input is reducible over the closure (a binary form of
   degree >= 2 splits into linear forms; a slice split).  For k <= 3 its
   dehomogenization is bivariate and ``bifactor.factor_bivariate`` finds
@@ -163,10 +169,11 @@ def probably_irreducible(
                 return IrreducibilityVerdict(
                     INCONCLUSIVE, assignment=assignment, note="no non-degenerate slice found"
                 )
-            gcd_sf = bi.biv_gcd(F, slice_poly, bi.derivative_v(F, slice_poly))
-            if bi.deg_v(gcd_sf) > 0 or bi.deg_u(gcd_sf) > 0:
+            if not bi.squarefree_at_a_point(F, slice_poly) and _repeated_factor(F, slice_poly):
                 nonsquarefree_slices += 1
-                if nonsquarefree_slices >= 3:
+                # three such slices, or every trial when there are fewer:
+                # then no slice was certified
+                if nonsquarefree_slices >= min(3, trials):
                     return IrreducibilityVerdict(
                         INCONCLUSIVE,
                         assignment=assignment,
@@ -186,14 +193,16 @@ def probably_irreducible(
     return _rational_witness(a, int_terms, used, assignment, rng)
 
 
+def _repeated_factor(F, slice_poly):
+    """True when the slice has a repeated factor: gcd(slice, d/dv slice)
+    is not constant."""
+    g = bi.biv_gcd(F, slice_poly, bi.derivative_v(F, slice_poly))
+    return bi.deg_v(g) > 0 or bi.deg_u(g) > 0
+
+
 def _sample_slice(F, int_terms, used, d, rng, attempts=64):
     """Substitute x_i -> a_i u + b_i v + c_i; keep only full-degree slices."""
     n = max(len(e) for e in int_terms)
-    maxexp = {}
-    for e in int_terms:
-        for i in used:
-            if e[i] > maxexp.get(i, 0):
-                maxexp[i] = e[i]
     for _ in range(attempts):
         avec = [F.random(rng) for _ in range(n)]
         bvec = [F.random(rng) for _ in range(n)]
@@ -202,23 +211,55 @@ def _sample_slice(F, int_terms, used, d, rng, attempts=64):
         maps = [{k: v[i] for k, i in enumerate(used)} for v in (avec, bvec, cvec)]
         if bi.rank_mod_p(maps, F.p) < 3:
             continue
-        powers = {}
-        for i in used:
-            lin = bi.from_dict(F, {(1, 0): avec[i], (0, 1): bvec[i], (0, 0): cvec[i]})
-            tab = [[[F.one]]]
-            for _k in range(maxexp.get(i, 0)):
-                tab.append(bi.vmul(F, tab[-1], lin))
-            powers[i] = tab
-        acc = []
-        for e, coeff in int_terms.items():
-            term = [[F.scalar(coeff)]]
-            for i in used:
-                if e[i]:
-                    term = bi.vmul(F, term, powers[i][e[i]])
-            acc = bi.vadd(F, acc, term)
+        acc = bi.vnormalize(F, _horner(int_terms, used, (avec, bvec, cvec), F.p))
         if bi.total_degree(acc) == d and bi.deg_v(acc) == d:
             return acc
     return None
+
+
+def _horner(terms, used, maps, p):
+    """sum c * prod_i (a_i u + b_i v + c_i)^e_i over ``terms`` {e: c}
+    mod p, for maps = (a, b, c), v-major with unnormalized columns.
+
+    Nested Horner in the used variables: with f_j the coefficient of
+    x_i^j, i = used[0], f = (...(f_k L + f_(k-1)) L + ...) L + f_0, so
+    every product is by the linear form L = a_i u + b_i v + c_i.
+    """
+    if not used:
+        return [[sum(terms.values()) % p]]
+    i, rest = used[0], used[1:]
+    a, b, c = (vec[i] for vec in maps)
+    by_power = {}
+    for e, x in terms.items():
+        by_power.setdefault(e[i], {})[e] = x
+    acc = []
+    for j in range(max(by_power), -1, -1):
+        if acc:
+            acc = _times_linear(acc, a, b, c, p)
+        if j in by_power:
+            for k, col in enumerate(_horner(by_power[j], rest, maps, p)):
+                if k == len(acc):
+                    acc.append([])
+                dst = acc[k]
+                dst.extend([0] * (len(col) - len(dst)))
+                for t, x in enumerate(col):
+                    dst[t] = (dst[t] + x) % p
+    return acc
+
+
+def _times_linear(f, a, b, c, p):
+    """f * (a*u + b*v + c) mod p, for f v-major; columns unnormalized."""
+    out, below = [], []
+    for col in f + [[]]:
+        new = [0] * max(len(col) + 1, len(below))
+        for t, x in enumerate(col):
+            new[t] += c * x
+            new[t + 1] += a * x
+        for t, x in enumerate(below):
+            new[t] += b * x
+        out.append([x % p for x in new])
+        below = col
+    return out
 
 
 def _exact_divide(terms_f, terms_g, p):

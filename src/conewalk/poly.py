@@ -283,27 +283,6 @@ class SparsePoly:
                 out[exps] = v
         return out
 
-    def min_param_exp(self, name: str) -> int:
-        exps = [c.min_exp(name) for c in self.terms.values()]
-        return min(exps) if exps else 0
-
-    def clear_param_denominators(self, name: str) -> "SparsePoly":
-        """Multiply through by name^k so that no negative exponents remain."""
-        k = self.min_param_exp(name)
-        if k >= 0:
-            return self
-        return SparsePoly(self.universe, {e: c.shift(name, -k) for e, c in self.terms.items()})
-
-    def set_param_zero(self, name: str) -> "SparsePoly":
-        """Substitute a parameter by 0 (after clearing its denominators)."""
-        cleared = self.clear_param_denominators(name)
-        out = {}
-        for exps, c in cleared.terms.items():
-            c0 = c.set_param_zero(name)
-            if not c0.is_zero():
-                out[exps] = c0
-        return SparsePoly(cleared.universe, out)
-
     def substitute_param(self, name: str, value: int) -> "SparsePoly":
         """Bake a single parameter to a field value, keeping the others symbolic."""
         ring = self.universe.ring

@@ -5,6 +5,7 @@ from itertools import combinations
 from math import gcd
 
 from conewalk.basecase import BaseParams, build_cj, build_g, cj_degree
+from conewalk.coeffs import ParamCoeff
 from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe
 
 
@@ -54,3 +55,35 @@ def build_F(bp: BaseParams, universe: VarUniverse | None = None) -> SparsePoly:
         last = last * SparsePoly.variable(universe, f"x{i}")
     sign = 1 if bp.n % 2 == 0 else -1
     return total + last.scale(sign)
+
+
+def min_param_exp(f: SparsePoly, name: str) -> int:
+    """Least exponent of the parameter ``name`` over the terms of f (0 for f = 0)."""
+    i = f.universe.ring.index(name)
+    return min((pe[i] for c in f.terms.values() for pe in c.terms), default=0)
+
+
+def clear_param_denominators(f: SparsePoly, name: str) -> SparsePoly:
+    """f times name^k for the least k >= 0 leaving no negative exponent of ``name``."""
+    k = -min_param_exp(f, name)
+    if k <= 0:
+        return f
+    ring = f.universe.ring
+    i = ring.index(name)
+    return SparsePoly(f.universe, {
+        e: ParamCoeff(ring, {pe[:i] + (pe[i] + k,) + pe[i + 1:]: v for pe, v in c.terms.items()})
+        for e, c in f.terms.items()
+    })
+
+
+def set_param_zero(f: SparsePoly, name: str) -> SparsePoly:
+    """Substitute the parameter ``name`` by 0, after clearing its denominators."""
+    cleared = clear_param_denominators(f, name)
+    ring = f.universe.ring
+    i = ring.index(name)
+    out = {}
+    for e, c in cleared.terms.items():
+        c0 = ParamCoeff(ring, {pe: v for pe, v in c.terms.items() if pe[i] == 0})
+        if not c0.is_zero():
+            out[e] = c0
+    return SparsePoly(f.universe, out)

@@ -361,3 +361,115 @@ def test_twisted_norm_forms_are_never_certified():
             assert not ok, (p, bi.to_dict(F, f))
             regimes.add(bi.count_absolute_factors_pde(F, f) is None)
     assert regimes == {True, False}
+
+
+def _text(F, f):
+    """A bivariate as 'c*u^i*v^j + ...' in sorted term order."""
+    return " + ".join(f"{c}*u^{i}*v^{j}" for (i, j), c in sorted(bi.to_dict(F, f).items()))
+
+
+def _v_regular(F, rng, e):
+    """A random v-monic bivariate of degree e in v and total degree e."""
+    return bi.from_dict(F, {(0, e): 1, **{(i, j): rng.randrange(F.p)
+                                           for j in range(e) for i in range(e - j + 1)}})
+
+
+def _v_regular_irreducible(F, rng, e):
+    while True:
+        f = _v_regular(F, rng, e)
+        _, fs = bi.factor_bivariate(F, f, rng)
+        if len(fs) == 1 and fs[0][1] == 1:
+            return f
+
+
+def _product_cases():
+    """(label, f): products of 2 to 4 v-regular irreducibles of degree
+    1..4 over GF(101) and GF(103), and one h^2*k."""
+    cases = []
+    for p in (101, 103):
+        F = PrimeField(p)
+        rng = random.Random(p + 7)
+        for degs in ((1, 2), (2, 2), (3, 1), (2, 3), (3, 3), (4, 3), (2, 2, 1),
+                     (3, 2, 2), (3, 3, 3), (2, 2, 2, 1), (3, 2, 2, 2)):
+            f = [[F.one]]
+            for e in degs:
+                f = bi.vmul(F, f, _v_regular_irreducible(F, rng, e))
+            cases.append((f"{p} {degs}", F, f))
+        h, k = _v_regular_irreducible(F, rng, 2), _v_regular_irreducible(F, rng, 3)
+        cases.append((f"{p} square", F, bi.vmul(F, bi.vmul(F, h, h), k)))
+    return cases
+
+
+PINNED_FACTORS = {
+    '101 (1, 2)': ('Reducible', '16*u^0*v^0 + 1*u^0*v^1 + 91*u^1*v^0', (1, 1)),
+    '101 (2, 2)': ('Reducible', '23*u^0*v^0 + 40*u^0*v^1 + 1*u^0*v^2 + 25*u^1*v^0 + 24*u^1*v^1 + 91*u^2*v^0', (1, 1)),
+    '101 (3, 1)': ('Reducible', '42*u^0*v^0 + 1*u^0*v^1 + 83*u^1*v^0', (1, 1)),
+    '101 (2, 3)': ('Reducible', '30*u^0*v^0 + 97*u^0*v^1 + 1*u^0*v^2 + 25*u^1*v^0 + 62*u^1*v^1 + 65*u^2*v^0', (1, 1)),
+    '101 (3, 3)': ('Reducible', '76*u^0*v^0 + 3*u^0*v^1 + 61*u^0*v^2 + 1*u^0*v^3 + 46*u^1*v^0 + 29*u^1*v^1 + 62*u^1*v^2 + 70*u^2*v^0 + 74*u^2*v^1 + 22*u^3*v^0', (1, 1)),
+    '101 (4, 3)': ('Reducible', '82*u^0*v^0 + 94*u^0*v^1 + 90*u^0*v^2 + 1*u^0*v^3 + 40*u^1*v^0 + 5*u^1*v^1 + 51*u^1*v^2 + 18*u^2*v^0 + 57*u^2*v^1 + 50*u^3*v^0', (1, 1)),
+    '101 (2, 2, 1)': ('Reducible', '71*u^0*v^0 + 1*u^0*v^1 + 81*u^1*v^0', (1, 1, 1)),
+    '101 (3, 2, 2)': ('Reducible', '13*u^0*v^0 + 64*u^0*v^1 + 1*u^0*v^2 + 71*u^1*v^0 + 13*u^1*v^1 + 83*u^2*v^0', (1, 1, 1)),
+    '101 (3, 3, 3)': ('Reducible', '55*u^0*v^0 + 19*u^0*v^1 + 77*u^0*v^2 + 1*u^0*v^3 + 2*u^1*v^0 + 84*u^1*v^1 + 14*u^1*v^2 + 79*u^2*v^0 + 53*u^2*v^1 + 60*u^3*v^0', (1, 1, 1)),
+    '101 (2, 2, 2, 1)': ('Reducible', '48*u^0*v^0 + 1*u^0*v^1 + 90*u^1*v^0', (1, 1, 1, 1)),
+    '101 (3, 2, 2, 2)': ('Reducible', '25*u^0*v^0 + 28*u^0*v^1 + 1*u^0*v^2 + 32*u^1*v^0 + 51*u^1*v^1 + 4*u^2*v^0', (1, 1, 1, 1)),
+    '101 square': ('Reducible', '65*u^0*v^0 + 99*u^0*v^1 + 1*u^0*v^2 + 5*u^1*v^0 + 22*u^1*v^1 + 89*u^2*v^0', (2, 1)),
+    '103 (1, 2)': ('Reducible', '49*u^0*v^0 + 1*u^0*v^1 + 101*u^1*v^0', (1, 1)),
+    '103 (2, 2)': ('Reducible', '69*u^0*v^0 + 40*u^0*v^1 + 1*u^0*v^2 + 53*u^1*v^0 + 95*u^1*v^1 + 64*u^2*v^0', (1, 1)),
+    '103 (3, 1)': ('Reducible', '71*u^0*v^0 + 1*u^0*v^1 + 99*u^1*v^0', (1, 1)),
+    '103 (2, 3)': ('Reducible', '58*u^0*v^0 + 16*u^0*v^1 + 1*u^0*v^2 + 35*u^1*v^0 + 24*u^1*v^1 + 87*u^2*v^0', (1, 1)),
+    '103 (3, 3)': ('Reducible', '18*u^0*v^0 + 25*u^0*v^1 + 64*u^0*v^2 + 1*u^0*v^3 + 1*u^1*v^0 + 27*u^1*v^1 + 57*u^1*v^2 + 59*u^2*v^0 + 62*u^2*v^1 + 51*u^3*v^0', (1, 1)),
+    '103 (4, 3)': ('Reducible', '11*u^0*v^0 + 23*u^0*v^1 + 4*u^0*v^2 + 1*u^0*v^3 + 63*u^1*v^0 + 69*u^1*v^1 + 2*u^1*v^2 + 67*u^2*v^0 + 14*u^2*v^1 + 21*u^3*v^0', (1, 1)),
+    '103 (2, 2, 1)': ('Reducible', '5*u^0*v^0 + 1*u^0*v^1 + 93*u^1*v^0', (1, 1, 1)),
+    '103 (3, 2, 2)': ('Reducible', '70*u^0*v^0 + 37*u^0*v^1 + 1*u^0*v^2 + 94*u^1*v^0 + 26*u^1*v^1 + 63*u^2*v^0', (1, 1, 1)),
+    '103 (3, 3, 3)': ('Reducible', '50*u^0*v^0 + 23*u^0*v^1 + 5*u^0*v^2 + 1*u^0*v^3 + 66*u^1*v^0 + 100*u^1*v^1 + 22*u^1*v^2 + 24*u^2*v^0 + 14*u^2*v^1 + 58*u^3*v^0', (1, 1, 1)),
+    '103 (2, 2, 2, 1)': ('Reducible', '20*u^0*v^0 + 1*u^0*v^1 + 78*u^1*v^0', (1, 1, 1, 1)),
+    '103 (3, 2, 2, 2)': ('Reducible', '7*u^0*v^0 + 20*u^0*v^1 + 1*u^0*v^2 + 97*u^1*v^0 + 69*u^1*v^1 + 57*u^2*v^0', (1, 1, 1, 1)),
+    '103 square': ('Reducible', '49*u^0*v^0 + 63*u^0*v^1 + 1*u^0*v^2 + 35*u^1*v^0 + 69*u^1*v^1 + 33*u^2*v^0', (2, 1)),
+}
+
+
+def test_factor_bivariate_pinned_on_products():
+    """(verdict, witness) of factor_bivariate on seeded products stays
+    fixed: the first factor and the multiplicities."""
+    got = {}
+    for label, F, f in _product_cases():
+        _, fs = bi.factor_bivariate(F, f, random.Random(len(label)))
+        verdict = "Reducible" if len(fs) > 1 or fs[0][1] > 1 else "Irreducible"
+        got[label] = (verdict, _text(F, fs[0][0]), tuple(m for _, m in fs))
+    assert got == PINNED_FACTORS
+
+
+def test_squarefree_at_a_point_never_overclaims():
+    """On seeded v-monic inputs over GF(101) and GF(103) the shortcut
+    answers True only on squarefree inputs (as biv_gcd decides), never on
+    h^2*k, and never when the leading v-coefficient depends on u."""
+    certified = 0
+    for p in (101, 103):
+        F = PrimeField(p)
+        rng = random.Random(p + 3)
+        for _ in range(30):
+            h, k = _v_regular(F, rng, rng.randint(1, 3)), _v_regular(F, rng, rng.randint(1, 4))
+            square = bi.vmul(F, bi.vmul(F, h, h), k)
+            assert not bi.squarefree_at_a_point(F, square)
+            assert not is_squarefree(F, square)
+            f = bi.vmul(F, h, k)
+            if bi.squarefree_at_a_point(F, f):
+                assert is_squarefree(F, f), bi.to_dict(F, f)
+                certified += 1
+        # (u - 5)^2 (v^2 + 1): squarefree at every u = a != 5, but not squarefree
+        f = bi.vmul(F, bi.from_dict(F, {(2, 0): 1, (1, 0): -10, (0, 0): 25}),
+                    bi.from_dict(F, {(0, 2): 1, (0, 0): 1}))
+        assert not bi.squarefree_at_a_point(F, f)
+    assert certified >= 50
+
+
+def test_squarefree_split_falls_back_when_every_point_fails():
+    """v^2 - u(u-1)(u-2)(u-3) is irreducible, but its value at each of
+    u = 0..3 is v^2: the shortcut proves nothing, and the gcd path still
+    returns the input as its own squarefree part."""
+    for F in (F101, PrimeField(103)):
+        f = bi.from_dict(F, {(0, 2): 1, (4, 0): -1, (3, 0): 6, (2, 0): -11, (1, 0): 6})
+        assert not bi.squarefree_at_a_point(F, f)
+        assert is_squarefree(F, f)
+        [(g, m)] = bi.squarefree_decomposition_v(F, f)
+        assert m == 1 and bi.to_dict(F, g) == bi.to_dict(F, f)

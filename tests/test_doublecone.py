@@ -20,6 +20,7 @@ from conewalk.doublecone import (
 )
 from conewalk.errors import EjExhausted, EjTooSmall, IndexOutOfRange, SamplingExhausted
 from conewalk.poly import SparsePoly, parse_poly
+from oracles import set_param_zero
 
 BP = BaseParams(n=3, m=2, r=6, d=5, p=101)
 
@@ -270,7 +271,7 @@ def test_smoothness_budget_exhaustion(family):
 
 def test_lambda_zero_specialization(family):
     """The Y1 equation after clearing lam-denominators and sending lam to 0."""
-    y10 = family.Y1_eq.set_param_zero("lam")
+    y10 = set_param_zero(family.Y1_eq, "lam")
     u = family.universe
     assert not y10.uses_param("lam")
     # the cleared equation keeps the x0^(d-1) w tail

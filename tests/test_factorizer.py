@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conewalk import unifactor as uni
 from conewalk.coeffs import ParamCoeff, ParamRing
 from conewalk.errors import DegreeTooLargeForPrime, ZeroPolynomial
 from conewalk.factorizer import (
@@ -342,3 +343,49 @@ def test_verdicts_and_witnesses_pinned():
         v = probably_irreducible(f, params=params, trials=3, seed=len(label))
         got[label] = (v.verdict, v.witness.canonical_string() if v.witness is not None else None)
     assert got == PINNED
+
+
+def test_no_irreducible_without_a_certified_slice():
+    """A square has no squarefree slice; with fewer than three trials the
+    oracle must still not answer Irreducible, since no slice was
+    certified."""
+    f = parse_poly("x0^2 + x1^2 + 3*x2^2", U3) ** 2
+    for trials in (1, 2, 3):
+        v = probably_irreducible(f, trials=trials, seed=0)
+        assert v.verdict == INCONCLUSIVE, trials
+        assert "non-squarefree" in v.note
+
+
+def test_slice_is_the_input_on_the_sampled_plane():
+    """The slice is f(a*u + b*v + c) for the first drawn map (a, b, c)
+    of rank 3 whose v^d coefficient f(b) is nonzero: replay the
+    sampler's draws and compare at random points (u0, v0)."""
+    from conewalk import bifactor as bi
+    from conewalk.factorizer import _sample_slice
+    from conewalk.gfext import PrimeField
+
+    checked = 0
+    for p in (101, 103):
+        F = PrimeField(p)
+        u = VarUniverse(("x0", "x1", "x2", "x3"), ParamRing(p))
+        rng = random.Random(p + 1)
+        for idx in ((0, 1, 2), (0, 2, 3), (0, 1, 2, 3)):
+            for d in range(2, 8):
+                f = _form(u, idx, d, rng)
+                int_terms = f.specialize_params({})
+                used = [i for i in range(len(u)) if any(e[i] for e in int_terms)]
+                seed = rng.randrange(10**6)
+                slice_poly = _sample_slice(F, int_terms, used, d, random.Random(seed))
+                replay = random.Random(seed)
+                while True:
+                    a, b, c = ([replay.randrange(p) for _ in u.names] for _ in range(3))
+                    rows = [{k: vec[i] for k, i in enumerate(used)} for vec in (a, b, c)]
+                    if bi.rank_mod_p(rows, p) == 3 and f.eval_point(b):
+                        break
+                for _ in range(6):
+                    u0, v0 = rng.randrange(p), rng.randrange(p)
+                    point = [a[i] * u0 + b[i] * v0 + c[i] for i in range(len(u))]
+                    got = uni.eval_at(F, bi.eval_u(F, slice_poly, u0), v0)
+                    assert got == f.eval_point(point), (p, idx, d)
+                checked += 1
+    assert checked == 36

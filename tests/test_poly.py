@@ -13,6 +13,7 @@ from conewalk.errors import (
     ZeroPolynomial,
 )
 from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe, parse_poly
+from oracles import clear_param_denominators, min_param_exp, set_param_zero
 
 RING = ParamRing(101)
 U3 = VarUniverse(("x0", "x1", "x2"), RING)
@@ -202,9 +203,9 @@ def test_lambda_zero_path():
     lam = SparsePoly.param(U3, "lam")
     lam_inv = SparsePoly.param(U3, "lam", -1)
     f = lam_inv * V("x0") + lam * V("x1") + V("x2")
-    cleared = f.clear_param_denominators("lam")
-    assert cleared.min_param_exp("lam") == 0
-    got = f.set_param_zero("lam")
+    cleared = clear_param_denominators(f, "lam")
+    assert min_param_exp(cleared, "lam") == 0
+    got = set_param_zero(f, "lam")
     # multiplying by lam then killing lam > 0 keeps only the lam^-1 slot
     assert got == V("x0")
 
