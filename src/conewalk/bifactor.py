@@ -12,10 +12,12 @@ entry points:
   v^j coefficient has u-degree above e - j is skipped before any
   division: it cannot divide, and the factor list is unchanged.
 * ``squarefree_at_a_point`` -- f with a nonzero constant leading
-  v-coefficient is squarefree when f(a, v) is, for some a in 0..3: no
-  factor of f lies in F[u] and each keeps its v-degree at u = a.  The
-  squarefree split returns a v-monic input unchanged when a point
-  certifies it, and runs the gcd chain (``biv_gcd``) only otherwise.
+  v-coefficient is squarefree when f(a, v) is, for some a in
+  0..D(D-1), D = deg_v f: no factor of f lies in F[u] and each keeps its
+  v-degree at u = a.  For a v-regular f and p > D(D-1) the test is
+  exact, since disc_v f has u-degree at most D(D-1).  The squarefree
+  split returns a v-monic input unchanged when a point certifies it,
+  and runs the gcd chain (``biv_gcd``) only otherwise.
 * ``vdivexact`` -- the one division in F[u][v]: exact quotient or None.
 * ``count_absolute_factors_pde`` -- the dimension of the solution space
   of the adjoint differential equation f*(g_v - h_u) = g*f_v - h*f_u,
@@ -306,18 +308,21 @@ def biv_gcd(F, f, g):
 
 
 def squarefree_at_a_point(F, f):
-    """True when f has positive v-degree and a nonzero constant leading
-    v-coefficient, and f(a, v) is squarefree for some a in 0..3; then f
-    is squarefree.
+    """True when f has positive v-degree D and a nonzero constant leading
+    v-coefficient, and f(a, v) is squarefree for some a in
+    0..min(p, D(D-1) + 1) - 1; then f is squarefree.
 
     With a constant leading v-coefficient no factor of f lies in F[u], and
     every factor keeps its v-degree at u = a; so a square factor h^2 of f
-    would give the square factor h(a, v)^2 of f(a, v).  False proves
-    nothing.
+    would give the square factor h(a, v)^2 of f(a, v).  When f is also
+    v-regular (D is its total degree), disc_v f has u-degree at most
+    D(D-1), so a squarefree f has a nonzero discriminant at one of the
+    points tried once p > D(D-1): then False proves f is not squarefree.
     """
-    if len(f) < 2 or uni.deg(f[-1]) != 0:
+    D = len(f) - 1
+    if D < 1 or uni.deg(f[-1]) != 0:
         return False
-    for a in range(4):
+    for a in range(min(F.p, D * (D - 1) + 1)):
         g = eval_u(F, f, F.scalar(a))
         if uni.deg(uni.gcd(F, g, uni.derivative(F, g))) == 0:
             return True

@@ -1,10 +1,11 @@
 """Binomial floor sums, their closed forms, and applicability witnesses.
 
 All arithmetic is exact: ints for the direct sums, ``Fraction`` for the
-closed forms (with a final integrality assertion).  ``applicable``
-searches for a dimension split N = n + r + s certifying that the
-torsion order of a very general degree-d hypersurface of dimension N
-is divisible by m; the witness preference is maximal n, then maximal r.
+closed forms (a non-integral result raises ``NonIntegralResult``).
+``applicable`` searches for a dimension split N = n + r + s certifying
+that the torsion order of a very general degree-d hypersurface of
+dimension N is divisible by m; the witness preference is maximal n,
+then maximal r.
 """
 
 from __future__ import annotations

@@ -309,7 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run all structural checks on a state file")
     v.add_argument("--state", required=True)
-    v.add_argument("--trials", type=int, default=20)
+    v.add_argument(
+        "--trials",
+        type=int,
+        default=20,
+        metavar="N",
+        help="up to N plane slices; the first squarefree slice decides",
+    )
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--report", default=None, help="also write the JSON report here")
     v.add_argument("--json", action="store_true")

@@ -174,7 +174,7 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
     )
 
 
-def transformed_sum_part(a_sub, d, i, universe) -> SparsePoly:
+def transformed_sum_part(a_sub, i, universe) -> SparsePoly:
     """sum_{k=i}^{l} C(k,i) (-lam^-1)^(k-i) x0^(2k-2i) a_k, without the
     delta terms or the z_{s+1}^i prefactor."""
     ring = universe.ring
@@ -192,7 +192,7 @@ def transformed_coefficient(a_sub, d, i, universe, z_name) -> SparsePoly:
     """The full a'_i in the new state universe (deg a'_i = d - i)."""
     zs = SparsePoly.variable(universe, z_name)
     x0 = SparsePoly.variable(universe, "x0")
-    total = zs**i * transformed_sum_part(a_sub, d, i, universe)
+    total = zs**i * transformed_sum_part(a_sub, i, universe)
     if i == 1:
         tl = ParamCoeff.param(universe.ring, "t") * ParamCoeff.param(universe.ring, "lam")
         total = total + (x0 ** (d - 1)).scale(tl)

@@ -7,30 +7,29 @@ one sequence:
 
 - d = 1 is ``Irreducible``;
 - a variable dividing every term of the specialized input is a witness;
-- for k >= 3, restrict to random affine planes, redrawing maps that send
-  the plane onto a line.  Slices keep the full degree, so a splitting of
-  the input splits every slice: one slice certified absolutely
-  irreducible (``bifactor.is_absolutely_irreducible``) makes
-  ``Irreducible`` exact, and without one (every slice non-squarefree)
-  the verdict is ``Inconclusive``.  A slice f(a u + b v + c) is built by
-  nested Horner in the used variables, so every product is by one
-  linear form.  A full-degree slice has a constant v^d coefficient, so
-  ``bifactor.squarefree_at_a_point`` proves it squarefree from one
-  squarefree univariate value, and the bivariate gcd runs only when no
-  point certifies;
-- otherwise the input is reducible over the closure (a binary form of
-  degree >= 2 splits into linear forms; a slice split).  For k <= 3 its
-  dehomogenization is bivariate and ``bifactor.factor_bivariate`` finds
-  a rational factor if there is one; for k >= 4 no factor is recovered.
+- for k >= 3, draw up to ``trials`` slices: restrictions to random
+  affine planes, redrawing maps that send the plane onto a line.  A
+  slice f(a u + b v + c) is built by nested Horner in the used
+  variables, so every product is by one linear form.  Slices keep the
+  full degree, so a splitting of the input splits every slice.  A
+  full-degree slice is v-regular, and p > d^2, so
+  ``bifactor.squarefree_at_a_point`` decides exactly whether it is
+  squarefree; a non-squarefree slice is redrawn.  The first squarefree
+  slice decides: certified absolutely irreducible
+  (``bifactor.is_absolutely_irreducible``), it makes ``Irreducible``
+  exact; otherwise the input goes to the rational-witness search, as it
+  does when no slice within the budget is squarefree;
+- a binary form of degree >= 2 splits into linear forms over the
+  closure and goes to the same search.  For k <= 3 the dehomogenization
+  is bivariate and ``bifactor.factor_bivariate`` finds a rational factor
+  if there is one (the repeated factor Q of Q^2 among them); for k >= 4
+  no factor is recovered.
 
 A ``Reducible`` verdict always carries a factor that divides exactly.
-Whenever reducibility over the closure is detected but no rational
-witness can be produced, the verdict is ``Inconclusive`` -- the oracle
-never claims more than it has checked.
-
-``failure_bound = (deg^2 / p) ** trials`` is the conservative per-trial
-bound c0 * deg^2 / p (c0 = 1) on a slice degenerating; it over-states
-the chance of a wrong ``Irreducible``, which is zero.
+Whenever no rational witness can be produced, the verdict is
+``Inconclusive`` -- the oracle never claims more than it has checked.
+Every ``Irreducible`` rests on a certificate, so its ``failure_bound``
+is 0.0.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ from .errors import (
 )
 from .gfext import PrimeField
 from .poly import SparsePoly
-
-#: constant in the per-trial slice failure bound (documented above)
-SLICE_FAILURE_C0 = 1.0
 
 IRREDUCIBLE = "Irreducible"
 REDUCIBLE = "Reducible"
@@ -122,7 +118,8 @@ def probably_irreducible(
     ``params`` is either a full parameter assignment or "random", in
     which case nonzero values are drawn from the seed.  For inputs with
     symbolic parameters the verdict (and any witness) refers to the
-    polynomial at the recorded assignment.
+    polynomial at the recorded assignment.  ``trials`` bounds the slices
+    drawn; the first squarefree one decides.
     """
     if a.is_zero():
         raise ZeroPolynomial("zero polynomial")
@@ -162,42 +159,20 @@ def probably_irreducible(
     # splits into linear forms over the closure and needs no slice
     if len(used) >= 3:
         F = PrimeField(p)
-        nonsquarefree_slices = 0
-        for _ in range(trials):
+        for drawn in range(1, trials + 1):
             slice_poly = _sample_slice(F, int_terms, used, d, rng)
             if slice_poly is None:
                 return IrreducibilityVerdict(
                     INCONCLUSIVE, assignment=assignment, note="no non-degenerate slice found"
                 )
-            if not bi.squarefree_at_a_point(F, slice_poly) and _repeated_factor(F, slice_poly):
-                nonsquarefree_slices += 1
-                # three such slices, or every trial when there are fewer:
-                # then no slice was certified
-                if nonsquarefree_slices >= min(3, trials):
+            # p > d^2 > d(d - 1): False proves the slice has a repeated factor
+            if bi.squarefree_at_a_point(F, slice_poly):
+                if bi.is_absolutely_irreducible(F, slice_poly, rng)[0]:
                     return IrreducibilityVerdict(
-                        INCONCLUSIVE,
-                        assignment=assignment,
-                        note="slices persistently non-squarefree (repeated factor likely)",
+                        IRREDUCIBLE, failure_bound=0.0, trials=drawn, assignment=assignment
                     )
-                continue
-            ok, _ = bi.is_absolutely_irreducible(F, slice_poly, rng)
-            if not ok:
                 break
-        else:
-            return IrreducibilityVerdict(
-                IRREDUCIBLE,
-                failure_bound=(SLICE_FAILURE_C0 * d * d / p) ** trials,
-                trials=trials,
-                assignment=assignment,
-            )
     return _rational_witness(a, int_terms, used, assignment, rng)
-
-
-def _repeated_factor(F, slice_poly):
-    """True when the slice has a repeated factor: gcd(slice, d/dv slice)
-    is not constant."""
-    g = bi.biv_gcd(F, slice_poly, bi.derivative_v(F, slice_poly))
-    return bi.deg_v(g) > 0 or bi.deg_u(g) > 0
 
 
 def _sample_slice(F, int_terms, used, d, rng, attempts=64):
@@ -295,12 +270,14 @@ def _exact_divide(terms_f, terms_g, p):
 
 
 def _rational_witness(a, int_terms, used, assignment, rng):
-    """A form without a variable factor, known reducible over the closure
-    (a binary form of degree >= 2, or one with a reducible slice).  With
-    at most three used variables its dehomogenization at the last one is
-    bivariate (of v-degree 0 for a binary form), where factorization is
-    complete: the first factor, rehomogenized, is a rational witness when
-    it divides exactly.  Otherwise report honestly."""
+    """A form without a variable factor and without an irreducibility
+    certificate: a binary form of degree >= 2, one whose first squarefree
+    slice is not certified, or one with no squarefree slice within the
+    trial budget.  With at most three used variables its dehomogenization
+    at the last one is bivariate (of v-degree 0 for a binary form), where
+    factorization is complete: the first factor, rehomogenized, is a
+    rational witness when it divides exactly.  Otherwise the verdict is
+    Inconclusive."""
     universe = a.universe
     p = universe.ring.p
     if len(used) <= 3:
@@ -329,5 +306,5 @@ def _rational_witness(a, int_terms, used, assignment, rng):
     return IrreducibilityVerdict(
         INCONCLUSIVE,
         assignment=assignment,
-        note="reducible over the closure but no rational witness was recovered",
+        note="no certified slice and no rational witness was recovered",
     )

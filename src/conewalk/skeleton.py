@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import MissingTransferMap, RDivisibilityViolated
-from .intlinalg import invariant_factors, matvec, solve_mod
+from .intlinalg import invariant_factors, matmul, matvec, solve_mod
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,6 @@ def _madd(A, B):
 
 def _mneg(A):
     return [[-a for a in row] for row in A]
-
-
-def _mmul(A, B):
-    from .intlinalg import matmul
-
-    return matmul(A, B)
 
 
 @dataclass
@@ -258,10 +252,10 @@ def phi_map(sk: ChainSkeleton) -> LinearMap:
         v, w = e
         for a, b in ((v, w), (w, v)):
             # image of a's one-cycles inside b's zero-cycles
-            block = _mmul(sk.push[(e, b)], sk.inter[(e, a)])
+            block = matmul(sk.push[(e, b)], sk.inter[(e, a)])
             key = (b, a)
             blocks[key] = _madd(blocks[key], block) if key in blocks else block
-            diag = _mneg(_mmul(sk.push[(e, a)], sk.inter[(e, a)]))
+            diag = _mneg(matmul(sk.push[(e, a)], sk.inter[(e, a)]))
             key = (a, a)
             blocks[key] = _madd(blocks[key], diag) if key in blocks else diag
     return _assemble(src, dst, blocks, sk.ring)
@@ -345,8 +339,8 @@ def phi_map_subdivided(ssk: SubdividedSkeleton) -> LinearMap:
         ident = [[1 if i == j else 0 for j in range(ne)] for i in range(ne)]
         # original endpoints: same diagonal as before subdivision, and the
         # nearest fresh vertex pushes through the original push map
-        bump((v, v), _mneg(_mmul(sk.push[(e, v)], sk.inter[(e, v)])))
-        bump((w, w), _mneg(_mmul(sk.push[(e, w)], sk.inter[(e, w)])))
+        bump((v, v), _mneg(matmul(sk.push[(e, v)], sk.inter[(e, v)])))
+        bump((w, w), _mneg(matmul(sk.push[(e, w)], sk.inter[(e, w)])))
         bump((v, (e, 1)), sk.push[(e, v)])
         bump((w, (e, r - 1)), sk.push[(e, w)])
         for n in range(1, r):

@@ -440,9 +440,10 @@ def test_factor_bivariate_pinned_on_products():
 
 
 def test_squarefree_at_a_point_never_overclaims():
-    """On seeded v-monic inputs over GF(101) and GF(103) the shortcut
-    answers True only on squarefree inputs (as biv_gcd decides), never on
-    h^2*k, and never when the leading v-coefficient depends on u."""
+    """On seeded v-regular inputs over GF(101) and GF(103) the shortcut
+    agrees with the gcd reference (``biv_gcd``) in both directions: True
+    on squarefree inputs, False on h^2*k and on the rest; it never
+    answers True when the leading v-coefficient depends on u."""
     certified = 0
     for p in (101, 103):
         F = PrimeField(p)
@@ -453,9 +454,13 @@ def test_squarefree_at_a_point_never_overclaims():
             assert not bi.squarefree_at_a_point(F, square)
             assert not is_squarefree(F, square)
             f = bi.vmul(F, h, k)
-            if bi.squarefree_at_a_point(F, f):
-                assert is_squarefree(F, f), bi.to_dict(F, f)
-                certified += 1
+            assert bi.squarefree_at_a_point(F, f) == is_squarefree(F, f), bi.to_dict(F, f)
+            certified += is_squarefree(F, f)
+        # v^3 - 3u^2 v - 10u^2 + 12u has discriminant 108 u^2 (u-1)(u-2)(u-3)(u+6):
+        # squarefree, though its value at each of u = 0..3 has a double root
+        f = bi.from_dict(F, {(0, 3): 1, (2, 1): -3, (2, 0): -10, (1, 0): 12})
+        assert is_squarefree(F, f)
+        assert bi.squarefree_at_a_point(F, f)
         # (u - 5)^2 (v^2 + 1): squarefree at every u = a != 5, but not squarefree
         f = bi.vmul(F, bi.from_dict(F, {(2, 0): 1, (1, 0): -10, (0, 0): 25}),
                     bi.from_dict(F, {(0, 2): 1, (0, 0): 1}))

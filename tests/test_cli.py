@@ -95,6 +95,10 @@ def test_construct_induct_verify_pipeline(tmp_path, capsys):
     assert rep["summary"]["failed"] == 0
     names = {c["check"] for c in rep["checks"]}
     assert {"state-homogeneous", "irreducible-f0a0", "minor-det-tz"} <= names
+    # an Irreducible pivot rests on a certified slice: it cannot be wrong
+    [pivot] = [c for c in rep["checks"] if c["check"] == "irreducible-f0a0"]
+    assert pivot["got"] == "Irreducible" and pivot["failure_bound"] == 0.0
+    assert '"failure_bound": 0.0' in out
 
 
 def test_verify_json_requires_seed(tmp_path, capsys):

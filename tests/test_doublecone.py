@@ -159,7 +159,7 @@ def test_divisibility_transport_symbolic():
     assert e >= 1
     assert all(a_sub[i].monomial_divides("x0", i * e) for i in range(3))
     for i in range(3):
-        part = transformed_sum_part(a_sub, st.d, i, u)
+        part = transformed_sum_part(a_sub, i, u)
         assert part.monomial_divides("x0", i * e)
     # and the full transformed column keeps the state-level ladder at e_j - 1
     for i in (1, 2):

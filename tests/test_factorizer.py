@@ -62,7 +62,8 @@ def test_conic_irreducible():
     f = parse_poly("x0^2 + x1^2 + x2^2", U3)
     v = probably_irreducible(f, trials=8, seed=3)
     assert v.verdict == IRREDUCIBLE
-    assert 0 < v.failure_bound <= (4.0 / 101) ** 8 * (25.0 / 4.0) ** 8  # (d^2/p)^8
+    # the first certified slice decides, and a certificate cannot be wrong
+    assert v.failure_bound == 0.0 and v.trials == 1
 
 
 def test_visible_monomial_factor():
@@ -346,14 +347,37 @@ def test_verdicts_and_witnesses_pinned():
 
 
 def test_no_irreducible_without_a_certified_slice():
-    """A square has no squarefree slice; with fewer than three trials the
-    oracle must still not answer Irreducible, since no slice was
-    certified."""
-    f = parse_poly("x0^2 + x1^2 + 3*x2^2", U3) ** 2
+    """A square has no squarefree slice, so no slice is certified and the
+    oracle never answers Irreducible; once the budget is spent, the
+    square's repeated factor Q is a rational witness."""
+    from conewalk.factorizer import _exact_divide
+
+    q = parse_poly("x0^2 + x1^2 + 3*x2^2", U3)
+    f = q**2
     for trials in (1, 2, 3):
         v = probably_irreducible(f, trials=trials, seed=0)
-        assert v.verdict == INCONCLUSIVE, trials
-        assert "non-squarefree" in v.note
+        assert v.verdict == REDUCIBLE, trials
+        assert v.witness == q, trials
+        q_terms = v.witness.specialize_params({})
+        assert _exact_divide(f.specialize_params({}), q_terms, 101) is not None
+
+
+def test_first_certified_slice_decides(monkeypatch):
+    """The Fermat cubic's first slice is certified: a budget of twenty
+    trials draws one slice."""
+    from conewalk import factorizer
+
+    drawn = []
+    sample = factorizer._sample_slice
+
+    def counting(*args, **kwargs):
+        drawn.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(factorizer, "_sample_slice", counting)
+    v = probably_irreducible(parse_poly("x0^3 + x1^3 + x2^3", U3), trials=20, seed=0)
+    assert v.verdict == IRREDUCIBLE and v.failure_bound == 0.0
+    assert len(drawn) == 1 and v.trials == 1
 
 
 def test_slice_is_the_input_on_the_sampled_plane():
