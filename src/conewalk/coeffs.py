@@ -37,6 +37,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_powers(n: int) -> list:
+    """[(p, p^e)] for the primes p dividing n >= 1, p ascending, with
+    p^e the largest power of p dividing n; trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append((p, q))
+        p += 1
+    if n > 1:
+        out.append((n, n))
+    return out
+
+
 def ff_inv_int(a: int, p: int) -> int:
     """Inverse of a mod p; raises ZeroInverse on 0."""
     if a % p == 0:

@@ -1,15 +1,25 @@
-"""Exact integer matrix normal forms.
+"""Exact integer matrix normal forms, over Z and over Z/c.
 
-``smith_normal_form`` diagonalizes by unimodular row/column operations
-with a deterministic pivot rule: smallest nonzero absolute value, ties
-broken by lowest row then lowest column.  The transforms are returned,
-so linear systems over Z and Z/c can be solved through the diagonal
-form.
+``smith_normal_form`` diagonalizes over Z by unimodular row/column
+operations with a deterministic pivot rule: smallest nonzero absolute
+value, ties broken by lowest row then lowest column.  The transforms are
+returned, so linear systems over Z are solved through the diagonal form.
+Its entries can grow to hundreds of bits, so it serves only c = 0.
+
+Over Z/c with c >= 2 nothing needs the integers: Z/c splits by CRT into
+the rings Z/q for the prime powers q = p^e exactly dividing c, and
+``_echelon_mod`` row-reduces over each Z/q, pivoting on an entry of
+least p-valuation, which divides every remaining entry, so all entries
+stay in [0, q) (Storjohann-Mulders, "Fast algorithms for linear algebra
+modulo N", ESA 1998).  ``solve_mod`` back-substitutes on it for c >= 2,
+and ``skeleton.cokernel_torsion`` reads the cokernel off its pivots.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+from .coeffs import prime_powers
 
 
 def identity(n):
@@ -127,11 +137,86 @@ def invariant_factors(A):
     return [abs(D[i][i]) for i in range(rank)]
 
 
-def solve_mod(A, b, c):
-    """One solution x of A x = b over Z (c = 0) or Z/c, or None.
+def _echelon_mod(A, q, rhs=None):
+    """Row echelon form of the int matrix A over Z/q, q a prime power p^e.
 
-    A is rows x cols; b has length rows.  Over Z/c every congruence
-    d_i y_i = r_i (mod c) is solved through gcd reduction.
+    Each step pivots on an entry of least p-valuation among the rows not
+    yet used (ties: lowest row, then lowest column), scales its row so
+    that the pivot is p^v itself, and clears the pivot's column below it.
+    Every remaining entry has valuation >= v, so all steps are exact in
+    Z/q and the pivots never decrease.
+
+    Returns (pivots, pivot_cols, rows, rhs): rows[k] is the k-th pivot
+    row, holding p^v = pivots[k] at column pivot_cols[k], with every
+    entry divisible by pivots[k] and zero in the earlier pivot columns;
+    the rows past len(pivots) are zero.  ``rhs`` (default all zero) went
+    through the same row operations.  Over Z/q the cokernel of A is the
+    sum of the Z/pivots[k] and one Z/q per row without a pivot.
+    """
+    D = [[x % q for x in row] for row in A]
+    b = [x % q for x in rhs] if rhs is not None else [0] * len(D)
+    pivots, pivot_cols = [], []
+    for k in range(len(D)):
+        best = _least_valuation_entry(D, k, q)
+        if best is None:
+            break
+        g, i, j = best
+        D[k], D[i] = D[i], D[k]
+        b[k], b[i] = b[i], b[k]
+        unit = pow(D[k][j] // g, -1, q)
+        if unit != 1:
+            D[k] = [x * unit % q for x in D[k]]
+            b[k] = b[k] * unit % q
+        pivot_row, bk = D[k], b[k]
+        for i in range(k + 1, len(D)):
+            t = D[i][j] // g
+            if t:
+                D[i] = [(x - t * y) % q for x, y in zip(D[i], pivot_row)]
+                b[i] = (b[i] - t * bk) % q
+        pivots.append(g)
+        pivot_cols.append(j)
+    return pivots, pivot_cols, D, b
+
+
+def _least_valuation_entry(D, k, q):
+    """(gcd(a, q), i, j) for the first entry a = D[i][j] of least
+    p-valuation in rows k on, scanning by row, then column; None if
+    those rows are zero.  Rows from k on are zero in the earlier pivot
+    columns, so whole rows are scanned."""
+    best = None
+    for i in range(k, len(D)):
+        for j, a in enumerate(D[i]):
+            if a:
+                g = gcd(a, q)
+                if g == 1:
+                    return g, i, j
+                if best is None or g < best[0]:
+                    best = (g, i, j)
+    return best
+
+
+def _solve_prime_power(A, b, q):
+    """One solution of A x = b over Z/q, q a prime power, or None."""
+    pivots, pivot_cols, rows, rhs = _echelon_mod(A, q, b)
+    if any(rhs[len(pivots):]):
+        return None
+    x = [0] * len(A[0])  # free columns stay 0
+    for k in reversed(range(len(pivots))):
+        # row k is zero at the earlier pivots and x is still zero at its own
+        residual = (rhs[k] - sum(a * v for a, v in zip(rows[k], x))) % q
+        if residual % pivots[k]:
+            return None
+        x[pivot_cols[k]] = residual // pivots[k]
+    return x
+
+
+def solve_mod(A, b, c):
+    """One solution x of A x = b over Z (c = 0) or Z/c (c >= 2), or None.
+
+    A is rows x cols; b has length rows.  Over Z the Smith form's
+    diagonal congruences d_i y_i = r_i are solved exactly.  Over Z/c each
+    prime power q exactly dividing c is solved by ``_echelon_mod`` and
+    the solutions are joined by CRT into x with entries in [0, c).
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
@@ -139,32 +224,26 @@ def solve_mod(A, b, c):
         raise ValueError("dimension mismatch")
     if rows == 0:
         return [0] * cols
+    if c:
+        x, modulus = [0] * cols, 1
+        for _, q in prime_powers(c):
+            xq = _solve_prime_power(A, b, q)
+            if xq is None:
+                return None
+            lift = pow(modulus, -1, q)
+            x = [v + modulus * ((w - v) * lift % q) for v, w in zip(x, xq)]
+            modulus *= q
+        return x
     U, D, V, rank = smith_normal_form(A)
     r = matvec(U, b)
     y = [0] * cols
     for i in range(rows):
         d = D[i][i] if i < min(rows, cols) else 0
-        ri = r[i]
-        if c:
-            ri %= c
         if d == 0:
-            if c == 0:
-                if ri != 0:
-                    return None
-            elif ri % c != 0:
+            if r[i] != 0:
                 return None
-            continue
-        if c == 0:
-            if ri % d != 0:
-                return None
-            y[i] = ri // d
+        elif r[i] % d != 0:
+            return None
         else:
-            g = gcd(d, c)
-            if ri % g != 0:
-                return None
-            cc = c // g
-            y[i] = (ri // g) * pow(d // g, -1, cc) % cc
-    x = matvec(V, y)
-    if c:
-        x = [v % c for v in x]
-    return x
+            y[i] = r[i] // d
+    return matvec(V, y)

@@ -31,8 +31,9 @@ import random
 from dataclasses import dataclass, field
 from math import gcd
 
+from .coeffs import prime_powers
 from .errors import MissingTransferMap, RDivisibilityViolated
-from .intlinalg import invariant_factors, matmul, matvec, solve_mod
+from .intlinalg import _echelon_mod, invariant_factors, matmul, matvec, solve_mod
 
 
 @dataclass(frozen=True)
@@ -452,25 +453,37 @@ def _redc(vec, c):
 
 
 def cokernel_torsion(matrix, m: int, ring: int = 0) -> bool:
-    """True iff m * coker(matrix) = 0, over Z (ring=0) or Z/ring."""
+    """True iff m * coker(matrix) = 0, over Z (ring=0) or Z/ring.
+
+    Over Z the Smith form's invariant factors must all divide m, with
+    full rank.  Over Z/c the cokernel splits into its Z/q parts for the
+    prime powers q exactly dividing c; the Z/q part is killed by m iff
+    every pivot p^v of ``_echelon_mod`` divides m and no row lacks a
+    pivot (such a row leaves a Z/q summand), unless q divides m.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
+    if ring < 0:
+        raise ValueError("ring must be 0 (integers) or a modulus >= 1")
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise ValueError("map must be a list of rows")
+    if len({len(row) for row in matrix}) > 1:
+        raise ValueError("map rows differ in length")
+    if not all(type(x) is int for row in matrix for x in row):
+        raise ValueError("map entries must be integers")
     rows = len(matrix)
     if rows == 0:
         return True
-    rels = [list(row) for row in matrix]
-    extra = []
-    if ring:
-        for i in range(rows):
-            col = [0] * rows
-            col[i] = ring
-            extra.append(col)
-    # append the relation columns
-    full = [rels[i] + [col[i] for col in extra] for i in range(rows)]
-    facs = invariant_factors(full)
-    if len(facs) < rows:
-        return False
-    return all(m % f == 0 for f in facs)
+    if ring == 0:
+        facs = invariant_factors(matrix)
+        return len(facs) == rows and all(m % f == 0 for f in facs)
+    for _, q in prime_powers(ring):
+        if m % q == 0:
+            continue
+        pivots = _echelon_mod(matrix, q)[0]
+        if len(pivots) < rows or any(m % g for g in pivots):
+            return False
+    return True
 
 
 # -- the transfer demonstration ----------------------------------------------

@@ -10,6 +10,7 @@ seed.
 
 from __future__ import annotations
 
+from .coeffs import prime_powers
 from .errors import ZeroPolynomial
 
 
@@ -253,28 +254,13 @@ def is_irreducible(F, f):
     if n == 1:
         return True
     x = x_poly(F)
-    primes = sorted({p for p in _prime_divisors(n)})
-    for ell in primes:
+    for ell, _ in prime_powers(n):
         h = pow_mod(F, x, F.q ** (n // ell), f)
         g = gcd(F, sub(F, h, x), f)
         if deg(g) != 0:
             return False
     h = pow_mod(F, x, F.q**n, f)
     return not sub(F, h, x)
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_irreducible(F, d: int, rng):

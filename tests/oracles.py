@@ -26,6 +26,24 @@ def max_abs_minor_gcd(A, k):
     return abs(g)
 
 
+def gf_rank(A, p):
+    """Rank of the int matrix A over GF(p), by Gauss-Jordan elimination."""
+    rows = [[v % p for v in row] for row in A]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def _det(M):
     n = len(M)
     if n == 1:

@@ -170,13 +170,15 @@ def test_criterion_06_induction_pipeline():
             x0**4 * a_sub[2]
         ).scale(lam_inv * lam_inv) + x0**4 * zs
 
-    # structural verification after every step, at failure bound <= 2^-40
+    # structural verification after every step; the pivot polynomial is
+    # Irreducible by a certified slice, which is exact
     for idx, st in enumerate(states):
         checks = verify_state(st, irreducibility_trials=20, seed=7)
         bad = [c for c in checks if not c["pass"]]
         assert not bad, (idx, bad)
-        fb = next(c["failure_bound"] for c in checks if "failure_bound" in c)
-        assert fb <= 2**-40
+        irr = next(c for c in checks if c["check"] == "irreducible-f0a0")
+        assert irr["got"] == "Irreducible", (idx, irr)
+        assert irr["failure_bound"] == 0.0, (idx, irr)
     # ladder decrement and pivot-product growth along the walk
     assert [s.e for s in states] == [
         [1, 1, 0, 1, 0, 0],
@@ -187,7 +189,7 @@ def test_criterion_06_induction_pipeline():
     assert [s.h_poly.canonical_string() for s in states] == ["1", "z1", "z1*z2", "z1*z2*z3"]
     elapsed = time.time() - t0
     assert elapsed < 60.0
-    _report(6, "three cone steps, exhaustion, checks and spot identities at 2^-40", t0)
+    _report(6, "three cone steps, exhaustion, checks, certified irreducibility and spot identities", t0)
 
 
 def _irreducible_table(F, max_deg):

@@ -6,6 +6,7 @@ import pytest
 
 from conewalk import bifactor as bi
 from conewalk import unifactor as uni
+from conewalk.coeffs import prime_powers
 from conewalk.errors import FactorsNotCoprime
 from conewalk.gfext import PrimeField
 
@@ -22,7 +23,7 @@ def reference_absolutely_irreducible(F, f, rng):
     _, fs = bi.factor_bivariate(F, f, rng)
     if len(fs) > 1 or fs[0][1] > 1:
         return False
-    for ell in uni._prime_divisors(bi.total_degree(f)):
+    for ell, _ in prime_powers(bi.total_degree(f)):
         E = uni.extension_field(F.p, ell, rng)
         lifted = [[E.scalar(c) for c in col] for col in f]
         _, fs_ext = bi.factor_bivariate(E, lifted, rng)

@@ -175,6 +175,25 @@ def test_skeleton_coker(capsys):
     assert out.strip() == "3-torsion: no"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--map", "[[1,2],[3]]"],  # ragged
+        ["--map", '[["a"]]'],
+        ["--map", "[[1.5]]"],
+        ["--map", "[[true]]"],
+        ["--map", "[1, 2]"],  # not a list of rows
+        ["--map", "[[2]]", "--c", "-4"],
+        ["--map", "[[1.5]]", "--c", "4"],  # the mod-q path does not run on floats
+    ],
+)
+def test_skeleton_coker_rejects_malformed_input(capsys, argv):
+    code, out, err = run(capsys, "skeleton", "coker", "--m", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_skeleton_transfer(tmp_path, capsys):
     path = _write_graph(tmp_path)
     code, out, _ = run(

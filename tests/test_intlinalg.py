@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from conewalk.coeffs import prime_powers
 from conewalk.intlinalg import (
     invariant_factors,
     matmul,
@@ -9,8 +12,9 @@ from conewalk.intlinalg import (
     smith_normal_form,
     solve_mod,
 )
+from conewalk.skeleton import cokernel_torsion
 
-from oracles import max_abs_minor_gcd
+from oracles import gf_rank, max_abs_minor_gcd
 
 
 def test_transforms_and_divisibility_randomized():
@@ -51,7 +55,7 @@ def test_solve_consistency():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         x = [rng.randint(-3, 3) for _ in range(cols)]
-        for c in (0, 2, 3, 4, 6):
+        for c in (0, 2, 3, 4, 6, 8, 9, 12):
             b = matvec(A, x)
             if c:
                 b = [v % c for v in b]
@@ -61,6 +65,82 @@ def test_solve_consistency():
             if c:
                 got = [v % c for v in got]
             assert got == b
+
+
+def _is_solution(A, x, b, c):
+    return [v % c for v in matvec(A, x)] == [v % c for v in b]
+
+
+def test_large_maps_mod_c_against_residue_field_ranks():
+    """Big maps over Z/c, where the Smith form over Z is out of reach.
+
+    By Nakayama, a map over Z/c is onto iff it is onto over GF(p) for
+    every p dividing c.  Half the maps are made rank-deficient mod one p
+    (a row that is a sum of two others plus p times anything), which
+    also makes some targets unsolvable."""
+    rng = random.Random(306)
+    seen = set()
+    for rows, cols in ((26, 30), (40, 48)):
+        for c in (4, 8, 6, 12):
+            for deficient in (False, True):
+                A = [[rng.randrange(c) for _ in range(cols)] for _ in range(rows)]
+                if deficient:
+                    p = rng.choice([p for p, _ in prime_powers(c)])
+                    i, j, k = rng.sample(range(rows), 3)
+                    A[i] = [(a + b + p * rng.randrange(c)) % c for a, b in zip(A[j], A[k])]
+                onto = all(gf_rank(A, p) == rows for p, _ in prime_powers(c))
+                assert not (deficient and onto)
+                seen.add(onto)
+                assert cokernel_torsion(A, 1, ring=c) == onto
+                x = [rng.randrange(c) for _ in range(cols)]
+                b = [v % c for v in matvec(A, x)]
+                sol = solve_mod(A, b, c)
+                assert sol is not None and all(0 <= v < c for v in sol)
+                assert _is_solution(A, sol, b, c)
+                # an onto map reaches every target; otherwise a random target
+                # may or may not be reached, and any answer must solve it
+                b = [rng.randrange(c) for _ in range(rows)]
+                sol = solve_mod(A, b, c)
+                if onto:
+                    assert sol is not None
+                if sol is not None:
+                    assert _is_solution(A, sol, b, c)
+    assert seen == {False, True}
+
+
+def test_solve_mod_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def systems(draw):
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        c = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 16, 18, 36]))
+        entry = st.integers(-3 * c, 3 * c)
+        A = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        x = draw(st.lists(entry, min_size=cols, max_size=cols))
+        return A, x, c
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(systems())
+    def check(system):
+        A, x, c = system
+        b = matvec(A, x)
+        sol = solve_mod(A, b, c)
+        assert sol is not None and all(0 <= v < c for v in sol)
+        assert _is_solution(A, sol, b, c)
+        # b + e_0 may or may not be reachable; the Smith form over Z of
+        # [A | c*I] decides that independently of the Z/q elimination
+        b2 = [b[0] + 1] + b[1:]
+        rows = len(A)
+        full = [A[i] + [c if k == i else 0 for k in range(rows)] for i in range(rows)]
+        reachable = solve_mod(full, b2, 0) is not None
+        sol2 = solve_mod(A, b2, c)
+        assert (sol2 is not None) == reachable
+        if sol2 is not None:
+            assert _is_solution(A, sol2, b2, c)
+
+    check()
 
 
 def test_solve_detects_unsolvable():
