@@ -24,7 +24,7 @@ from . import doublecone as dc
 from . import skeleton as sk_mod
 from .basecase import BaseParams, build_base_state
 from .errors import ConewalkError, EjExhausted, EjTooSmall
-from .stateio import dumps_canonical, load_state, make_report, save_state
+from .stateio import dumps_canonical, load_state, make_report, read_json, save_state
 
 
 def _require_seed(args) -> int:
@@ -178,12 +178,22 @@ def cmd_verify(args) -> int:
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
+def _load_graph(path):
+    data = read_json(path, "graph file")
+    try:
+        return sk_mod.skeleton_from_json(data)
+    except ValueError as ex:
+        raise ValueError(f"graph file {path}: {ex}") from None
+    except (KeyError, TypeError) as ex:
+        # a key missing from a module, or a label that names no vertex or edge
+        raise ValueError(f"graph file {path}: malformed ({type(ex).__name__}: {ex})") from None
+
+
 def cmd_skeleton(args) -> int:
     import random
 
     if args.skeleton_cmd == "subdivide":
-        with open(args.graph) as fh:
-            sk = sk_mod.skeleton_from_json(json.load(fh))
+        sk = _load_graph(args.graph)
         ssk = sk_mod.subdivide(sk, args.r)
         payload = {
             "r": args.r,
@@ -205,7 +215,7 @@ def cmd_skeleton(args) -> int:
         rng = random.Random(seed)
         checks = []
         for t in range(args.trials):
-            chain = sk_mod.normalize_chain(ssk, ssk.random_chain(rng))
+            chain = ssk.random_chain(rng)
             for entry in sk_mod.telescope_check(ssk, chain, args.c):
                 entry = dict(entry)
                 entry["check"] = f"trial{t}-{entry['check']}"
@@ -220,8 +230,7 @@ def cmd_skeleton(args) -> int:
     if args.skeleton_cmd == "coker":
         matrix = json.loads(args.map)
         if isinstance(matrix, str):
-            with open(matrix) as fh:
-                matrix = json.load(fh)
+            matrix = read_json(matrix, "map file")
         ok = sk_mod.cokernel_torsion(matrix, args.m, ring=args.c)
         if args.json:
             print(dumps_canonical({"m": args.m, "torsion": ok}), end="")
@@ -230,8 +239,7 @@ def cmd_skeleton(args) -> int:
         return 0
     if args.skeleton_cmd == "transfer":
         seed = _require_seed(args)
-        with open(args.graph) as fh:
-            sk = sk_mod.skeleton_from_json(json.load(fh))
+        sk = _load_graph(args.graph)
         result = sk_mod.surjectivity_transfer_demo(
             sk, args.r, args.c, args.trials, seed, m=args.m
         )

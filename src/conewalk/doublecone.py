@@ -48,10 +48,7 @@ from .poly import SparsePoly, VarUniverse, coordinate_universe
 class DoubleConeFamily:
     state: HypersurfaceState
     j0: int
-    l: int
     universe: VarUniverse  # state variables plus z, w
-    f_part: SparsePoly  # f0 + the columns j != j0
-    a_sub: list  # a_0 .. a_l with deg a_i = d - 2i
     F1: SparsePoly
     F2: SparsePoly
     Y0_eq: SparsePoly
@@ -162,10 +159,7 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
     return DoubleConeFamily(
         state=state,
         j0=j0,
-        l=m,
         universe=universe,
-        f_part=f_part,
-        a_sub=a_sub,
         F1=F1,
         F2=F2,
         Y0_eq=core + z_term,

@@ -99,7 +99,3 @@ class NonIntegralResult(ConewalkError):
 class RDivisibilityViolated(ConewalkError):
     """Subdivision count r is not divisible by the coefficient modulus c."""
 
-
-class MissingTransferMap(ConewalkError):
-    """A section-ledger class must move into an end vertex but the edge
-    carries no transfer map."""

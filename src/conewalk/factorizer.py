@@ -28,8 +28,9 @@ one sequence:
 A ``Reducible`` verdict always carries a factor that divides exactly.
 Whenever no rational witness can be produced, the verdict is
 ``Inconclusive`` -- the oracle never claims more than it has checked.
-Every ``Irreducible`` rests on a certificate, so its ``failure_bound``
-is 0.0.
+Every ``Irreducible`` rests on a certificate and every ``Reducible`` on
+an exact division, so ``failure_bound`` is 0.0 for both and 1.0 for
+``Inconclusive``.
 """
 
 from __future__ import annotations
@@ -58,13 +59,18 @@ INCONCLUSIVE = "Inconclusive"
 class IrreducibilityVerdict:
     verdict: str
     witness: SparsePoly | None = None
-    failure_bound: float = 1.0
     trials: int = 0
     assignment: dict = field(default_factory=dict)
     note: str = ""
 
     def __bool__(self):
         return self.verdict == IRREDUCIBLE
+
+    @property
+    def failure_bound(self) -> float:
+        """0.0 for the exact answers Irreducible and Reducible, 1.0 for
+        Inconclusive."""
+        return 1.0 if self.verdict == INCONCLUSIVE else 0.0
 
 
 def univariate_factor(a: SparsePoly, assignment: dict | None = None, seed: int = 0):
@@ -143,7 +149,7 @@ def probably_irreducible(
             INCONCLUSIVE, assignment=assignment, note="polynomial vanished at the assignment"
         )
     if d == 1:
-        return IrreducibilityVerdict(IRREDUCIBLE, failure_bound=0.0, assignment=assignment)
+        return IrreducibilityVerdict(IRREDUCIBLE, assignment=assignment)
 
     used = [i for i in range(len(a.universe)) if any(e[i] for e in int_terms)]
     for i in used:
@@ -168,9 +174,7 @@ def probably_irreducible(
             # p > d^2 > d(d - 1): False proves the slice has a repeated factor
             if bi.squarefree_at_a_point(F, slice_poly):
                 if bi.is_absolutely_irreducible(F, slice_poly, rng)[0]:
-                    return IrreducibilityVerdict(
-                        IRREDUCIBLE, failure_bound=0.0, trials=drawn, assignment=assignment
-                    )
+                    return IrreducibilityVerdict(IRREDUCIBLE, trials=drawn, assignment=assignment)
                 break
     return _rational_witness(a, int_terms, used, assignment, rng)
 

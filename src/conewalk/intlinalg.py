@@ -11,8 +11,11 @@ the rings Z/q for the prime powers q = p^e exactly dividing c, and
 ``_echelon_mod`` row-reduces over each Z/q, pivoting on an entry of
 least p-valuation, which divides every remaining entry, so all entries
 stay in [0, q) (Storjohann-Mulders, "Fast algorithms for linear algebra
-modulo N", ESA 1998).  ``solve_mod`` back-substitutes on it for c >= 2,
-and ``skeleton.cokernel_torsion`` reads the cokernel off its pivots.
+modulo N", ESA 1998).  ``solve_mod`` takes a list of right-hand sides:
+for c >= 2 it carries them as trailing columns through one elimination
+per prime power and back-substitutes each, for c = 0 it computes one
+Smith form for all of them; ``skeleton.cokernel_torsion`` reads the
+cokernel off the pivots of the same elimination.
 """
 
 from __future__ import annotations
@@ -137,8 +140,10 @@ def invariant_factors(A):
     return [abs(D[i][i]) for i in range(rank)]
 
 
-def _echelon_mod(A, q, rhs=None):
-    """Row echelon form of the int matrix A over Z/q, q a prime power p^e.
+def _echelon_mod(A, q, ncols):
+    """Row echelon form of the int matrix A over Z/q, q a prime power p^e,
+    pivoting only in the first ``ncols`` columns; columns past them (the
+    right-hand sides of a system) go through the same row operations.
 
     Each step pivots on an entry of least p-valuation among the rows not
     yet used (ties: lowest row, then lowest column), scales its row so
@@ -146,47 +151,45 @@ def _echelon_mod(A, q, rhs=None):
     Every remaining entry has valuation >= v, so all steps are exact in
     Z/q and the pivots never decrease.
 
-    Returns (pivots, pivot_cols, rows, rhs): rows[k] is the k-th pivot
-    row, holding p^v = pivots[k] at column pivot_cols[k], with every
-    entry divisible by pivots[k] and zero in the earlier pivot columns;
-    the rows past len(pivots) are zero.  ``rhs`` (default all zero) went
-    through the same row operations.  Over Z/q the cokernel of A is the
-    sum of the Z/pivots[k] and one Z/q per row without a pivot.
+    Returns (pivots, pivot_cols, rows): rows[k] is the k-th pivot row,
+    holding p^v = pivots[k] at column pivot_cols[k], with its first
+    ``ncols`` entries divisible by pivots[k] and zero in the earlier
+    pivot columns; the rows past len(pivots) are zero in the first
+    ``ncols`` columns.  Over Z/q the cokernel of the first ``ncols``
+    columns is the sum of the Z/pivots[k] and one Z/q per row without a
+    pivot.
     """
     D = [[x % q for x in row] for row in A]
-    b = [x % q for x in rhs] if rhs is not None else [0] * len(D)
     pivots, pivot_cols = [], []
     for k in range(len(D)):
-        best = _least_valuation_entry(D, k, q)
+        best = _least_valuation_entry(D, k, q, ncols)
         if best is None:
             break
         g, i, j = best
         D[k], D[i] = D[i], D[k]
-        b[k], b[i] = b[i], b[k]
         unit = pow(D[k][j] // g, -1, q)
         if unit != 1:
             D[k] = [x * unit % q for x in D[k]]
-            b[k] = b[k] * unit % q
-        pivot_row, bk = D[k], b[k]
+        pivot_row = D[k]
         for i in range(k + 1, len(D)):
             t = D[i][j] // g
             if t:
                 D[i] = [(x - t * y) % q for x, y in zip(D[i], pivot_row)]
-                b[i] = (b[i] - t * bk) % q
         pivots.append(g)
         pivot_cols.append(j)
-    return pivots, pivot_cols, D, b
+    return pivots, pivot_cols, D
 
 
-def _least_valuation_entry(D, k, q):
-    """(gcd(a, q), i, j) for the first entry a = D[i][j] of least
-    p-valuation in rows k on, scanning by row, then column; None if
-    those rows are zero.  Rows from k on are zero in the earlier pivot
-    columns, so whole rows are scanned."""
+def _least_valuation_entry(D, k, q, ncols):
+    """(gcd(a, q), i, j) for the first entry a = D[i][j], j < ncols, of
+    least p-valuation in rows k on, scanning by row, then column; None if
+    those entries are zero.  Rows from k on are zero in the earlier pivot
+    columns, so whole rows are scanned, without slicing off the columns
+    past ncols."""
     best = None
     for i in range(k, len(D)):
         for j, a in enumerate(D[i]):
-            if a:
+            if a and j < ncols:
                 g = gcd(a, q)
                 if g == 1:
                     return g, i, j
@@ -195,46 +198,63 @@ def _least_valuation_entry(D, k, q):
     return best
 
 
-def _solve_prime_power(A, b, q):
-    """One solution of A x = b over Z/q, q a prime power, or None."""
-    pivots, pivot_cols, rows, rhs = _echelon_mod(A, q, b)
-    if any(rhs[len(pivots):]):
-        return None
-    x = [0] * len(A[0])  # free columns stay 0
-    for k in reversed(range(len(pivots))):
-        # row k is zero at the earlier pivots and x is still zero at its own
-        residual = (rhs[k] - sum(a * v for a, v in zip(rows[k], x))) % q
-        if residual % pivots[k]:
-            return None
-        x[pivot_cols[k]] = residual // pivots[k]
-    return x
+def _solve_prime_power(A, targets, q):
+    """For each b in targets, one solution of A x = b over Z/q (q a prime
+    power) or None, from a single elimination of [A | targets]."""
+    ncols = len(A[0])
+    augmented = [row + [b[i] for b in targets] for i, row in enumerate(A)]
+    pivots, pivot_cols, rows = _echelon_mod(augmented, q, ncols)
+    out = []
+    for t in range(ncols, ncols + len(targets)):
+        if any(row[t] for row in rows[len(pivots):]):
+            out.append(None)
+            continue
+        x = [0] * ncols  # free columns stay 0
+        for k in reversed(range(len(pivots))):
+            # row k is zero at the earlier pivots and x is still zero at its own
+            residual = (rows[k][t] - sum(a * v for a, v in zip(rows[k], x))) % q
+            if residual % pivots[k]:
+                x = None
+                break
+            x[pivot_cols[k]] = residual // pivots[k]
+        out.append(x)
+    return out
 
 
-def solve_mod(A, b, c):
-    """One solution x of A x = b over Z (c = 0) or Z/c (c >= 2), or None.
+def solve_mod(A, targets, c):
+    """For each b in ``targets``, one solution x of A x = b over Z (c = 0)
+    or Z/c (c >= 2), or None; the list of answers is in target order.
 
-    A is rows x cols; b has length rows.  Over Z the Smith form's
-    diagonal congruences d_i y_i = r_i are solved exactly.  Over Z/c each
-    prime power q exactly dividing c is solved by ``_echelon_mod`` and
-    the solutions are joined by CRT into x with entries in [0, c).
+    A is rows x cols; every b has length rows.  A is reduced once for all
+    targets.  Over Z the Smith form's diagonal congruences d_i y_i = r_i
+    are solved exactly.  Over Z/c each prime power q exactly dividing c
+    is solved by ``_echelon_mod`` and the solutions are joined by CRT
+    into x with entries in [0, c).
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    if len(b) != rows:
+    if any(len(b) != rows for b in targets):
         raise ValueError("dimension mismatch")
     if rows == 0:
-        return [0] * cols
+        return [[0] * cols for _ in targets]
     if c:
-        x, modulus = [0] * cols, 1
+        xs, modulus = [[0] * cols for _ in targets], 1
         for _, q in prime_powers(c):
-            xq = _solve_prime_power(A, b, q)
-            if xq is None:
-                return None
             lift = pow(modulus, -1, q)
-            x = [v + modulus * ((w - v) * lift % q) for v, w in zip(x, xq)]
+            for t, xq in enumerate(_solve_prime_power(A, targets, q)):
+                if xq is None:
+                    xs[t] = None
+                elif xs[t] is not None:
+                    xs[t] = [v + modulus * ((w - v) * lift % q) for v, w in zip(xs[t], xq)]
             modulus *= q
-        return x
-    U, D, V, rank = smith_normal_form(A)
+        return xs
+    U, D, V, _ = smith_normal_form(A)
+    return [_solve_diagonal(U, D, V, b) for b in targets]
+
+
+def _solve_diagonal(U, D, V, b):
+    """One solution of A x = b over Z from U A V = D, or None."""
+    rows, cols = len(D), len(V)
     r = matvec(U, b)
     y = [0] * cols
     for i in range(rows):

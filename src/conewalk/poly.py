@@ -57,13 +57,11 @@ class VarUniverse:
             raise UnknownVariable(f"unknown variable {name!r}") from None
 
 
-def coordinate_universe(n, r, s, ring, with_cone_vars=False) -> VarUniverse:
-    """The standard universe x0..xn, y1..y{r+1}, z1..zs [, z, w]."""
+def coordinate_universe(n, r, s, ring) -> VarUniverse:
+    """The standard universe x0..xn, y1..y{r+1}, z1..zs."""
     names = [f"x{i}" for i in range(n + 1)]
     names += [f"y{j}" for j in range(1, r + 2)]
     names += [f"z{k}" for k in range(1, s + 1)]
-    if with_cone_vars:
-        names += ["z", "w"]
     return VarUniverse(tuple(names), ring)
 
 

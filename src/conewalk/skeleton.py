@@ -13,13 +13,9 @@ assembled from this data:
   subtracts the sum of a vertex's own incidence images.
 
 ``subdivide`` inserts r-1 fresh vertices into every edge.  A fresh
-vertex (e, n) carries a one-cycle module CH0[e] (+) Zeta[e]: the first
-summand is the pullback part, whose incidence maps to both neighbouring
-edge copies are the identity; the second is a formal ledger for
-section-pushforward classes, whose movement rule (normalize_chain)
-shifts them one slot toward the upper endpoint without changing the
-assembled map's image -- the model imposes that relation by
-construction rather than computing self-intersections.
+vertex (e, n) carries CH0[e] only, as its one-cycle and its zero-cycle
+module: the pullback part, whose incidence maps to both neighbouring
+edge copies are the identity.
 
 Modules are presented over Z (ring 0) or Z/c; elements are int tuples
 reduced coordinate-wise.  The transfer demo requires free modules.
@@ -28,11 +24,11 @@ reduced coordinate-wise.  The transfer demo requires free modules.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .coeffs import prime_powers
-from .errors import MissingTransferMap, RDivisibilityViolated
+from .errors import RDivisibilityViolated
 from .intlinalg import _echelon_mod, invariant_factors, matmul, matvec, solve_mod
 
 
@@ -137,8 +133,6 @@ class ChainSkeleton:
 
     inter[(e, v)]: CH1[v] -> CH0[e] for each incident pair.
     push[(e, v)]: CH0[e] -> CH0_vertex[v] (used by phi only).
-    zeta[e], transfer[e]: optional section-ledger module per edge and
-    its map into CH1[w(e)], used after subdivision.
     """
 
     graph: DualGraph
@@ -147,8 +141,6 @@ class ChainSkeleton:
     ch0_edge: dict
     inter: dict
     push: dict
-    zeta: dict = field(default_factory=dict)
-    transfer: dict = field(default_factory=dict)
 
     def __post_init__(self):
         rings = {m.ring for m in self.ch1.values()}
@@ -203,7 +195,6 @@ class LinearMap:
     src: list  # [(label, FgModule)]
     dst: list
     matrix: list
-    ring: int
 
 
 def _offsets(labelled):
@@ -227,7 +218,7 @@ def _assemble(src, dst, blocks, ring):
                 M[r0 + i][c0 + j] += val
     if ring:
         M = [[v % ring for v in row] for row in M]
-    return LinearMap(src=src, dst=dst, matrix=M, ring=ring)
+    return LinearMap(src=src, dst=dst, matrix=M)
 
 
 def psi_map(sk: ChainSkeleton) -> LinearMap:
@@ -270,31 +261,19 @@ class SubdividedSkeleton:
     """The r-fold edge subdivision of a base skeleton.
 
     New vertices are labelled (e, n) for e a base edge and 1 <= n <= r-1;
-    each carries CH1 = CH0[e] (+) Zeta[e] and CH0_vertex = CH0[e]; each
-    of the r copies of e carries CH0[e].
+    each carries CH1 = CH0_vertex = CH0[e], and so does each of the r
+    copies of e.
     """
 
     base: ChainSkeleton
     r: int
     graph: DualGraph
 
-    def chain_zero(self):
-        chain = {v: self.base.ch1[v].zero() for v in self.base.graph.vertices}
-        for e in self.base.graph.edges:
-            zeta = self.base.zeta.get(e)
-            znil = zeta.zero() if zeta else ()
-            for n in range(1, self.r):
-                chain[(e, n)] = (self.base.ch0_edge[e].zero(), znil)
-        return chain
-
     def random_chain(self, rng):
         chain = {v: self.base.ch1[v].random_element(rng) for v in self.base.graph.vertices}
         for e in self.base.graph.edges:
-            zeta = self.base.zeta.get(e)
             for n in range(1, self.r):
-                alpha = self.base.ch0_edge[e].random_element(rng)
-                zpart = zeta.random_element(rng) if zeta else ()
-                chain[(e, n)] = (alpha, zpart)
+                chain[(e, n)] = self.base.ch0_edge[e].random_element(rng)
         return chain
 
 
@@ -318,9 +297,7 @@ def subdivide(sk: ChainSkeleton, r: int) -> SubdividedSkeleton:
 
 
 def phi_map_subdivided(ssk: SubdividedSkeleton) -> LinearMap:
-    """The assembled vertex-to-vertex map of the subdivision, restricted
-    to the pullback parts of the fresh vertices (the section ledger has
-    no matrix columns: its relations are handled by normalize_chain)."""
+    """The assembled vertex-to-vertex map of the subdivision."""
     sk = ssk.base
     r = ssk.r
     src = [(v, sk.ch1[v]) for v in sk.graph.vertices]
@@ -362,46 +339,9 @@ def phi_map_subdivided(ssk: SubdividedSkeleton) -> LinearMap:
 # -- chains on the subdivision ------------------------------------------------
 
 
-def normalize_chain(ssk: SubdividedSkeleton, chain: dict) -> dict:
-    """Zero every section-ledger part by shifting it one slot toward the
-    upper endpoint, transferring into CH1[w(e)] at the last slot.
-
-    Idempotent; preserves the assembled map's image by the model's
-    construction.  Raises MissingTransferMap if a nonzero ledger class
-    reaches the upper endpoint of an edge with no transfer map.
-    """
-    sk = ssk.base
-    out = dict(chain)
-    for e in sk.graph.edges:
-        _, w = e
-        carry = None
-        for n in range(1, ssk.r):
-            alpha, zpart = out[(e, n)]
-            zmod = sk.zeta.get(e)
-            if zmod is not None and carry is not None:
-                zpart = zmod.reduce(tuple(a + b for a, b in zip(zpart, carry)))
-            carry = zpart if zpart and any(zpart) else None
-            out[(e, n)] = (alpha, zmod.zero() if zmod is not None else ())
-        if carry is not None:
-            T = sk.transfer.get(e)
-            if T is None:
-                raise MissingTransferMap(f"edge {e!r} needs a transfer map")
-            moved = matvec(T, list(carry))
-            out[w] = sk.ch1[w].reduce(tuple(a + b for a, b in zip(out[w], moved)))
-    return out
-
-
-def is_normalized(ssk: SubdividedSkeleton, chain: dict) -> bool:
-    return all(
-        not any(chain[(e, n)][1])
-        for e in ssk.base.graph.edges
-        for n in range(1, ssk.r)
-    )
-
-
 def telescope_check(ssk: SubdividedSkeleton, chain: dict, c: int, enforce_divisibility: bool = True) -> list:
     """Per original edge: sum_n n*(-2a_n + a_(n-1) + a_(n+1)) = a_0 - a_r
-    in CH0[e] (+) Z/c, for a normalized chain; needs c | r.
+    in CH0[e] (+) Z/c; needs c | r.
 
     With ``enforce_divisibility=False`` the c | r gate is skipped and the
     identity is evaluated raw -- the negative control showing the
@@ -413,8 +353,6 @@ def telescope_check(ssk: SubdividedSkeleton, chain: dict, c: int, enforce_divisi
         raise ValueError("skeleton ring does not match the modulus")
     if ssk.r % c != 0 and enforce_divisibility:
         raise RDivisibilityViolated(f"c={c} does not divide r={ssk.r}")
-    if not is_normalized(ssk, chain):
-        raise ValueError("chain must be normalized first")
     report = []
     sk = ssk.base
     for e in sk.graph.edges:
@@ -423,7 +361,7 @@ def telescope_check(ssk: SubdividedSkeleton, chain: dict, c: int, enforce_divisi
         alpha = {0: _redc(matvec(sk.inter[(e, v)], list(chain[v])), c)}
         alpha[ssk.r] = _redc(matvec(sk.inter[(e, w)], list(chain[w])), c)
         for n in range(1, ssk.r):
-            alpha[n] = _redc(list(chain[(e, n)][0]), c)
+            alpha[n] = _redc(list(chain[(e, n)]), c)
         lhs = [0] * mod.ngens
         for n in range(1, ssk.r):
             step = [
@@ -480,7 +418,7 @@ def cokernel_torsion(matrix, m: int, ring: int = 0) -> bool:
     for _, q in prime_powers(ring):
         if m % q == 0:
             continue
-        pivots = _echelon_mod(matrix, q)[0]
+        pivots = _echelon_mod(matrix, q, len(matrix[0]))[0]
         if len(pivots) < rows or any(m % g for g in pivots):
             return False
     return True
@@ -489,11 +427,14 @@ def cokernel_torsion(matrix, m: int, ring: int = 0) -> bool:
 # -- the transfer demonstration ----------------------------------------------
 
 
-def transfer_single(ssk: SubdividedSkeleton, z: dict, m: int):
-    """Try to realize m*z (edge-indexed zero-cycles) through the
-    subdivided map and verify the edge-difference identity.
+def transfer(ssk: SubdividedSkeleton, zs: list, m: int) -> list:
+    """Try to realize m*z through the subdivided map for each target z
+    (edge-indexed zero-cycles) and verify that the base vertices' part of
+    each realization maps onto m*z under the edge-difference map
+    ``psi_map``.  The maps are assembled once and reduced once for all
+    targets.
 
-    Returns (solvable, verified, chain or None).
+    Returns one (solvable, verified, chain or None) per target.
     """
     sk = ssk.base
     c = sk.ring
@@ -501,44 +442,38 @@ def transfer_single(ssk: SubdividedSkeleton, z: dict, m: int):
         raise ValueError("transfer demo needs a finite modulus ring")
     if any(mod.factors for mod in list(sk.ch1.values()) + list(sk.ch0_edge.values()) + list(sk.ch0_vertex.values())):
         raise ValueError("transfer demo supports free modules only")
+    for e in sk.graph.edges:
+        for v in e:
+            if (e, v) not in sk.push:
+                raise ValueError(f"push map missing for {(e, v)!r}")
     lm = phi_map_subdivided(ssk)
+    psi = psi_map(sk).matrix
+    nbase = sum(sk.ch1[v].ngens for v in sk.graph.vertices)
     dst_off, total_dst = _offsets(lm.dst)
-    beta = [0] * total_dst
-    for e in sk.graph.edges:
-        pos = dst_off[(e, 1)]
-        for k, val in enumerate(z[e]):
-            beta[pos + k] = m * val % c
-    x = solve_mod(lm.matrix, beta, c)
-    if x is None:
-        return False, False, None
-    # unpack into a chain (ledger parts zero by construction)
-    chain = ssk.chain_zero()
-    pos = 0
-    for label, mod in lm.src:
-        vec = tuple(v % c for v in x[pos : pos + mod.ngens])
-        if label in sk.ch1:
-            chain[label] = mod.reduce(vec)
-        else:
-            chain[label] = (mod.reduce(vec), chain[label][1])
-        pos += mod.ngens
-    chain = normalize_chain(ssk, chain)
-    verified = True
-    for e in sk.graph.edges:
-        v, w = e
-        lhs = _redc(
-            [
-                a - b
-                for a, b in zip(
-                    matvec(sk.inter[(e, v)], list(chain[v])),
-                    matvec(sk.inter[(e, w)], list(chain[w])),
-                )
-            ],
-            c,
-        )
-        target = [m * val % c for val in z[e]]
-        if lhs != target:
-            verified = False
-    return True, verified, chain
+    targets, betas = [], []
+    for z in zs:
+        target = [m * val % c for e in sk.graph.edges for val in z[e]]
+        beta = [0] * total_dst
+        for e in sk.graph.edges:
+            pos = dst_off[(e, 1)]
+            for k, val in enumerate(z[e]):
+                beta[pos + k] = m * val % c
+        targets.append(target)
+        betas.append(beta)
+    results = []
+    for target, x in zip(targets, solve_mod(lm.matrix, betas, c)):
+        if x is None:
+            results.append((False, False, None))
+            continue
+        chain = {}
+        pos = 0
+        for label, mod in lm.src:
+            chain[label] = mod.reduce(tuple(x[pos : pos + mod.ngens]))
+            pos += mod.ngens
+        # lm.src lists the base vertices first, in psi_map's column order
+        verified = _redc(matvec(psi, x[:nbase]), c) == target
+        results.append((True, verified, chain))
+    return results
 
 
 def surjectivity_transfer_demo(
@@ -548,18 +483,16 @@ def surjectivity_transfer_demo(
     m*z and verify it maps onto m*z under the edge-difference map."""
     if c < 2:
         raise ValueError("need c >= 2")
+    if sk.ring != c:
+        raise ValueError(f"skeleton ring {sk.ring} does not match the modulus c={c}")
     if r % c != 0:
         raise RDivisibilityViolated(f"c={c} does not divide r={r}")
     ssk = subdivide(sk, r)
     rng = random.Random(seed)
-    solved = verified = 0
-    for _ in range(trials):
-        z = {e: sk.ch0_edge[e].random_element(rng) for e in sk.graph.edges}
-        ok, good, _ = transfer_single(ssk, z, m)
-        if ok:
-            solved += 1
-            if good:
-                verified += 1
+    zs = [{e: sk.ch0_edge[e].random_element(rng) for e in sk.graph.edges} for _ in range(trials)]
+    results = transfer(ssk, zs, m)
+    solved = sum(1 for ok, _, _ in results if ok)
+    verified = sum(1 for _, good, _ in results if good)
     return {
         "trials": trials,
         "solved": solved,
@@ -602,6 +535,11 @@ def skeleton_to_json(sk: ChainSkeleton) -> dict:
 
 
 def skeleton_from_json(d) -> ChainSkeleton:
+    if not isinstance(d, dict):
+        raise ValueError("graph is not a JSON object")
+    for key in ("vertices", "edges", "ch1", "ch0_vertex", "ch0_edge", "inter"):
+        if key not in d:
+            raise ValueError(f"graph has no {key!r} entry")
     vertices = tuple(d["vertices"])
     edges = tuple(tuple(e) for e in d["edges"])
     graph = DualGraph(vertices, edges)

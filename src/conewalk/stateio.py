@@ -115,16 +115,22 @@ def save_state(state: HypersurfaceState, path: str):
         fh.write(dumps_canonical(state_to_dict(state)))
 
 
+def read_json(path: str, kind: str):
+    """The JSON document in a file; an unreadable or non-JSON file raises
+    ValueError naming the path and what ``kind`` of file it should be."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as ex:
+        raise ValueError(f"cannot read {kind} {path}: {ex.strerror}") from None
+    except ValueError as ex:
+        raise ValueError(f"{kind} {path} is not valid JSON: {ex}") from None
+
+
 def load_state(path: str) -> HypersurfaceState:
     """Read a state file; an unreadable, non-JSON or incomplete file
     raises ValueError naming the path."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as ex:
-        raise ValueError(f"cannot read state file {path}: {ex.strerror}") from None
-    except ValueError as ex:
-        raise ValueError(f"state file {path} is not valid JSON: {ex}") from None
+    data = read_json(path, "state file")
     try:
         return state_from_dict(data)
     except ValueError as ex:

@@ -1,6 +1,8 @@
 """CLI surface: flags, exit codes, determinism."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -203,6 +205,16 @@ def test_skeleton_transfer(tmp_path, capsys):
     assert code == 0
 
 
+def test_skeleton_transfer_rejects_a_modulus_other_than_the_graph_ring(tmp_path, capsys):
+    path = _write_graph(tmp_path)  # over Z/2
+    code, out, err = run(
+        capsys, "skeleton", "transfer", "--graph", str(path), "--c", "4", "--r", "4",
+        "--trials", "3", "--seed", "3",
+    )
+    assert code == 2 and out == ""
+    _assert_one_error_line(err, "ring 2", "c=4")
+
+
 def test_verify_exit_one_on_corrupted_state(tmp_path, capsys):
     s0 = tmp_path / "s0.json"
     run(
@@ -343,3 +355,116 @@ def test_usage_error_then_valid_command(capsys):
     code, out, _ = run(capsys, "bounds", "--sum", "4", "2")
     assert code == 0
     assert out.strip() == "S(4,2) = 10 (closed form 10)"
+
+
+def _random_graph_file(tmp_path, seed, c, nvertices, ranks):
+    """A seeded path graph over Z/c with random ranks and matrices."""
+    rng = random.Random(seed)
+    vertices = list(range(nvertices))
+    edges = [[v, v + 1] for v in vertices[:-1]]
+
+    def module():
+        return {"ring": c, "rank": rng.randint(*ranks)}
+
+    def matrix(rows, cols):
+        return [[rng.randrange(c) for _ in range(cols)] for _ in range(rows)]
+
+    ch1 = {str(v): module() for v in vertices}
+    ch0v = {str(v): module() for v in vertices}
+    ch0e = {f"{v}|{w}": module() for v, w in edges}
+    inter, push = {}, {}
+    for v, w in edges:
+        e = f"{v}|{w}"
+        for x in (v, w):
+            inter[f"{e}@{x}"] = matrix(ch0e[e]["rank"], ch1[str(x)]["rank"])
+            push[f"{e}@{x}"] = matrix(ch0v[str(x)]["rank"], ch0e[e]["rank"])
+    path = tmp_path / f"g{seed}.json"
+    path.write_text(json.dumps({
+        "vertices": vertices, "edges": edges, "ch1": ch1, "ch0_vertex": ch0v,
+        "ch0_edge": ch0e, "inter": inter, "push": push,
+    }))
+    return path
+
+
+@pytest.mark.parametrize(
+    "graph, r, m, seed, solved",
+    [
+        ((5, 4, 3, (1, 2)), 4, 1, 1, 7),
+        ((5, 4, 3, (1, 2)), 4, 1, 2, 6),
+        ((6, 6, 4, (1, 3)), 6, 1, 1, 0),
+        ((6, 6, 4, (1, 3)), 6, 1, 2, 1),
+        ((7, 4, 3, (1, 2)), 4, 2, 1, 12),
+        ((8, 2, 2, (1, 1)), 2, 1, 1, 6),
+        ((8, 2, 2, (1, 1)), 2, 1, 2, 7),
+        ((9, 6, 3, (0, 2)), 12, 3, 1, 2),
+        ((9, 6, 3, (0, 2)), 12, 3, 2, 5),
+    ],
+)
+def test_skeleton_transfer_json_pinned(tmp_path, capsys, graph, r, m, seed, solved):
+    path = _random_graph_file(tmp_path, *graph)
+    code, out, _ = run(
+        capsys, "skeleton", "transfer", "--graph", str(path), "--c", str(graph[1]),
+        "--r", str(r), "--m", str(m), "--trials", "12", "--seed", str(seed), "--json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"pass": True, "solved": solved, "trials": 12, "verified": solved}
+
+
+@pytest.mark.parametrize(
+    "c, r, k, seed, digest",
+    [
+        (2, 2, 1, 7, "20b7c89630156d839e78991b03e8b2cfc9cf01a2ca6ce32982e34534b187eab7"),
+        (4, 8, 2, 3, "51e0f571b1f7b0899e7aa45b0647ca2d6e82e4eb80bb38e5401049c15786cc0b"),
+        (6, 6, 3, 11, "9e4a59405eb65d59d8aabdfcfbbc796359966b8e10ba30f51cac72f6a5ddad3b"),
+    ],
+)
+def test_skeleton_telescope_json_pinned(capsys, c, r, k, seed, digest):
+    code, out, _ = run(
+        capsys, "skeleton", "telescope", "--c", str(c), "--r", str(r), "--k", str(k),
+        "--trials", "5", "--seed", str(seed), "--json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _broken_graph(tmp_path, case):
+    data = json.loads(_write_graph(tmp_path).read_text())
+    if case == "unknown-vertex":
+        data["ch1"]["9"] = data["ch1"]["0"]
+    elif case == "module-without-rank":
+        del data["ch1"]["0"]["rank"]
+    else:
+        del data[case[3:]]  # no-<key>
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+TRANSFER = ["transfer", "--c", "2", "--r", "2", "--seed", "1", "--graph"]
+
+
+@pytest.mark.parametrize(
+    "case, argv, needles",
+    [
+        ("missing", ["subdivide", "--r", "2", "--graph"], ["{path}"]),
+        ("missing", TRANSFER, ["{path}"]),
+        ("missing", ["coker", "--m", "2", "--map"], ["{path}"]),
+        ("not-json", ["subdivide", "--r", "2", "--graph"], ["{path}", "not valid JSON"]),
+        ("no-vertices", ["subdivide", "--r", "2", "--graph"], ["{path}", "'vertices'"]),
+        ("no-push", TRANSFER, ["push map missing for ((0, 1), 0)"]),
+        ("unknown-vertex", ["subdivide", "--r", "2", "--graph"], ["{path}", "'9'"]),
+        ("module-without-rank", TRANSFER, ["{path}", "'rank'"]),
+    ],
+)
+def test_skeleton_bad_input_file_is_a_usage_error(tmp_path, capsys, case, argv, needles):
+    path = tmp_path / "missing.json"
+    if case == "not-json":
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+    elif case != "missing":
+        path = _broken_graph(tmp_path, case)
+    # --map takes JSON: a string names the file
+    arg = json.dumps(str(path)) if argv[0] == "coker" else str(path)
+    code, out, err = run(capsys, "skeleton", *argv, arg)
+    assert code == 2 and out == ""
+    _assert_one_error_line(err, *(n.format(path=path) for n in needles))

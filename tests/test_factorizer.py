@@ -104,6 +104,16 @@ def test_binary_form_without_rational_witness_is_inconclusive():
     f = parse_poly("x0^2 + x1^2", u)
     v = probably_irreducible(f, trials=4, seed=2)
     assert v.verdict == INCONCLUSIVE
+    assert v.failure_bound == 1.0
+
+
+def test_exact_verdicts_report_no_failure_probability():
+    """Reducible rests on an exact division, so like Irreducible it
+    reports failure_bound 0.0."""
+    v = probably_irreducible(parse_poly("x0*x1", U3), trials=4, seed=1)
+    assert v.verdict == REDUCIBLE and v.failure_bound == 0.0
+    v = probably_irreducible(parse_poly("x0^2 + 100*x1^2", U3), trials=4, seed=2)
+    assert v.verdict == REDUCIBLE and v.failure_bound == 0.0
 
 
 def test_three_variable_product_witness_lifts():

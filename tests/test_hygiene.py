@@ -74,7 +74,6 @@ def _used_names(tree):
 DOCUMENTED_API = {
     "univariate_factor": "the README's complete univariate factorization over GF(p)",
     "smoothness_sample": "a README verifier that the verify command is still to wire in",
-    "psi_map": "the README's vertex-to-edge obstruction map",
     "phi_map": "the README's vertex-to-vertex obstruction map",
     "skeleton_to_json": "inverse of skeleton_from_json for the README's graph files",
     "SparsePoly.eval_point": "the README's polynomial evaluation",
@@ -111,4 +110,61 @@ def test_no_public_api_that_nothing_calls():
     assert not found, found
     # an allow-list entry whose definition is gone would hide nothing
     stale = sorted(set(DOCUMENTED_API) - {qualname for _, qualname, _ in defined})
+    assert not stale, stale
+
+
+def _dataclass_fields(tree):
+    """(Class.field, node) of the public annotated fields of top-level
+    ``@dataclass`` classes."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        for item in node.body:
+            if (
+                isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and not item.target.id.startswith("_")
+            ):
+                yield f"{node.name}.{item.target.id}", item
+
+
+#: dataclass fields that only the tests read, kept on purpose
+_EVIDENCE = "verdict evidence that tests read and that the observability aim puts into reports"
+UNREAD_FIELDS = {
+    "IrreducibilityVerdict.assignment": _EVIDENCE,
+    "IrreducibilityVerdict.note": _EVIDENCE,
+}
+
+
+def test_no_dataclass_field_that_nothing_reads():
+    """Every public field of a dataclass in the package is read as an
+    attribute (``obj.field`` in load context) somewhere in src/ or bench/,
+    or is listed in ``UNREAD_FIELDS``; constructor keywords and writes do
+    not count.  Names are matched bare, as in the API check above."""
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for folder in ("src", "bench"):
+        for path in (root / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read.update(
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    fields = [
+        (f"{name}:{node.lineno}", qualname)
+        for name, tree in _trees()
+        for qualname, node in _dataclass_fields(tree)
+    ]
+    found = [
+        f"{where}: {qualname}"
+        for where, qualname in fields
+        if qualname.split(".")[-1] not in read and qualname not in UNREAD_FIELDS
+    ]
+    assert not found, found
+    # an allow-list entry whose field is gone would hide nothing
+    stale = sorted(set(UNREAD_FIELDS) - {qualname for _, qualname in fields})
     assert not stale, stale

@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from conewalk.errors import MissingTransferMap, RDivisibilityViolated
+from conewalk.errors import RDivisibilityViolated
 from conewalk.intlinalg import matvec
 from conewalk.skeleton import (
     ChainSkeleton,
     DualGraph,
     FgModule,
     cokernel_torsion,
-    normalize_chain,
     phi_map,
     phi_map_subdivided,
     psi_map,
@@ -21,7 +20,7 @@ from conewalk.skeleton import (
     subdivide,
     surjectivity_transfer_demo,
     telescope_check,
-    transfer_single,
+    transfer,
     _offsets,
 )
 
@@ -32,10 +31,10 @@ def identity_matrix(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def unit_skeleton(c, rank=1, vertices=(0, 1), edges=((0, 1),), zeta_rank=0, transfer=False):
+def unit_skeleton(c, rank=1, vertices=(0, 1), edges=((0, 1),)):
     mod = FgModule(ring=c, rank=rank)
     ident = identity_matrix(rank)
-    sk = ChainSkeleton(
+    return ChainSkeleton(
         graph=DualGraph(tuple(vertices), tuple(edges)),
         ch1={v: mod for v in vertices},
         ch0_vertex={v: mod for v in vertices},
@@ -43,14 +42,11 @@ def unit_skeleton(c, rank=1, vertices=(0, 1), edges=((0, 1),), zeta_rank=0, tran
         inter={(e, v): [r[:] for r in ident] for e in edges for v in e},
         push={(e, v): [r[:] for r in ident] for e in edges for v in e},
     )
-    if zeta_rank:
-        sk.zeta = {e: FgModule(ring=c, rank=zeta_rank) for e in edges}
-        if transfer:
-            sk.transfer = {
-                e: [[1 if i == j else 0 for j in range(zeta_rank)] for i in range(rank)]
-                for e in edges
-            }
-    return sk
+
+
+def zero_chain(ssk):
+    """The zero one-cycle at every vertex of the subdivision."""
+    return {label: mod.zero() for label, mod in phi_map_subdivided(ssk).src}
 
 
 def test_dual_graph_validation():
@@ -174,10 +170,10 @@ def test_telescope_hand_example():
     ssk = subdivide(sk, 2)
     e = (0, 1)
     for a1 in (0, 1):
-        chain = ssk.chain_zero()
+        chain = zero_chain(ssk)
         chain[0] = (1,)
         chain[1] = (0,)
-        chain[(e, 1)] = ((a1,), ())
+        chain[(e, 1)] = (a1,)
         rep = telescope_check(ssk, chain, 2)
         assert rep[0]["pass"] and rep[0]["expected"] == [1]
 
@@ -186,11 +182,11 @@ def test_telescope_constant_chains():
     sk = unit_skeleton(3)
     ssk = subdivide(sk, 3)
     e = (0, 1)
-    chain = ssk.chain_zero()
+    chain = zero_chain(ssk)
     chain[0] = (2,)
     chain[1] = (2,)
     for n in (1, 2):
-        chain[(e, n)] = ((2,), ())
+        chain[(e, n)] = (2,)
     rep = telescope_check(ssk, chain, 3)
     assert rep[0]["pass"] and rep[0]["expected"] == [0]
 
@@ -203,7 +199,7 @@ def test_telescope_random_sweep(c):
             sk = unit_skeleton(c, rank=rank)
             ssk = subdivide(sk, r)
             for _ in range(25):
-                chain = normalize_chain(ssk, ssk.random_chain(rng))
+                chain = ssk.random_chain(rng)
                 assert all(x["pass"] for x in telescope_check(ssk, chain, c))
 
 
@@ -211,7 +207,7 @@ def test_telescope_divisibility_gate():
     sk = unit_skeleton(3)
     ssk = subdivide(sk, 4)
     with pytest.raises(RDivisibilityViolated):
-        telescope_check(ssk, ssk.chain_zero(), 3)
+        telescope_check(ssk, zero_chain(ssk), 3)
 
 
 def test_telescope_negative_control():
@@ -222,45 +218,11 @@ def test_telescope_negative_control():
     failures = 0
     trials = 100
     for _ in range(trials):
-        chain = normalize_chain(ssk, ssk.random_chain(rng))
+        chain = ssk.random_chain(rng)
         rep = telescope_check(ssk, chain, 3, enforce_divisibility=False)
         if not all(x["pass"] for x in rep):
             failures += 1
     assert failures >= 90
-
-
-def test_normalize_chain_moves_ledger():
-    sk = unit_skeleton(2, zeta_rank=1, transfer=True)
-    ssk = subdivide(sk, 3)
-    e = (0, 1)
-    chain = ssk.chain_zero()
-    chain[(e, 1)] = ((0,), (1,))
-    out = normalize_chain(ssk, chain)
-    # the ledger class moved through (e, 2) and landed in vertex 1
-    assert out[(e, 1)][1] == (0,)
-    assert out[(e, 2)][1] == (0,)
-    assert out[1] == (1,)
-
-
-def test_normalize_chain_idempotent():
-    rng = random.Random(21)
-    sk = unit_skeleton(2, rank=2, zeta_rank=2, transfer=True)
-    ssk = subdivide(sk, 4)
-    chain = ssk.random_chain(rng)
-    once = normalize_chain(ssk, chain)
-    twice = normalize_chain(ssk, once)
-    assert once == twice
-
-
-def test_normalize_requires_transfer_map():
-    sk = unit_skeleton(2, zeta_rank=1, transfer=False)
-    ssk = subdivide(sk, 2)
-    chain = ssk.chain_zero()
-    chain[((0, 1), 1)] = ((0,), (1,))
-    with pytest.raises(MissingTransferMap):
-        normalize_chain(ssk, chain)
-    # zero ledger needs no transfer map
-    normalize_chain(ssk, ssk.chain_zero())
 
 
 def test_cokernel_examples():
@@ -322,7 +284,7 @@ def test_transfer_exhaustive_unit_two_vertex():
     ssk = subdivide(sk, 2)
     e = (0, 1)
     for z0 in (0, 1):
-        solvable, verified, _ = transfer_single(ssk, {e: (z0,)}, 1)
+        (solvable, verified, _), = transfer(ssk, [{e: (z0,)}], 1)
         if solvable:
             assert verified
 
@@ -340,10 +302,10 @@ def test_transfer_zero_ch1():
         push={(e, v): [[1]] for v in e},
     )
     ssk = subdivide(sk, 2)
-    assert transfer_single(ssk, {e: (0,)}, 1)[0] is True
-    assert transfer_single(ssk, {e: (1,)}, 1)[0] is False
+    assert transfer(ssk, [{e: (0,)}], 1)[0][0] is True
+    assert transfer(ssk, [{e: (1,)}], 1)[0][0] is False
     # m = 2 kills every target mod 2
-    assert transfer_single(ssk, {e: (1,)}, 2)[0] is True
+    assert transfer(ssk, [{e: (1,)}], 2)[0][0] is True
 
 
 def test_transfer_demo_random_paths():
@@ -370,11 +332,10 @@ def test_phi_subdivided_telescope_consistency():
         src_off, _ = _offsets(lm.src)
         dst_off, _ = _offsets(lm.dst)
         for _ in range(20):
-            chain = normalize_chain(ssk, ssk.random_chain(rng))
+            chain = ssk.random_chain(rng)
             vec = [0] * len(lm.matrix[0])
             for label, pos in src_off.items():
-                data = chain[label] if label in sk.graph.vertices else chain[label][0]
-                for k, val in enumerate(data):
+                for k, val in enumerate(chain[label]):
                     vec[pos + k] = val
             img = matvec(lm.matrix, vec)
             for e in sk.graph.edges:
@@ -439,7 +400,7 @@ def test_telescope_with_random_maps():
             sk = random_skeleton(rng, c)
             ssk = subdivide(sk, r)
             chain = ssk.random_chain(rng)
-            rep = telescope_check(ssk, normalize_chain(ssk, chain), c)
+            rep = telescope_check(ssk, chain, c)
             assert all(x["pass"] for x in rep)
 
 
@@ -458,3 +419,39 @@ def test_transfer_demo_with_m_two():
     sk = random_skeleton(rng, 4)
     out = surjectivity_transfer_demo(sk, 4, 4, 15, seed=9, m=2)
     assert out["pass"]
+
+
+def test_transfer_demo_assembles_and_reduces_once(monkeypatch):
+    """All targets of one demo share one assembly and one elimination."""
+    import conewalk.skeleton as skeleton
+
+    calls = {"phi_map_subdivided": 0, "solve_mod": 0}
+
+    def counted(name):
+        fn = getattr(skeleton, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(skeleton, name, counted(name))
+    sk = random_skeleton(random.Random(64), 4)
+    out = surjectivity_transfer_demo(sk, 4, 4, 4, seed=5)
+    assert out["trials"] == 4 and out["pass"]
+    assert calls == {"phi_map_subdivided": 1, "solve_mod": 1}
+
+
+def test_transfer_matches_one_target_at_a_time():
+    """Solving several targets together returns, per target, what solving
+    it alone returns: chains included."""
+    rng = random.Random(65)
+    for c, r in ((2, 2), (4, 4), (6, 6)):
+        sk = random_skeleton(rng, c)
+        ssk = subdivide(sk, r)
+        zs = [{e: sk.ch0_edge[e].random_element(rng) for e in sk.graph.edges} for _ in range(6)]
+        together = transfer(ssk, zs, 1)
+        assert together == [transfer(ssk, [z], 1)[0] for z in zs]
+        assert all(verified for solvable, verified, _ in together if solvable)
