@@ -2,8 +2,9 @@
 
 Submodules:
 
-* ``coeffs``   -- GF(p) and Laurent parameter coefficients
-* ``poly``     -- sparse multivariate polynomials, canonical text form
+* ``coeffs``   -- GF(p) helpers and the ring of named parameters
+* ``poly``     -- sparse polynomials in variables and Laurent parameters,
+  one term dict each, canonical text form
 * ``factorizer`` -- irreducibility oracle (univariate factorization,
   randomized absolute-irreducibility testing by plane slicing)
 * ``basecase`` -- seed hypersurface states

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .basecase import HypersurfaceState
-from .coeffs import ParamCoeff
 from .errors import (
     EjExhausted,
     EjTooSmall,
@@ -171,14 +170,12 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
 def transformed_sum_part(a_sub, i, universe) -> SparsePoly:
     """sum_{k=i}^{l} C(k,i) (-lam^-1)^(k-i) x0^(2k-2i) a_k, without the
     delta terms or the z_{s+1}^i prefactor."""
-    ring = universe.ring
     l = len(a_sub) - 1
-    x0 = SparsePoly.variable(universe, "x0")
-    neg_lam_inv = -ParamCoeff.param(ring, "lam", -1)
+    # x0^2 * (-lam^-1), one monomial
+    step = -(SparsePoly.variable(universe, "x0", 2) * SparsePoly.param(universe, "lam", -1))
     total = SparsePoly.zero(universe)
     for k in range(i, l + 1):
-        coeff = ParamCoeff.from_int(ring, comb(k, i)) * neg_lam_inv ** (k - i)
-        total = total + (a_sub[k] * x0 ** (2 * (k - i))).scale(coeff)
+        total = total + (a_sub[k] * step ** (k - i)).scale(comb(k, i))
     return total
 
 
@@ -188,8 +185,8 @@ def transformed_coefficient(a_sub, d, i, universe, z_name) -> SparsePoly:
     x0 = SparsePoly.variable(universe, "x0")
     total = zs**i * transformed_sum_part(a_sub, i, universe)
     if i == 1:
-        tl = ParamCoeff.param(universe.ring, "t") * ParamCoeff.param(universe.ring, "lam")
-        total = total + (x0 ** (d - 1)).scale(tl)
+        t_lam = SparsePoly.param(universe, "t") * SparsePoly.param(universe, "lam")
+        total = total + x0 ** (d - 1) * t_lam
     if i == 0:
         total = total + x0 ** (d - 1) * zs
     return total
@@ -367,7 +364,7 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
     rng = random.Random(seed)
     assignment = {}
     for name in state.universe.ring.names:
-        v = state.params.get(name, "symbolic")
+        v = state.params[name]
         assignment[name] = v if isinstance(v, int) else rng.randrange(1, state.p)
     verdict = probably_irreducible(
         state.f0 + state.a0, params=assignment, trials=irreducibility_trials, seed=seed
@@ -382,17 +379,12 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
     )
     checks[-1]["failure_bound"] = verdict.failure_bound
 
+    # one monomial with coefficient 1 in the z variables only
     hp = state.h_poly
-    shape_ok = (
-        len(hp.terms) == 1
-        and next(iter(hp.terms.values())).is_scalar()
-        and next(iter(hp.terms.values())).scalar_value() == 1
-        and all(
-            e == 0
-            for exps in hp.terms
-            for name, e in zip(state.universe.names, exps)
-            if not name.startswith("z")
-        )
+    z_slots = {i for i, name in enumerate(state.universe.names) if name.startswith("z")}
+    shape_ok = len(hp.terms) == 1 and all(
+        c == 1 and all(e == 0 or i in z_slots for i, e in enumerate(exps))
+        for exps, c in hp.terms.items()
     )
     checks.append(_entry("h-poly-shape", "pivot-product", True, shape_ok))
     return checks

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from . import bifactor as bi
 from . import unifactor as uni
-from .coeffs import ParamCoeff, ff_inv_int
+from .coeffs import ff_inv_int
 from .errors import (
     DegreeTooLargeForPrime,
     DivisionFailure,
@@ -92,22 +92,17 @@ def univariate_factor(a: SparsePoly, assignment: dict | None = None, seed: int =
     unit, factors = uni.factor(F, coeffs, rng)
     out = []
     for g, mult in factors:
-        terms = {(i,): ParamCoeff.from_int(universe.ring, c) for i, c in enumerate(g) if c}
-        out.append((SparsePoly(universe, terms), mult))
+        terms = {(i,): c for i, c in enumerate(g) if c}
+        out.append((SparsePoly.from_residues(universe, terms), mult))
     return unit, out
 
 
 def _specialized_coeff_list(a: SparsePoly, assignment):
-    p = a.universe.ring.p
+    if assignment is None and any(map(a.uses_param, a.universe.ring.names)):
+        raise UnspecializedParameter("parameters present but no assignment given")
     coeffs = [0] * (a.total_degree() + 1)
-    for exps, c in a.terms.items():
-        if c.is_scalar():
-            v = c.scalar_value()
-        else:
-            if assignment is None:
-                raise UnspecializedParameter("parameters present but no assignment given")
-            v = c.specialize(assignment)
-        coeffs[exps[0]] = (coeffs[exps[0]] + v) % p
+    for (i,), c in a.specialize_params(assignment or {}).items():
+        coeffs[i] = c
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -301,8 +296,8 @@ def _rational_witness(a, int_terms, used, assignment, rng):
                 for idx, k in zip(axes, ij):
                     e[idx] = k
                 e[last] = deg - sum(ij)
-                terms[tuple(e)] = ParamCoeff.from_int(universe.ring, c)
-            witness = SparsePoly(universe, terms)
+                terms[tuple(e)] = c
+            witness = SparsePoly.from_residues(universe, terms)
             if _exact_divide(int_terms, witness.specialize_params({}), p) is not None:
                 return IrreducibilityVerdict(
                     REDUCIBLE, witness=witness, assignment=assignment, note="rational factor"

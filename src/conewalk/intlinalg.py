@@ -198,10 +198,9 @@ def _least_valuation_entry(D, k, q, ncols):
     return best
 
 
-def _solve_prime_power(A, targets, q):
+def _solve_prime_power(A, ncols, targets, q):
     """For each b in targets, one solution of A x = b over Z/q (q a prime
     power) or None, from a single elimination of [A | targets]."""
-    ncols = len(A[0])
     augmented = [row + [b[i] for b in targets] for i, row in enumerate(A)]
     pivots, pivot_cols, rows = _echelon_mod(augmented, q, ncols)
     out = []
@@ -221,27 +220,27 @@ def _solve_prime_power(A, targets, q):
     return out
 
 
-def solve_mod(A, targets, c):
+def solve_mod(A, ncols, targets, c):
     """For each b in ``targets``, one solution x of A x = b over Z (c = 0)
     or Z/c (c >= 2), or None; the list of answers is in target order.
 
-    A is rows x cols; every b has length rows.  A is reduced once for all
-    targets.  Over Z the Smith form's diagonal congruences d_i y_i = r_i
-    are solved exactly.  Over Z/c each prime power q exactly dividing c
-    is solved by ``_echelon_mod`` and the solutions are joined by CRT
-    into x with entries in [0, c).
+    A is rows x ``ncols``, given explicitly because a matrix without rows
+    does not show it; every b has length rows and every x length ncols.
+    A is reduced once for all targets.  Over Z the Smith form's diagonal
+    congruences d_i y_i = r_i are solved exactly.  Over Z/c each prime
+    power q exactly dividing c is solved by ``_echelon_mod`` and the
+    solutions are joined by CRT into x with entries in [0, c).
     """
     rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if any(len(b) != rows for b in targets):
+    if any(len(b) != rows for b in targets) or any(len(row) != ncols for row in A):
         raise ValueError("dimension mismatch")
     if rows == 0:
-        return [[0] * cols for _ in targets]
+        return [[0] * ncols for _ in targets]
     if c:
-        xs, modulus = [[0] * cols for _ in targets], 1
+        xs, modulus = [[0] * ncols for _ in targets], 1
         for _, q in prime_powers(c):
             lift = pow(modulus, -1, q)
-            for t, xq in enumerate(_solve_prime_power(A, targets, q)):
+            for t, xq in enumerate(_solve_prime_power(A, ncols, targets, q)):
                 if xq is None:
                     xs[t] = None
                 elif xs[t] is not None:

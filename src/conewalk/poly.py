@@ -1,9 +1,19 @@
-"""Sparse multivariate polynomials over Laurent parameter coefficients.
+"""Sparse multivariate polynomials over GF(p) with Laurent parameters.
 
-Terms map dense exponent tuples (one slot per universe variable) to
-``ParamCoeff`` values.  The canonical term order is descending total
-degree, then descending lexicographic on exponent tuples; this order
-fixes the text form emitted by ``canonical_string``.
+A polynomial is one dict, ``terms``, from exponent tuples to residues in
+[1, p).  Each tuple has one slot per universe variable, then one slot
+per parameter of the universe's ``ParamRing``.  Variable exponents are
+non-negative; a parameter exponent may be negative only at an invertible
+parameter (``lam``).  Parameter-only values such as ``-lam^-1`` or
+``t*lam`` are ordinary polynomials (``SparsePoly.param``).
+
+Only the public constructor and ``parse_poly`` check terms.  Arithmetic
+builds its results from checked operands through ``_poly``, unchecked.
+
+The canonical term order is descending total degree, then descending
+lexicographic, on the variable slots, and then the same on the
+parameter slots; this order fixes the text form emitted by
+``canonical_string``.
 
 Text grammar (whitespace-insensitive on parse, canonical on emit)::
 
@@ -11,7 +21,6 @@ Text grammar (whitespace-insensitive on parse, canonical on emit)::
     term   ::= [coeff "*"] factor ("*" factor)*
     factor ::= varname ["^" int] | param ["^" int]
 
-Negative exponents are accepted only at invertible parameters (``lam``).
 The canonical emitter uses least non-negative residues and never prints
 a unary minus; the zero polynomial prints as ``"0"``.
 """
@@ -20,11 +29,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, itemgetter
 
-from .coeffs import ParamCoeff, ParamRing, _term_sort_key, ff_inv_int
+from .coeffs import ParamCoeff, ParamRing, ff_inv_int
 from .errors import (
+    DivisionFailure,
+    InvertibleAssignedZero,
+    ModulusMismatch,
     ParseError,
+    UnassignedParameter,
     UniverseMismatch,
     UnknownVariable,
     ZeroPolynomial,
@@ -65,26 +78,64 @@ def coordinate_universe(n, r, s, ring) -> VarUniverse:
     return VarUniverse(tuple(names), ring)
 
 
+def _term_sort_key(exps):
+    # Descending total degree, then descending lex: deterministic display order.
+    return (-sum(exps), tuple(-e for e in exps))
+
+
+def _power(v, e, p):
+    """v^e mod p for any int e; a negative e needs v invertible."""
+    return pow(v, e, p) if e >= 0 else pow(ff_inv_int(v, p), -e, p)
+
+
+def _reduced(acc, p):
+    """{key: residue} of the nonzero residues of an accumulator dict."""
+    return {k: r for k, v in acc.items() if (r := v % p)}
+
+
+def _poly(universe, terms):
+    """A SparsePoly over terms already checked, with no zero residue."""
+    f = object.__new__(SparsePoly)
+    object.__setattr__(f, "universe", universe)
+    object.__setattr__(f, "terms", terms)
+    return f
+
+
 class SparsePoly:
     """Immutable sparse polynomial over a ``VarUniverse``."""
 
     __slots__ = ("universe", "terms")
 
     def __init__(self, universe: VarUniverse, terms: dict):
-        clean = {}
+        """``terms`` maps a full exponent tuple (variables, then
+        parameters) to an int, or a variable exponent tuple to a
+        ``ParamCoeff`` literal; residues are reduced mod p, zeros dropped."""
+        ring = universe.ring
         nv = len(universe)
+        acc = {}
         for exps, c in terms.items():
-            if len(exps) != nv:
-                raise ValueError("exponent tuple length mismatch")
-            if exps and min(exps) < 0:
-                raise ValueError("negative variable exponent")
-            if not isinstance(c, ParamCoeff):
-                raise TypeError("coefficients must be ParamCoeff")
-            if c.is_zero():
-                continue
-            clean[tuple(exps)] = c
+            if isinstance(c, ParamCoeff):
+                if c.ring != ring:
+                    raise ModulusMismatch("coefficient over a different parameter ring")
+                if len(exps) != nv:
+                    raise ValueError("exponent tuple length mismatch")
+                pairs = [(tuple(exps) + tuple(pexps), v) for pexps, v in c.terms.items()]
+            elif isinstance(c, int):
+                pairs = [(tuple(exps), c)]
+            else:
+                raise TypeError("coefficients must be int residues or ParamCoeff literals")
+            for key, v in pairs:
+                if len(key) != nv + ring.nparams:
+                    raise ValueError("exponent tuple length mismatch")
+                if min(key, default=0) < 0:
+                    if min(key[:nv], default=0) < 0:
+                        raise ValueError("negative variable exponent")
+                    for e, name in zip(key[nv:], ring.names):
+                        if e < 0 and name not in ring.invertible:
+                            raise ValueError(f"negative exponent at non-invertible parameter {name!r}")
+                acc[key] = acc.get(key, 0) + v
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _reduced(acc, ring.p))
 
     def __setattr__(self, *a):
         raise AttributeError("SparsePoly is immutable")
@@ -93,25 +144,30 @@ class SparsePoly:
 
     @classmethod
     def zero(cls, universe: VarUniverse) -> "SparsePoly":
-        return cls(universe, {})
+        return _poly(universe, {})
 
     @classmethod
-    def constant(cls, universe: VarUniverse, c) -> "SparsePoly":
-        if isinstance(c, int):
-            c = ParamCoeff.from_int(universe.ring, c)
-        return cls(universe, {(0,) * len(universe): c})
+    def constant(cls, universe: VarUniverse, c: int) -> "SparsePoly":
+        return cls(universe, {(0,) * (len(universe) + universe.ring.nparams): c})
+
+    @classmethod
+    def from_residues(cls, universe: VarUniverse, terms: dict) -> "SparsePoly":
+        """The parameter-free polynomial with terms {variable exponents:
+        residue}; the inverse of ``specialize_params``."""
+        zero = (0,) * universe.ring.nparams
+        return cls(universe, {tuple(exps) + zero: c for exps, c in terms.items()})
 
     @classmethod
     def variable(cls, universe: VarUniverse, name: str, exp: int = 1) -> "SparsePoly":
-        i = universe.index(name)
-        exps = [0] * len(universe)
-        exps[i] = exp
-        return cls(universe, {tuple(exps): ParamCoeff.one(universe.ring)})
+        exps = [0] * (len(universe) + universe.ring.nparams)
+        exps[universe.index(name)] = exp
+        return cls(universe, {tuple(exps): 1})
 
     @classmethod
     def param(cls, universe: VarUniverse, name: str, exp: int = 1) -> "SparsePoly":
-        c = ParamCoeff.param(universe.ring, name, exp)
-        return cls(universe, {(0,) * len(universe): c})
+        exps = [0] * (len(universe) + universe.ring.nparams)
+        exps[len(universe) + universe.ring.index(name)] = exp
+        return cls(universe, {tuple(exps): 1})
 
     # -- basic predicates --
 
@@ -129,7 +185,7 @@ class SparsePoly:
         )
 
     def __hash__(self):
-        return hash((self.universe, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        return hash((self.universe, frozenset(self.terms.items())))
 
     # -- arithmetic --
 
@@ -137,36 +193,43 @@ class SparsePoly:
         if self.universe != other.universe:
             raise UniverseMismatch("operands live in different universes")
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other."""
         self._check(other)
+        p = self.universe.ring.p
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps)
-            out[exps] = c if acc is None else acc + c
-        return SparsePoly(self.universe, out)
+        for k, c in other.terms.items():
+            v = (out.get(k, 0) + sign * c) % p
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return _poly(self.universe, out)
 
-    def __neg__(self):
-        return SparsePoly(self.universe, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        p = self.universe.ring.p
+        return _poly(self.universe, {k: p - c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                prod = c1 * c2
-                acc = out.get(e)
-                out[e] = prod if acc is None else acc + prod
-        return SparsePoly(self.universe, out)
+        acc = {}
+        get = acc.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = tuple(map(add, k1, k2))
+                acc[k] = get(k, 0) + c1 * c2
+        return _poly(self.universe, _reduced(acc, self.universe.ring.p))
 
-    def scale(self, c) -> "SparsePoly":
-        """Multiply by a scalar or parameter coefficient."""
-        if isinstance(c, int):
-            c = ParamCoeff.from_int(self.universe.ring, c)
-        return SparsePoly(self.universe, {e: v * c for e, v in self.terms.items()})
+    def scale(self, c: int) -> "SparsePoly":
+        """Multiply by an integer scalar."""
+        p = self.universe.ring.p
+        return _poly(self.universe, _reduced({k: v * c for k, v in self.terms.items()}, p))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -178,24 +241,30 @@ class SparsePoly:
 
     # -- degrees --
 
-    def total_degree(self) -> int:
+    def _variable_degrees(self):
         if not self.terms:
             raise ZeroPolynomial("degree of the zero polynomial")
-        return max(sum(e) for e in self.terms)
+        nv = len(self.universe)
+        return {sum(k[:nv]) for k in self.terms}
+
+    def total_degree(self) -> int:
+        return max(self._variable_degrees())
 
     def degree_info(self):
         """(total degree, homogeneous?) — raises on the zero polynomial."""
-        if not self.terms:
-            raise ZeroPolynomial("degree of the zero polynomial")
-        degs = {sum(e) for e in self.terms}
+        degs = self._variable_degrees()
         return max(degs), len(degs) == 1
+
+    def _param_slot(self, name: str) -> int:
+        return len(self.universe) + self.universe.ring.index(name)
 
     def uses_variable(self, name: str) -> bool:
         i = self.universe.index(name)
-        return any(e[i] != 0 for e in self.terms)
+        return any(k[i] for k in self.terms)
 
     def uses_param(self, name: str) -> bool:
-        return any(c.uses_param(name) for c in self.terms.values())
+        i = self._param_slot(name)
+        return any(k[i] for k in self.terms)
 
     # -- divisibility by variable powers --
 
@@ -207,17 +276,12 @@ class SparsePoly:
         return all(e[i] >= k for e in self.terms)
 
     def divide_by_monomial(self, name: str, k: int) -> "SparsePoly":
-        from .errors import DivisionFailure
-
+        if not self.monomial_divides(name, k):
+            raise DivisionFailure(f"{name}^{k} does not divide every term")
         i = self.universe.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] < k:
-                raise DivisionFailure(f"{name}^{k} does not divide every term")
-            e = list(exps)
-            e[i] -= k
-            out[tuple(e)] = c
-        return SparsePoly(self.universe, out)
+        return _poly(
+            self.universe, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self.terms.items()}
+        )
 
     def variable_valuation(self, name: str):
         """min exponent of ``name`` over all terms; None for the zero polynomial."""
@@ -228,33 +292,51 @@ class SparsePoly:
 
     # -- calculus --
 
-    def partial_derivative(self, name: str) -> "SparsePoly":
-        i = self.universe.index(name)
+    def _derivative(self, slot: int) -> "SparsePoly":
+        """Formal derivative in one exponent slot; the characteristic
+        kills exponents divisible by p.  Lowering one slot is injective,
+        so no two terms meet."""
+        p = self.universe.ring.p
         out = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            if k == 0:
-                continue
-            scaled = c.scale(k)
-            if scaled.is_zero():
-                continue  # characteristic kills the exponent
-            e = list(exps)
-            e[i] = k - 1
-            e = tuple(e)
-            acc = out.get(e)
-            out[e] = scaled if acc is None else acc + scaled
-        return SparsePoly(self.universe, out)
+        for k, c in self.terms.items():
+            v = c * k[slot] % p
+            if v:
+                out[k[:slot] + (k[slot] - 1,) + k[slot + 1:]] = v
+        return _poly(self.universe, out)
+
+    def partial_derivative(self, name: str) -> "SparsePoly":
+        return self._derivative(self.universe.index(name))
 
     def param_derivative(self, name: str) -> "SparsePoly":
-        """Formal derivative with respect to a parameter, coefficient-wise."""
-        out = {}
-        for exps, c in self.terms.items():
-            d = c.derivative(name)
-            if not d.is_zero():
-                out[exps] = d
-        return SparsePoly(self.universe, out)
+        """Formal derivative with respect to a parameter (Laurent rule)."""
+        return self._derivative(self._param_slot(name))
 
     # -- evaluation / specialization --
+
+    def specialize_params(self, assignment: dict) -> dict:
+        """Terms with all parameters evaluated: variable exponent tuple ->
+        residue.  Every parameter the terms use must be assigned, and an
+        invertible one must be assigned a nonzero value."""
+        ring = self.universe.ring
+        p, nv = ring.p, len(self.universe)
+        values = []
+        for slot, name in enumerate(ring.names, nv):
+            if not any(k[slot] for k in self.terms):
+                continue
+            if name not in assignment:
+                raise UnassignedParameter(f"parameter {name!r} not assigned")
+            v = assignment[name] % p
+            if v == 0 and name in ring.invertible:
+                raise InvertibleAssignedZero(f"invertible parameter {name!r} assigned 0")
+            values.append((slot, v))
+        acc = {}
+        for k, c in self.terms.items():
+            for slot, v in values:
+                if k[slot]:
+                    c = c * _power(v, k[slot], p) % p
+            exps = k[:nv]
+            acc[exps] = acc.get(exps, 0) + c
+        return _reduced(acc, p)
 
     def eval_point(self, point, params: dict | None = None) -> int:
         """Exact evaluation at a point, with a total parameter assignment;
@@ -264,96 +346,72 @@ class SparsePoly:
             raise ValueError("point length mismatch")
         vals = [v % p for v in point]
         total = 0
-        for exps, c in self.terms.items():
-            acc = c.specialize(params or {})
+        for exps, c in self.specialize_params(params or {}).items():
             for v, e in zip(vals, exps):
                 if e:
-                    acc = acc * pow(v, e, p) % p
-            total = (total + acc) % p
-        return total
-
-    def specialize_params(self, assignment: dict) -> dict:
-        """Terms with all parameters evaluated: exponent tuple -> residue."""
-        out = {}
-        for exps, c in self.terms.items():
-            v = c.specialize(assignment)
-            if v:
-                out[exps] = v
-        return out
+                    c = c * pow(v, e, p) % p
+            total += c
+        return total % p
 
     def substitute_param(self, name: str, value: int) -> "SparsePoly":
         """Bake a single parameter to a field value, keeping the others symbolic."""
-        ring = self.universe.ring
-        p = ring.p
-        i = ring.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            acc = {}
-            for pexps, v in c.terms.items():
-                k = pexps[i]
-                if k >= 0:
-                    v = v * pow(value % p, k, p) % p
-                else:
-                    v = v * pow(ff_inv_int(value, p), -k, p) % p
-                e = list(pexps)
-                e[i] = 0
-                e = tuple(e)
-                acc[e] = (acc.get(e, 0) + v) % p
-            cc = ParamCoeff(ring, acc)
-            if not cc.is_zero():
-                prev = out.get(exps)
-                out[exps] = cc if prev is None else prev + cc
-        return SparsePoly(self.universe, out)
+        p = self.universe.ring.p
+        slot = self._param_slot(name)
+        value %= p
+        acc = {}
+        for k, c in self.terms.items():
+            e = k[slot]
+            if e:
+                c = c * _power(value, e, p)
+                k = k[:slot] + (0,) + k[slot + 1:]
+            acc[k] = acc.get(k, 0) + c
+        return _poly(self.universe, _reduced(acc, p))
 
     # -- universe embedding --
 
     def embed(self, new_universe: VarUniverse) -> "SparsePoly":
-        """Reindex into a larger universe containing all used names."""
-        pos = []
-        for i, name in enumerate(self.universe.names):
-            try:
-                pos.append(new_universe.index(name))
-            except UnknownVariable:
-                if self.uses_variable(name):
-                    raise
-                pos.append(None)
-        nv = len(new_universe)
-        out = {}
-        for exps, c in self.terms.items():
-            e = [0] * nv
-            for old_i, new_i in enumerate(pos):
-                if exps[old_i]:
-                    e[new_i] = exps[old_i]
-            out[tuple(e)] = c
-        return SparsePoly(new_universe, out)
+        """Reindex into a universe over the same ring that contains every
+        variable the terms use."""
+        old = self.universe
+        if new_universe.ring != old.ring:
+            raise ModulusMismatch("universes over different parameter rings")
+        # the old slot each new slot copies; slot `width` is a padding 0
+        nv, width = len(old), len(old) + old.ring.nparams
+        positions = [width] * len(new_universe) + list(range(nv, width))
+        for i, name in enumerate(old.names):
+            j = new_universe._positions.get(name)
+            if j is not None:
+                positions[j] = i
+            elif self.uses_variable(name):
+                raise UnknownVariable(f"unknown variable {name!r}")
+        pick = itemgetter(*positions)
+        if len(positions) == 1:  # itemgetter of one index returns the bare item
+            pick = lambda k, get=pick: (get(k),)
+        return _poly(new_universe, {pick(k + (0,)): c for k, c in self.terms.items()})
 
     # -- canonical text form --
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
 
     def canonical_string(self) -> str:
         if not self.terms:
             return "0"
-        ring = self.universe.ring
+        universe = self.universe
+        nv = len(universe)
+        # parameters print before variables
+        labels = list(enumerate(universe.ring.names, nv)) + list(enumerate(universe.names))
+
+        def order(k):
+            return _term_sort_key(k[:nv]), _term_sort_key(k[nv:])
+
         pieces = []
-        for exps, coeff in self.sorted_terms():
-            for pexps, scalar in coeff.sorted_terms():
-                factors = []
-                for name, e in zip(ring.names, pexps):
-                    if e == 0:
-                        continue
-                    factors.append(name if e == 1 else f"{name}^{e}")
-                for name, e in zip(self.universe.names, exps):
-                    if e == 0:
-                        continue
-                    factors.append(name if e == 1 else f"{name}^{e}")
-                if not factors:
-                    pieces.append(str(scalar))
-                elif scalar == 1:
-                    pieces.append("*".join(factors))
-                else:
-                    pieces.append("*".join([str(scalar)] + factors))
+        for k in sorted(self.terms, key=order):
+            scalar = self.terms[k]
+            factors = [name if k[i] == 1 else f"{name}^{k[i]}" for i, name in labels if k[i]]
+            if not factors:
+                pieces.append(str(scalar))
+            elif scalar == 1:
+                pieces.append("*".join(factors))
+            else:
+                pieces.append("*".join([str(scalar)] + factors))
         return " + ".join(pieces)
 
     def __repr__(self):
@@ -367,13 +425,15 @@ _INT = re.compile(r"-?\d+")
 def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
     """Parse the grammar above into a canonical ``SparsePoly``.
 
-    Terms are summed in one ``{var_exps: {par_exps: residue}}`` dict, so
-    monomials keep the order of their first appearance in ``text``.
+    Terms are summed in one dict of full exponent tuples, so monomials
+    keep the order of their first appearance in ``text``.
     """
     ring = universe.ring
     p = ring.p
-    var_index = universe._positions
-    par_index = {name: k for k, name in enumerate(ring.names)}
+    nv = len(universe)
+    slots = dict(universe._positions)
+    slots.update((name, nv + k) for k, name in enumerate(ring.names))
+    width = nv + ring.nparams
     tokens = []
     for m in _TOKEN.finditer(text):
         tokens.append((m.group(0), m.start()))
@@ -386,8 +446,7 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
     sign = 1
 
     def parse_term(i, sign):
-        var_exps = [0] * len(universe)
-        par_exps = [0] * ring.nparams
+        exps = [0] * width
         scalar = 1
         expect_factor = True
         any_factor = False
@@ -407,7 +466,7 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
                 if tok.startswith("-"):
                     raise ParseError("negative coefficient not in grammar", pos)
                 scalar = scalar * int(tok) % p
-            elif tok in var_index or tok in par_index:
+            elif tok in slots:
                 name = tok
                 exp = 1
                 if i + 1 < n and tokens[i + 1][0] == "^":
@@ -415,14 +474,12 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
                         raise ParseError("expected integer exponent after '^'", tokens[i + 1][1])
                     exp = int(tokens[i + 2][0])
                     i += 2
-                if name in var_index:
-                    if exp < 0:
+                if exp < 0:
+                    if slots[name] < nv:
                         raise ParseError(f"negative exponent at variable {name!r}", pos)
-                    var_exps[var_index[name]] += exp
-                else:
-                    if exp < 0 and name not in ring.invertible:
+                    if name not in ring.invertible:
                         raise ParseError(f"negative exponent at parameter {name!r}", pos)
-                    par_exps[par_index[name]] += exp
+                exps[slots[name]] += exp
             else:
                 raise ParseError(f"unknown name {tok!r}", pos)
             any_factor = True
@@ -431,9 +488,8 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
         if not any_factor:
             pos = tokens[i][1] if i < n else len(text)
             raise ParseError("empty term", pos)
-        coeff = acc.setdefault(tuple(var_exps), {})
-        key = tuple(par_exps)
-        coeff[key] = (coeff.get(key, 0) + scalar * sign) % p
+        key = tuple(exps)
+        acc[key] = acc.get(key, 0) + scalar * sign
         return i
 
     i = parse_term(i, sign)
@@ -447,4 +503,4 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
             raise ParseError(f"expected '+' between terms, got {tok!r}", pos)
         i += 1
         i = parse_term(i, sign)
-    return SparsePoly(universe, {exps: ParamCoeff(ring, c) for exps, c in acc.items()})
+    return _poly(universe, _reduced(acc, p))

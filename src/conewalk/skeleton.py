@@ -450,6 +450,7 @@ def transfer(ssk: SubdividedSkeleton, zs: list, m: int) -> list:
     psi = psi_map(sk).matrix
     nbase = sum(sk.ch1[v].ngens for v in sk.graph.vertices)
     dst_off, total_dst = _offsets(lm.dst)
+    total_src = _offsets(lm.src)[1]
     targets, betas = [], []
     for z in zs:
         target = [m * val % c for e in sk.graph.edges for val in z[e]]
@@ -461,7 +462,7 @@ def transfer(ssk: SubdividedSkeleton, zs: list, m: int) -> list:
         targets.append(target)
         betas.append(beta)
     results = []
-    for target, x in zip(targets, solve_mod(lm.matrix, betas, c)):
+    for target, x in zip(targets, solve_mod(lm.matrix, total_src, betas, c)):
         if x is None:
             results.append((False, False, None))
             continue

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 
 from .basecase import BaseParams, HypersurfaceState
-from .coeffs import ParamCoeff
 from .poly import SparsePoly, coordinate_universe, parse_poly
 
 SCHEMA_VERSION = 1
@@ -89,10 +88,19 @@ def state_from_dict(d: dict) -> HypersurfaceState:
     _require_keys(d["a"], slots, "state a")
     bp = BaseParams(n=dims["n"], m=m, r=r, d=dims["d"], p=d["p"])
     universe = coordinate_universe(dims["n"], r, s, bp.ring())
+    ring = universe.ring
+    if sorted(d["params"]) != sorted(ring.names):
+        raise ValueError(f"state params keys are {sorted(d['params'])}, expected {sorted(ring.names)}")
+    for name, v in d["params"].items():
+        # bool is an int subclass, but true/false is not a parameter value
+        if v != "symbolic" and type(v) is not int:
+            raise ValueError(f'state params.{name} must be "symbolic" or an integer, got {v!r}')
+        if name in ring.invertible and v != "symbolic" and v % ring.p == 0:
+            raise ValueError(f"state params.{name} is invertible, but {v} is 0 mod {ring.p}")
     h_poly = parse_poly(d["h_poly"], universe)
     zs = {f"z{k}" for k in range(1, s + 1)}
     z_exps = tuple(int(name in zs) for name in universe.names)
-    z_product = SparsePoly(universe, {z_exps: ParamCoeff.one(universe.ring)})
+    z_product = SparsePoly.from_residues(universe, {z_exps: 1})
     if h_poly != z_product:
         want = z_product.canonical_string()
         raise ValueError(f"state h_poly is {d['h_poly']!r}, but dims.s = {s} needs {want!r}")

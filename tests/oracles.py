@@ -5,7 +5,6 @@ from itertools import combinations
 from math import gcd
 
 from conewalk.basecase import BaseParams, build_cj, build_g, cj_degree
-from conewalk.coeffs import ParamCoeff
 from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe
 
 
@@ -77,8 +76,8 @@ def build_F(bp: BaseParams, universe: VarUniverse | None = None) -> SparsePoly:
 
 def min_param_exp(f: SparsePoly, name: str) -> int:
     """Least exponent of the parameter ``name`` over the terms of f (0 for f = 0)."""
-    i = f.universe.ring.index(name)
-    return min((pe[i] for c in f.terms.values() for pe in c.terms), default=0)
+    i = len(f.universe) + f.universe.ring.index(name)
+    return min((exps[i] for exps in f.terms), default=0)
 
 
 def clear_param_denominators(f: SparsePoly, name: str) -> SparsePoly:
@@ -86,22 +85,11 @@ def clear_param_denominators(f: SparsePoly, name: str) -> SparsePoly:
     k = -min_param_exp(f, name)
     if k <= 0:
         return f
-    ring = f.universe.ring
-    i = ring.index(name)
-    return SparsePoly(f.universe, {
-        e: ParamCoeff(ring, {pe[:i] + (pe[i] + k,) + pe[i + 1:]: v for pe, v in c.terms.items()})
-        for e, c in f.terms.items()
-    })
+    return f * SparsePoly.param(f.universe, name, k)
 
 
 def set_param_zero(f: SparsePoly, name: str) -> SparsePoly:
     """Substitute the parameter ``name`` by 0, after clearing its denominators."""
     cleared = clear_param_denominators(f, name)
-    ring = f.universe.ring
-    i = ring.index(name)
-    out = {}
-    for e, c in cleared.terms.items():
-        c0 = ParamCoeff(ring, {pe: v for pe, v in c.terms.items() if pe[i] == 0})
-        if not c0.is_zero():
-            out[e] = c0
-    return SparsePoly(f.universe, out)
+    i = len(f.universe) + f.universe.ring.index(name)
+    return SparsePoly(f.universe, {e: c for e, c in cleared.terms.items() if e[i] == 0})

@@ -17,7 +17,6 @@ import pytest
 from conewalk import unifactor as uni
 from conewalk.basecase import BaseParams, build_base_state
 from conewalk.bounds import applicable, closed_form_S, max_N, sandwich_check, sum_S
-from conewalk.coeffs import ParamCoeff
 from conewalk.doublecone import (
     build_family,
     choose_j0,
@@ -156,18 +155,17 @@ def test_criterion_06_induction_pipeline():
     # transformed-coefficient spot identities at every step (l = 2)
     for prev, nxt, j0, a_sub in split_snapshots:
         u = nxt.universe
-        ring = u.ring
         zs = SparsePoly.variable(u, f"z{nxt.s}")
         x0 = SparsePoly.variable(u, "x0")
-        lam_inv = ParamCoeff.param(ring, "lam", -1)
-        t_lam = ParamCoeff.param(ring, "t") * ParamCoeff.param(ring, "lam")
+        lam_inv = SparsePoly.param(u, "lam", -1)
+        t_lam = SparsePoly.param(u, "t") * SparsePoly.param(u, "lam")
         assert nxt.a[(2, j0)] == zs**2 * a_sub[2]
-        assert nxt.a[(1, j0)] == zs * (a_sub[1] - (x0**2 * a_sub[2]).scale(lam_inv).scale(2)) + (
-            x0**4
-        ).scale(t_lam)
-        assert nxt.a0 == a_sub[0] - (x0**2 * a_sub[1]).scale(lam_inv) + (
-            x0**4 * a_sub[2]
-        ).scale(lam_inv * lam_inv) + x0**4 * zs
+        assert nxt.a[(1, j0)] == zs * (a_sub[1] - (x0**2 * a_sub[2] * lam_inv).scale(2)) + (
+            x0**4 * t_lam
+        )
+        assert nxt.a0 == a_sub[0] - x0**2 * a_sub[1] * lam_inv + (
+            x0**4 * a_sub[2] * lam_inv * lam_inv
+        ) + x0**4 * zs
 
     # structural verification after every step; the pivot polynomial is
     # Irreducible by a certified slice, which is exact

@@ -205,6 +205,25 @@ def test_skeleton_transfer(tmp_path, capsys):
     assert code == 0
 
 
+def test_skeleton_transfer_on_rank_zero_zero_cycles(tmp_path, capsys):
+    """Zero-cycle modules of rank 0 leave the subdivided map without rows;
+    every target is then trivially solvable."""
+    zero, one = {"ring": 2, "rank": 0}, {"ring": 2, "rank": 1}
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({
+        "vertices": [0, 1], "edges": [[0, 1]],
+        "ch1": {"0": one, "1": one}, "ch0_vertex": {"0": zero, "1": zero},
+        "ch0_edge": {"0|1": zero},
+        "inter": {"0|1@0": [], "0|1@1": []}, "push": {"0|1@0": [], "0|1@1": []},
+    }))
+    code, out, err = run(
+        capsys, "skeleton", "transfer", "--graph", str(path), "--c", "2", "--r", "2",
+        "--trials", "3", "--seed", "1", "--json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"pass": True, "solved": 3, "trials": 3, "verified": 3}
+
+
 def test_skeleton_transfer_rejects_a_modulus_other_than_the_graph_ring(tmp_path, capsys):
     path = _write_graph(tmp_path)  # over Z/2
     code, out, err = run(
@@ -318,6 +337,13 @@ def test_state_that_is_not_json_is_a_usage_error(tmp_path, capsys):
         (("a", "3,1"), "x0", "state a key '3,1' is not i,j"),
         (("dims", "s"), 3, "state h_poly is '1', but dims.s = 3 needs 'z1*z2*z3'"),
         (("dims", "s"), -1, "state dims.s must be >= 0, got -1"),
+        # params: exactly the ring's names, each "symbolic" or an integer
+        (("params", "pi"), "oops", 'state params.pi must be "symbolic" or an integer'),
+        (("params", "pi"), 1.5, 'state params.pi must be "symbolic" or an integer'),
+        (("params", "rho"), True, 'state params.rho must be "symbolic" or an integer'),
+        (("params", "lam"), None, 'state params.lam must be "symbolic" or an integer'),
+        (("params", "mu"), 3, "state params keys are ['lam', 'mu', 'pi', 'rho', 't']"),
+        (("params", "lam"), 202, "state params.lam is invertible, but 202 is 0 mod 101"),
     ],
 )
 def test_state_with_a_mistyped_value_is_a_usage_error(tmp_path, capsys, path, value, needle):
@@ -468,3 +494,38 @@ def test_skeleton_bad_input_file_is_a_usage_error(tmp_path, capsys, case, argv, 
     code, out, err = run(capsys, "skeleton", *argv, arg)
     assert code == 2 and out == ""
     _assert_one_error_line(err, *(n.format(path=path) for n in needles))
+
+
+def test_state_and_report_bytes_pinned(tmp_path, capsys):
+    """construct, a baked induct, verify --json, and one symbolic cone step
+    (lam^-1, t*lam and multi-parameter terms) write these exact bytes."""
+    from conewalk.doublecone import induct_step
+    from conewalk.stateio import load_state, save_state
+
+    s0, s2, sym = (tmp_path / name for name in ("s0.json", "s2.json", "sym.json"))
+    reports = [tmp_path / "r2.json", tmp_path / "rsym.json"]
+    run(
+        capsys,
+        "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
+        "--p", "101", "--seed", "4", "--out", str(s0),
+    )
+    assert run(capsys, "induct", "--state", str(s0), "--steps", "2", "--seed", "5",
+               "--out", str(s2))[0] == 0
+    save_state(induct_step(load_state(s0), j0=1, seed=3, symbolic=True), sym)
+    assert "lam^-1*" in sym.read_text() and "lam*t*" in sym.read_text()
+    codes = []
+    for state, report in zip((s2, sym), reports):
+        code, out, _ = run(capsys, "verify", "--state", str(state), "--seed", "3",
+                           "--trials", "6", "--report", str(report), "--json")
+        assert out == report.read_text()
+        codes.append(code)
+    assert codes == [0, 1]  # the symbolic state cannot host the next family
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (s0, s2, sym, *reports)}
+    assert digests == {
+        "s0.json": "38062fe4e887ecdbab31eb62b559f14416d3e81921be18e1bdc0ec9d65db6c4e",
+        "s2.json": "acb3d67b7c151d736d4d43d3dea2c78b40cf8cd8c99004f7d079fac394163bc9",
+        "sym.json": "24033fe944e50cafe93c6b968fa0b7afe5b3b68fa59e4feb546945049b0b7562",
+        "r2.json": "289f7b3aa8404a0c3fea9cb1ffff887597a84af1a50eb8b7a53509812dd446cc",
+        "rsym.json": "fefed867f8f7fce18b3b436582c354157f261947ab3400bb80bee6bd28a02e67",
+    }

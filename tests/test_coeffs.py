@@ -1,4 +1,5 @@
-"""Coefficient ring: GF(p) inverses and Laurent parameter arithmetic."""
+"""Coefficient ring: GF(p) inverses, and Laurent parameter arithmetic on
+parameter-only polynomials."""
 
 import random
 
@@ -6,14 +7,26 @@ import pytest
 
 from conewalk.coeffs import ParamCoeff, ParamRing, ff_inv_int
 from conewalk.errors import InvertibleAssignedZero, ModulusMismatch, UnassignedParameter, ZeroInverse
+from conewalk.poly import SparsePoly, VarUniverse
 
 RING = ParamRing(101)
 RING7 = ParamRing(7)
+# no variables: every polynomial is a parameter-only value
+U0 = VarUniverse((), RING)
+U07 = VarUniverse((), RING7)
 
 
-def C(ring, **monomials):
-    """Convenience: C(RING, c=3) scalar, or explicit term dicts in tests."""
-    return ParamCoeff.from_int(ring, monomials.get("c", 0))
+def par(universe, name, exp=1):
+    return SparsePoly.param(universe, name, exp)
+
+
+def one(universe):
+    return SparsePoly.constant(universe, 1)
+
+
+def value(f, assignment):
+    """f at a total parameter assignment, an int in [0, p)."""
+    return f.specialize_params(assignment).get((), 0)
 
 
 def test_ff_inv_identity():
@@ -44,59 +57,58 @@ def test_ff_inv_oracle_against_exhaustive():
 
 
 def test_laurent_cancellation():
-    lam_inv = ParamCoeff.param(RING, "lam", -1)
-    lam = ParamCoeff.param(RING, "lam", 1)
-    assert lam_inv * lam == ParamCoeff.one(RING)
+    lam_inv = par(U0, "lam", -1)
+    lam = par(U0, "lam", 1)
+    assert lam_inv * lam == one(U0)
 
 
 def test_additive_inverse_closes():
-    pi = ParamCoeff.param(RING7, "pi")
-    one = ParamCoeff.one(RING7)
+    pi = par(U07, "pi")
     # (pi + 1) + (p-1)*pi = 1
-    assert (pi + one) + pi.scale(6) == one
+    assert (pi + one(U07)) + pi.scale(6) == one(U07)
 
 
 def test_negative_laurent_square():
     # (-lam^-1)^2 = lam^-2
-    neg = -ParamCoeff.param(RING, "lam", -1)
-    assert neg * neg == ParamCoeff.param(RING, "lam", -2)
+    neg = -par(U0, "lam", -1)
+    assert neg * neg == par(U0, "lam", -2)
 
 
 def test_negative_exponent_rejected_for_non_invertible():
     with pytest.raises(ValueError):
-        ParamCoeff.param(RING, "pi", -1)
+        par(U0, "pi", -1)
 
 
 def test_specialize_laurent_inverse():
-    lam_inv = ParamCoeff.param(RING, "lam", -1)
-    assert lam_inv.specialize({"lam": 2}) == 51
+    lam_inv = par(U0, "lam", -1)
+    assert value(lam_inv, {"lam": 2}) == 51
 
 
 def test_specialize_affine():
-    pi = ParamCoeff.param(RING7, "pi")
-    one = ParamCoeff.one(RING7)
-    assert (pi + one).specialize({"pi": 0}) == 1
+    pi = par(U07, "pi")
+    assert value(pi + one(U07), {"pi": 0}) == 1
 
 
 def test_specialize_invertible_zero_raises():
-    lam_inv = ParamCoeff.param(RING, "lam", -1)
+    lam_inv = par(U0, "lam", -1)
     with pytest.raises(InvertibleAssignedZero):
-        lam_inv.specialize({"lam": 0})
+        value(lam_inv, {"lam": 0})
     # even the non-inverted occurrence is rejected: lam is flagged
-    lam = ParamCoeff.param(RING, "lam", 1)
+    lam = par(U0, "lam", 1)
     with pytest.raises(InvertibleAssignedZero):
-        lam.specialize({"lam": 0})
+        value(lam, {"lam": 0})
 
 
 def test_specialize_unassigned_raises():
-    pi = ParamCoeff.param(RING, "pi")
+    pi = par(U0, "pi")
     with pytest.raises(UnassignedParameter):
-        pi.specialize({})
+        value(pi, {})
 
 
 def test_modulus_mismatch():
+    # a coefficient literal over another ring is refused by the constructor
     with pytest.raises(ModulusMismatch):
-        ParamCoeff.one(RING) + ParamCoeff.one(RING7)
+        SparsePoly(U0, {(): ParamCoeff.from_int(RING7, 1)})
 
 
 def _random_coeff(rng, ring):
@@ -107,7 +119,7 @@ def _random_coeff(rng, ring):
             lo = -2 if name in ring.invertible else 0
             exps[i] = rng.randint(lo, 2)
         terms[tuple(exps)] = rng.randrange(ring.p)
-    return ParamCoeff(ring, terms)
+    return SparsePoly(VarUniverse((), ring), terms)
 
 
 def test_ring_axioms_randomized():
@@ -126,29 +138,31 @@ def test_specialize_is_ring_homomorphism():
     for _ in range(100):
         a, b = _random_coeff(rng, RING), _random_coeff(rng, RING)
         assignment = {name: rng.randrange(1, 101) for name in RING.names}
-        sa, sb = a.specialize(assignment), b.specialize(assignment)
-        assert (a * b).specialize(assignment) == sa * sb % 101
-        assert (a + b).specialize(assignment) == (sa + sb) % 101
+        sa, sb = value(a, assignment), value(b, assignment)
+        assert value(a * b, assignment) == sa * sb % 101
+        assert value(a + b, assignment) == (sa + sb) % 101
 
 
 def test_derivative_of_laurent_term():
     # d/dlam lam^-1 = -lam^-2
-    lam_inv = ParamCoeff.param(RING, "lam", -1)
-    assert lam_inv.derivative("lam") == ParamCoeff.param(RING, "lam", -2).scale(-1)
+    lam_inv = par(U0, "lam", -1)
+    assert lam_inv.param_derivative("lam") == par(U0, "lam", -2).scale(-1)
 
 
 def test_no_zero_terms_stored():
-    c = ParamCoeff(RING, {RING.zero_exps(): 101})
+    c = SparsePoly(U0, {RING.zero_exps(): 101})
     assert c.is_zero()
     assert c.terms == {}
+    assert SparsePoly(U0, {(): ParamCoeff(RING, {RING.zero_exps(): 101})}).terms == {}
 
 
 def test_caller_flagged_invertible_parameter():
     ring = ParamRing(101, invertible=frozenset({"lam", "rho"}))
-    rho_inv = ParamCoeff.param(ring, "rho", -1)
-    assert rho_inv.specialize({"rho": 2}) == 51
+    u = VarUniverse((), ring)
+    rho_inv = par(u, "rho", -1)
+    assert value(rho_inv, {"rho": 2}) == 51
     with pytest.raises(InvertibleAssignedZero):
-        rho_inv.specialize({"rho": 0})
+        value(rho_inv, {"rho": 0})
     # pi stays non-invertible
     with pytest.raises(ValueError):
-        ParamCoeff.param(ring, "pi", -1)
+        par(u, "pi", -1)

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from conewalk.basecase import BaseParams, HypersurfaceState, build_base_state
-from conewalk.coeffs import ParamCoeff
 from conewalk.doublecone import (
     absorb_step_params,
     build_family,
@@ -117,7 +116,6 @@ def test_expanded_low_coefficients_l2(base_state):
     """
     st1 = induct_step(base_state, j0=1, seed=1, symbolic=True)
     u = st1.universe
-    ring = u.ring
     a0, a1, a2 = (
         base_state.a0.embed(u),
         base_state.a[(1, 1)].divide_by_monomial("x0", 1).embed(u),
@@ -125,18 +123,18 @@ def test_expanded_low_coefficients_l2(base_state):
     )
     x0 = SparsePoly.variable(u, "x0")
     z1 = SparsePoly.variable(u, "z1")
-    lam_inv = ParamCoeff.param(ring, "lam", -1)
-    t_lam = ParamCoeff.param(ring, "t") * ParamCoeff.param(ring, "lam")
+    lam_inv = SparsePoly.param(u, "lam", -1)
+    t_lam = SparsePoly.param(u, "t") * SparsePoly.param(u, "lam")
 
     expected_a0 = (
         a0
-        - (x0**2 * a1).scale(lam_inv)
-        + (x0**4 * a2).scale(lam_inv * lam_inv)
+        - x0**2 * a1 * lam_inv
+        + x0**4 * a2 * lam_inv * lam_inv
         + x0**4 * z1
     )
     assert st1.a0 == expected_a0
 
-    expected_a1 = z1 * (a1 - (x0**2 * a2).scale(lam_inv).scale(2)) + (x0**4).scale(t_lam)
+    expected_a1 = z1 * (a1 - (x0**2 * a2 * lam_inv).scale(2)) + x0**4 * t_lam
     assert st1.a[(1, 1)] == expected_a1
 
 
@@ -366,14 +364,13 @@ def test_walk_with_modulus_three():
 
     st1 = induct_step(st, j0=1, seed=1, symbolic=True)
     u = st1.universe
-    ring = u.ring
     z1 = SparsePoly.variable(u, "z1")
     x0 = SparsePoly.variable(u, "x0")
     a3 = st.a[(3, 1)].divide_by_monomial("x0", 3).embed(u)
     a2 = st.a[(2, 1)].divide_by_monomial("x0", 2).embed(u)
-    lam_inv = ParamCoeff.param(ring, "lam", -1)
+    lam_inv = SparsePoly.param(u, "lam", -1)
     assert st1.a[(3, 1)] == z1**3 * a3
-    assert st1.a[(2, 1)] == z1**2 * (a2 + (x0**2 * a3).scale(lam_inv).scale(-3))
+    assert st1.a[(2, 1)] == z1**2 * (a2 + (x0**2 * a3 * lam_inv).scale(-3))
 
 
 @pytest.mark.parametrize("n,m,r,d", [(3, 2, 6, 5), (3, 3, 6, 9), (2, 2, 2, 5), (3, 2, 6, 7)])
@@ -388,12 +385,11 @@ def test_transform_agrees_with_closed_substitution(n, m, r, d):
     j0 = choose_j0(st)
     st1 = induct_step(st, j0=j0, seed=3, symbolic=True)
     u = st1.universe
-    ring = u.ring
     zs = SparsePoly.variable(u, f"z{st1.s}")
     x0 = SparsePoly.variable(u, "x0")
     yj = SparsePoly.variable(u, f"y{j0}")
     lam_inv = SparsePoly.param(u, "lam", -1)
-    t_lam = ParamCoeff.param(ring, "t") * ParamCoeff.param(ring, "lam")
+    t_lam = SparsePoly.param(u, "t") * SparsePoly.param(u, "lam")
 
     target = yj * zs - lam_inv * x0**2
     rhs = st.f0.embed(u)
@@ -407,5 +403,5 @@ def test_transform_agrees_with_closed_substitution(n, m, r, d):
     ]
     for i, ai in enumerate(a_sub):
         rhs = rhs + ai * target**i
-    rhs = rhs + x0 ** (d - 1) * zs + (x0 ** (d - 1) * yj).scale(t_lam)
+    rhs = rhs + x0 ** (d - 1) * zs + x0 ** (d - 1) * yj * t_lam
     assert st1.defining_polynomial() == rhs

@@ -59,7 +59,7 @@ def test_solve_consistency():
             b = matvec(A, x)
             if c:
                 b = [v % c for v in b]
-            sol = solve_mod(A, [b], c)[0]
+            sol = solve_mod(A, cols, [b], c)[0]
             assert sol is not None
             got = matvec(A, sol)
             if c:
@@ -94,13 +94,13 @@ def test_large_maps_mod_c_against_residue_field_ranks():
                 assert cokernel_torsion(A, 1, ring=c) == onto
                 x = [rng.randrange(c) for _ in range(cols)]
                 b = [v % c for v in matvec(A, x)]
-                sol = solve_mod(A, [b], c)[0]
+                sol = solve_mod(A, cols, [b], c)[0]
                 assert sol is not None and all(0 <= v < c for v in sol)
                 assert _is_solution(A, sol, b, c)
                 # an onto map reaches every target; otherwise a random target
                 # may or may not be reached, and any answer must solve it
                 b = [rng.randrange(c) for _ in range(rows)]
-                sol = solve_mod(A, [b], c)[0]
+                sol = solve_mod(A, cols, [b], c)[0]
                 if onto:
                     assert sol is not None
                 if sol is not None:
@@ -126,7 +126,7 @@ def test_solve_mod_property():
     def check(system):
         A, x, c = system
         b = matvec(A, x)
-        sol = solve_mod(A, [b], c)[0]
+        sol = solve_mod(A, len(x), [b], c)[0]
         assert sol is not None and all(0 <= v < c for v in sol)
         assert _is_solution(A, sol, b, c)
         # b + e_0 may or may not be reachable; the Smith form over Z of
@@ -134,8 +134,8 @@ def test_solve_mod_property():
         b2 = [b[0] + 1] + b[1:]
         rows = len(A)
         full = [A[i] + [c if k == i else 0 for k in range(rows)] for i in range(rows)]
-        reachable = solve_mod(full, [b2], 0)[0] is not None
-        sol2 = solve_mod(A, [b2], c)[0]
+        reachable = solve_mod(full, len(x) + rows, [b2], 0)[0] is not None
+        sol2 = solve_mod(A, len(x), [b2], c)[0]
         assert (sol2 is not None) == reachable
         if sol2 is not None:
             assert _is_solution(A, sol2, b2, c)
@@ -145,9 +145,9 @@ def test_solve_mod_property():
 
 def test_solve_detects_unsolvable():
     # 2x = 1 has no solution over Z or mod 4
-    assert solve_mod([[2]], [[1]], 0)[0] is None
-    assert solve_mod([[2]], [[1]], 4)[0] is None
-    assert solve_mod([[2]], [[1]], 3)[0] is not None  # 2*2 = 4 = 1 (mod 3)
+    assert solve_mod([[2]], 1, [[1]], 0)[0] is None
+    assert solve_mod([[2]], 1, [[1]], 4)[0] is None
+    assert solve_mod([[2]], 1, [[1]], 3)[0] is not None  # 2*2 = 4 = 1 (mod 3)
 
 
 def test_known_snf():
@@ -169,6 +169,10 @@ def test_solve_mod_many_targets_match_one_at_a_time():
         for c in (0, 2, 4, 6, 12):
             targets = [[rng.randint(-6, 6) for _ in range(rows)] for _ in range(4)]
             targets.append(matvec(A, [rng.randint(-3, 3) for _ in range(cols)]))
-            assert solve_mod(A, targets, c) == [solve_mod(A, [b], c)[0] for b in targets]
-    assert solve_mod([[1, 2]], [], 4) == []
-    assert solve_mod([], [[], []], 6) == [[], []]
+            assert solve_mod(A, cols, targets, c) == [solve_mod(A, cols, [b], c)[0] for b in targets]
+    assert solve_mod([[1, 2]], 2, [], 4) == []
+    assert solve_mod([], 0, [[], []], 6) == [[], []]
+    # a map with no rows still has columns, and every x has one entry per column
+    assert solve_mod([], 3, [[], []], 6) == [[0, 0, 0], [0, 0, 0]]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_mod([[1, 2]], 3, [[1]], 4)

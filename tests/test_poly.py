@@ -266,10 +266,9 @@ def test_roundtrip_laurent_and_multiparam():
             exps = tuple(rng.randint(0, 4) for _ in U3.names)
             pexps = [rng.randint(0, 2) for _ in RING.names]
             pexps[RING.names.index("lam")] = rng.randint(-3, 3)
-            coeff = ParamCoeff(RING, {tuple(pexps): rng.randrange(1, 101)})
-            prev = terms.get(exps)
-            terms[exps] = coeff if prev is None else prev + coeff
-        f = SparsePoly(U3, {e: c for e, c in terms.items() if not c.is_zero()})
+            key = exps + tuple(pexps)
+            terms[key] = (terms.get(key, 0) + rng.randrange(1, 101)) % 101
+        f = SparsePoly(U3, {e: c for e, c in terms.items() if c})
         assert parse_poly(f.canonical_string(), U3) == f
 
 
@@ -277,10 +276,14 @@ def test_roundtrip_laurent_and_multiparam():
 
 
 def test_constructor_rejects_wrong_exponent_length():
-    one = ParamCoeff.one(RING)
+    one = ParamCoeff.from_int(RING, 1)
     for exps in [(), (1, 0), (1, 0, 0, 0)]:
         with pytest.raises(ValueError, match="exponent tuple length mismatch"):
             SparsePoly(U3, {exps: one})
+    # a full key has 3 variable slots and 4 parameter slots
+    for exps in [(1, 0, 0), (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="exponent tuple length mismatch"):
+            SparsePoly(U3, {exps: 1})
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -288,18 +291,28 @@ def test_constructor_rejects_negative_exponent(slot):
     exps = [2, 2, 2]
     exps[slot] = -1
     with pytest.raises(ValueError, match="negative variable exponent"):
-        SparsePoly(U3, {tuple(exps): ParamCoeff.one(RING)})
+        SparsePoly(U3, {tuple(exps): ParamCoeff.from_int(RING, 1)})
+    with pytest.raises(ValueError, match="negative variable exponent"):
+        SparsePoly(U3, {tuple(exps) + (0, -1, 0, 0): 1})
 
 
-def test_constructor_rejects_non_paramcoeff():
-    with pytest.raises(TypeError, match="coefficients must be ParamCoeff"):
-        SparsePoly(U3, {(1, 0, 0): 5})
+def test_constructor_rejects_negative_exponent_at_non_invertible_parameter():
+    with pytest.raises(ValueError, match="non-invertible parameter 'pi'"):
+        SparsePoly(U3, {(1, 0, 0, -1, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="non-invertible parameter 't'"):
+        SparsePoly(U3, {(1, 0, 0): ParamCoeff(RING, {(0, 0, 0, -2): 1})})
+    assert SparsePoly(U3, {(1, 0, 0, 0, -1, 0, 0): 1}) == SparsePoly.param(U3, "lam", -1) * V("x0")
+
+
+def test_constructor_rejects_non_int_coefficient():
+    with pytest.raises(TypeError, match="coefficients must be int residues or ParamCoeff"):
+        SparsePoly(U3, {(1, 0, 0, 0, 0, 0, 0): 5.0})
 
 
 def test_constant_over_zero_variable_universe():
     u0 = VarUniverse((), RING)
     c = SparsePoly.constant(u0, 7)
-    assert list(c.terms) == [()]
+    assert list(c.terms) == [(0, 0, 0, 0)]
     assert c.canonical_string() == "7"
     assert parse_poly("3*lam^-1 + 4", u0).canonical_string() == "4 + 3*lam^-1"
 
@@ -318,13 +331,15 @@ def test_parse_sums_per_monomial():
     lam = SparsePoly.param(U3, "lam")
     lam_inv = SparsePoly.param(U3, "lam", -1)
     assert f == (lam.scale(2) + lam_inv.scale(2)) * V("x0")
-    assert list(f.terms) == [(1, 0, 0)]
+    assert list(f.terms) == [(1, 0, 0, 0, 1, 0, 0), (1, 0, 0, 0, -1, 0, 0)]
 
 
 def test_parse_keeps_first_appearance_order():
     f = P("x2 + x0^2 + 3*x1 + x0*x1 + 5*x2")
-    assert list(f.terms) == [(0, 0, 1), (2, 0, 0), (0, 1, 0), (1, 1, 0)]
-    assert f.terms[(0, 0, 1)] == ParamCoeff.from_int(RING, 6)
+    assert list(f.terms) == [
+        (0, 0, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0)
+    ]
+    assert f.terms[(0, 0, 1, 0, 0, 0, 0)] == 6
 
 
 def test_parse_is_the_sum_of_single_term_parses():
@@ -351,5 +366,39 @@ def test_parse_is_the_sum_of_single_term_parses():
         f = P(" ".join(pieces))
         assert f == expected
         assert P(f.canonical_string()) == f
+
+    check()
+
+
+def test_flat_terms_properties():
+    """On random polynomials with negative lam exponents: the text round
+    trip, ``specialize_params`` as a ring homomorphism, substitution
+    before specialization, and ``embed`` commuting with products."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    big = VarUniverse(("w", "x2", "x0", "v", "x1"), RING)  # reordered and larger
+    small = st.integers(0, 3)
+    key = st.tuples(small, small, small, st.integers(0, 2), st.integers(-3, 3), small, small)
+    poly = st.dictionaries(key, st.integers(0, 202), max_size=6).map(lambda t: SparsePoly(U3, t))
+    assignment = st.fixed_dictionaries({name: st.integers(1, 100) for name in RING.names})
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(poly, poly, assignment)
+    def check(a, b, values):
+        assert parse_poly(a.canonical_string(), U3) == a
+
+        def spec(f):
+            return SparsePoly.from_residues(U3, f.specialize_params(values))
+
+        assert spec(a * b) == spec(a) * spec(b)
+        assert spec(a + b) == spec(a) + spec(b)
+        assert spec(-a) == -spec(a)
+        for name in RING.names:
+            baked = a.substitute_param(name, values[name])
+            assert not baked.uses_param(name)
+            assert baked.specialize_params(values) == a.specialize_params(values)
+        assert (a * b).embed(big) == a.embed(big) * b.embed(big)
+        assert a.embed(big).embed(U3) == a
 
     check()
