@@ -19,16 +19,17 @@ entry points:
   split returns a v-monic input unchanged when a point certifies it,
   and runs the gcd chain (``biv_gcd``) only otherwise.
 * ``vdivexact`` -- the one division in F[u][v]: exact quotient or None.
-* ``count_absolute_factors_pde`` -- the dimension of the solution space
-  of the adjoint differential equation f*(g_v - h_u) = g*f_v - h*f_u,
-  which equals the number of distinct absolutely irreducible factors
-  when the characteristic exceeds (2*deg_u - 1)*deg_v (Gao, Math. Comp.
-  72, 2003).  It runs over the prime field only, on plain ints mod p:
-  sparse columns ranked by forward elimination (``rank_mod_p``).
-* ``is_absolutely_irreducible`` -- the PDE count where it applies, else
-  factoring over F_p plus ``smooth_rational_point``, a search for a
-  nonsingular F_p-point.  No extension field is built; factoring over
-  GF(p^ell) is only the tests' reference.
+* ``is_absolutely_irreducible`` -- factor first: a proper or repeated
+  factor over F_p refutes; an F_p-irreducible f with a nonsingular
+  F_p-point (``smooth_rational_point``) is absolutely irreducible.  Only
+  an F_p-irreducible f with no such point falls back to
+  ``count_absolute_factors_pde``, the dimension of the solution space of
+  the adjoint differential equation f*(g_v - h_u) = g*f_v - h*f_u, which
+  equals the number of distinct absolutely irreducible factors when the
+  characteristic exceeds (2*deg_u - 1)*deg_v (Gao, Math. Comp. 72,
+  2003); it runs on plain ints mod p, with sparse columns ranked by
+  forward elimination (``rank_mod_p``).  No extension field is built;
+  factoring over GF(p^ell) is only the tests' reference.
 
 Requires odd characteristic larger than the total degree throughout.
 """
@@ -359,33 +360,30 @@ def hensel_pair(F, f, g0, h0, T):
     """Lift f = g0*h0 (mod u) to f = G*H (mod u^T), G, H v-monic.
 
     g0, h0 are coprime monic univariate polynomials in v with
-    g0*h0 = f(0, v).
+    g0*h0 = f(0, v).  G and H are kept as u-adic lists of polynomials in
+    v, so step k forms only the new error coefficient
+    e_k = f_k - sum_{0<i<k} G_i*H_(k-i): O(k) univariate products, not a
+    truncated product of the whole lift.  The lift mod u^T is unique.
     """
     one, s, t = uni.ext_gcd(F, g0, h0)
     if one != [F.one]:
         raise FactorsNotCoprime(f"gcd of g0 and h0 has degree {uni.deg(one)}")
-    G = from_univariate_in_v(F, g0)
-    H = from_univariate_in_v(F, h0)
+    Gs, Hs = [g0], [h0]
     for k in range(1, T):
-        err = vsub(F, vtrunc(F, f, k + 1), vmul(F, G, H, trunc=k + 1))
-        # e_k(v) = coefficient of u^k in the error
-        e = uni.normalize(F, [col[k] if len(col) > k else F.zero for col in err])
-        if not e:
-            continue
+        e = uni.normalize(F, [col[k] if len(col) > k else F.zero for col in f])
+        for i in range(1, k):
+            e = uni.sub(F, e, uni.mul(F, Gs[i], Hs[k - i]))
         dg = uni.divmod_poly(F, uni.mul(F, t, e), g0)[1]
         dh = uni.divmod_poly(F, uni.sub(F, e, uni.mul(F, dg, h0)), g0)[0]
-        G = vadd(F, G, _times_u_power(F, dg, k))
-        H = vadd(F, H, _times_u_power(F, dh, k))
-    return G, H
+        Gs.append(dg)
+        Hs.append(dh)
+    return _from_u_adic(F, Gs), _from_u_adic(F, Hs)
 
 
-def _times_u_power(F, univ_in_v, k):
-    """A univariate polynomial in v times u^k, as a v-major bivariate."""
-    out = []
-    for c in univ_in_v:
-        col = [F.zero] * k + [c]
-        out.append(col)
-    return vnormalize(F, out)
+def _from_u_adic(F, coeffs):
+    """sum_k coeffs[k](v) u^k, coefficients in v, as a v-major bivariate."""
+    width = max(len(c) for c in coeffs)
+    return vnormalize(F, [[c[j] if j < len(c) else F.zero for c in coeffs] for j in range(width)])
 
 
 def hensel_multi(F, f, factors0, T):
@@ -615,33 +613,50 @@ def smooth_rational_point(F, f):
     Such a point certifies that an f irreducible over F_p is absolutely
     irreducible: Frobenius permutes the conjugate absolute factors of f
     transitively, so a rational point on one of them lies on all of them,
-    and a point on two or more factors is singular.
+    and a point on two or more factors is singular.  Runs on plain ints
+    mod p: each line u = a is evaluated at every b by Horner, and the
+    gradient only at its roots.
     """
-    fu, fv = derivative_u(F, f), derivative_v(F, f)
-    for a in range(F.p):
-        g, gu, gv = (eval_u(F, h, a) for h in (f, fu, fv))
-        for b in range(F.p):
-            if F.is_zero(uni.eval_at(F, g, b)) and not (
-                F.is_zero(uni.eval_at(F, gu, b)) and F.is_zero(uni.eval_at(F, gv, b))
-            ):
+    p = F.p
+    fu = derivative_u(F, f)
+    for a in range(p):
+        g = [_eval_mod(col, a, p) for col in f]
+        values = [g[-1]] * p
+        for c in reversed(g[:-1]):
+            values = [(x * b + c) % p for b, x in enumerate(values)]
+        for b, x in enumerate(values):
+            if x:
+                continue
+            fv = _eval_mod([j * c for j, c in enumerate(g)][1:], b, p)
+            if fv or _eval_mod([_eval_mod(col, a, p) for col in fu], b, p):
                 return a, b
     return None
+
+
+def _eval_mod(coeffs, x, p):
+    """sum coeffs[i] x^i mod p, by Horner."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def is_absolutely_irreducible(F, f, rng):
     """(verdict, rational_witness_or_None) for squarefree bivariate f over
     the prime field F.  The witness, when present, is a proper factor
     over F itself.
-    ``True`` is exact (a PDE count of 1, or F-irreducible with a smooth
-    rational point); where the count does not apply, ``False`` without a
-    witness may mean only that f has no smooth rational point.
+
+    Factor first: a proper or repeated factor over F gives ``False`` with
+    that factor as witness.  An F-irreducible f with a smooth rational
+    point gives ``True``.  Only an F-irreducible f with no smooth rational
+    point reaches the PDE count: ``True`` iff it is 1.  ``True`` is exact;
+    where the count does not apply (char <= (2m-1)n in both orientations),
+    ``False`` without a witness may mean only that f has no smooth
+    rational point.
     """
-    count = count_absolute_factors_pde(F, f)
-    if count == 1:
-        return True, None
     _, fs = factor_bivariate(F, f, rng)
     if len(fs) > 1 or fs[0][1] > 1:
         return False, fs[0][0]
-    if count is None:
-        return smooth_rational_point(F, f) is not None, None
-    return False, None
+    if smooth_rational_point(F, f) is not None:
+        return True, None
+    return count_absolute_factors_pde(F, f) == 1, None

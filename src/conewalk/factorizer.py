@@ -15,10 +15,12 @@ one sequence:
   full-degree slice is v-regular, and p > d^2, so
   ``bifactor.squarefree_at_a_point`` decides exactly whether it is
   squarefree; a non-squarefree slice is redrawn.  The first squarefree
-  slice decides: certified absolutely irreducible
-  (``bifactor.is_absolutely_irreducible``), it makes ``Irreducible``
-  exact; otherwise the input goes to the rational-witness search, as it
-  does when no slice within the budget is squarefree;
+  slice decides (``bifactor.is_absolutely_irreducible``): it is factored
+  over GF(p), and if it is irreducible there with a smooth GF(p)-point
+  -- or, with no such point, has a PDE count of 1 -- it is certified
+  absolutely irreducible and makes ``Irreducible`` exact; otherwise the
+  input goes to the rational-witness search, as it does when no slice
+  within the budget is squarefree;
 - a binary form of degree >= 2 splits into linear forms over the
   closure and goes to the same search.  For k <= 3 the dehomogenization
   is bivariate and ``bifactor.factor_bivariate`` finds a rational factor

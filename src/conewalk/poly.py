@@ -78,11 +78,6 @@ def coordinate_universe(n, r, s, ring) -> VarUniverse:
     return VarUniverse(tuple(names), ring)
 
 
-def _term_sort_key(exps):
-    # Descending total degree, then descending lex: deterministic display order.
-    return (-sum(exps), tuple(-e for e in exps))
-
-
 def _power(v, e, p):
     """v^e mod p for any int e; a negative e needs v invertible."""
     return pow(v, e, p) if e >= 0 else pow(ff_inv_int(v, p), -e, p)
@@ -397,15 +392,13 @@ class SparsePoly:
         universe = self.universe
         nv = len(universe)
         # parameters print before variables
-        labels = list(enumerate(universe.ring.names, nv)) + list(enumerate(universe.names))
-
-        def order(k):
-            return _term_sort_key(k[:nv]), _term_sort_key(k[nv:])
-
+        names = tuple(universe.ring.names) + tuple(universe.names)
+        # descending total degree, then descending lex: variable part
+        # first, then parameter part; keys are unique, so no ties
         pieces = []
-        for k in sorted(self.terms, key=order):
+        for k in sorted(self.terms, key=lambda k: (sum(k[:nv]), k[:nv], sum(k[nv:]), k[nv:]), reverse=True):
             scalar = self.terms[k]
-            factors = [name if k[i] == 1 else f"{name}^{k[i]}" for i, name in labels if k[i]]
+            factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, k[nv:] + k[:nv]) if e]
             if not factors:
                 pieces.append(str(scalar))
             elif scalar == 1:

@@ -25,10 +25,6 @@ def deg(f):
     return len(f) - 1
 
 
-def is_zero(f):
-    return not f
-
-
 def add(F, f, g):
     n = max(len(f), len(g))
     out = []
@@ -47,10 +43,6 @@ def sub(F, f, g):
         b = g[i] if i < len(g) else F.zero
         out.append(F.sub(a, b))
     return normalize(F, out)
-
-
-def neg(F, f):
-    return [F.neg(c) for c in f]
 
 
 def mul(F, f, g):

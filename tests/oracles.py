@@ -4,7 +4,10 @@ package against; nothing in the package calls them."""
 from itertools import combinations
 from math import gcd
 
+from conewalk import bifactor as bi
+from conewalk import unifactor as uni
 from conewalk.basecase import BaseParams, build_cj, build_g, cj_degree
+from conewalk.errors import FactorsNotCoprime
 from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe
 
 
@@ -93,3 +96,68 @@ def set_param_zero(f: SparsePoly, name: str) -> SparsePoly:
     cleared = clear_param_denominators(f, name)
     i = len(f.universe) + f.universe.ring.index(name)
     return SparsePoly(f.universe, {e: c for e, c in cleared.terms.items() if e[i] == 0})
+
+
+def hensel_pair_quadratic(F, f, g0, h0, T):
+    """Lift f = g0*h0 (mod u) to f = G*H (mod u^T) by recomputing the whole
+    truncated product G*H at every step k and reading its u^k coefficient
+    (O(k^2) univariate products per step)."""
+    one, s, t = uni.ext_gcd(F, g0, h0)
+    if one != [F.one]:
+        raise FactorsNotCoprime(f"gcd of g0 and h0 has degree {uni.deg(one)}")
+    G = bi.from_univariate_in_v(F, g0)
+    H = bi.from_univariate_in_v(F, h0)
+    for k in range(1, T):
+        err = bi.vsub(F, bi.vtrunc(F, f, k + 1), bi.vmul(F, G, H, trunc=k + 1))
+        e = uni.normalize(F, [col[k] if len(col) > k else F.zero for col in err])
+        if not e:
+            continue
+        dg = uni.divmod_poly(F, uni.mul(F, t, e), g0)[1]
+        dh = uni.divmod_poly(F, uni.sub(F, e, uni.mul(F, dg, h0)), g0)[0]
+        G = bi.vadd(F, G, _times_u_power(F, dg, k))
+        H = bi.vadd(F, H, _times_u_power(F, dh, k))
+    return G, H
+
+
+def _times_u_power(F, univ_in_v, k):
+    """A univariate polynomial in v times u^k, as a v-major bivariate."""
+    return bi.vnormalize(F, [[F.zero] * k + [c] for c in univ_in_v])
+
+
+def smooth_rational_point_generic(F, f):
+    """The first (a, b) in a-then-b order with f(a, b) = 0 and a nonzero
+    gradient there, or None; every value through the field protocol."""
+    fu, fv = bi.derivative_u(F, f), bi.derivative_v(F, f)
+    for a in range(F.p):
+        g, gu, gv = (bi.eval_u(F, h, a) for h in (f, fu, fv))
+        for b in range(F.p):
+            if F.is_zero(uni.eval_at(F, g, b)) and not (
+                F.is_zero(uni.eval_at(F, gu, b)) and F.is_zero(uni.eval_at(F, gv, b))
+            ):
+                return a, b
+    return None
+
+
+def term_sort_key(exps):
+    """Descending total degree, then descending lex, as an ascending key."""
+    return (-sum(exps), tuple(-e for e in exps))
+
+
+def canonical_string(f: SparsePoly) -> str:
+    """The canonical text of f, terms ordered by ``term_sort_key`` on the
+    variable part and then on the parameter part."""
+    if not f.terms:
+        return "0"
+    nv = len(f.universe)
+    labels = list(enumerate(f.universe.ring.names, nv)) + list(enumerate(f.universe.names))
+    pieces = []
+    for k in sorted(f.terms, key=lambda k: (term_sort_key(k[:nv]), term_sort_key(k[nv:]))):
+        scalar = f.terms[k]
+        factors = [name if k[i] == 1 else f"{name}^{k[i]}" for i, name in labels if k[i]]
+        if not factors:
+            pieces.append(str(scalar))
+        elif scalar == 1:
+            pieces.append("*".join(factors))
+        else:
+            pieces.append("*".join([str(scalar)] + factors))
+    return " + ".join(pieces)

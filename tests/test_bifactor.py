@@ -1,6 +1,7 @@
 """Bivariate machinery: gcd, Hensel factorization, absolute irreducibility."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from conewalk import unifactor as uni
 from conewalk.coeffs import prime_powers
 from conewalk.errors import FactorsNotCoprime
 from conewalk.gfext import PrimeField
+from oracles import hensel_pair_quadratic, smooth_rational_point_generic
 
 F101 = PrimeField(101)
 F7 = PrimeField(7)
@@ -479,3 +481,99 @@ def test_squarefree_split_falls_back_when_every_point_fails():
         assert is_squarefree(F, f)
         [(g, m)] = bi.squarefree_decomposition_v(F, f)
         assert m == 1 and bi.to_dict(F, g) == bi.to_dict(F, f)
+
+
+def _non_residue(p):
+    return next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+
+
+def _twisted(F, rng, k, nu):
+    """A^2 - nu*B^2 for dense A, B of degree k: irreducible over F, two
+    conjugate absolute factors, and no smooth rational point."""
+    A, B = rand_of_degree(F, rng, k, True), rand_of_degree(F, rng, k, True)
+    return bi.vsub(F, bi.vmul(F, A, A), bi.vscale(F, bi.vmul(F, B, B), nu))
+
+
+def test_hensel_pair_matches_the_quadratic_reference():
+    """Seeded coprime splits of f(0, v) for v-regular f of degree 4..12
+    over GF(101) and GF(103): the lift that forms only the new error
+    coefficient at each step returns the same (G, H) as the reference
+    that recomputes the whole truncated product, and G*H = f mod u^T."""
+    checked = 0
+    for p in (101, 103):
+        F = PrimeField(p)
+        rng = random.Random(p + 11)
+        for d in range(4, 13):
+            for _ in range(3):
+                f = _v_regular(F, rng, d)
+                _, fs = uni.factor(F, bi.eval_u(F, f, 0), rng)
+                if len(fs) < 2 or any(m > 1 for _, m in fs):
+                    continue
+                split = rng.randint(1, len(fs) - 1)
+                g0, h0 = [F.one], [F.one]
+                for i, (g, _) in enumerate(rng.sample(fs, len(fs))):
+                    if i < split:
+                        g0 = uni.mul(F, g0, g)
+                    else:
+                        h0 = uni.mul(F, h0, g)
+                T = d + 1
+                G, H = bi.hensel_pair(F, f, g0, h0, T)
+                assert (G, H) == hensel_pair_quadratic(F, f, g0, h0, T), (p, d)
+                assert bi.to_dict(F, bi.vmul(F, G, H, trunc=T)) == bi.to_dict(F, bi.vtrunc(F, f, T))
+                checked += 1
+    assert checked >= 40, checked
+
+
+def test_factor_first_decision_agrees_with_the_count():
+    """Seeded squarefree v-regular slices over GF(127), where p > (2d-1)d
+    for d = 4..8 so the PDE count applies: dense random slices, products
+    of two, and twisted A^2 - nu*B^2.  The factor-first decision is True
+    iff the count is 1, and each kind of answer occurs: certified,
+    refuted with a rational factor, and refuted by the count alone."""
+    F = PrimeField(127)
+    nu = _non_residue(127)
+    rng = random.Random(1270)
+    kinds = Counter()
+    for d in range(4, 9):
+        cases = [_v_regular(F, rng, d) for _ in range(3)]
+        a = rng.randint(1, d - 1)
+        cases.append(bi.vmul(F, _v_regular(F, rng, a), _v_regular(F, rng, d - a)))
+        if d % 2 == 0:
+            cases.append(_twisted(F, rng, d // 2, nu))
+        for f in cases:
+            if not bi.squarefree_at_a_point(F, f):
+                continue
+            count = bi.count_absolute_factors_pde(F, f)
+            assert count is not None
+            ok, witness = bi.is_absolutely_irreducible(F, f, rng)
+            assert ok == (count == 1), (d, bi.to_dict(F, f))
+            kinds[ok, witness is not None] += 1
+    assert set(kinds) == {(True, False), (False, True), (False, False)}, kinds
+    assert sum(kinds.values()) >= 20, kinds
+
+
+def test_smooth_point_search_matches_the_field_protocol_reference():
+    """Seeded slices over GF(101): walk-like dense and sparse ones of
+    degree 7 and 9, twisted A^2 - nu*B^2 of degree 6 and 8, a product of
+    two and a square, whose points are all singular.  Two more pass
+    through the origin with f_u = 0 on the line u = 0, or f_v = 0 on the
+    line v = 0, so their first smooth point needs the other partial.  The
+    plain-int search returns the same point, or None, as the reference."""
+    F = F101
+    nu = _non_residue(101)
+    rng = random.Random(1010)
+    cases = [rand_of_degree(F, rng, d, dense) for d in (7, 9) for dense in (True, True, False)]
+    for slot in (0, 1):
+        terms = bi.to_dict(F, rand_of_degree(F, rng, 7, True))
+        terms = {mon: c for mon, c in terms.items() if mon[slot] != 1 and mon != (0, 0)}
+        terms[(1, 0) if slot else (0, 1)] = 1
+        cases.append(bi.from_dict(F, terms))
+    cases += [_twisted(F, rng, k, nu) for k in (3, 4)]
+    A = rand_of_degree(F, rng, 3, True)
+    cases += [bi.vmul(F, A, rand_of_degree(F, rng, 4, False)), bi.vmul(F, A, A)]
+    found = []
+    for f in cases:
+        point = bi.smooth_rational_point(F, f)
+        assert point == smooth_rational_point_generic(F, f), bi.to_dict(F, f)
+        found.append(point is not None)
+    assert found.count(False) == 3 and found.count(True) == len(cases) - 3, found

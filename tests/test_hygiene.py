@@ -2,7 +2,6 @@
 
 import ast
 import sys
-from collections import Counter
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "conewalk").glob("*.py"))
@@ -41,33 +40,299 @@ def test_imports_only_stdlib_and_conewalk():
     assert not found, found
 
 
-def _public_definitions(tree):
-    """(name, definition node) of public top-level functions and classes
-    and of the public methods of top-level classes."""
+MODULES = {path.stem for path in SOURCES}
+
+
+class _Package:
+    """The package's definitions, keyed by owner: a module-level function
+    or class is (module, name), a method or dataclass field is
+    ("module.Class", name)."""
+
+    def __init__(self):
+        trees = dict(_trees())
+        self.defs = {}  # key -> definition node
+        self.classes = {}  # "module.Class" -> ClassDef
+        self.env = {}  # module -> {top-level name: binding}
+        for name, tree in trees.items():
+            stem = name[:-3]
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    self.defs[stem, node.name] = node
+                if isinstance(node, ast.ClassDef):
+                    owner = f"{stem}.{node.name}"
+                    self.classes[owner] = node
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            self.defs[owner, item.name] = item
+                        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                            self.defs[owner, item.target.id] = item
+        for name, tree in trees.items():
+            self.env[name[:-3]] = _module_env(name[:-3], tree)
+
+    def binding(self, module, name):
+        """``module.name`` as a package function or class, or None."""
+        return ("def", (module, name)) if (module, name) in self.defs else None
+
+    def member(self, owner, name):
+        """(owner, name) for ``name`` defined on the class ``owner`` or on
+        one of its bases in the package, else None."""
+        while owner in self.classes:
+            if (owner, name) in self.defs:
+                return owner, name
+            cls, module = self.classes[owner], owner.split(".")[0]
+            bases = [self.as_class(_resolve(b, self.env[module], self)) for b in cls.bases]
+            owner = next((b for b in bases if b), None)
+        return None
+
+    def as_class(self, binding):
+        if binding and binding[0] == "def" and ".".join(binding[1]) in self.classes:
+            return ".".join(binding[1])
+        return None
+
+    def annotation(self, node, env):
+        """The package class an annotation names (``C``, ``"C"``, ``C | None``), or None."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                node = ast.parse(node.value, mode="eval").body
+            except SyntaxError:
+                return None
+        if isinstance(node, ast.BinOp):
+            found = {self.annotation(n, env) for n in (node.left, node.right)} - {None}
+            return found.pop() if len(found) == 1 else None
+        return self.as_class(_resolve(node, env, self))
+
+
+def _module_env(stem, tree):
+    """{name: binding} of a module's top level: its own definitions and
+    what it imports from the package."""
+    env = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            env[node.name] = ("def", (stem, node.name))
+        _bind_imports(node, env)
+    return env
 
 
-def _used_names(tree):
-    """Identifiers a module refers to: names, attributes, imported names,
-    and the parts of dotted-identifier string constants (``bench/tracer.py``
-    names the functions it patches by string)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            parts = node.value.split(".")
-            if all(part.isidentifier() for part in parts):
-                yield from parts
+def _bind_imports(node, env):
+    """Bind in ``env`` what an import statement takes from the package."""
+    if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("conewalk")):
+        source = (node.module or "").replace("conewalk", "").strip(".") or "__init__"
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            env[bound] = ("module", alias.name) if alias.name in MODULES else ("def", (source, alias.name))
+    elif isinstance(node, ast.Import):
+        for alias in node.names:
+            if alias.name.startswith("conewalk.") and alias.asname:
+                env[alias.asname] = ("module", alias.name.split(".")[1])
+
+
+def _resolve(node, env, package):
+    """What an expression is, without recording references: ("module", m),
+    ("def", key) for a package function or class, ("instance", class), or
+    None when unknown."""
+    if isinstance(node, ast.Name):
+        return env.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, env, package)
+        if base is None:
+            # bench reaches modules through a namespace: ``cw.bifactor``
+            return ("module", node.attr) if node.attr in MODULES else None
+        if base[0] == "module":
+            return package.binding(base[1], node.attr)
+        owner = base[1] if base[0] == "instance" else package.as_class(base)
+        key = owner and package.member(owner, node.attr)
+        if key and isinstance(package.defs[key], ast.AnnAssign):
+            field = package.annotation(package.defs[key].annotation, package.env[key[0].split(".")[0]])
+            return field and ("instance", field)
+        return None
+    if isinstance(node, ast.Call):
+        callee = _resolve(node.func, env, package)
+        if package.as_class(callee):
+            return ("instance", package.as_class(callee))
+        if isinstance(node.func, ast.Attribute):
+            base = _resolve(node.func.value, env, package)
+            owner = base and (base[1] if base[0] == "instance" else package.as_class(base))
+            key = owner and package.member(owner, node.func.attr)
+            if key and isinstance(package.defs[key], ast.FunctionDef) and package.defs[key].returns:
+                result = package.annotation(package.defs[key].returns, package.env[key[0].split(".")[0]])
+                return result and ("instance", result)
+    return None
+
+
+class _References(ast.NodeVisitor):
+    """Owner-qualified references of one source file.
+
+    Each reference is (key, read, enclosing definitions), where key is a
+    definition key, or ("?", name) for an attribute on a receiver whose
+    class is unknown, and read says the reference is an attribute load.
+    Receivers are typed by ``self``/``cls``, parameter and field
+    annotations, construction ``C(...)``, annotated method returns, and
+    module aliases (``bi.f``, ``cw.bifactor.f``); a name bound in a
+    function shadows the module's binding.
+    """
+
+    def __init__(self, package, stem, tree):
+        self.package = package
+        self.scopes = [package.env.get(stem) or _module_env(stem, tree)]
+        self.stack = []  # keys of the definitions being visited
+        self.owner = None  # class whose body is being visited
+        self.stem = stem
+        self.found = []
+
+    def _env(self):
+        env = {}
+        for scope in self.scopes:
+            env.update(scope)
+        return env
+
+    def _add(self, key, read=False):
+        self.found.append((key, read, tuple(self.stack)))
+
+    def visit_ClassDef(self, node):
+        outer = self.owner
+        self.owner = f"{self.stem}.{node.name}" if len(self.scopes) == 1 else None
+        self.stack.append((self.stem, node.name))
+        self.generic_visit(node)
+        self.stack.pop()
+        self.owner = outer
+
+    def visit_FunctionDef(self, node):
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        outside = node.decorator_list + node.args.defaults + node.args.kw_defaults
+        for child in outside + [arg.annotation for arg in args] + [node.returns]:
+            if child is not None:
+                self.visit(child)
+        env, package = self._env(), self.package
+        scope = {}
+        for arg in args:
+            cls = arg.annotation is not None and package.annotation(arg.annotation, env)
+            scope[arg.arg] = ("instance", cls) if cls else None
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        if self.owner and args and not static:
+            scope[args[0].arg] = ("instance", self.owner)
+        bound = {}
+        for child in ast.walk(node):
+            if isinstance(child, ast.Assign):
+                targets = [t for t in child.targets if isinstance(t, ast.Name)]
+                value = _resolve(child.value, env, package)
+            elif isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
+                targets = [child.target]
+                cls = package.annotation(child.annotation, env)
+                value = ("instance", cls) if cls else None
+            elif isinstance(child, ast.For):
+                targets, value = [t for t in ast.walk(child.target) if isinstance(t, ast.Name)], None
+            else:
+                continue
+            for t in targets:
+                bound.setdefault(t.id, set()).add(value)
+        for name, values in bound.items():
+            if name not in scope:
+                scope[name] = values.pop() if len(values) == 1 else None
+        for child in ast.walk(node):
+            _bind_imports(child, scope)
+        key = (self.owner or self.stem, node.name) if len(self.scopes) == 1 or self.owner else None
+        outer = self.owner
+        self.owner = None
+        self.scopes.append(scope)
+        self.stack.append(key)
+        for child in node.body:
+            self.visit(child)
+        self.stack.pop()
+        self.scopes.pop()
+        self.owner = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        binding = self._env().get(node.id)
+        if isinstance(node.ctx, ast.Load) and binding and binding[0] == "def":
+            self._add(binding[1])
+
+    def visit_Attribute(self, node):
+        base = _resolve(node.value, self._env(), self.package)
+        read = isinstance(node.ctx, ast.Load)
+        if base is None:
+            if node.attr not in MODULES:
+                self._add(("?", node.attr), read)
+        elif base[0] == "module":
+            if (base[1], node.attr) in self.package.defs:
+                self._add((base[1], node.attr), read)
+        else:
+            owner = base[1] if base[0] == "instance" else self.package.as_class(base)
+            key = owner and self.package.member(owner, node.attr)
+            if key:
+                self._add(key, read)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        # a name the module dispatches on, e.g. ``set_defaults(func="cmd_bounds")``
+        if isinstance(node.value, str) and (self.stem, node.value) in self.package.defs:
+            self._add((self.stem, node.value))
+
+    def visit_Tuple(self, node):
+        # ``bench/tracer.py`` names what it patches as ("module", "Class.func")
+        names = [e.value for e in node.elts[:2] if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+        if len(names) == 2 and names[0] in MODULES:
+            head, _, rest = names[1].partition(".")
+            self._add((names[0], head))
+            if rest and f"{names[0]}.{head}" in self.package.classes:
+                self._add((f"{names[0]}.{head}", rest))
+        self.generic_visit(node)
+
+
+def _references(package):
+    """Every reference made in src/ and bench/."""
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for folder in ("src", "bench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            stem = path.stem if folder == "src" else f"bench/{path.stem}"
+            tree = ast.parse(path.read_text(), filename=str(path))
+            visitor = _References(package, stem, tree)
+            visitor.visit(tree)
+            found += visitor.found
+    return found
+
+
+def _used(package, references, reads_only=False):
+    """Definition keys referred to outside their own definition.  An
+    attribute on a receiver of unknown class counts for a same-named
+    member of each class that is itself used.  With ``reads_only`` only
+    attribute loads count for members; any reference uses a class."""
+    used, unknown = set(), set()
+    for key, read, stack in references:
+        counts = read or not reads_only
+        if key[0] == "?":
+            if counts:
+                unknown.add(key[1])
+        elif key not in stack and (counts or ".".join(key) in package.classes):
+            used.add(key)
+    classes = {key for key in used if ".".join(key) in package.classes}
+    for owner, name in package.defs:
+        if name in unknown and owner in package.classes and tuple(owner.split(".")) in classes:
+            used.add((owner, name))
+    return used
+
+
+def _public(package, kind):
+    """(where, qualname, key) of the public definitions of one kind:
+    "api" for functions, classes and methods, "field" for annotated fields
+    of dataclasses; qualname is "Class.name" for a member, else "name"."""
+    for (owner, name), node in sorted(package.defs.items(), key=lambda kv: (kv[0][0], kv[1].lineno)):
+        if name.startswith("_"):
+            continue
+        module, _, cls = owner.partition(".")
+        where = f"{module}.py:{node.lineno}"
+        qualname = f"{cls}.{name}" if cls else name
+        if kind == "api" and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield where, qualname, (owner, name)
+        if kind == "field" and isinstance(node, ast.AnnAssign) and _is_dataclass(package.classes[owner]):
+            yield where, qualname, (owner, name)
+
+
+def _is_dataclass(cls):
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
 
 
 #: public API that only the README and the tests reach, kept on purpose
@@ -87,48 +352,24 @@ def test_no_public_api_that_nothing_calls():
     """Every public function, class and method of the package is referred
     to in src/ or bench/ outside its own definition, or is documented API
     listed in ``DOCUMENTED_API``; a reference from tests alone, or from
-    the definition's own body (recursion, or a same-named method it
-    delegates to), does not count, and every listed name must still be
-    defined.  Names are matched bare, so a reference to a same-named
-    definition elsewhere still counts for both."""
-    root = Path(__file__).resolve().parents[1]
-    used = Counter()
-    for folder in ("src", "bench"):
-        for path in (root / folder).rglob("*.py"):
-            used.update(_used_names(ast.parse(path.read_text(), filename=str(path))))
-    defined = [
-        (f"{name}:{node.lineno}", qualname, node)
-        for name, tree in _trees()
-        for qualname, node in _public_definitions(tree)
+    the definition's own body, does not count, and every listed name must
+    still be defined.  References are matched by owner: ``bi.deg_u`` is
+    bifactor's ``deg_u`` and nothing else, ``self.f`` and an annotated or
+    constructed receiver name their class's member, and only an attribute
+    on a receiver of unknown class counts for a same-named member of
+    every used class (see ``_References``)."""
+    package = _Package()
+    used = _used(package, _references(package))
+    defined = list(_public(package, "api"))
+    found = [
+        f"{where}: {qualname}"
+        for where, qualname, key in defined
+        if key not in used and qualname not in DOCUMENTED_API
     ]
-    found = []
-    for where, qualname, node in defined:
-        short = qualname.split(".")[-1]
-        own = sum(1 for name in _used_names(node) if name == short)
-        if used[short] <= own and qualname not in DOCUMENTED_API:
-            found.append(f"{where}: {qualname}")
     assert not found, found
     # an allow-list entry whose definition is gone would hide nothing
     stale = sorted(set(DOCUMENTED_API) - {qualname for _, qualname, _ in defined})
     assert not stale, stale
-
-
-def _dataclass_fields(tree):
-    """(Class.field, node) of the public annotated fields of top-level
-    ``@dataclass`` classes."""
-    for node in tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-            continue
-        for item in node.body:
-            if (
-                isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)
-                and not item.target.id.startswith("_")
-            ):
-                yield f"{node.name}.{item.target.id}", item
 
 
 #: dataclass fields that only the tests read, kept on purpose
@@ -143,28 +384,16 @@ def test_no_dataclass_field_that_nothing_reads():
     """Every public field of a dataclass in the package is read as an
     attribute (``obj.field`` in load context) somewhere in src/ or bench/,
     or is listed in ``UNREAD_FIELDS``; constructor keywords and writes do
-    not count.  Names are matched bare, as in the API check above."""
-    root = Path(__file__).resolve().parents[1]
-    read = set()
-    for folder in ("src", "bench"):
-        for path in (root / folder).rglob("*.py"):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            read.update(
-                node.attr
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            )
-    fields = [
-        (f"{name}:{node.lineno}", qualname)
-        for name, tree in _trees()
-        for qualname, node in _dataclass_fields(tree)
-    ]
+    not count.  Reads are matched by owner, as in the API check above."""
+    package = _Package()
+    read = _used(package, _references(package), reads_only=True)
+    fields = list(_public(package, "field"))
     found = [
         f"{where}: {qualname}"
-        for where, qualname in fields
-        if qualname.split(".")[-1] not in read and qualname not in UNREAD_FIELDS
+        for where, qualname, key in fields
+        if key not in read and qualname not in UNREAD_FIELDS
     ]
     assert not found, found
     # an allow-list entry whose field is gone would hide nothing
-    stale = sorted(set(UNREAD_FIELDS) - {qualname for _, qualname in fields})
+    stale = sorted(set(UNREAD_FIELDS) - {qualname for _, qualname, _ in fields})
     assert not stale, stale

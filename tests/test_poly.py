@@ -13,7 +13,7 @@ from conewalk.errors import (
     ZeroPolynomial,
 )
 from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe, parse_poly
-from oracles import clear_param_denominators, min_param_exp, set_param_zero
+from oracles import canonical_string, clear_param_denominators, min_param_exp, set_param_zero
 
 RING = ParamRing(101)
 U3 = VarUniverse(("x0", "x1", "x2"), RING)
@@ -400,5 +400,29 @@ def test_flat_terms_properties():
             assert baked.specialize_params(values) == a.specialize_params(values)
         assert (a * b).embed(big) == a.embed(big) * b.embed(big)
         assert a.embed(big).embed(U3) == a
+
+    check()
+
+
+def test_canonical_string_matches_the_sort_key_reference():
+    """On random polynomials with negative lam exponents, over the
+    coordinate universe and one with no parameters: the one-pass sort of
+    ``canonical_string`` gives the same bytes as ordering terms by
+    ``term_sort_key`` on the variable part, then on the parameter part."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    bare = VarUniverse(("x0", "x1", "x2"), ParamRing(101, names=(), invertible=frozenset()))
+    small = st.integers(0, 3)
+    scalar = st.integers(1, 100)
+    key = st.tuples(small, small, small, st.integers(0, 2), st.integers(-3, 3), small, small)
+    poly = st.dictionaries(key, scalar, max_size=8).map(lambda t: SparsePoly(U3, t))
+    bare_poly = st.dictionaries(st.tuples(small, small, small), scalar, max_size=8)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(poly, bare_poly.map(lambda t: SparsePoly(bare, t)))
+    def check(a, b):
+        assert a.canonical_string() == canonical_string(a)
+        assert b.canonical_string() == canonical_string(b)
 
     check()
