@@ -259,12 +259,15 @@ file formats:
   state files (construct/induct/verify) are JSON documents
     {schema_version, p, dims {n,m,r,s,d}, params {pi,lam,rho,t: "symbolic"|int},
      f0, a0, a {"i,j": poly}, e [..], h_poly, provenance [..]}
-    with polynomials in the canonical grammar
-      poly   ::= term (" + " term)*
-      term   ::= [coeff "*"] factor ("*" factor)*
-      factor ::= varname ["^" int] | param ["^" int]
+    with polynomials in the grammar
+      poly   ::= term (("+" | "-") term)*
+      term   ::= factor ("*" factor)*
+      factor ::= int | name ["^" ["-"] int]
     over variables x0.., y1.., z1.., z, w and parameters pi lam rho t
-    (lam alone may carry negative exponents);
+    (lam alone may carry negative exponents; int is unsigned decimal);
+    whitespace may stand between tokens but not inside one, "-" always
+    subtracts, every "*" needs a factor after it, and states are
+    written in canonical form, with " + " between terms;
   graph files (skeleton subdivide/transfer) are JSON documents
     {vertices [..], edges [[v,w]..], ch1/ch0_vertex {"v": module},
      ch0_edge {"v|w": module}, inter/push {"v|w@v": matrix}}

@@ -15,14 +15,17 @@ lexicographic, on the variable slots, and then the same on the
 parameter slots; this order fixes the text form emitted by
 ``canonical_string``.
 
-Text grammar (whitespace-insensitive on parse, canonical on emit)::
+Text grammar, with ``int`` an unsigned decimal::
 
-    poly   ::= term (" + " term)*
-    term   ::= [coeff "*"] factor ("*" factor)*
-    factor ::= varname ["^" int] | param ["^" int]
+    poly   ::= term (("+" | "-") term)*
+    term   ::= factor ("*" factor)*
+    factor ::= int | name ["^" ["-"] int]
 
-The canonical emitter uses least non-negative residues and never prints
-a unary minus; the zero polynomial prints as ``"0"``.
+Whitespace may stand between tokens but not inside one.  A ``-``
+subtracts however it is spaced, and signs an int only right after
+``^``; every ``*`` needs a factor after it.  The canonical emitter
+writes ``" + "`` between terms, least non-negative residues, and
+``"0"`` for the zero polynomial.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class VarUniverse:
 
     names: tuple
     ring: ParamRing
-    _positions: dict = field(init=False, repr=False, compare=False)
+    # the exponent slot of every name in the text grammar: variables, then parameters
+    _slots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -58,16 +62,16 @@ class VarUniverse:
         overlap = set(self.names) & set(self.ring.names)
         if overlap:
             raise ValueError(f"names {sorted(overlap)} used as both variable and parameter")
-        object.__setattr__(self, "_positions", {name: k for k, name in enumerate(self.names)})
+        object.__setattr__(self, "_slots", {name: k for k, name in enumerate(self.names + self.ring.names)})
 
     def __len__(self):
         return len(self.names)
 
     def index(self, name: str) -> int:
-        try:
-            return self._positions[name]
-        except KeyError:
-            raise UnknownVariable(f"unknown variable {name!r}") from None
+        k = self._slots.get(name, len(self))
+        if k >= len(self):
+            raise UnknownVariable(f"unknown variable {name!r}")
+        return k
 
 
 def coordinate_universe(n, r, s, ring) -> VarUniverse:
@@ -374,7 +378,7 @@ class SparsePoly:
         nv, width = len(old), len(old) + old.ring.nparams
         positions = [width] * len(new_universe) + list(range(nv, width))
         for i, name in enumerate(old.names):
-            j = new_universe._positions.get(name)
+            j = new_universe._slots.get(name)  # name is no parameter of the shared ring
             if j is not None:
                 positions[j] = i
             elif self.uses_variable(name):
@@ -411,89 +415,83 @@ class SparsePoly:
         return f"SparsePoly({self.canonical_string()})"
 
 
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\^|-?\d+|\*|\+|-|\S")
-_INT = re.compile(r"-?\d+")
+# one operator and the whitespace around it; "^" then "-" before a digit
+# is one operator, a negative exponent
+_SPLIT = re.compile(r"\s*(\^\s*-(?=\d)|[-+*^])\s*")
+
+
+def _error(message, text, k):
+    """A ParseError at part ``k`` of ``_SPLIT.split(text.strip())``: an odd
+    part is an operator, an even one starts where the one before ends."""
+    pos = len(text) - len(text.lstrip())
+    if k:
+        op = list(_SPLIT.finditer(text.strip()))[(k - 1) // 2]
+        pos += op.start(1) if k % 2 else op.end()
+    return ParseError(message, pos)
+
+
+def _factor_error(text, parts, k):
+    """The ParseError for part ``k``, a factor that is no name of the
+    universe and no unsigned decimal int."""
+    atom = parts[k]
+    if not atom:
+        after_star = k and parts[k - 1] == "*"
+        return _error("expected a factor after '*'" if after_star else "empty term", text, k)
+    gap = any(c.isspace() for c in atom)
+    return _error(f"missing operator in {atom!r}" if gap else f"unknown name {atom!r}", text, k)
 
 
 def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
     """Parse the grammar above into a canonical ``SparsePoly``.
 
-    Terms are summed in one dict of full exponent tuples, so monomials
-    keep the order of their first appearance in ``text``.
+    The stripped text is split once into alternating factors and
+    operators.  Terms are summed in one dict of full exponent tuples, so
+    monomials keep the order of their first appearance in ``text``.
     """
-    ring = universe.ring
-    p = ring.p
-    nv = len(universe)
-    slots = dict(universe._positions)
-    slots.update((name, nv + k) for k, name in enumerate(ring.names))
-    width = nv + ring.nparams
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        tokens.append((m.group(0), m.start()))
-    if not tokens:
+    parts = _SPLIT.split(text.strip())
+    if parts == [""]:
         raise ParseError("empty polynomial text", 0)
-
+    parts.append("")  # the end of the text, as an operator
+    slots = universe._slots
+    ints = {}  # each int of this text, parsed once
     acc = {}
     i = 0
-    n = len(tokens)
-    sign = 1
-
-    def parse_term(i, sign):
-        exps = [0] * width
-        scalar = 1
-        expect_factor = True
-        any_factor = False
-        while i < n:
-            tok, pos = tokens[i]
-            if tok in ("+", "-"):
-                break
-            if tok == "*":
-                if expect_factor:
-                    raise ParseError("unexpected '*'", pos)
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                raise ParseError(f"expected '*' or '+' before {tok!r}", pos)
-            if _INT.fullmatch(tok):
-                if tok.startswith("-"):
-                    raise ParseError("negative coefficient not in grammar", pos)
-                scalar = scalar * int(tok) % p
-            elif tok in slots:
-                name = tok
-                exp = 1
-                if i + 1 < n and tokens[i + 1][0] == "^":
-                    if i + 2 >= n or not _INT.fullmatch(tokens[i + 2][0]):
-                        raise ParseError("expected integer exponent after '^'", tokens[i + 1][1])
-                    exp = int(tokens[i + 2][0])
-                    i += 2
-                if exp < 0:
-                    if slots[name] < nv:
-                        raise ParseError(f"negative exponent at variable {name!r}", pos)
-                    if name not in ring.invertible:
-                        raise ParseError(f"negative exponent at parameter {name!r}", pos)
-                exps[slots[name]] += exp
+    scalar = 1
+    while True:
+        exps = [0] * len(slots)
+        while True:
+            atom, op = parts[i], parts[i + 1]
+            slot = slots.get(atom)
+            if slot is None:
+                v = ints.get(atom)
+                if v is None:
+                    if not atom.isdecimal():
+                        raise _factor_error(text, parts, i)
+                    v = ints[atom] = int(atom)
+                scalar *= v
+            elif op[:1] != "^":
+                exps[slot] += 1
             else:
-                raise ParseError(f"unknown name {tok!r}", pos)
-            any_factor = True
-            expect_factor = False
-            i += 1
-        if not any_factor:
-            pos = tokens[i][1] if i < n else len(text)
-            raise ParseError("empty term", pos)
+                i += 2
+                e = ints.get(parts[i])
+                if e is None:
+                    if not parts[i].isdecimal():
+                        raise _error("expected integer exponent after '^'", text, i - 1)
+                    e = ints[parts[i]] = int(parts[i])
+                if op != "^" and e:
+                    if slot < len(universe) or atom not in universe.ring.invertible:
+                        kind = "variable" if slot < len(universe) else "parameter"
+                        raise _error(f"negative exponent at {kind} {atom!r}", text, i - 2)
+                    e = -e
+                exps[slot] += e
+                op = parts[i + 1]
+            i += 2
+            if op != "*":
+                break
         key = tuple(exps)
-        acc[key] = acc.get(key, 0) + scalar * sign
-        return i
-
-    i = parse_term(i, sign)
-    while i < n:
-        tok, pos = tokens[i]
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' between terms, got {tok!r}", pos)
-        i += 1
-        i = parse_term(i, sign)
-    return _poly(universe, _reduced(acc, p))
+        acc[key] = acc.get(key, 0) + scalar
+        if not op:
+            return _poly(universe, _reduced(acc, universe.ring.p))
+        if op not in ("+", "-"):
+            raise _error("'^' must follow a name", text, i - 1)
+        scalar = 1 if op == "+" else -1

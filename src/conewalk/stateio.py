@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 from .basecase import BaseParams, HypersurfaceState
+from .errors import ParseError
 from .poly import SparsePoly, coordinate_universe, parse_poly
 
 SCHEMA_VERSION = 1
@@ -56,6 +57,13 @@ def _require_type(value, kind, where):
         raise ValueError(f"state {where} must be {name}, got {type(value).__name__}")
 
 
+def _parse_field(text, universe, where):
+    try:
+        return parse_poly(text, universe)
+    except ParseError as ex:
+        raise ValueError(f"state {where} does not parse: {ex}") from None
+
+
 def state_from_dict(d: dict) -> HypersurfaceState:
     _require_keys(d, ("schema_version",), "state")
     if d["schema_version"] != SCHEMA_VERSION:
@@ -97,7 +105,7 @@ def state_from_dict(d: dict) -> HypersurfaceState:
             raise ValueError(f'state params.{name} must be "symbolic" or an integer, got {v!r}')
         if name in ring.invertible and v != "symbolic" and v % ring.p == 0:
             raise ValueError(f"state params.{name} is invertible, but {v} is 0 mod {ring.p}")
-    h_poly = parse_poly(d["h_poly"], universe)
+    h_poly = _parse_field(d["h_poly"], universe, "h_poly")
     zs = {f"z{k}" for k in range(1, s + 1)}
     z_exps = tuple(int(name in zs) for name in universe.names)
     z_product = SparsePoly.from_residues(universe, {z_exps: 1})
@@ -108,9 +116,9 @@ def state_from_dict(d: dict) -> HypersurfaceState:
         bp=bp,
         s=s,
         universe=universe,
-        f0=parse_poly(d["f0"], universe),
-        a0=parse_poly(d["a0"], universe),
-        a={slots[key]: parse_poly(text, universe) for key, text in d["a"].items()},
+        f0=_parse_field(d["f0"], universe, "f0"),
+        a0=_parse_field(d["a0"], universe, "a0"),
+        a={slots[key]: _parse_field(text, universe, f'a["{key}"]') for key, text in d["a"].items()},
         e=list(d["e"]),
         h_poly=h_poly,
         params=dict(d["params"]),

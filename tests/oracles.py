@@ -1,14 +1,15 @@
 """Slow, independent reference computations that the tests compare the
 package against; nothing in the package calls them."""
 
+import re
 from itertools import combinations
 from math import gcd
 
 from conewalk import bifactor as bi
 from conewalk import unifactor as uni
 from conewalk.basecase import BaseParams, build_cj, build_g, cj_degree
-from conewalk.errors import FactorsNotCoprime
-from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe
+from conewalk.errors import FactorsNotCoprime, ParseError
+from conewalk.poly import SparsePoly, VarUniverse, _poly, _reduced, coordinate_universe
 
 
 def max_abs_minor_gcd(A, k):
@@ -161,3 +162,93 @@ def canonical_string(f: SparsePoly) -> str:
         else:
             pieces.append("*".join([str(scalar)] + factors))
     return " + ".join(pieces)
+
+
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\^|-?\d+|\*|\+|-|\S")
+_INT = re.compile(r"-?\d+")
+
+
+def parse_poly_scanner(text: str, universe: VarUniverse) -> SparsePoly:
+    """The polynomial text grammar read one token at a time.
+
+    Differs from ``parse_poly`` on two classes of text: it accepts a
+    dangling ``*`` (``"x0*"`` reads as ``x0``), and it reads a ``-``
+    directly before a digit as the sign of that int, so ``"x0-3"`` and
+    ``"x0 -3"`` are errors while ``"x0 - 3"`` is not.
+    """
+    ring = universe.ring
+    p = ring.p
+    nv = len(universe)
+    slots = {name: k for k, name in enumerate(universe.names)}
+    slots.update((name, nv + k) for k, name in enumerate(ring.names))
+    width = nv + ring.nparams
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        tokens.append((m.group(0), m.start()))
+    if not tokens:
+        raise ParseError("empty polynomial text", 0)
+
+    acc = {}
+    i = 0
+    n = len(tokens)
+    sign = 1
+
+    def parse_term(i, sign):
+        exps = [0] * width
+        scalar = 1
+        expect_factor = True
+        any_factor = False
+        while i < n:
+            tok, pos = tokens[i]
+            if tok in ("+", "-"):
+                break
+            if tok == "*":
+                if expect_factor:
+                    raise ParseError("unexpected '*'", pos)
+                expect_factor = True
+                i += 1
+                continue
+            if not expect_factor:
+                raise ParseError(f"expected '*' or '+' before {tok!r}", pos)
+            if _INT.fullmatch(tok):
+                if tok.startswith("-"):
+                    raise ParseError("negative coefficient not in grammar", pos)
+                scalar = scalar * int(tok) % p
+            elif tok in slots:
+                name = tok
+                exp = 1
+                if i + 1 < n and tokens[i + 1][0] == "^":
+                    if i + 2 >= n or not _INT.fullmatch(tokens[i + 2][0]):
+                        raise ParseError("expected integer exponent after '^'", tokens[i + 1][1])
+                    exp = int(tokens[i + 2][0])
+                    i += 2
+                if exp < 0:
+                    if slots[name] < nv:
+                        raise ParseError(f"negative exponent at variable {name!r}", pos)
+                    if name not in ring.invertible:
+                        raise ParseError(f"negative exponent at parameter {name!r}", pos)
+                exps[slots[name]] += exp
+            else:
+                raise ParseError(f"unknown name {tok!r}", pos)
+            any_factor = True
+            expect_factor = False
+            i += 1
+        if not any_factor:
+            pos = tokens[i][1] if i < n else len(text)
+            raise ParseError("empty term", pos)
+        key = tuple(exps)
+        acc[key] = acc.get(key, 0) + scalar * sign
+        return i
+
+    i = parse_term(i, sign)
+    while i < n:
+        tok, pos = tokens[i]
+        if tok == "+":
+            sign = 1
+        elif tok == "-":
+            sign = -1
+        else:
+            raise ParseError(f"expected '+' between terms, got {tok!r}", pos)
+        i += 1
+        i = parse_term(i, sign)
+    return _poly(universe, _reduced(acc, p))

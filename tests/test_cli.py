@@ -364,6 +364,33 @@ def test_state_with_a_mistyped_value_is_a_usage_error(tmp_path, capsys, path, va
     _assert_one_error_line(err, str(state), needle)
 
 
+@pytest.mark.parametrize(
+    "path, text, needle",
+    [
+        (("f0",), "x0 + q9", "state f0 does not parse: unknown name 'q9' (at position 5)"),
+        (("a0",), "x0*", "state a0 does not parse: expected a factor after '*' (at position 3)"),
+        (("h_poly",), "1 +", "state h_poly does not parse: empty term (at position 3)"),
+        (("a", "2,1"), "x0^-1", "state a[\"2,1\"] does not parse: negative exponent at variable 'x0'"),
+    ],
+)
+def test_state_with_unparsable_text_is_a_usage_error(tmp_path, capsys, path, text, needle):
+    state = tmp_path / "s0.json"
+    run(
+        capsys,
+        "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
+        "--p", "101", "--out", str(state),
+    )
+    data = json.loads(state.read_text())
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = text
+    state.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--state", str(state), "--seed", "1")
+    assert code == 2
+    _assert_one_error_line(err, str(state), needle)
+
+
 def test_cached_parser_carries_no_option_into_the_next_call(monkeypatch):
     cli.build_parser()  # the parser exists before the handler is replaced
     seen = []

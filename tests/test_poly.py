@@ -1,10 +1,13 @@
 """Sparse polynomials: arithmetic, degrees, calculus, canonical text form."""
 
 import random
+import re
 
 import pytest
 
+from conewalk.basecase import BaseParams, build_base_state
 from conewalk.coeffs import ParamCoeff, ParamRing
+from conewalk.doublecone import induct_step
 from conewalk.errors import (
     DivisionFailure,
     ParseError,
@@ -13,7 +16,13 @@ from conewalk.errors import (
     ZeroPolynomial,
 )
 from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe, parse_poly
-from oracles import canonical_string, clear_param_denominators, min_param_exp, set_param_zero
+from oracles import (
+    canonical_string,
+    clear_param_denominators,
+    min_param_exp,
+    parse_poly_scanner,
+    set_param_zero,
+)
 
 RING = ParamRing(101)
 U3 = VarUniverse(("x0", "x1", "x2"), RING)
@@ -232,10 +241,35 @@ def _random_homogeneous(rng, degree):
     return SparsePoly(U3, terms)
 
 
+PARSE_ERRORS = [
+    # (text, position, message): one pinned position per error class
+    ("x0 + q9", 5, "unknown name 'q9'"),
+    ("x0 + + x1", 5, "empty term"),
+    ("x0 +", 4, "empty term"),
+    ("x0^y1 + x1", 2, "expected integer exponent after '^'"),
+    ("x0 + x1^", 7, "expected integer exponent after '^'"),
+    ("x1 + x0^-1", 5, "negative exponent at variable 'x0'"),
+    ("x0 + pi^-1*x1", 5, "negative exponent at parameter 'pi'"),
+    ("   x0 + q9", 8, "unknown name 'q9'"),
+    ("x0*", 3, "expected a factor after '*'"),
+    ("x0* + x1", 4, "expected a factor after '*'"),
+    ("x0**x1", 3, "expected a factor after '*'"),
+    ("*x0", 0, "empty term"),
+    ("-3*x0", 0, "empty term"),
+    ("x0 + -3", 5, "empty term"),
+    ("x0^- 1", 2, "expected integer exponent after '^'"),
+    ("3^2*x0", 1, "'^' must follow a name"),
+    ("x0 + x 1", 5, "missing operator in 'x 1'"),
+    ("1 2*x0", 0, "missing operator in '1 2'"),
+]
+
+
 def test_parse_error_carries_position():
-    with pytest.raises(ParseError) as exc:
-        parse_poly("x0 + q9", U3)
-    assert exc.value.position == 5
+    for text, position, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, U3)
+        assert exc.value.position == position, text
+        assert str(exc.value) == f"{message} (at position {position})"
 
 
 def test_parse_whitespace_insensitive():
@@ -243,6 +277,65 @@ def test_parse_whitespace_insensitive():
     b = parse_poly("  x0^2  +  100 * x1 * x2 ", U3)
     c = parse_poly("x0^2 + 100*x1*x2", U3)
     assert a == b == c
+    assert parse_poly("lam^-1*x0", U3) == parse_poly("lam ^ -1 * x0", U3)
+    # '-' subtracts however it is spaced
+    for text in ("x0-3", "x0 -3", "x0 - 3", "x0- 3", "x0 + 98"):
+        assert parse_poly(text, U3) == V("x0") - SparsePoly.constant(U3, 3), text
+
+
+def _random_text(rng):
+    pieces = ["x0", "x1", "pi", "lam", "t", "q9", "0", "3", "102", "-1", "+", "-", "*", "^", " ", "  "]
+    return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+
+
+def _parse_or_error(parse, text):
+    try:
+        return list(parse(text, U3).terms.items())
+    except ParseError as ex:
+        assert 0 <= ex.position <= len(text), (text, ex.position)
+        return None
+
+
+def _minus_spaced(text):
+    """``text`` with every '-' not after '^' made a spaced operator, which
+    the scanner reads as ``parse_poly`` reads the unspaced one."""
+    return re.sub(r"(\^\s*)?-", lambda m: m.group(0) if m.group(1) else " - ", text)
+
+
+def test_parse_agrees_with_the_token_scanner():
+    """On random texts both parsers give the same terms in the same order,
+    except that a dangling '*' is an error and a '-' subtracts however it
+    is spaced; every error position lies in the text."""
+    rng = random.Random(13)
+    accepted = 0
+    for _ in range(4000):
+        text = _random_text(rng)
+        got = _parse_or_error(parse_poly, text)
+        old = _parse_or_error(parse_poly_scanner, text)
+        spaced = _minus_spaced(text)
+        if re.search(r"\*\s*([-+]|$)", spaced):
+            assert got is None, text  # a dangling '*'
+        elif old is not None:
+            assert got == old, text
+        else:  # rejected by the scanner, unless a '-' it took for a sign subtracts
+            assert got == _parse_or_error(parse_poly_scanner, spaced), text
+        accepted += got is not None
+    assert accepted > 200
+
+
+def test_ladder_state_round_trips_through_both_parsers():
+    state = build_base_state(BaseParams(n=3, m=2, r=6, d=5, p=101))
+    for k in range(2):
+        state = induct_step(state, seed=40 + k)
+    state = induct_step(state, seed=50, symbolic=True)  # lam^-1 and t stay symbolic
+    polys = [state.f0, state.a0, state.h_poly, *state.a.values()]
+    assert any(f.uses_param("lam") for f in polys)
+    for f in polys:
+        text = f.canonical_string()
+        got = parse_poly(text, state.universe)
+        assert got == f
+        want = parse_poly_scanner(text, state.universe)
+        assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_eval_unassigned_parameter_raises():
