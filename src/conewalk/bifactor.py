@@ -5,12 +5,13 @@ v-degree whose entries are little-endian u-coefficient lists over a
 field object from ``gfext`` (``unifactor`` conventions).  The main
 entry points:
 
-* ``factor_bivariate`` -- complete rational factorization, via a shear
-  to v-regular position, Hensel lifting of a univariate factorization
-  at a good expansion point, and subset recombination.  A factor of
-  v-degree e of a v-regular f has total degree e, so a candidate whose
-  v^j coefficient has u-degree above e - j is skipped before any
-  division: it cannot divide, and the factor list is unchanged.
+* ``factor_bivariate`` -- complete rational factorization, on one path
+  for every non-constant input: a shear to v-regular position, a
+  squarefree split, Hensel lifting of a univariate factorization at a
+  good expansion point, subset recombination, and the inverse shear.  A
+  factor of v-degree e of a v-regular f has total degree e, so a
+  candidate whose v^j coefficient has u-degree above e - j is skipped
+  before any division: it cannot divide.
 * ``squarefree_at_a_point`` -- f with a nonzero constant leading
   v-coefficient is squarefree when f(a, v) is, for some a in
   0..D(D-1), D = deg_v f: no factor of f lies in F[u] and each keeps its
@@ -19,17 +20,20 @@ entry points:
   split returns a v-monic input unchanged when a point certifies it,
   and runs the gcd chain (``biv_gcd``) only otherwise.
 * ``vdivexact`` -- the one division in F[u][v]: exact quotient or None.
-* ``is_absolutely_irreducible`` -- factor first: a proper or repeated
-  factor over F_p refutes; an F_p-irreducible f with a nonsingular
-  F_p-point (``smooth_rational_point``) is absolutely irreducible.  Only
-  an F_p-irreducible f with no such point falls back to
-  ``count_absolute_factors_pde``, the dimension of the solution space of
-  the adjoint differential equation f*(g_v - h_u) = g*f_v - h*f_u, which
-  equals the number of distinct absolutely irreducible factors when the
-  characteristic exceeds (2*deg_u - 1)*deg_v (Gao, Math. Comp. 72,
-  2003); it runs on plain ints mod p, with sparse columns ranked by
-  forward elimination (``rank_mod_p``).  No extension field is built;
-  factoring over GF(p^ell) is only the tests' reference.
+* ``is_absolutely_irreducible`` -- factor first, on any non-constant
+  input (it need not be squarefree): a proper or repeated factor over
+  F_p refutes, and the first one is the oracle's witness; an
+  F_p-irreducible f with a nonsingular F_p-point on its projective
+  closure, affine (``smooth_rational_point``) or on the line at
+  infinity, is absolutely irreducible.  Only an F_p-irreducible f with
+  no such point falls back to ``count_absolute_factors_pde``, the
+  dimension of the solution space of the adjoint differential equation
+  f*(g_v - h_u) = g*f_v - h*f_u, which equals the number of distinct
+  absolutely irreducible factors when the characteristic exceeds
+  (2*deg_u - 1)*deg_v (Gao, Math. Comp. 72, 2003); it runs on plain
+  ints mod p, with sparse columns ranked by forward elimination
+  (``rank_mod_p``).  No extension field is built; factoring over
+  GF(p^ell) is only the tests' reference.
 
 Requires odd characteristic larger than the total degree throughout.
 """
@@ -39,7 +43,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import unifactor as uni
-from .errors import DivisionFailure, FactorsNotCoprime
+from .errors import DivisionFailure, FactorizationFailure, FactorsNotCoprime
 
 
 # -- representation ----------------------------------------------------------
@@ -149,14 +153,6 @@ def vscale(F, f, c):
 def eval_u(F, f, a):
     """Substitute u = a; returns a univariate v-coefficient list."""
     return uni.normalize(F, [uni.eval_at(F, c, a) for c in f])
-
-
-def from_univariate_in_v(F, g):
-    return vnormalize(F, [[c] for c in g])
-
-
-def from_univariate_in_u(F, g):
-    return vnormalize(F, [list(g)])
 
 
 def translate_u(F, f, a):
@@ -338,7 +334,7 @@ def squarefree_decomposition_v(F, f):
     f = [list(c) for c in f]
     d = derivative_v(F, f)
     if is_vzero(d):
-        raise ArithmeticError("characteristic too small for squarefree split")
+        raise FactorizationFailure("characteristic too small for squarefree split")
     g = biv_gcd(F, f, d)
     h = _divide(F, f, g)
     i = 1
@@ -425,7 +421,7 @@ def factor_squarefree_regular(F, f, rng):
         if len(tried) >= F.q:
             break
     if point is None:
-        raise ArithmeticError("no squarefree expansion point found")
+        raise FactorizationFailure("no squarefree expansion point found")
     shifted = translate_u(F, f, point)
     f0 = eval_u(F, shifted, F.zero)
     _, uni_factors = uni.factor(F, f0, rng)
@@ -464,13 +460,13 @@ def factor_squarefree_regular(F, f, rng):
 
 def regularize(F, f, rng):
     """(f sheared by u -> u + theta*v and made v-monic, theta) with
-    deg_v = total degree; theta is None when f needs no shear."""
+    deg_v = total degree; theta is 0 when f needs no shear."""
     D = total_degree(f)
-    cand, theta = f, None
+    cand, theta = f, F.zero
     draws = 8 * max(D, 1) + 16
     while deg_v(cand) != D or uni.deg(cand[-1]) != 0:
         if not draws:
-            raise ArithmeticError("could not reach v-regular position")
+            raise FactorizationFailure("could not reach v-regular position")
         draws -= 1
         theta = F.random(rng)
         cand = shear(F, f, theta)
@@ -478,47 +474,32 @@ def regularize(F, f, rng):
 
 
 def factor_bivariate(F, f, rng):
-    """(unit, [(factor, multiplicity)]) -- complete factorization over F.
-
-    Factors carry unit leading coefficients; ``unit`` is the scalar with
-    unit * prod factor^mult == f exactly.
+    """(unit, [(factor, multiplicity)]) -- complete factorization over F,
+    on one path for every non-constant f (a constant c gives (c, [])):
+    ``regularize``, squarefree split, Hensel lifting and recombination,
+    unshear.  Factors carry unit leading coefficients and are sorted by
+    degree, then terms and coefficients, so the list does not depend on
+    ``rng``; unit * prod factor^mult == f exactly.
     """
     if is_vzero(f):
         raise ZeroDivisionError("cannot factor zero")
-    original = f
+    if total_degree(f) == 0:
+        return f[0][0], []
     factors = []
-
-    if deg_v(f) == 0:
-        lc, fs = uni.factor(F, f[0], rng)
-        return lc, [(from_univariate_in_u(F, g), m) for g, m in fs]
-    cont = u_content(F, f)
-    if uni.deg(cont) > 0:
-        _, fs = uni.factor(F, cont, rng)
-        factors += [(from_univariate_in_u(F, g), m) for g, m in fs]
-        f = _divide(F, f, [cont])
-    if deg_u(f) <= 0:
-        g = uni.normalize(F, [col[0] if col else F.zero for col in f])
-        _, fs = uni.factor(F, g, rng)
-        factors += [(from_univariate_in_v(F, h), m) for h, m in fs]
-    else:
-        reg, theta = regularize(F, f, rng)
-        unshear_theta = F.neg(theta) if theta is not None else None
-        for piece, mult in squarefree_decomposition_v(F, reg):
-            piece = vscale(F, piece, F.inv(piece[-1][0]))
-            for g in factor_squarefree_regular(F, piece, rng):
-                if unshear_theta is not None:
-                    g = shear(F, g, unshear_theta)
-                g = _normalize_lead(F, g)
-                factors.append((g, mult))
-    factors.sort(key=lambda gm: (total_degree(gm[0]), tuple(sorted(to_dict(F, gm[0]))), gm[1]))
+    reg, theta = regularize(F, f, rng)
+    for piece, mult in squarefree_decomposition_v(F, reg):
+        piece = vscale(F, piece, F.inv(piece[-1][0]))
+        for g in factor_squarefree_regular(F, piece, rng):
+            factors.append((_normalize_lead(F, shear(F, g, F.neg(theta))), mult))
+    factors.sort(key=lambda gm: (total_degree(gm[0]), sorted(to_dict(F, gm[0]).items()), gm[1]))
     # recover the scalar unit exactly
     prod = [[F.one]]
     for g, m in factors:
         for _ in range(m):
             prod = vmul(F, prod, g)
-    unit = vdivexact(F, original, prod)
+    unit = vdivexact(F, f, prod)
     if unit is None or total_degree(unit) != 0:
-        raise ArithmeticError("factorization does not re-multiply to the input")
+        raise FactorizationFailure("factorization does not re-multiply to the input")
     return unit[0][0], factors
 
 
@@ -641,22 +622,47 @@ def _eval_mod(coeffs, x, p):
     return acc
 
 
+def _smooth_point_at_infinity(F, f):
+    """A nonsingular point (a, b, 0) of the closure w^D f(u/w, v/w) of
+    f = 0, D = total degree, or None: f_D(a, b) = 0 and a nonzero
+    gradient (f_D,u, f_D,v, f_(D-1)) there, for f_D, f_(D-1) the top two
+    forms.  It certifies an F_p-irreducible f as an affine one does."""
+    p, D = F.p, total_degree(f)
+    top, top_u, top_v, below = {}, {}, {}, {}
+    for (i, j), c in to_dict(F, f).items():
+        if i + j == D:
+            top[i, j] = c
+            if i:
+                top_u[i - 1, j] = c * i
+            if j:
+                top_v[i, j - 1] = c * j
+        elif i + j == D - 1:
+            below[i, j] = c
+    for a, b in [(0, 1)] + [(1, t) for t in range(p)]:
+        value, *gradient = (
+            sum(c * a**i * b**j for (i, j), c in form.items()) % p
+            for form in (top, top_u, top_v, below)
+        )
+        if not value and any(gradient):
+            return a, b, 0
+    return None
+
+
 def is_absolutely_irreducible(F, f, rng):
-    """(verdict, rational_witness_or_None) for squarefree bivariate f over
-    the prime field F.  The witness, when present, is a proper factor
-    over F itself.
+    """(verdict, rational_witness_or_None) for a non-constant bivariate f
+    over the prime field F; f need not be squarefree.
 
     Factor first: a proper or repeated factor over F gives ``False`` with
-    that factor as witness.  An F-irreducible f with a smooth rational
-    point gives ``True``.  Only an F-irreducible f with no smooth rational
-    point reaches the PDE count: ``True`` iff it is 1.  ``True`` is exact;
-    where the count does not apply (char <= (2m-1)n in both orientations),
-    ``False`` without a witness may mean only that f has no smooth
-    rational point.
+    the first listed factor as witness (the oracle's witness, once
+    rehomogenized).  An F-irreducible f with a smooth rational point,
+    affine or at infinity, gives ``True``; with none, ``True`` iff the
+    PDE count is 1.  ``True`` is exact; where the count does not apply
+    (char <= (2m-1)n in both orientations), ``False`` without a witness
+    may mean only that f has no smooth rational point.
     """
     _, fs = factor_bivariate(F, f, rng)
     if len(fs) > 1 or fs[0][1] > 1:
         return False, fs[0][0]
-    if smooth_rational_point(F, f) is not None:
+    if smooth_rational_point(F, f) is not None or _smooth_point_at_infinity(F, f) is not None:
         return True, None
     return count_absolute_factors_pde(F, f) == 1, None

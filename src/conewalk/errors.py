@@ -62,6 +62,12 @@ class FactorsNotCoprime(ConewalkError):
     """Hensel lifting was started from factors with a common divisor."""
 
 
+class FactorizationFailure(ConewalkError):
+    """Bivariate factorization cannot proceed: the characteristic is too
+    small, no shear reaches v-regular position, no expansion point keeps
+    the input squarefree, or the factors do not re-multiply to it."""
+
+
 # -- constructions ---------------------------------------------------------
 
 class IndexOutOfRange(ConewalkError):

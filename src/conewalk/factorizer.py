@@ -2,37 +2,31 @@
 
 ``univariate_factor`` is a complete factorization for single-variable
 inputs.  ``probably_irreducible`` decides absolute irreducibility of a
-homogeneous multivariate polynomial of degree d in k used variables, in
-one sequence:
+homogeneous polynomial of degree d in k used variables:
 
 - d = 1 is ``Irreducible``;
 - a variable dividing every term of the specialized input is a witness;
-- for k >= 3, draw up to ``trials`` slices: restrictions to random
-  affine planes, redrawing maps that send the plane onto a line.  A
-  slice f(a u + b v + c) is built by nested Horner in the used
-  variables, so every product is by one linear form.  Slices keep the
-  full degree, so a splitting of the input splits every slice.  A
-  full-degree slice is v-regular, and p > d^2, so
-  ``bifactor.squarefree_at_a_point`` decides exactly whether it is
-  squarefree; a non-squarefree slice is redrawn.  The first squarefree
-  slice decides (``bifactor.is_absolutely_irreducible``): it is factored
-  over GF(p), and if it is irreducible there with a smooth GF(p)-point
-  -- or, with no such point, has a PDE count of 1 -- it is certified
-  absolutely irreducible and makes ``Irreducible`` exact; otherwise the
-  input goes to the rational-witness search, as it does when no slice
-  within the budget is squarefree;
-- a binary form of degree >= 2 splits into linear forms over the
-  closure and goes to the same search.  For k <= 3 the dehomogenization
-  is bivariate and ``bifactor.factor_bivariate`` finds a rational factor
-  if there is one (the repeated factor Q of Q^2 among them); for k >= 4
-  no factor is recovered.
+- for k <= 3, one call to ``bifactor.is_absolutely_irreducible`` on the
+  chart, the dehomogenization at the last used variable, decides: that
+  variable does not divide the input, so the chart has the input's
+  factors over GF(p) and over the closure.  A factor, rehomogenized, is
+  the witness; a certificate is ``Irreducible`` with ``trials = 0``;
+  neither (a binary form of degree >= 2 with no rational factor among
+  them) is ``Inconclusive``;
+- for k >= 4, up to ``trials`` slices are drawn: restrictions to random
+  affine planes, redrawing maps that send the plane onto a line, built
+  by nested Horner so that every product is by one linear form.  Slices
+  keep the full degree, so a splitting of the input splits every slice,
+  and p > d^2 lets ``bifactor.squarefree_at_a_point`` decide exactly
+  whether one is squarefree; a non-squarefree slice is redrawn.  The
+  first squarefree slice decides: certified, ``Irreducible``; otherwise,
+  or with no squarefree slice within the budget, ``Inconclusive``, since
+  no factor of the input is recovered in four or more variables.
 
-A ``Reducible`` verdict always carries a factor that divides exactly.
-Whenever no rational witness can be produced, the verdict is
-``Inconclusive`` -- the oracle never claims more than it has checked.
 Every ``Irreducible`` rests on a certificate and every ``Reducible`` on
-an exact division, so ``failure_bound`` is 0.0 for both and 1.0 for
-``Inconclusive``.
+an exact division, so ``failure_bound`` is 0.0 for both; whenever no
+rational witness can be produced the verdict is ``Inconclusive``, with
+bound 1.0 -- the oracle never claims more than it has checked.
 """
 
 from __future__ import annotations
@@ -116,13 +110,15 @@ def probably_irreducible(
     trials: int = 20,
     seed: int = 0,
 ) -> IrreducibilityVerdict:
-    """Randomized absolute-irreducibility test by plane slicing.
+    """Absolute-irreducibility test: on the chart in at most three used
+    variables, by random plane slices in four or more.
 
     ``params`` is either a full parameter assignment or "random", in
     which case nonzero values are drawn from the seed.  For inputs with
     symbolic parameters the verdict (and any witness) refers to the
     polynomial at the recorded assignment.  ``trials`` bounds the slices
-    drawn; the first squarefree one decides.
+    drawn for k >= 4 used variables, where the first squarefree one
+    decides; a verdict reached without a slice has ``trials = 0``.
     """
     if a.is_zero():
         raise ZeroPolynomial("zero polynomial")
@@ -158,22 +154,49 @@ def probably_irreducible(
                 REDUCIBLE, witness=witness, assignment=assignment, note="variable factor"
             )
 
-    # no variable factor, so len(used) >= 2; a binary form of degree >= 2
-    # splits into linear forms over the closure and needs no slice
-    if len(used) >= 3:
-        F = PrimeField(p)
-        for drawn in range(1, trials + 1):
-            slice_poly = _sample_slice(F, int_terms, used, d, rng)
-            if slice_poly is None:
-                return IrreducibilityVerdict(
-                    INCONCLUSIVE, assignment=assignment, note="no non-degenerate slice found"
-                )
-            # p > d^2 > d(d - 1): False proves the slice has a repeated factor
-            if bi.squarefree_at_a_point(F, slice_poly):
-                if bi.is_absolutely_irreducible(F, slice_poly, rng)[0]:
-                    return IrreducibilityVerdict(IRREDUCIBLE, trials=drawn, assignment=assignment)
-                break
-    return _rational_witness(a, int_terms, used, assignment, rng)
+    # no variable factor, so len(used) >= 2
+    if len(used) <= 3:
+        return _chart_verdict(a.universe, int_terms, used, assignment, rng)
+    F = PrimeField(p)
+    for drawn in range(1, trials + 1):
+        slice_poly = _sample_slice(F, int_terms, used, d, rng)
+        if slice_poly is None:
+            return IrreducibilityVerdict(
+                INCONCLUSIVE, assignment=assignment, note="no non-degenerate slice found"
+            )
+        # p > d^2 > d(d - 1): False proves the slice has a repeated factor
+        if bi.squarefree_at_a_point(F, slice_poly):
+            if bi.is_absolutely_irreducible(F, slice_poly, rng)[0]:
+                return IrreducibilityVerdict(IRREDUCIBLE, trials=drawn, assignment=assignment)
+            break
+    return IrreducibilityVerdict(INCONCLUSIVE, assignment=assignment, note="no certified slice")
+
+
+def _chart_verdict(universe, int_terms, used, assignment, rng):
+    """The verdict on a form in 2 or 3 used variables, none dividing it,
+    from one ``is_absolutely_irreducible`` call on its chart: a bivariate
+    of the same degree (of v-degree 0 for a binary form)."""
+    p = universe.ring.p
+    F = PrimeField(p)
+    *axes, last = used
+    # the form is homogeneous, so distinct terms keep distinct chart exponents
+    chart = {(e[axes[0]], e[axes[1]] if len(axes) == 2 else 0): c for e, c in int_terms.items()}
+    certified, factor = bi.is_absolutely_irreducible(F, bi.from_dict(F, chart), rng)
+    if certified:
+        return IrreducibilityVerdict(IRREDUCIBLE, assignment=assignment)
+    if factor is None:
+        return IrreducibilityVerdict(INCONCLUSIVE, assignment=assignment, note="no certificate, no factor")
+    deg, terms = bi.total_degree(factor), {}
+    for ij, c in bi.to_dict(F, factor).items():
+        e = [0] * len(universe)
+        for idx, k in zip(axes, ij):
+            e[idx] = k
+        e[last] = deg - sum(ij)
+        terms[tuple(e)] = c
+    witness = SparsePoly.from_residues(universe, terms)
+    if _exact_divide(int_terms, witness.specialize_params({}), p) is None:
+        raise DivisionFailure(f"{witness!r} does not divide the input exactly")
+    return IrreducibilityVerdict(REDUCIBLE, witness=witness, assignment=assignment, note="rational factor")
 
 
 def _sample_slice(F, int_terms, used, d, rng, attempts=64):
@@ -268,44 +291,3 @@ def _exact_divide(terms_f, terms_g, p):
             elif k in f:
                 del f[k]
     return q
-
-
-def _rational_witness(a, int_terms, used, assignment, rng):
-    """A form without a variable factor and without an irreducibility
-    certificate: a binary form of degree >= 2, one whose first squarefree
-    slice is not certified, or one with no squarefree slice within the
-    trial budget.  With at most three used variables its dehomogenization
-    at the last one is bivariate (of v-degree 0 for a binary form), where
-    factorization is complete: the first factor, rehomogenized, is a
-    rational witness when it divides exactly.  Otherwise the verdict is
-    Inconclusive."""
-    universe = a.universe
-    p = universe.ring.p
-    if len(used) <= 3:
-        F = PrimeField(p)
-        *axes, last = used
-        biv_terms = {}
-        for e, c in int_terms.items():
-            key = (e[axes[0]], e[axes[1]] if len(axes) == 2 else 0)
-            biv_terms[key] = (biv_terms.get(key, 0) + c) % p
-        _, fs = bi.factor_bivariate(F, bi.from_dict(F, biv_terms), rng)
-        if len(fs) > 1 or fs[0][1] > 1:
-            g = bi.to_dict(F, fs[0][0])
-            deg = max(i + j for i, j in g)
-            terms = {}
-            for ij, c in g.items():
-                e = [0] * len(universe)
-                for idx, k in zip(axes, ij):
-                    e[idx] = k
-                e[last] = deg - sum(ij)
-                terms[tuple(e)] = c
-            witness = SparsePoly.from_residues(universe, terms)
-            if _exact_divide(int_terms, witness.specialize_params({}), p) is not None:
-                return IrreducibilityVerdict(
-                    REDUCIBLE, witness=witness, assignment=assignment, note="rational factor"
-                )
-    return IrreducibilityVerdict(
-        INCONCLUSIVE,
-        assignment=assignment,
-        note="no certified slice and no rational witness was recovered",
-    )

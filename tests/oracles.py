@@ -106,8 +106,8 @@ def hensel_pair_quadratic(F, f, g0, h0, T):
     one, s, t = uni.ext_gcd(F, g0, h0)
     if one != [F.one]:
         raise FactorsNotCoprime(f"gcd of g0 and h0 has degree {uni.deg(one)}")
-    G = bi.from_univariate_in_v(F, g0)
-    H = bi.from_univariate_in_v(F, h0)
+    G = bi.from_dict(F, {(0, j): c for j, c in enumerate(g0)})
+    H = bi.from_dict(F, {(0, j): c for j, c in enumerate(h0)})
     for k in range(1, T):
         err = bi.vsub(F, bi.vtrunc(F, f, k + 1), bi.vmul(F, G, H, trunc=k + 1))
         e = uni.normalize(F, [col[k] if len(col) > k else F.zero for col in err])

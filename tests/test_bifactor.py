@@ -8,7 +8,7 @@ import pytest
 from conewalk import bifactor as bi
 from conewalk import unifactor as uni
 from conewalk.coeffs import prime_powers
-from conewalk.errors import FactorsNotCoprime
+from conewalk.errors import ConewalkError, FactorizationFailure, FactorsNotCoprime
 from conewalk.gfext import PrimeField
 from oracles import hensel_pair_quadratic, smooth_rational_point_generic
 
@@ -114,6 +114,26 @@ def test_repeated_factor_multiplicity():
     f = bi.vmul(F101, bi.vmul(F101, a, a), bi.from_dict(F101, {(0, 1): 1, (0, 0): 7}))
     _, fs = bi.factor_bivariate(F101, f, rng)
     assert sorted(m for _, m in fs) == [1, 2]
+
+
+def test_factor_order_does_not_depend_on_the_seed():
+    """(v + 3u + 1)(v + 5u + 2) has two factors of equal degree and
+    support; they are ordered by their coefficients, so every seed gives
+    the same list (and the oracle the same witness)."""
+    f = bi.vmul(F101, bi.from_dict(F101, {(0, 1): 1, (1, 0): 3, (0, 0): 1}),
+                bi.from_dict(F101, {(0, 1): 1, (1, 0): 5, (0, 0): 2}))
+    lists = {repr(bi.factor_bivariate(F101, f, random.Random(seed))) for seed in range(40)}
+    assert len(lists) == 1, lists
+
+
+def test_no_v_regular_position_is_a_typed_error():
+    """Every theta in GF(5) kills the top form of u^5*v - u*v^5, so no
+    shear reaches v-regular position: a ``ConewalkError``, which the CLI
+    reports in one line."""
+    f = bi.from_dict(F5, {(5, 1): 1, (1, 5): -1 % 5})
+    with pytest.raises(FactorizationFailure, match="v-regular"):
+        bi.regularize(F5, f, random.Random(0))
+    assert issubclass(FactorizationFailure, ConewalkError)
 
 
 def test_pde_counts_against_extension_method():
@@ -255,7 +275,7 @@ def test_hensel_pair_rejects_common_factor():
     # g0 = v - 1 and h0 = (v - 1)(v - 2) share the factor v - 1
     g0 = [100, 1]
     h0 = uni.mul(F101, g0, [99, 1])
-    f = bi.from_univariate_in_v(F101, uni.mul(F101, g0, h0))
+    f = bi.from_dict(F101, {(0, j): c for j, c in enumerate(uni.mul(F101, g0, h0))})
     with pytest.raises(FactorsNotCoprime):
         bi.hensel_pair(F101, f, g0, h0, T=3)
 
@@ -366,6 +386,26 @@ def test_twisted_norm_forms_are_never_certified():
     assert regimes == {True, False}
 
 
+def test_smooth_point_at_infinity_certifies():
+    """u^4 + v^4 + 6 over GF(17) has no affine GF(17)-point, and at
+    p = 17 <= (2*4 - 1)*4 the PDE count does not apply; its closure has
+    the smooth point (1 : 2 : 0), since 2^4 = -1, so it is certified, as
+    the extension-field reference confirms.  The closure of u^2 - 3, two
+    conjugate lines, meets the line at infinity only in their common
+    point (0 : 1 : 0), which is singular."""
+    F17 = PrimeField(17)
+    rng = random.Random(17)
+    f = bi.from_dict(F17, {(4, 0): 1, (0, 4): 1, (0, 0): 6})
+    assert bi.smooth_rational_point(F17, f) is None
+    assert bi.count_absolute_factors_pde(F17, f) is None
+    assert bi._smooth_point_at_infinity(F17, f) == (1, 2, 0)
+    assert bi.is_absolutely_irreducible(F17, f, rng) == (True, None)
+    assert reference_absolutely_irreducible(F17, f, rng)
+    lines = bi.from_dict(F17, {(2, 0): 1, (0, 0): -3 % 17})
+    assert bi._smooth_point_at_infinity(F17, lines) is None
+    assert bi.is_absolutely_irreducible(F17, lines, rng) == (False, None)
+
+
 def _text(F, f):
     """A bivariate as 'c*u^i*v^j + ...' in sorted term order."""
     return " + ".join(f"{c}*u^{i}*v^{j}" for (i, j), c in sorted(bi.to_dict(F, f).items()))
@@ -412,19 +452,19 @@ PINNED_FACTORS = {
     '101 (4, 3)': ('Reducible', '82*u^0*v^0 + 94*u^0*v^1 + 90*u^0*v^2 + 1*u^0*v^3 + 40*u^1*v^0 + 5*u^1*v^1 + 51*u^1*v^2 + 18*u^2*v^0 + 57*u^2*v^1 + 50*u^3*v^0', (1, 1)),
     '101 (2, 2, 1)': ('Reducible', '71*u^0*v^0 + 1*u^0*v^1 + 81*u^1*v^0', (1, 1, 1)),
     '101 (3, 2, 2)': ('Reducible', '13*u^0*v^0 + 64*u^0*v^1 + 1*u^0*v^2 + 71*u^1*v^0 + 13*u^1*v^1 + 83*u^2*v^0', (1, 1, 1)),
-    '101 (3, 3, 3)': ('Reducible', '55*u^0*v^0 + 19*u^0*v^1 + 77*u^0*v^2 + 1*u^0*v^3 + 2*u^1*v^0 + 84*u^1*v^1 + 14*u^1*v^2 + 79*u^2*v^0 + 53*u^2*v^1 + 60*u^3*v^0', (1, 1, 1)),
+    '101 (3, 3, 3)': ('Reducible', '55*u^0*v^0 + 12*u^0*v^1 + 20*u^0*v^2 + 1*u^0*v^3 + 48*u^1*v^0 + 77*u^1*v^1 + 70*u^1*v^2 + 82*u^2*v^0 + 89*u^2*v^1 + 41*u^3*v^0', (1, 1, 1)),
     '101 (2, 2, 2, 1)': ('Reducible', '48*u^0*v^0 + 1*u^0*v^1 + 90*u^1*v^0', (1, 1, 1, 1)),
     '101 (3, 2, 2, 2)': ('Reducible', '25*u^0*v^0 + 28*u^0*v^1 + 1*u^0*v^2 + 32*u^1*v^0 + 51*u^1*v^1 + 4*u^2*v^0', (1, 1, 1, 1)),
     '101 square': ('Reducible', '65*u^0*v^0 + 99*u^0*v^1 + 1*u^0*v^2 + 5*u^1*v^0 + 22*u^1*v^1 + 89*u^2*v^0', (2, 1)),
     '103 (1, 2)': ('Reducible', '49*u^0*v^0 + 1*u^0*v^1 + 101*u^1*v^0', (1, 1)),
-    '103 (2, 2)': ('Reducible', '69*u^0*v^0 + 40*u^0*v^1 + 1*u^0*v^2 + 53*u^1*v^0 + 95*u^1*v^1 + 64*u^2*v^0', (1, 1)),
+    '103 (2, 2)': ('Reducible', '10*u^0*v^0 + 80*u^0*v^1 + 1*u^0*v^2 + 19*u^1*v^0 + 1*u^1*v^1 + 56*u^2*v^0', (1, 1)),
     '103 (3, 1)': ('Reducible', '71*u^0*v^0 + 1*u^0*v^1 + 99*u^1*v^0', (1, 1)),
     '103 (2, 3)': ('Reducible', '58*u^0*v^0 + 16*u^0*v^1 + 1*u^0*v^2 + 35*u^1*v^0 + 24*u^1*v^1 + 87*u^2*v^0', (1, 1)),
     '103 (3, 3)': ('Reducible', '18*u^0*v^0 + 25*u^0*v^1 + 64*u^0*v^2 + 1*u^0*v^3 + 1*u^1*v^0 + 27*u^1*v^1 + 57*u^1*v^2 + 59*u^2*v^0 + 62*u^2*v^1 + 51*u^3*v^0', (1, 1)),
     '103 (4, 3)': ('Reducible', '11*u^0*v^0 + 23*u^0*v^1 + 4*u^0*v^2 + 1*u^0*v^3 + 63*u^1*v^0 + 69*u^1*v^1 + 2*u^1*v^2 + 67*u^2*v^0 + 14*u^2*v^1 + 21*u^3*v^0', (1, 1)),
     '103 (2, 2, 1)': ('Reducible', '5*u^0*v^0 + 1*u^0*v^1 + 93*u^1*v^0', (1, 1, 1)),
-    '103 (3, 2, 2)': ('Reducible', '70*u^0*v^0 + 37*u^0*v^1 + 1*u^0*v^2 + 94*u^1*v^0 + 26*u^1*v^1 + 63*u^2*v^0', (1, 1, 1)),
-    '103 (3, 3, 3)': ('Reducible', '50*u^0*v^0 + 23*u^0*v^1 + 5*u^0*v^2 + 1*u^0*v^3 + 66*u^1*v^0 + 100*u^1*v^1 + 22*u^1*v^2 + 24*u^2*v^0 + 14*u^2*v^1 + 58*u^3*v^0', (1, 1, 1)),
+    '103 (3, 2, 2)': ('Reducible', '66*u^0*v^0 + 78*u^0*v^1 + 1*u^0*v^2 + 29*u^1*v^0 + 62*u^1*v^1 + 80*u^2*v^0', (1, 1, 1)),
+    '103 (3, 3, 3)': ('Reducible', '2*u^0*v^0 + 94*u^0*v^1 + 37*u^0*v^2 + 1*u^0*v^3 + 51*u^1*v^0 + 55*u^1*v^1 + 90*u^1*v^2 + 17*u^2*v^0 + 6*u^2*v^1 + 69*u^3*v^0', (1, 1, 1)),
     '103 (2, 2, 2, 1)': ('Reducible', '20*u^0*v^0 + 1*u^0*v^1 + 78*u^1*v^0', (1, 1, 1, 1)),
     '103 (3, 2, 2, 2)': ('Reducible', '7*u^0*v^0 + 20*u^0*v^1 + 1*u^0*v^2 + 97*u^1*v^0 + 69*u^1*v^1 + 57*u^2*v^0', (1, 1, 1, 1)),
     '103 square': ('Reducible', '49*u^0*v^0 + 63*u^0*v^1 + 1*u^0*v^2 + 35*u^1*v^0 + 69*u^1*v^1 + 33*u^2*v^0', (2, 1)),

@@ -1,6 +1,7 @@
 """The irreducibility oracle surface."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from conewalk.poly import SparsePoly, VarUniverse, parse_poly
 
 RING101 = ParamRing(101)
 U3 = VarUniverse(("x0", "x1", "x2"), RING101)
+U4 = VarUniverse(("x0", "x1", "x2", "x3"), RING101)
 U1_7 = VarUniverse(("x0",), ParamRing(7))
 U1_5 = VarUniverse(("x0",), ParamRing(5))
 
@@ -59,7 +61,7 @@ def test_univariate_remultiplication_exact():
 
 
 def test_conic_irreducible():
-    f = parse_poly("x0^2 + x1^2 + x2^2", U3)
+    f = parse_poly("x0^2 + x1^2 + x2^2 + x3^2", U4)
     v = probably_irreducible(f, trials=8, seed=3)
     assert v.verdict == IRREDUCIBLE
     # the first certified slice decides, and a certificate cannot be wrong
@@ -219,13 +221,14 @@ def _check_reducible_witness(poly, v):
 def test_fermat_cubic_never_inconclusive():
     """A rank-deficient slice map sends the plane onto a line, where any
     form splits; the sampler rejects such maps, so the smooth Fermat cubic
-    is decided Irreducible on every seed (it was Inconclusive on 2/40
-    seeds at one trial and 6/40 at twenty)."""
-    f = parse_poly("x0^3 + x1^3 + x2^3", U3)
-    for trials in (1, 20):
-        for seed in range(40):
-            v = probably_irreducible(f, trials=trials, seed=seed)
-            assert v.verdict == IRREDUCIBLE, (trials, seed)
+    surface is decided Irreducible on every seed (the Fermat cubic curve
+    was Inconclusive on 2/40 seeds at one trial and 6/40 at twenty when
+    it was sliced), and so is the curve, on its chart."""
+    for f in (parse_poly("x0^3 + x1^3 + x2^3 + x3^3", U4), parse_poly("x0^3 + x1^3 + x2^3", U3)):
+        for trials in (1, 20):
+            for seed in range(40):
+                v = probably_irreducible(f, trials=trials, seed=seed)
+                assert v.verdict == IRREDUCIBLE, (f, trials, seed)
 
 
 def _exponents(n, degree):
@@ -304,7 +307,7 @@ PINNED = {
     '101 binary product 6': ('Reducible', 'x0 + x1'),
     '101 binary without rational factor': ('Inconclusive', None),
     '101 ternary product 2.0': ('Reducible', '64*x0 + x1 + 41*x2'),
-    '101 ternary product 2.1': ('Reducible', '8*x0 + x1 + 37*x2'),
+    '101 ternary product 2.1': ('Reducible', '70*x0 + x1 + 27*x2'),
     '101 ternary product 3.0': ('Reducible', 'x1 + 89*x2'),
     '101 ternary product 3.1': ('Reducible', '94*x0 + x1 + 2*x2'),
     '101 ternary product 4.0': ('Reducible', '57*x0 + x1 + 3*x2'),
@@ -357,37 +360,134 @@ def test_verdicts_and_witnesses_pinned():
 
 
 def test_no_irreducible_without_a_certified_slice():
-    """A square has no squarefree slice, so no slice is certified and the
-    oracle never answers Irreducible; once the budget is spent, the
-    square's repeated factor Q is a rational witness."""
-    from conewalk.factorizer import _exact_divide
-
-    q = parse_poly("x0^2 + x1^2 + 3*x2^2", U3)
-    f = q**2
+    """The square of a form in four variables has no squarefree slice, so
+    no slice is certified and the oracle never answers Irreducible; with
+    no rational witness recovered in four variables it is Inconclusive."""
+    f = parse_poly("x0^2 + x1^2 + 3*x2^2 + 5*x3^2", U4) ** 2
     for trials in (1, 2, 3):
         v = probably_irreducible(f, trials=trials, seed=0)
-        assert v.verdict == REDUCIBLE, trials
-        assert v.witness == q, trials
-        q_terms = v.witness.specialize_params({})
-        assert _exact_divide(f.specialize_params({}), q_terms, 101) is not None
+        assert v.verdict == INCONCLUSIVE, trials
+        assert v.witness is None and v.failure_bound == 1.0, trials
 
 
 def test_first_certified_slice_decides(monkeypatch):
-    """The Fermat cubic's first slice is certified: a budget of twenty
-    trials draws one slice."""
-    from conewalk import factorizer
-
-    drawn = []
-    sample = factorizer._sample_slice
-
-    def counting(*args, **kwargs):
-        drawn.append(1)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(factorizer, "_sample_slice", counting)
-    v = probably_irreducible(parse_poly("x0^3 + x1^3 + x2^3", U3), trials=20, seed=0)
+    """The Fermat cubic surface's first slice is certified: a budget of
+    twenty trials draws one slice."""
+    calls = _count_calls(monkeypatch)
+    v = probably_irreducible(parse_poly("x0^3 + x1^3 + x2^3 + x3^3", U4), trials=20, seed=0)
     assert v.verdict == IRREDUCIBLE and v.failure_bound == 0.0
-    assert len(drawn) == 1 and v.trials == 1
+    assert calls["_sample_slice"] == 1 and v.trials == 1
+
+
+def _count_calls(monkeypatch):
+    """Count calls to ``bifactor.factor_bivariate`` and
+    ``factorizer._sample_slice`` for the rest of the test."""
+    from conewalk import bifactor, factorizer
+
+    calls = Counter()
+    for module, name in ((bifactor, "factor_bivariate"), (factorizer, "_sample_slice")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+Q3 = parse_poly("x0^2 + x1^2 + 3*x2^2", U3)
+TWIST_A = parse_poly("x0^2 + x1*x2", U3)
+TWIST_B = parse_poly("x1^2 + 3*x0*x2", U3)
+# 2 is a non-residue mod 101 (101 = 5 mod 8)
+CHART_CASES = {
+    "ternary product": (Q3 * parse_poly("x0 + 2*x1 + 3*x2", U3), REDUCIBLE),
+    "twisted": (TWIST_A**2 - parse_poly("2", U3) * TWIST_B**2, INCONCLUSIVE),
+    "fermat cubic": (parse_poly("x0^3 + x1^3 + x2^3", U3), IRREDUCIBLE),
+    "square": (Q3**2, REDUCIBLE),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CHART_CASES))
+def test_ternary_form_is_decided_on_its_chart(monkeypatch, label):
+    """A form in three used variables is decided by one factorization of
+    its chart and draws no slice: a certificate gives Irreducible with
+    trials 0, a rational factor that divides exactly gives Reducible (the
+    repeated factor Q of Q^2 among them), and the twisted A^2 - 2*B^2,
+    irreducible over GF(101) but not over the closure, is Inconclusive."""
+    from conewalk.factorizer import _exact_divide
+
+    f, want = CHART_CASES[label]
+    calls = _count_calls(monkeypatch)
+    v = probably_irreducible(f, trials=20, seed=1)
+    assert v.verdict == want
+    assert calls == {"factor_bivariate": 1}
+    assert v.trials == 0
+    if want == REDUCIBLE:
+        assert _exact_divide(f.specialize_params({}), v.witness.specialize_params({}), 101) is not None
+    if label == "square":
+        assert v.witness == Q3
+
+
+def _sweep_cases():
+    """(d, kind, form, seed) for d = 3..9 over GF(p), p the first prime
+    above d^2, 16 of each kind: dense ternary forms, diagonal forms
+    a*x0^d + b*x1^d + c*x2^d (at such small p some have no smooth point
+    off x2 = 0), products A*B, and for even d twisted A^2 - nu*B^2 with
+    nu a non-residue."""
+    cases = []
+    for d in range(3, 10):
+        p = next(q for q in range(d * d + 1, 2 * d * d) if all(q % k for k in range(2, q)))
+        u = VarUniverse(("x0", "x1", "x2"), ParamRing(p))
+        rng = random.Random(d)
+        nu = SparsePoly.constant(u, next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1))
+        for _ in range(16):
+            k = rng.randint(1, d - 1)
+            a, b = _form(u, (0, 1, 2), d // 2, rng), _form(u, (0, 1, 2), d // 2, rng)
+            diagonal = SparsePoly.zero(u)
+            for name in u.names:
+                diagonal = diagonal + SparsePoly.constant(u, rng.randrange(1, p)) * SparsePoly.variable(u, name, d)
+            kinds = [
+                ("dense", _form(u, (0, 1, 2), d, rng)),
+                ("diagonal", diagonal),
+                ("product", _form(u, (0, 1, 2), k, rng) * _form(u, (0, 1, 2), d - k, rng)),
+            ]
+            if d % 2 == 0:
+                kinds.append(("twisted", a * a - nu * b * b))
+            cases += [(d, kind, f, rng.randrange(1 << 30)) for kind, f in kinds]
+    return cases
+
+
+# (Irreducible, Reducible, Inconclusive) per degree, as measured when
+# ternary forms were still decided on random plane slices
+SWEEP_COUNTS = {
+    3: (32, 16, 0),
+    4: (32, 16, 16),
+    5: (32, 16, 0),
+    6: (32, 16, 16),
+    7: (32, 16, 0),
+    8: (32, 16, 16),
+    9: (32, 16, 0),
+}
+
+
+def test_chart_route_does_not_under_claim():
+    """On the seeded sweep the chart route certifies at least as many
+    forms per degree as the slice route did, and a product or a twisted
+    form is never Irreducible."""
+    got = {}
+    for d, kind, f, seed in _sweep_cases():
+        v = probably_irreducible(f, params={}, trials=3, seed=seed)
+        if kind == "product":
+            assert v.verdict == REDUCIBLE, (d, f)
+        if kind == "twisted":
+            assert v.verdict == INCONCLUSIVE, (d, f)
+        counts = got.setdefault(d, [0, 0, 0])
+        counts[(IRREDUCIBLE, REDUCIBLE, INCONCLUSIVE).index(v.verdict)] += 1
+    got = {d: tuple(counts) for d, counts in got.items()}
+    for d, (irreducible, _, _) in SWEEP_COUNTS.items():
+        assert got[d][0] >= irreducible, (d, got[d])
+    assert got == SWEEP_COUNTS
 
 
 def test_slice_is_the_input_on_the_sampled_plane():

@@ -24,6 +24,19 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_no_bare_arithmetic_error():
+    """Runtime failures raise ``ConewalkError`` subclasses, which the CLI
+    reports in one line, not a bare ``ArithmeticError``."""
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
 def test_imports_only_stdlib_and_conewalk():
     """The package declares ``dependencies = []``."""
     allowed = set(sys.stdlib_module_names) | {"conewalk"}
