@@ -115,7 +115,11 @@ def cmd_construct(args) -> int:
 
 def cmd_induct(args) -> int:
     seed = _require_seed(args)
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     state = load_state(args.state)
+    if args.j is not None and not 1 <= args.j <= state.r:
+        raise ValueError(f"--j must lie in 1..r = 1..{state.r}, got {args.j}")
     applied = 0
     try:
         for k in range(args.steps):

@@ -5,7 +5,7 @@ A ``ParamRing`` names the parameters (by default ``pi``, ``lam``,
 Exponents are non-negative except at parameters flagged invertible (by
 default only ``lam``).  Polynomial arithmetic, parameters included, lives
 in ``poly``: a ``SparsePoly`` term carries its variable and parameter
-exponents in one tuple.
+exponents in one packed int key.
 """
 
 from __future__ import annotations

@@ -384,7 +384,7 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
     z_slots = {i for i, name in enumerate(state.universe.names) if name.startswith("z")}
     shape_ok = len(hp.terms) == 1 and all(
         c == 1 and all(e == 0 or i in z_slots for i, e in enumerate(exps))
-        for exps, c in hp.terms.items()
+        for exps, c in hp.to_dict().items()
     )
     checks.append(_entry("h-poly-shape", "pivot-product", True, shape_ok))
     return checks

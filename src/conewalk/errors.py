@@ -37,6 +37,11 @@ class UnknownVariable(ConewalkError):
     """Variable name not present in the universe."""
 
 
+class ExponentOverflow(ConewalkError):
+    """An exponent or a term degree does not fit its field of a packed
+    monomial key."""
+
+
 class ParseError(ConewalkError):
     """Polynomial text does not match the grammar.
 

@@ -1,19 +1,35 @@
 """Sparse multivariate polynomials over GF(p) with Laurent parameters.
 
-A polynomial is one dict, ``terms``, from exponent tuples to residues in
-[1, p).  Each tuple has one slot per universe variable, then one slot
-per parameter of the universe's ``ParamRing``.  Variable exponents are
-non-negative; a parameter exponent may be negative only at an invertible
-parameter (``lam``).  Parameter-only values such as ``-lam^-1`` or
-``t*lam`` are ordinary polynomials (``SparsePoly.param``).
+A polynomial is one dict, ``terms``, from packed monomial keys to
+residues in [1, p).  A monomial has one exponent per universe variable,
+then one per parameter of the universe's ``ParamRing``.  Variable
+exponents are non-negative; a parameter exponent may be negative only
+at an invertible parameter (``lam``).  Parameter-only values such as
+``-lam^-1`` or ``t*lam`` are ordinary polynomials (``SparsePoly.param``).
+
+A key is one int of 16-bit fields.  From the high bits down they hold
+the total variable degree, the exponents of the variables in universe
+order, the total parameter degree, and the parameter exponents; a
+parameter field holds its value plus 2^14.  So a variable exponent and
+the variable degree lie in [0, 2^15), a parameter exponent and the
+parameter degree in [-2^14, 2^14), and the top bit of every field, its
+guard bit, is 0.  Each exponent slot has a unit, the low bit of its
+field plus that of its degree field: a monomial is ``base + sum(e *
+unit)``, a product of monomials ``k1 + k2 - base`` and a derivative
+``k - unit``.  An exponent or degree outside its field sets a guard bit
+of the result key, and raises ``ExponentOverflow`` (in ``parse_poly``, a
+positioned ``ParseError``); no field carries into the next.  The layout
+is private to this module: ``to_dict`` and ``specialize_params`` give
+exponent tuples.
 
 Only the public constructor and ``parse_poly`` check terms.  Arithmetic
-builds its results from checked operands through ``_poly``, unchecked.
+builds its results from checked operands through ``_poly``, unchecked
+but for the guard bits.
 
 The canonical term order is descending total degree, then descending
-lexicographic, on the variable slots, and then the same on the
-parameter slots; this order fixes the text form emitted by
-``canonical_string``.
+lexicographic, on the variable exponents, and then the same on the
+parameter exponents: the descending order of the keys as ints.  It
+fixes the text form emitted by ``canonical_string``.
 
 Text grammar, with ``int`` an unsigned decimal::
 
@@ -30,13 +46,17 @@ writes ``" + "`` between terms, least non-negative residues, and
 
 from __future__ import annotations
 
+import functools
 import re
+import struct
 from dataclasses import dataclass, field
-from operator import add, itemgetter
+from itertools import compress
+from operator import mul
 
 from .coeffs import ParamCoeff, ParamRing, ff_inv_int
 from .errors import (
     DivisionFailure,
+    ExponentOverflow,
     InvertibleAssignedZero,
     ModulusMismatch,
     ParseError,
@@ -45,6 +65,84 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
+
+_WIDTH = 16  # bits per field
+_FIELD = (1 << _WIDTH) - 1
+_LIMIT = 1 << (_WIDTH - 1)  # the guard bit; values of a field lie below it
+_BIAS = 1 << (_WIDTH - 2)  # added to a parameter exponent or degree
+
+
+class _Layout:
+    """The fields of one universe's packed keys: field 0 is the variable
+    degree, 1..nv the variables, nv + 1 the parameter degree, then the
+    parameters; slot i is field i + 1 for a variable, i + 2 for a
+    parameter."""
+
+    __slots__ = ("nv", "shifts", "biases", "units", "base", "guard", "top", "pbits", "fields")
+
+    def __init__(self, nv, nparams):
+        nfields = nv + nparams + 2
+        shift = [(nfields - 1 - f) * _WIDTH for f in range(nfields)]
+        self.nv = nv
+        self.shifts = shift[1:nv + 1] + shift[nv + 2:]
+        self.biases = [0] * nv + [_BIAS] * nparams
+        self.units = [(1 << shift[1 + i]) + (1 << shift[0]) for i in range(nv)]
+        self.units += [(1 << shift[nv + 2 + j]) + (1 << shift[nv + 1]) for j in range(nparams)]
+        self.base = sum(_BIAS << s for s in shift[nv + 1:])
+        self.guard = sum(_LIMIT << s for s in shift)
+        self.top = shift[0]  # key >> top is the variable degree
+        self.pbits = shift[nv]  # the low bits below the variables
+        self.fields = struct.Struct(f">{nfields}H")
+
+    def field_mask(self, slot):
+        return _FIELD << self.shifts[slot]
+
+    def exponent(self, key, slot):
+        return ((key >> self.shifts[slot]) & _FIELD) - self.biases[slot]
+
+    def pack(self, exps):
+        """The key of a full exponent tuple, with no negative variable
+        exponent, whose every exponent and both degrees fit their fields;
+        ``ExponentOverflow`` otherwise."""
+        vexps, pexps = exps[:self.nv], exps[self.nv:]
+        # the variable degree bounds each variable exponent
+        if not (
+            sum(vexps) < _LIMIT
+            and -_BIAS <= min(pexps, default=0)
+            and max(pexps, default=0) < _BIAS
+            and -_BIAS <= sum(pexps) < _BIAS
+        ):
+            raise ExponentOverflow(
+                f"exponents {tuple(exps)} leave the packed key: variable exponents and degree "
+                f"lie in [0, {_LIMIT}), parameter ones in [{-_BIAS}, {_BIAS})"
+            )
+        return self.base + sum(map(mul, exps, self.units))
+
+    def monomial(self, slot, e):
+        """The key of one exponent ``e`` at ``slot``, range-checked as in ``pack``."""
+        low = -_BIAS if slot >= self.nv else 0
+        if not low <= e < _LIMIT + low:
+            raise ExponentOverflow(f"exponent {e} leaves its packed field [{low}, {_LIMIT + low})")
+        return self.base + e * self.units[slot]
+
+    def unpack_fields(self, key):
+        """Every field of a key, from the top: the raw 16-bit values."""
+        return self.fields.unpack(key.to_bytes(self.fields.size, "big"))
+
+    def unpack(self, key):
+        """The exponent tuple of a key: variables, then parameters."""
+        fields = self.unpack_fields(key)
+        return fields[1:self.nv + 1] + tuple(e - _BIAS for e in fields[self.nv + 2:])
+
+    def check(self, keys):
+        """Raise ``ExponentOverflow`` if a key has a guard bit set."""
+        guard = self.guard
+        for k in keys:
+            if k & guard:
+                raise ExponentOverflow("an exponent or degree of a result leaves its packed field")
+
+
+_layout = functools.lru_cache(maxsize=4)(_Layout)
 
 
 @dataclass(frozen=True)
@@ -55,6 +153,8 @@ class VarUniverse:
     ring: ParamRing
     # the exponent slot of every name in the text grammar: variables, then parameters
     _slots: dict = field(init=False, repr=False, compare=False)
+    _layout: _Layout = field(init=False, repr=False, compare=False)
+    _units: dict = field(init=False, repr=False, compare=False)  # the unit of every name
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -63,6 +163,8 @@ class VarUniverse:
         if overlap:
             raise ValueError(f"names {sorted(overlap)} used as both variable and parameter")
         object.__setattr__(self, "_slots", {name: k for k, name in enumerate(self.names + self.ring.names)})
+        object.__setattr__(self, "_layout", _layout(len(self.names), self.ring.nparams))
+        object.__setattr__(self, "_units", dict(zip(self._slots, self._layout.units)))
 
     def __len__(self):
         return len(self.names)
@@ -108,9 +210,12 @@ class SparsePoly:
     def __init__(self, universe: VarUniverse, terms: dict):
         """``terms`` maps a full exponent tuple (variables, then
         parameters) to an int, or a variable exponent tuple to a
-        ``ParamCoeff`` literal; residues are reduced mod p, zeros dropped."""
+        ``ParamCoeff`` literal; residues are reduced mod p, zeros dropped.
+        An exponent or degree outside its packed field raises
+        ``ExponentOverflow``."""
         ring = universe.ring
         nv = len(universe)
+        pack = universe._layout.pack
         acc = {}
         for exps, c in terms.items():
             if isinstance(c, ParamCoeff):
@@ -123,15 +228,16 @@ class SparsePoly:
                 pairs = [(tuple(exps), c)]
             else:
                 raise TypeError("coefficients must be int residues or ParamCoeff literals")
-            for key, v in pairs:
-                if len(key) != nv + ring.nparams:
+            for exps_full, v in pairs:
+                if len(exps_full) != nv + ring.nparams:
                     raise ValueError("exponent tuple length mismatch")
-                if min(key, default=0) < 0:
-                    if min(key[:nv], default=0) < 0:
+                if min(exps_full, default=0) < 0:
+                    if min(exps_full[:nv], default=0) < 0:
                         raise ValueError("negative variable exponent")
-                    for e, name in zip(key[nv:], ring.names):
+                    for e, name in zip(exps_full[nv:], ring.names):
                         if e < 0 and name not in ring.invertible:
                             raise ValueError(f"negative exponent at non-invertible parameter {name!r}")
+                key = pack(exps_full)
                 acc[key] = acc.get(key, 0) + v
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "terms", _reduced(acc, ring.p))
@@ -158,15 +264,23 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, universe: VarUniverse, name: str, exp: int = 1) -> "SparsePoly":
-        exps = [0] * (len(universe) + universe.ring.nparams)
-        exps[universe.index(name)] = exp
-        return cls(universe, {tuple(exps): 1})
+        slot = universe.index(name)
+        if exp < 0:
+            raise ValueError("negative variable exponent")
+        return _poly(universe, {universe._layout.monomial(slot, exp): 1})
 
     @classmethod
     def param(cls, universe: VarUniverse, name: str, exp: int = 1) -> "SparsePoly":
-        exps = [0] * (len(universe) + universe.ring.nparams)
-        exps[len(universe) + universe.ring.index(name)] = exp
-        return cls(universe, {tuple(exps): 1})
+        slot = len(universe) + universe.ring.index(name)
+        if exp < 0 and name not in universe.ring.invertible:
+            raise ValueError(f"negative exponent at non-invertible parameter {name!r}")
+        return _poly(universe, {universe._layout.monomial(slot, exp): 1})
+
+    def to_dict(self) -> dict:
+        """{full exponent tuple: residue}, variables then parameters, in
+        term order; the constructor takes it back."""
+        unpack = self.universe._layout.unpack
+        return {unpack(k): c for k, c in self.terms.items()}
 
     # -- basic predicates --
 
@@ -217,12 +331,16 @@ class SparsePoly:
 
     def __mul__(self, other):
         self._check(other)
+        layout = self.universe._layout
+        # k1 + (k2 - base) is the key of the product monomial
+        shifted = [(k2 - layout.base, c2) for k2, c2 in other.terms.items()]
         acc = {}
         get = acc.get
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(map(add, k1, k2))
+            for k2, c2 in shifted:
+                k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
+        layout.check(acc)
         return _poly(self.universe, _reduced(acc, self.universe.ring.p))
 
     def scale(self, c: int) -> "SparsePoly":
@@ -233,8 +351,10 @@ class SparsePoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        out = SparsePoly.constant(self.universe, 1)
-        for _ in range(k):
+        if k == 0:
+            return SparsePoly.constant(self.universe, 1)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -243,8 +363,8 @@ class SparsePoly:
     def _variable_degrees(self):
         if not self.terms:
             raise ZeroPolynomial("degree of the zero polynomial")
-        nv = len(self.universe)
-        return {sum(k[:nv]) for k in self.terms}
+        top = self.universe._layout.top
+        return {k >> top for k in self.terms}
 
     def total_degree(self) -> int:
         return max(self._variable_degrees())
@@ -257,13 +377,17 @@ class SparsePoly:
     def _param_slot(self, name: str) -> int:
         return len(self.universe) + self.universe.ring.index(name)
 
+    def _uses_slot(self, slot):
+        layout = self.universe._layout
+        mask = layout.field_mask(slot)
+        zero = layout.biases[slot] << layout.shifts[slot]
+        return any(k & mask != zero for k in self.terms)
+
     def uses_variable(self, name: str) -> bool:
-        i = self.universe.index(name)
-        return any(k[i] for k in self.terms)
+        return self._uses_slot(self.universe.index(name))
 
     def uses_param(self, name: str) -> bool:
-        i = self._param_slot(name)
-        return any(k[i] for k in self.terms)
+        return self._uses_slot(self._param_slot(name))
 
     # -- divisibility by variable powers --
 
@@ -272,22 +396,24 @@ class SparsePoly:
         if k < 0:
             raise ValueError("negative power")
         i = self.universe.index(name)
-        return all(e[i] >= k for e in self.terms)
+        layout = self.universe._layout
+        mask, need = layout.field_mask(i), k << layout.shifts[i]
+        return all(e & mask >= need for e in self.terms)
 
     def divide_by_monomial(self, name: str, k: int) -> "SparsePoly":
         if not self.monomial_divides(name, k):
             raise DivisionFailure(f"{name}^{k} does not divide every term")
-        i = self.universe.index(name)
-        return _poly(
-            self.universe, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self.terms.items()}
-        )
+        step = k * self.universe._layout.units[self.universe.index(name)]
+        return _poly(self.universe, {e - step: c for e, c in self.terms.items()})
 
     def variable_valuation(self, name: str):
         """min exponent of ``name`` over all terms; None for the zero polynomial."""
         i = self.universe.index(name)
         if not self.terms:
             return None
-        return min(e[i] for e in self.terms)
+        layout = self.universe._layout
+        mask = layout.field_mask(i)
+        return min(e & mask for e in self.terms) >> layout.shifts[i]
 
     # -- calculus --
 
@@ -296,11 +422,14 @@ class SparsePoly:
         kills exponents divisible by p.  Lowering one slot is injective,
         so no two terms meet."""
         p = self.universe.ring.p
+        layout = self.universe._layout
+        shift, bias, unit = layout.shifts[slot], layout.biases[slot], layout.units[slot]
         out = {}
         for k, c in self.terms.items():
-            v = c * k[slot] % p
+            v = c * (((k >> shift) & _FIELD) - bias) % p
             if v:
-                out[k[:slot] + (k[slot] - 1,) + k[slot + 1:]] = v
+                out[k - unit] = v
+        layout.check(out)
         return _poly(self.universe, out)
 
     def partial_derivative(self, name: str) -> "SparsePoly":
@@ -317,10 +446,11 @@ class SparsePoly:
         residue.  Every parameter the terms use must be assigned, and an
         invertible one must be assigned a nonzero value."""
         ring = self.universe.ring
+        layout = self.universe._layout
         p, nv = ring.p, len(self.universe)
         values = []
         for slot, name in enumerate(ring.names, nv):
-            if not any(k[slot] for k in self.terms):
+            if not self._uses_slot(slot):
                 continue
             if name not in assignment:
                 raise UnassignedParameter(f"parameter {name!r} not assigned")
@@ -328,14 +458,24 @@ class SparsePoly:
             if v == 0 and name in ring.invertible:
                 raise InvertibleAssignedZero(f"invertible parameter {name!r} assigned 0")
             values.append((slot, v))
+        pbits = layout.pbits
+        pmask = (1 << pbits) - 1
+        monomials = {}  # the value of each parameter part met
         acc = {}
         for k, c in self.terms.items():
-            for slot, v in values:
-                if k[slot]:
-                    c = c * _power(v, k[slot], p) % p
-            exps = k[:nv]
-            acc[exps] = acc.get(exps, 0) + c
-        return _reduced(acc, p)
+            if values:
+                pk = k & pmask
+                m = monomials.get(pk)
+                if m is None:
+                    m = 1
+                    for slot, v in values:
+                        m = m * _power(v, layout.exponent(pk, slot), p) % p
+                    monomials[pk] = m
+                c = c * m
+            vk = k >> pbits
+            acc[vk] = acc.get(vk, 0) + c
+        unpack = layout.unpack_fields
+        return {unpack(vk << pbits)[1:nv + 1]: r for vk, c in acc.items() if (r := c % p)}
 
     def eval_point(self, point, params: dict | None = None) -> int:
         """Exact evaluation at a point, with a total parameter assignment;
@@ -356,14 +496,17 @@ class SparsePoly:
         """Bake a single parameter to a field value, keeping the others symbolic."""
         p = self.universe.ring.p
         slot = self._param_slot(name)
+        layout = self.universe._layout
+        unit = layout.units[slot]
         value %= p
         acc = {}
         for k, c in self.terms.items():
-            e = k[slot]
+            e = layout.exponent(k, slot)
             if e:
                 c = c * _power(value, e, p)
-                k = k[:slot] + (0,) + k[slot + 1:]
+                k -= e * unit
             acc[k] = acc.get(k, 0) + c
+        layout.check(acc)
         return _poly(self.universe, _reduced(acc, p))
 
     # -- universe embedding --
@@ -374,19 +517,17 @@ class SparsePoly:
         old = self.universe
         if new_universe.ring != old.ring:
             raise ModulusMismatch("universes over different parameter rings")
-        # the old slot each new slot copies; slot `width` is a padding 0
-        nv, width = len(old), len(old) + old.ring.nparams
-        positions = [width] * len(new_universe) + list(range(nv, width))
-        for i, name in enumerate(old.names):
-            j = new_universe._slots.get(name)  # name is no parameter of the shared ring
-            if j is not None:
-                positions[j] = i
-            elif self.uses_variable(name):
+        moves, dropped = _embedding(old, new_universe)
+        for name in dropped:
+            if self.uses_variable(name):
                 raise UnknownVariable(f"unknown variable {name!r}")
-        pick = itemgetter(*positions)
-        if len(positions) == 1:  # itemgetter of one index returns the bare item
-            pick = lambda k, get=pick: (get(k),)
-        return _poly(new_universe, {pick(k + (0,)): c for k, c in self.terms.items()})
+        out = {}
+        for k, c in self.terms.items():
+            nk = 0
+            for mask, up, down in moves:
+                nk |= (k & mask) << up >> down
+            out[nk] = c
+        return _poly(new_universe, out)
 
     # -- canonical text form --
 
@@ -395,14 +536,17 @@ class SparsePoly:
             return "0"
         universe = self.universe
         nv = len(universe)
-        # parameters print before variables
-        names = tuple(universe.ring.names) + tuple(universe.names)
-        # descending total degree, then descending lex: variable part
-        # first, then parameter part; keys are unique, so no ties
+        unpack = universe._layout.unpack_fields
+        pnames, vnames = universe.ring.names, universe.names
         pieces = []
-        for k in sorted(self.terms, key=lambda k: (sum(k[:nv]), k[:nv], sum(k[nv:]), k[nv:]), reverse=True):
+        for k in sorted(self.terms, reverse=True):
             scalar = self.terms[k]
-            factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, k[nv:] + k[:nv]) if e]
+            fields = unpack(k)
+            vexps = fields[1:nv + 1]
+            # parameters print before variables
+            exps = [(n, e - _BIAS) for n, e in zip(pnames, fields[nv + 2:]) if e != _BIAS]
+            exps += zip(compress(vnames, vexps), compress(vexps, vexps))
+            factors = [n if e == 1 else f"{n}^{e}" for n, e in exps]
             if not factors:
                 pieces.append(str(scalar))
             elif scalar == 1:
@@ -413,6 +557,33 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({self.canonical_string()})"
+
+
+@functools.lru_cache(maxsize=4)
+def _embedding(old, new):
+    """(moves, dropped) from ``old`` keys to ``new`` keys: each run of
+    fields that stays consecutive (the variable degree with the leading
+    variables, the parameter block) moves as (mask, left shift, right
+    shift); ``dropped`` names the old variables that ``new`` lacks."""
+    nv, nfields = len(old), len(old) + 2 + old.ring.nparams
+    # the old field each new field copies, None for a new variable's 0
+    source = [0] + [None if (i := old._slots.get(name)) is None else i + 1 for name in new.names]
+    source += range(nv + 1, nfields)
+    moves = []
+    f = 0
+    while f < len(source):
+        if source[f] is None:
+            f += 1
+            continue
+        start = f
+        while f + 1 < len(source) and source[f + 1] == source[f] + 1:
+            f += 1
+        # new fields start..f copy old fields source[start]..source[f]
+        low = (nfields - 1 - source[f]) * _WIDTH
+        delta = (len(source) - 1 - f) * _WIDTH - low
+        moves.append((((1 << ((f - start + 1) * _WIDTH)) - 1) << low, max(delta, 0), max(-delta, 0)))
+        f += 1
+    return tuple(moves), tuple(name for name in old.names if name not in new._slots)
 
 
 # one operator and the whitespace around it; "^" then "-" before a digit
@@ -445,32 +616,44 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
     """Parse the grammar above into a canonical ``SparsePoly``.
 
     The stripped text is split once into alternating factors and
-    operators.  Terms are summed in one dict of full exponent tuples, so
-    monomials keep the order of their first appearance in ``text``.
+    operators.  Each factor adds its exponent times its name's unit to
+    the term's packed key, and terms are summed in one dict of keys, so
+    monomials keep the order of their first appearance in ``text``.  An
+    exponent, or a degree, that leaves its field is a ``ParseError`` at
+    its name, or at its term when the field fills up one factor at a time.
     """
     parts = _SPLIT.split(text.strip())
     if parts == [""]:
         raise ParseError("empty polynomial text", 0)
     parts.append("")  # the end of the text, as an operator
-    slots = universe._slots
+    units = universe._units
+    base, guard = universe._layout.base, universe._layout.guard
+    # A field in range that moves by less than 2^15 sets its guard bit if
+    # it leaves the range.  So the key is checked before and after each
+    # '^' factor, and at the end of each term: with at most 2^15 factors
+    # in the text, the unit factors in between cannot wrap a field.
+    each = len(parts) > 2 * _LIMIT
     ints = {}  # each int of this text, parsed once
     acc = {}
     i = 0
     scalar = 1
     while True:
-        exps = [0] * len(slots)
+        key = base
+        start = i
         while True:
             atom, op = parts[i], parts[i + 1]
-            slot = slots.get(atom)
-            if slot is None:
+            unit = units.get(atom)
+            if unit is None:
                 v = ints.get(atom)
                 if v is None:
                     if not atom.isdecimal():
                         raise _factor_error(text, parts, i)
                     v = ints[atom] = int(atom)
                 scalar *= v
-            elif op[:1] != "^":
-                exps[slot] += 1
+            elif "^" not in op:
+                key += unit
+                if each and key & guard:
+                    raise _error(f"exponent or degree out of range at {atom!r}", text, i)
             else:
                 i += 2
                 e = ints.get(parts[i])
@@ -479,16 +662,18 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
                         raise _error("expected integer exponent after '^'", text, i - 1)
                     e = ints[parts[i]] = int(parts[i])
                 if op != "^" and e:
-                    if slot < len(universe) or atom not in universe.ring.invertible:
-                        kind = "variable" if slot < len(universe) else "parameter"
+                    if atom not in universe.ring.invertible:
+                        kind = "variable" if atom in universe.names else "parameter"
                         raise _error(f"negative exponent at {kind} {atom!r}", text, i - 2)
                     e = -e
-                exps[slot] += e
+                if e >= _LIMIT or -e >= _LIMIT or key & guard or (key := key + e * unit) & guard:
+                    raise _error(f"exponent or degree out of range at {atom!r}", text, i - 2)
                 op = parts[i + 1]
             i += 2
             if op != "*":
                 break
-        key = tuple(exps)
+        if key & guard:
+            raise _error("exponent or degree out of range in this term", text, start)
         acc[key] = acc.get(key, 0) + scalar
         if not op:
             return _poly(universe, _reduced(acc, universe.ring.p))

@@ -4,12 +4,14 @@ package against; nothing in the package calls them."""
 import re
 from itertools import combinations
 from math import gcd
+from operator import add
 
 from conewalk import bifactor as bi
 from conewalk import unifactor as uni
 from conewalk.basecase import BaseParams, build_cj, build_g, cj_degree
+from conewalk.coeffs import ff_inv_int
 from conewalk.errors import FactorsNotCoprime, ParseError
-from conewalk.poly import SparsePoly, VarUniverse, _poly, _reduced, coordinate_universe
+from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe
 
 
 def max_abs_minor_gcd(A, k):
@@ -81,7 +83,7 @@ def build_F(bp: BaseParams, universe: VarUniverse | None = None) -> SparsePoly:
 def min_param_exp(f: SparsePoly, name: str) -> int:
     """Least exponent of the parameter ``name`` over the terms of f (0 for f = 0)."""
     i = len(f.universe) + f.universe.ring.index(name)
-    return min((exps[i] for exps in f.terms), default=0)
+    return min((exps[i] for exps in f.to_dict()), default=0)
 
 
 def clear_param_denominators(f: SparsePoly, name: str) -> SparsePoly:
@@ -96,7 +98,7 @@ def set_param_zero(f: SparsePoly, name: str) -> SparsePoly:
     """Substitute the parameter ``name`` by 0, after clearing its denominators."""
     cleared = clear_param_denominators(f, name)
     i = len(f.universe) + f.universe.ring.index(name)
-    return SparsePoly(f.universe, {e: c for e, c in cleared.terms.items() if e[i] == 0})
+    return SparsePoly(f.universe, {e: c for e, c in cleared.to_dict().items() if e[i] == 0})
 
 
 def hensel_pair_quadratic(F, f, g0, h0, T):
@@ -144,16 +146,18 @@ def term_sort_key(exps):
     return (-sum(exps), tuple(-e for e in exps))
 
 
-def canonical_string(f: SparsePoly) -> str:
-    """The canonical text of f, terms ordered by ``term_sort_key`` on the
-    variable part and then on the parameter part."""
-    if not f.terms:
+def canonical_string(f) -> str:
+    """The canonical text of f, a ``SparsePoly`` or a ``TuplePoly``, terms
+    ordered by ``term_sort_key`` on the variable part and then on the
+    parameter part."""
+    terms = f.to_dict()
+    if not terms:
         return "0"
     nv = len(f.universe)
     labels = list(enumerate(f.universe.ring.names, nv)) + list(enumerate(f.universe.names))
     pieces = []
-    for k in sorted(f.terms, key=lambda k: (term_sort_key(k[:nv]), term_sort_key(k[nv:]))):
-        scalar = f.terms[k]
+    for k in sorted(terms, key=lambda k: (term_sort_key(k[:nv]), term_sort_key(k[nv:]))):
+        scalar = terms[k]
         factors = [name if k[i] == 1 else f"{name}^{k[i]}" for i, name in labels if k[i]]
         if not factors:
             pieces.append(str(scalar))
@@ -251,4 +255,97 @@ def parse_poly_scanner(text: str, universe: VarUniverse) -> SparsePoly:
             raise ParseError(f"expected '+' between terms, got {tok!r}", pos)
         i += 1
         i = parse_term(i, sign)
-    return _poly(universe, _reduced(acc, p))
+    return SparsePoly(universe, acc)
+
+
+class TuplePoly:
+    """The tuple-keyed reference for ``SparsePoly``: ``terms`` maps a full
+    exponent tuple (variables, then parameters) to a residue in [1, p),
+    and every operation works slot by slot on the tuples, as the package
+    did before it packed each tuple into one int key."""
+
+    def __init__(self, universe, terms):
+        p = universe.ring.p
+        self.universe = universe
+        self.terms = {tuple(k): r for k, v in terms.items() if (r := v % p)}
+
+    def to_dict(self):
+        return dict(self.terms)
+
+    def _combine(self, other, sign):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + sign * c
+        return TuplePoly(self.universe, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return TuplePoly(self.universe, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        acc = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = tuple(map(add, k1, k2))
+                acc[k] = acc.get(k, 0) + c1 * c2
+        return TuplePoly(self.universe, acc)
+
+    def __pow__(self, k):
+        out = TuplePoly(self.universe, {(0,) * (len(self.universe) + self.universe.ring.nparams): 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def _derivative(self, slot):
+        out = {}
+        for k, c in self.terms.items():
+            if k[slot]:
+                out[k[:slot] + (k[slot] - 1,) + k[slot + 1:]] = c * k[slot]
+        return TuplePoly(self.universe, out)
+
+    def partial_derivative(self, name):
+        return self._derivative(self.universe.index(name))
+
+    def param_derivative(self, name):
+        return self._derivative(len(self.universe) + self.universe.ring.index(name))
+
+    def specialize_params(self, assignment):
+        """{variable exponent tuple: residue} at a total assignment."""
+        p, nv = self.universe.ring.p, len(self.universe)
+        acc = {}
+        for k, c in self.terms.items():
+            for e, name in zip(k[nv:], self.universe.ring.names):
+                if e:
+                    v = assignment[name] % p
+                    c = c * (pow(v, e, p) if e > 0 else pow(ff_inv_int(v, p), -e, p))
+            acc[k[:nv]] = acc.get(k[:nv], 0) + c
+        return {k: r for k, v in acc.items() if (r := v % p)}
+
+    def substitute_param(self, name, value):
+        slot = len(self.universe) + self.universe.ring.index(name)
+        p = self.universe.ring.p
+        acc = {}
+        for k, c in self.terms.items():
+            e = k[slot]
+            if e:
+                c = c * (pow(value, e, p) if e > 0 else pow(ff_inv_int(value, p), -e, p))
+                k = k[:slot] + (0,) + k[slot + 1:]
+            acc[k] = acc.get(k, 0) + c
+        return TuplePoly(self.universe, acc)
+
+    def embed(self, new_universe):
+        """Reindex into a universe holding every variable the terms use."""
+        old = self.universe
+        nv, width = len(old), len(old) + old.ring.nparams
+        positions = [width] * len(new_universe) + list(range(nv, width))
+        for i, name in enumerate(old.names):
+            if name in new_universe.names:
+                positions[new_universe.index(name)] = i
+            elif any(k[i] for k in self.terms):
+                raise ValueError(f"{name!r} is used and missing from the new universe")
+        return TuplePoly(new_universe, {tuple((k + (0,))[j] for j in positions): c for k, c in self.terms.items()})

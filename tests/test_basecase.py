@@ -98,7 +98,7 @@ def test_F_shape():
     # coefficient of y_{r+1}^m is (-1)^n x1...xn
     i_last = u.index(f"y{BP32.r + 1}")
     collected = {}
-    for exps, c in F.terms.items():
+    for exps, c in F.to_dict().items():
         if exps[i_last] == BP32.m:
             rest = list(exps)
             rest[i_last] = 0
@@ -106,7 +106,7 @@ def test_F_shape():
     expected = -(
         SparsePoly.variable(u, "x1") * SparsePoly.variable(u, "x2") * SparsePoly.variable(u, "x3")
     )
-    assert collected == expected.terms
+    assert collected == expected.to_dict()
 
 
 def test_F_yj_cofactor_divisibility():
@@ -115,7 +115,7 @@ def test_F_yj_cofactor_divisibility():
     for j in range(1, BP32.r + 1):
         ij = u.index(f"y{j}")
         cofactor_terms = {}
-        for exps, c in F.terms.items():
+        for exps, c in F.to_dict().items():
             if exps[ij] == BP32.m:
                 rest = list(exps)
                 rest[ij] = 0
@@ -166,7 +166,7 @@ def test_base_state_matches_regrouped_F():
     F = build_F(BP32, u)
     # strip the y_{r+1}^m term from F
     i_last = u.index(f"y{BP32.r + 1}")
-    stripped = SparsePoly(u, {e: c for e, c in F.terms.items() if e[i_last] == 0})
+    stripped = SparsePoly(u, {e: c for e, c in F.to_dict().items() if e[i_last] == 0})
     expected = SparsePoly.param(u, "rho") * build_h(BP32, "default", u) + SparsePoly.variable(
         u, "x0", BP32.d - BP32.m - BP32.n
     ) * stripped

@@ -371,6 +371,9 @@ def test_state_with_a_mistyped_value_is_a_usage_error(tmp_path, capsys, path, va
         (("a0",), "x0*", "state a0 does not parse: expected a factor after '*' (at position 3)"),
         (("h_poly",), "1 +", "state h_poly does not parse: empty term (at position 3)"),
         (("a", "2,1"), "x0^-1", "state a[\"2,1\"] does not parse: negative exponent at variable 'x0'"),
+        # an exponent that leaves its packed field never carries into the next one
+        (("f0",), "x1 + x0^70000", "state f0 does not parse: exponent or degree out of range at 'x0' (at position 5)"),
+        (("a0",), "x0^32767*x1", "state a0 does not parse: exponent or degree out of range in this term (at position 0)"),
     ],
 )
 def test_state_with_unparsable_text_is_a_usage_error(tmp_path, capsys, path, text, needle):
@@ -389,6 +392,28 @@ def test_state_with_unparsable_text_is_a_usage_error(tmp_path, capsys, path, tex
     code, _, err = run(capsys, "verify", "--state", str(state), "--seed", "1")
     assert code == 2
     _assert_one_error_line(err, str(state), needle)
+
+
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--steps", "0"], "--steps must be at least 1, got 0"),
+        (["--steps", "-1"], "--steps must be at least 1, got -1"),
+        (["--j", "0"], "--j must lie in 1..r = 1..6, got 0"),
+        (["--j", "99"], "--j must lie in 1..r = 1..6, got 99"),
+    ],
+)
+def test_induct_flag_out_of_range_is_a_usage_error(tmp_path, capsys, flags, needle):
+    s0, out = tmp_path / "s0.json", tmp_path / "s1.json"
+    run(
+        capsys,
+        "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
+        "--p", "101", "--out", str(s0),
+    )
+    code, stdout, err = run(capsys, "induct", "--state", str(s0), *flags, "--seed", "1", "--out", str(out))
+    assert code == 2 and stdout == ""
+    _assert_one_error_line(err, needle)
+    assert not out.exists()
 
 
 def test_cached_parser_carries_no_option_into_the_next_call(monkeypatch):
@@ -555,4 +580,34 @@ def test_state_and_report_bytes_pinned(tmp_path, capsys):
         "sym.json": "24033fe944e50cafe93c6b968fa0b7afe5b3b68fa59e4feb546945049b0b7562",
         "r2.json": "289f7b3aa8404a0c3fea9cb1ffff887597a84af1a50eb8b7a53509812dd446cc",
         "rsym.json": "fefed867f8f7fce18b3b436582c354157f261947ab3400bb80bee6bd28a02e67",
+    }
+
+
+def test_ladder_station_bytes_pinned(tmp_path, capsys):
+    """A (4,2,14,12,103) ladder, two runs of 26 one-at-a-time cone steps,
+    writes these exact state bytes at stations 0, 26 and 52; station 52
+    has 72 variables and 4 parameters, more slots than a 64-bit word has
+    bits.  The same shape at p = 149 > d^2 passes verify at station 26."""
+    paths = {}
+    for p in (103, 149):
+        s0, s26, s52 = (tmp_path / f"{p}-s{k}.json" for k in (0, 26, 52))
+        assert run(capsys, "construct", "base", "--n", "4", "--m", "2", "--r", "14", "--d", "12",
+                   "--p", str(p), "--seed", "9", "--out", str(s0))[0] == 0
+        assert run(capsys, "induct", "--state", str(s0), "--steps", "26", "--seed", "31",
+                   "--out", str(s26))[0] == 0
+        paths[p] = [s0, s26, s52]
+    s0, s26, s52 = paths[103]
+    assert run(capsys, "induct", "--state", str(s26), "--steps", "26", "--seed", "57",
+               "--out", str(s52))[0] == 0
+    assert json.loads(s52.read_text())["e"] == [0] * 14
+    code, out, _ = run(capsys, "verify", "--state", str(paths[149][1]), "--trials", "4",
+                       "--seed", "5", "--json")
+    assert code == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (s0, s26, s52)}
+    digests["verify-149-s26"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {
+        "103-s0.json": "d7df3dfa0b580feaaa2089e575f2caf28c26217ff1bf70aab1363cd25ac0bcd6",
+        "103-s26.json": "8cfbf5a6fb0abccfaaadcdb2f950fe5215c49cdf637f7edaec479512298dc0d5",
+        "103-s52.json": "1a7b00f912372671f7c69a440299f40680fa5461f8a1f8106450c5bedfa734c0",
+        "verify-149-s26": "ff9a777739c3a7a0035a8a1f5bc63b2f9cb0a95d67e5ca241480cb8067cb73ac",
     }

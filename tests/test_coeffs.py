@@ -152,8 +152,8 @@ def test_derivative_of_laurent_term():
 def test_no_zero_terms_stored():
     c = SparsePoly(U0, {RING.zero_exps(): 101})
     assert c.is_zero()
-    assert c.terms == {}
-    assert SparsePoly(U0, {(): ParamCoeff(RING, {RING.zero_exps(): 101})}).terms == {}
+    assert c.to_dict() == {}
+    assert SparsePoly(U0, {(): ParamCoeff(RING, {RING.zero_exps(): 101})}).to_dict() == {}
 
 
 def test_caller_flagged_invertible_parameter():

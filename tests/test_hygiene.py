@@ -53,6 +53,28 @@ def test_imports_only_stdlib_and_conewalk():
     assert not found, found
 
 
+def test_term_keys_are_read_only_in_poly():
+    """Term keys are packed ints whose layout is private to ``poly``: the
+    rest of the package reads a polynomial's ``terms`` only through
+    ``len(...)``, and exponents through ``poly``'s methods."""
+    found = []
+    for name, tree in _trees():
+        if name == "poly.py":
+            continue
+        counted = {
+            id(node.args[0])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "len" and len(node.args) == 1
+        }
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "terms" and id(node) not in counted
+        ]
+    assert not found, found
+
+
 MODULES = {path.stem for path in SOURCES}
 
 

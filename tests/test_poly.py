@@ -10,6 +10,7 @@ from conewalk.coeffs import ParamCoeff, ParamRing
 from conewalk.doublecone import induct_step
 from conewalk.errors import (
     DivisionFailure,
+    ExponentOverflow,
     ParseError,
     UniverseMismatch,
     UnknownVariable,
@@ -17,6 +18,7 @@ from conewalk.errors import (
 )
 from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe, parse_poly
 from oracles import (
+    TuplePoly,
     canonical_string,
     clear_param_denominators,
     min_param_exp,
@@ -290,7 +292,7 @@ def _random_text(rng):
 
 def _parse_or_error(parse, text):
     try:
-        return list(parse(text, U3).terms.items())
+        return list(parse(text, U3).to_dict().items())
     except ParseError as ex:
         assert 0 <= ex.position <= len(text), (text, ex.position)
         return None
@@ -335,7 +337,7 @@ def test_ladder_state_round_trips_through_both_parsers():
         got = parse_poly(text, state.universe)
         assert got == f
         want = parse_poly_scanner(text, state.universe)
-        assert list(got.terms.items()) == list(want.terms.items())
+        assert list(got.to_dict().items()) == list(want.to_dict().items())
 
 
 def test_eval_unassigned_parameter_raises():
@@ -405,7 +407,7 @@ def test_constructor_rejects_non_int_coefficient():
 def test_constant_over_zero_variable_universe():
     u0 = VarUniverse((), RING)
     c = SparsePoly.constant(u0, 7)
-    assert list(c.terms) == [(0, 0, 0, 0)]
+    assert list(c.to_dict()) == [(0, 0, 0, 0)]
     assert c.canonical_string() == "7"
     assert parse_poly("3*lam^-1 + 4", u0).canonical_string() == "4 + 3*lam^-1"
 
@@ -424,15 +426,15 @@ def test_parse_sums_per_monomial():
     lam = SparsePoly.param(U3, "lam")
     lam_inv = SparsePoly.param(U3, "lam", -1)
     assert f == (lam.scale(2) + lam_inv.scale(2)) * V("x0")
-    assert list(f.terms) == [(1, 0, 0, 0, 1, 0, 0), (1, 0, 0, 0, -1, 0, 0)]
+    assert list(f.to_dict()) == [(1, 0, 0, 0, 1, 0, 0), (1, 0, 0, 0, -1, 0, 0)]
 
 
 def test_parse_keeps_first_appearance_order():
     f = P("x2 + x0^2 + 3*x1 + x0*x1 + 5*x2")
-    assert list(f.terms) == [
+    assert list(f.to_dict()) == [
         (0, 0, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0)
     ]
-    assert f.terms[(0, 0, 1, 0, 0, 0, 0)] == 6
+    assert f.to_dict()[(0, 0, 1, 0, 0, 0, 0)] == 6
 
 
 def test_parse_is_the_sum_of_single_term_parses():
@@ -519,3 +521,111 @@ def test_canonical_string_matches_the_sort_key_reference():
         assert b.canonical_string() == canonical_string(b)
 
     check()
+
+
+# -- packed keys against the tuple-keyed reference --
+
+
+def test_packed_keys_match_the_tuple_reference():
+    """On random universes of 0 to 80 variables, with negative ``lam``
+    exponents, every operation on packed keys gives the terms that the
+    tuple-keyed reference gives: sums, products, powers, both
+    derivatives, substitution, specialization, embeddings that append,
+    reorder or drop an unused variable, the canonical text and its
+    round trip."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def cases(draw):
+        nv = draw(st.integers(0, 80))
+        universe = VarUniverse(tuple(f"v{i}" for i in range(nv)), RING)
+
+        def terms():
+            out = {}
+            for _ in range(draw(st.integers(0, 5))):
+                exps = [0] * nv
+                for i, e in draw(st.lists(st.tuples(st.integers(0, max(nv - 1, 0)), st.integers(1, 3)),
+                                          max_size=4 if nv else 0)):
+                    exps[i] = e
+                pexps = [draw(st.integers(0, 2)), draw(st.integers(-3, 3)), draw(st.integers(0, 2)),
+                         draw(st.integers(0, 2))]
+                out[tuple(exps + pexps)] = draw(st.integers(0, 202))
+            return out
+
+        return universe, terms(), terms(), draw(st.randoms(use_true_random=False))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        u, ta, tb, rng = case
+        a, b = SparsePoly(u, ta), SparsePoly(u, tb)
+        ra, rb = TuplePoly(u, ta), TuplePoly(u, tb)
+        assert a.to_dict() == ra.terms
+        for got, want in [(a + b, ra + rb), (a - b, ra - rb), (-a, -ra), (a * b, ra * rb)]:
+            assert got.to_dict() == want.terms
+        k = rng.randrange(4)
+        assert (b ** k).to_dict() == (rb ** k).terms
+        for name in u.names[:3] + u.names[-2:]:
+            assert a.partial_derivative(name).to_dict() == ra.partial_derivative(name).terms
+        values = {name: rng.randrange(1, 101) for name in RING.names}
+        for name in RING.names:
+            assert a.param_derivative(name).to_dict() == ra.param_derivative(name).terms
+            assert a.substitute_param(name, values[name]).to_dict() == ra.substitute_param(name, values[name]).terms
+        assert a.specialize_params(values) == ra.specialize_params(values)
+        names = list(u.names)
+        rng.shuffle(names)
+        unused = [n for n in names if not a.uses_variable(n)]
+        for names_new in [list(u.names) + ["w0", "w1"], names, [n for n in names if n not in unused[:1]]]:
+            new = VarUniverse(tuple(names_new), RING)
+            assert a.embed(new).to_dict() == ra.embed(new).terms
+        assert a.canonical_string() == canonical_string(ra)
+        assert parse_poly(a.canonical_string(), u) == a
+
+    check()
+
+
+def test_exponent_out_of_its_field_is_a_typed_error():
+    # the largest exponents that fit, and one past them
+    assert V("x0", 32767).total_degree() == 32767
+    assert SparsePoly.param(U3, "lam", -16384).uses_param("lam")
+    for make in [
+        lambda: SparsePoly.variable(U3, "x0", 32768),
+        lambda: SparsePoly.variable(U3, "x0", 70000),
+        lambda: SparsePoly.param(U3, "lam", -16385),
+        lambda: SparsePoly.param(U3, "pi", 16384),
+        lambda: SparsePoly(U3, {(30000, 2768, 0, 0, 0, 0, 0): 1}),  # the degree leaves its field
+        lambda: SparsePoly(U3, {(1, 0, 0): ParamCoeff(RING, {(16000, 0, 384, 0): 1})}),
+        lambda: V("x0", 30000) * V("x1", 2768),
+        lambda: V("x0", 16384) ** 2,
+        lambda: SparsePoly.param(U3, "lam", -16384) * SparsePoly.param(U3, "lam", -1),
+        lambda: SparsePoly.param(U3, "lam", -16384).param_derivative("lam"),
+        lambda: (SparsePoly.param(U3, "pi", 16383) * SparsePoly.param(U3, "rho") *
+                 SparsePoly.param(U3, "lam", -1)).substitute_param("lam", 3),
+    ]:
+        with pytest.raises(ExponentOverflow):
+            make()
+    # no field carries into the next: the product next to the limit is exact
+    f = V("x0", 32766) * V("x1")
+    assert f.to_dict() == {(32766, 1, 0, 0, 0, 0, 0): 1}
+    assert f.canonical_string() == "x0^32766*x1"
+    assert parse_poly("*".join(["x1"] * 32767), U3) == V("x1", 32767)
+
+
+@pytest.mark.parametrize(
+    "text, position, name",
+    [
+        ("x0^70000", 0, "'x0'"),
+        ("x1 + 3*x0^32768", 7, "'x0'"),
+        ("lam^-16385*x0", 0, "'lam'"),
+        ("x0^32767*x1*x1*x2^32767", 15, "'x2'"),
+        ("x0^32767*x1", 0, None),
+        ("x2 + pi^16383*rho", 5, None),
+        ("*".join(["x1"] * 32768), 0, None),
+    ],
+)
+def test_parse_exponent_out_of_its_field_is_a_positioned_error(text, position, name):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, U3)
+    where = f"at {name}" if name else "in this term"
+    assert str(exc.value) == f"exponent or degree out of range {where} (at position {position})"
