@@ -1,9 +1,14 @@
-"""Bivariate factorization and absolute irreducibility over finite fields.
+"""Bivariate factorization and absolute irreducibility over GF(p).
 
 A bivariate polynomial in (u, v) is stored v-major: a list over the
-v-degree whose entries are little-endian u-coefficient lists over a
-field object from ``gfext`` (``unifactor`` conventions).  The main
-entry points:
+v-degree whose entries are little-endian u-coefficient lists of ints in
+[0, p) (``unifactor`` conventions).  As in ``unifactor``, every function
+takes the field handle ``F`` first and works on plain ints mod
+``F.p``: products and eliminations accumulate unreduced and reduce
+once, and inputs are reduced where they enter (``from_dict``,
+``vnormalize``).  The field-protocol version of the factorization,
+which also runs over GF(p^k), is the tests' reference
+(``tests/oracles.py``).  The main entry points:
 
 * ``factor_bivariate`` -- complete rational factorization, on one path
   for every non-constant input: a shear to v-regular position, a
@@ -30,10 +35,9 @@ entry points:
   dimension of the solution space of the adjoint differential equation
   f*(g_v - h_u) = g*f_v - h*f_u, which equals the number of distinct
   absolutely irreducible factors when the characteristic exceeds
-  (2*deg_u - 1)*deg_v (Gao, Math. Comp. 72, 2003); it runs on plain
-  ints mod p, with sparse columns ranked by forward elimination
-  (``rank_mod_p``).  No extension field is built; factoring over
-  GF(p^ell) is only the tests' reference.
+  (2*deg_u - 1)*deg_v (Gao, Math. Comp. 72, 2003), with sparse columns
+  ranked by forward elimination (``rank_mod_p``).  No extension field
+  is built; factoring over GF(p^ell) is only the tests' reference.
 
 Requires odd characteristic larger than the total degree throughout.
 """
@@ -41,19 +45,31 @@ Requires odd characteristic larger than the total degree throughout.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from . import unifactor as uni
+from .coeffs import ff_inv_int
 from .errors import DivisionFailure, FactorizationFailure, FactorsNotCoprime
 
 
 # -- representation ----------------------------------------------------------
 
 
-def vnormalize(F, f):
-    f = [uni.normalize(F, c) for c in f]
+def _vtrim(f):
+    """f, a fresh list of fresh columns, with each column's trailing zeros
+    and then the trailing empty columns dropped in place."""
+    for col in f:
+        while col and not col[-1]:
+            col.pop()
     while f and not f[-1]:
         f.pop()
     return f
+
+
+def vnormalize(F, f):
+    """f with every coefficient reduced mod p and no trailing zeros."""
+    p = F.p
+    return _vtrim([[c % p for c in col] for col in f])
 
 
 def is_vzero(f):
@@ -81,73 +97,68 @@ def total_degree(f):
 
 
 def from_dict(F, terms):
-    """{(u_exp, v_exp): scalar or field element} -> v-major lists."""
+    """{(u_exp, v_exp): int} -> v-major lists, coefficients reduced mod p."""
     if not terms:
         return []
-    nv = max(j for _, j in terms) + 1
-    out = [[] for _ in range(nv)]
+    out = [[] for _ in range(max(j for _, j in terms) + 1)]
     for (i, j), c in terms.items():
-        c = F.scalar(c) if isinstance(c, int) else c
         col = out[j]
-        while len(col) <= i:
-            col.append(F.zero)
-        col[i] = F.add(col[i], c)
+        if len(col) <= i:
+            col += [0] * (i + 1 - len(col))
+        col[i] += c
     return vnormalize(F, out)
 
 
 def to_dict(F, f):
-    out = {}
-    for j, col in enumerate(f):
-        for i, c in enumerate(col):
-            if not F.is_zero(c):
-                out[(i, j)] = c
-    return out
-
-
-def vadd(F, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for j in range(n):
-        a = f[j] if j < len(f) else []
-        b = g[j] if j < len(g) else []
-        out.append(uni.add(F, a, b))
-    return vnormalize(F, out)
+    return {(i, j): c for j, col in enumerate(f) for i, c in enumerate(col) if c}
 
 
 def vsub(F, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for j in range(n):
-        a = f[j] if j < len(f) else []
-        b = g[j] if j < len(g) else []
-        out.append(uni.sub(F, a, b))
-    return vnormalize(F, out)
+    out = [uni.sub(F, a, b) for a, b in zip(f, g)]
+    if len(f) >= len(g):
+        out += [list(c) for c in f[len(g):]]
+    else:
+        out += [uni.sub(F, [], b) for b in g[len(f):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def vmul(F, f, g, trunc=None):
     """Product; u-degrees >= trunc are dropped when trunc is given."""
     if not f or not g:
         return []
+    p = F.p
     out = [[] for _ in range(len(f) + len(g) - 1)]
     for j1, c1 in enumerate(f):
         if not c1:
             continue
-        for j2, c2 in enumerate(g):
+        for j, c2 in enumerate(g, j1):
             if not c2:
                 continue
-            prod = uni.mul(F, c1, c2)
-            if trunc is not None:
-                prod = prod[:trunc]
-            out[j1 + j2] = uni.add(F, out[j1 + j2], prod)
-    return vnormalize(F, out)
+            n = len(c1) + len(c2) - 1
+            if trunc is not None and n > trunc:
+                n = trunc
+            acc = out[j]
+            if len(acc) < n:
+                acc += [0] * (n - len(acc))
+            for i, a in enumerate(c1[:n]):
+                if a:
+                    for k, b in enumerate(c2[: n - i], i):
+                        acc[k] += a * b
+    return _vtrim([[x % p for x in col] for col in out])
 
 
 def vtrunc(F, f, trunc):
-    return vnormalize(F, [c[:trunc] for c in f])
+    return _vtrim([c[:trunc] for c in f])
 
 
 def vscale(F, f, c):
-    return vnormalize(F, [uni.mul_scalar(F, col, c) for col in f])
+    p = F.p
+    c %= p
+    if not c:
+        return []
+    return _vtrim([[a * c % p for a in col] for col in f])
 
 
 def eval_u(F, f, a):
@@ -157,45 +168,47 @@ def eval_u(F, f, a):
 
 def translate_u(F, f, a):
     """u -> u + a via Taylor shift of every u-coefficient."""
-    if F.is_zero(a):
+    p = F.p
+    if not a % p:
         return [list(c) for c in f]
     out = []
     for col in f:
-        # Horner-style shift: c(u + a)
-        shifted = []
-        for coeff in reversed(col):
-            shifted = uni.add(F, uni.mul(F, shifted, [a, F.one]), [coeff])
-        out.append(shifted)
-    return vnormalize(F, out)
+        # Taylor shift by repeated synthetic division: step i fixes c[i],
+        # the u^i coefficient of c(u + a)
+        c = list(col)
+        for i in range(len(c) - 1):
+            for k in range(len(c) - 2, i - 1, -1):
+                c[k] = (c[k] + a * c[k + 1]) % p
+        out.append(c)
+    return _vtrim(out)
 
 
 def shear(F, f, theta):
     """u -> u + theta*v; raises the v-degree to the total degree generically."""
-    if F.is_zero(theta):
+    p = F.p
+    if not theta % p:
         return [list(c) for c in f]
-    lin = [[F.zero, F.one], [theta]]  # u + theta*v as a v-major poly
-    out = []
+    # c u^i v^j -> c * sum_k C(i, k) theta^(i-k) u^k v^(j+i-k)
+    powers = [1]
+    for _ in range(deg_u(f)):
+        powers.append(powers[-1] * theta % p)
+    rows = [[comb(i, k) * powers[i - k] for k in range(i + 1)] for i in range(len(powers))]
+    out = [[0] * len(powers) for _ in range(total_degree(f) + 1)]
     for j, col in enumerate(f):
-        if not col:
-            continue
-        # col(u + theta v) via Horner in u
-        term = []
-        for coeff in reversed(col):
-            term = vadd(F, vmul(F, term, lin), [[coeff]])
-        padded = [[] for _ in range(j)] + term
-        out = vadd(F, out, padded)
-    return out
+        for i, c in enumerate(col):
+            if c:
+                for k, x in enumerate(rows[i]):
+                    out[j + i - k][k] += c * x
+    return _vtrim([[x % p for x in col] for col in out])
 
 
 def derivative_v(F, f):
-    out = []
-    for j in range(1, len(f)):
-        out.append(uni.mul_scalar(F, f[j], F.scalar(j)))
-    return vnormalize(F, out)
+    p = F.p
+    return _vtrim([[a * j % p for a in col] for j, col in enumerate(f)][1:])
 
 
 def derivative_u(F, f):
-    return vnormalize(F, [uni.derivative(F, c) for c in f])
+    return _vtrim([uni.derivative(F, c) for c in f])
 
 
 # -- division ----------------------------------------------------------------
@@ -228,7 +241,7 @@ def vdivexact(F, f, g):
                     rem[k + i] = uni.sub(F, rem[k + i], uni.mul(F, c, g[i]))
     if any(rem[:dg]):
         return None
-    return vnormalize(F, q)
+    return _vtrim(q)
 
 
 def _divide(F, f, g):
@@ -248,7 +261,7 @@ def u_content(F, f):
     for col in f:
         c = uni.gcd(F, c, col)
         if uni.deg(c) == 0 and c:
-            return [F.one]
+            return [1]
     return c
 
 
@@ -265,16 +278,16 @@ def pseudo_rem(F, f, g):
     lc_g = g[-1]
     rem = [list(c) for c in f]
     for _ in range(df - dg + 1):
-        rem = vnormalize(F, rem)
+        rem = _vtrim(rem)
         if deg_v(rem) < dg or is_vzero(rem):
-            rem = vnormalize(F, [uni.mul(F, lc_g, col) for col in rem])
+            rem = [uni.mul(F, lc_g, col) for col in rem]
             continue
         shift_v = deg_v(rem) - dg
         lead = rem[-1]
-        rem = [uni.mul(F, lc_g, col) for col in rem[:-1]]
-        sub_term = [[] for _ in range(shift_v)] + [uni.mul(F, lead, col) for col in g[:-1]]
-        rem = vsub(F, vnormalize(F, rem), vnormalize(F, sub_term))
-    return vnormalize(F, rem)
+        rem = _vtrim([uni.mul(F, lc_g, col) for col in rem[:-1]])
+        sub_term = _vtrim([[] for _ in range(shift_v)] + [uni.mul(F, lead, col) for col in g[:-1]])
+        rem = vsub(F, rem, sub_term)
+    return _vtrim(rem)
 
 
 def biv_gcd(F, f, g):
@@ -300,8 +313,7 @@ def biv_gcd(F, f, g):
         result = vmul(F, [cont], primitive_part(F, a))
     # normalize the leading v-coefficient's leading u-coefficient to 1
     lead = result[-1]
-    result = vscale(F, result, F.inv(lead[-1]))
-    return result
+    return vscale(F, result, ff_inv_int(lead[-1], F.p))
 
 
 def squarefree_at_a_point(F, f):
@@ -320,7 +332,7 @@ def squarefree_at_a_point(F, f):
     if D < 1 or uni.deg(f[-1]) != 0:
         return False
     for a in range(min(F.p, D * (D - 1) + 1)):
-        g = eval_u(F, f, F.scalar(a))
+        g = eval_u(F, f, a)
         if uni.deg(uni.gcd(F, g, uni.derivative(F, g))) == 0:
             return True
     return False
@@ -358,17 +370,24 @@ def hensel_pair(F, f, g0, h0, T):
     g0, h0 are coprime monic univariate polynomials in v with
     g0*h0 = f(0, v).  G and H are kept as u-adic lists of polynomials in
     v, so step k forms only the new error coefficient
-    e_k = f_k - sum_{0<i<k} G_i*H_(k-i): O(k) univariate products, not a
-    truncated product of the whole lift.  The lift mod u^T is unique.
+    e_k = f_k - sum_{0<i<k} G_i*H_(k-i): O(k) univariate products,
+    accumulated unreduced and reduced once, not a truncated product of
+    the whole lift.  The lift mod u^T is unique.
     """
+    p = F.p
     one, s, t = uni.ext_gcd(F, g0, h0)
-    if one != [F.one]:
+    if one != [1]:
         raise FactorsNotCoprime(f"gcd of g0 and h0 has degree {uni.deg(one)}")
     Gs, Hs = [g0], [h0]
     for k in range(1, T):
-        e = uni.normalize(F, [col[k] if len(col) > k else F.zero for col in f])
+        e = [col[k] if len(col) > k else 0 for col in f]
         for i in range(1, k):
-            e = uni.sub(F, e, uni.mul(F, Gs[i], Hs[k - i]))
+            # deg G_i + deg H_(k-i) < deg g0 + deg h0 = deg_v f: it fits in e
+            for j, a in enumerate(Gs[i]):
+                if a:
+                    for at, b in enumerate(Hs[k - i], j):
+                        e[at] -= a * b
+        e = uni.normalize(F, [x % p for x in e])
         dg = uni.divmod_poly(F, uni.mul(F, t, e), g0)[1]
         dh = uni.divmod_poly(F, uni.sub(F, e, uni.mul(F, dg, h0)), g0)[0]
         Gs.append(dg)
@@ -379,7 +398,7 @@ def hensel_pair(F, f, g0, h0, T):
 def _from_u_adic(F, coeffs):
     """sum_k coeffs[k](v) u^k, coefficients in v, as a v-major bivariate."""
     width = max(len(c) for c in coeffs)
-    return vnormalize(F, [[c[j] if j < len(c) else F.zero for c in coeffs] for j in range(width)])
+    return _vtrim([[c[j] if j < len(c) else 0 for c in coeffs] for j in range(width)])
 
 
 def hensel_multi(F, f, factors0, T):
@@ -387,7 +406,7 @@ def hensel_multi(F, f, factors0, T):
     if len(factors0) == 1:
         return [vtrunc(F, f, T)]
     g0 = factors0[0]
-    h0 = [F.one]
+    h0 = [1]
     for fac in factors0[1:]:
         h0 = uni.mul(F, h0, fac)
     G, H = hensel_pair(F, f, g0, h0, T)
@@ -400,6 +419,7 @@ def hensel_multi(F, f, factors0, T):
 def factor_squarefree_regular(F, f, rng):
     """Irreducible factors of a squarefree f that is v-monic with
     deg_v f = total degree.  Returns a list of v-monic factors."""
+    p = F.p
     n = deg_v(f)
     if n == 1:
         return [f]
@@ -407,8 +427,8 @@ def factor_squarefree_regular(F, f, rng):
     # find an expansion point where the v-slice stays squarefree
     point = None
     tried = set()
-    for _ in range(4 * F.q if F.q < 4096 else 4096):
-        a = F.random(rng)
+    for _ in range(4 * p if p < 4096 else 4096):
+        a = rng.randrange(p)
         if a in tried:
             continue
         tried.add(a)
@@ -418,12 +438,12 @@ def factor_squarefree_regular(F, f, rng):
         if uni.deg(uni.gcd(F, fa, uni.derivative(F, fa))) == 0:
             point = a
             break
-        if len(tried) >= F.q:
+        if len(tried) >= p:
             break
     if point is None:
         raise FactorizationFailure("no squarefree expansion point found")
     shifted = translate_u(F, f, point)
-    f0 = eval_u(F, shifted, F.zero)
+    f0 = eval_u(F, shifted, 0)
     _, uni_factors = uni.factor(F, f0, rng)
     factors0 = [g for g, _ in uni_factors]
     if len(factors0) == 1:
@@ -436,10 +456,9 @@ def factor_squarefree_regular(F, f, rng):
     size = 1
     while 2 * size <= len(active):
         for subset in combinations(active, size):
-            cand = [[F.one]]
+            cand = [[1]]
             for i in subset:
                 cand = vmul(F, cand, lifted[i], trunc=T)
-            cand = vtrunc(F, cand, T)
             # a factor of v-degree e of the v-regular f has total degree e,
             # so u-degree <= e - j at v^j; a candidate beyond that cannot divide
             e = deg_v(cand)
@@ -455,22 +474,23 @@ def factor_squarefree_regular(F, f, rng):
             size += 1
     found.append(remaining)
     # undo the expansion-point translation
-    return [translate_u(F, g, F.neg(point)) for g in found]
+    return [translate_u(F, g, -point % p) for g in found]
 
 
 def regularize(F, f, rng):
     """(f sheared by u -> u + theta*v and made v-monic, theta) with
     deg_v = total degree; theta is 0 when f needs no shear."""
+    p = F.p
     D = total_degree(f)
-    cand, theta = f, F.zero
+    cand, theta = f, 0
     draws = 8 * max(D, 1) + 16
     while deg_v(cand) != D or uni.deg(cand[-1]) != 0:
         if not draws:
             raise FactorizationFailure("could not reach v-regular position")
         draws -= 1
-        theta = F.random(rng)
+        theta = rng.randrange(p)
         cand = shear(F, f, theta)
-    return vscale(F, cand, F.inv(cand[-1][0])), theta
+    return vscale(F, cand, ff_inv_int(cand[-1][0], p)), theta
 
 
 def factor_bivariate(F, f, rng):
@@ -485,15 +505,16 @@ def factor_bivariate(F, f, rng):
         raise ZeroDivisionError("cannot factor zero")
     if total_degree(f) == 0:
         return f[0][0], []
+    p = F.p
     factors = []
     reg, theta = regularize(F, f, rng)
     for piece, mult in squarefree_decomposition_v(F, reg):
-        piece = vscale(F, piece, F.inv(piece[-1][0]))
+        piece = vscale(F, piece, ff_inv_int(piece[-1][0], p))
         for g in factor_squarefree_regular(F, piece, rng):
-            factors.append((_normalize_lead(F, shear(F, g, F.neg(theta))), mult))
+            factors.append((_normalize_lead(F, shear(F, g, -theta % p)), mult))
     factors.sort(key=lambda gm: (total_degree(gm[0]), sorted(to_dict(F, gm[0]).items()), gm[1]))
     # recover the scalar unit exactly
-    prod = [[F.one]]
+    prod = [[1]]
     for g, m in factors:
         for _ in range(m):
             prod = vmul(F, prod, g)
@@ -506,8 +527,8 @@ def factor_bivariate(F, f, rng):
 def _normalize_lead(F, g):
     for col in reversed(g):
         for c in reversed(col):
-            if not F.is_zero(c):
-                return vscale(F, g, F.inv(c))
+            if c:
+                return vscale(F, g, ff_inv_int(c, F.p))
     return g
 
 

@@ -54,6 +54,9 @@ def cmd_bounds(args) -> int:
                 print(f"S({n},{m}) = {s}")
         return 0
     if args.table:
+        if args.m is None:
+            print("error: --table needs --m", file=sys.stderr)
+            return 2
         lo, hi = args.table
         rows = []
         for d in range(lo, hi + 1):

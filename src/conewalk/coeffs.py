@@ -1,4 +1,4 @@
-"""GF(p) helpers and the ring of transcendental parameters.
+"""GF(p) helpers (primality, inverses, square roots) and the ring of transcendental parameters.
 
 A ``ParamRing`` names the parameters (by default ``pi``, ``lam``,
 ``rho``, ``t``) whose Laurent monomials appear in polynomial terms.
@@ -55,6 +55,37 @@ def ff_inv_int(a: int, p: int) -> int:
     if a % p == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
     return pow(a, -1, p)
+
+
+def sqrt_mod(a: int, p: int):
+    """A square root of a mod p, or None if a is a non-residue (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # write p - 1 = q * 2^s with q odd
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        t2, i = t, 0
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 @dataclass(frozen=True)

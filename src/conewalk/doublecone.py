@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .basecase import HypersurfaceState
+from .coeffs import sqrt_mod
 from .errors import (
     EjExhausted,
     EjTooSmall,
@@ -39,7 +40,6 @@ from .errors import (
     StepInvariantViolated,
 )
 from .factorizer import IRREDUCIBLE, probably_irreducible
-from .gfext import sqrt_mod
 from .poly import SparsePoly, VarUniverse, coordinate_universe
 
 

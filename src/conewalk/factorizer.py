@@ -27,6 +27,10 @@ Every ``Irreducible`` rests on a certificate and every ``Reducible`` on
 an exact division, so ``failure_bound`` is 0.0 for both; whenever no
 rational witness can be produced the verdict is ``Inconclusive``, with
 bound 1.0 -- the oracle never claims more than it has checked.
+
+All of it runs on plain ints mod p: slices, charts and factors are
+``bifactor``/``unifactor`` lists of residues, and the
+``gfext.PrimeField`` passed to them only names p.
 """
 
 from __future__ import annotations
@@ -201,16 +205,17 @@ def _chart_verdict(universe, int_terms, used, assignment, rng):
 
 def _sample_slice(F, int_terms, used, d, rng, attempts=64):
     """Substitute x_i -> a_i u + b_i v + c_i; keep only full-degree slices."""
+    p = F.p
     n = max(len(e) for e in int_terms)
     for _ in range(attempts):
-        avec = [F.random(rng) for _ in range(n)]
-        bvec = [F.random(rng) for _ in range(n)]
-        cvec = [F.random(rng) for _ in range(n)]
+        avec = [rng.randrange(p) for _ in range(n)]
+        bvec = [rng.randrange(p) for _ in range(n)]
+        cvec = [rng.randrange(p) for _ in range(n)]
         # a rank-deficient map sends the plane onto a line, where f splits
         maps = [{k: v[i] for k, i in enumerate(used)} for v in (avec, bvec, cvec)]
-        if bi.rank_mod_p(maps, F.p) < 3:
+        if bi.rank_mod_p(maps, p) < 3:
             continue
-        acc = bi.vnormalize(F, _horner(int_terms, used, (avec, bvec, cvec), F.p))
+        acc = bi.vnormalize(F, _horner(int_terms, used, (avec, bvec, cvec), p))
         if bi.total_degree(acc) == d and bi.deg_v(acc) == d:
             return acc
     return None

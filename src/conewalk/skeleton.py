@@ -105,9 +105,6 @@ class FgModule:
             raise ValueError("element length mismatch")
         return tuple(v % m if m else v for v, m in zip(vec, self.moduli))
 
-    def zero(self):
-        return (0,) * self.ngens
-
     def random_element(self, rng):
         out = []
         for m in self.moduli:

@@ -1,22 +1,29 @@
-"""Univariate polynomial factorization over a generic finite field.
+"""Univariate polynomial factorization over GF(p).
 
-Polynomials are little-endian coefficient lists over a field object
-from ``gfext`` ([] is the zero polynomial, no trailing zeros stored).
+Polynomials are little-endian lists of ints in [0, p) ([] is the zero
+polynomial, no trailing zeros stored).  Every function takes the field
+handle ``F`` (a ``gfext.PrimeField``) first and reads only its modulus:
+each binds ``p = F.p`` once and works on plain ints, and a convolution
+or a division accumulates unreduced and reduces once.  The kernels
+assume residues; ``factor`` reduces its input where it enters.
+
 Factorization runs squarefree decomposition, then distinct-degree
-splitting, then randomized equal-degree splitting; randomness comes
-from an explicit ``random.Random`` so results are reproducible per
-seed.
+splitting, then randomized equal-degree splitting (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 14); randomness comes from an
+explicit ``random.Random`` so results are reproducible per seed.  The
+field-protocol version of this module, which also factors over
+GF(p^k), is the tests' reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from .coeffs import prime_powers
+from .coeffs import ff_inv_int, prime_powers
 from .errors import ZeroPolynomial
 
 
 def normalize(F, f):
     f = list(f)
-    while f and F.is_zero(f[-1]):
+    while f and not f[-1]:
         f.pop()
     return f
 
@@ -25,65 +32,65 @@ def deg(f):
     return len(f) - 1
 
 
-def add(F, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else F.zero
-        b = g[i] if i < len(g) else F.zero
-        out.append(F.add(a, b))
-    return normalize(F, out)
-
-
 def sub(F, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else F.zero
-        b = g[i] if i < len(g) else F.zero
-        out.append(F.sub(a, b))
-    return normalize(F, out)
+    p = F.p
+    out = [(a - b) % p for a, b in zip(f, g)]
+    if len(f) >= len(g):
+        out += f[len(g):]
+    else:
+        out += [-b % p for b in g[len(f):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def mul(F, f, g):
     if not f or not g:
         return []
-    out = [F.zero] * (len(f) + len(g) - 1)
+    p = F.p
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if F.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            if not F.is_zero(b):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return normalize(F, out)
+        if a:
+            for k, b in enumerate(g, i):
+                out[k] += a * b
+    out = [x % p for x in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def mul_scalar(F, f, c):
-    if F.is_zero(c):
+    p = F.p
+    if not c % p:
         return []
-    return normalize(F, [F.mul(a, c) for a in f])
+    return normalize(F, [a * c % p for a in f])
 
 
 def divmod_poly(F, f, g):
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
-    f = list(f)
-    q = [F.zero] * max(0, len(f) - len(g) + 1)
-    inv_lc = F.inv(g[-1])
-    while len(f) >= len(g) and f:
-        c = F.mul(f[-1], inv_lc)
-        k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = F.sub(f[k + i], F.mul(c, b))
-        f = normalize(F, f)
-    return normalize(F, q), f
+    p = F.p
+    dg = len(g) - 1
+    n = len(f) - dg
+    if n <= 0:
+        return [], list(f)
+    inv_lc = ff_inv_int(g[-1], p)
+    low = g[:-1]
+    r = list(f)
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        c = r[k + dg] % p * inv_lc % p
+        if c:
+            q[k] = c
+            for i, b in enumerate(low, k):
+                r[i] -= c * b
+    return normalize(F, q), normalize(F, [x % p for x in r[:dg]])
 
 
 def monic(F, f):
     if not f:
         return f
-    return mul_scalar(F, f, F.inv(f[-1]))
+    return mul_scalar(F, f, ff_inv_int(f[-1], F.p))
 
 
 def gcd(F, f, g):
@@ -95,8 +102,8 @@ def gcd(F, f, g):
 def ext_gcd(F, f, g):
     """(g, s, t) monic gcd with s*f + t*g = gcd."""
     r0, r1 = list(f), list(g)
-    s0, s1 = [F.one], []
-    t0, t1 = [], [F.one]
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
     while r1:
         q, r = divmod_poly(F, r0, r1)
         r0, r1 = r1, r
@@ -104,44 +111,37 @@ def ext_gcd(F, f, g):
         t0, t1 = t1, sub(F, t0, mul(F, q, t1))
     if not r0:
         return [], s0, t0
-    c = F.inv(r0[-1])
+    c = ff_inv_int(r0[-1], F.p)
     return mul_scalar(F, r0, c), mul_scalar(F, s0, c), mul_scalar(F, t0, c)
 
 
 def pow_mod(F, f, e: int, m):
-    out = [F.one]
+    out = [1]
     base = divmod_poly(F, f, m)[1]
     while e:
         if e & 1:
             out = divmod_poly(F, mul(F, out, base), m)[1]
-        base = divmod_poly(F, mul(F, base, base), m)[1]
         e >>= 1
+        if e:
+            base = divmod_poly(F, mul(F, base, base), m)[1]
     return out
 
 
 def derivative(F, f):
-    out = []
-    for i in range(1, len(f)):
-        out.append(F.mul(f[i], F.scalar(i)))
-    return normalize(F, out)
+    p = F.p
+    return normalize(F, [i * c % p for i, c in enumerate(f)][1:])
 
 
 def eval_at(F, f, a):
-    acc = F.zero
+    p = F.p
+    acc = 0
     for c in reversed(f):
-        acc = F.add(F.mul(acc, a), c)
+        acc = (acc * a + c) % p
     return acc
 
 
 def x_poly(F):
-    return [F.zero, F.one]
-
-
-def _char_root(F, c):
-    """p-th root of a coefficient (Frobenius inverse: c^(q/p); identity over GF(p))."""
-    if F.q == F.char:
-        return c
-    return F.pow(c, F.q // F.char)
+    return [0, 1]
 
 
 def squarefree_decomposition(F, f):
@@ -149,7 +149,7 @@ def squarefree_decomposition(F, f):
     out = []
     f = monic(F, f)
     n = 1
-    p = F.char
+    p = F.p
     while deg(f) > 0:
         d = derivative(F, f)
         if d:
@@ -167,9 +167,9 @@ def squarefree_decomposition(F, f):
             if deg(g) == 0:
                 break
             f = g
-        # here every exponent of f is divisible by p: replace f by its p-th root
-        root = [_char_root(F, f[j]) for j in range(0, len(f), p)]
-        f = normalize(F, root)
+        # every exponent of f is divisible by p, and c^p = c on GF(p):
+        # f(x) = r(x^p) = r(x)^p, so replace f by r
+        f = normalize(F, f[::p])
         n *= p
     out.sort(key=lambda gm: (gm[1], len(gm[0])))
     return out
@@ -186,7 +186,7 @@ def distinct_degree(F, f):
         if deg(f) < 2 * d:
             out.append((monic(F, f), deg(f)))
             break
-        h = pow_mod(F, h, F.q, f)
+        h = pow_mod(F, h, F.p, f)
         g = gcd(F, sub(F, h, x_poly(F)), f)
         if deg(g) > 0:
             out.append((g, d))
@@ -197,17 +197,17 @@ def distinct_degree(F, f):
 
 def equal_degree_split(F, f, d, rng):
     """One random Cantor-Zassenhaus split of monic f (all factors of degree d)."""
+    p = F.p
     n = deg(f)
     while True:
-        a = [F.random(rng) for _ in range(n)]
-        a = normalize(F, a)
+        a = normalize(F, [rng.randrange(p) for _ in range(n)])
         if deg(a) < 1:
             continue
         g = gcd(F, a, f)
         if 0 < deg(g) < n:
             return g
-        b = pow_mod(F, a, (F.q**d - 1) // 2, f)
-        g = gcd(F, sub(F, b, [F.one]), f)
+        b = pow_mod(F, a, (p**d - 1) // 2, f)
+        g = gcd(F, sub(F, b, [1]), f)
         if 0 < deg(g) < n:
             return g
 
@@ -222,7 +222,11 @@ def equal_degree(F, f, d, rng):
 
 
 def factor(F, f, rng):
-    """(leading coefficient, [(monic irreducible, multiplicity)]), sorted."""
+    """(leading coefficient, [(monic irreducible, multiplicity)]), sorted.
+
+    The coefficients of ``f`` may be any ints; they are reduced mod p."""
+    p = F.p
+    f = normalize(F, [c % p for c in f])
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     lc = f[-1]
@@ -247,28 +251,27 @@ def is_irreducible(F, f):
         return True
     x = x_poly(F)
     for ell, _ in prime_powers(n):
-        h = pow_mod(F, x, F.q ** (n // ell), f)
+        h = pow_mod(F, x, F.p ** (n // ell), f)
         g = gcd(F, sub(F, h, x), f)
         if deg(g) != 0:
             return False
-    h = pow_mod(F, x, F.q**n, f)
+    h = pow_mod(F, x, F.p**n, f)
     return not sub(F, h, x)
 
 
 def find_irreducible(F, d: int, rng):
     """A random monic irreducible of degree d over F."""
+    p = F.p
     while True:
-        f = [F.random(rng) for _ in range(d)] + [F.one]
+        f = [rng.randrange(p) for _ in range(d)] + [1]
         if is_irreducible(F, f):
             return f
 
 
 def extension_field(p: int, k: int, rng):
-    """GF(p^k) with a modulus found by random search."""
-    from .gfext import ExtField, PrimeField
+    """The modulus of GF(p^k): a monic irreducible of degree k over GF(p),
+    found by random search.  The arithmetic of GF(p^k) over it is the
+    tests' reference; the package factors over GF(p) alone."""
+    from .gfext import PrimeField
 
-    if k == 1:
-        return PrimeField(p)
-    base = PrimeField(p)
-    modulus = find_irreducible(base, k, rng)
-    return ExtField(p, modulus)
+    return find_irreducible(PrimeField(p), k, rng)

@@ -9,8 +9,13 @@ from conewalk import bifactor as bi
 from conewalk import unifactor as uni
 from conewalk.coeffs import prime_powers
 from conewalk.errors import ConewalkError, FactorizationFailure, FactorsNotCoprime
-from conewalk.gfext import PrimeField
-from oracles import hensel_pair_quadratic, smooth_rational_point_generic
+from oracles import (
+    PrimeField,
+    extension_field,
+    hensel_pair_quadratic,
+    ref_bi,
+    smooth_rational_point_generic,
+)
 
 F101 = PrimeField(101)
 F7 = PrimeField(7)
@@ -21,14 +26,15 @@ def reference_absolutely_irreducible(F, f, rng):
     """Reference decision by factoring over extension fields: a squarefree
     f is absolutely irreducible iff it is irreducible over F and over
     GF(p^l) for every prime l dividing its total degree (the conjugate
-    absolute factors of an F-irreducible f all have the same degree)."""
-    _, fs = bi.factor_bivariate(F, f, rng)
+    absolute factors of an F-irreducible f all have the same degree).
+    Every factorization runs on the field-protocol reference."""
+    _, fs = ref_bi.factor_bivariate(F, f, rng)
     if len(fs) > 1 or fs[0][1] > 1:
         return False
     for ell, _ in prime_powers(bi.total_degree(f)):
-        E = uni.extension_field(F.p, ell, rng)
+        E = extension_field(F.p, ell, rng)
         lifted = [[E.scalar(c) for c in col] for col in f]
-        _, fs_ext = bi.factor_bivariate(E, lifted, rng)
+        _, fs_ext = ref_bi.factor_bivariate(E, lifted, rng)
         if len(fs_ext) > 1:
             return False
     return True
@@ -77,9 +83,9 @@ def test_vdivexact_with_a_non_unit_lead(F):
         assert bi.vdivexact(F, f, g) == q
         low = bi.vnormalize(F, rand_biv(F, rng, dmax=3, terms=5)[: bi.deg_v(g)])
         if low:
-            assert bi.vdivexact(F, bi.vadd(F, f, low), g) is None
+            assert bi.vdivexact(F, ref_bi.vadd(F, f, low), g) is None
         top = [[] for _ in range(bi.deg_v(f))] + [[F.one]]
-        assert bi.vdivexact(F, bi.vadd(F, f, top), g) is None
+        assert bi.vdivexact(F, ref_bi.vadd(F, f, top), g) is None
         checked += 1
 
 
@@ -617,3 +623,40 @@ def test_smooth_point_search_matches_the_field_protocol_reference():
         assert point == smooth_rational_point_generic(F, f), bi.to_dict(F, f)
         found.append(point is not None)
     assert found.count(False) == 3 and found.count(True) == len(cases) - 3, found
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the ConewalkError it raises."""
+    try:
+        return "ok", fn(*args)
+    except ConewalkError as ex:
+        return "error", type(ex).__name__, str(ex)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 101, 103))
+def test_int_kernels_agree_with_the_field_protocol_reference_on_products(p):
+    """Seeded products of 2 or 3 bivariates of degree 1..3 over GF(p),
+    every fourth with a repeated factor: ``factor_bivariate`` returns
+    what the field-protocol reference returns, or fails with the same
+    error (where p is not above the total degree, as the factorization
+    needs, some do: most at p = 2 and 3), and draws the same random
+    numbers; ``biv_gcd`` of two multiples of one factor agrees too."""
+    F = PrimeField(p)
+    rng = random.Random(1700 + p)
+    factored = 0
+    for case in range(24):
+        fs = [rand_of_degree(F, rng, rng.randint(1, 3), rng.random() < 0.5) for _ in range(rng.randint(2, 3))]
+        if case % 4 == 0:
+            fs.append(fs[0])
+        f = [[1]]
+        for g in fs:
+            f = bi.vmul(F, f, g)
+        r_int, r_ref = random.Random(case), random.Random(case)
+        got = _outcome(bi.factor_bivariate, F, f, r_int)
+        assert got == _outcome(ref_bi.factor_bivariate, F, f, r_ref), (p, bi.to_dict(F, f))
+        assert r_int.getstate() == r_ref.getstate(), (p, bi.to_dict(F, f))
+        factored += got[0] == "ok"
+        a = bi.vmul(F, fs[0], rand_of_degree(F, rng, 2, True))
+        b = bi.vmul(F, fs[0], rand_of_degree(F, rng, 2, False))
+        assert bi.biv_gcd(F, a, b) == ref_bi.biv_gcd(F, a, b), (p, bi.to_dict(F, a), bi.to_dict(F, b))
+    assert factored >= {2: 4, 3: 13, 5: 22}.get(p, 24), factored

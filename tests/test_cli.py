@@ -49,6 +49,12 @@ def test_bounds_missing_flags(capsys):
     assert code == 2
 
 
+def test_bounds_table_without_m_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "bounds", "--table", "4:10")
+    assert code == 2 and out == ""
+    assert err == "error: --table needs --m\n"
+
+
 def test_construct_induct_verify_pipeline(tmp_path, capsys):
     s0 = tmp_path / "s0.json"
     code, _, _ = run(

@@ -75,6 +75,53 @@ def test_term_keys_are_read_only_in_poly():
     assert not found, found
 
 
+#: field-protocol arithmetic: one method call per coefficient operation
+FIELD_PROTOCOL = {"add", "sub", "mul", "neg", "inv", "scalar", "is_zero", "pow", "random"}
+#: the size and characteristic of a field, on which a second field path would branch
+FIELD_SIZE = {"q", "char"}
+
+
+def _field_handles(func):
+    """Names in ``func`` that hold a field handle: a parameter ``F`` or
+    one annotated ``PrimeField``, and a name bound to ``PrimeField(...)``."""
+    args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+    handles = {
+        a.arg for a in args
+        if a.arg == "F" or (isinstance(a.annotation, ast.Name) and a.annotation.id == "PrimeField")
+    }
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            callee = node.value.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name == "PrimeField":
+                handles |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return handles
+
+
+def test_one_field_representation():
+    """GF(p) on plain ints mod p is the package's only field
+    representation: outside ``gfext``, which defines the handle, no code
+    reaches field-protocol arithmetic on a field handle or reads its
+    ``q``/``char``, which a second field path would dispatch on.  The
+    field protocol, over GF(p) and GF(p^k), lives in the tests'
+    reference (``tests/oracles.py``)."""
+    found = set()
+    for name, tree in _trees():
+        if name == "gfext.py":
+            continue
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            handles = _field_handles(func)
+            found |= {
+                f"{name}:{node.lineno}: {node.value.id}.{node.attr}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in handles and node.attr in FIELD_PROTOCOL | FIELD_SIZE
+            }
+    assert not found, sorted(found)
+
+
 MODULES = {path.stem for path in SOURCES}
 
 

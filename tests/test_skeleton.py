@@ -46,7 +46,7 @@ def unit_skeleton(c, rank=1, vertices=(0, 1), edges=((0, 1),)):
 
 def zero_chain(ssk):
     """The zero one-cycle at every vertex of the subdivision."""
-    return {label: mod.zero() for label, mod in phi_map_subdivided(ssk).src}
+    return {label: (0,) * mod.ngens for label, mod in phi_map_subdivided(ssk).src}
 
 
 def test_dual_graph_validation():

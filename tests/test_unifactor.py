@@ -6,7 +6,9 @@ from itertools import product
 import pytest
 
 from conewalk import unifactor as uni
-from conewalk.gfext import ExtField, PrimeField
+from conewalk.gfext import PrimeField
+from oracles import ExtField, extension_field, ref_uni
+from oracles import PrimeField as OraclePrimeField
 
 
 def trial_division_factor(F, f):
@@ -59,11 +61,11 @@ def trial_division_factor(F, f):
     return lc, factors
 
 
-def remultiply(F, lc, factors):
+def remultiply(F, lc, factors, kernels=uni):
     out = [lc]
     for g, m in factors:
         for _ in range(m):
-            out = uni.mul(F, out, g)
+            out = kernels.mul(F, out, g)
     return out
 
 
@@ -121,7 +123,7 @@ def test_random_nonmonic_remultiplies():
 
 def test_extension_field_arithmetic():
     rng = random.Random(3)
-    F = uni.extension_field(7, 2, rng)
+    F = extension_field(7, 2, rng)
     assert isinstance(F, ExtField)
     assert F.q == 49
     # field axioms on random elements
@@ -132,20 +134,20 @@ def test_extension_field_arithmetic():
             assert F.mul(a, F.inv(a)) == F.one
     # x^2 + 1 over GF(7) splits over GF(49)
     f = [F.one, F.zero, F.one]
-    lc, fs = uni.factor(F, f, rng)
+    lc, fs = ref_uni.factor(F, f, rng)
     assert len(fs) == 2
 
 
 def test_factor_over_extension_remultiplies():
     rng = random.Random(4)
-    F = uni.extension_field(5, 3, rng)
+    F = extension_field(5, 3, rng)
     for _ in range(20):
         f = [F.random(rng) for _ in range(rng.randint(1, 5))] + [F.one]
-        f = uni.normalize(F, f)
-        if uni.deg(f) < 1:
+        f = ref_uni.normalize(F, f)
+        if ref_uni.deg(f) < 1:
             continue
-        lc, fs = uni.factor(F, f, rng)
-        assert remultiply(F, lc, fs) == f
+        lc, fs = ref_uni.factor(F, f, rng)
+        assert remultiply(F, lc, fs, ref_uni) == f
 
 
 def test_char_power_multiplicities():
@@ -176,3 +178,81 @@ def test_char_power_multiplicities():
             (tuple(g), m) for g, m in case
         )
         assert remultiply(F, lc, fs) == f
+
+
+AGREEMENT_PRIMES = (2, 3, 5, 7, 101, 103)
+
+
+def _random_poly(rng, p, d):
+    """A seeded polynomial of degree exactly d over GF(p)."""
+    return [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+
+
+def _product_with_char_multiplicity(rng, p, max_deg=12):
+    """lc * g^(k*p) * h for random monic g, h, with the largest multiple
+    k*p of p that fits in degree max_deg (g linear); a random polynomial
+    of degree up to max_deg when no multiple of p fits."""
+    F = OraclePrimeField(p)
+    if p > max_deg - 1:
+        return _random_poly(rng, p, rng.randint(0, max_deg))
+    k = rng.randint(1, (max_deg - 1) // p)
+    f, g = [rng.randrange(1, p)], [rng.randrange(p), 1]
+    for _ in range(k * p):
+        f = ref_uni.mul(F, f, g)
+    rest = rng.randint(0, max_deg - k * p)
+    return ref_uni.mul(F, f, _random_poly(rng, p, rest)[:-1] + [1])
+
+
+@pytest.mark.parametrize("p", AGREEMENT_PRIMES)
+def test_int_kernels_agree_with_the_field_protocol_reference(p):
+    """Seeded polynomials of degree up to 12 over GF(p), among them
+    products with a multiplicity divisible by p (which take the p-th
+    root branch): the int kernels return what the field-protocol
+    reference returns (``is_irreducible`` too), and ``factor`` and the
+    search for a GF(p^k) modulus draw the same random numbers."""
+    F = OraclePrimeField(p)
+    rng = random.Random(1600 + p)
+    char_multiplicities = 0
+    for case in range(40):
+        f = _product_with_char_multiplicity(rng, p) if case % 2 else _random_poly(rng, p, rng.randint(0, 12))
+        g = _random_poly(rng, p, rng.randint(0, 12))
+        m = _random_poly(rng, p, rng.randint(1, 8))
+        e = rng.randrange(3 * p * p)
+        for name, args in (
+            ("mul", (f, g)), ("sub", (f, g)), ("derivative", (f,)), ("eval_at", (f, rng.randrange(p))),
+            ("divmod_poly", (f, g)), ("gcd", (f, g)), ("ext_gcd", (f, g)), ("pow_mod", (f, e, m)),
+        ):
+            assert getattr(uni, name)(F, *args) == getattr(ref_uni, name)(F, *args), (p, name, args)
+        monic = m[:-1] + [1]
+        assert uni.is_irreducible(F, monic) == ref_uni.is_irreducible(F, monic), (p, monic)
+        r_int, r_ref = random.Random(case), random.Random(case)
+        got = uni.factor(F, f, r_int)
+        assert got == ref_uni.factor(F, f, r_ref), (p, f)
+        assert r_int.getstate() == r_ref.getstate(), (p, f)
+        char_multiplicities += any(mult % p == 0 for _, mult in got[1])
+        if case < 4:
+            k = case + 1
+            r_int, r_ref = random.Random(case), random.Random(case)
+            assert uni.extension_field(p, k, r_int) == ref_uni.find_irreducible(F, k, r_ref), (p, k)
+            assert r_int.getstate() == r_ref.getstate(), (p, k)
+    assert char_multiplicities >= (10 if p <= 7 else 0), char_multiplicities
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 101, 103))
+def test_factor_agrees_with_sympy(p):
+    """An independent oracle: ``uni.factor`` against sympy's factorization
+    over GF(p), on seeded polynomials of degree 1..12 and products with
+    repeated factors."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    F = PrimeField(p)
+    rng = random.Random(2600 + p)
+    for case in range(30):
+        f = _product_with_char_multiplicity(rng, p) if case % 3 == 0 else _random_poly(rng, p, rng.randint(1, 12))
+        if len(f) < 2:
+            continue
+        lc, fs = uni.factor(F, f, rng)
+        want_lc, want_fs = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()
+        want = sorted(([int(c) % p for c in reversed(g.all_coeffs())], mult) for g, mult in want_fs)
+        assert lc == int(want_lc) % p, (p, f)
+        assert sorted(fs) == want, (p, f)
