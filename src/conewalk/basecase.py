@@ -59,7 +59,9 @@ class HypersurfaceState:
     a[(i, j)] free of the y-variables.  e[j-1] is the largest e with
     x0^(i*e) dividing a[(i, j)] for every i.  h_poly tracks the product
     of the fresh z-coordinates acquired by the walk so far.  params maps
-    each parameter name to "symbolic" or a baked integer value.
+    each parameter name to "symbolic" or a baked integer value.  The
+    universe is the walk's, ``coordinate_universe(n, r, s + sum(e))``,
+    which every station and family shares.
     """
 
     bp: BaseParams
@@ -126,10 +128,8 @@ class HypersurfaceState:
         self.provenance.append(entry)
 
 
-def build_g(bp: BaseParams, universe: VarUniverse | None = None) -> SparsePoly:
+def build_g(bp: BaseParams, universe: VarUniverse) -> SparsePoly:
     """pi*(sum x_i^ceil((n+1)/m))^m - (-1)^n x0^(m*ceil((n+1)/m)-n) x1...xn."""
-    if universe is None:
-        universe = coordinate_universe(bp.n, bp.r, 0, bp.ring())
     k = ceil((bp.n + 1) / bp.m)
     power_sum = SparsePoly.zero(universe)
     for i in range(bp.n + 1):
@@ -157,15 +157,13 @@ def cj_degree(j: int) -> int:
     return bin(j).count("1")
 
 
-def build_h(bp: BaseParams, h_choice: str = "default", universe: VarUniverse | None = None) -> SparsePoly:
+def build_h(bp: BaseParams, h_choice: str, universe: VarUniverse) -> SparsePoly:
     """The degree-d irreducible pivot: sum x_i^d, or the chain form
     x0^d + sum x_{i-1} x_i^(d-1) used when the characteristic divides d.
 
     Since p > d is enforced, p | d never triggers on its own; the
     "char-divides-d" choice forces the chain form for inspection.
     """
-    if universe is None:
-        universe = coordinate_universe(bp.n, bp.r, 0, bp.ring())
     use_chain = h_choice == "char-divides-d" or (bp.d % bp.p == 0)
     if h_choice not in ("default", "char-divides-d"):
         raise ValueError(f"unknown h_choice {h_choice!r}")
@@ -184,8 +182,11 @@ def build_h(bp: BaseParams, h_choice: str = "default", universe: VarUniverse | N
 
 def build_base_state(bp: BaseParams, h_choice: str = "default") -> HypersurfaceState:
     """The s = 0 state: f0 = rho*h + x0^(d-deg g)*g, top column
-    a[(m, j)] = x0^(d-m-deg c_j)*c_j, everything else zero."""
-    universe = coordinate_universe(bp.n, bp.r, 0, bp.ring())
+    a[(m, j)] = x0^(d-m-deg c_j)*c_j, everything else zero.  Its universe
+    holds z1..z_{sum e}, one z per step the ladder allows, and serves the
+    whole walk."""
+    e = [(bp.d - bp.m - cj_degree(j)) // bp.m for j in range(1, bp.r + 1)]
+    universe = coordinate_universe(bp.n, bp.r, sum(e), bp.ring())
     g = build_g(bp, universe)
     h = build_h(bp, h_choice, universe)
     f0 = SparsePoly.param(universe, "rho") * h + SparsePoly.variable(
@@ -193,13 +194,11 @@ def build_base_state(bp: BaseParams, h_choice: str = "default") -> HypersurfaceS
     ) * g
     a0 = SparsePoly.zero(universe)
     a = {}
-    e = []
     for j in range(1, bp.r + 1):
         for i in range(1, bp.m):
             a[(i, j)] = SparsePoly.zero(universe)
         cj = build_cj(j, bp.n, universe)
         a[(bp.m, j)] = SparsePoly.variable(universe, "x0", bp.d - bp.m - cj_degree(j)) * cj
-        e.append((bp.d - bp.m - cj_degree(j)) // bp.m)
     state = HypersurfaceState(
         bp=bp,
         s=0,

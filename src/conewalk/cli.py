@@ -270,8 +270,10 @@ file formats:
       poly   ::= term (("+" | "-") term)*
       term   ::= factor ("*" factor)*
       factor ::= int | name ["^" ["-"] int]
-    over variables x0.., y1.., z1.., z, w and parameters pi lam rho t
-    (lam alone may carry negative exponents; int is unsigned decimal);
+    over variables x0..xn, y1..y(r+1), z1..zs and parameters pi lam rho
+    t (lam alone may carry negative exponents; int is unsigned decimal);
+    the family's z, w and the later steps' z(s+1).. are not state
+    variables;
     whitespace may stand between tokens but not inside one, "-" always
     subtracts, every "*" needs a factor after it, and states are
     written in canonical form, with " + " between terms;

@@ -15,8 +15,13 @@ replaces column j0 by the transformed coefficients
     a'_i = z_{s+1}^i * sum_{k=i}^{l} C(k,i) (-lam^-1)^(k-i) x0^(2k-2i) a_k
            + [i=1] t*lam*x0^(d-1) + [i=0] x0^(d-1) z_{s+1},
 
-decrements e_{j0} by exactly one, appends the fresh coordinate z_{s+1},
-and multiplies the tracked pivot product h by z_{s+1}.
+decrements e_{j0} by exactly one, takes up the next coordinate
+z_{s+1}, and multiplies the tracked pivot product h by z_{s+1}.
+
+A walk lives in one universe, x0..xn, y1..y{r+1}, z1..z{s+sum(e)}, z, w:
+a step adds 1 to s and takes 1 from e_{j0}, so the sum is fixed, and
+the universe already holds every z_k of the walk and the family's z, w.
+Each station and each family is built in the state's own universe.
 
 Parameters lam and t are fresh transcendentals per step.  A state whose
 coefficients still mention lam or t (from a symbolic step) must absorb
@@ -40,14 +45,13 @@ from .errors import (
     StepInvariantViolated,
 )
 from .factorizer import IRREDUCIBLE, probably_irreducible
-from .poly import SparsePoly, VarUniverse, coordinate_universe
+from .poly import SparsePoly
 
 
 @dataclass
 class DoubleConeFamily:
     state: HypersurfaceState
     j0: int
-    universe: VarUniverse  # state variables plus z, w
     F1: SparsePoly
     F2: SparsePoly
     Y0_eq: SparsePoly
@@ -130,16 +134,15 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
             raise ValueError(
                 f"state coefficients still mention {name!r}; absorb them first"
             )
-    universe = VarUniverse(state.universe.names + ("z", "w"), state.universe.ring)
+    universe = state.universe
     d, m = state.d, state.m
-    f_part = state.f0.embed(universe)
+    f_part = state.f0
     for j in range(1, state.r + 1):
         if j == j0:
             continue
         for i in range(1, m + 1):
-            term = state.a[(i, j)].embed(universe) * SparsePoly.variable(universe, f"y{j}", i)
-            f_part = f_part + term
-    a_sub = [poly.embed(universe) for poly in split_column(state, j0)]
+            f_part = f_part + state.a[(i, j)] * SparsePoly.variable(universe, f"y{j}", i)
+    a_sub = split_column(state, j0)
 
     yj = SparsePoly.variable(universe, f"y{j0}")
     x0 = SparsePoly.variable(universe, "x0")
@@ -158,7 +161,6 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
     return DoubleConeFamily(
         state=state,
         j0=j0,
-        universe=universe,
         F1=F1,
         F2=F2,
         Y0_eq=core + z_term,
@@ -180,7 +182,7 @@ def transformed_sum_part(a_sub, i, universe) -> SparsePoly:
 
 
 def transformed_coefficient(a_sub, d, i, universe, z_name) -> SparsePoly:
-    """The full a'_i in the new state universe (deg a'_i = d - i)."""
+    """The full a'_i in the walk's universe (deg a'_i = d - i)."""
     zs = SparsePoly.variable(universe, z_name)
     x0 = SparsePoly.variable(universe, "x0")
     total = zs**i * transformed_sum_part(a_sub, i, universe)
@@ -198,7 +200,7 @@ def induct_step(
     seed: int = 0,
     symbolic: bool = False,
 ) -> HypersurfaceState:
-    """One cone step: transform column j0, append z_{s+1}, decrement e_{j0}.
+    """One cone step: transform column j0, take up z_{s+1}, decrement e_{j0}.
 
     By default the step's lam/t are baked to seeded random nonzero
     values on the way out (ground-field absorption); with
@@ -213,18 +215,13 @@ def induct_step(
     bp, d, m = state.bp, state.d, state.m
     s_new = state.s + 1
     z_name = f"z{s_new}"
-    new_universe = coordinate_universe(bp.n, bp.r, s_new, bp.ring())
-    a_sub = [poly.embed(new_universe) for poly in split_column(state, j0)]
+    universe = state.universe
+    a_sub = split_column(state, j0)
 
-    a_new = {}
-    for j in range(1, state.r + 1):
-        if j == j0:
-            continue
-        for i in range(1, m + 1):
-            a_new[(i, j)] = state.a[(i, j)].embed(new_universe)
+    a_new = dict(state.a)
     for i in range(1, m + 1):
-        a_new[(i, j0)] = transformed_coefficient(a_sub, d, i, new_universe, z_name)
-    a0_new = transformed_coefficient(a_sub, d, 0, new_universe, z_name)
+        a_new[(i, j0)] = transformed_coefficient(a_sub, d, i, universe, z_name)
+    a0_new = transformed_coefficient(a_sub, d, 0, universe, z_name)
 
     rng = random.Random(seed)
     lam_val = rng.randrange(1, state.p)
@@ -241,12 +238,12 @@ def induct_step(
     new = HypersurfaceState(
         bp=bp,
         s=s_new,
-        universe=new_universe,
-        f0=state.f0.embed(new_universe),
+        universe=universe,
+        f0=state.f0,
         a0=a0_new,
         a=a_new,
         e=list(state.e),
-        h_poly=state.h_poly.embed(new_universe) * SparsePoly.variable(new_universe, z_name),
+        h_poly=state.h_poly * SparsePoly.variable(universe, z_name),
         params=params,
         provenance=list(state.provenance),
     )
@@ -290,7 +287,7 @@ def verify_singular_minors(fam: DoubleConeFamily) -> list:
     (ii)  d(Y0)/dz = x0^(d-1)
     (iii) d(Y1)/dw = x0^(d-2) (lam*y_{j0} + x0)
     """
-    u = fam.universe
+    u = fam.state.universe
     d = fam.state.d
     x0 = SparsePoly.variable(u, "x0")
     yj = SparsePoly.variable(u, f"y{fam.j0}")
@@ -341,16 +338,14 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
         _entry("state-homogeneous", "state-shape", (d, True), (deg, hom))
     )
 
-    y_names = state.y_names()
+    y_names = set(state.y_names())
     offenders = []
     for label, poly in [("f0", state.f0), ("a0", state.a0)] + [
         (f"a[{i},{j}]", state.a[(i, j)])
         for j in range(1, state.r + 1)
         for i in range(1, state.m + 1)
     ]:
-        for y in y_names:
-            if poly.uses_variable(y):
-                offenders.append((label, y))
+        offenders += [(label, y) for y in poly.variables() if y in y_names]
     checks.append(_entry("state-y-free", "state-shape", [], offenders))
 
     for j in range(1, state.r + 1):
@@ -416,7 +411,7 @@ def smoothness_sample(
         if v % p == 0:
             raise ValueError(f"parameter {name!r} must be nonzero")
 
-    u = fam.universe
+    u = fam.state.universe
     rng = random.Random(seed)
     idx = {name: u.index(name) for name in u.names}
     iz, iw, ix0 = idx["z"], idx["w"], idx["x0"]
@@ -429,9 +424,12 @@ def smoothness_sample(
             + SparsePoly.variable(u, "x0")
         )
     ).specialize_params(params)
+    # F1 uses every variable of F2 (x0, z, w); a variable it does not use
+    # gives a zero Jacobian column, which no 2x2 minor needs
+    used = fam.F1.variables()
     grads = []
     for eq in (fam.F1, fam.F2):
-        grads.append([eq.partial_derivative(name).specialize_params(params) for name in u.names])
+        grads.append([eq.partial_derivative(name).specialize_params(params) for name in used])
 
     t_val = params["t"] % p
 
@@ -483,8 +481,8 @@ def smoothness_sample(
         j = [[eval_terms(g, point) for g in row] for row in grads]
         has_rank2 = any(
             (j[0][c1] * j[1][c2] - j[0][c2] * j[1][c1]) % p
-            for c1 in range(len(u.names))
-            for c2 in range(c1 + 1, len(u.names))
+            for c1 in range(len(used))
+            for c2 in range(c1 + 1, len(used))
         )
         if has_rank2:
             rank2 += 1

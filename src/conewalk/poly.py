@@ -51,7 +51,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import mul
+from operator import mul, or_
 
 from .coeffs import ParamCoeff, ParamRing, ff_inv_int
 from .errors import (
@@ -177,11 +177,13 @@ class VarUniverse:
 
 
 def coordinate_universe(n, r, s, ring) -> VarUniverse:
-    """The standard universe x0..xn, y1..y{r+1}, z1..zs."""
+    """The universe of a walk: x0..xn, y1..y{r+1}, z1..zs, then the
+    family's z, w.  Sized with s + sum(e) of a station, which is the same
+    at every station, it serves the whole walk and each family on it."""
     names = [f"x{i}" for i in range(n + 1)]
     names += [f"y{j}" for j in range(1, r + 2)]
     names += [f"z{k}" for k in range(1, s + 1)]
-    return VarUniverse(tuple(names), ring)
+    return VarUniverse(tuple(names) + ("z", "w"), ring)
 
 
 def _power(v, e, p):
@@ -383,8 +385,11 @@ class SparsePoly:
         zero = layout.biases[slot] << layout.shifts[slot]
         return any(k & mask != zero for k in self.terms)
 
-    def uses_variable(self, name: str) -> bool:
-        return self._uses_slot(self.universe.index(name))
+    def variables(self) -> tuple:
+        """The names of the variables some term uses, in universe order."""
+        # a variable's field in the OR of the keys is nonzero iff some term's is
+        used = functools.reduce(or_, self.terms, 0)
+        return tuple(compress(self.universe.names, self.universe._layout.unpack(used)))
 
     def uses_param(self, name: str) -> bool:
         return self._uses_slot(self._param_slot(name))
@@ -509,26 +514,6 @@ class SparsePoly:
         layout.check(acc)
         return _poly(self.universe, _reduced(acc, p))
 
-    # -- universe embedding --
-
-    def embed(self, new_universe: VarUniverse) -> "SparsePoly":
-        """Reindex into a universe over the same ring that contains every
-        variable the terms use."""
-        old = self.universe
-        if new_universe.ring != old.ring:
-            raise ModulusMismatch("universes over different parameter rings")
-        moves, dropped = _embedding(old, new_universe)
-        for name in dropped:
-            if self.uses_variable(name):
-                raise UnknownVariable(f"unknown variable {name!r}")
-        out = {}
-        for k, c in self.terms.items():
-            nk = 0
-            for mask, up, down in moves:
-                nk |= (k & mask) << up >> down
-            out[nk] = c
-        return _poly(new_universe, out)
-
     # -- canonical text form --
 
     def canonical_string(self) -> str:
@@ -557,33 +542,6 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({self.canonical_string()})"
-
-
-@functools.lru_cache(maxsize=4)
-def _embedding(old, new):
-    """(moves, dropped) from ``old`` keys to ``new`` keys: each run of
-    fields that stays consecutive (the variable degree with the leading
-    variables, the parameter block) moves as (mask, left shift, right
-    shift); ``dropped`` names the old variables that ``new`` lacks."""
-    nv, nfields = len(old), len(old) + 2 + old.ring.nparams
-    # the old field each new field copies, None for a new variable's 0
-    source = [0] + [None if (i := old._slots.get(name)) is None else i + 1 for name in new.names]
-    source += range(nv + 1, nfields)
-    moves = []
-    f = 0
-    while f < len(source):
-        if source[f] is None:
-            f += 1
-            continue
-        start = f
-        while f + 1 < len(source) and source[f + 1] == source[f] + 1:
-            f += 1
-        # new fields start..f copy old fields source[start]..source[f]
-        low = (nfields - 1 - source[f]) * _WIDTH
-        delta = (len(source) - 1 - f) * _WIDTH - low
-        moves.append((((1 << ((f - start + 1) * _WIDTH)) - 1) << low, max(delta, 0), max(-delta, 0)))
-        f += 1
-    return tuple(moves), tuple(name for name in old.names if name not in new._slots)
 
 
 # one operator and the whitespace around it; "^" then "-" before a digit

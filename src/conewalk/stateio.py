@@ -57,11 +57,17 @@ def _require_type(value, kind, where):
         raise ValueError(f"state {where} must be {name}, got {type(value).__name__}")
 
 
-def _parse_field(text, universe, where):
+def _parse_field(text, universe, where, allowed):
+    """The polynomial of one state field; it may use only the ``allowed``
+    variables, x0..xn, y1..y{r+1}, z1..zs, of the walk's universe."""
     try:
-        return parse_poly(text, universe)
+        poly = parse_poly(text, universe)
     except ParseError as ex:
         raise ValueError(f"state {where} does not parse: {ex}") from None
+    extra = [name for name in poly.variables() if name not in allowed]
+    if extra:
+        raise ValueError(f"state {where} uses {', '.join(extra)}, outside x0..xn, y1..y(r+1), z1..zs")
+    return poly
 
 
 def state_from_dict(d: dict) -> HypersurfaceState:
@@ -95,7 +101,12 @@ def state_from_dict(d: dict) -> HypersurfaceState:
             raise ValueError(f"state a key {key!r} is not i,j with 1 <= i <= {m}, 1 <= j <= {r}")
     _require_keys(d["a"], slots, "state a")
     bp = BaseParams(n=dims["n"], m=m, r=r, d=dims["d"], p=d["p"])
-    universe = coordinate_universe(dims["n"], r, s, bp.ring())
+    # The walk's universe: z1..zs are taken, one z per step left is for
+    # later steps.  A ladder value of a valid state is below d, so each
+    # e_j counts at most d: the file's e cannot make the universe, whose
+    # packed keys grow with it, as large as it likes.
+    later = sum(min(max(ej, 0), dims["d"]) for ej in d["e"])
+    universe = coordinate_universe(dims["n"], r, s + later, bp.ring())
     ring = universe.ring
     if sorted(d["params"]) != sorted(ring.names):
         raise ValueError(f"state params keys are {sorted(d['params'])}, expected {sorted(ring.names)}")
@@ -105,7 +116,8 @@ def state_from_dict(d: dict) -> HypersurfaceState:
             raise ValueError(f'state params.{name} must be "symbolic" or an integer, got {v!r}')
         if name in ring.invertible and v != "symbolic" and v % ring.p == 0:
             raise ValueError(f"state params.{name} is invertible, but {v} is 0 mod {ring.p}")
-    h_poly = _parse_field(d["h_poly"], universe, "h_poly")
+    allowed = set(universe.names[:dims["n"] + r + 2 + s])
+    h_poly = _parse_field(d["h_poly"], universe, "h_poly", allowed)
     zs = {f"z{k}" for k in range(1, s + 1)}
     z_exps = tuple(int(name in zs) for name in universe.names)
     z_product = SparsePoly.from_residues(universe, {z_exps: 1})
@@ -116,9 +128,9 @@ def state_from_dict(d: dict) -> HypersurfaceState:
         bp=bp,
         s=s,
         universe=universe,
-        f0=_parse_field(d["f0"], universe, "f0"),
-        a0=_parse_field(d["a0"], universe, "a0"),
-        a={slots[key]: _parse_field(text, universe, f'a["{key}"]') for key, text in d["a"].items()},
+        f0=_parse_field(d["f0"], universe, "f0", allowed),
+        a0=_parse_field(d["a0"], universe, "a0", allowed),
+        a={slots[key]: _parse_field(text, universe, f'a["{key}"]', allowed) for key, text in d["a"].items()},
         e=list(d["e"]),
         h_poly=h_poly,
         params=dict(d["params"]),

@@ -348,17 +348,9 @@ class TuplePoly:
             acc[k] = acc.get(k, 0) + c
         return TuplePoly(self.universe, acc)
 
-    def embed(self, new_universe):
-        """Reindex into a universe holding every variable the terms use."""
-        old = self.universe
-        nv, width = len(old), len(old) + old.ring.nparams
-        positions = [width] * len(new_universe) + list(range(nv, width))
-        for i, name in enumerate(old.names):
-            if name in new_universe.names:
-                positions[new_universe.index(name)] = i
-            elif any(k[i] for k in self.terms):
-                raise ValueError(f"{name!r} is used and missing from the new universe")
-        return TuplePoly(new_universe, {tuple((k + (0,))[j] for j in positions): c for k, c in self.terms.items()})
+    def variables(self):
+        """The names of the variables some term uses, in universe order."""
+        return tuple(name for i, name in enumerate(self.universe.names) if any(k[i] for k in self.terms))
 
 
 # -- the field-protocol reference for unifactor and bifactor ------------------

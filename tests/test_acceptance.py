@@ -107,7 +107,7 @@ def test_criterion_05_symbolic_derivative_identities():
         for k in range(steps):
             state = induct_step(state, seed=900 + k)
         fam = build_family(state, choose_j0(state))
-        u = fam.universe
+        u = fam.state.universe
         x0 = SparsePoly.variable(u, "x0")
         lam = SparsePoly.param(u, "lam")
         yj = SparsePoly.variable(u, f"y{fam.j0}")
@@ -142,10 +142,7 @@ def test_criterion_06_induction_pipeline():
         prev = absorb_step_params(states[-1], seed=3000 + k)
         j0 = choose_j0(prev)
         nxt = induct_step(prev, seed=1000 + k, symbolic=True)
-        a_sub = [prev.a0.embed(nxt.universe)] + [
-            prev.a[(i, j0)].divide_by_monomial("x0", i).embed(nxt.universe)
-            for i in range(1, 3)
-        ]
+        a_sub = [prev.a0] + [prev.a[(i, j0)].divide_by_monomial("x0", i) for i in range(1, 3)]
         split_snapshots.append((prev, nxt, j0, a_sub))
         states.append(nxt)
     with pytest.raises(EjExhausted):

@@ -74,7 +74,7 @@ def test_g_degree_formula():
 
     for n, m in [(2, 2), (3, 2), (4, 3), (5, 2), (3, 3)]:
         bp = BaseParams(n=n, m=m, r=1, d=n + m, p=101 if n + m < 101 else 211)
-        g = build_g(bp)
+        g = build_g(bp, coordinate_universe(n, 1, 0, bp.ring()))
         assert g.degree_info() == (m * ceil((n + 1) / m), True)
         assert bp.deg_g <= n + m
 
@@ -192,3 +192,13 @@ def test_ladder_values_match_formula_at_n4():
         assert st.recompute_e(j) == st.e[j - 1]
     assert sum(st.e) == step_budget(4, 2, 8, 14)
     assert st.defining_polynomial().degree_info() == (8, True)
+
+
+def test_base_universe_holds_the_whole_walk():
+    """x0..xn, y1..y{r+1}, then one z per step the ladder allows
+    (z1..z{sum e}), then the family's z, w."""
+    st = build_base_state(BP32)
+    names = st.universe.names
+    assert names[:BP32.n + BP32.r + 2] == ("x0", "x1", "x2", "x3") + tuple(f"y{j}" for j in range(1, 8))
+    assert names[BP32.n + BP32.r + 2:] == tuple(f"z{k}" for k in range(1, sum(st.e) + 1)) + ("z", "w")
+    assert st.universe == coordinate_universe(BP32.n, BP32.r, sum(st.e), BP32.ring())

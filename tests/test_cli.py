@@ -401,6 +401,35 @@ def test_state_with_unparsable_text_is_a_usage_error(tmp_path, capsys, path, tex
 
 
 @pytest.mark.parametrize(
+    "path, name",
+    [(("f0",), "z2"), (("f0",), "z"), (("f0",), "w"), (("a", "1,2"), "z2"), (("h_poly",), "w")],
+)
+def test_state_naming_a_variable_beyond_its_station_is_a_usage_error(tmp_path, capsys, path, name):
+    """At s = 1 a state's polynomials may use x0..xn, y1..y(r+1) and z1
+    only: the next step's z2 and the family's z, w are not state variables,
+    although the walk's universe holds them."""
+    s0, s1 = tmp_path / "s0.json", tmp_path / "s1.json"
+    run(
+        capsys,
+        "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
+        "--p", "101", "--out", str(s0),
+    )
+    run(capsys, "induct", "--state", str(s0), "--seed", "1", "--out", str(s1))
+    data = json.loads(s1.read_text())
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] += f" + x0^4*{name}"
+    s1.write_text(json.dumps(data))
+    field = path[0] if len(path) == 1 else f'a["{path[1]}"]'
+    for cmd in (["verify", "--seed", "1"], ["induct", "--seed", "1", "--out", str(tmp_path / "s2.json")]):
+        code, out, err = run(capsys, cmd[0], "--state", str(s1), *cmd[1:])
+        assert code == 2 and out == ""
+        _assert_one_error_line(err, str(s1), f"state {field} ", name)
+    assert not (tmp_path / "s2.json").exists()
+
+
+@pytest.mark.parametrize(
     "flags, needle",
     [
         (["--steps", "0"], "--steps must be at least 1, got 0"),

@@ -40,7 +40,7 @@ def test_family_equation_shapes(family):
     assert family.Y0_eq.degree_info() == (5, True)
     assert family.Y1_eq.degree_info() == (5, True)
     assert family.Z_eq.degree_info() == (5, True)
-    u = family.universe
+    u = family.state.universe
     t = SparsePoly.param(u, "t")
     x0 = SparsePoly.variable(u, "x0")
     z = SparsePoly.variable(u, "z")
@@ -58,7 +58,7 @@ def test_family_equation_shapes(family):
 
 
 def test_regroup_round_trip(family, base_state):
-    assert family.Z_eq == base_state.defining_polynomial().embed(family.universe)
+    assert family.Z_eq == base_state.defining_polynomial()
 
 
 def test_split_column_degrees(base_state):
@@ -95,16 +95,14 @@ def test_minor_identities_configuration_sweep(n, m, r, steps, d):
     report = verify_singular_minors(fam)
     assert all(c["pass"] for c in report), report
     minor = next(c for c in report if c["check"] == "minor-det-tz")
-    expected = (-SparsePoly.variable(fam.universe, "x0", d + 1)).canonical_string()
+    expected = (-SparsePoly.variable(fam.state.universe, "x0", d + 1)).canonical_string()
     assert minor["got"] == expected
 
 
 def test_top_coefficient_identity(base_state):
     """a'_l = z_{s+1}^l a_l for l >= 2: single summand, both deltas vanish."""
     st1 = induct_step(base_state, j0=1, seed=1, symbolic=True)
-    a_sub = [base_state.a0.embed(st1.universe)] + [
-        base_state.a[(i, 1)].divide_by_monomial("x0", i).embed(st1.universe) for i in (1, 2)
-    ]
+    a_sub = [base_state.a0] + [base_state.a[(i, 1)].divide_by_monomial("x0", i) for i in (1, 2)]
     z1 = SparsePoly.variable(st1.universe, "z1")
     assert st1.a[(2, 1)] == z1**2 * a_sub[2]
 
@@ -117,9 +115,9 @@ def test_expanded_low_coefficients_l2(base_state):
     st1 = induct_step(base_state, j0=1, seed=1, symbolic=True)
     u = st1.universe
     a0, a1, a2 = (
-        base_state.a0.embed(u),
-        base_state.a[(1, 1)].divide_by_monomial("x0", 1).embed(u),
-        base_state.a[(2, 1)].divide_by_monomial("x0", 2).embed(u),
+        base_state.a0,
+        base_state.a[(1, 1)].divide_by_monomial("x0", 1),
+        base_state.a[(2, 1)].divide_by_monomial("x0", 2),
     )
     x0 = SparsePoly.variable(u, "x0")
     z1 = SparsePoly.variable(u, "z1")
@@ -150,9 +148,7 @@ def test_divisibility_transport_symbolic():
     assert st.e[0] == 2
     st1 = induct_step(st, j0=1, seed=1, symbolic=True)
     u = st1.universe
-    a_sub = [st.a0.embed(u)] + [
-        st.a[(i, 1)].divide_by_monomial("x0", i).embed(u) for i in (1, 2)
-    ]
+    a_sub = [st.a0] + [st.a[(i, 1)].divide_by_monomial("x0", i) for i in (1, 2)]
     e = st.e[0] - 1
     assert e >= 1
     assert all(a_sub[i].monomial_divides("x0", i * e) for i in range(3))
@@ -168,7 +164,21 @@ def test_untouched_columns_bit_identical(base_state):
     st1 = induct_step(base_state, j0=1, seed=1)
     for j in range(2, base_state.r + 1):
         for i in (1, 2):
-            assert st1.a[(i, j)] == base_state.a[(i, j)].embed(st1.universe)
+            assert st1.a[(i, j)] is base_state.a[(i, j)]
+    assert st1.f0 is base_state.f0
+
+
+def test_walk_and_families_share_one_universe(base_state):
+    """Every station of a walk, and every family built on one, lives in
+    the universe sized at construction: no step re-embeds."""
+    states = _walk(base_state, 3, seed=40)
+    for st in states:
+        assert st.universe is base_state.universe
+        for j in range(1, st.r + 1):
+            if st.e[j - 1] >= 1:
+                fam = build_family(st, j)
+                for poly in (fam.F1, fam.F2, fam.Y0_eq, fam.Y1_eq, fam.Z_eq):
+                    assert poly.universe is st.universe
 
 
 def test_ladder_decrement_and_h_growth(base_state):
@@ -270,7 +280,7 @@ def test_smoothness_budget_exhaustion(family):
 def test_lambda_zero_specialization(family):
     """The Y1 equation after clearing lam-denominators and sending lam to 0."""
     y10 = set_param_zero(family.Y1_eq, "lam")
-    u = family.universe
+    u = family.state.universe
     assert not y10.uses_param("lam")
     # the cleared equation keeps the x0^(d-1) w tail
     d = family.state.d
@@ -366,8 +376,8 @@ def test_walk_with_modulus_three():
     u = st1.universe
     z1 = SparsePoly.variable(u, "z1")
     x0 = SparsePoly.variable(u, "x0")
-    a3 = st.a[(3, 1)].divide_by_monomial("x0", 3).embed(u)
-    a2 = st.a[(2, 1)].divide_by_monomial("x0", 2).embed(u)
+    a3 = st.a[(3, 1)].divide_by_monomial("x0", 3)
+    a2 = st.a[(2, 1)].divide_by_monomial("x0", 2)
     lam_inv = SparsePoly.param(u, "lam", -1)
     assert st1.a[(3, 1)] == z1**3 * a3
     assert st1.a[(2, 1)] == z1**2 * (a2 + (x0**2 * a3 * lam_inv).scale(-3))
@@ -392,15 +402,13 @@ def test_transform_agrees_with_closed_substitution(n, m, r, d):
     t_lam = SparsePoly.param(u, "t") * SparsePoly.param(u, "lam")
 
     target = yj * zs - lam_inv * x0**2
-    rhs = st.f0.embed(u)
+    rhs = st.f0
     for j in range(1, r + 1):
         if j == j0:
             continue
         for i in range(1, m + 1):
-            rhs = rhs + st.a[(i, j)].embed(u) * SparsePoly.variable(u, f"y{j}", i)
-    a_sub = [st.a0.embed(u)] + [
-        st.a[(i, j0)].divide_by_monomial("x0", i).embed(u) for i in range(1, m + 1)
-    ]
+            rhs = rhs + st.a[(i, j)] * SparsePoly.variable(u, f"y{j}", i)
+    a_sub = [st.a0] + [st.a[(i, j0)].divide_by_monomial("x0", i) for i in range(1, m + 1)]
     for i, ai in enumerate(a_sub):
         rhs = rhs + ai * target**i
     rhs = rhs + x0 ** (d - 1) * zs + x0 ** (d - 1) * yj * t_lam

@@ -16,7 +16,7 @@ from conewalk.errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe, parse_poly
+from conewalk.poly import SparsePoly, VarUniverse, parse_poly
 from oracles import (
     TuplePoly,
     canonical_string,
@@ -190,19 +190,10 @@ def test_param_coefficient_splits_into_terms():
     assert f == (pi + one) * V("x0")
 
 
-def test_embed():
-    small = VarUniverse(("x0", "x1"), RING)
-    big = coordinate_universe(1, 1, 2, RING)  # x0 x1 y1 y2 z1 z2
-    f = parse_poly("x0^2 + x0*x1", small)
-    g = f.embed(big)
-    assert g.canonical_string() == "x0^2 + x0*x1"
-    assert g.universe is big
-
-
-def test_embed_missing_used_variable_raises():
-    small = VarUniverse(("x0", "q1"), RING)
-    with pytest.raises(UnknownVariable):
-        parse_poly("q1", small).embed(U3)
+def test_variables_in_universe_order():
+    assert P("x2^3 + lam^-1*x0*x2 + pi").variables() == ("x0", "x2")
+    assert P("lam*t + 5").variables() == ()
+    assert SparsePoly.zero(U3).variables() == ()
 
 
 def test_param_derivative():
@@ -467,12 +458,11 @@ def test_parse_is_the_sum_of_single_term_parses():
 
 def test_flat_terms_properties():
     """On random polynomials with negative lam exponents: the text round
-    trip, ``specialize_params`` as a ring homomorphism, substitution
-    before specialization, and ``embed`` commuting with products."""
+    trip, ``specialize_params`` as a ring homomorphism, and substitution
+    before specialization."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    big = VarUniverse(("w", "x2", "x0", "v", "x1"), RING)  # reordered and larger
     small = st.integers(0, 3)
     key = st.tuples(small, small, small, st.integers(0, 2), st.integers(-3, 3), small, small)
     poly = st.dictionaries(key, st.integers(0, 202), max_size=6).map(lambda t: SparsePoly(U3, t))
@@ -493,8 +483,6 @@ def test_flat_terms_properties():
             baked = a.substitute_param(name, values[name])
             assert not baked.uses_param(name)
             assert baked.specialize_params(values) == a.specialize_params(values)
-        assert (a * b).embed(big) == a.embed(big) * b.embed(big)
-        assert a.embed(big).embed(U3) == a
 
     check()
 
@@ -530,9 +518,8 @@ def test_packed_keys_match_the_tuple_reference():
     """On random universes of 0 to 80 variables, with negative ``lam``
     exponents, every operation on packed keys gives the terms that the
     tuple-keyed reference gives: sums, products, powers, both
-    derivatives, substitution, specialization, embeddings that append,
-    reorder or drop an unused variable, the canonical text and its
-    round trip."""
+    derivatives, substitution, specialization, the variables used, the
+    canonical text and its round trip."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -573,12 +560,8 @@ def test_packed_keys_match_the_tuple_reference():
             assert a.param_derivative(name).to_dict() == ra.param_derivative(name).terms
             assert a.substitute_param(name, values[name]).to_dict() == ra.substitute_param(name, values[name]).terms
         assert a.specialize_params(values) == ra.specialize_params(values)
-        names = list(u.names)
-        rng.shuffle(names)
-        unused = [n for n in names if not a.uses_variable(n)]
-        for names_new in [list(u.names) + ["w0", "w1"], names, [n for n in names if n not in unused[:1]]]:
-            new = VarUniverse(tuple(names_new), RING)
-            assert a.embed(new).to_dict() == ra.embed(new).terms
+        assert a.variables() == ra.variables()
+        assert (a * b).variables() == (ra * rb).variables()
         assert a.canonical_string() == canonical_string(ra)
         assert parse_poly(a.canonical_string(), u) == a
 

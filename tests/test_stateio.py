@@ -36,6 +36,18 @@ def test_roundtrip_after_steps():
         assert state_to_dict(back) == d
 
 
+def test_ladder_values_size_the_universe_at_most_d_each():
+    """A valid ladder value is below d, so a file's e counts at most d per
+    column towards the walk's universe: a corrupt e still loads (verify
+    then reports the ladder), in a universe of bounded size."""
+    st = build_base_state(BP)
+    d = state_to_dict(st)
+    d["e"][0] = 500
+    back = state_from_dict(json.loads(json.dumps(d)))
+    assert back.e[0] == 500
+    assert len(back.universe) == len(st.universe) - st.e[0] + BP.d
+
+
 def test_provenance_appends():
     st = build_base_state(BP)
     n0 = len(st.provenance)
