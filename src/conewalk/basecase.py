@@ -128,6 +128,14 @@ class HypersurfaceState:
         self.provenance.append(entry)
 
 
+def z_product(universe: VarUniverse, s: int) -> SparsePoly:
+    """z1*...*zs, the pivot product h_poly of a station s (1 at s = 0)."""
+    exps = [0] * (len(universe) + universe.ring.nparams)
+    for k in range(1, s + 1):
+        exps[universe.index(f"z{k}")] = 1
+    return SparsePoly(universe, {tuple(exps): 1})
+
+
 def build_g(bp: BaseParams, universe: VarUniverse) -> SparsePoly:
     """pi*(sum x_i^ceil((n+1)/m))^m - (-1)^n x0^(m*ceil((n+1)/m)-n) x1...xn."""
     k = ceil((bp.n + 1) / bp.m)
@@ -207,7 +215,7 @@ def build_base_state(bp: BaseParams, h_choice: str = "default") -> HypersurfaceS
         a0=a0,
         a=a,
         e=e,
-        h_poly=SparsePoly.constant(universe, 1),
+        h_poly=z_product(universe, 0),
         params={name: "symbolic" for name in bp.ring().names},
     )
     state.log("construct", n=bp.n, m=bp.m, r=bp.r, d=bp.d, p=bp.p, h_choice=h_choice)

@@ -9,35 +9,41 @@ parameter t is the complete intersection
     F2 = t*x0^2 + z*w = 0,
 
 where f collects f0 and the columns j != j0, and a_i = a_{i,j0} / x0^i
-(exact by the ladder hypothesis), deg a_i = d - 2i, l = m.  The step
-replaces column j0 by the transformed coefficients
+(exact by the ladder hypothesis), deg a_i = d - 2i, l = m.  Since
+a_i x0^i y_{j0}^i = a_{i,j0} y_{j0}^i, the core f + sum a_i x0^i y_{j0}^i
+is the state's defining polynomial.  The step replaces column j0 by the
+transformed coefficients
 
     a'_i = z_{s+1}^i * sum_{k=i}^{l} C(k,i) (-lam^-1)^(k-i) x0^(2k-2i) a_k
            + [i=1] t*lam*x0^(d-1) + [i=0] x0^(d-1) z_{s+1},
 
 decrements e_{j0} by exactly one, takes up the next coordinate
-z_{s+1}, and multiplies the tracked pivot product h by z_{s+1}.
+z_{s+1}, and multiplies the tracked pivot product h by z_{s+1}.  The
+sums are the Taylor coefficients of sum a_k Y^k at Y = -lam^-1 x0^2,
+found by a synthetic-division shift.
 
 A walk lives in one universe, x0..xn, y1..y{r+1}, z1..z{s+sum(e)}, z, w:
 a step adds 1 to s and takes 1 from e_{j0}, so the sum is fixed, and
 the universe already holds every z_k of the walk and the family's z, w.
 Each station and each family is built in the state's own universe.
 
-Parameters lam and t are fresh transcendentals per step.  A state whose
-coefficients still mention lam or t (from a symbolic step) must absorb
-them into the ground field (seeded random nonzero values) before the
-next family is built; ``induct_step`` does this automatically.
+Parameters lam and t are fresh transcendentals per step.  A baked step
+builds the column with its drawn (seeded random nonzero) lam and t; a
+symbolic step builds it with the parameters, by the same builder.  A
+state whose coefficients still mention lam or t (from a symbolic step)
+must absorb them into the ground field before the next family is
+built; ``induct_step`` does this automatically.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
 
-from .basecase import HypersurfaceState
+from .basecase import HypersurfaceState, z_product
 from .coeffs import sqrt_mod
 from .errors import (
+    DivisionFailure,
     EjExhausted,
     EjTooSmall,
     IndexOutOfRange,
@@ -68,10 +74,15 @@ def choose_j0(state: HypersurfaceState) -> int:
 
 
 def _validate_j0(state, j0):
+    """j0 names a column whose ladder value is >= 1 and which meets the
+    ladder hypothesis x0^i | a_{i,j0}."""
     if not 1 <= j0 <= state.r:
         raise IndexOutOfRange(f"j0={j0} outside 1..r={state.r}")
     if state.e[j0 - 1] < 1:
         raise EjTooSmall(f"e_{j0} = {state.e[j0 - 1]}; the cone step needs e >= 1")
+    for i in range(1, state.m + 1):
+        if not state.a[(i, j0)].monomial_divides("x0", i):
+            raise DivisionFailure(f"x0^{i} does not divide every term")
 
 
 def split_column(state: HypersurfaceState, j0: int):
@@ -82,21 +93,21 @@ def split_column(state: HypersurfaceState, j0: int):
     return out
 
 
+def _symbolic_params(state: HypersurfaceState) -> list:
+    """The step parameters, of lam and t, that f0, a0 or some a_{i,j}
+    still mentions, in sorted order.  h_poly is z1...zs and names none."""
+    polys = [state.f0, state.a0, *state.a.values()]
+    return [name for name in ("lam", "t") if any(poly.uses_param(name) for poly in polys)]
+
+
 def absorb_step_params(state: HypersurfaceState, seed: int) -> HypersurfaceState:
     """Bake any symbolic lam/t left in the coefficients into the ground
     field, using seeded random nonzero values.  Returns a new state."""
-    uses = {
-        name
-        for name in ("lam", "t")
-        if any(
-            poly.uses_param(name)
-            for poly in [state.f0, state.a0, state.h_poly, *state.a.values()]
-        )
-    }
-    if not uses:
+    names = _symbolic_params(state)
+    if not names:
         return state
     rng = random.Random(seed)
-    values = {name: rng.randrange(1, state.p) for name in sorted(uses)}
+    values = {name: rng.randrange(1, state.p) for name in names}
 
     def bake(poly):
         for name, v in values.items():
@@ -126,24 +137,11 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
     the *current* step's fresh transcendentals.
     """
     _validate_j0(state, j0)
-    for name in ("lam", "t"):
-        if any(
-            poly.uses_param(name)
-            for poly in [state.f0, state.a0, *state.a.values()]
-        ):
-            raise ValueError(
-                f"state coefficients still mention {name!r}; absorb them first"
-            )
+    names = _symbolic_params(state)
+    if names:
+        raise ValueError(f"state coefficients still mention {names[0]!r}; absorb them first")
     universe = state.universe
-    d, m = state.d, state.m
-    f_part = state.f0
-    for j in range(1, state.r + 1):
-        if j == j0:
-            continue
-        for i in range(1, m + 1):
-            f_part = f_part + state.a[(i, j)] * SparsePoly.variable(universe, f"y{j}", i)
-    a_sub = split_column(state, j0)
-
+    d = state.d
     yj = SparsePoly.variable(universe, f"y{j0}")
     x0 = SparsePoly.variable(universe, "x0")
     z = SparsePoly.variable(universe, "z")
@@ -151,9 +149,7 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
     lam = SparsePoly.param(universe, "lam")
     t = SparsePoly.param(universe, "t")
 
-    core = f_part
-    for i, ai in enumerate(a_sub):
-        core = core + ai * x0**i * yj**i
+    core = state.defining_polynomial()
     z_term = x0 ** (d - 1) * z
     w_term = x0 ** (d - 2) * (lam * yj + x0) * w
     F1 = core + z_term + w_term
@@ -169,29 +165,27 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
     )
 
 
-def transformed_sum_part(a_sub, i, universe) -> SparsePoly:
-    """sum_{k=i}^{l} C(k,i) (-lam^-1)^(k-i) x0^(2k-2i) a_k, without the
-    delta terms or the z_{s+1}^i prefactor."""
-    l = len(a_sub) - 1
-    # x0^2 * (-lam^-1), one monomial
-    step = -(SparsePoly.variable(universe, "x0", 2) * SparsePoly.param(universe, "lam", -1))
-    total = SparsePoly.zero(universe)
-    for k in range(i, l + 1):
-        total = total + (a_sub[k] * step ** (k - i)).scale(comb(k, i))
-    return total
-
-
-def transformed_coefficient(a_sub, d, i, universe, z_name) -> SparsePoly:
-    """The full a'_i in the walk's universe (deg a'_i = d - i)."""
-    zs = SparsePoly.variable(universe, z_name)
-    x0 = SparsePoly.variable(universe, "x0")
-    total = zs**i * transformed_sum_part(a_sub, i, universe)
-    if i == 1:
-        t_lam = SparsePoly.param(universe, "t") * SparsePoly.param(universe, "lam")
-        total = total + x0 ** (d - 1) * t_lam
-    if i == 0:
-        total = total + x0 ** (d - 1) * zs
-    return total
+def transformed_column(a_sub, d, z, lam_inv, t_lam) -> list:
+    """[a'_0, ..., a'_l] of the split column a_sub = [a_0, ..., a_l],
+    with z the new coordinate z_{s+1} and lam_inv, t_lam the values of
+    lam^-1 and t*lam: parameters, or constants of the ground field."""
+    universe = z.universe
+    x0_top = SparsePoly.variable(universe, "x0", d - 1)
+    shift = -(SparsePoly.variable(universe, "x0", 2) * lam_inv)
+    out = list(a_sub)
+    l = len(out) - 1
+    # Taylor shift of sum a_k Y^k to Y = shift, in place:
+    # out[i] becomes sum_{k>=i} C(k,i) shift^(k-i) a_k
+    for i in range(l):
+        for k in range(l - 1, i - 1, -1):
+            out[k] = out[k] + shift * out[k + 1]
+    zpow = z
+    for i in range(1, l + 1):
+        out[i] = zpow * out[i]
+        zpow = zpow * z
+    out[0] = out[0] + x0_top * z
+    out[1] = out[1] + x0_top * t_lam
+    return out
 
 
 def induct_step(
@@ -202,8 +196,8 @@ def induct_step(
 ) -> HypersurfaceState:
     """One cone step: transform column j0, take up z_{s+1}, decrement e_{j0}.
 
-    By default the step's lam/t are baked to seeded random nonzero
-    values on the way out (ground-field absorption); with
+    By default the step's lam/t are seeded random nonzero values, baked
+    into the new column as it is built (ground-field absorption); with
     ``symbolic=True`` they are kept as symbols, in which case the next
     step will absorb them itself.
     """
@@ -212,38 +206,36 @@ def induct_step(
         j0 = choose_j0(state)
     _validate_j0(state, j0)
 
-    bp, d, m = state.bp, state.d, state.m
-    s_new = state.s + 1
-    z_name = f"z{s_new}"
+    bp, d, m, p = state.bp, state.d, state.m, state.p
     universe = state.universe
-    a_sub = split_column(state, j0)
+    rng = random.Random(seed)
+    lam_val = rng.randrange(1, p)
+    t_val = rng.randrange(1, p)
+    if symbolic:
+        lam_inv = SparsePoly.param(universe, "lam", -1)
+        t_lam = SparsePoly.param(universe, "t") * SparsePoly.param(universe, "lam")
+    else:
+        lam_inv = SparsePoly.constant(universe, pow(lam_val, -1, p))
+        t_lam = SparsePoly.constant(universe, t_val * lam_val)
+    z_new = SparsePoly.variable(universe, f"z{state.s + 1}")
+    column = transformed_column(split_column(state, j0), d, z_new, lam_inv, t_lam)
 
     a_new = dict(state.a)
     for i in range(1, m + 1):
-        a_new[(i, j0)] = transformed_coefficient(a_sub, d, i, universe, z_name)
-    a0_new = transformed_coefficient(a_sub, d, 0, universe, z_name)
-
-    rng = random.Random(seed)
-    lam_val = rng.randrange(1, state.p)
-    t_val = rng.randrange(1, state.p)
+        a_new[(i, j0)] = column[i]
     params = dict(state.params)
     params["lam"] = "symbolic"
     params["t"] = "symbolic"
-    if not symbolic:
-        a0_new = a0_new.substitute_param("lam", lam_val).substitute_param("t", t_val)
-        for i in range(1, m + 1):
-            key = (i, j0)
-            a_new[key] = a_new[key].substitute_param("lam", lam_val).substitute_param("t", t_val)
 
     new = HypersurfaceState(
         bp=bp,
-        s=s_new,
+        s=state.s + 1,
         universe=universe,
         f0=state.f0,
-        a0=a0_new,
+        a0=column[0],
         a=a_new,
         e=list(state.e),
-        h_poly=state.h_poly * SparsePoly.variable(universe, z_name),
+        h_poly=state.h_poly * z_new,
         params=params,
         provenance=list(state.provenance),
     )
@@ -253,8 +245,7 @@ def induct_step(
         raise StepInvariantViolated(
             f"ladder decrement mismatch: recomputed {recomputed}, expected {new.e[j0 - 1]}"
         )
-    for i in range(0, m + 1):
-        poly = a0_new if i == 0 else a_new[(i, j0)]
+    for i, poly in enumerate(column):
         if not poly.is_zero():
             deg, hom = poly.degree_info()
             if not hom or deg != d - i:
@@ -374,13 +365,8 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
     )
     checks[-1]["failure_bound"] = verdict.failure_bound
 
-    # one monomial with coefficient 1 in the z variables only
-    hp = state.h_poly
-    z_slots = {i for i, name in enumerate(state.universe.names) if name.startswith("z")}
-    shape_ok = len(hp.terms) == 1 and all(
-        c == 1 and all(e == 0 or i in z_slots for i, e in enumerate(exps))
-        for exps, c in hp.to_dict().items()
-    )
+    # the walk's coordinates z1..zs, each once, with coefficient 1
+    shape_ok = state.h_poly == z_product(state.universe, state.s)
     checks.append(_entry("h-poly-shape", "pivot-product", True, shape_ok))
     return checks
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 
-from .basecase import BaseParams, HypersurfaceState
+from .basecase import BaseParams, HypersurfaceState, z_product
 from .errors import ParseError
-from .poly import SparsePoly, coordinate_universe, parse_poly
+from .poly import coordinate_universe, parse_poly
 
 SCHEMA_VERSION = 1
 STATE_KEYS = ("p", "dims", "params", "f0", "a0", "a", "e", "h_poly", "provenance")
@@ -118,11 +118,9 @@ def state_from_dict(d: dict) -> HypersurfaceState:
             raise ValueError(f"state params.{name} is invertible, but {v} is 0 mod {ring.p}")
     allowed = set(universe.names[:dims["n"] + r + 2 + s])
     h_poly = _parse_field(d["h_poly"], universe, "h_poly", allowed)
-    zs = {f"z{k}" for k in range(1, s + 1)}
-    z_exps = tuple(int(name in zs) for name in universe.names)
-    z_product = SparsePoly.from_residues(universe, {z_exps: 1})
-    if h_poly != z_product:
-        want = z_product.canonical_string()
+    pivot = z_product(universe, s)
+    if h_poly != pivot:
+        want = pivot.canonical_string()
         raise ValueError(f"state h_poly is {d['h_poly']!r}, but dims.s = {s} needs {want!r}")
     return HypersurfaceState(
         bp=bp,

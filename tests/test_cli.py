@@ -646,3 +646,24 @@ def test_ladder_station_bytes_pinned(tmp_path, capsys):
         "103-s52.json": "1a7b00f912372671f7c69a440299f40680fa5461f8a1f8106450c5bedfa734c0",
         "verify-149-s26": "ff9a777739c3a7a0035a8a1f5bc63b2f9cb0a95d67e5ca241480cb8067cb73ac",
     }
+
+
+def test_paper_bound_d8_walk_bytes_pinned(tmp_path, capsys):
+    """The d = 8 witness of ``bounds --table``, (n, r, s) = (6, 62, 77):
+    one construct, 77 cone steps in one induct, then verify at the end
+    station, write these exact state and report bytes."""
+    s0, s77 = tmp_path / "s0.json", tmp_path / "s77.json"
+    assert run(capsys, "construct", "base", "--n", "6", "--m", "2", "--r", "62", "--d", "8",
+               "--p", "101", "--seed", "1", "--out", str(s0))[0] == 0
+    assert run(capsys, "induct", "--state", str(s0), "--steps", "77", "--seed", "2",
+               "--out", str(s77))[0] == 0
+    code, out, _ = run(capsys, "verify", "--state", str(s77), "--trials", "3", "--seed", "3", "--json")
+    assert code == 0
+    assert json.loads(s77.read_text())["e"] == [0] * 62
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (s0, s77)}
+    digests["report"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {
+        "s0.json": "d9e9860bbc6655b42bc437efff8b3a1c5b9c3dfca4448521ceb30aced6d15390",
+        "s77.json": "2412d96b1771962a76f68cb9d46ce6720637ce3e54d7b907bfd2dd3af763a9dc",
+        "report": "a6cc95659e6d6ed8e5cbef903856533bbe5fa812d031ebadc89d32ab25b6bc1a",
+    }

@@ -12,8 +12,7 @@ from conewalk.doublecone import (
     induct_step,
     smoothness_sample,
     split_column,
-    transformed_coefficient,
-    transformed_sum_part,
+    transformed_column,
     verify_singular_minors,
     verify_state,
 )
@@ -140,8 +139,11 @@ def test_divisibility_transport_symbolic():
     """If x0^(i e) | a_i for all i then x0^(i e) divides the sum part of
     the transformed coefficient, before the delta terms are added.
 
-    The split-level ladder value is one below the state-level one, so a
-    state with e_j = 2 makes the transport statement non-vacuous.
+    With t*lam = 0 the column builder gives a'_i = z^i * (sum part) for
+    i >= 1, and z is not x0, so the sum part's x0-divisibility is that
+    of a'_i.  The split-level ladder value is one below the state-level
+    one, so a state with e_j = 2 makes the transport statement
+    non-vacuous.
     """
     bp = BaseParams(n=3, m=2, r=6, d=7, p=101)
     st = build_base_state(bp)
@@ -152,12 +154,40 @@ def test_divisibility_transport_symbolic():
     e = st.e[0] - 1
     assert e >= 1
     assert all(a_sub[i].monomial_divides("x0", i * e) for i in range(3))
-    for i in range(3):
-        part = transformed_sum_part(a_sub, i, u)
-        assert part.monomial_divides("x0", i * e)
+    z1 = SparsePoly.variable(u, "z1")
+    lam_inv = SparsePoly.param(u, "lam", -1)
+    column = transformed_column(a_sub, bp.d, z1, lam_inv, SparsePoly.zero(u))
+    for i in (1, 2):
+        assert column[i].monomial_divides("x0", i * e)
     # and the full transformed column keeps the state-level ladder at e_j - 1
     for i in (1, 2):
         assert st1.a[(i, 1)].monomial_divides("x0", i * e)
+
+
+@pytest.mark.parametrize(
+    "n,m,r,d,steps",
+    [(3, 2, 6, 5, 0), (3, 2, 6, 7, 3), (2, 2, 2, 5, 1), (3, 3, 6, 9, 2), (4, 3, 2, 7, 0), (4, 2, 14, 12, 5)],
+)
+def test_baked_step_is_the_symbolic_step_at_its_drawn_values(n, m, r, d, steps):
+    """A baked step is the symbolic step with the provenance's lam and t
+    substituted into a0 and column j0; nothing else differs."""
+    st = build_base_state(BaseParams(n=n, m=m, r=r, d=d, p=101))
+    for k in range(steps):
+        st = induct_step(st, seed=900 + k)
+    for seed in (1, 2, 3):
+        baked = induct_step(st, seed=seed)
+        sym = induct_step(st, seed=seed, symbolic=True)
+        step = baked.provenance[-1]
+        j0 = step["j0"]
+
+        def bake(poly):
+            return poly.substitute_param("lam", step["lam"]).substitute_param("t", step["t"])
+
+        assert baked.a0 == bake(sym.a0)
+        for i in range(1, m + 1):
+            assert baked.a[(i, j0)] == bake(sym.a[(i, j0)])
+        assert baked.a == {**sym.a, **{(i, j0): baked.a[(i, j0)] for i in range(1, m + 1)}}
+        assert (baked.f0, baked.h_poly, baked.e, baked.s) == (sym.f0, sym.h_poly, sym.e, sym.s)
 
 
 def test_untouched_columns_bit_identical(base_state):
@@ -220,6 +250,16 @@ def test_verify_state_passes_on_pipeline(base_state):
     for idx, st in enumerate(_walk(base_state, 3, seed=60)):
         checks = verify_state(st, irreducibility_trials=6, seed=11)
         assert all(c["pass"] for c in checks), (idx, [c for c in checks if not c["pass"]])
+
+
+@pytest.mark.parametrize("h_text", ["1", "z", "w", "z2", "z1*z3", "z1^2", "2*z1", "z1 + z2"])
+def test_verify_state_h_poly_is_exactly_the_walk_coordinates(base_state, h_text):
+    """At station s = 1 the pivot product is z1 and nothing else: not the
+    family's z, not a later step's z2, z3, not z1 times one of them."""
+    st1 = induct_step(base_state, j0=1, seed=1)
+    st1.h_poly = parse_poly(h_text, st1.universe)
+    check = next(c for c in verify_state(st1, irreducibility_trials=2, seed=1) if c["check"] == "h-poly-shape")
+    assert check["pass"] is False
 
 
 def test_verify_state_catches_corruption(base_state):

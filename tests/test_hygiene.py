@@ -424,6 +424,7 @@ DOCUMENTED_API = {
     "phi_map": "the README's vertex-to-vertex obstruction map",
     "skeleton_to_json": "inverse of skeleton_from_json for the README's graph files",
     "SparsePoly.eval_point": "the README's polynomial evaluation",
+    "SparsePoly.to_dict": "the README's exponent-tuple view, the inverse of the constructor",
     "sandwich_check": "the README's sandwich estimates",
     "step_budget": "the paper's ladder budget, not yet printed by the bounds command",
     "step_budget_closed_form": "its closed form, not yet printed by the bounds command",
