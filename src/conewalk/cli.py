@@ -58,6 +58,8 @@ def cmd_bounds(args) -> int:
             print("error: --table needs --m", file=sys.stderr)
             return 2
         lo, hi = args.table
+        if lo > hi:
+            raise ValueError(f"--table needs D1 <= D2, got {lo}:{hi}")
         rows = []
         for d in range(lo, hi + 1):
             w_max = bnd.max_N(d, args.m)
@@ -199,6 +201,8 @@ def _load_graph(path):
 def cmd_skeleton(args) -> int:
     import random
 
+    if args.skeleton_cmd in ("telescope", "transfer") and args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.skeleton_cmd == "subdivide":
         sk = _load_graph(args.graph)
         ssk = sk_mod.subdivide(sk, args.r)

@@ -14,14 +14,15 @@ homogeneous polynomial of degree d in k used variables:
   neither (a binary form of degree >= 2 with no rational factor among
   them) is ``Inconclusive``;
 - for k >= 4, up to ``trials`` slices are drawn: restrictions to random
-  affine planes, redrawing maps that send the plane onto a line, built
-  by nested Horner so that every product is by one linear form.  Slices
-  keep the full degree, so a splitting of the input splits every slice,
-  and p > d^2 lets ``bifactor.squarefree_at_a_point`` decide exactly
-  whether one is squarefree; a non-squarefree slice is redrawn.  The
-  first squarefree slice decides: certified, ``Irreducible``; otherwise,
-  or with no squarefree slice within the budget, ``Inconclusive``, since
-  no factor of the input is recovered in four or more variables.
+  affine planes, redrawing maps that send the plane onto a line, each
+  interpolated from its values on the lattice u + v <= d, which is
+  exact since d < p.  Slices keep the full degree, so a splitting of the
+  input splits every slice, and p > d^2 lets
+  ``bifactor.squarefree_at_a_point`` decide exactly whether one is
+  squarefree; a non-squarefree slice is redrawn.  The first squarefree
+  slice decides: certified, ``Irreducible``; otherwise, or with no
+  squarefree slice within the budget, ``Inconclusive``, since no factor
+  of the input is recovered in four or more variables.
 
 Every ``Irreducible`` rests on a certificate and every ``Reducible`` on
 an exact division, so ``failure_bound`` is 0.0 for both; whenever no
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 
 from . import bifactor as bi
 from . import unifactor as uni
@@ -148,15 +150,16 @@ def probably_irreducible(
     if d == 1:
         return IrreducibilityVerdict(IRREDUCIBLE, assignment=assignment)
 
-    used = [i for i in range(len(a.universe)) if any(e[i] for e in int_terms)]
-    for i in used:
-        if all(e[i] for e in int_terms):
-            witness = SparsePoly.variable(a.universe, a.universe.names[i])
-            if _exact_divide(int_terms, witness.specialize_params({}), p) is None:
-                raise DivisionFailure(f"{witness!r} does not divide the input exactly")
-            return IrreducibilityVerdict(
-                REDUCIBLE, witness=witness, assignment=assignment, note="variable factor"
-            )
+    # each term's variables, from one pass over the terms
+    support = [set(compress(range(len(e)), e)) for e in int_terms]
+    used, common = sorted(set().union(*support)), set.intersection(*support)
+    if common:
+        witness = SparsePoly.variable(a.universe, a.universe.names[min(common)])
+        if _exact_divide(int_terms, witness.specialize_params({}), p) is None:
+            raise DivisionFailure(f"{witness!r} does not divide the input exactly")
+        return IrreducibilityVerdict(
+            REDUCIBLE, witness=witness, assignment=assignment, note="variable factor"
+        )
 
     # no variable factor, so len(used) >= 2
     if len(used) <= 3:
@@ -204,66 +207,63 @@ def _chart_verdict(universe, int_terms, used, assignment, rng):
 
 
 def _sample_slice(F, int_terms, used, d, rng, attempts=64):
-    """Substitute x_i -> a_i u + b_i v + c_i; keep only full-degree slices."""
+    """Substitute x_i -> a_i u + b_i v + c_i, by evaluation on the degree-d
+    lattice and interpolation (``_slice``); keep only full-degree slices."""
     p = F.p
     n = max(len(e) for e in int_terms)
     for _ in range(attempts):
-        avec = [rng.randrange(p) for _ in range(n)]
-        bvec = [rng.randrange(p) for _ in range(n)]
-        cvec = [rng.randrange(p) for _ in range(n)]
+        avec, bvec, cvec = ([rng.randrange(p) for _ in range(n)] for _ in range(3))
         # a rank-deficient map sends the plane onto a line, where f splits
         maps = [{k: v[i] for k, i in enumerate(used)} for v in (avec, bvec, cvec)]
         if bi.rank_mod_p(maps, p) < 3:
             continue
-        acc = bi.vnormalize(F, _horner(int_terms, used, (avec, bvec, cvec), p))
+        acc = bi.vnormalize(F, _slice(int_terms, (avec, bvec, cvec), d, p))
         if bi.total_degree(acc) == d and bi.deg_v(acc) == d:
             return acc
     return None
 
 
-def _horner(terms, used, maps, p):
+def _slice(terms, maps, d, p):
     """sum c * prod_i (a_i u + b_i v + c_i)^e_i over ``terms`` {e: c}
-    mod p, for maps = (a, b, c), v-major with unnormalized columns.
+    mod p, v-major and unreduced, for maps = (a, b, c) and a form of
+    degree d < p.
 
-    Nested Horner in the used variables: with f_j the coefficient of
-    x_i^j, i = used[0], f = (...(f_k L + f_(k-1)) L + ...) L + f_0, so
-    every product is by the linear form L = a_i u + b_i v + c_i.
+    The slice has total degree <= d, so its values on the lattice
+    u + v <= d fix it: forward differences in v along each row, then in
+    u along each column, give its coordinates in the basis
+    C(u, i) C(v, j), i + j <= d, which are rewritten in monomials.
     """
-    if not used:
-        return [[sum(terms.values()) % p]]
-    i, rest = used[0], used[1:]
-    a, b, c = (vec[i] for vec in maps)
-    by_power = {}
-    for e, x in terms.items():
-        by_power.setdefault(e[i], {})[e] = x
-    acc = []
-    for j in range(max(by_power), -1, -1):
-        if acc:
-            acc = _times_linear(acc, a, b, c, p)
-        if j in by_power:
-            for k, col in enumerate(_horner(by_power[j], rest, maps, p)):
-                if k == len(acc):
-                    acc.append([])
-                dst = acc[k]
-                dst.extend([0] * (len(col) - len(dst)))
-                for t, x in enumerate(col):
-                    dst[t] = (dst[t] + x) % p
-    return acc
-
-
-def _times_linear(f, a, b, c, p):
-    """f * (a*u + b*v + c) mod p, for f v-major; columns unnormalized."""
-    out, below = [], []
-    for col in f + [[]]:
-        new = [0] * max(len(col) + 1, len(below))
-        for t, x in enumerate(col):
-            new[t] += c * x
-            new[t + 1] += a * x
-        for t, x in enumerate(below):
-            new[t] += b * x
-        out.append([x % p for x in new])
-        below = col
+    a, b, c = maps
+    points = [(x, y) for x in range(d + 1) for y in range(d + 1 - x)]
+    powers, values = {}, [0] * len(points)
+    for e, coef in terms.items():
+        acc = [coef] * len(points)
+        for i in compress(range(len(e)), e):
+            if (i, e[i]) not in powers:
+                powers[i, e[i]] = [pow(a[i] * x + b[i] * y + c[i], e[i], p) for x, y in points]
+            acc = [s * t % p for s, t in zip(acc, powers[i, e[i]])]
+        values = [s + t for s, t in zip(values, acc)]
+    it = iter(values)
+    rows = [_differences([next(it) for _ in range(d + 1 - x)], p) for x in range(d + 1)]
+    cols = [_differences([row[j] for row in rows[:d + 1 - j]], p) for j in range(d + 1)]
+    binom = [[1]]  # binom[i]: the coefficients of C(u, i) = C(u, i - 1) (u - i + 1) / i
+    for i in range(1, d + 1):
+        prev, inv = binom[-1] + [0], ff_inv_int(i, p)  # prev[-1] = 0 at t = 0
+        binom.append([(prev[t - 1] - (i - 1) * prev[t]) * inv % p for t in range(i + 1)])
+    out = [[0] * (d + 1 - j) for j in range(d + 1)]
+    for j, col in enumerate(cols):  # col[i]: the coordinate at C(u, i) C(v, j)
+        for i, x in enumerate(col):
+            for jj, y in enumerate(binom[j]):
+                for t, z in enumerate(binom[i]):
+                    out[jj][t] += x * y * z
     return out
+
+
+def _differences(values, p):
+    """[Delta^k h(0) mod p for k < len(values)] from values = [h(0), h(1), ...]."""
+    for k in range(1, len(values)):
+        values[k:] = [t - s for s, t in zip(values[k - 1:], values[k:])]
+    return [x % p for x in values]
 
 
 def _exact_divide(terms_f, terms_g, p):

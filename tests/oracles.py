@@ -151,6 +151,53 @@ def smooth_rational_point_generic(F, f):
     return None
 
 
+def horner_slice(terms, used, maps, p):
+    """sum c * prod_i (a_i u + b_i v + c_i)^e_i over ``terms`` {e: c}
+    mod p, for maps = (a, b, c), v-major with unnormalized columns: the
+    reference for ``factorizer._slice``.
+
+    Nested Horner in the used variables: with f_j the coefficient of
+    x_i^j, i = used[0], f = (...(f_k L + f_(k-1)) L + ...) L + f_0, so
+    every product is by the linear form L = a_i u + b_i v + c_i.  It
+    recurses once per used variable, so it is for small inputs only.
+    """
+    if not used:
+        return [[sum(terms.values()) % p]]
+    i, rest = used[0], used[1:]
+    a, b, c = (vec[i] for vec in maps)
+    by_power = {}
+    for e, x in terms.items():
+        by_power.setdefault(e[i], {})[e] = x
+    acc = []
+    for j in range(max(by_power), -1, -1):
+        if acc:
+            acc = _times_linear(acc, a, b, c, p)
+        if j in by_power:
+            for k, col in enumerate(horner_slice(by_power[j], rest, maps, p)):
+                if k == len(acc):
+                    acc.append([])
+                dst = acc[k]
+                dst.extend([0] * (len(col) - len(dst)))
+                for t, x in enumerate(col):
+                    dst[t] = (dst[t] + x) % p
+    return acc
+
+
+def _times_linear(f, a, b, c, p):
+    """f * (a*u + b*v + c) mod p, for f v-major; columns unnormalized."""
+    out, below = [], []
+    for col in f + [[]]:
+        new = [0] * max(len(col) + 1, len(below))
+        for t, x in enumerate(col):
+            new[t] += c * x
+            new[t + 1] += a * x
+        for t, x in enumerate(below):
+            new[t] += b * x
+        out.append([x % p for x in new])
+        below = col
+    return out
+
+
 def term_sort_key(exps):
     """Descending total degree, then descending lex, as an ascending key."""
     return (-sum(exps), tuple(-e for e in exps))

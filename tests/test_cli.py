@@ -55,6 +55,12 @@ def test_bounds_table_without_m_is_a_usage_error(capsys):
     assert err == "error: --table needs --m\n"
 
 
+def test_bounds_table_with_an_empty_range_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "bounds", "--table", "9:8", "--m", "2")
+    assert code == 2 and out == ""
+    assert err == "error: --table needs D1 <= D2, got 9:8\n"
+
+
 def test_construct_induct_verify_pipeline(tmp_path, capsys):
     s0 = tmp_path / "s0.json"
     code, _, _ = run(
@@ -238,6 +244,17 @@ def test_skeleton_transfer_rejects_a_modulus_other_than_the_graph_ring(tmp_path,
     )
     assert code == 2 and out == ""
     _assert_one_error_line(err, "ring 2", "c=4")
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("cmd", ["telescope", "transfer"])
+def test_skeleton_trials_below_one_is_a_usage_error(tmp_path, capsys, cmd, trials):
+    graph = ["--graph", str(_write_graph(tmp_path))] if cmd == "transfer" else []
+    code, out, err = run(
+        capsys, "skeleton", cmd, *graph, "--c", "2", "--r", "2", "--trials", trials, "--seed", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
 
 
 def test_verify_exit_one_on_corrupted_state(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The irreducibility oracle surface."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from conewalk.factorizer import (
     univariate_factor,
 )
 from conewalk.poly import SparsePoly, VarUniverse, parse_poly
+from oracles import horner_slice
 
 RING101 = ParamRing(101)
 U3 = VarUniverse(("x0", "x1", "x2"), RING101)
@@ -523,3 +525,66 @@ def test_slice_is_the_input_on_the_sampled_plane():
                     assert got == f.eval_point(point), (p, idx, d)
                 checked += 1
     assert checked == 36
+
+
+def _sparse_form(n, idx, d, rng, p):
+    """{e: c} with at least six random terms of degree d in the positions
+    ``idx`` of n slots, every position of ``idx`` used."""
+    terms = {}
+    while len(terms) < 6 or not all(any(e[i] for e in terms) for i in idx):
+        e = [0] * n
+        for _ in range(d):
+            e[rng.choice(idx)] += 1
+        terms[tuple(e)] = rng.randrange(1, p)
+    return terms
+
+
+def _assert_slices_agree(terms, d, p, rng, draws):
+    from conewalk import bifactor as bi
+    from conewalk.factorizer import _slice
+    from conewalk.gfext import PrimeField
+
+    F, n = PrimeField(p), max(len(e) for e in terms)
+    used = [i for i in range(n) if any(e[i] for e in terms)]
+    for _ in range(draws):
+        maps = tuple([rng.randrange(p) for _ in range(n)] for _ in range(3))
+        want = bi.vnormalize(F, horner_slice(terms, used, maps, p))
+        assert bi.vnormalize(F, _slice(terms, maps, d, p)) == want, (p, d, len(used))
+    return used
+
+
+def test_slice_agrees_with_the_horner_reference():
+    """The lattice slice equals the nested-Horner reference on seeded
+    forms in 4 to 8 used variables, d = 2..9, p = 101 and 103."""
+    rng = random.Random(19)
+    for p in (101, 103):
+        for d in range(2, 10):
+            for k in range(4, 9):
+                idx = sorted(rng.sample(range(k + 2), k))
+                used = _assert_slices_agree(_sparse_form(k + 2, idx, d, rng, p), d, p, rng, 2)
+                assert used == idx
+
+
+def test_slice_agrees_with_the_horner_reference_on_a_walk_station():
+    """The end station of the d = 8 witness walk of ``bounds --table``,
+    (n, r, s) = (6, 62, 77), whose f0 + a0 uses 84 variables."""
+    from conewalk.basecase import BaseParams, build_base_state
+    from conewalk.doublecone import induct_step
+
+    state = build_base_state(BaseParams(n=6, m=2, r=62, d=8, p=101))
+    for k in range(77):
+        state = induct_step(state, seed=2 + k)
+    rng = random.Random(8)
+    f = state.f0 + state.a0
+    terms = f.specialize_params({name: rng.randrange(1, 101) for name in f.universe.ring.names})
+    assert len(_assert_slices_agree(terms, 8, 101, rng, 3)) == 84
+
+
+def test_slices_have_no_limit_on_the_used_variables():
+    """A diagonal cubic in more variables than the interpreter's recursion
+    limit is certified by a slice."""
+    n, rng = sys.getrecursionlimit() + 100, random.Random(1)
+    universe = VarUniverse(tuple(f"x{i}" for i in range(n)), RING101)
+    terms = {tuple(3 * (j == i) for j in range(n)): rng.randrange(1, 101) for i in range(n)}
+    v = probably_irreducible(SparsePoly.from_residues(universe, terms), trials=3, seed=1)
+    assert v.verdict == IRREDUCIBLE and v.trials >= 1 and v.failure_bound == 0.0
