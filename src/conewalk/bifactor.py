@@ -30,7 +30,12 @@ which also runs over GF(p^k), is the tests' reference
   F_p refutes, and the first one is the oracle's witness; an
   F_p-irreducible f with a nonsingular F_p-point on its projective
   closure, affine (``smooth_rational_point``) or on the line at
-  infinity, is absolutely irreducible.  Only an F_p-irreducible f with
+  infinity, is absolutely irreducible.  Both searches evaluate each line
+  at every point of F_p at once (``_roots``: one sum of big ints that
+  pack the powers of every residue in 8-byte slots or narrower), so they
+  need (D+1)(p-1)^2 < 2^64, D the degree on the line, which is p below
+  about 2^31; a larger p raises ``FactorizationFailure`` before any
+  table is built.  Only an F_p-irreducible f with
   no such point falls back to ``count_absolute_factors_pde``, the
   dimension of the solution space of the adjoint differential equation
   f*(g_v - h_u) = g*f_v - h*f_u, which equals the number of distinct
@@ -44,6 +49,8 @@ Requires odd characteristic larger than the total degree throughout.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import combinations
 from math import comb
 
@@ -616,19 +623,15 @@ def smooth_rational_point(F, f):
     irreducible: Frobenius permutes the conjugate absolute factors of f
     transitively, so a rational point on one of them lies on all of them,
     and a point on two or more factors is singular.  Runs on plain ints
-    mod p: each line u = a is evaluated at every b by Horner, and the
-    gradient only at its roots.
+    mod p: each line u = a is evaluated at every b at once (``_roots``),
+    and the gradient only at its roots.  Raises ``FactorizationFailure``
+    when no 8-byte slot holds (deg_v f + 1)(p-1)^2, about p > 2^31.
     """
     p = F.p
     fu = derivative_u(F, f)
     for a in range(p):
         g = [_eval_mod(col, a, p) for col in f]
-        values = [g[-1]] * p
-        for c in reversed(g[:-1]):
-            values = [(x * b + c) % p for b, x in enumerate(values)]
-        for b, x in enumerate(values):
-            if x:
-                continue
+        for b in _roots(g, p):
             fv = _eval_mod([j * c for j, c in enumerate(g)][1:], b, p)
             if fv or _eval_mod([_eval_mod(col, a, p) for col in fu], b, p):
                 return a, b
@@ -643,29 +646,72 @@ def _eval_mod(coeffs, x, p):
     return acc
 
 
+# item size -> array type code, to read packed slots back in one call
+_SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+# (p, k) -> [row_0, row_1, ...]: row j packs b^j mod p at slot b, k bytes a slot
+_POWER_ROWS = {}
+
+
+def _roots(g, p):
+    """The roots in F_p of g, a little-endian list of residues mod p, in
+    ascending order; every b when g is zero.
+
+    g is evaluated at every b at once (Kronecker-style packing, Harvey,
+    J. Symbolic Comput. 44, 2009): row j of the prime's power table packs
+    b^j mod p for b = 0..p-1 in k-byte slots, so sum_j g_j * row_j holds
+    g(b), unreduced, in slot b.  k is the smallest of 1, 2, 4 and 8 that
+    holds (D + 1)(p - 1)^2, D = len(g) - 1, so no slot carries into the
+    next; with no such k, ``FactorizationFailure`` is raised before any
+    table is built.
+    """
+    bound = len(g) * (p - 1) ** 2
+    k = next((k for k in (1, 2, 4, 8) if bound < 1 << 8 * k), None)
+    if k is None:
+        raise FactorizationFailure(
+            f"p={p} is too large for the packed root search: "
+            f"no 8-byte slot holds {len(g)}*(p-1)^2"
+        )
+    rows = _POWER_ROWS.get((p, k), [])
+    if len(rows) < len(g):
+        # a new list, not an append, so a concurrent reader never sees a gap
+        rows = rows + [
+            int.from_bytes(b"".join(pow(b, j, p).to_bytes(k, "little") for b in range(p)), "little")
+            for j in range(len(rows), len(g))
+        ]
+        _POWER_ROWS[p, k] = rows
+    slots = array(_SLOT_CODES[k], sum(c * row for c, row in zip(g, rows)).to_bytes(p * k, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return [b for b, x in enumerate(slots) if not x % p]
+
+
+def _form(f, e):
+    """[c_0, ..., c_e], c_j the coefficient of u^(e-j) v^j in f: the
+    degree-e form of f at u = 1, as a list in v."""
+    return [f[j][e - j] if j < len(f) and e - j < len(f[j]) else 0 for j in range(e + 1)]
+
+
 def _smooth_point_at_infinity(F, f):
     """A nonsingular point (a, b, 0) of the closure w^D f(u/w, v/w) of
     f = 0, D = total degree, or None: f_D(a, b) = 0 and a nonzero
     gradient (f_D,u, f_D,v, f_(D-1)) there, for f_D, f_(D-1) the top two
-    forms.  It certifies an F_p-irreducible f as an affine one does."""
+    forms.  It certifies an F_p-irreducible f as an affine one does.
+
+    (0 : 1 : 0) is tried first, then (1 : t : 0) for the roots t of
+    f_D(1, v) in ascending order (``_roots``).
+    """
     p, D = F.p, total_degree(f)
-    top, top_u, top_v, below = {}, {}, {}, {}
-    for (i, j), c in to_dict(F, f).items():
-        if i + j == D:
-            top[i, j] = c
-            if i:
-                top_u[i - 1, j] = c * i
-            if j:
-                top_v[i, j - 1] = c * j
-        elif i + j == D - 1:
-            below[i, j] = c
-    for a, b in [(0, 1)] + [(1, t) for t in range(p)]:
-        value, *gradient = (
-            sum(c * a**i * b**j for (i, j), c in form.items()) % p
-            for form in (top, top_u, top_v, below)
-        )
-        if not value and any(gradient):
-            return a, b, 0
+    if D < 1:
+        return None
+    top, below = _form(f, D), _form(f, D - 1)
+    # at (0 : 1 : 0) the gradient is (top[D - 1], D * top[D], below[D - 1])
+    if not top[D] and (top[D - 1] or below[D - 1]):
+        return 0, 1, 0
+    # at a root t, f_D,u(1, t) = -t * f_D,v(1, t) by Euler's identity
+    top_v = [j * c for j, c in enumerate(top)][1:]
+    for t in _roots(top, p):
+        if _eval_mod(top_v, t, p) or _eval_mod(below, t, p):
+            return 1, t, 0
     return None
 
 

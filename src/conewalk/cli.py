@@ -288,6 +288,15 @@ file formats:
 """
 
 
+def _degree_range(text):
+    """The ``--table`` value D1:D2 as the pair (D1, D2) of ints."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected D1:D2, two integers, got {text!r}") from None
+    return lo, hi
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -304,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=int)
     b.add_argument("--char", type=int, default=0, help="base field characteristic (0 = any)")
     b.add_argument("--sum", type=int, nargs=2, metavar=("N", "M"), help="print S(n, m) both ways")
-    b.add_argument("--table", type=lambda s: tuple(int(x) for x in s.split(":")), metavar="D1:D2")
+    b.add_argument("--table", type=_degree_range, metavar="D1:D2")
     b.add_argument("--json", action="store_true")
     b.set_defaults(func="cmd_bounds")
 

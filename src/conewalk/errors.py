@@ -70,7 +70,8 @@ class FactorsNotCoprime(ConewalkError):
 class FactorizationFailure(ConewalkError):
     """Bivariate factorization cannot proceed: the characteristic is too
     small, no shear reaches v-regular position, no expansion point keeps
-    the input squarefree, or the factors do not re-multiply to it."""
+    the input squarefree, or the factors do not re-multiply to it; or
+    the characteristic is too large for the packed smooth-point search."""
 
 
 # -- constructions ---------------------------------------------------------

@@ -151,6 +151,35 @@ def smooth_rational_point_generic(F, f):
     return None
 
 
+def smooth_point_at_infinity_by_forms(F, f):
+    """The first of (0 : 1 : 0), (1 : 0 : 0), ..., (1 : p-1 : 0) where the
+    closure of f = 0 is nonsingular, as (a, b, 0), or None: the top form
+    f_D vanishes there and (f_D,u, f_D,v, f_(D-1)) does not.  Each of the
+    four forms is evaluated term by term at every point: the reference for
+    ``bifactor._smooth_point_at_infinity``."""
+    p = F.p
+    terms = {(i, j): c for j, col in enumerate(f) for i, c in enumerate(col) if c}
+    D = max((i + j for i, j in terms), default=-1)
+    top, top_u, top_v, below = {}, {}, {}, {}
+    for (i, j), c in terms.items():
+        if i + j == D:
+            top[i, j] = c
+            if i:
+                top_u[i - 1, j] = c * i
+            if j:
+                top_v[i, j - 1] = c * j
+        elif i + j == D - 1:
+            below[i, j] = c
+    for a, b in [(0, 1)] + [(1, t) for t in range(p)]:
+        value, *gradient = (
+            sum(c * a**i * b**j for (i, j), c in form.items()) % p
+            for form in (top, top_u, top_v, below)
+        )
+        if not value and any(gradient):
+            return a, b, 0
+    return None
+
+
 def horner_slice(terms, used, maps, p):
     """sum c * prod_i (a_i u + b_i v + c_i)^e_i over ``terms`` {e: c}
     mod p, for maps = (a, b, c), v-major with unnormalized columns: the

@@ -1,6 +1,7 @@
 """Bivariate machinery: gcd, Hensel factorization, absolute irreducibility."""
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     extension_field,
     hensel_pair_quadratic,
     ref_bi,
+    smooth_point_at_infinity_by_forms,
     smooth_rational_point_generic,
 )
 
@@ -623,6 +625,96 @@ def test_smooth_point_search_matches_the_field_protocol_reference():
         assert point == smooth_rational_point_generic(F, f), bi.to_dict(F, f)
         found.append(point is not None)
     assert found.count(False) == 3 and found.count(True) == len(cases) - 3, found
+
+
+def _horner_roots(g, p):
+    """The b in 0..p-1 with g(b) = 0 mod p, each by its own Horner pass."""
+    roots = []
+    for b in range(p):
+        acc = 0
+        for c in reversed(g):
+            acc = (acc * b + c) % p
+        if not acc:
+            roots.append(b)
+    return roots
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 101, 103))
+def test_roots_match_horner_at_every_point(p):
+    """``_roots`` lists the zeros of g in ascending order, as Horner at
+    each b does: seeded dense g of degree 0..12 (degree >= p included at
+    small p), products of linear factors with repeated roots, v^p - v,
+    which vanishes everywhere, a nonzero constant, and zero, empty or
+    with zero coefficients, whose roots are every b."""
+    F, rng = PrimeField(p), random.Random(2000 + p)
+    everywhere = [0, p - 1] + [0] * (p - 2) + [1]
+    cases = [[], [0], [0] * 5, [rng.randrange(1, p)], everywhere]
+    for D in range(13):
+        cases += [[rng.randrange(p) for _ in range(D + 1)] for _ in range(4)]
+        g = [1]
+        for _ in range(D):
+            g = uni.mul(F, g, [-rng.randrange(p) % p, 1])
+        cases.append(g)
+    for g in cases:
+        assert bi._roots(g, p) == _horner_roots(g, p), (p, g)
+    assert bi._roots([], p) == bi._roots(everywhere, p) == list(range(p))
+    assert bi._roots(cases[3], p) == []
+
+
+def test_roots_match_horner_on_random_polynomials():
+    """``_roots`` agrees with Horner at each b on drawn primes and
+    coefficient lists of length 0..16, zero ones included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.sampled_from([3, 5, 7, 11, 13, 101, 103, 257]),
+                      st.lists(st.integers(0, 10**6), max_size=16))
+    def check(p, g):
+        g = [c % p for c in g]
+        assert bi._roots(g, p) == _horner_roots(g, p)
+
+    check()
+
+
+def test_smooth_point_at_infinity_matches_the_reference():
+    """Seeded bivariates over GF(7), GF(11), GF(13), GF(17) and GF(101):
+    dense and sparse ones of degree 1..8, some with no v^D term, so that
+    (0 : 1 : 0) lies on the closure (smooth, or singular when the
+    u*v^(D-1) and v^(D-1) terms go too), and twisted A^2 - nu*B^2.  The
+    root search returns the point the term-by-term reference returns."""
+    kinds = Counter()
+    for p in (7, 11, 13, 17, 101):
+        F = PrimeField(p)
+        rng = random.Random(3000 + p)
+        nu = _non_residue(p)
+        for case in range(60):
+            D = rng.randint(1, min(8, p - 1))
+            f = rand_of_degree(F, rng, D, case % 2 == 0)
+            if case % 3:
+                drop = {(0, D)} if case % 3 == 1 else {(0, D), (1, D - 1), (0, D - 1)}
+                f = bi.from_dict(F, {m: c for m, c in bi.to_dict(F, f).items() if m not in drop})
+            if case % 5 == 4 and D >= 2:
+                f = _twisted(F, rng, D // 2, nu)
+            if bi.total_degree(f) < 1:
+                continue
+            point = bi._smooth_point_at_infinity(F, f)
+            assert point == smooth_point_at_infinity_by_forms(F, f), (p, bi.to_dict(F, f))
+            kinds[point if point in (None, (0, 1, 0)) else "affine"] += 1
+    assert set(kinds) == {None, (0, 1, 0), "affine"}, kinds
+
+
+def test_point_searches_refuse_a_prime_too_large_for_packed_slots():
+    """At p = 4294967311, above 2^32, no 8-byte slot holds 3(p-1)^2, so
+    both searches raise a typed error naming p, at once, where an
+    unpacked search would walk p lines of p points."""
+    F = PrimeField(4294967311)
+    f = bi.from_dict(F, {(2, 0): 1, (0, 2): 1, (0, 0): 1})
+    for search in (bi.smooth_rational_point, bi._smooth_point_at_infinity):
+        start = time.perf_counter()
+        with pytest.raises(FactorizationFailure, match="p=4294967311"):
+            search(F, f)
+        assert time.perf_counter() - start < 1.0
 
 
 def _outcome(fn, *args):

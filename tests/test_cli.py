@@ -61,6 +61,34 @@ def test_bounds_table_with_an_empty_range_is_a_usage_error(capsys):
     assert err == "error: --table needs D1 <= D2, got 9:8\n"
 
 
+def _table_usage_error(capsys, value):
+    """The last stderr line of ``bounds --table value --m 2``, which must
+    exit 2 through argparse with no output."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--table", value, "--m", "2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    return out.err.splitlines()[-1]
+
+
+def test_bounds_table_with_one_degree_is_a_usage_error(capsys):
+    assert _table_usage_error(capsys, "5") == (
+        "conewalk bounds: error: argument --table: expected D1:D2, two integers, got '5'"
+    )
+
+
+def test_bounds_table_with_three_degrees_is_a_usage_error(capsys):
+    assert _table_usage_error(capsys, "5:6:7") == (
+        "conewalk bounds: error: argument --table: expected D1:D2, two integers, got '5:6:7'"
+    )
+
+
+def test_bounds_table_with_a_non_integer_is_a_usage_error(capsys):
+    assert _table_usage_error(capsys, "5:x") == (
+        "conewalk bounds: error: argument --table: expected D1:D2, two integers, got '5:x'"
+    )
+
+
 def test_construct_induct_verify_pipeline(tmp_path, capsys):
     s0 = tmp_path / "s0.json"
     code, _, _ = run(
