@@ -12,8 +12,28 @@ from dataclasses import dataclass, field
 from math import ceil, gcd
 
 from .coeffs import DEFAULT_INVERTIBLE, DEFAULT_PARAMS, ParamRing, is_prime
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, InputTooLarge
 from .poly import SparsePoly, VarUniverse, coordinate_universe
+
+# Input limits, each met with ``InputTooLarge`` before anything of that
+# size is built.  The paper's bound at d = 14 runs at p = 197, the first
+# prime above d^2, in a universe of 15,368 variables.
+#: p lies below this: room for p > d^2 up to d = 63, and each row of the
+#: oracle's root-search tables within 32 kB
+P_LIMIT = 1 << 12
+#: the most variables of a walk's universe; the packed-key layout of a
+#: universe takes about 2 * size^2 bytes, 0.5 GB at the limit
+VARIABLE_LIMIT = 1 << 14
+
+
+def check_walk_size(n, r, s):
+    """Raise ``InputTooLarge`` if ``coordinate_universe(n, r, s)``, x0..xn,
+    y1..y{r+1}, z1..zs, z and w, would pass ``VARIABLE_LIMIT``."""
+    if n + r + s + 4 > VARIABLE_LIMIT:
+        raise InputTooLarge(
+            f"n = {n}, r = {r} and s + sum(e) = {s} give a universe of {n + r + s + 4} "
+            f"variables, above the limit {VARIABLE_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -27,6 +47,10 @@ class BaseParams:
     p: int
 
     def __post_init__(self):
+        # the size limits come first: they bound the cost of the checks below
+        if self.p >= P_LIMIT:
+            raise InputTooLarge(f"p = {self.p} is not below the limit {P_LIMIT}")
+        check_walk_size(self.n, self.r, 0)
         if self.n < 2:
             raise ValueError("need n >= 2")
         if self.m < 2:
@@ -96,14 +120,12 @@ class HypersurfaceState:
         return self.bp.p
 
     def defining_polynomial(self) -> SparsePoly:
-        total = self.f0 + self.a0
+        parts = [self.f0, self.a0]
         for j in range(1, self.r + 1):
-            yj = SparsePoly.variable(self.universe, f"y{j}")
-            ypow = SparsePoly.constant(self.universe, 1)
             for i in range(1, self.m + 1):
-                ypow = ypow * yj
-                total = total + self.a[(i, j)] * ypow
-        return total
+                if self.a[(i, j)]:
+                    parts.append(self.a[(i, j)] * SparsePoly.variable(self.universe, f"y{j}", i))
+        return SparsePoly.sum_of(self.universe, parts)
 
     def recompute_e(self, j: int) -> int:
         """Largest e with x0^(i*e) | a[(i, j)] for all i (maximality check)."""
@@ -194,6 +216,7 @@ def build_base_state(bp: BaseParams, h_choice: str = "default") -> HypersurfaceS
     holds z1..z_{sum e}, one z per step the ladder allows, and serves the
     whole walk."""
     e = [(bp.d - bp.m - cj_degree(j)) // bp.m for j in range(1, bp.r + 1)]
+    check_walk_size(bp.n, bp.r, sum(e))
     universe = coordinate_universe(bp.n, bp.r, sum(e), bp.ring())
     g = build_g(bp, universe)
     h = build_h(bp, h_choice, universe)

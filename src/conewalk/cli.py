@@ -395,7 +395,8 @@ def main(argv=None) -> int:
         return handler(args)
     except ConewalkError as ex:
         print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
-        return 1
+        # one that is also a ValueError is bad input, a usage error
+        return 2 if isinstance(ex, ValueError) else 1
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -152,15 +152,14 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
     core = state.defining_polynomial()
     z_term = x0 ** (d - 1) * z
     w_term = x0 ** (d - 2) * (lam * yj + x0) * w
-    F1 = core + z_term + w_term
     F2 = t * x0**2 + z * w
     return DoubleConeFamily(
         state=state,
         j0=j0,
-        F1=F1,
+        F1=SparsePoly.sum_of(universe, [core, z_term, w_term]),
         F2=F2,
-        Y0_eq=core + z_term,
-        Y1_eq=core + w_term,
+        Y0_eq=SparsePoly.sum_of(universe, [core, z_term]),
+        Y1_eq=SparsePoly.sum_of(universe, [core, w_term]),
         Z_eq=core,
     )
 

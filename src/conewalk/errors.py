@@ -100,6 +100,14 @@ class SamplingExhausted(ConewalkError):
     """Point sampling budget ran out before a region point was found."""
 
 
+# -- inputs ----------------------------------------------------------------
+
+class InputTooLarge(ConewalkError, ValueError):
+    """An input passes a documented size limit: the prime p, or the
+    variable count of a walk's universe.  It is raised before anything of
+    that size is built, and, as a ValueError, is a usage error."""
+
+
 # -- bounds ----------------------------------------------------------------
 
 class NonIntegralResult(ConewalkError):

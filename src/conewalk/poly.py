@@ -29,7 +29,9 @@ but for the guard bits.
 The canonical term order is descending total degree, then descending
 lexicographic, on the variable exponents, and then the same on the
 parameter exponents: the descending order of the keys as ints.  It
-fixes the text form emitted by ``canonical_string``.
+fixes the text form emitted by ``canonical_string``, which reads only
+the nonzero fields of each key, so that a term costs in proportion to
+its factors and not to the universe.
 
 Text grammar, with ``int`` an unsigned decimal::
 
@@ -78,7 +80,7 @@ class _Layout:
     parameters; slot i is field i + 1 for a variable, i + 2 for a
     parameter."""
 
-    __slots__ = ("nv", "shifts", "biases", "units", "base", "guard", "top", "pbits", "fields")
+    __slots__ = ("nv", "shifts", "biases", "units", "base", "guard", "top", "pbits", "vmask", "fields")
 
     def __init__(self, nv, nparams):
         nfields = nv + nparams + 2
@@ -92,6 +94,7 @@ class _Layout:
         self.guard = sum(_LIMIT << s for s in shift)
         self.top = shift[0]  # key >> top is the variable degree
         self.pbits = shift[nv]  # the low bits below the variables
+        self.vmask = (1 << self.top) - (1 << self.pbits)  # the variable fields
         self.fields = struct.Struct(f">{nfields}H")
 
     def field_mask(self, slot):
@@ -192,8 +195,23 @@ def _power(v, e, p):
 
 
 def _reduced(acc, p):
-    """{key: residue} of the nonzero residues of an accumulator dict."""
+    """{key: residue} of the nonzero residues of an accumulator dict: the
+    dict itself when its values are residues already, as those of a
+    canonical text or of a product by a monic monomial are."""
+    if all(0 < v < p for v in acc.values()):
+        return acc
     return {k: r for k, v in acc.items() if (r := v % p)}
+
+
+def _add_into(out, terms, p, sign=1):
+    """out += sign * terms mod p, in place: a key that cancels is dropped,
+    and comes back at the end if a later term meets it."""
+    for k, c in terms.items():
+        v = (out.get(k, 0) + sign * c) % p
+        if v:
+            out[k] = v
+        else:
+            del out[k]
 
 
 def _poly(universe, terms):
@@ -311,18 +329,26 @@ class SparsePoly:
     def _combine(self, other, sign):
         """self + sign * other."""
         self._check(other)
-        p = self.universe.ring.p
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = (out.get(k, 0) + sign * c) % p
-            if v:
-                out[k] = v
-            else:
-                del out[k]
+        _add_into(out, other.terms, self.universe.ring.p, sign)
         return _poly(self.universe, out)
 
     def __add__(self, other):
         return self._combine(other, 1)
+
+    @staticmethod
+    def sum_of(universe: VarUniverse, polys) -> "SparsePoly":
+        """The sum of ``polys``, each over ``universe``, built in one dict:
+        the terms, in their order, of adding them one at a time."""
+        out = {}
+        for f in polys:
+            if f.universe != universe:
+                raise UniverseMismatch("operands live in different universes")
+            if out.keys().isdisjoint(f.terms.keys()):
+                out.update(f.terms)  # reuses the stored hashes of the keys
+            else:
+                _add_into(out, f.terms, universe.ring.p)
+        return _poly(universe, out)
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -390,6 +416,14 @@ class SparsePoly:
         # a variable's field in the OR of the keys is nonzero iff some term's is
         used = functools.reduce(or_, self.terms, 0)
         return tuple(compress(self.universe.names, self.universe._layout.unpack(used)))
+
+    def variable_span(self) -> int:
+        """The length of the shortest prefix of the universe's names that
+        holds every variable some term uses; 0 if no term uses one."""
+        layout = self.universe._layout
+        used = functools.reduce(or_, self.terms, 0) & layout.vmask
+        # the lowest nonzero field of the OR is the last variable used
+        return layout.top // _WIDTH - ((used & -used).bit_length() - 1) // _WIDTH if used else 0
 
     def uses_param(self, name: str) -> bool:
         return self._uses_slot(self._param_slot(name))
@@ -519,19 +553,23 @@ class SparsePoly:
     def canonical_string(self) -> str:
         if not self.terms:
             return "0"
-        universe = self.universe
-        nv = len(universe)
-        unpack = universe._layout.unpack_fields
-        pnames, vnames = universe.ring.names, universe.names
+        layout = self.universe._layout
+        pmask, vmask = (1 << layout.pbits) - 1, layout.vmask
+        params = list(zip(self.universe.ring.names, layout.shifts[layout.nv:]))
+        names, last = self.universe.names, layout.top // _WIDTH - 1
         pieces = []
-        for k in sorted(self.terms, reverse=True):
-            scalar = self.terms[k]
-            fields = unpack(k)
-            vexps = fields[1:nv + 1]
+        for k, scalar in sorted(self.terms.items(), reverse=True):
+            pk = k & pmask
             # parameters print before variables
-            exps = [(n, e - _BIAS) for n, e in zip(pnames, fields[nv + 2:]) if e != _BIAS]
-            exps += zip(compress(vnames, vexps), compress(vexps, vexps))
-            factors = [n if e == 1 else f"{n}^{e}" for n, e in exps]
+            factors = [n if e == 1 else f"{n}^{e}" for n, s in params if (e := ((pk >> s) & _FIELD) - _BIAS)]
+            # the top nonzero field of what is left of the variable fields
+            # (field f from the low end) is the next variable in order
+            v = k & vmask
+            while v:
+                f = (v.bit_length() - 1) // _WIDTH
+                e = v >> f * _WIDTH
+                v -= e << f * _WIDTH
+                factors.append(names[last - f] if e == 1 else f"{names[last - f]}^{e}")
             if not factors:
                 pieces.append(str(scalar))
             elif scalar == 1:
@@ -545,8 +583,9 @@ class SparsePoly:
 
 
 # one operator and the whitespace around it; "^" then "-" before a digit
-# is one operator, a negative exponent
-_SPLIT = re.compile(r"\s*(\^\s*-(?=\d)|[-+*^])\s*")
+# is one operator, a negative exponent.  A match starts at a space or an
+# operator, which the lookahead tests before anything else.
+_SPLIT = re.compile(r"(?=[\s^*+-])\s*(\^\s*-(?=\d)|[-+*^])\s*")
 
 
 def _error(message, text, k):

@@ -9,14 +9,17 @@ keys and a fixed layout so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import re
 
-from .basecase import BaseParams, HypersurfaceState, z_product
-from .errors import ParseError
+from .basecase import BaseParams, HypersurfaceState, check_walk_size, z_product
+from .errors import InputTooLarge, ParseError
 from .poly import coordinate_universe, parse_poly
 
 SCHEMA_VERSION = 1
 STATE_KEYS = ("p", "dims", "params", "f0", "a0", "a", "e", "h_poly", "provenance")
 DIMS_KEYS = ("n", "m", "r", "s", "d")
+# a key "i,j" of a: decimal ints with no sign and no leading zero
+_A_KEY = re.compile(r"([1-9][0-9]{0,8}),([1-9][0-9]{0,8})")
 
 
 def dumps_canonical(obj) -> str:
@@ -58,14 +61,15 @@ def _require_type(value, kind, where):
 
 
 def _parse_field(text, universe, where, allowed):
-    """The polynomial of one state field; it may use only the ``allowed``
-    variables, x0..xn, y1..y{r+1}, z1..zs, of the walk's universe."""
+    """The polynomial of one state field; it may use only the first
+    ``allowed`` variables of the walk's universe, x0..xn, y1..y{r+1},
+    z1..zs."""
     try:
         poly = parse_poly(text, universe)
     except ParseError as ex:
         raise ValueError(f"state {where} does not parse: {ex}") from None
-    extra = [name for name in poly.variables() if name not in allowed]
-    if extra:
+    if poly.variable_span() > allowed:
+        extra = [name for name in poly.variables() if universe.index(name) >= allowed]
         raise ValueError(f"state {where} uses {', '.join(extra)}, outside x0..xn, y1..y(r+1), z1..zs")
     return poly
 
@@ -95,17 +99,26 @@ def state_from_dict(d: dict) -> HypersurfaceState:
         raise ValueError(f"state dims.s must be >= 0, got {s}")
     if len(d["e"]) != r:
         raise ValueError(f"state e has {len(d['e'])} entries, dims.r is {r}")
-    slots = {f"{i},{j}": (i, j) for j in range(1, r + 1) for i in range(1, m + 1)}
+    # the slots are read from the keys, so that a file's m cannot make a
+    # list of all m * r of them as long as it likes
+    slots = {}
     for key in d["a"]:
-        if key not in slots:
+        match = _A_KEY.fullmatch(key)
+        i, j = map(int, match.groups()) if match else (0, 0)
+        if not (1 <= i <= m and 1 <= j <= r):
             raise ValueError(f"state a key {key!r} is not i,j with 1 <= i <= {m}, 1 <= j <= {r}")
-    _require_keys(d["a"], slots, "state a")
+        slots[key] = i, j
+    if len(slots) < m * r:
+        # one of the first len(slots) + 1 slots is missing
+        missing = next(k for j in range(1, r + 1) for i in range(1, m + 1) if (k := f"{i},{j}") not in slots)
+        raise ValueError(f"state a lacks key {missing!r}")
     bp = BaseParams(n=dims["n"], m=m, r=r, d=dims["d"], p=d["p"])
     # The walk's universe: z1..zs are taken, one z per step left is for
     # later steps.  A ladder value of a valid state is below d, so each
     # e_j counts at most d: the file's e cannot make the universe, whose
     # packed keys grow with it, as large as it likes.
     later = sum(min(max(ej, 0), dims["d"]) for ej in d["e"])
+    check_walk_size(dims["n"], r, s + later)
     universe = coordinate_universe(dims["n"], r, s + later, bp.ring())
     ring = universe.ring
     if sorted(d["params"]) != sorted(ring.names):
@@ -116,7 +129,7 @@ def state_from_dict(d: dict) -> HypersurfaceState:
             raise ValueError(f'state params.{name} must be "symbolic" or an integer, got {v!r}')
         if name in ring.invertible and v != "symbolic" and v % ring.p == 0:
             raise ValueError(f"state params.{name} is invertible, but {v} is 0 mod {ring.p}")
-    allowed = set(universe.names[:dims["n"] + r + 2 + s])
+    allowed = dims["n"] + r + 2 + s
     h_poly = _parse_field(d["h_poly"], universe, "h_poly", allowed)
     pivot = z_product(universe, s)
     if h_poly != pivot:
@@ -159,6 +172,8 @@ def load_state(path: str) -> HypersurfaceState:
     data = read_json(path, "state file")
     try:
         return state_from_dict(data)
+    except InputTooLarge as ex:
+        raise InputTooLarge(f"state file {path}: {ex}") from None
     except ValueError as ex:
         raise ValueError(f"state file {path}: {ex}") from None
 

@@ -87,6 +87,20 @@ def build_F(bp: BaseParams, universe: VarUniverse | None = None) -> SparsePoly:
     return total + last.scale(sign)
 
 
+def defining_polynomial_by_fold(state) -> SparsePoly:
+    """f0 + a0 + sum_{j, i} a[(i, j)] * y_j^i added one product at a time,
+    as ``HypersurfaceState.defining_polynomial`` did before it summed in
+    one dict."""
+    total = state.f0 + state.a0
+    for j in range(1, state.r + 1):
+        yj = SparsePoly.variable(state.universe, f"y{j}")
+        ypow = SparsePoly.constant(state.universe, 1)
+        for i in range(1, state.m + 1):
+            ypow = ypow * yj
+            total = total + state.a[(i, j)] * ypow
+    return total
+
+
 def min_param_exp(f: SparsePoly, name: str) -> int:
     """Least exponent of the parameter ``name`` over the terms of f (0 for f = 0)."""
     i = len(f.universe) + f.universe.ring.index(name)

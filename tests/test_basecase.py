@@ -13,7 +13,7 @@ from conewalk.basecase import (
 from conewalk.errors import IndexOutOfRange
 from conewalk.poly import SparsePoly, coordinate_universe, parse_poly
 
-from oracles import build_F
+from oracles import build_F, defining_polynomial_by_fold
 
 BP32 = BaseParams(n=3, m=2, r=6, d=5, p=101)
 BP22 = BaseParams(n=2, m=2, r=2, d=4, p=101)
@@ -202,3 +202,81 @@ def test_base_universe_holds_the_whole_walk():
     assert names[:BP32.n + BP32.r + 2] == ("x0", "x1", "x2", "x3") + tuple(f"y{j}" for j in range(1, 8))
     assert names[BP32.n + BP32.r + 2:] == tuple(f"z{k}" for k in range(1, sum(st.e) + 1)) + ("z", "w")
     assert st.universe == coordinate_universe(BP32.n, BP32.r, sum(st.e), BP32.ring())
+
+
+def test_defining_polynomial_is_the_repeated_addition_fold():
+    """The one-dict sum gives the terms, in order, of adding f0, a0 and
+    each a[(i, j)] * y_j^i one at a time: along seeded walks, symbolic
+    steps among them, at every station of the d = 8 witness walk, and on
+    states with zero columns and an a0 that cancels terms of f0."""
+    import dataclasses
+
+    from conewalk.doublecone import induct_step
+
+    def same(state):
+        got, want = state.defining_polynomial(), defining_polynomial_by_fold(state)
+        assert list(got.to_dict().items()) == list(want.to_dict().items())
+        return got
+
+    for seed in (1, 2, 3):
+        st = build_base_state(BP32)
+        same(st)
+        for k in range(sum(st.e)):
+            st = induct_step(st, seed=100 * seed + k, symbolic=k == seed - 1)
+            same(st)
+    st = build_base_state(BaseParams(n=6, m=2, r=62, d=8, p=101))  # the d = 8 witness
+    same(st)
+    for k in range(77):
+        st = induct_step(st, seed=2 + k)
+        same(st)
+    # zero columns 1 and 3, and an a0 that cancels f0 but for one monomial, or wholly
+    a = dict(st.a)
+    for i in (1, 2):
+        a[i, 1] = a[i, 3] = SparsePoly.zero(st.universe)
+    for a0 in (SparsePoly.variable(st.universe, "x0", 8) - st.f0, -st.f0):
+        same(dataclasses.replace(st, a0=a0, a=a))
+
+
+def raises_in_little_memory(error, fn, limit=100_000):
+    """Assert that ``fn()`` raises ``error`` while less than ``limit``
+    bytes are traced at the peak."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
+
+
+def test_size_limits_raise_before_the_work_they_bound(monkeypatch):
+    """A p at or past ``P_LIMIT`` is refused before trial division, and a
+    walk past ``VARIABLE_LIMIT`` variables before 2^n or the universe is
+    built: each is an ``InputTooLarge``, a usage error, raised in a few
+    kB.  The largest prime below the limit is accepted."""
+    from conewalk import basecase
+    from conewalk.errors import InputTooLarge
+
+    VARIABLE_LIMIT = basecase.VARIABLE_LIMIT
+    assert basecase.P_LIMIT == 4096 and VARIABLE_LIMIT == 16384
+    assert BaseParams(n=3, m=2, r=6, d=5, p=4093).p == 4093
+    assert issubclass(InputTooLarge, ValueError)
+    monkeypatch.setattr(basecase, "is_prime", lambda p: pytest.fail(f"is_prime({p}) ran"))
+    too_large = [
+        lambda: BaseParams(n=3, m=2, r=6, d=5, p=4096),
+        lambda: BaseParams(n=3, m=2, r=6, d=5, p=4099),
+        lambda: BaseParams(n=3, m=2, r=6, d=5, p=2**61 - 1),
+        # n + r + 4 one past the limit, and a huge n
+        lambda: BaseParams(n=14, m=2, r=VARIABLE_LIMIT - 3 - 14, d=16, p=17),
+        lambda: BaseParams(n=10**9, m=2, r=1, d=10**9 + 2, p=101),
+    ]
+    for make in too_large:
+        raises_in_little_memory(InputTooLarge, make)
+    monkeypatch.undo()
+    # n + r + 4 fits, but not with one z per step the ladder allows
+    bp = BaseParams(n=14, m=2, r=16000, d=16, p=17)
+    with pytest.raises(InputTooLarge, match="above the limit 16384"):
+        build_base_state(bp)

@@ -416,6 +416,58 @@ def test_state_with_a_mistyped_value_is_a_usage_error(tmp_path, capsys, path, va
 
 
 @pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--p", "4099"], "p = 4099 is not below the limit 4096"),
+        (["--p", str(2**61 - 1)], f"p = {2**61 - 1} is not below the limit 4096"),
+        (["--n", "14", "--r", "16367", "--d", "16", "--p", "17"], "universe of 16385 variables"),
+        # n + r + 4 fits, but not with one z per step the ladder allows
+        (["--n", "14", "--r", "16000", "--d", "16", "--p", "17"], "above the limit 16384"),
+    ],
+)
+def test_construct_past_a_size_limit_is_a_usage_error(tmp_path, capsys, flags, needle):
+    dims = {"--n": "3", "--m": "2", "--r": "6", "--d": "5", "--p": "101"}
+    dims.update(zip(flags[::2], flags[1::2]))
+    out = tmp_path / "s0.json"
+    code, stdout, err = run(capsys, "construct", "base", *(x for kv in dims.items() for x in kv), "--out", str(out))
+    assert code == 2 and stdout == ""
+    _assert_one_error_line(err, "InputTooLarge", needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, needle",
+    [
+        (("dims", "n"), 10**9, "InputTooLarge: state file"),
+        (("dims", "s"), 16384 - 3 - 6 - 4 - 2, "universe of 16385 variables"),
+        (("p",), 4099, "p = 4099 is not below the limit 4096"),
+        (("p",), 2**61 - 1, "is not below the limit 4096"),
+        # no list of all m * r slots is made to find the one that is missing
+        (("dims", "m"), 10**12, "state a lacks key '3,1'"),
+    ],
+)
+def test_state_file_past_a_size_limit_is_a_usage_error(tmp_path, capsys, path, value, needle):
+    """A state file of a few kB whose dims or p would build a universe,
+    run a trial division or list slots past their limits is refused in
+    one error line, exit 2, before any of that is built."""
+    state = tmp_path / "s0.json"
+    run(
+        capsys,
+        "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
+        "--p", "101", "--out", str(state),
+    )
+    data = json.loads(state.read_text())
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    state.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--state", str(state), "--seed", "1")
+    assert code == 2
+    _assert_one_error_line(err, str(state), needle)
+
+
+@pytest.mark.parametrize(
     "path, text, needle",
     [
         (("f0",), "x0 + q9", "state f0 does not parse: unknown name 'q9' (at position 5)"),

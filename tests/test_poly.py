@@ -612,3 +612,105 @@ def test_parse_exponent_out_of_its_field_is_a_positioned_error(text, position, n
         parse_poly(text, U3)
     where = f"at {name}" if name else "in this term"
     assert str(exc.value) == f"exponent or degree out of range {where} (at position {position})"
+
+
+# -- sparse emission, the n-ary sum and the tokenizer against their references --
+
+
+WIDE = VarUniverse(tuple(f"v{i}" for i in range(320)), RING)
+
+
+def test_sparse_emitter_matches_the_reference_on_a_wide_universe():
+    """Over 320 variables, ``canonical_string`` reads only the nonzero
+    fields of each key and gives the bytes of the dense reference: sparse
+    terms at either end of the universe, variable exponents 1, 2 and
+    2^15 - 1, lam^-16384 and lam^16383, and terms with no variable.
+    ``variable_span`` ends at the last variable that ``variables`` names."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    slot = st.sampled_from([0, 1, 2, 159, 160, 317, 318, 319]) | st.integers(0, 319)
+
+    @st.composite
+    def term(draw):
+        exps = [0] * 320
+        if draw(st.booleans()):  # one variable at the top of its field
+            exps[draw(slot)] = 32767
+        else:
+            for i in draw(st.lists(slot, max_size=5)):
+                exps[i] = draw(st.sampled_from([1, 2]))
+        lam = draw(st.sampled_from([-16384, 16383, -1, 0, 1, 2]))
+        others = [0, 0, 0] if abs(lam) > 2 else [draw(st.integers(0, 2)) for _ in range(3)]
+        return tuple(exps + [others[0], lam] + others[1:])
+
+    poly = st.dictionaries(term(), st.integers(1, 100), max_size=8).map(lambda t: SparsePoly(WIDE, t))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(poly)
+    def check(f):
+        assert f.canonical_string() == canonical_string(f)
+        used = f.variables()
+        assert f.variable_span() == (WIDE.index(used[-1]) + 1 if used else 0)
+
+    check()
+    fixed = SparsePoly(WIDE, {
+        (0,) * 319 + (32767,) + (0, 0, 0, 0): 3,
+        (1,) + (0,) * 318 + (2,) + (0, -16384, 0, 0): 1,
+        (0,) * 320 + (0, 16383, 0, 0): 5,
+        (0,) * 324: 7,
+    })
+    assert fixed.canonical_string() == canonical_string(fixed) == (
+        "3*v319^32767 + lam^-16384*v0*v319^2 + 5*lam^16383 + 7"
+    )
+    assert fixed.variable_span() == 320 and SparsePoly.constant(WIDE, 4).variable_span() == 0
+
+
+def _fold(universe, polys):
+    total = SparsePoly.zero(universe)
+    for f in polys:
+        total = total + f
+    return total
+
+
+def test_sum_of_is_the_repeated_addition_fold():
+    """``SparsePoly.sum_of`` gives the terms, in order, of adding its
+    operands one at a time, also when terms cancel and come back, and
+    rejects an operand from another universe."""
+    rng = random.Random(21)
+    for _ in range(300):
+        pool = [SparsePoly(U3, {(rng.randrange(3), rng.randrange(3), 0, 0, rng.randrange(-1, 2), 0, 0):
+                                rng.randrange(101) for _ in range(rng.randrange(5))})
+                for _ in range(3)]
+        polys = [rng.choice(pool + [-f for f in pool]) for _ in range(rng.randrange(6))]
+        got, want = SparsePoly.sum_of(U3, polys), _fold(U3, polys)
+        assert list(got.to_dict().items()) == list(want.to_dict().items())
+    a, b = P("x0 + x1"), P("x2 - x0")
+    assert list(SparsePoly.sum_of(U3, [a, b, a]).to_dict()) == list((a + b + a).to_dict())
+    assert SparsePoly.sum_of(U3, [a, -a]).is_zero()
+    with pytest.raises(UniverseMismatch):
+        SparsePoly.sum_of(U3, [a, SparsePoly.variable(WIDE, "v0")])
+
+
+def test_split_lookahead_keeps_every_split_and_span():
+    """The tokenizer's leading lookahead changes no match: on texts with
+    arbitrary whitespace, '^ -' and stray operators, ``split`` and the
+    ``finditer`` spans that place a ``ParseError`` are those of the
+    pattern without it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from conewalk import poly as poly_mod
+
+    old = re.compile(r"\s*(\^\s*-(?=\d)|[-+*^])\s*")
+    assert poly_mod._SPLIT.pattern != old.pattern
+    piece = st.sampled_from(["x0", "lam", "12", "0", "-", "+", "*", "^", "^ -", "^-", "-3", " ", "\t", "\n",
+                             "\u00a0", "  ", "q9", "2x", "**", "++", "^^"])
+    text = st.lists(piece, max_size=16).map("".join)
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(text | st.text(alphabet=" \t\n^*+-x0123", max_size=24))
+    def check(t):
+        assert poly_mod._SPLIT.split(t) == old.split(t)
+        spans = [(m.span(), m.span(1)) for m in poly_mod._SPLIT.finditer(t)]
+        assert spans == [(m.span(), m.span(1)) for m in old.finditer(t)]
+
+    check()
