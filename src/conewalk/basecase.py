@@ -11,19 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil, gcd
 
-from .coeffs import DEFAULT_INVERTIBLE, DEFAULT_PARAMS, ParamRing, is_prime
+from .coeffs import DEFAULT_INVERTIBLE, DEFAULT_PARAMS, P_LIMIT, ParamRing, is_prime
 from .errors import IndexOutOfRange, InputTooLarge
-from .poly import SparsePoly, VarUniverse, coordinate_universe
+from .poly import SparsePoly, VarUniverse, coordinate_universe, parse_poly
 
 # Input limits, each met with ``InputTooLarge`` before anything of that
-# size is built.  The paper's bound at d = 14 runs at p = 197, the first
-# prime above d^2, in a universe of 15,368 variables.
-#: p lies below this: room for p > d^2 up to d = 63, and each row of the
-#: oracle's root-search tables within 32 kB
-P_LIMIT = 1 << 12
+# size is built, with ``coeffs.P_LIMIT`` on p.  The paper's bound at
+# d = 14 runs at p = 197, the first prime above d^2, in a universe of
+# 15,368 variables, with m * r = 8188.
 #: the most variables of a walk's universe; the packed-key layout of a
 #: universe takes about 2 * size^2 bytes, 0.5 GB at the limit
 VARIABLE_LIMIT = 1 << 14
+#: the most coefficients a[(i, j)], m * r, of a walk: four times the
+#: d = 14 witness's 8188, so that at m = 2 only the universe limits r
+COEFFICIENT_LIMIT = 1 << 15
 
 
 def check_walk_size(n, r, s):
@@ -57,6 +58,8 @@ class BaseParams:
             raise ValueError("need m >= 2")
         if not 1 <= self.r <= 2**self.n - 2:
             raise ValueError(f"need 1 <= r <= 2^n - 2 = {2 ** self.n - 2}")
+        if self.m * self.r > COEFFICIENT_LIMIT:
+            raise InputTooLarge(f"m * r = {self.m * self.r} coefficients, above the limit {COEFFICIENT_LIMIT}")
         if self.d < self.m + self.n:
             raise ValueError("need d >= m + n")
         if not is_prime(self.p):
@@ -152,10 +155,7 @@ class HypersurfaceState:
 
 def z_product(universe: VarUniverse, s: int) -> SparsePoly:
     """z1*...*zs, the pivot product h_poly of a station s (1 at s = 0)."""
-    exps = [0] * (len(universe) + universe.ring.nparams)
-    for k in range(1, s + 1):
-        exps[universe.index(f"z{k}")] = 1
-    return SparsePoly(universe, {tuple(exps): 1})
+    return parse_poly("*".join(f"z{k}" for k in range(1, s + 1)) or "1", universe)
 
 
 def build_g(bp: BaseParams, universe: VarUniverse) -> SparsePoly:

@@ -16,6 +16,10 @@ from .errors import UnassignedParameter, ZeroInverse
 
 DEFAULT_PARAMS = ("pi", "lam", "rho", "t")
 DEFAULT_INVERTIBLE = frozenset({"lam"})
+#: p lies below this, in a walk and at the oracle's entry: room for
+#: p > d^2 up to d = 63, and each row of the oracle's root-search tables
+#: within 32 kB; ``InputTooLarge`` otherwise
+P_LIMIT = 1 << 12
 
 
 def is_prime(n: int) -> bool:

@@ -398,35 +398,24 @@ def smoothness_sample(
 
     u = fam.state.universe
     rng = random.Random(seed)
-    idx = {name: u.index(name) for name in u.names}
-    iz, iw, ix0 = idx["z"], idx["w"], idx["x0"]
+    iz, iw, ix0 = map(u.index, ("z", "w", "x0"))
 
-    z_core = fam.Z_eq.specialize_params(params)
+    z_core = fam.Z_eq.specialize(params)
     b_poly = (
         SparsePoly.variable(u, "x0", fam.state.d - 2)
         * (
             SparsePoly.param(u, "lam") * SparsePoly.variable(u, f"y{fam.j0}")
             + SparsePoly.variable(u, "x0")
         )
-    ).specialize_params(params)
+    ).specialize(params)
     # F1 uses every variable of F2 (x0, z, w); a variable it does not use
     # gives a zero Jacobian column, which no 2x2 minor needs
     used = fam.F1.variables()
     grads = []
     for eq in (fam.F1, fam.F2):
-        grads.append([eq.partial_derivative(name).specialize_params(params) for name in used])
+        grads.append([eq.partial_derivative(name).specialize(params) for name in used])
 
     t_val = params["t"] % p
-
-    def eval_terms(terms, point):
-        total = 0
-        for exps, c in terms.items():
-            acc = c
-            for v, e in zip(point, exps):
-                if e:
-                    acc = acc * pow(v, e, p) % p
-            total = (total + acc) % p
-        return total
 
     found = 0
     rank2 = 0
@@ -442,8 +431,8 @@ def smoothness_sample(
         point[ix0] = rng.randrange(1, p)
         point[iz] = 0
         point[iw] = 0
-        a_val = eval_terms(z_core, point)
-        b_val = eval_terms(b_poly, point)
+        a_val = z_core.eval_point(point)
+        b_val = b_poly.eval_point(point)
         c_val = pow(point[ix0], fam.state.d - 1, p)
         rhs = t_val * pow(point[ix0], 2, p) % p  # z*w = -rhs
         if b_val == 0:
@@ -463,7 +452,7 @@ def smoothness_sample(
         w_val = -rhs * pow(z_val, -1, p) % p
         point[iz], point[iw] = z_val, w_val
         found += 1
-        j = [[eval_terms(g, point) for g in row] for row in grads]
+        j = [[g.eval_point(point) for g in row] for row in grads]
         has_rank2 = any(
             (j[0][c1] * j[1][c2] - j[0][c2] * j[1][c1]) % p
             for c1 in range(len(used))

@@ -24,10 +24,16 @@ homogeneous polynomial of degree d in k used variables:
   squarefree slice within the budget, ``Inconclusive``, since no factor
   of the input is recovered in four or more variables.
 
+The input is specialized once at the assignment (``SparsePoly.specialize``)
+and read through its ``exponent_items``: per term, the (slot, exponent)
+pairs of its nonzero variable exponents, so the oracle's cost follows
+the terms and not the size of the universe.
+
 Every ``Irreducible`` rests on a certificate and every ``Reducible`` on
-an exact division, so ``failure_bound`` is 0.0 for both; whenever no
-rational witness can be produced the verdict is ``Inconclusive``, with
-bound 1.0 -- the oracle never claims more than it has checked.
+an exact division (``SparsePoly.exact_quotient``), so ``failure_bound``
+is 0.0 for both; whenever no rational witness can be produced the
+verdict is ``Inconclusive``, with bound 1.0 -- the oracle never claims
+more than it has checked.  p must lie below ``coeffs.P_LIMIT``.
 
 All of it runs on plain ints mod p: slices, charts and factors are
 ``bifactor``/``unifactor`` lists of residues, and the
@@ -38,14 +44,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import compress
+from math import prod
 
 from . import bifactor as bi
 from . import unifactor as uni
-from .coeffs import ff_inv_int
+from .coeffs import P_LIMIT, ff_inv_int
 from .errors import (
     DegreeTooLargeForPrime,
     DivisionFailure,
+    InputTooLarge,
     UnspecializedParameter,
     ZeroPolynomial,
 )
@@ -87,27 +94,19 @@ def univariate_factor(a: SparsePoly, assignment: dict | None = None, seed: int =
     universe = a.universe
     if len(universe) != 1:
         raise ValueError("univariate_factor expects a single-variable universe")
-    p = universe.ring.p
-    coeffs = _specialized_coeff_list(a, assignment)
-    F = PrimeField(p)
-    rng = random.Random(seed)
-    unit, factors = uni.factor(F, coeffs, rng)
+    if assignment is None and any(map(a.uses_param, universe.ring.names)):
+        raise UnspecializedParameter("parameters present but no assignment given")
+    coeffs = [0] * (a.total_degree() + 1)
+    for pairs, c in a.specialize(assignment or {}).exponent_items():
+        coeffs[sum(e for _, e in pairs)] = c
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    unit, factors = uni.factor(PrimeField(universe.ring.p), coeffs, random.Random(seed))
     out = []
     for g, mult in factors:
         terms = {(i,): c for i, c in enumerate(g) if c}
         out.append((SparsePoly.from_residues(universe, terms), mult))
     return unit, out
-
-
-def _specialized_coeff_list(a: SparsePoly, assignment):
-    if assignment is None and any(map(a.uses_param, a.universe.ring.names)):
-        raise UnspecializedParameter("parameters present but no assignment given")
-    coeffs = [0] * (a.total_degree() + 1)
-    for (i,), c in a.specialize_params(assignment or {}).items():
-        coeffs[i] = c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def probably_irreducible(
@@ -134,6 +133,8 @@ def probably_irreducible(
     if d < 1 or not homogeneous:
         raise ValueError("expected a homogeneous polynomial of degree >= 1")
     p = a.universe.ring.p
+    if p >= P_LIMIT:
+        raise InputTooLarge(f"p = {p} is not below the limit {P_LIMIT}")
     if p <= d * d:
         raise DegreeTooLargeForPrime(f"p={p} <= deg^2={d * d}")
     rng = random.Random(seed)
@@ -142,8 +143,8 @@ def probably_irreducible(
         assignment = {name: rng.randrange(1, p) for name in a.universe.ring.names}
     else:
         assignment = dict(params)
-    int_terms = a.specialize_params(assignment)
-    if not int_terms:
+    f = a.specialize(assignment)
+    if f.is_zero():
         return IrreducibilityVerdict(
             INCONCLUSIVE, assignment=assignment, note="polynomial vanished at the assignment"
         )
@@ -151,22 +152,19 @@ def probably_irreducible(
         return IrreducibilityVerdict(IRREDUCIBLE, assignment=assignment)
 
     # each term's variables, from one pass over the terms
-    support = [set(compress(range(len(e)), e)) for e in int_terms]
+    terms = f.exponent_items()
+    support = [{i for i, _ in pairs} for pairs, _ in terms]
     used, common = sorted(set().union(*support)), set.intersection(*support)
     if common:
         witness = SparsePoly.variable(a.universe, a.universe.names[min(common)])
-        if _exact_divide(int_terms, witness.specialize_params({}), p) is None:
-            raise DivisionFailure(f"{witness!r} does not divide the input exactly")
-        return IrreducibilityVerdict(
-            REDUCIBLE, witness=witness, assignment=assignment, note="variable factor"
-        )
+        return _reducible(f, witness, assignment, "variable factor")
 
     # no variable factor, so len(used) >= 2
-    if len(used) <= 3:
-        return _chart_verdict(a.universe, int_terms, used, assignment, rng)
     F = PrimeField(p)
+    if len(used) <= 3:
+        return _chart_verdict(F, f, terms, used, assignment, rng)
     for drawn in range(1, trials + 1):
-        slice_poly = _sample_slice(F, int_terms, used, d, rng)
+        slice_poly = _sample_slice(F, terms, used, d, len(a.universe), rng)
         if slice_poly is None:
             return IrreducibilityVerdict(
                 INCONCLUSIVE, assignment=assignment, note="no non-degenerate slice found"
@@ -179,54 +177,59 @@ def probably_irreducible(
     return IrreducibilityVerdict(INCONCLUSIVE, assignment=assignment, note="no certified slice")
 
 
-def _chart_verdict(universe, int_terms, used, assignment, rng):
-    """The verdict on a form in 2 or 3 used variables, none dividing it,
+def _reducible(f, witness, assignment, note):
+    """The Reducible verdict on f with ``witness``, once it divides f exactly."""
+    if f.exact_quotient(witness) is None:
+        raise DivisionFailure(f"{witness!r} does not divide the input exactly")
+    return IrreducibilityVerdict(REDUCIBLE, witness=witness, assignment=assignment, note=note)
+
+
+def _chart_verdict(F, f, terms, used, assignment, rng):
+    """The verdict on a form f in 2 or 3 used variables, none dividing it,
     from one ``is_absolutely_irreducible`` call on its chart: a bivariate
-    of the same degree (of v-degree 0 for a binary form)."""
-    p = universe.ring.p
-    F = PrimeField(p)
-    *axes, last = used
+    of the same degree (of v-degree 0 for a binary form).  ``terms`` are
+    f's ``exponent_items``."""
+    universe = f.universe
+    axes = used[:-1]
     # the form is homogeneous, so distinct terms keep distinct chart exponents
-    chart = {(e[axes[0]], e[axes[1]] if len(axes) == 2 else 0): c for e, c in int_terms.items()}
+    pad = (0,) * (3 - len(used))  # a binary form's chart has v-degree 0
+    chart = {tuple(dict(pairs).get(i, 0) for i in axes) + pad: c for pairs, c in terms}
     certified, factor = bi.is_absolutely_irreducible(F, bi.from_dict(F, chart), rng)
     if certified:
         return IrreducibilityVerdict(IRREDUCIBLE, assignment=assignment)
     if factor is None:
         return IrreducibilityVerdict(INCONCLUSIVE, assignment=assignment, note="no certificate, no factor")
-    deg, terms = bi.total_degree(factor), {}
+    # rehomogenized at the last used variable
+    deg, names, monomials = bi.total_degree(factor), [universe.names[i] for i in used], []
     for ij, c in bi.to_dict(F, factor).items():
-        e = [0] * len(universe)
-        for idx, k in zip(axes, ij):
-            e[idx] = k
-        e[last] = deg - sum(ij)
-        terms[tuple(e)] = c
-    witness = SparsePoly.from_residues(universe, terms)
-    if _exact_divide(int_terms, witness.specialize_params({}), p) is None:
-        raise DivisionFailure(f"{witness!r} does not divide the input exactly")
-    return IrreducibilityVerdict(REDUCIBLE, witness=witness, assignment=assignment, note="rational factor")
+        exps = (*ij[:len(axes)], deg - sum(ij))
+        powers = [SparsePoly.variable(universe, x, k) for x, k in zip(names, exps)]
+        monomials.append(prod(powers, start=SparsePoly.constant(universe, c)))
+    witness = SparsePoly.sum_of(universe, monomials)
+    return _reducible(f, witness, assignment, "rational factor")
 
 
-def _sample_slice(F, int_terms, used, d, rng, attempts=64):
-    """Substitute x_i -> a_i u + b_i v + c_i, by evaluation on the degree-d
-    lattice and interpolation (``_slice``); keep only full-degree slices."""
+def _sample_slice(F, terms, used, d, n, rng, attempts=64):
+    """Substitute x_i -> a_i u + b_i v + c_i for each of the n variables
+    of the universe, by evaluation on the degree-d lattice and
+    interpolation (``_slice``); keep only full-degree slices."""
     p = F.p
-    n = max(len(e) for e in int_terms)
     for _ in range(attempts):
         avec, bvec, cvec = ([rng.randrange(p) for _ in range(n)] for _ in range(3))
         # a rank-deficient map sends the plane onto a line, where f splits
         maps = [{k: v[i] for k, i in enumerate(used)} for v in (avec, bvec, cvec)]
         if bi.rank_mod_p(maps, p) < 3:
             continue
-        acc = bi.vnormalize(F, _slice(int_terms, (avec, bvec, cvec), d, p))
+        acc = bi.vnormalize(F, _slice(terms, (avec, bvec, cvec), d, p))
         if bi.total_degree(acc) == d and bi.deg_v(acc) == d:
             return acc
     return None
 
 
 def _slice(terms, maps, d, p):
-    """sum c * prod_i (a_i u + b_i v + c_i)^e_i over ``terms`` {e: c}
-    mod p, v-major and unreduced, for maps = (a, b, c) and a form of
-    degree d < p.
+    """sum c * prod_i (a_i u + b_i v + c_i)^e_i over ``terms``, the
+    ``exponent_items`` [(((i, e_i), ...), c)] of a form of degree d < p,
+    mod p, v-major and unreduced, for maps = (a, b, c).
 
     The slice has total degree <= d, so its values on the lattice
     u + v <= d fix it: forward differences in v along each row, then in
@@ -236,12 +239,12 @@ def _slice(terms, maps, d, p):
     a, b, c = maps
     points = [(x, y) for x in range(d + 1) for y in range(d + 1 - x)]
     powers, values = {}, [0] * len(points)
-    for e, coef in terms.items():
+    for pairs, coef in terms:
         acc = [coef] * len(points)
-        for i in compress(range(len(e)), e):
-            if (i, e[i]) not in powers:
-                powers[i, e[i]] = [pow(a[i] * x + b[i] * y + c[i], e[i], p) for x, y in points]
-            acc = [s * t % p for s, t in zip(acc, powers[i, e[i]])]
+        for i, e in pairs:
+            if (i, e) not in powers:
+                powers[i, e] = [pow(a[i] * x + b[i] * y + c[i], e, p) for x, y in points]
+            acc = [s * t % p for s, t in zip(acc, powers[i, e])]
         values = [s + t for s, t in zip(values, acc)]
     it = iter(values)
     rows = [_differences([next(it) for _ in range(d + 1 - x)], p) for x in range(d + 1)]
@@ -264,35 +267,3 @@ def _differences(values, p):
     for k in range(1, len(values)):
         values[k:] = [t - s for s, t in zip(values[k - 1:], values[k:])]
     return [x % p for x in values]
-
-
-def _exact_divide(terms_f, terms_g, p):
-    """f / g over GF(p) in dict form when exact, else None (monomial order
-    long division; g's leading coefficient must be invertible, which it
-    is over a field)."""
-    if not terms_g:
-        return None
-
-    def key(e):
-        return (sum(e), e)
-
-    f = dict(terms_f)
-    g_lead = max(terms_g, key=key)
-    g_lc = terms_g[g_lead]
-    g_lc_inv = ff_inv_int(g_lc, p)
-    q = {}
-    while f:
-        f_lead = max(f, key=key)
-        diff = tuple(a - b for a, b in zip(f_lead, g_lead))
-        if any(x < 0 for x in diff):
-            return None
-        c = f[f_lead] * g_lc_inv % p
-        q[diff] = c
-        for e, v in terms_g.items():
-            k = tuple(a + b for a, b in zip(e, diff))
-            nv = (f.get(k, 0) - c * v) % p
-            if nv:
-                f[k] = nv
-            elif k in f:
-                del f[k]
-    return q

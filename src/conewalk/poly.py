@@ -19,8 +19,10 @@ unit)``, a product of monomials ``k1 + k2 - base`` and a derivative
 ``k - unit``.  An exponent or degree outside its field sets a guard bit
 of the result key, and raises ``ExponentOverflow`` (in ``parse_poly``, a
 positioned ``ParseError``); no field carries into the next.  The layout
-is private to this module: ``to_dict`` and ``specialize_params`` give
-exponent tuples.
+is private to this module, and so is exponent arithmetic: other modules
+read a term through ``exponent_items``, its nonzero variable exponents as
+(slot, exponent) pairs.  ``to_dict`` and ``specialize_params`` give
+exponent tuples, one slot per name, for the tests and the benchmark.
 
 Only the public constructor and ``parse_poly`` check terms.  Arithmetic
 builds its results from checked operands through ``_poly``, unchecked
@@ -52,7 +54,6 @@ import functools
 import re
 import struct
 from dataclasses import dataclass, field
-from itertools import compress
 from operator import mul, or_
 
 from .coeffs import ParamCoeff, ParamRing, ff_inv_int
@@ -128,13 +129,20 @@ class _Layout:
             raise ExponentOverflow(f"exponent {e} leaves its packed field [{low}, {_LIMIT + low})")
         return self.base + e * self.units[slot]
 
-    def unpack_fields(self, key):
-        """Every field of a key, from the top: the raw 16-bit values."""
-        return self.fields.unpack(key.to_bytes(self.fields.size, "big"))
+    def nonzero(self, key):
+        """(slot, exponent) of each nonzero variable field of a key, in
+        universe order: the top nonzero field of what is left of the
+        variable fields, at shift s, is the next one."""
+        v, first = key & self.vmask, self.top - _WIDTH  # the shift of slot 0
+        while v:
+            s = (v.bit_length() - 1) // _WIDTH * _WIDTH
+            e = v >> s
+            v ^= e << s
+            yield (first - s) // _WIDTH, e
 
     def unpack(self, key):
         """The exponent tuple of a key: variables, then parameters."""
-        fields = self.unpack_fields(key)
+        fields = self.fields.unpack(key.to_bytes(self.fields.size, "big"))
         return fields[1:self.nv + 1] + tuple(e - _BIAS for e in fields[self.nv + 2:])
 
     def check(self, keys):
@@ -415,7 +423,7 @@ class SparsePoly:
         """The names of the variables some term uses, in universe order."""
         # a variable's field in the OR of the keys is nonzero iff some term's is
         used = functools.reduce(or_, self.terms, 0)
-        return tuple(compress(self.universe.names, self.universe._layout.unpack(used)))
+        return tuple(self.universe.names[i] for i, _ in self.universe._layout.nonzero(used))
 
     def variable_span(self) -> int:
         """The length of the shortest prefix of the universe's names that
@@ -480,15 +488,16 @@ class SparsePoly:
 
     # -- evaluation / specialization --
 
-    def specialize_params(self, assignment: dict) -> dict:
-        """Terms with all parameters evaluated: variable exponent tuple ->
-        residue.  Every parameter the terms use must be assigned, and an
-        invertible one must be assigned a nonzero value."""
+    def specialize(self, assignment: dict) -> "SparsePoly":
+        """The parameter-free polynomial with every parameter evaluated;
+        ``self`` when no term uses a parameter.  Every parameter the terms
+        use must be assigned, and an invertible one must be assigned a
+        nonzero value."""
         ring = self.universe.ring
         layout = self.universe._layout
-        p, nv = ring.p, len(self.universe)
+        p = ring.p
         values = []
-        for slot, name in enumerate(ring.names, nv):
+        for slot, name in enumerate(ring.names, len(self.universe)):
             if not self._uses_slot(slot):
                 continue
             if name not in assignment:
@@ -497,24 +506,34 @@ class SparsePoly:
             if v == 0 and name in ring.invertible:
                 raise InvertibleAssignedZero(f"invertible parameter {name!r} assigned 0")
             values.append((slot, v))
-        pbits = layout.pbits
-        pmask = (1 << pbits) - 1
+        if not values:
+            return self
+        pmask, base = (1 << layout.pbits) - 1, layout.base
         monomials = {}  # the value of each parameter part met
         acc = {}
         for k, c in self.terms.items():
-            if values:
-                pk = k & pmask
-                m = monomials.get(pk)
-                if m is None:
-                    m = 1
-                    for slot, v in values:
-                        m = m * _power(v, layout.exponent(pk, slot), p) % p
-                    monomials[pk] = m
-                c = c * m
-            vk = k >> pbits
-            acc[vk] = acc.get(vk, 0) + c
-        unpack = layout.unpack_fields
-        return {unpack(vk << pbits)[1:nv + 1]: r for vk, c in acc.items() if (r := c % p)}
+            pk = k & pmask
+            m = monomials.get(pk)
+            if m is None:
+                m = 1
+                for slot, v in values:
+                    m = m * _power(v, layout.exponent(pk, slot), p) % p
+                monomials[pk] = m
+            k += base - pk  # the parameter fields at exponent 0
+            acc[k] = acc.get(k, 0) + c * m
+        return _poly(self.universe, _reduced(acc, p))
+
+    def specialize_params(self, assignment: dict) -> dict:
+        """``specialize`` as {variable exponent tuple: residue}."""
+        nv, unpack = len(self.universe), self.universe._layout.unpack
+        return {unpack(k)[:nv]: c for k, c in self.specialize(assignment).terms.items()}
+
+    def exponent_items(self) -> list:
+        """[(pairs, residue)] in term order, pairs the (slot, exponent) of
+        each nonzero variable exponent in universe order; parameters are
+        not read, so call it on a ``specialize``d polynomial."""
+        nonzero = self.universe._layout.nonzero
+        return [(tuple(nonzero(k)), c) for k, c in self.terms.items()]
 
     def eval_point(self, point, params: dict | None = None) -> int:
         """Exact evaluation at a point, with a total parameter assignment;
@@ -522,14 +541,36 @@ class SparsePoly:
         p = self.universe.ring.p
         if len(point) != len(self.universe):
             raise ValueError("point length mismatch")
-        vals = [v % p for v in point]
         total = 0
-        for exps, c in self.specialize_params(params or {}).items():
-            for v, e in zip(vals, exps):
-                if e:
-                    c = c * pow(v, e, p) % p
+        for pairs, c in self.specialize(params or {}).exponent_items():
+            for i, e in pairs:
+                c = c * pow(point[i], e, p) % p
             total += c
         return total % p
+
+    def exact_quotient(self, g: "SparsePoly") -> "SparsePoly | None":
+        """self / g when g divides self exactly, else None (also for g = 0);
+        both operands parameter-free, as ``specialize`` gives them.  Long
+        division from the greatest key: a quotient monomial lead - lead(g)
+        + base with a negative exponent sets a guard bit, as does a
+        negative key (degree short), whose high bits are all set."""
+        self._check(g)
+        if not g.terms:
+            return None
+        base, guard = self.universe._layout.base, self.universe._layout.guard
+        p = self.universe.ring.p
+        g_lead = max(g.terms)
+        inv = ff_inv_int(g.terms[g_lead], p)
+        shifted = [(k - base, v) for k, v in g.terms.items()]
+        rest, q = dict(self.terms), {}
+        while rest:
+            lead = max(rest)
+            qk = lead - g_lead + base
+            if qk & guard:
+                return None
+            c = q[qk] = rest[lead] * inv % p
+            _add_into(rest, {k + qk: v * c for k, v in shifted}, p, -1)
+        return _poly(self.universe, q)
 
     def substitute_param(self, name: str, value: int) -> "SparsePoly":
         """Bake a single parameter to a field value, keeping the others symbolic."""
@@ -554,22 +595,16 @@ class SparsePoly:
         if not self.terms:
             return "0"
         layout = self.universe._layout
-        pmask, vmask = (1 << layout.pbits) - 1, layout.vmask
+        pmask, nonzero = (1 << layout.pbits) - 1, layout.nonzero
         params = list(zip(self.universe.ring.names, layout.shifts[layout.nv:]))
-        names, last = self.universe.names, layout.top // _WIDTH - 1
+        names = self.universe.names
         pieces = []
         for k, scalar in sorted(self.terms.items(), reverse=True):
             pk = k & pmask
             # parameters print before variables
             factors = [n if e == 1 else f"{n}^{e}" for n, s in params if (e := ((pk >> s) & _FIELD) - _BIAS)]
-            # the top nonzero field of what is left of the variable fields
-            # (field f from the low end) is the next variable in order
-            v = k & vmask
-            while v:
-                f = (v.bit_length() - 1) // _WIDTH
-                e = v >> f * _WIDTH
-                v -= e << f * _WIDTH
-                factors.append(names[last - f] if e == 1 else f"{names[last - f]}^{e}")
+            for i, e in nonzero(k):
+                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
             if not factors:
                 pieces.append(str(scalar))
             elif scalar == 1:

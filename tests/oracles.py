@@ -226,6 +226,38 @@ def horner_slice(terms, used, maps, p):
     return acc
 
 
+def exact_divide(terms_f, terms_g, p):
+    """f / g over GF(p) in dict form when exact, else None (monomial order
+    long division; g's leading coefficient must be invertible, which it
+    is over a field): the reference for ``SparsePoly.exact_quotient``."""
+    if not terms_g:
+        return None
+
+    def key(e):
+        return (sum(e), e)
+
+    f = dict(terms_f)
+    g_lead = max(terms_g, key=key)
+    g_lc = terms_g[g_lead]
+    g_lc_inv = ff_inv_int(g_lc, p)
+    q = {}
+    while f:
+        f_lead = max(f, key=key)
+        diff = tuple(a - b for a, b in zip(f_lead, g_lead))
+        if any(x < 0 for x in diff):
+            return None
+        c = f[f_lead] * g_lc_inv % p
+        q[diff] = c
+        for e, v in terms_g.items():
+            k = tuple(a + b for a, b in zip(e, diff))
+            nv = (f.get(k, 0) - c * v) % p
+            if nv:
+                f[k] = nv
+            elif k in f:
+                del f[k]
+    return q
+
+
 def _times_linear(f, a, b, c, p):
     """f * (a*u + b*v + c) mod p, for f v-major; columns unnormalized."""
     out, below = [], []

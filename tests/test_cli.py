@@ -435,6 +435,26 @@ def test_construct_past_a_size_limit_is_a_usage_error(tmp_path, capsys, flags, n
     assert not out.exists()
 
 
+def test_construct_past_the_coefficient_limit_is_refused_in_little_memory(tmp_path, capsys):
+    """m * r = 16 million passes the p and universe limits, but is refused
+    before one of its coefficients is built: exit 2, one error line, a
+    few kB traced."""
+    import tracemalloc
+
+    out = tmp_path / "s0.json"
+    flags = ["--n", "14", "--m", "2000", "--r", "8000", "--d", "4014", "--p", "4019"]
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, "construct", "base", *flags, "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and stdout == ""
+    _assert_one_error_line(err, "InputTooLarge", "m * r = 16000000 coefficients, above the limit 32768")
+    assert peak < 100_000, peak
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "path, value, needle",
     [

@@ -8,7 +8,7 @@ import pytest
 
 from conewalk import unifactor as uni
 from conewalk.coeffs import ParamCoeff, ParamRing
-from conewalk.errors import DegreeTooLargeForPrime, ZeroPolynomial
+from conewalk.errors import DegreeTooLargeForPrime, DivisionFailure, InputTooLarge, ZeroPolynomial
 from conewalk.factorizer import (
     INCONCLUSIVE,
     IRREDUCIBLE,
@@ -17,7 +17,7 @@ from conewalk.factorizer import (
     univariate_factor,
 )
 from conewalk.poly import SparsePoly, VarUniverse, parse_poly
-from oracles import horner_slice
+from oracles import exact_divide, horner_slice
 
 RING101 = ParamRing(101)
 U3 = VarUniverse(("x0", "x1", "x2"), RING101)
@@ -126,10 +126,37 @@ def test_three_variable_product_witness_lifts():
     assert v.verdict == REDUCIBLE
     assert v.witness is not None
     # verify: witness divides the (parameter-free) polynomial
-    from conewalk.factorizer import _exact_divide
-
-    q = _exact_divide(f.specialize_params({}), v.witness.specialize_params({}), 101)
+    q = exact_divide(f.specialize_params({}), v.witness.specialize_params({}), 101)
     assert q is not None
+
+
+def test_a_chart_factor_that_does_not_divide_is_a_division_failure(monkeypatch):
+    """A Reducible verdict rests on an exact division: a chart factor
+    that does not divide the input, rehomogenized, raises
+    ``DivisionFailure`` instead of becoming a witness."""
+    from conewalk import bifactor as bi
+    from conewalk.gfext import PrimeField
+
+    line = bi.from_dict(PrimeField(101), {(1, 0): 1, (0, 1): 2, (0, 0): 3})  # u + 2v + 3
+    monkeypatch.setattr(bi, "is_absolutely_irreducible", lambda F, f, rng: (False, line))
+    with pytest.raises(DivisionFailure, match="x0 \\+ 2\\*x1 \\+ 3\\*x2"):
+        probably_irreducible(parse_poly("x0^3 + x1^3 + x2^3", U3), trials=1, seed=0)
+
+
+def test_p_at_the_limit_is_refused_at_the_oracle(monkeypatch):
+    """p at or past ``P_LIMIT`` raises ``InputTooLarge`` before a root
+    table is built; 4093, the largest prime below the limit, decides."""
+    from conewalk import bifactor as bi
+    from conewalk.coeffs import P_LIMIT
+
+    cubic = "x0^3 + x1^3 + pi*x2^3"
+    f = parse_poly(cubic, VarUniverse(("x0", "x1", "x2"), ParamRing(P_LIMIT + 3)))
+    with monkeypatch.context() as patch:
+        patch.setattr(bi, "_roots", lambda g, p: pytest.fail(f"a root table at p = {p}"))
+        with pytest.raises(InputTooLarge, match="p = 4099 is not below the limit 4096"):
+            probably_irreducible(f, trials=1, seed=0)
+    v = probably_irreducible(parse_poly(cubic, VarUniverse(("x0", "x1", "x2"), ParamRing(4093))), trials=1, seed=0)
+    assert v.verdict == IRREDUCIBLE and v.failure_bound == 0.0
 
 
 def test_four_variable_product_is_inconclusive_not_wrong():
@@ -211,12 +238,10 @@ def test_reducible_always_carries_verified_factor():
 def _check_reducible_witness(poly, v):
     """A Reducible verdict carries a proper factor of ``poly`` at the
     recorded assignment."""
-    from conewalk.factorizer import _exact_divide
-
     if v.verdict == REDUCIBLE:
         assert 0 < v.witness.total_degree() < poly.total_degree()
         spec_terms = poly.specialize_params(v.assignment or {})
-        q = _exact_divide(spec_terms, v.witness.specialize_params({}), 101)
+        q = exact_divide(spec_terms, v.witness.specialize_params({}), 101)
         assert q is not None
 
 
@@ -417,8 +442,6 @@ def test_ternary_form_is_decided_on_its_chart(monkeypatch, label):
     trials 0, a rational factor that divides exactly gives Reducible (the
     repeated factor Q of Q^2 among them), and the twisted A^2 - 2*B^2,
     irreducible over GF(101) but not over the closure, is Inconclusive."""
-    from conewalk.factorizer import _exact_divide
-
     f, want = CHART_CASES[label]
     calls = _count_calls(monkeypatch)
     v = probably_irreducible(f, trials=20, seed=1)
@@ -426,7 +449,7 @@ def test_ternary_form_is_decided_on_its_chart(monkeypatch, label):
     assert calls == {"factor_bivariate": 1}
     assert v.trials == 0
     if want == REDUCIBLE:
-        assert _exact_divide(f.specialize_params({}), v.witness.specialize_params({}), 101) is not None
+        assert exact_divide(f.specialize_params({}), v.witness.specialize_params({}), 101) is not None
     if label == "square":
         assert v.witness == Q3
 
@@ -511,7 +534,7 @@ def test_slice_is_the_input_on_the_sampled_plane():
                 int_terms = f.specialize_params({})
                 used = [i for i in range(len(u)) if any(e[i] for e in int_terms)]
                 seed = rng.randrange(10**6)
-                slice_poly = _sample_slice(F, int_terms, used, d, random.Random(seed))
+                slice_poly = _sample_slice(F, f.exponent_items(), used, d, len(u), random.Random(seed))
                 replay = random.Random(seed)
                 while True:
                     a, b, c = ([replay.randrange(p) for _ in u.names] for _ in range(3))
@@ -546,10 +569,11 @@ def _assert_slices_agree(terms, d, p, rng, draws):
 
     F, n = PrimeField(p), max(len(e) for e in terms)
     used = [i for i in range(n) if any(e[i] for e in terms)]
+    items = [(tuple((i, k) for i, k in enumerate(e) if k), c) for e, c in terms.items()]
     for _ in range(draws):
         maps = tuple([rng.randrange(p) for _ in range(n)] for _ in range(3))
         want = bi.vnormalize(F, horner_slice(terms, used, maps, p))
-        assert bi.vnormalize(F, _slice(terms, maps, d, p)) == want, (p, d, len(used))
+        assert bi.vnormalize(F, _slice(items, maps, d, p)) == want, (p, d, len(used))
     return used
 
 

@@ -75,6 +75,25 @@ def test_term_keys_are_read_only_in_poly():
     assert not found, found
 
 
+def test_exponent_tuples_stay_in_poly():
+    """A term's exponents are read as (slot, exponent) pairs of its
+    nonzero fields: outside ``poly`` no module calls ``specialize_params``
+    or ``to_dict``, the views with one slot per variable of the universe
+    (a module's own function of that name, as ``bi.to_dict``, aside)."""
+    found = []
+    for name, tree in _trees():
+        if name == "poly.py":
+            continue
+        modules = {alias for alias, binding in _module_env(name[:-3], tree).items() if binding[0] == "module"}
+        found += [
+            f"{name}:{node.lineno}: {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("specialize_params", "to_dict")
+            and getattr(node.value, "id", None) not in modules
+        ]
+    assert not found, found
+
+
 #: field-protocol arithmetic: one method call per coefficient operation
 FIELD_PROTOCOL = {"add", "sub", "mul", "neg", "inv", "scalar", "is_zero", "pow", "random"}
 #: the size and characteristic of a field, on which a second field path would branch
@@ -423,7 +442,6 @@ DOCUMENTED_API = {
     "smoothness_sample": "a README verifier that the verify command is still to wire in",
     "phi_map": "the README's vertex-to-vertex obstruction map",
     "skeleton_to_json": "inverse of skeleton_from_json for the README's graph files",
-    "SparsePoly.eval_point": "the README's polynomial evaluation",
     "SparsePoly.to_dict": "the README's exponent-tuple view, the inverse of the constructor",
     "sandwich_check": "the README's sandwich estimates",
     "step_budget": "the paper's ladder budget, not yet printed by the bounds command",

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conewalk.basecase import BaseParams, build_base_state
+from conewalk.basecase import BaseParams, build_base_state, z_product
 from conewalk.coeffs import ParamCoeff, ParamRing
 from conewalk.doublecone import induct_step
 from conewalk.errors import (
@@ -21,6 +21,7 @@ from oracles import (
     TuplePoly,
     canonical_string,
     clear_param_denominators,
+    exact_divide,
     min_param_exp,
     parse_poly_scanner,
     set_param_zero,
@@ -625,7 +626,8 @@ def test_sparse_emitter_matches_the_reference_on_a_wide_universe():
     fields of each key and gives the bytes of the dense reference: sparse
     terms at either end of the universe, variable exponents 1, 2 and
     2^15 - 1, lam^-16384 and lam^16383, and terms with no variable.
-    ``variable_span`` ends at the last variable that ``variables`` names."""
+    ``variable_span`` ends at the last variable that ``variables`` names,
+    and ``exponent_items`` reads the variable part of ``to_dict``."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -649,6 +651,9 @@ def test_sparse_emitter_matches_the_reference_on_a_wide_universe():
     @hypothesis.given(poly)
     def check(f):
         assert f.canonical_string() == canonical_string(f)
+        assert f.exponent_items() == [
+            (tuple((i, e) for i, e in enumerate(exps[:320]) if e), c) for exps, c in f.to_dict().items()
+        ]
         used = f.variables()
         assert f.variable_span() == (WIDE.index(used[-1]) + 1 if used else 0)
 
@@ -663,6 +668,81 @@ def test_sparse_emitter_matches_the_reference_on_a_wide_universe():
         "3*v319^32767 + lam^-16384*v0*v319^2 + 5*lam^16383 + 7"
     )
     assert fixed.variable_span() == 320 and SparsePoly.constant(WIDE, 4).variable_span() == 0
+
+
+def _quotient_agrees(f, g):
+    """``f.exact_quotient(g)`` is the dense long division's answer; the
+    quotient of f / g, or None."""
+    got, want = f.exact_quotient(g), exact_divide(f.specialize_params({}), g.specialize_params({}), 101)
+    assert (got is None) == (want is None), (f, g)
+    if got is not None:
+        assert got.specialize_params({}) == want and got * g == f, (f, g)
+    return got
+
+
+def _residue_poly(rng, degree, terms=4):
+    """A parameter-free form of ``degree`` in U3 with 1 to ``terms`` terms."""
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        cuts = sorted(rng.randint(0, degree) for _ in range(2))
+        out[cuts[0], cuts[1] - cuts[0], degree - cuts[1]] = rng.randrange(1, 101)
+    return SparsePoly.from_residues(U3, out)
+
+
+def test_exact_quotient_matches_the_long_division_reference():
+    """``exact_quotient`` agrees with the dense long division of
+    ``tests/oracles.py`` on seeded products (where it returns the
+    cofactor) and on non-divisors, and is None for the zero divisor, a
+    divisor that exceeds the dividend in one variable (a borrow between
+    packed fields), and one of larger total degree."""
+    rng = random.Random(22)
+    divided = 0
+    for _ in range(300):
+        a, b = _residue_poly(rng, rng.randint(0, 3)), _residue_poly(rng, rng.randint(0, 3))
+        divided += _quotient_agrees(a * b, b) == a
+        _quotient_agrees(a * b + _residue_poly(rng, rng.randint(0, 6), 2), b)
+        _quotient_agrees(a, b)
+    assert divided == 300
+    for f, g in [("x0^3*x1", "x0*x1^2"), ("x0*x2^4", "x2^5"), ("x1^2", "x0*x1"), ("x0^2", "x0^3"), ("1", "x2")]:
+        assert _quotient_agrees(P(f), P(g)) is None, (f, g)
+    assert _quotient_agrees(P("x0^2 + x1"), SparsePoly.zero(U3)) is None
+    assert SparsePoly.zero(U3).exact_quotient(P("x0 + x1")).is_zero()
+    with pytest.raises(UniverseMismatch):
+        P("x0").exact_quotient(SparsePoly.variable(WIDE, "v0"))
+
+
+def test_specialize_is_the_parameter_free_polynomial():
+    """``specialize`` equals the polynomial built from the dense
+    ``specialize_params``, uses no parameter, evaluates as the input does
+    at the assignment, and is the input itself when no term uses a
+    parameter."""
+    rng = random.Random(23)
+    texts = ["lam^-2*x0 + t*x1^2 + 3", "pi*rho*x2 - x2 + lam^3", "x0*x1 + 5", "lam*x0 - lam*x0"]
+    for f in [P(text) for text in texts] + [_random_poly(rng) for _ in range(200)]:
+        values = {name: rng.randrange(1, 101) for name in RING.names}
+        g = f.specialize(values)
+        assert g == SparsePoly.from_residues(U3, f.specialize_params(values))
+        assert not any(map(g.uses_param, RING.names)) and g.specialize({}) is g
+        point = [rng.randrange(101) for _ in U3.names]
+        assert g.eval_point(point) == f.eval_point(point, values)
+        assert (g is f) == (not any(map(f.uses_param, RING.names)))
+
+
+def test_exact_quotient_of_a_walk_pivot_times_a_linear_form():
+    """The pivot z1*...*z77 of the d = 8 witness's end station, in the
+    walk's universe, times a linear form in 40 of its variables: each
+    factor divides the product exactly, with the other as quotient, and
+    neither divides the product plus a monomial of its degree."""
+    universe = build_base_state(BaseParams(n=6, m=2, r=62, d=8, p=101)).universe
+    rng = random.Random(8)
+    pivot = z_product(universe, 77)
+    linear = SparsePoly.sum_of(universe, [
+        SparsePoly.variable(universe, name).scale(rng.randrange(1, 101)) for name in rng.sample(universe.names, 40)
+    ])
+    f = pivot * linear
+    assert _quotient_agrees(f, pivot) == linear and _quotient_agrees(f, linear) == pivot
+    g = f + SparsePoly.variable(universe, "x1", 78)
+    assert _quotient_agrees(g, pivot) is None and _quotient_agrees(g, linear) is None
 
 
 def _fold(universe, polys):
