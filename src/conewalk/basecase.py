@@ -191,13 +191,12 @@ def build_h(bp: BaseParams, h_choice: str, universe: VarUniverse) -> SparsePoly:
     """The degree-d irreducible pivot: sum x_i^d, or the chain form
     x0^d + sum x_{i-1} x_i^(d-1) used when the characteristic divides d.
 
-    Since p > d is enforced, p | d never triggers on its own; the
-    "char-divides-d" choice forces the chain form for inspection.
+    p > d is enforced, so p never divides d; the "char-divides-d"
+    choice builds the chain form for inspection.
     """
-    use_chain = h_choice == "char-divides-d" or (bp.d % bp.p == 0)
     if h_choice not in ("default", "char-divides-d"):
         raise ValueError(f"unknown h_choice {h_choice!r}")
-    if use_chain:
+    if h_choice == "char-divides-d":
         total = SparsePoly.variable(universe, "x0", bp.d)
         for i in range(1, bp.n + 1):
             total = total + SparsePoly.variable(universe, f"x{i - 1}") * SparsePoly.variable(

@@ -630,20 +630,12 @@ def smooth_rational_point(F, f):
     p = F.p
     fu = derivative_u(F, f)
     for a in range(p):
-        g = [_eval_mod(col, a, p) for col in f]
+        g = [uni.eval_at(F, col, a) for col in f]
         for b in _roots(g, p):
-            fv = _eval_mod([j * c for j, c in enumerate(g)][1:], b, p)
-            if fv or _eval_mod([_eval_mod(col, a, p) for col in fu], b, p):
+            fv = uni.eval_at(F, [j * c for j, c in enumerate(g)][1:], b)
+            if fv or uni.eval_at(F, [uni.eval_at(F, col, a) for col in fu], b):
                 return a, b
     return None
-
-
-def _eval_mod(coeffs, x, p):
-    """sum coeffs[i] x^i mod p, by Horner."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 # item size -> array type code, to read packed slots back in one call
@@ -710,7 +702,7 @@ def _smooth_point_at_infinity(F, f):
     # at a root t, f_D,u(1, t) = -t * f_D,v(1, t) by Euler's identity
     top_v = [j * c for j, c in enumerate(top)][1:]
     for t in _roots(top, p):
-        if _eval_mod(top_v, t, p) or _eval_mod(below, t, p):
+        if uni.eval_at(F, top_v, t) or uni.eval_at(F, below, t):
             return 1, t, 0
     return None
 

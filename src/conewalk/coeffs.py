@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnassignedParameter, ZeroInverse
+from .errors import InputTooLarge, UnassignedParameter, ZeroInverse
 
 DEFAULT_PARAMS = ("pi", "lam", "rho", "t")
 DEFAULT_INVERTIBLE = frozenset({"lam"})
-#: p lies below this, in a walk and at the oracle's entry: room for
-#: p > d^2 up to d = 63, and each row of the oracle's root-search tables
-#: within 32 kB; ``InputTooLarge`` otherwise
+#: p of a ``ParamRing``, so of every polynomial and walk, lies below
+#: this: room for p > d^2 up to d = 63, and each row of the oracle's
+#: root-search tables within 32 kB; ``InputTooLarge`` otherwise, before
+#: the trial division of ``is_prime``
 P_LIMIT = 1 << 12
 
 
@@ -94,13 +95,16 @@ def sqrt_mod(a: int, p: int):
 
 @dataclass(frozen=True)
 class ParamRing:
-    """A prime p and a fixed tuple of named parameters, some invertible."""
+    """A prime p below ``P_LIMIT`` and a fixed tuple of named
+    parameters, some invertible."""
 
     p: int
     names: tuple = DEFAULT_PARAMS
     invertible: frozenset = DEFAULT_INVERTIBLE
 
     def __post_init__(self):
+        if self.p >= P_LIMIT:
+            raise InputTooLarge(f"p = {self.p} is not below the limit {P_LIMIT}")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
         if len(set(self.names)) != len(self.names):

@@ -102,25 +102,21 @@ def _symbolic_params(state: HypersurfaceState) -> list:
 
 def absorb_step_params(state: HypersurfaceState, seed: int) -> HypersurfaceState:
     """Bake any symbolic lam/t left in the coefficients into the ground
-    field, using seeded random nonzero values.  Returns a new state."""
+    field, using seeded random nonzero values drawn in sorted name order,
+    by one ``SparsePoly.substitute`` per coefficient.  Returns a new
+    state; the state itself when none is left."""
     names = _symbolic_params(state)
     if not names:
         return state
     rng = random.Random(seed)
     values = {name: rng.randrange(1, state.p) for name in names}
-
-    def bake(poly):
-        for name, v in values.items():
-            poly = poly.substitute_param(name, v)
-        return poly
-
     new = HypersurfaceState(
         bp=state.bp,
         s=state.s,
         universe=state.universe,
-        f0=bake(state.f0),
-        a0=bake(state.a0),
-        a={k: bake(v) for k, v in state.a.items()},
+        f0=state.f0.substitute(values),
+        a0=state.a0.substitute(values),
+        a={k: v.substitute(values) for k, v in state.a.items()},
         e=list(state.e),
         h_poly=state.h_poly,
         params=dict(state.params),

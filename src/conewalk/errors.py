@@ -55,10 +55,6 @@ class ParseError(ConewalkError):
 
 # -- factorization ---------------------------------------------------------
 
-class UnspecializedParameter(ConewalkError):
-    """Factorization requires all parameters assigned to field values."""
-
-
 class DegreeTooLargeForPrime(ConewalkError):
     """p <= deg^2, so random plane slices carry no statistical weight."""
 

@@ -33,7 +33,8 @@ Every ``Irreducible`` rests on a certificate and every ``Reducible`` on
 an exact division (``SparsePoly.exact_quotient``), so ``failure_bound``
 is 0.0 for both; whenever no rational witness can be produced the
 verdict is ``Inconclusive``, with bound 1.0 -- the oracle never claims
-more than it has checked.  p must lie below ``coeffs.P_LIMIT``.
+more than it has checked.  p lies below ``coeffs.P_LIMIT``, as every
+``ParamRing``'s does.
 
 All of it runs on plain ints mod p: slices, charts and factors are
 ``bifactor``/``unifactor`` lists of residues, and the
@@ -48,12 +49,10 @@ from math import prod
 
 from . import bifactor as bi
 from . import unifactor as uni
-from .coeffs import P_LIMIT, ff_inv_int
+from .coeffs import ff_inv_int
 from .errors import (
     DegreeTooLargeForPrime,
     DivisionFailure,
-    InputTooLarge,
-    UnspecializedParameter,
     ZeroPolynomial,
 )
 from .gfext import PrimeField
@@ -87,15 +86,15 @@ def univariate_factor(a: SparsePoly, assignment: dict | None = None, seed: int =
 
     Returns (unit, factors) where unit is the leading coefficient, an
     int in [0, p), and factors is a list of (monic irreducible
-    SparsePoly, multiplicity); unit * prod factor^mult == a.
+    SparsePoly, multiplicity); unit * prod factor^mult == a, specialized
+    at ``assignment``.  A parameter of ``a`` left unassigned raises
+    ``UnassignedParameter`` (``SparsePoly.specialize``).
     """
     if a.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     universe = a.universe
     if len(universe) != 1:
         raise ValueError("univariate_factor expects a single-variable universe")
-    if assignment is None and any(map(a.uses_param, universe.ring.names)):
-        raise UnspecializedParameter("parameters present but no assignment given")
     coeffs = [0] * (a.total_degree() + 1)
     for pairs, c in a.specialize(assignment or {}).exponent_items():
         coeffs[sum(e for _, e in pairs)] = c
@@ -133,8 +132,6 @@ def probably_irreducible(
     if d < 1 or not homogeneous:
         raise ValueError("expected a homogeneous polynomial of degree >= 1")
     p = a.universe.ring.p
-    if p >= P_LIMIT:
-        raise InputTooLarge(f"p = {p} is not below the limit {P_LIMIT}")
     if p <= d * d:
         raise DegreeTooLargeForPrime(f"p={p} <= deg^2={d * d}")
     rng = random.Random(seed)

@@ -6,6 +6,9 @@ then one per parameter of the universe's ``ParamRing``.  Variable
 exponents are non-negative; a parameter exponent may be negative only
 at an invertible parameter (``lam``).  Parameter-only values such as
 ``-lam^-1`` or ``t*lam`` are ordinary polynomials (``SparsePoly.param``).
+Parameters are evaluated in one loop, ``SparsePoly.substitute``, which
+keeps the parameters it is not given; ``specialize`` is that loop at a
+total assignment, and ``eval_point`` takes a parameter-free polynomial.
 
 A key is one int of 16-bit fields.  From the high bits down they hold
 the total variable degree, the exponents of the variables in universe
@@ -488,40 +491,50 @@ class SparsePoly:
 
     # -- evaluation / specialization --
 
-    def specialize(self, assignment: dict) -> "SparsePoly":
-        """The parameter-free polynomial with every parameter evaluated;
-        ``self`` when no term uses a parameter.  Every parameter the terms
-        use must be assigned, and an invertible one must be assigned a
-        nonzero value."""
+    def substitute(self, values: dict) -> "SparsePoly":
+        """The polynomial with each parameter named in ``values`` that some
+        term uses evaluated, in one pass, and the others kept symbolic;
+        ``self`` when no term uses one of them.  An invertible parameter
+        assigned 0 raises ``InvertibleAssignedZero``."""
         ring = self.universe.ring
         layout = self.universe._layout
         p = ring.p
-        values = []
+        evaluated = []
         for slot, name in enumerate(ring.names, len(self.universe)):
-            if not self._uses_slot(slot):
-                continue
-            if name not in assignment:
-                raise UnassignedParameter(f"parameter {name!r} not assigned")
-            v = assignment[name] % p
-            if v == 0 and name in ring.invertible:
-                raise InvertibleAssignedZero(f"invertible parameter {name!r} assigned 0")
-            values.append((slot, v))
-        if not values:
+            if name in values and self._uses_slot(slot):
+                v = values[name] % p
+                if v == 0 and name in ring.invertible:
+                    raise InvertibleAssignedZero(f"invertible parameter {name!r} assigned 0")
+                evaluated.append((slot, v, layout.units[slot]))
+        if not evaluated:
             return self
-        pmask, base = (1 << layout.pbits) - 1, layout.base
-        monomials = {}  # the value of each parameter part met
+        pmask = (1 << layout.pbits) - 1
+        parts = {}  # the value and the key step of each parameter part met
         acc = {}
         for k, c in self.terms.items():
             pk = k & pmask
-            m = monomials.get(pk)
-            if m is None:
-                m = 1
-                for slot, v in values:
-                    m = m * _power(v, layout.exponent(pk, slot), p) % p
-                monomials[pk] = m
-            k += base - pk  # the parameter fields at exponent 0
-            acc[k] = acc.get(k, 0) + c * m
+            part = parts.get(pk)
+            if part is None:
+                m, step = 1, 0
+                for slot, v, unit in evaluated:
+                    e = layout.exponent(pk, slot)
+                    m = m * _power(v, e, p) % p
+                    step += e * unit
+                part = parts[pk] = m, step
+            k -= part[1]  # the evaluated fields at exponent 0
+            acc[k] = acc.get(k, 0) + c * part[0]
+        # dropping some exponents can take the parameter degree out of its field
+        layout.check(acc)
         return _poly(self.universe, _reduced(acc, p))
+
+    def specialize(self, assignment: dict) -> "SparsePoly":
+        """The parameter-free polynomial: ``substitute`` at an assignment
+        that must hold every parameter some term uses, or
+        ``UnassignedParameter`` is raised."""
+        for slot, name in enumerate(self.universe.ring.names, len(self.universe)):
+            if name not in assignment and self._uses_slot(slot):
+                raise UnassignedParameter(f"parameter {name!r} not assigned")
+        return self.substitute(assignment)
 
     def specialize_params(self, assignment: dict) -> dict:
         """``specialize`` as {variable exponent tuple: residue}."""
@@ -535,15 +548,19 @@ class SparsePoly:
         nonzero = self.universe._layout.nonzero
         return [(tuple(nonzero(k)), c) for k, c in self.terms.items()]
 
-    def eval_point(self, point, params: dict | None = None) -> int:
-        """Exact evaluation at a point, with a total parameter assignment;
-        an int in [0, p)."""
+    def eval_point(self, point) -> int:
+        """The value in [0, p) at a point of a parameter-free polynomial;
+        a term with a parameter raises ``UnassignedParameter``."""
         p = self.universe.ring.p
+        layout = self.universe._layout
         if len(point) != len(self.universe):
             raise ValueError("point length mismatch")
+        pmask = (1 << layout.pbits) - 1
         total = 0
-        for pairs, c in self.specialize(params or {}).exponent_items():
-            for i, e in pairs:
+        for k, c in self.terms.items():
+            if k & pmask != layout.base:
+                raise UnassignedParameter("a term has a parameter: specialize before evaluating")
+            for i, e in layout.nonzero(k):
                 c = c * pow(point[i], e, p) % p
             total += c
         return total % p
@@ -571,23 +588,6 @@ class SparsePoly:
             c = q[qk] = rest[lead] * inv % p
             _add_into(rest, {k + qk: v * c for k, v in shifted}, p, -1)
         return _poly(self.universe, q)
-
-    def substitute_param(self, name: str, value: int) -> "SparsePoly":
-        """Bake a single parameter to a field value, keeping the others symbolic."""
-        p = self.universe.ring.p
-        slot = self._param_slot(name)
-        layout = self.universe._layout
-        unit = layout.units[slot]
-        value %= p
-        acc = {}
-        for k, c in self.terms.items():
-            e = layout.exponent(k, slot)
-            if e:
-                c = c * _power(value, e, p)
-                k -= e * unit
-            acc[k] = acc.get(k, 0) + c
-        layout.check(acc)
-        return _poly(self.universe, _reduced(acc, p))
 
     # -- canonical text form --
 

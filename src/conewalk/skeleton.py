@@ -29,7 +29,7 @@ from math import gcd
 
 from .coeffs import prime_powers
 from .errors import RDivisibilityViolated
-from .intlinalg import _echelon_mod, invariant_factors, matmul, matvec, solve_mod
+from .intlinalg import _echelon_mod, identity, invariant_factors, matmul, matvec, solve_mod
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,14 @@ def unit_skeleton(c: int, k: int) -> ChainSkeleton:
     """One edge (0, 1) with the free rank-k module over Z/c (Z at c = 0)
     in every slot and identity incidence and push maps."""
     mod = FgModule(ring=c, rank=k)
-    ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     e = (0, 1)
     return ChainSkeleton(
         graph=DualGraph((0, 1), (e,)),
         ch1={0: mod, 1: mod},
         ch0_vertex={0: mod, 1: mod},
         ch0_edge={e: mod},
-        inter={(e, v): [row[:] for row in ident] for v in e},
-        push={(e, v): [row[:] for row in ident] for v in e},
+        inter={(e, v): identity(k) for v in e},
+        push={(e, v): identity(k) for v in e},
     )
 
 
@@ -311,7 +310,7 @@ def phi_map_subdivided(ssk: SubdividedSkeleton) -> LinearMap:
     for e in sk.graph.edges:
         v, w = e
         ne = sk.ch0_edge[e].ngens
-        ident = [[1 if i == j else 0 for j in range(ne)] for i in range(ne)]
+        ident = identity(ne)
         # original endpoints: same diagonal as before subdivision, and the
         # nearest fresh vertex pushes through the original push map
         bump((v, v), _mneg(matmul(sk.push[(e, v)], sk.inter[(e, v)])))

@@ -735,6 +735,29 @@ def test_state_and_report_bytes_pinned(tmp_path, capsys):
     }
 
 
+def test_absorbed_symbolic_state_bytes_pinned(tmp_path, capsys):
+    """A state left symbolic by the library's cone step, then stepped by
+    ``induct --steps 1``, which absorbs its lam and t first, writes these
+    exact bytes."""
+    from conewalk.doublecone import induct_step
+    from conewalk.stateio import load_state, save_state
+
+    s0, sym, out = (tmp_path / name for name in ("s0.json", "sym.json", "absorbed.json"))
+    assert run(capsys, "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
+               "--p", "101", "--seed", "4", "--out", str(s0))[0] == 0
+    save_state(induct_step(load_state(s0), j0=1, seed=3, symbolic=True), sym)
+    assert run(capsys, "induct", "--state", str(sym), "--steps", "1", "--seed", "8",
+               "--out", str(out))[0] == 0
+    ops = [entry["op"] for entry in json.loads(out.read_text())["provenance"]]
+    assert ops[-3:] == ["induct", "absorb", "induct"]
+    state = load_state(out)
+    for poly in [state.f0, state.a0, *state.a.values()]:
+        assert not poly.uses_param("lam") and not poly.uses_param("t")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c0a286deb38f17b056375c98baab68de89178ec6bbbfdc553cd647117de85fc5"
+    )
+
+
 def test_ladder_station_bytes_pinned(tmp_path, capsys):
     """A (4,2,14,12,103) ladder, two runs of 26 one-at-a-time cone steps,
     writes these exact state bytes at stations 0, 26 and 52; station 52

@@ -181,7 +181,7 @@ def test_baked_step_is_the_symbolic_step_at_its_drawn_values(n, m, r, d, steps):
         j0 = step["j0"]
 
         def bake(poly):
-            return poly.substitute_param("lam", step["lam"]).substitute_param("t", step["t"])
+            return poly.substitute({"lam": step["lam"]}).substitute({"t": step["t"]})
 
         assert baked.a0 == bake(sym.a0)
         for i in range(1, m + 1):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -143,18 +144,19 @@ def test_a_chart_factor_that_does_not_divide_is_a_division_failure(monkeypatch):
         probably_irreducible(parse_poly("x0^3 + x1^3 + x2^3", U3), trials=1, seed=0)
 
 
-def test_p_at_the_limit_is_refused_at_the_oracle(monkeypatch):
-    """p at or past ``P_LIMIT`` raises ``InputTooLarge`` before a root
-    table is built; 4093, the largest prime below the limit, decides."""
-    from conewalk import bifactor as bi
+def test_p_at_the_limit_is_refused_at_the_oracle():
+    """p at or past ``P_LIMIT`` raises ``InputTooLarge`` from ``ParamRing``,
+    before its trial division, so no polynomial reaches the oracle with
+    it; 4093, the largest prime below the limit, decides."""
     from conewalk.coeffs import P_LIMIT
 
+    with pytest.raises(InputTooLarge, match="p = 4099 is not below the limit 4096"):
+        ParamRing(P_LIMIT + 3)
+    start = time.perf_counter()
+    with pytest.raises(InputTooLarge, match=f"p = {2**61 - 1} is not below the limit 4096"):
+        ParamRing(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
     cubic = "x0^3 + x1^3 + pi*x2^3"
-    f = parse_poly(cubic, VarUniverse(("x0", "x1", "x2"), ParamRing(P_LIMIT + 3)))
-    with monkeypatch.context() as patch:
-        patch.setattr(bi, "_roots", lambda g, p: pytest.fail(f"a root table at p = {p}"))
-        with pytest.raises(InputTooLarge, match="p = 4099 is not below the limit 4096"):
-            probably_irreducible(f, trials=1, seed=0)
     v = probably_irreducible(parse_poly(cubic, VarUniverse(("x0", "x1", "x2"), ParamRing(4093))), trials=1, seed=0)
     assert v.verdict == IRREDUCIBLE and v.failure_bound == 0.0
 
@@ -194,12 +196,12 @@ def test_linear_monomial_is_irreducible():
 
 
 def test_unspecialized_parameter_error():
-    from conewalk.errors import UnspecializedParameter
+    from conewalk.errors import UnassignedParameter
 
     f = SparsePoly.param(U1_7, "pi") * SparsePoly.variable(U1_7, "x0") + SparsePoly.constant(
         U1_7, 1
     )
-    with pytest.raises(UnspecializedParameter):
+    with pytest.raises(UnassignedParameter):
         univariate_factor(f)
     # with an assignment it factors fine
     unit, fs = univariate_factor(f, assignment={"pi": 2})

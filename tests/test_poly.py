@@ -126,9 +126,9 @@ def test_eval_commutes_with_arithmetic():
         a, b = _random_poly(rng), _random_poly(rng)
         pt = [rng.randrange(101) for _ in U3.names]
         params = {n: rng.randrange(1, 101) for n in RING.names}
-        ea, eb = a.eval_point(pt, params), b.eval_point(pt, params)
-        assert (a * b).eval_point(pt, params) == ea * eb % 101
-        assert (a + b).eval_point(pt, params) == (ea + eb) % 101
+        ea, eb = a.specialize(params).eval_point(pt), b.specialize(params).eval_point(pt)
+        assert (a * b).specialize(params).eval_point(pt) == ea * eb % 101
+        assert (a + b).specialize(params).eval_point(pt) == (ea + eb) % 101
 
 
 def test_membership_evaluation():
@@ -337,7 +337,7 @@ def test_eval_unassigned_parameter_raises():
 
     f = SparsePoly.param(U3, "rho") * V("x0")
     with pytest.raises(UnassignedParameter):
-        f.eval_point((1, 0, 0), {})
+        f.eval_point((1, 0, 0))
 
 
 def test_partial_derivative_unknown_variable():
@@ -481,7 +481,7 @@ def test_flat_terms_properties():
         assert spec(a + b) == spec(a) + spec(b)
         assert spec(-a) == -spec(a)
         for name in RING.names:
-            baked = a.substitute_param(name, values[name])
+            baked = a.substitute({name: values[name]})
             assert not baked.uses_param(name)
             assert baked.specialize_params(values) == a.specialize_params(values)
 
@@ -559,7 +559,7 @@ def test_packed_keys_match_the_tuple_reference():
         values = {name: rng.randrange(1, 101) for name in RING.names}
         for name in RING.names:
             assert a.param_derivative(name).to_dict() == ra.param_derivative(name).terms
-            assert a.substitute_param(name, values[name]).to_dict() == ra.substitute_param(name, values[name]).terms
+            assert a.substitute({name: values[name]}).to_dict() == ra.substitute_param(name, values[name]).terms
         assert a.specialize_params(values) == ra.specialize_params(values)
         assert a.variables() == ra.variables()
         assert (a * b).variables() == (ra * rb).variables()
@@ -585,7 +585,7 @@ def test_exponent_out_of_its_field_is_a_typed_error():
         lambda: SparsePoly.param(U3, "lam", -16384) * SparsePoly.param(U3, "lam", -1),
         lambda: SparsePoly.param(U3, "lam", -16384).param_derivative("lam"),
         lambda: (SparsePoly.param(U3, "pi", 16383) * SparsePoly.param(U3, "rho") *
-                 SparsePoly.param(U3, "lam", -1)).substitute_param("lam", 3),
+                 SparsePoly.param(U3, "lam", -1)).substitute({"lam": 3}),
     ]:
         with pytest.raises(ExponentOverflow):
             make()
@@ -724,8 +724,51 @@ def test_specialize_is_the_parameter_free_polynomial():
         assert g == SparsePoly.from_residues(U3, f.specialize_params(values))
         assert not any(map(g.uses_param, RING.names)) and g.specialize({}) is g
         point = [rng.randrange(101) for _ in U3.names]
-        assert g.eval_point(point) == f.eval_point(point, values)
+        assert g.eval_point(point) == f.specialize(values).eval_point(point)
         assert (g is f) == (not any(map(f.uses_param, RING.names)))
+
+
+def test_substitute_of_several_parameters_is_one_name_at_a_time():
+    """``substitute`` of two to four parameters at once, on seeded
+    polynomials with negative ``lam`` exponents, gives the terms of the
+    tuple-keyed reference substituting one name at a time, and the
+    polynomial itself when no term uses a name it is given.  A parameter
+    degree that leaves its field once lam^-1 is dropped is an
+    ``ExponentOverflow``."""
+    rng = random.Random(29)
+    negative = 0
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            pexps = (rng.randint(0, 2), rng.randint(-3, 3), rng.randint(0, 2), rng.randint(0, 2))
+            terms[tuple(rng.randint(0, 3) for _ in U3.names) + pexps] = rng.randrange(1, 101)
+            negative += pexps[1] < 0
+        f = SparsePoly(U3, terms)
+        values = {name: rng.randrange(1, 101) for name in rng.sample(RING.names, rng.randint(2, 4))}
+        want = TuplePoly(U3, terms)
+        for name, v in values.items():
+            want = want.substitute_param(name, v)
+        assert f.substitute(values).to_dict() == want.terms, (terms, values)
+    assert negative > 100
+    for f in [P("pi*x0 + rho^2*x1 + 3"), P("x0*x1"), SparsePoly.zero(U3)]:
+        assert f.substitute({"lam": 5, "t": 7}) is f
+    f = SparsePoly.param(U3, "pi", 16383) * P("rho*lam^-1")  # parameter degree 16383
+    assert f.substitute({"rho": 2}).to_dict() == {(0, 0, 0, 16383, -1, 0, 0): 2}
+    with pytest.raises(ExponentOverflow):
+        f.substitute({"lam": 3, "t": 7})
+
+
+def test_eval_point_runs_no_specialize(monkeypatch):
+    """``eval_point`` reads the keys of a parameter-free polynomial
+    itself: with ``specialize`` patched to fail it still gives the value
+    of the terms at the point."""
+    rng = random.Random(31)
+    fs = [_residue_poly(rng, rng.randint(0, 4)) for _ in range(50)]
+    monkeypatch.setattr(SparsePoly, "specialize", lambda f, assignment: pytest.fail("specialize ran"))
+    for f in fs:
+        point = [rng.randrange(101) for _ in U3.names]
+        want = sum(c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2] for e, c in f.to_dict().items())
+        assert f.eval_point(point) == want % 101
 
 
 def test_exact_quotient_of_a_walk_pivot_times_a_linear_form():
