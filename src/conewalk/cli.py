@@ -239,7 +239,10 @@ def cmd_skeleton(args) -> int:
             print(f"telescope c={args.c} r={args.r}: {s['passed']}/{s['total']} pass")
         return 0 if report["summary"]["failed"] == 0 else 1
     if args.skeleton_cmd == "coker":
-        matrix = json.loads(args.map)
+        try:
+            matrix = json.loads(args.map)
+        except ValueError as ex:
+            raise ValueError(f"--map is not JSON ({ex}); give a file path as a JSON string") from None
         if isinstance(matrix, str):
             matrix = read_json(matrix, "map file")
         ok = sk_mod.cokernel_torsion(matrix, args.m, ring=args.c)
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     s2.add_argument("--json", action="store_true")
     s2.set_defaults(func="cmd_skeleton")
     s3 = ssub.add_parser("coker")
-    s3.add_argument("--map", required=True, help="matrix as inline JSON or a file path")
+    s3.add_argument("--map", required=True, help="the matrix as JSON; a JSON string names a file holding it")
     s3.add_argument("--m", type=int, required=True)
     s3.add_argument("--c", type=int, default=0, help="ring modulus (0 = integers)")
     s3.add_argument("--json", action="store_true")

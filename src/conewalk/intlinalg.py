@@ -14,13 +14,14 @@ stay in [0, q) (Storjohann-Mulders, "Fast algorithms for linear algebra
 modulo N", ESA 1998).  ``solve_mod`` takes a list of right-hand sides:
 for c >= 2 it carries them as trailing columns through one elimination
 per prime power and back-substitutes each, for c = 0 it computes one
-Smith form for all of them; ``skeleton.cokernel_torsion`` reads the
-cokernel off the pivots of the same elimination.
+Smith form for all of them; ``cokernel_killed_by`` reads the cokernel
+off the pivots of the same elimination.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .coeffs import prime_powers
 
@@ -30,15 +31,12 @@ def identity(n):
 
 
 def matmul(A, B):
-    if not A or not B:
-        return [[0] * (len(B[0]) if B else 0) for _ in A]
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for j in range(m):
-            out[i][j] = sum(Ai[t] * B[t][j] for t in range(k))
-    return out
+    """A B for matrices as lists of rows.  When B has no rows (inner
+    dimension 0) the product has rows of width 0, since B cannot show its
+    width: a block product may come out narrower than its place, which is
+    why ``skeleton`` adds blocks where they land instead of merging them."""
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def matvec(A, v):
@@ -218,6 +216,27 @@ def _solve_prime_power(A, ncols, targets, q):
             x[pivot_cols[k]] = residual // pivots[k]
         out.append(x)
     return out
+
+
+def cokernel_killed_by(A, m, c):
+    """True iff m kills the cokernel of the int matrix A over Z (c = 0)
+    or Z/c: over Z the Smith form has one invariant factor per row, each
+    dividing m; over Z/c, for each prime power q exactly dividing c and
+    not dividing m, every row has a pivot in ``_echelon_mod`` and every
+    pivot divides m (see there for the cokernel over Z/q)."""
+    rows = len(A)
+    if rows == 0:
+        return True
+    if c == 0:
+        facs = invariant_factors(A)
+        return len(facs) == rows and all(m % f == 0 for f in facs)
+    for _, q in prime_powers(c):
+        if m % q == 0:
+            continue
+        pivots = _echelon_mod(A, q, len(A[0]))[0]
+        if len(pivots) < rows or any(m % g for g in pivots):
+            return False
+    return True
 
 
 def solve_mod(A, ncols, targets, c):

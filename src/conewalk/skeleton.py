@@ -8,14 +8,20 @@ assembled from this data:
 
 * ``psi_map``: vertex one-cycles to edge zero-cycles, the difference of
   the two incidence images across each edge (lower endpoint positive).
-* ``phi_map``: vertex one-cycles to vertex zero-cycles, off-diagonal
-  blocks push the incidence image into the far endpoint, the diagonal
-  subtracts the sum of a vertex's own incidence images.
+* ``phi_map``: vertex one-cycles to vertex zero-cycles, from one edge
+  rule summed over the edges: an edge {a, b} pushes the incidence image
+  of each end's one-cycles into the other end's zero-cycles, and
+  subtracts each end's own push o inter on its diagonal.
+
+Every block is added into the matrix where it lands.  A module may have
+no generators: its maps are matrices without rows or columns, and a
+block through it is zero.
 
 ``subdivide`` inserts r-1 fresh vertices into every edge.  A fresh
 vertex (e, n) carries CH0[e] only, as its one-cycle and its zero-cycle
-module: the pullback part, whose incidence maps to both neighbouring
-edge copies are the identity.
+module: the pullback part, whose incidence and push maps to both
+neighbouring edge copies are the identity.  ``phi_map_subdivided`` is
+the edge rule of ``phi_map`` on the r copies of each edge.
 
 Modules are presented over Z (ring 0) or Z/c; elements are int tuples
 reduced coordinate-wise.  The transfer demo requires free modules.
@@ -27,9 +33,8 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .coeffs import prime_powers
 from .errors import RDivisibilityViolated
-from .intlinalg import _echelon_mod, identity, invariant_factors, matmul, matvec, solve_mod
+from .intlinalg import cokernel_killed_by, identity, matmul, matvec, solve_mod
 
 
 @dataclass(frozen=True)
@@ -100,24 +105,11 @@ class FgModule:
         free = self.ring
         return (free,) * self.rank + self.factors
 
-    def reduce(self, vec):
-        if len(vec) != self.ngens:
-            raise ValueError("element length mismatch")
-        return tuple(v % m if m else v for v, m in zip(vec, self.moduli))
-
     def random_element(self, rng):
         out = []
         for m in self.moduli:
             out.append(rng.randrange(m) if m else rng.randint(-4, 4))
         return tuple(out)
-
-
-def _zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
-def _madd(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def _mneg(A):
@@ -203,15 +195,17 @@ def _offsets(labelled):
 
 
 def _assemble(src, dst, blocks, ring):
-    """blocks: {(dst_label, src_label): matrix} -> one big matrix."""
+    """blocks: [(dst_label, src_label, matrix)] -> one big matrix, each
+    block added in place where it lands, so blocks at one place sum."""
     src_off, total_src = _offsets(src)
     dst_off, total_dst = _offsets(dst)
-    M = _zeros(total_dst, total_src)
-    for (dl, sl), B in blocks.items():
+    M = [[0] * total_src for _ in range(total_dst)]
+    for dl, sl, B in blocks:
         r0, c0 = dst_off[dl], src_off[sl]
         for i, row in enumerate(B):
+            out = M[r0 + i]
             for j, val in enumerate(row):
-                M[r0 + i][c0 + j] += val
+                out[c0 + j] += val
     if ring:
         M = [[v % ring for v in row] for row in M]
     return LinearMap(src=src, dst=dst, matrix=M)
@@ -222,30 +216,48 @@ def psi_map(sk: ChainSkeleton) -> LinearMap:
     upper endpoint, zero elsewhere."""
     src = [(v, sk.ch1[v]) for v in sk.graph.vertices]
     dst = [(e, sk.ch0_edge[e]) for e in sk.graph.edges]
-    blocks = {}
+    blocks = []
     for e in sk.graph.edges:
         v, w = e
-        blocks[(e, v)] = sk.inter[(e, v)]
-        blocks[(e, w)] = _mneg(sk.inter[(e, w)])
+        blocks += [(e, v, sk.inter[(e, v)]), (e, w, _mneg(sk.inter[(e, w)]))]
     return _assemble(src, dst, blocks, sk.ring)
 
 
+def _compose(push, inter, ident):
+    """push o inter, where None stands for the identity ``ident``."""
+    if push is None:
+        return ident if inter is None else inter
+    return push if inter is None else matmul(push, inter)
+
+
+def _edge_blocks(end_a, end_b, ident=None):
+    """phi's four blocks from one edge {a, b}, whose ends are given as
+    (label, inter, push): push_b o inter_a at (b, a), push_a o inter_b at
+    (a, b), and -push o inter of each end on its diagonal.  A map given
+    as None is the identity ``ident``, as at a fresh vertex of a
+    subdivision."""
+    (a, inter_a, push_a), (b, inter_b, push_b) = end_a, end_b
+    return [
+        (b, a, _compose(push_b, inter_a, ident)),
+        (a, b, _compose(push_a, inter_b, ident)),
+        (a, a, _mneg(_compose(push_a, inter_a, ident))),
+        (b, b, _mneg(_compose(push_b, inter_b, ident))),
+    ]
+
+
+def _end(sk, e, v):
+    """The end v of the edge e, as ``_edge_blocks`` takes it."""
+    return v, sk.inter[(e, v)], sk.push[(e, v)]
+
+
 def phi_map(sk: ChainSkeleton) -> LinearMap:
-    """Vertex-row block matrix: push o inter off the diagonal, minus the
-    sum of a vertex's own push o inter on the diagonal."""
+    """Vertex-row block matrix: the edge rule of ``_edge_blocks`` summed
+    over the edges."""
     src = [(v, sk.ch1[v]) for v in sk.graph.vertices]
     dst = [(v, sk.ch0_vertex[v]) for v in sk.graph.vertices]
-    blocks = {}
+    blocks = []
     for e in sk.graph.edges:
-        v, w = e
-        for a, b in ((v, w), (w, v)):
-            # image of a's one-cycles inside b's zero-cycles
-            block = matmul(sk.push[(e, b)], sk.inter[(e, a)])
-            key = (b, a)
-            blocks[key] = _madd(blocks[key], block) if key in blocks else block
-            diag = _mneg(matmul(sk.push[(e, a)], sk.inter[(e, a)]))
-            key = (a, a)
-            blocks[key] = _madd(blocks[key], diag) if key in blocks else diag
+        blocks += _edge_blocks(*(_end(sk, e, v) for v in e))
     return _assemble(src, dst, blocks, sk.ring)
 
 
@@ -258,19 +270,17 @@ class SubdividedSkeleton:
 
     New vertices are labelled (e, n) for e a base edge and 1 <= n <= r-1;
     each carries CH1 = CH0_vertex = CH0[e], and so does each of the r
-    copies of e.
+    copies of e.  ``one_cycles`` lists [(vertex, CH1)] in vertex order:
+    the base vertices' CH1, then CH0[e] at each fresh vertex (e, n).
     """
 
     base: ChainSkeleton
     r: int
     graph: DualGraph
+    one_cycles: list
 
     def random_chain(self, rng):
-        chain = {v: self.base.ch1[v].random_element(rng) for v in self.base.graph.vertices}
-        for e in self.base.graph.edges:
-            for n in range(1, self.r):
-                chain[(e, n)] = self.base.ch0_edge[e].random_element(rng)
-        return chain
+        return {label: mod.random_element(rng) for label, mod in self.one_cycles}
 
 
 def subdivide(sk: ChainSkeleton, r: int) -> SubdividedSkeleton:
@@ -278,9 +288,9 @@ def subdivide(sk: ChainSkeleton, r: int) -> SubdividedSkeleton:
     path of r edges)."""
     if r < 2:
         raise ValueError("need r >= 2")
-    vertices = list(sk.graph.vertices)
-    for e in sk.graph.edges:
-        vertices += [(e, n) for n in range(1, r)]
+    one_cycles = [(v, sk.ch1[v]) for v in sk.graph.vertices]
+    one_cycles += [((e, n), sk.ch0_edge[e]) for e in sk.graph.edges for n in range(1, r)]
+    vertices = [v for v, _ in one_cycles]
     order = {v: i for i, v in enumerate(vertices)}
     edges = []
     for e in sk.graph.edges:
@@ -289,47 +299,24 @@ def subdivide(sk: ChainSkeleton, r: int) -> SubdividedSkeleton:
         for a, b in zip(path, path[1:]):
             edges.append((a, b) if order[a] < order[b] else (b, a))
     graph = DualGraph(tuple(vertices), tuple(edges))
-    return SubdividedSkeleton(base=sk, r=r, graph=graph)
+    return SubdividedSkeleton(base=sk, r=r, graph=graph, one_cycles=one_cycles)
 
 
 def phi_map_subdivided(ssk: SubdividedSkeleton) -> LinearMap:
-    """The assembled vertex-to-vertex map of the subdivision."""
+    """The assembled vertex-to-vertex map of the subdivision: the edge
+    rule of ``phi_map`` on each of the r copies of a base edge, with the
+    identity as incidence and push map at the fresh vertices."""
     sk = ssk.base
-    r = ssk.r
-    src = [(v, sk.ch1[v]) for v in sk.graph.vertices]
-    dst = [(v, sk.ch0_vertex[v]) for v in sk.graph.vertices]
-    for e in sk.graph.edges:
-        for n in range(1, r):
-            src.append(((e, n), sk.ch0_edge[e]))
-            dst.append(((e, n), sk.ch0_edge[e]))
-    blocks = {}
-
-    def bump(key, B):
-        blocks[key] = _madd(blocks[key], B) if key in blocks else B
-
+    nbase = len(sk.graph.vertices)
+    dst = [(v, sk.ch0_vertex[v]) for v in sk.graph.vertices] + ssk.one_cycles[nbase:]
+    blocks = []
     for e in sk.graph.edges:
         v, w = e
-        ne = sk.ch0_edge[e].ngens
-        ident = identity(ne)
-        # original endpoints: same diagonal as before subdivision, and the
-        # nearest fresh vertex pushes through the original push map
-        bump((v, v), _mneg(matmul(sk.push[(e, v)], sk.inter[(e, v)])))
-        bump((w, w), _mneg(matmul(sk.push[(e, w)], sk.inter[(e, w)])))
-        bump((v, (e, 1)), sk.push[(e, v)])
-        bump((w, (e, r - 1)), sk.push[(e, w)])
-        for n in range(1, r):
-            bump(((e, n), (e, n)), _mneg(_madd(ident, ident)))
-            # neighbours toward the lower endpoint
-            if n == 1:
-                bump(((e, 1), v), sk.inter[(e, v)])
-            else:
-                bump(((e, n), (e, n - 1)), ident)
-            # neighbours toward the upper endpoint
-            if n == r - 1:
-                bump(((e, r - 1), w), sk.inter[(e, w)])
-            else:
-                bump(((e, n), (e, n + 1)), ident)
-    return _assemble(src, dst, blocks, sk.ring)
+        ends = [_end(sk, e, v)] + [((e, n), None, None) for n in range(1, ssk.r)] + [_end(sk, e, w)]
+        ident = identity(sk.ch0_edge[e].ngens)
+        for end_a, end_b in zip(ends, ends[1:]):
+            blocks += _edge_blocks(end_a, end_b, ident)
+    return _assemble(ssk.one_cycles, dst, blocks, sk.ring)
 
 
 # -- chains on the subdivision ------------------------------------------------
@@ -387,14 +374,8 @@ def _redc(vec, c):
 
 
 def cokernel_torsion(matrix, m: int, ring: int = 0) -> bool:
-    """True iff m * coker(matrix) = 0, over Z (ring=0) or Z/ring.
-
-    Over Z the Smith form's invariant factors must all divide m, with
-    full rank.  Over Z/c the cokernel splits into its Z/q parts for the
-    prime powers q exactly dividing c; the Z/q part is killed by m iff
-    every pivot p^v of ``_echelon_mod`` divides m and no row lacks a
-    pivot (such a row leaves a Z/q summand), unless q divides m.
-    """
+    """True iff m * coker(matrix) = 0, over Z (ring=0) or Z/ring, after
+    checking the input: see ``intlinalg.cokernel_killed_by``."""
     if m < 1:
         raise ValueError("need m >= 1")
     if ring < 0:
@@ -405,19 +386,7 @@ def cokernel_torsion(matrix, m: int, ring: int = 0) -> bool:
         raise ValueError("map rows differ in length")
     if not all(type(x) is int for row in matrix for x in row):
         raise ValueError("map entries must be integers")
-    rows = len(matrix)
-    if rows == 0:
-        return True
-    if ring == 0:
-        facs = invariant_factors(matrix)
-        return len(facs) == rows and all(m % f == 0 for f in facs)
-    for _, q in prime_powers(ring):
-        if m % q == 0:
-            continue
-        pivots = _echelon_mod(matrix, q, len(matrix[0]))[0]
-        if len(pivots) < rows or any(m % g for g in pivots):
-            return False
-    return True
+    return cokernel_killed_by(matrix, m, ring)
 
 
 # -- the transfer demonstration ----------------------------------------------
@@ -446,7 +415,7 @@ def transfer(ssk: SubdividedSkeleton, zs: list, m: int) -> list:
     psi = psi_map(sk).matrix
     nbase = sum(sk.ch1[v].ngens for v in sk.graph.vertices)
     dst_off, total_dst = _offsets(lm.dst)
-    total_src = _offsets(lm.src)[1]
+    src_off, total_src = _offsets(lm.src)
     targets, betas = [], []
     for z in zs:
         target = [m * val % c for e in sk.graph.edges for val in z[e]]
@@ -462,11 +431,7 @@ def transfer(ssk: SubdividedSkeleton, zs: list, m: int) -> list:
         if x is None:
             results.append((False, False, None))
             continue
-        chain = {}
-        pos = 0
-        for label, mod in lm.src:
-            chain[label] = mod.reduce(tuple(x[pos : pos + mod.ngens]))
-            pos += mod.ngens
+        chain = {label: tuple(x[src_off[label] : src_off[label] + mod.ngens]) for label, mod in lm.src}
         # lm.src lists the base vertices first, in psi_map's column order
         verified = _redc(matvec(psi, x[:nbase]), c) == target
         results.append((True, verified, chain))

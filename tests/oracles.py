@@ -19,6 +19,7 @@ from conewalk.errors import (
     ZeroPolynomial,
 )
 from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe
+from conewalk.skeleton import ChainSkeleton, DualGraph
 
 
 def max_abs_minor_gcd(A, k):
@@ -68,6 +69,36 @@ def _det(M):
             minor = [row[:j] + row[j + 1 :] for row in M[1:]]
             total += (-1) ** j * M[0][j] * _det(minor)
     return total
+
+
+def subdivision_skeleton(sk, r):
+    """The r-fold edge subdivision of the ``ChainSkeleton`` sk, built as
+    a ``ChainSkeleton`` itself: the base vertices, then r-1 fresh
+    vertices (e, n) per edge e, each carrying CH0[e] as one-cycle and
+    zero-cycle module; every copy of e carries CH0[e], with identity
+    incidence and push maps at fresh vertices and sk's maps at the ends."""
+    vertices = list(sk.graph.vertices) + [(e, n) for e in sk.graph.edges for n in range(1, r)]
+    order = {v: i for i, v in enumerate(vertices)}
+    ch1, ch0_vertex = dict(sk.ch1), dict(sk.ch0_vertex)
+    edges, ch0_edge, inter, push = [], {}, {}, {}
+    for e in sk.graph.edges:
+        mod = sk.ch0_edge[e]
+        ident = [[int(i == j) for j in range(mod.ngens)] for i in range(mod.ngens)]
+        path = [e[0]] + [(e, n) for n in range(1, r)] + [e[1]]
+        for n in range(1, r):
+            ch1[(e, n)] = ch0_vertex[(e, n)] = mod
+        for a, b in zip(path, path[1:]):
+            copy = (a, b) if order[a] < order[b] else (b, a)
+            edges.append(copy)
+            ch0_edge[copy] = mod
+            for x in copy:
+                base = x in sk.ch1
+                inter[(copy, x)] = sk.inter[(e, x)] if base else ident
+                push[(copy, x)] = sk.push[(e, x)] if base else ident
+    return ChainSkeleton(
+        graph=DualGraph(tuple(vertices), tuple(edges)),
+        ch1=ch1, ch0_vertex=ch0_vertex, ch0_edge=ch0_edge, inter=inter, push=push,
+    )
 
 
 def build_F(bp: BaseParams, universe: VarUniverse | None = None) -> SparsePoly:

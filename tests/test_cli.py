@@ -217,6 +217,17 @@ def test_skeleton_coker(capsys):
     assert out.strip() == "3-torsion: no"
 
 
+def test_skeleton_coker_bare_path_is_a_usage_error(tmp_path, capsys):
+    """--map takes JSON: a file path is read only as a JSON string."""
+    path = tmp_path / "m.json"
+    path.write_text("[[2]]")
+    code, out, err = run(capsys, "skeleton", "coker", "--map", str(path), "--m", "2")
+    assert code == 2 and out == ""
+    _assert_one_error_line(err, "--map is not JSON")
+    code, out, _ = run(capsys, "skeleton", "coker", "--map", json.dumps(str(path)), "--m", "2")
+    assert (code, out.strip()) == (0, "2-torsion: yes")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -262,6 +273,26 @@ def test_skeleton_transfer_on_rank_zero_zero_cycles(tmp_path, capsys):
     )
     assert (code, err) == (0, "")
     assert json.loads(out) == {"pass": True, "solved": 3, "trials": 3, "verified": 3}
+
+
+def test_skeleton_transfer_with_an_edge_without_generators(tmp_path, capsys):
+    """The edge 1|2 has no zero-cycle generators, so it adds nothing to
+    the subdivided map: it must not cut vertex 1's diagonal block."""
+    path = tmp_path / "empty-edge.json"
+    path.write_text(json.dumps({
+        "vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]],
+        "ch1": {v: {"ring": 6, "rank": 1} for v in "012"},
+        "ch0_vertex": {"0": {"ring": 6, "rank": 1}, "1": {"ring": 6, "rank": 1}, "2": {"ring": 6, "rank": 2}},
+        "ch0_edge": {"0|1": {"ring": 6, "rank": 2}, "1|2": {"ring": 6, "rank": 0}},
+        "inter": {"0|1@0": [[0], [4]], "0|1@1": [[2], [1]], "1|2@1": [], "1|2@2": []},
+        "push": {"0|1@0": [[1, 5]], "0|1@1": [[1, 1]], "1|2@1": [[]], "1|2@2": [[], []]},
+    }))
+    code, out, err = run(
+        capsys, "skeleton", "transfer", "--graph", str(path), "--c", "6", "--r", "6",
+        "--trials", "6", "--seed", "11", "--json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"pass": True, "solved": 1, "trials": 6, "verified": 1}
 
 
 def test_skeleton_transfer_rejects_a_modulus_other_than_the_graph_ring(tmp_path, capsys):

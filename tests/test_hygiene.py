@@ -53,6 +53,20 @@ def test_imports_only_stdlib_and_conewalk():
     assert not found, found
 
 
+def test_no_private_name_imported_from_another_module():
+    """A module's underscore names are private to it: no module of the
+    package imports one from another."""
+    found = [
+        f"{name}:{node.lineno}: {alias.name}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("conewalk"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, found
+
+
 def test_term_keys_are_read_only_in_poly():
     """Term keys are packed ints whose layout is private to ``poly``: the
     rest of the package reads a polynomial's ``terms`` only through

@@ -34,6 +34,15 @@ def test_transforms_and_divisibility_randomized():
                 assert a != 0 and b % a == 0
 
 
+def test_matmul_of_empty_operands():
+    """A product with inner dimension 0 has rows of width 0: it cannot
+    show the width of B's columns."""
+    assert matmul([], [[1, 2]]) == []
+    assert matmul([[], []], []) == [[], []]
+    assert matmul([[1], [2]], [[]]) == [[], []]
+    assert matmul([[1, 2]], [[3], [4]]) == [[11]]
+
+
 def test_invariant_factors_match_determinantal_divisors():
     rng = random.Random(304)
     for _ in range(200):

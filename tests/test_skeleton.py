@@ -24,7 +24,7 @@ from conewalk.skeleton import (
     _offsets,
 )
 
-from oracles import max_abs_minor_gcd
+from oracles import max_abs_minor_gcd, subdivision_skeleton
 
 
 def identity_matrix(k):
@@ -124,6 +124,22 @@ def test_phi_columns_sum_to_zero():
         if m:
             for col in zip(*m):
                 assert sum(col) == 0
+
+
+def test_phi_with_an_edge_without_generators():
+    """An edge whose zero-cycle module has no generators adds nothing:
+    its block products come out with rows of width 0, and they must not
+    cut the other edges' blocks at the same place."""
+    one, none = FgModule(ring=0, rank=1), FgModule(ring=0, rank=0)
+    sk = ChainSkeleton(
+        graph=DualGraph((0, 1, 2), ((0, 1), (0, 2))),
+        ch1={v: one for v in (0, 1, 2)},
+        ch0_vertex={v: one for v in (0, 1, 2)},
+        ch0_edge={(0, 1): none, (0, 2): one},
+        inter={((0, 1), 0): [], ((0, 1), 1): [], ((0, 2), 0): [[2]], ((0, 2), 2): [[3]]},
+        push={((0, 1), 0): [[]], ((0, 1), 1): [[]], ((0, 2), 0): [[5]], ((0, 2), 2): [[7]]},
+    )
+    assert phi_map(sk).matrix == [[-10, 0, 15], [0, 0, 0], [14, 0, -21]]
 
 
 def test_block_sparsity_matches_incidence():
@@ -455,3 +471,70 @@ def test_transfer_matches_one_target_at_a_time():
         together = transfer(ssk, zs, 1)
         assert together == [transfer(ssk, [z], 1)[0] for z in zs]
         assert all(verified for solvable, verified, _ in together if solvable)
+
+
+def random_graph_skeleton(rng, c):
+    """A random simple graph on 2-5 vertices whose modules have ranks 0 to
+    3 over Z (c = 0) or Z/c, with random incidence and push matrices."""
+    vertices = tuple(range(rng.randint(2, 5)))
+    edges = tuple((v, w) for v in vertices for w in vertices if v < w and rng.random() < 0.6)
+
+    def module():
+        return FgModule(ring=c, rank=rng.randint(0, 3))
+
+    def matrix(dst, src):
+        entry = (lambda: rng.randrange(c)) if c else (lambda: rng.randint(-4, 4))
+        return [[entry() for _ in range(src.ngens)] for _ in range(dst.ngens)]
+
+    ch1 = {v: module() for v in vertices}
+    ch0_vertex = {v: module() for v in vertices}
+    ch0_edge = {e: module() for e in edges}
+    return ChainSkeleton(
+        graph=DualGraph(vertices, edges),
+        ch1=ch1,
+        ch0_vertex=ch0_vertex,
+        ch0_edge=ch0_edge,
+        inter={(e, v): matrix(ch0_edge[e], ch1[v]) for e in edges for v in e},
+        push={(e, v): matrix(ch0_vertex[v], ch0_edge[e]) for e in edges for v in e},
+    )
+
+
+def without_empty_edges(sk):
+    """sk with every edge whose zero-cycle module has no generators deleted."""
+    kept = tuple(e for e in sk.graph.edges if sk.ch0_edge[e].ngens)
+    return ChainSkeleton(
+        graph=DualGraph(sk.graph.vertices, kept),
+        ch1=sk.ch1,
+        ch0_vertex=sk.ch0_vertex,
+        ch0_edge={e: sk.ch0_edge[e] for e in kept},
+        inter={(e, v): sk.inter[(e, v)] for e in kept for v in e},
+        push={(e, v): sk.push[(e, v)] for e in kept for v in e},
+    )
+
+
+RINGS = (0, 2, 3, 4, 6, 12)
+
+
+@pytest.mark.parametrize("c", RINGS)
+def test_phi_ignores_edges_without_generators(c):
+    """phi is unchanged when every edge whose zero-cycle module has no
+    generators is deleted."""
+    rng = random.Random(80 + c)
+    for _ in range(60):
+        sk = random_graph_skeleton(rng, c)
+        assert phi_map(sk).matrix == phi_map(without_empty_edges(sk)).matrix
+
+
+@pytest.mark.parametrize("c", RINGS)
+def test_phi_subdivided_is_phi_of_the_subdivision(c):
+    """The subdivided map is phi of the subdivision built as a skeleton of
+    its own, modules without generators included, and so is phi of that
+    skeleton without its edges that have no generators."""
+    rng = random.Random(70 + c)
+    for _ in range(40):
+        sk = random_graph_skeleton(rng, c)
+        r = rng.randint(2, 5)
+        got = phi_map_subdivided(subdivide(sk, r))
+        want = phi_map(subdivision_skeleton(sk, r))
+        assert (got.src, got.dst, got.matrix) == (want.src, want.dst, want.matrix)
+        assert got.matrix == phi_map(without_empty_edges(subdivision_skeleton(sk, r))).matrix
