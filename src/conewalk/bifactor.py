@@ -431,22 +431,18 @@ def factor_squarefree_regular(F, f, rng):
     if n == 1:
         return [f]
     T = total_degree(f) + 1
-    # find an expansion point where the v-slice stays squarefree
+    # find an expansion point where the v-slice stays squarefree; disc_v f
+    # has u-degree at most n(n-1), so n(n-1) + 1 distinct points hold one
     point = None
     tried = set()
-    for _ in range(4 * p if p < 4096 else 4096):
+    while point is None and len(tried) < min(p, n * (n - 1) + 1):
         a = rng.randrange(p)
         if a in tried:
             continue
         tried.add(a)
         fa = eval_u(F, f, a)
-        if uni.deg(fa) != n:
-            continue
-        if uni.deg(uni.gcd(F, fa, uni.derivative(F, fa))) == 0:
+        if uni.deg(fa) == n and uni.deg(uni.gcd(F, fa, uni.derivative(F, fa))) == 0:
             point = a
-            break
-        if len(tried) >= p:
-            break
     if point is None:
         raise FactorizationFailure("no squarefree expansion point found")
     shifted = translate_u(F, f, point)
@@ -486,17 +482,21 @@ def factor_squarefree_regular(F, f, rng):
 
 def regularize(F, f, rng):
     """(f sheared by u -> u + theta*v and made v-monic, theta) with
-    deg_v = total degree; theta is 0 when f needs no shear."""
+    deg_v = total degree; theta is 0 when f needs no shear.
+
+    The sheared v^D coefficient is f_D(theta, 1), of degree at most D in
+    theta, so one of D + 1 distinct theta reaches v-regular position."""
     p = F.p
     D = total_degree(f)
     cand, theta = f, 0
-    draws = 8 * max(D, 1) + 16
+    tried = {0}
     while deg_v(cand) != D or uni.deg(cand[-1]) != 0:
-        if not draws:
+        if len(tried) >= min(p, D + 1):
             raise FactorizationFailure("could not reach v-regular position")
-        draws -= 1
         theta = rng.randrange(p)
-        cand = shear(F, f, theta)
+        if theta not in tried:
+            tried.add(theta)
+            cand = shear(F, f, theta)
     return vscale(F, cand, ff_inv_int(cand[-1][0], p)), theta
 
 

@@ -146,32 +146,7 @@ def cmd_induct(args) -> int:
 def cmd_verify(args) -> int:
     seed = _require_seed(args)
     state = load_state(args.state)
-    checks = dc.verify_state(state, irreducibility_trials=args.trials, seed=seed)
-    try:
-        j0 = dc.choose_j0(state)
-        fam = dc.build_family(state, j0)
-        checks += dc.verify_singular_minors(fam)
-    except EjExhausted:
-        checks.append(
-            {
-                "check": "family-minors-skipped",
-                "ref": "ladder",
-                "expected": "ladder exhausted",
-                "got": "ladder exhausted",
-                "pass": True,
-            }
-        )
-    except (ConewalkError, ValueError) as ex:
-        checks.append(
-            {
-                "check": "family-construction",
-                "ref": "family",
-                "expected": "family equations assembled",
-                "got": f"{type(ex).__name__}: {ex}",
-                "pass": False,
-            }
-        )
-    report = make_report(checks)
+    report = make_report(dc.verify_station(state, args.trials, seed))
     text = dumps_canonical(report)
     if args.report:
         with open(args.report, "w") as fh:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from .basecase import HypersurfaceState, z_product
 from .coeffs import sqrt_mod
 from .errors import (
+    ConewalkError,
     DivisionFailure,
     EjExhausted,
     EjTooSmall,
@@ -52,6 +53,7 @@ from .errors import (
 )
 from .factorizer import IRREDUCIBLE, probably_irreducible
 from .poly import SparsePoly
+from .stateio import check_entry
 
 
 @dataclass
@@ -256,16 +258,6 @@ def induct_step(
 # -- symbolic verifiers ------------------------------------------------------
 
 
-def _entry(check, ref, expected, got):
-    return {
-        "check": check,
-        "ref": ref,
-        "expected": expected,
-        "got": got,
-        "pass": expected == got,
-    }
-
-
 def verify_singular_minors(fam: DoubleConeFamily) -> list:
     """The three derivative identities that confine the singular loci.
 
@@ -290,19 +282,19 @@ def verify_singular_minors(fam: DoubleConeFamily) -> list:
     dw_y1 = fam.Y1_eq.partial_derivative("w")
 
     return [
-        _entry(
+        check_entry(
             "minor-det-tz",
             "jacobian-minor",
             expected_minor.canonical_string(),
             minor.canonical_string(),
         ),
-        _entry(
+        check_entry(
             "y0-z-derivative",
             "component-smoothness",
             (x0 ** (d - 1)).canonical_string(),
             dz_y0.canonical_string(),
         ),
-        _entry(
+        check_entry(
             "y1-w-derivative",
             "component-smoothness",
             (x0 ** (d - 2) * (lam * yj + x0)).canonical_string(),
@@ -320,9 +312,7 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
 
     defining = state.defining_polynomial()
     deg, hom = defining.degree_info()
-    checks.append(
-        _entry("state-homogeneous", "state-shape", (d, True), (deg, hom))
-    )
+    checks.append(check_entry("state-homogeneous", "state-shape", (d, True), (deg, hom)))
 
     y_names = set(state.y_names())
     offenders = []
@@ -332,15 +322,15 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
         for i in range(1, state.m + 1)
     ]:
         offenders += [(label, y) for y in poly.variables() if y in y_names]
-    checks.append(_entry("state-y-free", "state-shape", [], offenders))
+    checks.append(check_entry("state-y-free", "state-shape", [], offenders))
 
     for j in range(1, state.r + 1):
         ej = state.e[j - 1]
         holds = all(
             state.a[(i, j)].monomial_divides("x0", i * ej) for i in range(1, state.m + 1)
         )
-        checks.append(_entry(f"ladder-divisibility-j{j}", "ladder", True, holds))
-        checks.append(_entry(f"ladder-maximal-j{j}", "ladder", ej, state.recompute_e(j)))
+        checks.append(check_entry(f"ladder-divisibility-j{j}", "ladder", True, holds))
+        checks.append(check_entry(f"ladder-maximal-j{j}", "ladder", ej, state.recompute_e(j)))
 
     rng = random.Random(seed)
     assignment = {}
@@ -351,19 +341,37 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
         state.f0 + state.a0, params=assignment, trials=irreducibility_trials, seed=seed
     )
     checks.append(
-        _entry(
+        check_entry(
             "irreducible-f0a0",
             "pivot-irreducibility",
             IRREDUCIBLE,
             verdict.verdict,
+            failure_bound=verdict.failure_bound,
         )
     )
-    checks[-1]["failure_bound"] = verdict.failure_bound
 
     # the walk's coordinates z1..zs, each once, with coefficient 1
     shape_ok = state.h_poly == z_product(state.universe, state.s)
-    checks.append(_entry("h-poly-shape", "pivot-product", True, shape_ok))
+    checks.append(check_entry("h-poly-shape", "pivot-product", True, shape_ok))
     return checks
+
+
+def verify_station(state: HypersurfaceState, trials: int = 20, seed: int = 0) -> list:
+    """Every check of one station: ``verify_state`` with up to ``trials``
+    irreducibility slices, then the singular-minor identities of the
+    family over the first usable column.  A station whose ladder is
+    exhausted has no family and passes ``family-minors-skipped``; a family
+    that cannot be built fails ``family-construction``, naming the error."""
+    checks = verify_state(state, irreducibility_trials=trials, seed=seed)
+    try:
+        fam = build_family(state, choose_j0(state))
+    except EjExhausted:
+        exhausted = "ladder exhausted"
+        return checks + [check_entry("family-minors-skipped", "ladder", exhausted, exhausted)]
+    except (ConewalkError, ValueError) as ex:
+        got = f"{type(ex).__name__}: {ex}"
+        return checks + [check_entry("family-construction", "family", "family equations assembled", got)]
+    return checks + verify_singular_minors(fam)
 
 
 # -- numeric smoothness sampling --------------------------------------------

@@ -35,6 +35,7 @@ from math import gcd
 
 from .errors import RDivisibilityViolated
 from .intlinalg import cokernel_killed_by, identity, matmul, matvec, solve_mod
+from .stateio import check_entry
 
 
 @dataclass(frozen=True)
@@ -354,15 +355,7 @@ def telescope_check(ssk: SubdividedSkeleton, chain: dict, c: int, enforce_divisi
             lhs = [a + b for a, b in zip(lhs, step)]
         lhs = _redc(lhs, c)
         rhs = _redc([a - b for a, b in zip(alpha[0], alpha[ssk.r])], c)
-        report.append(
-            {
-                "check": f"telescope-edge-{sk.graph.edges.index(e)}",
-                "ref": "telescope",
-                "expected": rhs,
-                "got": lhs,
-                "pass": lhs == rhs,
-            }
-        )
+        report.append(check_entry(f"telescope-edge-{sk.graph.edges.index(e)}", "telescope", rhs, lhs))
     return report
 
 

@@ -1,9 +1,10 @@
 """State files and check reports as deterministic JSON.
 
 A state file round-trips losslessly through the polynomial text
-grammar; its provenance log is append-only.  Reports list check
-entries in a fixed order with summary counts.  All dumps use sorted
-keys and a fixed layout so identical runs produce identical bytes.
+grammar; its provenance log is append-only.  Every check entry of a
+report is built by ``check_entry``; a report lists its entries in a
+fixed order with summary counts.  All dumps use sorted keys and a
+fixed layout so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -178,20 +179,17 @@ def load_state(path: str) -> HypersurfaceState:
         raise ValueError(f"state file {path}: {ex}") from None
 
 
-def make_report(checks: list) -> dict:
-    def jsonable(v):
-        if isinstance(v, tuple):
-            return [jsonable(x) for x in v]
-        if isinstance(v, list):
-            return [jsonable(x) for x in v]
-        return v
+def check_entry(check: str, ref: str, expected, got, **evidence) -> dict:
+    """One report entry: it passes when ``got`` equals ``expected``, and
+    carries any ``evidence`` (as ``failure_bound``) as further keys."""
+    return {"check": check, "ref": ref, "expected": expected, "got": got, "pass": expected == got, **evidence}
 
-    entries = []
-    for c in checks:
-        entry = {k: jsonable(v) for k, v in c.items()}
-        entries.append(entry)
+
+def make_report(checks: list) -> dict:
+    """The entries with their summary counts; ``dumps_canonical`` writes
+    a tuple in an entry as a JSON array."""
     passed = sum(1 for c in checks if c["pass"])
     return {
-        "checks": entries,
+        "checks": checks,
         "summary": {"total": len(checks), "passed": passed, "failed": len(checks) - passed},
     }

@@ -1248,22 +1248,18 @@ def _field_protocol_bifactor(uni):
         if n == 1:
             return [f]
         T = total_degree(f) + 1
-        # find an expansion point where the v-slice stays squarefree
+        # find an expansion point where the v-slice stays squarefree; disc_v f
+        # has u-degree at most n(n-1), so n(n-1) + 1 distinct points hold one
         point = None
         tried = set()
-        for _ in range(4 * F.q if F.q < 4096 else 4096):
+        while point is None and len(tried) < min(F.q, n * (n - 1) + 1):
             a = F.random(rng)
             if a in tried:
                 continue
             tried.add(a)
             fa = eval_u(F, f, a)
-            if uni.deg(fa) != n:
-                continue
-            if uni.deg(uni.gcd(F, fa, uni.derivative(F, fa))) == 0:
+            if uni.deg(fa) == n and uni.deg(uni.gcd(F, fa, uni.derivative(F, fa))) == 0:
                 point = a
-                break
-            if len(tried) >= F.q:
-                break
         if point is None:
             raise FactorizationFailure("no squarefree expansion point found")
         shifted = translate_u(F, f, point)
@@ -1307,13 +1303,14 @@ def _field_protocol_bifactor(uni):
         deg_v = total degree; theta is 0 when f needs no shear."""
         D = total_degree(f)
         cand, theta = f, F.zero
-        draws = 8 * max(D, 1) + 16
+        tried = {F.zero}
         while deg_v(cand) != D or uni.deg(cand[-1]) != 0:
-            if not draws:
+            if len(tried) >= min(F.q, D + 1):
                 raise FactorizationFailure("could not reach v-regular position")
-            draws -= 1
             theta = F.random(rng)
-            cand = shear(F, f, theta)
+            if theta not in tried:
+                tried.add(theta)
+                cand = shear(F, f, theta)
         return vscale(F, cand, F.inv(cand[-1][0])), theta
 
 

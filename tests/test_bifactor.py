@@ -144,6 +144,21 @@ def test_no_v_regular_position_is_a_typed_error():
     assert issubclass(FactorizationFailure, ConewalkError)
 
 
+def test_expansion_point_search_tries_every_point_it_needs():
+    """f is squarefree over GF(7) and u = 5 is its only good expansion
+    point: the search stops only after min(p, n(n-1) + 1) distinct points,
+    so every seed finds it, and the factors re-multiply to f."""
+    f = [[3, 4, 0, 5], [0, 3, 1], [5, 2], [1]]
+    assert bi.squarefree_at_a_point(F7, f)
+    for seed in range(500):
+        unit, factors = bi.factor_bivariate(F7, f, random.Random(seed))
+        prod = [[unit]]
+        for g, m in factors:
+            for _ in range(m):
+                prod = bi.vmul(F7, prod, g)
+        assert prod == f, seed
+
+
 def test_pde_counts_against_extension_method():
     """The differential-equation factor count must agree with the
     extension-field splitting method wherever both run."""

@@ -15,6 +15,7 @@ from conewalk.doublecone import (
     transformed_column,
     verify_singular_minors,
     verify_state,
+    verify_station,
 )
 from conewalk.errors import EjExhausted, EjTooSmall, IndexOutOfRange, SamplingExhausted
 from conewalk.poly import SparsePoly, parse_poly
@@ -290,6 +291,33 @@ def test_symbolic_state_must_absorb_before_next_family(base_state):
     st1a = absorb_step_params(st1, seed=5)
     fam = build_family(st1a, 2)
     assert all(c["pass"] for c in verify_singular_minors(fam))
+
+
+def test_verify_station_on_a_symbolic_state_fails_family_construction(base_state):
+    """A state left symbolic by a step cannot carry a family: its one
+    failing entry is the last, ``family-construction``, naming the error."""
+    st1 = induct_step(base_state, j0=1, seed=1, symbolic=True)
+    checks = verify_station(st1, trials=4, seed=7)
+    failed = [c for c in checks if not c["pass"]]
+    assert failed == [checks[-1]]
+    assert failed[0]["check"] == "family-construction"
+    assert failed[0]["got"].startswith("ValueError: ")
+
+
+def test_verify_station_on_an_exhausted_ladder_skips_the_family(base_state):
+    st = _walk(base_state, 3, seed=40)[-1]
+    assert st.e == [0] * 6
+    checks = verify_station(st, trials=4, seed=7)
+    assert checks[-1]["check"] == "family-minors-skipped"
+    assert all(c["pass"] for c in checks)
+
+
+def test_verify_station_mid_walk_ends_with_the_minor_checks(base_state):
+    st = _walk(base_state, 1, seed=40)[-1]
+    checks = verify_station(st, trials=4, seed=7)
+    assert checks[:-3] == verify_state(st, irreducibility_trials=4, seed=7)
+    assert [c["check"] for c in checks[-3:]] == ["minor-det-tz", "y0-z-derivative", "y1-w-derivative"]
+    assert all(c["pass"] for c in checks)
 
 
 def test_absorption_is_idempotent(base_state):

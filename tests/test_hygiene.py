@@ -67,6 +67,26 @@ def test_no_private_name_imported_from_another_module():
     assert not found, found
 
 
+def test_report_entries_come_from_check_entry():
+    """A report entry has one builder, ``stateio.check_entry``: no other
+    code in the package writes a dict literal with a ``"check"`` key."""
+    found = []
+    for name, tree in _trees():
+        builder = {
+            id(node)
+            for func in tree.body
+            if name == "stateio.py" and isinstance(func, ast.FunctionDef) and func.name == "check_entry"
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Dict) and id(node) not in builder
+            and any(isinstance(key, ast.Constant) and key.value == "check" for key in node.keys)
+        ]
+    assert not found, found
+
+
 def test_term_keys_are_read_only_in_poly():
     """Term keys are packed ints whose layout is private to ``poly``: the
     rest of the package reads a polynomial's ``terms`` only through
