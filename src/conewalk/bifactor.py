@@ -3,11 +3,14 @@
 A bivariate polynomial in (u, v) is stored v-major: a list over the
 v-degree whose entries are little-endian u-coefficient lists of ints in
 [0, p) (``unifactor`` conventions).  As in ``unifactor``, every function
-takes the field handle ``F`` first and works on plain ints mod
-``F.p``: products and eliminations accumulate unreduced and reduce
-once, and inputs are reduced where they enter (``from_dict``,
-``vnormalize``).  The field-protocol version of the factorization,
-which also runs over GF(p^k), is the tests' reference
+that computes mod p takes the prime ``p`` first and works on plain
+ints: products and eliminations accumulate unreduced and reduce once,
+and inputs are reduced where they enter (``from_dict``, and
+``vnormalize`` at both entry points below).  ``factor_bivariate`` alone
+takes a ``gfext.PrimeField`` that names p instead, built by
+``is_absolutely_irreducible``, because the benchmark's tracer names its
+spans by that handle.  The field-protocol version of the
+factorization, which also runs over GF(p^k), is the tests' reference
 (``tests/oracles.py``).  The main entry points:
 
 * ``factor_bivariate`` -- complete rational factorization, on one path
@@ -57,6 +60,7 @@ from math import comb
 from . import unifactor as uni
 from .coeffs import ff_inv_int
 from .errors import DivisionFailure, FactorizationFailure, FactorsNotCoprime
+from .gfext import PrimeField
 
 
 # -- representation ----------------------------------------------------------
@@ -73,9 +77,8 @@ def _vtrim(f):
     return f
 
 
-def vnormalize(F, f):
+def vnormalize(p, f):
     """f with every coefficient reduced mod p and no trailing zeros."""
-    p = F.p
     return _vtrim([[c % p for c in col] for col in f])
 
 
@@ -103,7 +106,7 @@ def total_degree(f):
     return d
 
 
-def from_dict(F, terms):
+def from_dict(p, terms):
     """{(u_exp, v_exp): int} -> v-major lists, coefficients reduced mod p."""
     if not terms:
         return []
@@ -113,29 +116,28 @@ def from_dict(F, terms):
         if len(col) <= i:
             col += [0] * (i + 1 - len(col))
         col[i] += c
-    return vnormalize(F, out)
+    return vnormalize(p, out)
 
 
-def to_dict(F, f):
+def to_dict(f):
     return {(i, j): c for j, col in enumerate(f) for i, c in enumerate(col) if c}
 
 
-def vsub(F, f, g):
-    out = [uni.sub(F, a, b) for a, b in zip(f, g)]
+def vsub(p, f, g):
+    out = [uni.sub(p, a, b) for a, b in zip(f, g)]
     if len(f) >= len(g):
         out += [list(c) for c in f[len(g):]]
     else:
-        out += [uni.sub(F, [], b) for b in g[len(f):]]
+        out += [uni.sub(p, [], b) for b in g[len(f):]]
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def vmul(F, f, g, trunc=None):
+def vmul(p, f, g, trunc=None):
     """Product; u-degrees >= trunc are dropped when trunc is given."""
     if not f or not g:
         return []
-    p = F.p
     out = [[] for _ in range(len(f) + len(g) - 1)]
     for j1, c1 in enumerate(f):
         if not c1:
@@ -156,26 +158,24 @@ def vmul(F, f, g, trunc=None):
     return _vtrim([[x % p for x in col] for col in out])
 
 
-def vtrunc(F, f, trunc):
+def vtrunc(f, trunc):
     return _vtrim([c[:trunc] for c in f])
 
 
-def vscale(F, f, c):
-    p = F.p
+def vscale(p, f, c):
     c %= p
     if not c:
         return []
     return _vtrim([[a * c % p for a in col] for col in f])
 
 
-def eval_u(F, f, a):
+def eval_u(p, f, a):
     """Substitute u = a; returns a univariate v-coefficient list."""
-    return uni.normalize(F, [uni.eval_at(F, c, a) for c in f])
+    return uni.normalize([uni.eval_at(p, c, a) for c in f])
 
 
-def translate_u(F, f, a):
+def translate_u(p, f, a):
     """u -> u + a via Taylor shift of every u-coefficient."""
-    p = F.p
     if not a % p:
         return [list(c) for c in f]
     out = []
@@ -190,9 +190,8 @@ def translate_u(F, f, a):
     return _vtrim(out)
 
 
-def shear(F, f, theta):
+def shear(p, f, theta):
     """u -> u + theta*v; raises the v-degree to the total degree generically."""
-    p = F.p
     if not theta % p:
         return [list(c) for c in f]
     # c u^i v^j -> c * sum_k C(i, k) theta^(i-k) u^k v^(j+i-k)
@@ -209,19 +208,18 @@ def shear(F, f, theta):
     return _vtrim([[x % p for x in col] for col in out])
 
 
-def derivative_v(F, f):
-    p = F.p
+def derivative_v(p, f):
     return _vtrim([[a * j % p for a in col] for j, col in enumerate(f)][1:])
 
 
-def derivative_u(F, f):
-    return _vtrim([uni.derivative(F, c) for c in f])
+def derivative_u(p, f):
+    return _vtrim([uni.derivative(p, c) for c in f])
 
 
 # -- division ----------------------------------------------------------------
 
 
-def vdivexact(F, f, g):
+def vdivexact(p, f, g):
     """f / g in F[u][v] when g divides f exactly, else None.
 
     Long division in v from the top.  An exact quotient is unique, so when
@@ -237,7 +235,7 @@ def vdivexact(F, f, g):
     rem = [list(c) for c in f]
     q = [[] for _ in range(len(f) - dg)]
     for k in range(len(q) - 1, -1, -1):
-        c, r = uni.divmod_poly(F, rem[k + dg], lc)
+        c, r = uni.divmod_poly(p, rem[k + dg], lc)
         if r:
             return None
         q[k] = c
@@ -245,15 +243,15 @@ def vdivexact(F, f, g):
             # the top column rem[k + dg] cancels by construction
             for i in range(dg):
                 if g[i]:
-                    rem[k + i] = uni.sub(F, rem[k + i], uni.mul(F, c, g[i]))
+                    rem[k + i] = uni.sub(p, rem[k + i], uni.mul(p, c, g[i]))
     if any(rem[:dg]):
         return None
     return _vtrim(q)
 
 
-def _divide(F, f, g):
+def _divide(p, f, g):
     """vdivexact where exactness is an invariant (content, squarefree split)."""
-    q = vdivexact(F, f, g)
+    q = vdivexact(p, f, g)
     if q is None:
         raise DivisionFailure("expected exact division in F[u][v] failed")
     return q
@@ -262,24 +260,24 @@ def _divide(F, f, g):
 # -- gcd via primitive pseudo-remainder sequence -----------------------------
 
 
-def u_content(F, f):
+def u_content(p, f):
     """Monic gcd over F[u] of all v-coefficients."""
     c = []
     for col in f:
-        c = uni.gcd(F, c, col)
+        c = uni.gcd(p, c, col)
         if uni.deg(c) == 0 and c:
             return [1]
     return c
 
 
-def primitive_part(F, f):
-    c = u_content(F, f)
+def primitive_part(p, f):
+    c = u_content(p, f)
     if uni.deg(c) == 0:
         return [list(col) for col in f]
-    return _divide(F, f, [c])
+    return _divide(p, f, [c])
 
 
-def pseudo_rem(F, f, g):
+def pseudo_rem(p, f, g):
     """prem(f, g) in v over F[u]: lc(g)^(df-dg+1) * f reduced by g."""
     df, dg = deg_v(f), deg_v(g)
     lc_g = g[-1]
@@ -287,43 +285,43 @@ def pseudo_rem(F, f, g):
     for _ in range(df - dg + 1):
         rem = _vtrim(rem)
         if deg_v(rem) < dg or is_vzero(rem):
-            rem = [uni.mul(F, lc_g, col) for col in rem]
+            rem = [uni.mul(p, lc_g, col) for col in rem]
             continue
         shift_v = deg_v(rem) - dg
         lead = rem[-1]
-        rem = _vtrim([uni.mul(F, lc_g, col) for col in rem[:-1]])
-        sub_term = _vtrim([[] for _ in range(shift_v)] + [uni.mul(F, lead, col) for col in g[:-1]])
-        rem = vsub(F, rem, sub_term)
+        rem = _vtrim([uni.mul(p, lc_g, col) for col in rem[:-1]])
+        sub_term = _vtrim([[] for _ in range(shift_v)] + [uni.mul(p, lead, col) for col in g[:-1]])
+        rem = vsub(p, rem, sub_term)
     return _vtrim(rem)
 
 
-def biv_gcd(F, f, g):
+def biv_gcd(p, f, g):
     """gcd in F[u][v], primitive PRS; result primitive with monic-in-v lead."""
     if is_vzero(f):
-        return primitive_part(F, g) if not is_vzero(g) else []
+        return primitive_part(p, g) if not is_vzero(g) else []
     if is_vzero(g):
-        return primitive_part(F, f)
+        return primitive_part(p, f)
     if deg_v(f) == 0 and deg_v(g) == 0:
-        return [uni.gcd(F, f[0], g[0])]
-    cf, cg = u_content(F, f), u_content(F, g)
-    cont = uni.gcd(F, cf, cg)
-    a, b = primitive_part(F, f), primitive_part(F, g)
+        return [uni.gcd(p, f[0], g[0])]
+    cf, cg = u_content(p, f), u_content(p, g)
+    cont = uni.gcd(p, cf, cg)
+    a, b = primitive_part(p, f), primitive_part(p, g)
     if deg_v(a) < deg_v(b):
         a, b = b, a
     while not is_vzero(b) and deg_v(b) > 0:
-        r = pseudo_rem(F, a, b)
-        a, b = b, primitive_part(F, r) if not is_vzero(r) else []
+        r = pseudo_rem(p, a, b)
+        a, b = b, primitive_part(p, r) if not is_vzero(r) else []
     if not is_vzero(b):
         # a nonzero constant in v: gcd is the content only
         result = [list(cont)]
     else:
-        result = vmul(F, [cont], primitive_part(F, a))
+        result = vmul(p, [cont], primitive_part(p, a))
     # normalize the leading v-coefficient's leading u-coefficient to 1
     lead = result[-1]
-    return vscale(F, result, ff_inv_int(lead[-1], F.p))
+    return vscale(p, result, ff_inv_int(lead[-1], p))
 
 
-def squarefree_at_a_point(F, f):
+def squarefree_at_a_point(p, f):
     """True when f has positive v-degree D and a nonzero constant leading
     v-coefficient, and f(a, v) is squarefree for some a in
     0..min(p, D(D-1) + 1) - 1; then f is squarefree.
@@ -338,32 +336,32 @@ def squarefree_at_a_point(F, f):
     D = len(f) - 1
     if D < 1 or uni.deg(f[-1]) != 0:
         return False
-    for a in range(min(F.p, D * (D - 1) + 1)):
-        g = eval_u(F, f, a)
-        if uni.deg(uni.gcd(F, g, uni.derivative(F, g))) == 0:
+    for a in range(min(p, D * (D - 1) + 1)):
+        g = eval_u(p, f, a)
+        if uni.deg(uni.gcd(p, g, uni.derivative(p, g))) == 0:
             return True
     return False
 
 
-def squarefree_decomposition_v(F, f):
+def squarefree_decomposition_v(p, f):
     """[(g, m)] for f with nonzero v-derivative chain (needs char > deg)."""
-    if squarefree_at_a_point(F, f):
+    if squarefree_at_a_point(p, f):
         return [(f, 1)]
     out = []
     f = [list(c) for c in f]
-    d = derivative_v(F, f)
+    d = derivative_v(p, f)
     if is_vzero(d):
         raise FactorizationFailure("characteristic too small for squarefree split")
-    g = biv_gcd(F, f, d)
-    h = _divide(F, f, g)
+    g = biv_gcd(p, f, d)
+    h = _divide(p, f, g)
     i = 1
     while deg_v(h) > 0 or deg_u(h) > 0:
-        gh = biv_gcd(F, g, h)
-        piece = _divide(F, h, gh)
+        gh = biv_gcd(p, g, h)
+        piece = _divide(p, h, gh)
         if deg_v(piece) > 0 or deg_u(piece) > 0:
             out.append((piece, i))
         i += 1
-        g = _divide(F, g, gh)
+        g = _divide(p, g, gh)
         h = gh
     return out
 
@@ -371,7 +369,7 @@ def squarefree_decomposition_v(F, f):
 # -- Hensel lifting ----------------------------------------------------------
 
 
-def hensel_pair(F, f, g0, h0, T):
+def hensel_pair(p, f, g0, h0, T):
     """Lift f = g0*h0 (mod u) to f = G*H (mod u^T), G, H v-monic.
 
     g0, h0 are coprime monic univariate polynomials in v with
@@ -381,8 +379,7 @@ def hensel_pair(F, f, g0, h0, T):
     accumulated unreduced and reduced once, not a truncated product of
     the whole lift.  The lift mod u^T is unique.
     """
-    p = F.p
-    one, s, t = uni.ext_gcd(F, g0, h0)
+    one, s, t = uni.ext_gcd(p, g0, h0)
     if one != [1]:
         raise FactorsNotCoprime(f"gcd of g0 and h0 has degree {uni.deg(one)}")
     Gs, Hs = [g0], [h0]
@@ -394,39 +391,38 @@ def hensel_pair(F, f, g0, h0, T):
                 if a:
                     for at, b in enumerate(Hs[k - i], j):
                         e[at] -= a * b
-        e = uni.normalize(F, [x % p for x in e])
-        dg = uni.divmod_poly(F, uni.mul(F, t, e), g0)[1]
-        dh = uni.divmod_poly(F, uni.sub(F, e, uni.mul(F, dg, h0)), g0)[0]
+        e = uni.normalize([x % p for x in e])
+        dg = uni.divmod_poly(p, uni.mul(p, t, e), g0)[1]
+        dh = uni.divmod_poly(p, uni.sub(p, e, uni.mul(p, dg, h0)), g0)[0]
         Gs.append(dg)
         Hs.append(dh)
-    return _from_u_adic(F, Gs), _from_u_adic(F, Hs)
+    return _from_u_adic(Gs), _from_u_adic(Hs)
 
 
-def _from_u_adic(F, coeffs):
+def _from_u_adic(coeffs):
     """sum_k coeffs[k](v) u^k, coefficients in v, as a v-major bivariate."""
     width = max(len(c) for c in coeffs)
     return _vtrim([[c[j] if j < len(c) else 0 for c in coeffs] for j in range(width)])
 
 
-def hensel_multi(F, f, factors0, T):
+def hensel_multi(p, f, factors0, T):
     """Lift the full coprime factorization of f(0, v) to precision u^T."""
     if len(factors0) == 1:
-        return [vtrunc(F, f, T)]
+        return [vtrunc(f, T)]
     g0 = factors0[0]
     h0 = [1]
     for fac in factors0[1:]:
-        h0 = uni.mul(F, h0, fac)
-    G, H = hensel_pair(F, f, g0, h0, T)
-    return [G] + hensel_multi(F, H, factors0[1:], T)
+        h0 = uni.mul(p, h0, fac)
+    G, H = hensel_pair(p, f, g0, h0, T)
+    return [G] + hensel_multi(p, H, factors0[1:], T)
 
 
 # -- rational factorization --------------------------------------------------
 
 
-def factor_squarefree_regular(F, f, rng):
+def factor_squarefree_regular(p, f, rng):
     """Irreducible factors of a squarefree f that is v-monic with
     deg_v f = total degree.  Returns a list of v-monic factors."""
-    p = F.p
     n = deg_v(f)
     if n == 1:
         return [f]
@@ -440,18 +436,18 @@ def factor_squarefree_regular(F, f, rng):
         if a in tried:
             continue
         tried.add(a)
-        fa = eval_u(F, f, a)
-        if uni.deg(fa) == n and uni.deg(uni.gcd(F, fa, uni.derivative(F, fa))) == 0:
+        fa = eval_u(p, f, a)
+        if uni.deg(fa) == n and uni.deg(uni.gcd(p, fa, uni.derivative(p, fa))) == 0:
             point = a
     if point is None:
         raise FactorizationFailure("no squarefree expansion point found")
-    shifted = translate_u(F, f, point)
-    f0 = eval_u(F, shifted, 0)
-    _, uni_factors = uni.factor(F, f0, rng)
+    shifted = translate_u(p, f, point)
+    f0 = eval_u(p, shifted, 0)
+    _, uni_factors = uni.factor(p, f0, rng)
     factors0 = [g for g, _ in uni_factors]
     if len(factors0) == 1:
         return [f]
-    lifted = hensel_multi(F, shifted, factors0, T)
+    lifted = hensel_multi(p, shifted, factors0, T)
 
     found = []
     remaining = shifted
@@ -461,13 +457,13 @@ def factor_squarefree_regular(F, f, rng):
         for subset in combinations(active, size):
             cand = [[1]]
             for i in subset:
-                cand = vmul(F, cand, lifted[i], trunc=T)
+                cand = vmul(p, cand, lifted[i], trunc=T)
             # a factor of v-degree e of the v-regular f has total degree e,
             # so u-degree <= e - j at v^j; a candidate beyond that cannot divide
             e = deg_v(cand)
             if any(len(col) > e - j + 1 for j, col in enumerate(cand)):
                 continue
-            q = vdivexact(F, remaining, cand)
+            q = vdivexact(p, remaining, cand)
             if q is not None:
                 found.append(cand)
                 remaining = q
@@ -477,16 +473,15 @@ def factor_squarefree_regular(F, f, rng):
             size += 1
     found.append(remaining)
     # undo the expansion-point translation
-    return [translate_u(F, g, -point % p) for g in found]
+    return [translate_u(p, g, -point % p) for g in found]
 
 
-def regularize(F, f, rng):
+def regularize(p, f, rng):
     """(f sheared by u -> u + theta*v and made v-monic, theta) with
     deg_v = total degree; theta is 0 when f needs no shear.
 
     The sheared v^D coefficient is f_D(theta, 1), of degree at most D in
     theta, so one of D + 1 distinct theta reaches v-regular position."""
-    p = F.p
     D = total_degree(f)
     cand, theta = f, 0
     tried = {0}
@@ -496,69 +491,72 @@ def regularize(F, f, rng):
         theta = rng.randrange(p)
         if theta not in tried:
             tried.add(theta)
-            cand = shear(F, f, theta)
-    return vscale(F, cand, ff_inv_int(cand[-1][0], p)), theta
+            cand = shear(p, f, theta)
+    return vscale(p, cand, ff_inv_int(cand[-1][0], p)), theta
 
 
 def factor_bivariate(F, f, rng):
-    """(unit, [(factor, multiplicity)]) -- complete factorization over F,
-    on one path for every non-constant f (a constant c gives (c, [])):
-    ``regularize``, squarefree split, Hensel lifting and recombination,
-    unshear.  Factors carry unit leading coefficients and are sorted by
-    degree, then terms and coefficients, so the list does not depend on
-    ``rng``; unit * prod factor^mult == f exactly.
+    """(unit, [(factor, multiplicity)]) -- complete factorization over
+    GF(p), p = ``F.p``, on one path for every non-constant f (a constant
+    c gives (c, [])): ``regularize``, squarefree split, Hensel lifting
+    and recombination, unshear.  Factors carry unit leading coefficients
+    and are sorted by degree, then terms and coefficients, so the list
+    does not depend on ``rng``; unit * prod factor^mult == f exactly.
+
+    f is reduced mod p and trimmed (``vnormalize``) first.  This is the
+    one function that takes a ``gfext.PrimeField`` instead of p: the
+    benchmark's tracer names its spans by the handle's ``q`` and ``char``.
     """
+    p = F.p
+    f = vnormalize(p, f)
     if is_vzero(f):
         raise ZeroDivisionError("cannot factor zero")
     if total_degree(f) == 0:
         return f[0][0], []
-    p = F.p
     factors = []
-    reg, theta = regularize(F, f, rng)
-    for piece, mult in squarefree_decomposition_v(F, reg):
-        piece = vscale(F, piece, ff_inv_int(piece[-1][0], p))
-        for g in factor_squarefree_regular(F, piece, rng):
-            factors.append((_normalize_lead(F, shear(F, g, -theta % p)), mult))
-    factors.sort(key=lambda gm: (total_degree(gm[0]), sorted(to_dict(F, gm[0]).items()), gm[1]))
+    reg, theta = regularize(p, f, rng)
+    for piece, mult in squarefree_decomposition_v(p, reg):
+        piece = vscale(p, piece, ff_inv_int(piece[-1][0], p))
+        for g in factor_squarefree_regular(p, piece, rng):
+            factors.append((_normalize_lead(p, shear(p, g, -theta % p)), mult))
+    factors.sort(key=lambda gm: (total_degree(gm[0]), sorted(to_dict(gm[0]).items()), gm[1]))
     # recover the scalar unit exactly
     prod = [[1]]
     for g, m in factors:
         for _ in range(m):
-            prod = vmul(F, prod, g)
-    unit = vdivexact(F, f, prod)
+            prod = vmul(p, prod, g)
+    unit = vdivexact(p, f, prod)
     if unit is None or total_degree(unit) != 0:
         raise FactorizationFailure("factorization does not re-multiply to the input")
     return unit[0][0], factors
 
 
-def _normalize_lead(F, g):
+def _normalize_lead(p, g):
     for col in reversed(g):
         for c in reversed(col):
             if c:
-                return vscale(F, g, ff_inv_int(c, F.p))
+                return vscale(p, g, ff_inv_int(c, p))
     return g
 
 
 # -- absolute irreducibility -------------------------------------------------
 
 
-def count_absolute_factors_pde(F, f):
+def count_absolute_factors_pde(p, f):
     """Number of distinct absolutely irreducible factors of squarefree f,
     via the dimension of the adjoint differential equation's solution
     space.  Returns None when the characteristic is too small for the
     count to be trustworthy, i.e. unless char > (2m-1)n for (m, n) the
-    bidegree in some orientation (both orientations are tried).
-
-    F is the prime field of f's coefficients; the system is built and
-    ranked on plain ints mod p.
+    bidegree in some orientation (both orientations are tried).  The
+    system is built and ranked on plain ints mod p.
     """
     m, n = deg_u(f), deg_v(f)
     if m < 1 or n < 1:
         return None
-    if F.p > (2 * m - 1) * n:
-        return _pde_dimension(to_dict(F, f), m, n, F.p)
-    if F.p > (2 * n - 1) * m:
-        return _pde_dimension({(j, i): c for (i, j), c in to_dict(F, f).items()}, n, m, F.p)
+    if p > (2 * m - 1) * n:
+        return _pde_dimension(to_dict(f), m, n, p)
+    if p > (2 * n - 1) * m:
+        return _pde_dimension({(j, i): c for (i, j), c in to_dict(f).items()}, n, m, p)
     return None
 
 
@@ -615,7 +613,7 @@ def rank_mod_p(vectors, p):
     return len(basis)
 
 
-def smooth_rational_point(F, f):
+def smooth_rational_point(p, f):
     """A point (a, b) of F_p^2 with f(a, b) = 0 and (f_u, f_v)(a, b) != 0,
     or None; exhaustive over u = a, then v = b, with no randomness.
 
@@ -627,13 +625,12 @@ def smooth_rational_point(F, f):
     and the gradient only at its roots.  Raises ``FactorizationFailure``
     when no 8-byte slot holds (deg_v f + 1)(p-1)^2, about p > 2^31.
     """
-    p = F.p
-    fu = derivative_u(F, f)
+    fu = derivative_u(p, f)
     for a in range(p):
-        g = [uni.eval_at(F, col, a) for col in f]
+        g = [uni.eval_at(p, col, a) for col in f]
         for b in _roots(g, p):
-            fv = uni.eval_at(F, [j * c for j, c in enumerate(g)][1:], b)
-            if fv or uni.eval_at(F, [uni.eval_at(F, col, a) for col in fu], b):
+            fv = uni.eval_at(p, [j * c for j, c in enumerate(g)][1:], b)
+            if fv or uni.eval_at(p, [uni.eval_at(p, col, a) for col in fu], b):
                 return a, b
     return None
 
@@ -683,7 +680,7 @@ def _form(f, e):
     return [f[j][e - j] if j < len(f) and e - j < len(f[j]) else 0 for j in range(e + 1)]
 
 
-def _smooth_point_at_infinity(F, f):
+def _smooth_point_at_infinity(p, f):
     """A nonsingular point (a, b, 0) of the closure w^D f(u/w, v/w) of
     f = 0, D = total degree, or None: f_D(a, b) = 0 and a nonzero
     gradient (f_D,u, f_D,v, f_(D-1)) there, for f_D, f_(D-1) the top two
@@ -692,7 +689,7 @@ def _smooth_point_at_infinity(F, f):
     (0 : 1 : 0) is tried first, then (1 : t : 0) for the roots t of
     f_D(1, v) in ascending order (``_roots``).
     """
-    p, D = F.p, total_degree(f)
+    D = total_degree(f)
     if D < 1:
         return None
     top, below = _form(f, D), _form(f, D - 1)
@@ -702,26 +699,29 @@ def _smooth_point_at_infinity(F, f):
     # at a root t, f_D,u(1, t) = -t * f_D,v(1, t) by Euler's identity
     top_v = [j * c for j, c in enumerate(top)][1:]
     for t in _roots(top, p):
-        if uni.eval_at(F, top_v, t) or uni.eval_at(F, below, t):
+        if uni.eval_at(p, top_v, t) or uni.eval_at(p, below, t):
             return 1, t, 0
     return None
 
 
-def is_absolutely_irreducible(F, f, rng):
+def is_absolutely_irreducible(p, f, rng):
     """(verdict, rational_witness_or_None) for a non-constant bivariate f
-    over the prime field F; f need not be squarefree.
+    over GF(p); f need not be squarefree, and is reduced mod p and
+    trimmed (``vnormalize``) first.
 
-    Factor first: a proper or repeated factor over F gives ``False`` with
-    the first listed factor as witness (the oracle's witness, once
-    rehomogenized).  An F-irreducible f with a smooth rational point,
+    Factor first: a proper or repeated factor over F_p gives ``False``
+    with the first listed factor as witness (the oracle's witness, once
+    rehomogenized).  An F_p-irreducible f with a smooth rational point,
     affine or at infinity, gives ``True``; with none, ``True`` iff the
     PDE count is 1.  ``True`` is exact; where the count does not apply
     (char <= (2m-1)n in both orientations), ``False`` without a witness
     may mean only that f has no smooth rational point.
     """
-    _, fs = factor_bivariate(F, f, rng)
+    f = vnormalize(p, f)
+    # the one field handle: factor_bivariate's spans are named by it
+    _, fs = factor_bivariate(PrimeField(p), f, rng)
     if len(fs) > 1 or fs[0][1] > 1:
         return False, fs[0][0]
-    if smooth_rational_point(F, f) is not None or _smooth_point_at_infinity(F, f) is not None:
+    if smooth_rational_point(p, f) is not None or _smooth_point_at_infinity(p, f) is not None:
         return True, None
-    return count_absolute_factors_pde(F, f) == 1, None
+    return count_absolute_factors_pde(p, f) == 1, None

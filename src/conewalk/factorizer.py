@@ -37,8 +37,7 @@ more than it has checked.  p lies below ``coeffs.P_LIMIT``, as every
 ``ParamRing``'s does.
 
 All of it runs on plain ints mod p: slices, charts and factors are
-``bifactor``/``unifactor`` lists of residues, and the
-``gfext.PrimeField`` passed to them only names p.
+``bifactor``/``unifactor`` lists of residues, and the kernels take p.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .errors import (
     DivisionFailure,
     ZeroPolynomial,
 )
-from .gfext import PrimeField
 from .poly import SparsePoly
 
 IRREDUCIBLE = "Irreducible"
@@ -100,7 +98,7 @@ def univariate_factor(a: SparsePoly, assignment: dict | None = None, seed: int =
         coeffs[sum(e for _, e in pairs)] = c
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    unit, factors = uni.factor(PrimeField(universe.ring.p), coeffs, random.Random(seed))
+    unit, factors = uni.factor(universe.ring.p, coeffs, random.Random(seed))
     out = []
     for g, mult in factors:
         terms = {(i,): c for i, c in enumerate(g) if c}
@@ -157,18 +155,17 @@ def probably_irreducible(
         return _reducible(f, witness, assignment, "variable factor")
 
     # no variable factor, so len(used) >= 2
-    F = PrimeField(p)
     if len(used) <= 3:
-        return _chart_verdict(F, f, terms, used, assignment, rng)
+        return _chart_verdict(f, terms, used, assignment, rng)
     for drawn in range(1, trials + 1):
-        slice_poly = _sample_slice(F, terms, used, d, len(a.universe), rng)
+        slice_poly = _sample_slice(p, terms, used, d, len(a.universe), rng)
         if slice_poly is None:
             return IrreducibilityVerdict(
                 INCONCLUSIVE, assignment=assignment, note="no non-degenerate slice found"
             )
         # p > d^2 > d(d - 1): False proves the slice has a repeated factor
-        if bi.squarefree_at_a_point(F, slice_poly):
-            if bi.is_absolutely_irreducible(F, slice_poly, rng)[0]:
+        if bi.squarefree_at_a_point(p, slice_poly):
+            if bi.is_absolutely_irreducible(p, slice_poly, rng)[0]:
                 return IrreducibilityVerdict(IRREDUCIBLE, trials=drawn, assignment=assignment)
             break
     return IrreducibilityVerdict(INCONCLUSIVE, assignment=assignment, note="no certified slice")
@@ -181,24 +178,24 @@ def _reducible(f, witness, assignment, note):
     return IrreducibilityVerdict(REDUCIBLE, witness=witness, assignment=assignment, note=note)
 
 
-def _chart_verdict(F, f, terms, used, assignment, rng):
+def _chart_verdict(f, terms, used, assignment, rng):
     """The verdict on a form f in 2 or 3 used variables, none dividing it,
     from one ``is_absolutely_irreducible`` call on its chart: a bivariate
     of the same degree (of v-degree 0 for a binary form).  ``terms`` are
     f's ``exponent_items``."""
-    universe = f.universe
+    universe, p = f.universe, f.universe.ring.p
     axes = used[:-1]
     # the form is homogeneous, so distinct terms keep distinct chart exponents
     pad = (0,) * (3 - len(used))  # a binary form's chart has v-degree 0
     chart = {tuple(dict(pairs).get(i, 0) for i in axes) + pad: c for pairs, c in terms}
-    certified, factor = bi.is_absolutely_irreducible(F, bi.from_dict(F, chart), rng)
+    certified, factor = bi.is_absolutely_irreducible(p, bi.from_dict(p, chart), rng)
     if certified:
         return IrreducibilityVerdict(IRREDUCIBLE, assignment=assignment)
     if factor is None:
         return IrreducibilityVerdict(INCONCLUSIVE, assignment=assignment, note="no certificate, no factor")
     # rehomogenized at the last used variable
     deg, names, monomials = bi.total_degree(factor), [universe.names[i] for i in used], []
-    for ij, c in bi.to_dict(F, factor).items():
+    for ij, c in bi.to_dict(factor).items():
         exps = (*ij[:len(axes)], deg - sum(ij))
         powers = [SparsePoly.variable(universe, x, k) for x, k in zip(names, exps)]
         monomials.append(prod(powers, start=SparsePoly.constant(universe, c)))
@@ -206,18 +203,17 @@ def _chart_verdict(F, f, terms, used, assignment, rng):
     return _reducible(f, witness, assignment, "rational factor")
 
 
-def _sample_slice(F, terms, used, d, n, rng, attempts=64):
+def _sample_slice(p, terms, used, d, n, rng, attempts=64):
     """Substitute x_i -> a_i u + b_i v + c_i for each of the n variables
     of the universe, by evaluation on the degree-d lattice and
     interpolation (``_slice``); keep only full-degree slices."""
-    p = F.p
     for _ in range(attempts):
         avec, bvec, cvec = ([rng.randrange(p) for _ in range(n)] for _ in range(3))
         # a rank-deficient map sends the plane onto a line, where f splits
         maps = [{k: v[i] for k, i in enumerate(used)} for v in (avec, bvec, cvec)]
         if bi.rank_mod_p(maps, p) < 3:
             continue
-        acc = bi.vnormalize(F, _slice(terms, (avec, bvec, cvec), d, p))
+        acc = bi.vnormalize(p, _slice(terms, (avec, bvec, cvec), d, p))
         if bi.total_degree(acc) == d and bi.deg_v(acc) == d:
             return acc
     return None

@@ -1,11 +1,11 @@
-"""The field handle of the irreducibility oracle.
+"""The one field handle left in the package.
 
-GF(p) is the only field the package computes in.  ``unifactor`` and
-``bifactor`` take a ``PrimeField`` as their first argument and read its
-modulus ``p``; their arithmetic is on plain ints mod p.  ``q`` and
-``char`` (both p) stay because ``bench/tracer.py`` names each
-``factor_bivariate`` span by them.  The field-protocol arithmetic, over
-GF(p) and over extensions GF(p^k), is the tests' reference
+GF(p) is the only field the package computes in, and ``unifactor`` and
+``bifactor`` take the prime ``p`` itself.  ``bifactor.factor_bivariate``
+alone takes a ``PrimeField``, which ``is_absolutely_irreducible`` builds
+from p: ``bench/tracer.py`` names each ``factor_bivariate`` span by the
+handle's ``q`` and ``char`` (both p).  The field-protocol arithmetic,
+over GF(p) and over extensions GF(p^k), is the tests' reference
 (``tests/oracles.py``).
 """
 

@@ -284,7 +284,11 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, universe: VarUniverse, c: int) -> "SparsePoly":
-        return cls(universe, {(0,) * (len(universe) + universe.ring.nparams): c})
+        if not isinstance(c, int):
+            raise TypeError("a constant is an int residue")
+        # the all-zero monomial is the layout's base key
+        c %= universe.ring.p
+        return _poly(universe, {universe._layout.base: c} if c else {})
 
     @classmethod
     def from_residues(cls, universe: VarUniverse, terms: dict) -> "SparsePoly":

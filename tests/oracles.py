@@ -196,13 +196,12 @@ def smooth_rational_point_generic(F, f):
     return None
 
 
-def smooth_point_at_infinity_by_forms(F, f):
+def smooth_point_at_infinity_by_forms(p, f):
     """The first of (0 : 1 : 0), (1 : 0 : 0), ..., (1 : p-1 : 0) where the
     closure of f = 0 is nonsingular, as (a, b, 0), or None: the top form
     f_D vanishes there and (f_D,u, f_D,v, f_(D-1)) does not.  Each of the
     four forms is evaluated term by term at every point: the reference for
     ``bifactor._smooth_point_at_infinity``."""
-    p = F.p
     terms = {(i, j): c for j, col in enumerate(f) for i, c in enumerate(col) if c}
     D = max((i + j for i, j in terms), default=-1)
     top, top_u, top_v, below = {}, {}, {}, {}
@@ -512,7 +511,8 @@ class TuplePoly:
 class PrimeField(gfext.PrimeField):
     """GF(p) with the field protocol that the reference below is written
     against: ints in [0, p), ``zero``/``one``, and one method call per
-    operation.  The package's own kernels read only ``p`` from it."""
+    operation.  The package's kernels take p itself; only
+    ``bifactor.factor_bivariate`` takes a handle, and reads only ``p``."""
 
     zero = 0
     one = 1

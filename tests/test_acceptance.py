@@ -26,7 +26,6 @@ from conewalk.doublecone import (
 )
 from conewalk.errors import EjExhausted
 from conewalk.factorizer import univariate_factor
-from conewalk.gfext import PrimeField
 from conewalk.poly import SparsePoly, VarUniverse, parse_poly
 from conewalk.skeleton import (
     ChainSkeleton,
@@ -186,17 +185,17 @@ def test_criterion_06_induction_pipeline():
     _report(6, "three cone steps, exhaustion, checks, certified irreducibility and spot identities", t0)
 
 
-def _irreducible_table(F, max_deg):
+def _irreducible_table(p, max_deg):
     """Monic irreducibles up to max_deg by sieve over divisions; oracle-side."""
-    table = {1: [list(t) + [1] for t in product(range(F.p), repeat=1)]}
+    table = {1: [list(t) + [1] for t in product(range(p), repeat=1)]}
     for d in range(2, max_deg + 1):
         table[d] = []
-        for t in product(range(F.p), repeat=d):
+        for t in product(range(p), repeat=d):
             f = list(t) + [1]
             divisible = False
             for dd in range(1, d // 2 + 1):
                 for g in table[dd]:
-                    if not uni.divmod_poly(F, f, g)[1]:
+                    if not uni.divmod_poly(p, f, g)[1]:
                         divisible = True
                         break
                 if divisible:
@@ -206,16 +205,16 @@ def _irreducible_table(F, max_deg):
     return table
 
 
-def _trial_division(F, f, table):
+def _trial_division(p, f, table):
     f = list(f)
     lc = f[-1]
-    f = uni.monic(F, f)
+    f = uni.monic(p, f)
     out = []
     for d in range(1, uni.deg(f) + 1):
         for g in table.get(d, ()):
             mult = 0
             while True:
-                q, rem = uni.divmod_poly(F, f, g)
+                q, rem = uni.divmod_poly(p, f, g)
                 if rem:
                     break
                 f = q
@@ -230,14 +229,13 @@ def _trial_division(F, f, table):
 def test_criterion_07_univariate_oracle_equivalence():
     t0 = time.time()
     for p in (5, 7):
-        F = PrimeField(p)
-        table = _irreducible_table(F, 4)
+        table = _irreducible_table(p, 4)
         rng = random.Random(7)
         for d in range(1, 5):
             for tail in product(range(p), repeat=d):
                 coeffs = list(tail) + [1]
-                lc, fs = uni.factor(F, coeffs, rng)
-                oracle_lc, oracle_fs = _trial_division(F, coeffs, table)
+                lc, fs = uni.factor(p, coeffs, rng)
+                oracle_lc, oracle_fs = _trial_division(p, coeffs, table)
                 assert lc == oracle_lc
                 assert [(tuple(g), m) for g, m in fs] == [
                     (tuple(g), m) for g, m in oracle_fs
@@ -246,7 +244,7 @@ def test_criterion_07_univariate_oracle_equivalence():
                 prod = [lc]
                 for g, m in fs:
                     for _ in range(m):
-                        prod = uni.mul(F, prod, g)
+                        prod = uni.mul(p, prod, g)
                 assert prod == coeffs
     elapsed = time.time() - t0
     assert elapsed < 30.0

@@ -136,10 +136,9 @@ def test_a_chart_factor_that_does_not_divide_is_a_division_failure(monkeypatch):
     that does not divide the input, rehomogenized, raises
     ``DivisionFailure`` instead of becoming a witness."""
     from conewalk import bifactor as bi
-    from conewalk.gfext import PrimeField
 
-    line = bi.from_dict(PrimeField(101), {(1, 0): 1, (0, 1): 2, (0, 0): 3})  # u + 2v + 3
-    monkeypatch.setattr(bi, "is_absolutely_irreducible", lambda F, f, rng: (False, line))
+    line = bi.from_dict(101, {(1, 0): 1, (0, 1): 2, (0, 0): 3})  # u + 2v + 3
+    monkeypatch.setattr(bi, "is_absolutely_irreducible", lambda p, f, rng: (False, line))
     with pytest.raises(DivisionFailure, match="x0 \\+ 2\\*x1 \\+ 3\\*x2"):
         probably_irreducible(parse_poly("x0^3 + x1^3 + x2^3", U3), trials=1, seed=0)
 
@@ -523,11 +522,9 @@ def test_slice_is_the_input_on_the_sampled_plane():
     sampler's draws and compare at random points (u0, v0)."""
     from conewalk import bifactor as bi
     from conewalk.factorizer import _sample_slice
-    from conewalk.gfext import PrimeField
 
     checked = 0
     for p in (101, 103):
-        F = PrimeField(p)
         u = VarUniverse(("x0", "x1", "x2", "x3"), ParamRing(p))
         rng = random.Random(p + 1)
         for idx in ((0, 1, 2), (0, 2, 3), (0, 1, 2, 3)):
@@ -536,7 +533,7 @@ def test_slice_is_the_input_on_the_sampled_plane():
                 int_terms = f.specialize_params({})
                 used = [i for i in range(len(u)) if any(e[i] for e in int_terms)]
                 seed = rng.randrange(10**6)
-                slice_poly = _sample_slice(F, f.exponent_items(), used, d, len(u), random.Random(seed))
+                slice_poly = _sample_slice(p, f.exponent_items(), used, d, len(u), random.Random(seed))
                 replay = random.Random(seed)
                 while True:
                     a, b, c = ([replay.randrange(p) for _ in u.names] for _ in range(3))
@@ -546,7 +543,7 @@ def test_slice_is_the_input_on_the_sampled_plane():
                 for _ in range(6):
                     u0, v0 = rng.randrange(p), rng.randrange(p)
                     point = [a[i] * u0 + b[i] * v0 + c[i] for i in range(len(u))]
-                    got = uni.eval_at(F, bi.eval_u(F, slice_poly, u0), v0)
+                    got = uni.eval_at(p, bi.eval_u(p, slice_poly, u0), v0)
                     assert got == f.eval_point(point), (p, idx, d)
                 checked += 1
     assert checked == 36
@@ -567,15 +564,14 @@ def _sparse_form(n, idx, d, rng, p):
 def _assert_slices_agree(terms, d, p, rng, draws):
     from conewalk import bifactor as bi
     from conewalk.factorizer import _slice
-    from conewalk.gfext import PrimeField
 
-    F, n = PrimeField(p), max(len(e) for e in terms)
+    n = max(len(e) for e in terms)
     used = [i for i in range(n) if any(e[i] for e in terms)]
     items = [(tuple((i, k) for i, k in enumerate(e) if k), c) for e, c in terms.items()]
     for _ in range(draws):
         maps = tuple([rng.randrange(p) for _ in range(n)] for _ in range(3))
-        want = bi.vnormalize(F, horner_slice(terms, used, maps, p))
-        assert bi.vnormalize(F, _slice(items, maps, d, p)) == want, (p, d, len(used))
+        want = bi.vnormalize(p, horner_slice(terms, used, maps, p))
+        assert bi.vnormalize(p, _slice(items, maps, d, p)) == want, (p, d, len(used))
     return used
 
 

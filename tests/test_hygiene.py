@@ -134,20 +134,28 @@ FIELD_PROTOCOL = {"add", "sub", "mul", "neg", "inv", "scalar", "is_zero", "pow",
 FIELD_SIZE = {"q", "char"}
 
 
-def _field_handles(func):
-    """Names in ``func`` that hold a field handle: a parameter ``F`` or
-    one annotated ``PrimeField``, and a name bound to ``PrimeField(...)``."""
+def _callee(call):
+    """The name a call is made through: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def _handle_params(func):
+    """The parameters of ``func`` (a function or lambda) that take a field
+    handle: one named ``F`` or annotated ``PrimeField``."""
     args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
-    handles = {
+    return {
         a.arg for a in args
         if a.arg == "F" or (isinstance(a.annotation, ast.Name) and a.annotation.id == "PrimeField")
     }
+
+
+def _field_handles(func):
+    """Names in ``func`` that hold a field handle: a handle parameter
+    (``_handle_params``) and a name bound to ``PrimeField(...)``."""
+    handles = _handle_params(func)
     for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = node.value.func
-            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-            if name == "PrimeField":
-                handles |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and _callee(node.value) == "PrimeField":
+            handles |= {t.id for t in node.targets if isinstance(t, ast.Name)}
     return handles
 
 
@@ -173,6 +181,51 @@ def test_one_field_representation():
                 and node.value.id in handles and node.attr in FIELD_PROTOCOL | FIELD_SIZE
             }
     assert not found, sorted(found)
+
+
+def _calls_in_functions(tree, callee):
+    """(innermost enclosing function, or None at module level) of each
+    call made through the name ``callee``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _callee(child) == callee:
+                found.append(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_field_handle_site():
+    """The oracle's kernels take the prime p.  In ``unifactor``,
+    ``bifactor`` and ``factorizer`` no function or lambda but
+    ``bifactor.factor_bivariate`` has a field-handle parameter, and the
+    package builds a ``PrimeField`` at one call, in
+    ``bifactor.is_absolutely_irreducible``: the handle is kept only
+    because the benchmark's tracer names ``factor_bivariate``'s spans by
+    it.  Only ``bifactor`` imports ``gfext``."""
+    params, sites, importers = [], [], []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if (
+                name in ("unifactor.py", "bifactor.py", "factorizer.py")
+                and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                and _handle_params(node)
+                and getattr(node, "name", "<lambda>") != "factor_bivariate"
+            ):
+                params.append(f"{name}:{node.lineno}: {getattr(node, 'name', '<lambda>')}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # import conewalk.gfext, from .gfext import ..., from . import gfext
+                modules = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                if any(m.split(".")[-1] == "gfext" for m in modules):
+                    importers.append(name)
+        sites += [f"{name}: {owner}" for owner in _calls_in_functions(tree, "PrimeField")]
+    assert not params, params
+    assert sites == ["bifactor.py: is_absolutely_irreducible"], sites
+    assert importers == ["bifactor.py"], importers
 
 
 MODULES = {path.stem for path in SOURCES}

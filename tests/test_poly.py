@@ -404,6 +404,25 @@ def test_constant_over_zero_variable_universe():
     assert parse_poly("3*lam^-1 + 4", u0).canonical_string() == "4 + 3*lam^-1"
 
 
+@pytest.mark.parametrize("nv", [3, 3072])
+def test_constant_is_the_tuple_built_constant(nv):
+    """``constant`` writes the residue at the all-zero monomial's key
+    directly: it equals the constant packed from an all-zero exponent
+    tuple, on a small universe and on one of thousands of variables, and
+    c = 0 mod p gives the zero polynomial."""
+    u = VarUniverse(tuple(f"v{i}" for i in range(nv)), RING)
+    zero = (0,) * (nv + RING.nparams)
+    for c in (0, 1, -1, 101, 2 * 101 + 3):
+        got = SparsePoly.constant(u, c)
+        assert got == SparsePoly(u, {zero: c}), c
+        assert got.terms == SparsePoly(u, {zero: c}).terms, c
+    assert SparsePoly.constant(u, 202).is_zero()
+    f = SparsePoly.variable(u, "v1") + SparsePoly.constant(u, 5)
+    assert f**0 == SparsePoly.constant(u, 1) == SparsePoly(u, {zero: 1})
+    with pytest.raises(TypeError):
+        SparsePoly.constant(u, 5.0)
+
+
 # -- parse semantics: one sum per monomial --
 
 

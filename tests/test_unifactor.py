@@ -6,12 +6,10 @@ from itertools import product
 import pytest
 
 from conewalk import unifactor as uni
-from conewalk.gfext import PrimeField
-from oracles import ExtField, extension_field, ref_uni
-from oracles import PrimeField as OraclePrimeField
+from oracles import ExtField, PrimeField, extension_field, ref_uni
 
 
-def trial_division_factor(F, f):
+def trial_division_factor(p, f):
     """Divide by monic irreducibles in lexicographic order; the oracle.
 
     Irreducibility of candidates is itself decided by exhaustive trial
@@ -19,11 +17,11 @@ def trial_division_factor(F, f):
     """
     f = list(f)
     lc = f[-1]
-    f = uni.monic(F, f)
+    f = uni.monic(p, f)
     out = {}
 
     def monics(d):
-        for tail in product(range(F.p), repeat=d):
+        for tail in product(range(p), repeat=d):
             yield list(tail) + [1]
 
     def is_irred(g):
@@ -32,7 +30,7 @@ def trial_division_factor(F, f):
             return True
         for k in range(1, d // 2 + 1):
             for h in monics(k):
-                if not uni.divmod_poly(F, g, h)[1]:
+                if not uni.divmod_poly(p, g, h)[1]:
                     return False
         return True
 
@@ -45,7 +43,7 @@ def trial_division_factor(F, f):
             if not is_irred(g):
                 continue
             while True:
-                q, r = uni.divmod_poly(F, f, g)
+                q, r = uni.divmod_poly(p, f, g)
                 if r:
                     break
                 f = q
@@ -61,64 +59,61 @@ def trial_division_factor(F, f):
     return lc, factors
 
 
-def remultiply(F, lc, factors, kernels=uni):
+def remultiply(field, lc, factors, kernels=uni):
+    """lc * prod g^m by ``kernels.mul``: ``field`` is p for the package's
+    kernels, a field object for the field-protocol reference."""
     out = [lc]
     for g, m in factors:
         for _ in range(m):
-            out = kernels.mul(F, out, g)
+            out = kernels.mul(field, out, g)
     return out
 
 
 def test_examples_gf7():
-    F = PrimeField(7)
     rng = random.Random(0)
-    lc, fs = uni.factor(F, [6, 0, 1], rng)  # x^2 - 1
+    lc, fs = uni.factor(7, [6, 0, 1], rng)  # x^2 - 1
     assert lc == 1
     assert sorted(tuple(g) for g, _ in fs) == [(1, 1), (6, 1)]
-    assert uni.is_irreducible(F, [1, 0, 1])  # x^2 + 1, -1 a non-residue mod 7
+    assert uni.is_irreducible(7, [1, 0, 1])  # x^2 + 1, -1 a non-residue mod 7
 
 
 def test_example_cube_gf5():
-    F = PrimeField(5)
-    lc, fs = uni.factor(F, [0, 0, 0, 1], random.Random(0))
+    lc, fs = uni.factor(5, [0, 0, 0, 1], random.Random(0))
     assert lc == 1 and fs == [([0, 1], 3)]
 
 
 def test_pth_power_branch():
-    F = PrimeField(5)
     # x^5 = (x)^5; the derivative vanishes identically
-    assert uni.squarefree_decomposition(F, [0] * 5 + [1]) == [([0, 1], 5)]
+    assert uni.squarefree_decomposition(5, [0] * 5 + [1]) == [([0, 1], 5)]
     # (x^2+1)^5 likewise
     sq = [1, 0, 1]
     f = [1]
     for _ in range(5):
-        f = uni.mul(F, f, sq)
-    assert uni.squarefree_decomposition(F, f) == [([1, 0, 1], 5)]
+        f = uni.mul(5, f, sq)
+    assert uni.squarefree_decomposition(5, f) == [([1, 0, 1], 5)]
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_exhaustive_monics_small(p):
     """Degrees <= 3 exhaustively (the degree-4 sweep runs in acceptance)."""
-    F = PrimeField(p)
     rng = random.Random(1)
     for d in range(1, 4):
         for tail in product(range(p), repeat=d):
             f = list(tail) + [1]
-            lc, fs = uni.factor(F, f, rng)
-            assert remultiply(F, lc, fs) == f
-            assert fs == trial_division_factor(F, f)[1]
+            lc, fs = uni.factor(p, f, rng)
+            assert remultiply(p, lc, fs) == f
+            assert fs == trial_division_factor(p, f)[1]
 
 
 def test_random_nonmonic_remultiplies():
     rng = random.Random(2)
-    F = PrimeField(101)
     for _ in range(80):
         f = [rng.randrange(101) for _ in range(rng.randint(1, 7))] + [rng.randrange(1, 101)]
-        lc, fs = uni.factor(F, f, rng)
-        assert remultiply(F, lc, fs) == f
+        lc, fs = uni.factor(101, f, rng)
+        assert remultiply(101, lc, fs) == f
         for g, _ in fs:
             assert g[-1] == 1
-            assert uni.is_irreducible(F, g)
+            assert uni.is_irreducible(101, g)
 
 
 def test_extension_field_arithmetic():
@@ -153,14 +148,13 @@ def test_factor_over_extension_remultiplies():
 def test_char_power_multiplicities():
     """Multiplicities divisible by the characteristic route through the
     p-th-root branch; constructed products must factor back exactly."""
-    F = PrimeField(5)
     rng = random.Random(1)
 
     def build(*factors_mults):
         f = [1]
         for g, m in factors_mults:
             for _ in range(m):
-                f = uni.mul(F, f, g)
+                f = uni.mul(5, f, g)
         return f
 
     cases = [
@@ -173,11 +167,11 @@ def test_char_power_multiplicities():
     ]
     for case in cases:
         f = build(*case)
-        lc, fs = uni.factor(F, f, rng)
+        lc, fs = uni.factor(5, f, rng)
         assert sorted((tuple(g), m) for g, m in fs) == sorted(
             (tuple(g), m) for g, m in case
         )
-        assert remultiply(F, lc, fs) == f
+        assert remultiply(5, lc, fs) == f
 
 
 AGREEMENT_PRIMES = (2, 3, 5, 7, 101, 103)
@@ -192,7 +186,7 @@ def _product_with_char_multiplicity(rng, p, max_deg=12):
     """lc * g^(k*p) * h for random monic g, h, with the largest multiple
     k*p of p that fits in degree max_deg (g linear); a random polynomial
     of degree up to max_deg when no multiple of p fits."""
-    F = OraclePrimeField(p)
+    F = PrimeField(p)
     if p > max_deg - 1:
         return _random_poly(rng, p, rng.randint(0, max_deg))
     k = rng.randint(1, (max_deg - 1) // p)
@@ -210,7 +204,7 @@ def test_int_kernels_agree_with_the_field_protocol_reference(p):
     root branch): the int kernels return what the field-protocol
     reference returns (``is_irreducible`` too), and ``factor`` and the
     search for a GF(p^k) modulus draw the same random numbers."""
-    F = OraclePrimeField(p)
+    F = PrimeField(p)
     rng = random.Random(1600 + p)
     char_multiplicities = 0
     for case in range(40):
@@ -222,11 +216,11 @@ def test_int_kernels_agree_with_the_field_protocol_reference(p):
             ("mul", (f, g)), ("sub", (f, g)), ("derivative", (f,)), ("eval_at", (f, rng.randrange(p))),
             ("divmod_poly", (f, g)), ("gcd", (f, g)), ("ext_gcd", (f, g)), ("pow_mod", (f, e, m)),
         ):
-            assert getattr(uni, name)(F, *args) == getattr(ref_uni, name)(F, *args), (p, name, args)
+            assert getattr(uni, name)(p, *args) == getattr(ref_uni, name)(F, *args), (p, name, args)
         monic = m[:-1] + [1]
-        assert uni.is_irreducible(F, monic) == ref_uni.is_irreducible(F, monic), (p, monic)
+        assert uni.is_irreducible(p, monic) == ref_uni.is_irreducible(F, monic), (p, monic)
         r_int, r_ref = random.Random(case), random.Random(case)
-        got = uni.factor(F, f, r_int)
+        got = uni.factor(p, f, r_int)
         assert got == ref_uni.factor(F, f, r_ref), (p, f)
         assert r_int.getstate() == r_ref.getstate(), (p, f)
         char_multiplicities += any(mult % p == 0 for _, mult in got[1])
@@ -245,13 +239,12 @@ def test_factor_agrees_with_sympy(p):
     repeated factors."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    F = PrimeField(p)
     rng = random.Random(2600 + p)
     for case in range(30):
         f = _product_with_char_multiplicity(rng, p) if case % 3 == 0 else _random_poly(rng, p, rng.randint(1, 12))
         if len(f) < 2:
             continue
-        lc, fs = uni.factor(F, f, rng)
+        lc, fs = uni.factor(p, f, rng)
         want_lc, want_fs = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()
         want = sorted(([int(c) % p for c in reversed(g.all_coeffs())], mult) for g, mult in want_fs)
         assert lc == int(want_lc) % p, (p, f)
