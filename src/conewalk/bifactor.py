@@ -169,6 +169,12 @@ def vscale(p, f, c):
     return _vtrim([[a * c % p for a in col] for col in f])
 
 
+def _monic(p, f):
+    """Nonzero trimmed f scaled so that its leading v-coefficient's
+    leading u-coefficient is 1."""
+    return vscale(p, f, ff_inv_int(f[-1][-1], p))
+
+
 def eval_u(p, f, a):
     """Substitute u = a; returns a univariate v-coefficient list."""
     return uni.normalize([uni.eval_at(p, c, a) for c in f])
@@ -316,9 +322,7 @@ def biv_gcd(p, f, g):
         result = [list(cont)]
     else:
         result = vmul(p, [cont], primitive_part(p, a))
-    # normalize the leading v-coefficient's leading u-coefficient to 1
-    lead = result[-1]
-    return vscale(p, result, ff_inv_int(lead[-1], p))
+    return _monic(p, result)
 
 
 def squarefree_at_a_point(p, f):
@@ -492,7 +496,7 @@ def regularize(p, f, rng):
         if theta not in tried:
             tried.add(theta)
             cand = shear(p, f, theta)
-    return vscale(p, cand, ff_inv_int(cand[-1][0], p)), theta
+    return _monic(p, cand), theta
 
 
 def factor_bivariate(F, f, rng):
@@ -516,9 +520,8 @@ def factor_bivariate(F, f, rng):
     factors = []
     reg, theta = regularize(p, f, rng)
     for piece, mult in squarefree_decomposition_v(p, reg):
-        piece = vscale(p, piece, ff_inv_int(piece[-1][0], p))
-        for g in factor_squarefree_regular(p, piece, rng):
-            factors.append((_normalize_lead(p, shear(p, g, -theta % p)), mult))
+        for g in factor_squarefree_regular(p, _monic(p, piece), rng):
+            factors.append((_monic(p, shear(p, g, -theta % p)), mult))
     factors.sort(key=lambda gm: (total_degree(gm[0]), sorted(to_dict(gm[0]).items()), gm[1]))
     # recover the scalar unit exactly
     prod = [[1]]
@@ -529,14 +532,6 @@ def factor_bivariate(F, f, rng):
     if unit is None or total_degree(unit) != 0:
         raise FactorizationFailure("factorization does not re-multiply to the input")
     return unit[0][0], factors
-
-
-def _normalize_lead(p, g):
-    for col in reversed(g):
-        for c in reversed(col):
-            if c:
-                return vscale(p, g, ff_inv_int(c, p))
-    return g
 
 
 # -- absolute irreducibility -------------------------------------------------

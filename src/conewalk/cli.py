@@ -2,9 +2,12 @@
 
 Subcommands: bounds, construct, induct, verify, skeleton.  Exit codes:
 0 all checks pass, 1 a check failed or the operation could not
-complete, 2 usage error.  Machine mode (--json) demands explicit seeds
+complete, 2 usage error.  Every result goes out through ``_emit``:
+canonical JSON in machine mode (--json), which demands explicit seeds
 wherever randomness is involved, so identical invocations produce
-byte-identical output.
+byte-identical output, and text otherwise.  A usage error, among them
+an input that cannot be read and an output path that cannot be written,
+reaches ``main`` as a ValueError, which prints one ``error:`` line.
 
 The argparse parser is built once per process (``build_parser`` is
 cached), because building its ~40 options costs more than a short
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 
 from . import bounds as bnd
@@ -24,39 +28,42 @@ from . import doublecone as dc
 from . import skeleton as sk_mod
 from .basecase import BaseParams, build_base_state
 from .errors import ConewalkError, EjExhausted, EjTooSmall
-from .stateio import dumps_canonical, load_state, make_report, read_json, save_state
+from .stateio import dumps_canonical, load_state, make_report, read_json, save_state, write_json
 
 
 def _require_seed(args) -> int:
-    if getattr(args, "json", False) and args.seed is None:
+    if args.json and args.seed is None:
         print("error: --seed is mandatory in --json mode", file=sys.stderr)
         raise SystemExit(2)
     return args.seed if args.seed is not None else 0
+
+
+def _emit(args, payload, text):
+    """The one way a result goes out: ``payload`` as canonical JSON under
+    --json, else the line(s) ``text``."""
+    if args.json:
+        print(dumps_canonical(payload), end="")
+    else:
+        print(text)
 
 
 def cmd_bounds(args) -> int:
     if args.sum:
         n, m = args.sum
         s = bnd.sum_S(n, m)
+        payload, text = {"n": n, "m": m, "sum": s}, f"S({n},{m}) = {s}"
         if m in (2, 3):
             cf = bnd.closed_form_S(n, m)
             if cf != s:
                 print(f"inconsistency: sum {s} != closed form {cf}", file=sys.stderr)
                 return 1
-            if args.json:
-                print(dumps_canonical({"n": n, "m": m, "sum": s, "closed_form": cf}), end="")
-            else:
-                print(f"S({n},{m}) = {s} (closed form {cf})")
-        else:
-            if args.json:
-                print(dumps_canonical({"n": n, "m": m, "sum": s}), end="")
-            else:
-                print(f"S({n},{m}) = {s}")
+            payload["closed_form"] = cf
+            text += f" (closed form {cf})"
+        _emit(args, payload, text)
         return 0
     if args.table:
         if args.m is None:
-            print("error: --table needs --m", file=sys.stderr)
-            return 2
+            raise ValueError("--table needs --m")
         lo, hi = args.table
         if lo > hi:
             raise ValueError(f"--table needs D1 <= D2, got {lo}:{hi}")
@@ -64,38 +71,20 @@ def cmd_bounds(args) -> int:
         for d in range(lo, hi + 1):
             w_max = bnd.max_N(d, args.m)
             w = bnd.applicable(d, w_max, args.m)
-            rows.append(
-                {"d": d, "m": args.m, "max_N": w_max, "n": w.n, "r": w.r, "s": w.s}
-            )
-        if args.json:
-            print(dumps_canonical(rows), end="")
-        else:
-            print("d\tm\tmax_N\tn\tr\ts")
-            for row in rows:
-                print(
-                    f"{row['d']}\t{row['m']}\t{row['max_N']}\t{row['n']}\t{row['r']}\t{row['s']}"
-                )
+            rows.append({"d": d, "m": args.m, "max_N": w_max, "n": w.n, "r": w.r, "s": w.s})
+        keys = ("d", "m", "max_N", "n", "r", "s")
+        lines = ["\t".join(keys)] + ["\t".join(str(row[key]) for key in keys) for row in rows]
+        _emit(args, rows, "\n".join(lines))
         return 0
     if args.d is None or args.N is None or args.m is None:
-        print("error: need --d, --N, --m (or --sum / --table)", file=sys.stderr)
-        return 2
+        raise ValueError("need --d, --N, --m (or --sum / --table)")
     w = bnd.applicable(args.d, args.N, args.m, args.char)
-    if args.json:
-        payload = {
-            "d": args.d,
-            "N": args.N,
-            "m": args.m,
-            "char": args.char,
-            "applicable": w is not None,
-        }
-        if w:
-            payload["witness"] = {"n": w.n, "r": w.r, "s": w.s}
-        print(dumps_canonical(payload), end="")
-    else:
-        if w:
-            print(f"applicable: yes, witness n={w.n} r={w.r} s={w.s}")
-        else:
-            print("applicable: no")
+    payload = {"d": args.d, "N": args.N, "m": args.m, "char": args.char, "applicable": w is not None}
+    text = "applicable: no"
+    if w:
+        payload["witness"] = {"n": w.n, "r": w.r, "s": w.s}
+        text = f"applicable: yes, witness n={w.n} r={w.r} s={w.s}"
+    _emit(args, payload, text)
     return 0
 
 
@@ -104,17 +93,12 @@ def cmd_construct(args) -> int:
     bp = BaseParams(n=args.n, m=args.m, r=args.r, d=args.d, p=args.p)
     state = build_base_state(bp, h_choice=args.h_choice)
     if args.seed is not None:
-        import random
-
         rng = random.Random(seed)
         state.params["pi"] = rng.randrange(1, args.p)
         state.params["rho"] = rng.randrange(1, args.p)
         state.log("assign-params", pi=state.params["pi"], rho=state.params["rho"], seed=seed)
     save_state(state, args.out)
-    if args.json:
-        print(dumps_canonical({"out": args.out, "e": state.e, "s": state.s}), end="")
-    else:
-        print(f"wrote {args.out} (s=0, e={state.e})")
+    _emit(args, {"out": args.out, "e": state.e, "s": state.s}, f"wrote {args.out} (s=0, e={state.e})")
     return 0
 
 
@@ -136,10 +120,8 @@ def cmd_induct(args) -> int:
             save_state(state, args.out)
         return 1
     save_state(state, args.out)
-    if args.json:
-        print(dumps_canonical({"out": args.out, "steps": applied, "s": state.s, "e": state.e}), end="")
-    else:
-        print(f"wrote {args.out} (s={state.s}, e={state.e})")
+    payload = {"out": args.out, "steps": applied, "s": state.s, "e": state.e}
+    _emit(args, payload, f"wrote {args.out} (s={state.s}, e={state.e})")
     return 0
 
 
@@ -147,19 +129,12 @@ def cmd_verify(args) -> int:
     seed = _require_seed(args)
     state = load_state(args.state)
     report = make_report(dc.verify_station(state, args.trials, seed))
-    text = dumps_canonical(report)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
-    if args.json:
-        print(text, end="")
-    else:
-        for c in report["checks"]:
-            mark = "ok " if c["pass"] else "FAIL"
-            print(f"[{mark}] {c['check']}")
-        s = report["summary"]
-        print(f"{s['passed']}/{s['total']} checks passed")
-    return 0 if report["summary"]["failed"] == 0 else 1
+        write_json(args.report, report, "report file")
+    s = report["summary"]
+    lines = [f"[{'ok ' if c['pass'] else 'FAIL'}] {c['check']}" for c in report["checks"]]
+    _emit(args, report, "\n".join([*lines, f"{s['passed']}/{s['total']} checks passed"]))
+    return 0 if s["failed"] == 0 else 1
 
 
 def _load_graph(path):
@@ -174,25 +149,17 @@ def _load_graph(path):
 
 
 def cmd_skeleton(args) -> int:
-    import random
-
     if args.skeleton_cmd in ("telescope", "transfer") and args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.skeleton_cmd == "subdivide":
         sk = _load_graph(args.graph)
         ssk = sk_mod.subdivide(sk, args.r)
-        payload = {
-            "r": args.r,
-            "vertices": len(ssk.graph.vertices),
-            "edges": len(ssk.graph.edges),
-            "vertices_expected": len(sk.graph.vertices) + (args.r - 1) * len(sk.graph.edges),
-            "edges_expected": args.r * len(sk.graph.edges),
-        }
-        payload["pass"] = (
-            payload["vertices"] == payload["vertices_expected"]
-            and payload["edges"] == payload["edges_expected"]
-        )
-        print(dumps_canonical(payload), end="")
+        v, e = len(sk.graph.vertices), len(sk.graph.edges)
+        got = len(ssk.graph.vertices), len(ssk.graph.edges)
+        expected = v + (args.r - 1) * e, args.r * e
+        payload = {"r": args.r, "vertices": got[0], "edges": got[1], "pass": got == expected,
+                   "vertices_expected": expected[0], "edges_expected": expected[1]}
+        _emit(args, payload, None)  # JSON only: its parser sets json
         return 0 if payload["pass"] else 1
     if args.skeleton_cmd == "telescope":
         seed = _require_seed(args)
@@ -207,12 +174,9 @@ def cmd_skeleton(args) -> int:
                 entry["check"] = f"trial{t}-{entry['check']}"
                 checks.append(entry)
         report = make_report(checks)
-        if args.json:
-            print(dumps_canonical(report), end="")
-        else:
-            s = report["summary"]
-            print(f"telescope c={args.c} r={args.r}: {s['passed']}/{s['total']} pass")
-        return 0 if report["summary"]["failed"] == 0 else 1
+        s = report["summary"]
+        _emit(args, report, f"telescope c={args.c} r={args.r}: {s['passed']}/{s['total']} pass")
+        return 0 if s["failed"] == 0 else 1
     if args.skeleton_cmd == "coker":
         try:
             matrix = json.loads(args.map)
@@ -221,26 +185,15 @@ def cmd_skeleton(args) -> int:
         if isinstance(matrix, str):
             matrix = read_json(matrix, "map file")
         ok = sk_mod.cokernel_torsion(matrix, args.m, ring=args.c)
-        if args.json:
-            print(dumps_canonical({"m": args.m, "torsion": ok}), end="")
-        else:
-            print(f"{args.m}-torsion: {'yes' if ok else 'no'}")
+        _emit(args, {"m": args.m, "torsion": ok}, f"{args.m}-torsion: {'yes' if ok else 'no'}")
         return 0
-    if args.skeleton_cmd == "transfer":
-        seed = _require_seed(args)
-        sk = _load_graph(args.graph)
-        result = sk_mod.surjectivity_transfer_demo(
-            sk, args.r, args.c, args.trials, seed, m=args.m
-        )
-        if args.json:
-            print(dumps_canonical(result), end="")
-        else:
-            print(
-                f"transfer: {result['solved']}/{result['trials']} solvable, "
-                f"{result['verified']} verified"
-            )
-        return 0 if result["pass"] else 1
-    return 2
+    # transfer, the last subcommand
+    seed = _require_seed(args)
+    sk = _load_graph(args.graph)
+    result = sk_mod.surjectivity_transfer_demo(sk, args.r, args.c, args.trials, seed, m=args.m)
+    text = f"transfer: {result['solved']}/{result['trials']} solvable, {result['verified']} verified"
+    _emit(args, result, text)
+    return 0 if result["pass"] else 1
 
 
 STATE_SCHEMA_HELP = """\
@@ -337,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     s1 = ssub.add_parser("subdivide")
     s1.add_argument("--graph", required=True)
     s1.add_argument("--r", type=int, required=True)
-    s1.set_defaults(func="cmd_skeleton")
+    s1.set_defaults(func="cmd_skeleton", json=True)
     s2 = ssub.add_parser("telescope")
     s2.add_argument("--c", type=int, required=True)
     s2.add_argument("--r", type=int, required=True)

@@ -151,8 +151,7 @@ def state_from_dict(d: dict) -> HypersurfaceState:
 
 
 def save_state(state: HypersurfaceState, path: str):
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(state_to_dict(state)))
+    write_json(path, state_to_dict(state), "state file")
 
 
 def read_json(path: str, kind: str):
@@ -165,6 +164,17 @@ def read_json(path: str, kind: str):
         raise ValueError(f"cannot read {kind} {path}: {ex.strerror}") from None
     except ValueError as ex:
         raise ValueError(f"{kind} {path} is not valid JSON: {ex}") from None
+
+
+def write_json(path: str, obj, kind: str):
+    """Write ``obj`` to a file as canonical JSON; an unwritable path raises
+    ValueError naming it and what ``kind`` of file it should be."""
+    text = dumps_canonical(obj)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise ValueError(f"cannot write {kind} {path}: {ex.strerror}") from None
 
 
 def load_state(path: str) -> HypersurfaceState:

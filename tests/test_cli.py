@@ -838,3 +838,102 @@ def test_paper_bound_d8_walk_bytes_pinned(tmp_path, capsys):
         "s77.json": "2412d96b1771962a76f68cb9d46ce6720637ce3e54d7b907bfd2dd3af763a9dc",
         "report": "a6cc95659e6d6ed8e5cbef903856533bbe5fa812d031ebadc89d32ab25b6bc1a",
     }
+
+
+def _canonical(obj):
+    """The bytes of ``--json`` output: sorted keys, indent 2, one newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+VERIFY_CHECKS = [
+    "state-homogeneous", "state-y-free",
+    *(f"ladder-{kind}-j{j}" for j in range(1, 7) for kind in ("divisibility", "maximal")),
+    "irreducible-f0a0", "h-poly-shape", "minor-det-tz", "y0-z-derivative", "y1-w-derivative",
+]
+
+
+def _verify_text(failed=()):
+    marks = "".join(f"[{'FAIL' if c in failed else 'ok '}] {c}\n" for c in VERIFY_CHECKS)
+    return marks + f"{len(VERIFY_CHECKS) - len(failed)}/{len(VERIFY_CHECKS)} checks passed\n"
+
+
+WITNESS_5_10 = {"n": 3, "r": 6, "s": 1}
+TABLE_5_6 = [
+    {"d": 5, "m": 2, "max_N": 12, "n": 3, "r": 6, "s": 3},
+    {"d": 6, "m": 2, "max_N": 28, "n": 4, "r": 14, "s": 10},
+]
+CONSTRUCT = "construct base --n 3 --m 2 --r 6 --d 5 --p 101 --seed 4 --out new.json"
+INDUCT = "induct --state s0.json --steps 2 --seed 5 --out new.json"
+TELESCOPE = "skeleton telescope --c 2 --r 2 --trials 3 --seed 7"
+TRANSFER_G = "skeleton transfer --graph graph.json --c 2 --r 2 --trials 4 --seed 3"
+
+# (argv, exit code, stdout, stderr) of every command output, in text mode
+# and under --json; the states s0.json (construct seed 4) and s2.json (two
+# induct steps, seed 5) and bad.json (s0 with e_1 lowered to 0) are given
+PINNED_OUTPUTS = [
+    ("bounds --sum 5 4", 0, "S(5,4) = 5\n", ""),
+    ("bounds --sum 5 4 --json", 0, _canonical({"m": 4, "n": 5, "sum": 5}), ""),
+    ("bounds --sum 4 2", 0, "S(4,2) = 10 (closed form 10)\n", ""),
+    ("bounds --sum 4 2 --json", 0, _canonical({"closed_form": 10, "m": 2, "n": 4, "sum": 10}), ""),
+    ("bounds --d 5 --N 10 --m 2", 0, "applicable: yes, witness n=3 r=6 s=1\n", ""),
+    ("bounds --d 5 --N 10 --m 2 --json", 0, _canonical(
+        {"N": 10, "applicable": True, "char": 0, "d": 5, "m": 2, "witness": WITNESS_5_10}), ""),
+    ("bounds --d 5 --N 10 --m 2 --char 5 --json", 0, _canonical(
+        {"N": 10, "applicable": True, "char": 5, "d": 5, "m": 2, "witness": WITNESS_5_10}), ""),
+    ("bounds --d 5 --N 13 --m 2", 0, "applicable: no\n", ""),
+    ("bounds --d 5 --N 13 --m 2 --json", 0, _canonical(
+        {"N": 13, "applicable": False, "char": 0, "d": 5, "m": 2}), ""),
+    ("bounds --table 5:6 --m 2", 0, "d\tm\tmax_N\tn\tr\ts\n5\t2\t12\t3\t6\t3\n6\t2\t28\t4\t14\t10\n", ""),
+    ("bounds --table 5:6 --m 2 --json", 0, _canonical(TABLE_5_6), ""),
+    ("bounds", 2, "", "error: need --d, --N, --m (or --sum / --table)\n"),
+    ("bounds --json", 2, "", "error: need --d, --N, --m (or --sum / --table)\n"),
+    ("bounds --table 4:10 --json", 2, "", "error: --table needs --m\n"),
+    (CONSTRUCT, 0, "wrote new.json (s=0, e=[1, 1, 0, 1, 0, 0])\n", ""),
+    (CONSTRUCT + " --json", 0, _canonical({"e": [1, 1, 0, 1, 0, 0], "out": "new.json", "s": 0}), ""),
+    (INDUCT, 0, "wrote new.json (s=2, e=[0, 0, 0, 1, 0, 0])\n", ""),
+    (INDUCT + " --json", 0, _canonical({"e": [0, 0, 0, 1, 0, 0], "out": "new.json", "s": 2, "steps": 2}), ""),
+    ("induct --state s0.json --steps 9 --seed 5 --out new.json", 1, "",
+     "stopped after 3 step(s): EjExhausted: no column has ladder value >= 1\n"),
+    ("verify --state s2.json --trials 6 --seed 3", 0, _verify_text(), ""),
+    ("verify --state s2.json --trials 6", 0, _verify_text(), ""),
+    ("verify --state bad.json --trials 6 --seed 3", 1, _verify_text({"ladder-maximal-j1"}), ""),
+    (TELESCOPE, 0, "telescope c=2 r=2: 3/3 pass\n", ""),
+    ("skeleton coker --map [[2]] --m 2", 0, "2-torsion: yes\n", ""),
+    ("skeleton coker --map [[2]] --m 3 --json", 0, _canonical({"m": 3, "torsion": False}), ""),
+    (TRANSFER_G, 0, "transfer: 2/4 solvable, 2 verified\n", ""),
+    (TRANSFER_G + " --json", 0, _canonical({"pass": True, "solved": 2, "trials": 4, "verified": 2}), ""),
+    ("skeleton subdivide --graph graph.json --r 3", 0, _canonical(
+        {"edges": 3, "edges_expected": 3, "pass": True, "r": 3, "vertices": 4, "vertices_expected": 4}), ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PINNED_OUTPUTS, ids=[case[0] for case in PINNED_OUTPUTS])
+def test_command_outputs_pinned(tmp_path, monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.chdir(tmp_path)
+    _write_graph(tmp_path)
+    if argv.split()[0] in ("induct", "verify"):
+        run(capsys, *CONSTRUCT.replace("new.json", "s0.json").split())
+        run(capsys, *INDUCT.replace("new.json", "s2.json").split())
+        data = json.loads((tmp_path / "s0.json").read_text())
+        data["e"][0] = 0
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+    assert run(capsys, *argv.split()) == (code, out, err)
+
+
+@pytest.mark.parametrize("target", ["no-such-dir/out.json", "."])
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        "construct base --n 3 --m 2 --r 6 --d 5 --p 101 --out",
+        "induct --state s0.json --seed 5 --out",
+        "verify --state s0.json --trials 2 --seed 3 --report",
+    ],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, monkeypatch, capsys, cmd, target):
+    """An output path in a missing directory, or naming a directory, gets
+    one error line naming it and exit 2, as an unreadable input does."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, *"construct base --n 3 --m 2 --r 6 --d 5 --p 101 --out s0.json".split())
+    code, out, err = run(capsys, *cmd.split(), target)
+    assert code == 2 and out == ""
+    _assert_one_error_line(err, "cannot write", target)

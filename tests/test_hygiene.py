@@ -228,6 +228,25 @@ def test_one_field_handle_site():
     assert importers == ["bifactor.py"], importers
 
 
+def test_one_way_out_of_the_cli():
+    """A CLI result leaves through ``cli._emit``, the one ``print`` to
+    standard output; a usage error reaches ``main`` as a ValueError, so
+    ``main`` is the one function that returns the exit code 2."""
+    [tree] = [tree for name, tree in _trees() if name == "cli.py"]
+    prints, returns = [], []
+    for owner in tree.body:
+        name = getattr(owner, "name", "<module>")
+        for node in ast.walk(owner):
+            if isinstance(node, ast.Call) and _callee(node) == "print" and name != "_emit":
+                if not any(k.arg == "file" for k in node.keywords):
+                    prints.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and name != "main":
+                if node.value.value == 2:
+                    returns.append(f"{name}:{node.lineno}")
+    assert not prints, prints
+    assert not returns, returns
+
+
 MODULES = {path.stem for path in SOURCES}
 
 
