@@ -367,6 +367,9 @@ def squarefree_decomposition_v(p, f):
         i += 1
         g = _divide(p, g, gh)
         h = gh
+    if deg_v(g) > 0 or deg_u(g) > 0:
+        # the g_i^i with p | i: their v-derivative vanishes, so Yun cannot split them
+        raise FactorizationFailure("characteristic too small for squarefree split")
     return out
 
 

@@ -2,9 +2,10 @@
 
 ``smith_normal_form`` diagonalizes over Z by unimodular row/column
 operations with a deterministic pivot rule: smallest nonzero absolute
-value, ties broken by lowest row then lowest column.  The transforms are
-returned, so linear systems over Z are solved through the diagonal form.
-Its entries can grow to hundreds of bits, so it serves only c = 0.
+value, ties broken by lowest row then lowest column.  The transforms
+are returned, so linear systems over Z are solved through the diagonal
+form.  Their entries still grow (to about 1,900 bits on dense 40-row
+maps), so it serves only c = 0.
 
 Over Z/c with c >= 2 nothing needs the integers: Z/c splits by CRT into
 the rings Z/q for the prime powers q = p^e exactly dividing c, and
@@ -44,98 +45,57 @@ def matvec(A, v):
 
 
 def smith_normal_form(A):
-    """(U, D, V, rank) with U*A*V = D; D diagonal, d_1 | d_2 | ... positive."""
+    """(U, D, V, rank) with U*A*V = D; D diagonal, d_1 | d_2 | ... positive.
+
+    One loop per diagonal position k: move the pivot (smallest nonzero
+    |value| in the block from (k, k) on, then lowest row, then lowest
+    column) to (k, k), make it positive, and subtract the floor-quotient
+    multiple of row k from each lower row and of column k from each later
+    column.  The remainders are smaller than the pivot, so repeat until
+    row and column k are clear; then add into row k the first lower row
+    with a block entry that d_k does not divide, and repeat again.
+    """
     rows = len(A)
     cols = len(A[0]) if rows else 0
     D = [row[:] for row in A]
-    U = identity(rows)
-    V = identity(cols)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, q):
-        for row in D:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-
+    U, V = identity(rows), identity(cols)
     k = 0
     while k < min(rows, cols):
-        # deterministic pivot: smallest |value|, then lowest row, then column
-        pivot = None
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                a = D[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
-        if pivot is None:
+        block = [(abs(a), i, j) for i in range(k, rows) for j, a in enumerate(D[i]) if a and j >= k]
+        if not block:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
+        _, i, j = min(block)
+        D[k], D[i], U[k], U[i] = D[i], D[k], U[i], U[k]
+        for row in D + V:
+            row[k], row[j] = row[j], row[k]
         if D[k][k] < 0:
-            negate_row(k)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, rows):
-                if D[i][k] % D[k][k] != 0:
-                    add_row(k, i, -(D[i][k] // D[k][k]))
-                    swap_rows(k, i)
-                    if D[k][k] < 0:
-                        negate_row(k)
-                    dirty = True
-            if dirty:
-                continue
-            for i in range(k + 1, rows):
-                if D[i][k]:
-                    add_row(k, i, -(D[i][k] // D[k][k]))
-            for j in range(k + 1, cols):
-                if D[k][j] % D[k][k] != 0:
-                    q = -(D[k][j] // D[k][k])
-                    add_col(k, j, q)
-                    swap_cols(k, j)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(k + 1, cols):
-                if D[k][j]:
-                    add_col(k, j, -(D[k][j] // D[k][k]))
-            # divisibility fix-up: d_k must divide the rest of the block
-            for i in range(k + 1, rows):
-                bad = next((j for j in range(k + 1, cols) if D[i][j] % D[k][k] != 0), None)
-                if bad is not None:
-                    add_row(i, k, 1)
-                    dirty = True
-                    break
-        k += 1
-    rank = sum(1 for i in range(min(rows, cols)) if D[i][i] != 0)
-    return U, D, V, rank
+            D[k], U[k] = [-a for a in D[k]], [-a for a in U[k]]
+        d = D[k][k]
+        for i in range(k + 1, rows):
+            q = D[i][k] // d
+            if q:
+                D[i] = [a - q * b for a, b in zip(D[i], D[k])]
+                U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+        for j in range(k + 1, cols):
+            q = D[k][j] // d
+            if q:
+                for row in D + V:
+                    row[j] -= q * row[k]
+        if any(D[i][k] for i in range(k + 1, rows)) or any(D[k][k + 1:]):
+            continue
+        bad = next((i for i in range(k + 1, rows) if any(a % d for a in D[i][k + 1:])), None)
+        if bad is None:
+            k += 1
+        else:
+            D[k] = [a + b for a, b in zip(D[k], D[bad])]
+            U[k] = [a + b for a, b in zip(U[k], U[bad])]
+    return U, D, V, k
 
 
 def invariant_factors(A):
     """Positive diagonal entries d_1 | d_2 | ... of the Smith form."""
     _, D, _, rank = smith_normal_form(A)
-    return [abs(D[i][i]) for i in range(rank)]
+    return [D[i][i] for i in range(rank)]
 
 
 def _echelon_mod(A, q, ncols):

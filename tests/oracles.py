@@ -1190,6 +1190,9 @@ def _field_protocol_bifactor(uni):
             i += 1
             g = _divide(F, g, gh)
             h = gh
+        if deg_v(g) > 0 or deg_u(g) > 0:
+            # the g_i^i with p | i: their v-derivative vanishes, so Yun cannot split them
+            raise FactorizationFailure("characteristic too small for squarefree split")
         return out
 
 

@@ -144,6 +144,16 @@ def test_no_v_regular_position_is_a_typed_error():
     assert issubclass(FactorizationFailure, ConewalkError)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_multiplicity_divisible_by_p_is_refused(seed):
+    """(u+2)^6 (v+1)^2 over GF(3): the v-derivative of (u+2)^6 vanishes,
+    so the squarefree split cannot separate it, and says so instead of
+    dropping it (the re-multiplication check would name the wrong cause)."""
+    f = [[1, 0, 0, 1, 0, 0, 1], [2, 0, 0, 2, 0, 0, 2], [1, 0, 0, 1, 0, 0, 1]]
+    with pytest.raises(FactorizationFailure, match="characteristic too small for squarefree split"):
+        bi.factor_bivariate(PrimeField(3), f, random.Random(seed))
+
+
 def test_expansion_point_search_tries_every_point_it_needs():
     """f is squarefree over GF(7) and u = 5 is its only good expansion
     point: the search stops only after min(p, n(n-1) + 1) distinct points,

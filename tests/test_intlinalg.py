@@ -1,9 +1,12 @@
-"""Normal forms verified against the determinantal-divisor oracle."""
+"""Normal forms verified against the determinantal-divisor oracle and,
+where it is installed, sympy's Smith form."""
 
+import json
 import random
 
 import pytest
 
+from conewalk.cli import main
 from conewalk.coeffs import prime_powers
 from conewalk.intlinalg import (
     invariant_factors,
@@ -12,7 +15,14 @@ from conewalk.intlinalg import (
     smith_normal_form,
     solve_mod,
 )
-from conewalk.skeleton import cokernel_torsion
+from conewalk.skeleton import (
+    ChainSkeleton,
+    DualGraph,
+    FgModule,
+    cokernel_torsion,
+    phi_map_subdivided,
+    subdivide,
+)
 
 from oracles import gf_rank, max_abs_minor_gcd
 
@@ -81,7 +91,8 @@ def _is_solution(A, x, b, c):
 
 
 def test_large_maps_mod_c_against_residue_field_ranks():
-    """Big maps over Z/c, where the Smith form over Z is out of reach.
+    """Big maps over Z/c, solved by the elimination over each Z/q, not
+    through the Smith form over Z.
 
     By Nakayama, a map over Z/c is onto iff it is onto over GF(p) for
     every p dividing c.  Half the maps are made rank-deficient mod one p
@@ -160,9 +171,9 @@ def test_solve_detects_unsolvable():
 
 
 def test_known_snf():
-    # the classical example diag(2, 6) from [[2,4],[4,8],[2,8]] style inputs
+    # the entries have gcd 2 and det = 2*8 - 4*6 = -8 = -2*4: diag(2, 4)
     A = [[2, 4], [6, 8]]
-    assert invariant_factors(A) == [2, 4] or invariant_factors(A) == [2, 4]
+    assert invariant_factors(A) == [2, 4]
     d1d2 = invariant_factors(A)
     assert d1d2[0] * d1d2[1] == abs(2 * 8 - 4 * 6)
     assert d1d2[0] == max_abs_minor_gcd(A, 1)
@@ -185,3 +196,84 @@ def test_solve_mod_many_targets_match_one_at_a_time():
     assert solve_mod([], 3, [[], []], 6) == [[0, 0, 0], [0, 0, 0]]
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve_mod([[1, 2]], 3, [[1]], 4)
+
+
+def _dense_map(seed, rows, cols):
+    rng = random.Random(seed)
+    return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+
+
+def _phi_map_over_z(seed):
+    """The subdivided obstruction map of a seeded path skeleton over Z:
+    2-5 vertices, module ranks 1-3, entries in [-3, 3], r = 2-4."""
+    rng = random.Random(seed)
+    nv, r = rng.randint(2, 5), rng.randint(2, 4)
+    vertices = tuple(range(nv))
+    edges = tuple((v, v + 1) for v in vertices[:-1])
+
+    def module():
+        return FgModule(ring=0, rank=rng.randint(1, 3))
+
+    def matrix(rows, cols):
+        return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+
+    ch1 = {v: module() for v in vertices}
+    ch0v = {v: module() for v in vertices}
+    ch0e = {e: module() for e in edges}
+    inter = {(e, v): matrix(ch0e[e].ngens, ch1[v].ngens) for e in edges for v in e}
+    push = {(e, v): matrix(ch0v[v].ngens, ch0e[e].ngens) for e in edges for v in e}
+    sk = ChainSkeleton(DualGraph(vertices, edges), ch1, ch0v, ch0e, inter, push)
+    return phi_map_subdivided(subdivide(sk, r)).matrix
+
+
+def _check_against_sympy(A):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    U, D, V, rank = smith_normal_form(A)
+    assert matmul(matmul(U, A), V) == D
+    S = sympy_snf(sympy.Matrix(A), domain=sympy.ZZ)
+    expected = [abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i]]
+    assert [D[i][i] for i in range(rank)] == expected
+
+
+def test_smith_form_of_dense_maps_matches_sympy():
+    for n in range(2, 31):
+        for s in range(2):
+            _check_against_sympy(_dense_map(1000 * n + s, n, n - 1))
+            _check_against_sympy(_dense_map(1000 * n + s, n, n))
+
+
+def test_smith_form_of_subdivided_obstruction_maps_matches_sympy():
+    for seed in range(40):
+        _check_against_sympy(_phi_map_over_z(seed))
+
+
+def test_skeleton_coker_over_z_pinned(tmp_path, capsys):
+    """An 18 x 21 subdivided obstruction map over Z with cokernel
+    Z/2 + Z/2 + Z/6 (invariant factors from sympy): 6 kills it, 3 does
+    not."""
+    A = _phi_map_over_z(2380)
+    assert (len(A), len(A[0])) == (18, 21)
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(A))
+    for m, torsion in ((6, True), (3, False)):
+        argv = ["skeleton", "coker", "--map", json.dumps(str(path)), "--m", str(m), "--c", "0", "--json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps({"m": m, "torsion": torsion}, indent=2) + "\n"
+
+
+def test_solve_mod_over_z_reaches_m_e_i_iff_m_kills_the_cokernel():
+    """A 20 x 20 map of rank 20 has a finite cokernel, killed by its
+    largest invariant factor m and by no proper divisor of it."""
+    A = _dense_map(20, 20, 20)
+    m = invariant_factors(A)[-1]
+    divisor = m // next(q for q in range(2, m + 1) if m % q == 0)
+    for k, kills in ((m, True), (divisor, False)):
+        assert cokernel_torsion(A, k, ring=0) == kills
+        targets = [[k if i == j else 0 for j in range(20)] for i in range(20)]
+        xs = solve_mod(A, 20, targets, 0)
+        assert all(x is not None for x in xs) == kills
+        for b, x in zip(targets, xs):
+            if x is not None:
+                assert matvec(A, x) == b
