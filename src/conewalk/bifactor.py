@@ -19,7 +19,13 @@ factorization, which also runs over GF(p^k), is the tests' reference
   good expansion point, subset recombination, and the inverse shear.  A
   factor of v-degree e of a v-regular f has total degree e, so a
   candidate whose v^j coefficient has u-degree above e - j is skipped
-  before any division: it cannot divide.
+  before any division: it cannot divide.  Recombination tries subsets
+  of the local factors by increasing size, only those whose degrees sum
+  to at most half of deg_v of what remains: a reducible polynomial has a
+  factor of at most half its degree.  Such a factor of f, n = deg_v f,
+  has u-degree at most n // 2, so the lift stops at precision u^(n//2 + 1)
+  (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 15), and
+  the cofactor comes from exact division.
 * ``squarefree_at_a_point`` -- f with a nonzero constant leading
   v-coefficient is squarefree when f(a, v) is, for some a in
   0..D(D-1), D = deg_v f: no factor of f lies in F[u] and each keeps its
@@ -52,8 +58,6 @@ Requires odd characteristic larger than the total degree throughout.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from itertools import combinations
 from math import comb
 
@@ -433,7 +437,10 @@ def factor_squarefree_regular(p, f, rng):
     n = deg_v(f)
     if n == 1:
         return [f]
-    T = total_degree(f) + 1
+    # a reducible divisor of f has a factor of at most half its v-degree,
+    # whose u-degree is at most n // 2 (f is v-regular): lifting to
+    # u^(n//2 + 1) makes the truncated product of its local factors exact
+    T = n // 2 + 1
     # find an expansion point where the v-slice stays squarefree; disc_v f
     # has u-degree at most n(n-1), so n(n-1) + 1 distinct points hold one
     point = None
@@ -455,19 +462,25 @@ def factor_squarefree_regular(p, f, rng):
     if len(factors0) == 1:
         return [f]
     lifted = hensel_multi(p, shifted, factors0, T)
+    degs = [deg_v(g) for g in lifted]
 
+    # subsets by increasing size, of local degree at most half that of
+    # what remains: the first that divides is an irreducible factor, and
+    # what remains once none divides is irreducible
     found = []
     remaining = shifted
     active = list(range(len(lifted)))
     size = 1
-    while 2 * size <= len(active):
+    while sum(sorted(degs[i] for i in active)[:size]) <= deg_v(remaining) // 2:
         for subset in combinations(active, size):
+            e = sum(degs[i] for i in subset)
+            if 2 * e > deg_v(remaining):
+                continue
             cand = [[1]]
             for i in subset:
                 cand = vmul(p, cand, lifted[i], trunc=T)
             # a factor of v-degree e of the v-regular f has total degree e,
             # so u-degree <= e - j at v^j; a candidate beyond that cannot divide
-            e = deg_v(cand)
             if any(len(col) > e - j + 1 for j, col in enumerate(cand)):
                 continue
             q = vdivexact(p, remaining, cand)
@@ -633,8 +646,6 @@ def smooth_rational_point(p, f):
     return None
 
 
-# item size -> array type code, to read packed slots back in one call
-_SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
 # (p, k) -> [row_0, row_1, ...]: row j packs b^j mod p at slot b, k bytes a slot
 _POWER_ROWS = {}
 
@@ -651,8 +662,7 @@ def _roots(g, p):
     next; with no such k, ``FactorizationFailure`` is raised before any
     table is built.
     """
-    bound = len(g) * (p - 1) ** 2
-    k = next((k for k in (1, 2, 4, 8) if bound < 1 << 8 * k), None)
+    k = uni.slot_bytes(len(g) * (p - 1) ** 2)
     if k is None:
         raise FactorizationFailure(
             f"p={p} is too large for the packed root search: "
@@ -661,14 +671,9 @@ def _roots(g, p):
     rows = _POWER_ROWS.get((p, k), [])
     if len(rows) < len(g):
         # a new list, not an append, so a concurrent reader never sees a gap
-        rows = rows + [
-            int.from_bytes(b"".join(pow(b, j, p).to_bytes(k, "little") for b in range(p)), "little")
-            for j in range(len(rows), len(g))
-        ]
+        rows = rows + [uni.pack([pow(b, j, p) for b in range(p)], k) for j in range(len(rows), len(g))]
         _POWER_ROWS[p, k] = rows
-    slots = array(_SLOT_CODES[k], sum(c * row for c, row in zip(g, rows)).to_bytes(p * k, "little"))
-    if sys.byteorder == "big":
-        slots.byteswap()
+    slots = uni.unpack(sum(c * row for c, row in zip(g, rows)), p, k)
     return [b for b, x in enumerate(slots) if not x % p]
 
 

@@ -403,19 +403,19 @@ class SparsePoly:
 
     # -- degrees --
 
-    def _variable_degrees(self):
+    def total_degree(self) -> int:
+        """The greatest variable degree of a term; raises on the zero
+        polynomial.  A key's top field is its variable degree, so the
+        greatest key carries it."""
         if not self.terms:
             raise ZeroPolynomial("degree of the zero polynomial")
-        top = self.universe._layout.top
-        return {k >> top for k in self.terms}
-
-    def total_degree(self) -> int:
-        return max(self._variable_degrees())
+        return max(self.terms) >> self.universe._layout.top
 
     def degree_info(self):
-        """(total degree, homogeneous?) — raises on the zero polynomial."""
-        degs = self._variable_degrees()
-        return max(degs), len(degs) == 1
+        """(total degree, homogeneous?) — raises on the zero polynomial;
+        homogeneous when the least key has the same degree."""
+        d = self.total_degree()
+        return d, min(self.terms) >> self.universe._layout.top == d
 
     def _param_slot(self, name: str) -> int:
         return len(self.universe) + self.universe.ring.index(name)

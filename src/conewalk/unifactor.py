@@ -10,14 +10,26 @@ Factorization runs squarefree decomposition, then distinct-degree
 splitting, then randomized equal-degree splitting (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 14); randomness comes from an
 explicit ``random.Random`` so results are reproducible per seed.  The
-field-protocol version of this module, which also factors over
-GF(p^k), is the tests' reference (``tests/oracles.py``).
+Frobenius powers of those stages (``pow_mod``) run on packed ints: a
+residue mod m, n = deg m, is one int of n k-byte slots (Kronecker
+packing, Harvey, J. Symbolic Comput. 44, 2009), a product is one int
+product, and its reduction mod m adds the high slots times the rows
+x^j mod m, packed once per call.  A slot must hold n^2 (p-1)^3, so k is
+the smallest of 1, 2, 4 and 8 bytes that does; below ``coeffs.P_LIMIT``
+8 bytes hold it up to degree 16383, and past 8 bytes
+``FactorizationFailure`` is raised before anything is packed.  The
+field-protocol version of this module, which also factors over GF(p^k),
+is the tests' reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from operator import mul as _mul_int
+
 from .coeffs import ff_inv_int, prime_powers
-from .errors import ZeroPolynomial
+from .errors import FactorizationFailure, ZeroPolynomial
 
 
 def normalize(f):
@@ -110,16 +122,84 @@ def ext_gcd(p, f, g):
     return mul_scalar(p, r0, c), mul_scalar(p, s0, c), mul_scalar(p, t0, c)
 
 
+# item size -> array type code, to read packed slots back in one call
+_SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def slot_bytes(bound):
+    """The smallest of 1, 2, 4 and 8 bytes whose unsigned slot holds
+    ``bound``, or None when not even 8 do."""
+    return next((k for k in (1, 2, 4, 8) if bound < 1 << 8 * k), None)
+
+
+def pack(values, k):
+    """The ints of ``values``, each below 2^(8k), as one int of k-byte
+    little-endian slots."""
+    slots = array(_SLOT_CODES[k], values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def unpack(x, count, k):
+    """The ``count`` k-byte little-endian slots of an int 0 <= x <
+    2^(8 k count), as an array."""
+    slots = array(_SLOT_CODES[k], x.to_bytes(count * k, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
 def pow_mod(p, f, e: int, m):
-    out = [1]
+    """f^e mod m over GF(p), by square-and-multiply on packed ints.
+
+    With n = deg m, a residue packs its n coefficients in k-byte slots.
+    The product of two is one int product whose slot j < 2n - 1 holds
+    the x^j coefficient unreduced, at most n(p-1)^2.  Slots n..2n-2 are
+    read back, and each times its row, x^j mod m packed, is added to the
+    low n slots: each stays at most n^2 (p-1)^3, so no slot carries, and
+    reading the n slots back with one ``% p`` each gives the residue.
+    Raises ``FactorizationFailure`` when no 8-byte slot holds n^2 (p-1)^3.
+    """
     base = divmod_poly(p, f, m)[1]
+    if not e:
+        return [1]
+    n = len(m) - 1
+    k = slot_bytes(n * n * (p - 1) ** 3)
+    if k is None:
+        raise FactorizationFailure(
+            f"p={p} is too large for the packed powers mod a modulus of degree {n}: "
+            f"no 8-byte slot holds {n}^2*(p-1)^3"
+        )
+    if not base:
+        return []
+    # x^n = -sum_i tail_i x^i mod m; x^(j+1) mod m shifts x^j mod m up one
+    # place and folds its top coefficient back by the same rule
+    inv_lc = ff_inv_int(m[-1], p)
+    tail = [b * inv_lc % p for b in m[:-1]]
+    row = [-b % p for b in tail]
+    rows = []
+    for _ in range(n - 1):
+        rows.append(pack(row, k))
+        top = row[-1]
+        row = [(a - top * b) % p for a, b in zip([0] + row, tail)]
+    width = 8 * k * n
+    low = (1 << width) - 1
+
+    def mulmod(a, b):
+        x = a * b
+        x = sum(map(_mul_int, unpack(x >> width, n - 1, k), rows), x & low)
+        return pack([c % p for c in unpack(x, n, k)], k)
+
+    base = pack(base + [0] * (n - len(base)), k)
+    out = None
     while e:
         if e & 1:
-            out = divmod_poly(p, mul(p, out, base), m)[1]
+            out = base if out is None else mulmod(out, base)
         e >>= 1
         if e:
-            base = divmod_poly(p, mul(p, base, base), m)[1]
-    return out
+            base = mulmod(base, base)
+    return normalize(unpack(out, n, k).tolist())
 
 
 def derivative(p, f):

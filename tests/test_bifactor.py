@@ -784,3 +784,78 @@ def test_int_kernels_agree_with_the_field_protocol_reference_on_products(p):
         b = bi.vmul(p, fs[0], rand_of_degree(p, rng, 2, False))
         assert bi.biv_gcd(p, a, b) == ref_bi.biv_gcd(F, a, b), (p, bi.to_dict(a), bi.to_dict(b))
     assert factored >= {2: 4, 3: 13, 5: 22}.get(p, 24), factored
+
+
+def _with_slice(p, rng, a, g0):
+    """A random v-monic bivariate of v-degree and total degree n = deg g0
+    whose value at u = a is g0: g0(v) + (u - a) h(u, v), deg h <= n - 1."""
+    n = len(g0) - 1
+    h = bi.from_dict(p, {(i, j): rng.randrange(p) for j in range(n) for i in range(n - j)})
+    f = bi.to_dict(bi.vmul(p, [[-a % p, 1]], h))
+    for j, c in enumerate(g0):
+        f[(0, j)] = f.get((0, j), 0) + c
+    return bi.from_dict(p, f)
+
+
+def _split_slice(p, rng, n):
+    """prod (v - c_i) over n distinct random c_i."""
+    g0 = [1]
+    for c in rng.sample(range(p), n):
+        g0 = uni.mul(p, g0, [-c % p, 1])
+    return g0
+
+
+def _irreducible_with_slice(p, rng, a, g0):
+    while True:
+        f = _with_slice(p, rng, a, g0)
+        _, fs = ref_bi.factor_bivariate(PrimeField(p), f, random.Random(0))
+        if len(fs) == 1 and fs[0][1] == 1:
+            return f
+
+
+def _recombination_cases(p):
+    """(label, seed, f, local degrees at the expansion point, factor
+    degrees).  ``factor_bivariate(F, f, random.Random(seed))`` draws no
+    shear for these v-monic, v-regular f, so its expansion point is the
+    seed's first draw, a."""
+    rng = random.Random(p + 29)
+    cases = []
+    seed = 1
+    a = random.Random(seed).randrange(p)
+    # a quartic, four of the five local factors, times an irreducible quintic
+    quartic = _irreducible_with_slice(p, rng, a, _split_slice(p, rng, 4))
+    quintic = _with_slice(p, rng, a, uni.find_irreducible(p, 5, rng))
+    cases.append(("4 of 5 local factors", seed, bi.vmul(p, quartic, quintic), [1, 1, 1, 1, 5], [4, 5]))
+    # factors of degree exactly n // 2 whose v^0 coefficient has u-degree n // 2
+    for e, other in ((2, 3), (3, 3)):
+        half = _v_regular_irreducible(p, rng, e)
+        while len(half[0]) != e + 1:
+            half = _v_regular_irreducible(p, rng, e)
+        f = bi.vmul(p, half, _v_regular_irreducible(p, rng, other))
+        cases.append((f"degree {e} = n // 2 with u^{e}", seed, f, None, sorted([e, other])))
+    # irreducible, with n linear local factors
+    for n in (5, 6):
+        f = _irreducible_with_slice(p, rng, a, _split_slice(p, rng, n))
+        cases.append((f"irreducible with {n} linear local factors", seed, f, [1] * n, [n]))
+    return a, cases
+
+
+@pytest.mark.parametrize("p", (101, 103))
+def test_recombination_edge_cases_match_the_full_precision_reference(p):
+    """Lifting to u^(n//2 + 1) and trying only subsets of at most half the
+    remaining degree finds what the reference finds with the full lift
+    and subsets of up to half the local factors, with the same random
+    draws: a factor made of more than half of the local factors, a factor
+    of degree n // 2 that needs its u^(n // 2) coefficient, and an
+    irreducible f whose slice splits into n linear factors."""
+    F = PrimeField(p)
+    a, cases = _recombination_cases(p)
+    for label, seed, f, local, degrees in cases:
+        if local is not None:
+            _, slice_factors = uni.factor(p, bi.eval_u(p, f, a), random.Random(0))
+            assert sorted(len(g) - 1 for g, _ in slice_factors) == local, label
+        r_int, r_ref = random.Random(seed), random.Random(seed)
+        got = bi.factor_bivariate(F, f, r_int)
+        assert got == ref_bi.factor_bivariate(F, f, r_ref), label
+        assert r_int.getstate() == r_ref.getstate(), label
+        assert sorted(bi.total_degree(g) for g, _ in got[1]) == degrees, label

@@ -1,11 +1,13 @@
 """Univariate factorization against an exhaustive trial-division oracle."""
 
 import random
+import time
 from itertools import product
 
 import pytest
 
 from conewalk import unifactor as uni
+from conewalk.errors import FactorizationFailure
 from oracles import ExtField, PrimeField, extension_field, ref_uni
 
 
@@ -249,3 +251,33 @@ def test_factor_agrees_with_sympy(p):
         want = sorted(([int(c) % p for c in reversed(g.all_coeffs())], mult) for g, mult in want_fs)
         assert lc == int(want_lc) % p, (p, f)
         assert sorted(fs) == want, (p, f)
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, 4093))
+def test_packed_pow_mod_matches_the_reference(p):
+    """Seeded moduli of degree 1..63 over GF(p), monic or not: packed
+    ``pow_mod`` returns what the reference's list square-and-multiply
+    returns, at e = 0, 1, p, p^k and (p^d - 1)/2 (the exponents of the
+    distinct- and equal-degree stages), and on a zero base."""
+    F = PrimeField(p)
+    rng = random.Random(3100 + p)
+    degrees = sorted({1, 2, 63} | set(rng.sample(range(3, 63), 6)))
+    for n in degrees:
+        m = _random_poly(rng, p, n)
+        if n % 2:
+            m = uni.monic(p, m)
+        f = _random_poly(rng, p, rng.randint(0, 2 * n))
+        for e in (0, 1, p, p ** rng.randint(2, 4), (p ** rng.randint(1, 3) - 1) // 2):
+            assert uni.pow_mod(p, f, e, m) == ref_uni.pow_mod(F, f, e, m), (p, n, e)
+            assert uni.pow_mod(p, [], e, m) == ref_uni.pow_mod(F, [], e, m), (p, n, e)
+
+
+def test_pow_mod_refuses_a_prime_too_large_for_packed_slots():
+    """At p = 4294967311 no 8-byte slot holds n^2 (p-1)^3, even at n = 1:
+    ``pow_mod`` raises a typed error naming p and deg m before it packs
+    anything."""
+    p = 4294967311
+    start = time.perf_counter()
+    with pytest.raises(FactorizationFailure, match="p=4294967311 .* degree 3"):
+        uni.pow_mod(p, [0, 1], p, [5, 0, 2, 1])
+    assert time.perf_counter() - start < 1.0
