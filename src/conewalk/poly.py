@@ -48,7 +48,11 @@ Whitespace may stand between tokens but not inside one.  A ``-``
 subtracts however it is spaced, and signs an int only right after
 ``^``; every ``*`` needs a factor after it.  The canonical emitter
 writes ``" + "`` between terms, least non-negative residues, and
-``"0"`` for the zero polynomial.
+``"0"`` for the zero polynomial.  ``parse_poly`` reads canonical text
+with a strict reader that accepts the emitter's output alone, and the
+polynomial keeps that text; ``canonical_string`` returns it, or emits
+once and keeps the result.  So a state field that a step leaves
+unchanged is saved again without being emitted.
 """
 
 from __future__ import annotations
@@ -169,6 +173,9 @@ class VarUniverse:
     _slots: dict = field(init=False, repr=False, compare=False)
     _layout: _Layout = field(init=False, repr=False, compare=False)
     _units: dict = field(init=False, repr=False, compare=False)  # the unit of every name
+    # (rank, unit) of every name, ranked in the order a canonical term
+    # writes its factors: parameters in ring order, then variables
+    _factors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -179,6 +186,8 @@ class VarUniverse:
         object.__setattr__(self, "_slots", {name: k for k, name in enumerate(self.names + self.ring.names)})
         object.__setattr__(self, "_layout", _layout(len(self.names), self.ring.nparams))
         object.__setattr__(self, "_units", dict(zip(self._slots, self._layout.units)))
+        ranked = enumerate(self.ring.names + self.names)
+        object.__setattr__(self, "_factors", {name: (k, self._units[name]) for k, name in ranked})
 
     def __len__(self):
         return len(self.names)
@@ -234,9 +243,12 @@ def _poly(universe, terms):
 
 
 class SparsePoly:
-    """Immutable sparse polynomial over a ``VarUniverse``."""
+    """Immutable sparse polynomial over a ``VarUniverse``.  ``_text``, once
+    set, is its canonical text: the text ``parse_poly`` read it from when
+    that text was canonical, or the first emission; equality and hashing
+    do not read it."""
 
-    __slots__ = ("universe", "terms")
+    __slots__ = ("universe", "terms", "_text")
 
     def __init__(self, universe: VarUniverse, terms: dict):
         """``terms`` maps a full exponent tuple (variables, then
@@ -396,10 +408,28 @@ class SparsePoly:
             raise ValueError("negative power")
         if k == 0:
             return SparsePoly.constant(self.universe, 1)
+        if len(self.terms) == 1 and k > 1:
+            return self._monomial_power(k)
         out = self
         for _ in range(k - 1):
             out = out * self
         return out
+
+    def _monomial_power(self, k):
+        """The k-th power of a one-term polynomial as one key, base + k *
+        (key - base), once the variable degree and every parameter field
+        times k are checked to fit their fields."""
+        layout = self.universe._layout
+        ((key, c),) = self.terms.items()
+        # the variable degree bounds each variable exponent; below the
+        # variables lie the parameter degree and the parameters
+        fits = (key >> layout.top) * k < _LIMIT and all(
+            -_BIAS <= (((key >> s) & _FIELD) - _BIAS) * k < _BIAS for s in range(0, layout.pbits, _WIDTH)
+        )
+        if not fits:
+            raise ExponentOverflow("an exponent or degree of a result leaves its packed field")
+        base = layout.base
+        return _poly(self.universe, {base + k * (key - base): pow(c, k, self.universe.ring.p)})
 
     # -- degrees --
 
@@ -596,19 +626,40 @@ class SparsePoly:
     # -- canonical text form --
 
     def canonical_string(self) -> str:
+        """The canonical text, emitted on the first call and kept."""
+        text = getattr(self, "_text", None)
+        if text is None:
+            text = self._emit()
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def _emit(self):
         if not self.terms:
             return "0"
         layout = self.universe._layout
-        pmask, nonzero = (1 << layout.pbits) - 1, layout.nonzero
+        base, pmask, nonzero = layout.base, (1 << layout.pbits) - 1, layout.nonzero
         params = list(zip(self.universe.ring.names, layout.shifts[layout.nv:]))
         names = self.universe.names
+        # the parameter factors of each parameter part, and the text of
+        # each (slot, exponent) of a variable, formatted once per call
+        prefixes = {base: []}
+        texts = {}
         pieces = []
         for k, scalar in sorted(self.terms.items(), reverse=True):
             pk = k & pmask
+            factors = prefixes.get(pk)
+            if factors is None:
+                factors = prefixes[pk] = [
+                    n if e == 1 else f"{n}^{e}" for n, s in params if (e := ((pk >> s) & _FIELD) - _BIAS)
+                ]
             # parameters print before variables
-            factors = [n if e == 1 else f"{n}^{e}" for n, s in params if (e := ((pk >> s) & _FIELD) - _BIAS)]
-            for i, e in nonzero(k):
-                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
+            factors = factors.copy()
+            for item in nonzero(k):
+                text = texts.get(item)
+                if text is None:
+                    i, e = item
+                    text = texts[item] = names[i] if e == 1 else f"{names[i]}^{e}"
+                factors.append(text)
             if not factors:
                 pieces.append(str(scalar))
             elif scalar == 1:
@@ -648,16 +699,82 @@ def _factor_error(text, parts, k):
     return _error(f"missing operator in {atom!r}" if gap else f"unknown name {atom!r}", text, k)
 
 
+@functools.lru_cache(maxsize=4096)
+def _canonical_int(text):
+    """The int a decimal without sign, spaces or leading zero writes, as
+    ``str`` writes an int; None for any other text."""
+    try:
+        v = int(text)
+    except ValueError:
+        return None
+    return v if str(v) == text else None
+
+
+def _parse_canonical(text, universe):
+    """The polynomial of a text that ``canonical_string`` writes, carrying
+    that text; None for any other text.
+
+    A canonical term is an optional scalar, in [2, p) or, alone, in
+    [1, p), then factors ``name`` or ``name^e`` (e >= 2, or e < 0 at an
+    invertible parameter) in rank order, each name once; terms are joined
+    by " + " in strictly descending key order.  A key that sets a guard
+    bit ends the reading, so that the general loop names the error."""
+    ranked = universe._factors
+    layout = universe._layout
+    base, guard, p = layout.base, layout.guard, universe.ring.p
+    invertible = universe.ring.invertible
+    terms = {}
+    last = 1 << (layout.top + _WIDTH)  # above every key
+    for term in [] if text == "0" else text.split(" + "):
+        factors = term.split("*")
+        head = factors[0]
+        c = 1
+        if head not in ranked and "^" not in head:
+            c = _canonical_int(head)
+            if c is None or not (1 if len(factors) == 1 else 2) <= c < p:
+                return None
+            del factors[0]
+        key, rank = base, -1
+        for factor in factors:
+            name, caret, exp = factor.partition("^")
+            entry = ranked.get(name)
+            if entry is None or entry[0] <= rank:
+                return None
+            rank, unit = entry
+            if caret:
+                e = _canonical_int(exp)
+                if e is None or not (2 <= e < _LIMIT or (-_LIMIT < e < 0 and name in invertible)):
+                    return None
+                key += e * unit
+            else:
+                key += unit
+            if key & guard:
+                return None
+        if key >= last:
+            return None
+        terms[key] = c
+        last = key
+    f = _poly(universe, terms)
+    object.__setattr__(f, "_text", text)
+    return f
+
+
 def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
     """Parse the grammar above into a canonical ``SparsePoly``.
 
-    The stripped text is split once into alternating factors and
+    A text that the emitter writes is read by ``_parse_canonical``, and
+    its polynomial keeps the text for ``canonical_string``.  Any other
+    text, every malformed one included, goes through the general loop:
+    the stripped text is split once into alternating factors and
     operators.  Each factor adds its exponent times its name's unit to
     the term's packed key, and terms are summed in one dict of keys, so
     monomials keep the order of their first appearance in ``text``.  An
     exponent, or a degree, that leaves its field is a ``ParseError`` at
     its name, or at its term when the field fills up one factor at a time.
     """
+    f = _parse_canonical(text, universe)
+    if f is not None:
+        return f
     parts = _SPLIT.split(text.strip())
     if parts == [""]:
         raise ParseError("empty polynomial text", 0)

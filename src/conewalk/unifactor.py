@@ -14,12 +14,13 @@ Frobenius powers of those stages (``pow_mod``) run on packed ints: a
 residue mod m, n = deg m, is one int of n k-byte slots (Kronecker
 packing, Harvey, J. Symbolic Comput. 44, 2009), a product is one int
 product, and its reduction mod m adds the high slots times the rows
-x^j mod m, packed once per call.  A slot must hold n^2 (p-1)^3, so k is
-the smallest of 1, 2, 4 and 8 bytes that does; below ``coeffs.P_LIMIT``
-8 bytes hold it up to degree 16383, and past 8 bytes
-``FactorizationFailure`` is raised before anything is packed.  The
-field-protocol version of this module, which also factors over GF(p^k),
-is the tests' reference (``tests/oracles.py``).
+x^j mod m, packed once per modulus (``modulus_rows``), which
+``distinct_degree`` keeps while its modulus is unchanged.  A slot must
+hold n^2 (p-1)^3, so k is the smallest of 1, 2, 4 and 8 bytes that
+does; below ``coeffs.P_LIMIT`` 8 bytes hold it up to degree 16383, and
+past 8 bytes ``FactorizationFailure`` is raised before anything is
+packed.  The field-protocol version of this module, which also factors
+over GF(p^k), is the tests' reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -150,20 +151,10 @@ def unpack(x, count, k):
     return slots
 
 
-def pow_mod(p, f, e: int, m):
-    """f^e mod m over GF(p), by square-and-multiply on packed ints.
-
-    With n = deg m, a residue packs its n coefficients in k-byte slots.
-    The product of two is one int product whose slot j < 2n - 1 holds
-    the x^j coefficient unreduced, at most n(p-1)^2.  Slots n..2n-2 are
-    read back, and each times its row, x^j mod m packed, is added to the
-    low n slots: each stays at most n^2 (p-1)^3, so no slot carries, and
-    reading the n slots back with one ``% p`` each gives the residue.
-    Raises ``FactorizationFailure`` when no 8-byte slot holds n^2 (p-1)^3.
-    """
-    base = divmod_poly(p, f, m)[1]
-    if not e:
-        return [1]
+def modulus_rows(p, m):
+    """(k, rows) of a modulus m over GF(p), n = deg m, for ``pow_mod``:
+    the slot size in bytes and the rows x^j mod m, j = n..2n-2, packed.
+    Raises ``FactorizationFailure`` when no 8-byte slot holds n^2 (p-1)^3."""
     n = len(m) - 1
     k = slot_bytes(n * n * (p - 1) ** 3)
     if k is None:
@@ -171,8 +162,6 @@ def pow_mod(p, f, e: int, m):
             f"p={p} is too large for the packed powers mod a modulus of degree {n}: "
             f"no 8-byte slot holds {n}^2*(p-1)^3"
         )
-    if not base:
-        return []
     # x^n = -sum_i tail_i x^i mod m; x^(j+1) mod m shifts x^j mod m up one
     # place and folds its top coefficient back by the same rule
     inv_lc = ff_inv_int(m[-1], p)
@@ -183,6 +172,28 @@ def pow_mod(p, f, e: int, m):
         rows.append(pack(row, k))
         top = row[-1]
         row = [(a - top * b) % p for a, b in zip([0] + row, tail)]
+    return k, rows
+
+
+def pow_mod(p, f, e: int, m, reduction=None):
+    """f^e mod m over GF(p), by square-and-multiply on packed ints;
+    ``reduction`` is ``modulus_rows(p, m)``, built here when not given.
+
+    With n = deg m, a residue packs its n coefficients in k-byte slots.
+    The product of two is one int product whose slot j < 2n - 1 holds
+    the x^j coefficient unreduced, at most n(p-1)^2.  Slots n..2n-2 are
+    read back, and each times its row, x^j mod m packed, is added to the
+    low n slots: each stays at most n^2 (p-1)^3, so no slot carries, and
+    reading the n slots back with one ``% p`` each gives the residue.
+    Raises as ``modulus_rows`` does.
+    """
+    base = divmod_poly(p, f, m)[1]
+    if not e:
+        return [1]
+    k, rows = reduction or modulus_rows(p, m)
+    if not base:
+        return []
+    n = len(m) - 1
     width = 8 * k * n
     low = (1 << width) - 1
 
@@ -249,17 +260,20 @@ def distinct_degree(p, f):
     h = [0, 1]
     d = 0
     f = list(f)
+    reduction = None  # the packed rows of f, kept while f is unchanged
     while deg(f) >= 1:
         d += 1
         if deg(f) < 2 * d:
             out.append((monic(p, f), deg(f)))
             break
-        h = pow_mod(p, h, p, f)
+        reduction = reduction or modulus_rows(p, f)
+        h = pow_mod(p, h, p, f, reduction)
         g = gcd(p, sub(p, h, [0, 1]), f)
         if deg(g) > 0:
             out.append((g, d))
             f = divmod_poly(p, f, g)[0]
             h = divmod_poly(p, h, f)[1]
+            reduction = None
     return out
 
 

@@ -1,5 +1,7 @@
 """Sparse polynomials: arithmetic, degrees, calculus, canonical text form."""
 
+import functools
+import operator
 import random
 import re
 
@@ -16,7 +18,7 @@ from conewalk.errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from conewalk.poly import SparsePoly, VarUniverse, parse_poly
+from conewalk.poly import SparsePoly, VarUniverse, _parse_canonical, parse_poly
 from oracles import (
     TuplePoly,
     canonical_string,
@@ -856,3 +858,157 @@ def test_split_lookahead_keeps_every_split_and_span():
         assert spans == [(m.span(), m.span(1)) for m in old.finditer(t)]
 
     check()
+
+
+# -- the strict reader of canonical text and the carried text --
+
+
+def _general(text, universe):
+    """The general loop's polynomial of ``text``: a leading space is not
+    canonical, so the strict reader leaves the text to the loop."""
+    return parse_poly(" " + text, universe)
+
+
+def _reads_back(f):
+    """The canonical text of ``f`` is read by the strict reader into the
+    general loop's terms, in its order, and the polynomial carries it:
+    ``canonical_string`` returns that very text, which a fresh emission
+    (a copy with no text kept) and the dense reference give too."""
+    text = f.canonical_string()
+    g = parse_poly(text, f.universe)
+    assert _parse_canonical(text, f.universe) is not None, text
+    assert list(g.terms.items()) == list(_general(text, f.universe).terms.items()), text
+    assert g == f and g.canonical_string() is text
+    assert SparsePoly(f.universe, f.to_dict()).canonical_string() == canonical_string(f) == text
+
+
+def test_strict_reader_gives_the_general_loops_terms():
+    """On random polynomials with negative ``lam`` exponents, every
+    parameter, constants and zero, and over the 320-variable universe."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    small = st.integers(0, 3)
+    key = st.tuples(small, small, small, small, st.integers(-3, 3), small, small)
+    scalar = st.integers(1, 100)
+    narrow = st.dictionaries(key, scalar, max_size=8).map(lambda t: SparsePoly(U3, t))
+    constant = st.integers(0, 100).map(lambda c: SparsePoly.constant(U3, c))
+
+    @st.composite
+    def wide_term(draw):
+        exps = [0] * 320
+        for i in draw(st.lists(st.integers(0, 319), max_size=5)):
+            exps[i] = draw(st.sampled_from([1, 2, 7, 300]))
+        lam = draw(st.sampled_from([-16384, -1, 0, 1, 16383]))
+        others = [0, 0, 0] if abs(lam) > 1 else [draw(small) for _ in range(3)]
+        return tuple(exps + [others[0], lam] + others[1:])
+
+    wide = st.dictionaries(wide_term(), scalar, max_size=6).map(lambda t: SparsePoly(WIDE, t))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(narrow | constant | wide)
+    def check(f):
+        _reads_back(f)
+
+    check()
+    _reads_back(SparsePoly.zero(U3))
+    _reads_back(P("x0^32767") - P("lam^-16384*pi^16383"))
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("x1*x0", "x0*x1"),
+        ("1*x0", "x0"),
+        ("x0^1", "x0"),
+        ("x0^05", "x0^5"),
+        ("007", "7"),
+        ("3*1", "3"),
+        ("x0 +  x1", "x0 + x1"),
+        (" x0", "x0"),
+        ("x0 ", "x0"),
+        ("x0+x1", "x0 + x1"),
+        ("x0 - x1", "x0 + 100*x1"),
+        ("x2 - 1", "x2 + 100"),
+        ("x1 + x0^2", "x0^2 + x1"),
+        ("x0 + x0", "2*x0"),
+        ("x0*lam", "lam*x0"),
+        ("lam*pi*x0", "pi*lam*x0"),
+        ("lam^-0", "1"),
+        ("lam^- 2", None),
+        ("x0^0", "1"),
+        ("101*x0 + x1", "x1"),
+        ("0 + x0", "x0"),
+        ("x0*x0", "x0^2"),
+        ("2*3*x0", "6*x0"),
+        ("x0^+2", None),
+        ("٣*x0", "3*x0"),
+        ("x0^٣", "x0^3"),
+    ],
+)
+def test_non_canonical_text_carries_no_text(text, canonical):
+    """A valid text that is not the emitter's is left to the general loop,
+    and its polynomial's ``canonical_string`` is the emitter's output."""
+    assert _parse_canonical(text, U3) is None
+    if canonical is None:  # not valid text either
+        with pytest.raises(ParseError):
+            parse_poly(text, U3)
+        return
+    f = parse_poly(text, U3)
+    assert f.canonical_string() == canonical == canonical_string(f) != text
+    assert _parse_canonical(canonical, U3) == f
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0^-1", "pi^-2", "x0^32768", "lam^-16385", "x0^32767*x1", "pi^16383*rho", "x0 + x9", "x0*",
+        "x0 + ", "2*", "x0^", "0*x0", "101", "x0 + + x1",
+    ],
+)
+def test_strict_reader_leaves_every_error_to_the_general_loop(text):
+    """Near-canonical texts that do not parse raise the general loop's
+    ``ParseError``: its message, at the position it gives the text after
+    a leading space, one place earlier."""
+    assert _parse_canonical(text, U3) is None
+    try:
+        want = _general(text, U3)
+    except ParseError as ex:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, U3)
+        assert exc.value.position == ex.position - 1
+        assert str(exc.value).split(" (at")[0] == str(ex).split(" (at")[0]
+    else:  # valid, but not canonical
+        assert parse_poly(text, U3) == want
+
+
+def test_a_one_term_power_is_repeated_multiplication():
+    """A one-term power, one key computed at once, gives the terms of
+    repeated multiplication on random monomials with negative ``lam``
+    exponents, and raises ``ExponentOverflow`` exactly where it does."""
+    rng = random.Random(41)
+    overflowed = 0
+    for _ in range(400):
+        exps = [rng.choice([0, 1, 2, 5, 700, 9000]) for _ in range(3)]
+        pexps = [rng.choice([0, 1, 3, 2000, 5000]), rng.choice([-3000, -5, -1, 0, 1, 4000]),
+                 rng.choice([0, 2, 6000]), rng.choice([0, 1])]
+        if sum(exps) >= 32768 or sum(pexps) >= 16384:
+            continue
+        f = SparsePoly(U3, {tuple(exps + pexps): rng.randrange(1, 101)})
+        k = rng.choice([0, 1, 2, 3, 4, 7, 11])
+        try:
+            want = functools.reduce(operator.mul, [f] * k, SparsePoly.constant(U3, 1))
+        except ExponentOverflow:
+            overflowed += 1
+            with pytest.raises(ExponentOverflow):
+                f ** k
+            continue
+        assert (f ** k).to_dict() == want.to_dict(), (exps, pexps, k)
+    assert overflowed > 50
+    assert V("x0", 16383) ** 2 == V("x0", 32766)
+    with pytest.raises(ExponentOverflow):
+        V("x0", 16384) ** 2
+    assert (SparsePoly.param(U3, "lam", -1) ** 16384).to_dict() == {(0, 0, 0, 0, -16384, 0, 0): 1}
+    with pytest.raises(ExponentOverflow):
+        SparsePoly.param(U3, "lam", -1) ** 16385
+    assert (P("3*x0*lam^-2") ** 5).canonical_string() == "41*lam^-10*x0^5"  # 3^5 = 243 = 41 mod 101

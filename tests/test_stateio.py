@@ -2,8 +2,12 @@
 
 import json
 
+import pytest
+
 from conewalk.basecase import BaseParams, build_base_state
+from conewalk.cli import main
 from conewalk.doublecone import induct_step
+from conewalk.poly import SparsePoly, _parse_canonical
 from conewalk.stateio import (
     dumps_canonical,
     make_report,
@@ -83,3 +87,47 @@ def test_roundtrip_symbolic_step_state():
     assert back.a0 == st1.a0
     assert back.a == st1.a
     assert back.defining_polynomial() == st1.defining_polynomial()
+
+
+def _fields(data):
+    return {"f0": data["f0"], "a0": data["a0"], "h_poly": data["h_poly"], **data["a"]}
+
+
+def _loads_with_every_text_carried(data, monkeypatch):
+    """Every field of a written state is canonical text, which the strict
+    reader accepts; so the loaded state is written again, byte for byte,
+    with no polynomial emitted."""
+    back = state_from_dict(json.loads(json.dumps(data)))
+    for where, text in _fields(data).items():
+        assert _parse_canonical(text, back.universe) is not None, (where, text)
+    with monkeypatch.context() as m:
+        m.setattr(SparsePoly, "_emit", lambda f: pytest.fail(f"emitted {f.terms}"))
+        assert dumps_canonical(state_to_dict(back)) == dumps_canonical(data)
+
+
+def test_every_state_the_cli_writes_loads_with_its_texts_carried(tmp_path, capsys, monkeypatch):
+    """``construct`` with symbolic and with sampled parameters, then
+    ``induct`` one step at a time to the end of the ladder and along an
+    explicit column: each state written reads back through the strict
+    reader alone.  This keeps the reader in step with the emitter."""
+    written = []
+    for seed in (None, 4):
+        path = tmp_path / f"s0-{seed}.json"
+        argv = ["construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5", "--p", "101", "--out", str(path)]
+        assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+        written.append(path)
+        for k in range(1, 4):
+            out = tmp_path / f"s{k}-{seed}.json"
+            assert main(["induct", "--state", str(written[-1]), "--seed", str(k), "--out", str(out)]) == 0
+            written.append(out)
+    out = tmp_path / "j.json"
+    assert main(["induct", "--state", str(written[0]), "--j", "4", "--out", str(out)]) == 0
+    written.append(out)
+    capsys.readouterr()
+    for path in written:
+        _loads_with_every_text_carried(json.loads(path.read_text()), monkeypatch)
+
+
+def test_a_symbolic_step_state_loads_with_its_texts_carried(monkeypatch):
+    st = induct_step(build_base_state(BP), j0=1, seed=3, symbolic=True)
+    _loads_with_every_text_carried(state_to_dict(st), monkeypatch)

@@ -281,3 +281,27 @@ def test_pow_mod_refuses_a_prime_too_large_for_packed_slots():
     with pytest.raises(FactorizationFailure, match="p=4294967311 .* degree 3"):
         uni.pow_mod(p, [0, 1], p, [5, 0, 2, 1])
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", (3, 101))
+def test_distinct_degree_packs_each_modulus_once(p, monkeypatch):
+    """``distinct_degree`` builds the packed rows of its modulus once, and
+    again only after a factor splits off, and gives the reference's
+    factors; an irreducible modulus is packed once in all."""
+    F = PrimeField(p)
+    rng = random.Random(3300 + p)
+    built = []
+    rows = uni.modulus_rows
+    monkeypatch.setattr(uni, "modulus_rows", lambda p, m: built.append(m) or rows(p, m))
+    for _ in range(40):
+        f = uni.monic(p, _random_poly(rng, p, rng.randint(2, 12)))
+        if uni.deg(uni.gcd(p, f, uni.derivative(p, f))) > 0:
+            continue
+        built.clear()
+        got = uni.distinct_degree(p, f)
+        assert got == ref_uni.distinct_degree(F, f), (p, f)
+        # one modulus per factor split off, while some degree is left to test
+        assert len(built) == len({tuple(m) for m in built}) <= len(got), (p, f)
+    irreducible = uni.find_irreducible(p, 9, rng)
+    built.clear()
+    assert uni.distinct_degree(p, irreducible) == [(irreducible, 9)] and len(built) == 1
