@@ -51,7 +51,7 @@ from .errors import (
     SamplingExhausted,
     StepInvariantViolated,
 )
-from .factorizer import IRREDUCIBLE, probably_irreducible
+from .factorizer import INCONCLUSIVE, IRREDUCIBLE, IrreducibilityVerdict, probably_irreducible
 from .poly import SparsePoly
 from .stateio import check_entry
 
@@ -306,21 +306,35 @@ def verify_singular_minors(fam: DoubleConeFamily) -> list:
 def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed: int = 0) -> list:
     """Structural checks on a state: homogeneity, y-absence, the
     divisibility ladder with maximality, irreducibility of f0 + a0, and
-    the pivot-product shape."""
+    the pivot-product shape.
+
+    Homogeneity is read from the fields, f0 and a0 of degree d and each
+    a_{i,j} of degree d - i, with no defining polynomial built; a
+    failing entry's ``got`` is (label, degree, homogeneous?) of the
+    first nonzero field off its degree, in the order f0, a0, then
+    a[i,j] by column j and row i."""
     checks = []
     d = state.d
+    fields = [("f0", 0, state.f0), ("a0", 0, state.a0)] + [
+        (f"a[{i},{j}]", i, state.a[(i, j)])
+        for j in range(1, state.r + 1)
+        for i in range(1, state.m + 1)
+    ]
 
-    defining = state.defining_polynomial()
-    deg, hom = defining.degree_info()
-    checks.append(check_entry("state-homogeneous", "state-shape", (d, True), (deg, hom)))
+    # with every field y-free (the next check), a_{i,j} y_j^i holds the only
+    # terms with y-monomial y_j^i, so the defining polynomial is a form of
+    # degree d when f0, a0 and every a_{i,j} have their degrees
+    got = (d, True)
+    for label, i, poly in fields:
+        info = (d - i, True) if poly.is_zero() else poly.degree_info()
+        if info != (d - i, True):
+            got = (label, *info)
+            break
+    checks.append(check_entry("state-homogeneous", "state-shape", (d, True), got))
 
     y_names = set(state.y_names())
     offenders = []
-    for label, poly in [("f0", state.f0), ("a0", state.a0)] + [
-        (f"a[{i},{j}]", state.a[(i, j)])
-        for j in range(1, state.r + 1)
-        for i in range(1, state.m + 1)
-    ]:
+    for label, _, poly in fields:
         offenders += [(label, y) for y in poly.variables() if y in y_names]
     checks.append(check_entry("state-y-free", "state-shape", [], offenders))
 
@@ -337,9 +351,12 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
     for name in state.universe.ring.names:
         v = state.params[name]
         assignment[name] = v if isinstance(v, int) else rng.randrange(1, state.p)
-    verdict = probably_irreducible(
-        state.f0 + state.a0, params=assignment, trials=irreducibility_trials, seed=seed
-    )
+    pivot = state.f0 + state.a0
+    if not pivot.is_zero() and not pivot.degree_info()[1]:
+        # state-homogeneous has failed on f0 or a0, and the oracle takes forms only
+        verdict = IrreducibilityVerdict(INCONCLUSIVE, note="pivot is not a form")
+    else:
+        verdict = probably_irreducible(pivot, params=assignment, trials=irreducibility_trials, seed=seed)
     checks.append(
         check_entry(
             "irreducible-f0a0",

@@ -6,6 +6,13 @@ homogeneous polynomial of degree d in k used variables:
 
 - d = 1 is ``Irreducible``;
 - a variable dividing every term of the specialized input is a witness;
+- a variable z in exactly one term, to the first power, certifies: the
+  input is c*m*z + B with m a monomial and z absent from B, so a factor
+  free of z divides c*m and B, and, a monomial's divisors being
+  monomials, would put a variable factor in the input.  With none, the
+  verdict is ``Irreducible`` with ``trials = 0`` and note
+  ``"linear variable"``.  Every walk pivot after the base station,
+  x0^(d-1)*z_s + B, is decided here;
 - for k <= 3, one call to ``bifactor.is_absolutely_irreducible`` on the
   chart, the dehomogenization at the last used variable, decides: that
   variable does not divide the input, so the chart has the input's
@@ -153,6 +160,10 @@ def probably_irreducible(
     if common:
         witness = SparsePoly.variable(a.universe, a.universe.names[min(common)])
         return _reducible(f, witness, assignment, "variable factor")
+    # f = c*m*z + B with z absent from B: a factor free of z divides the
+    # monomial c*m, so with no variable factor f is absolutely irreducible
+    if _has_linear_variable(terms, support, len(used)):
+        return IrreducibilityVerdict(IRREDUCIBLE, assignment=assignment, note="linear variable")
 
     # no variable factor, so len(used) >= 2
     if len(used) <= 3:
@@ -169,6 +180,20 @@ def probably_irreducible(
                 return IrreducibilityVerdict(IRREDUCIBLE, trials=drawn, assignment=assignment)
             break
     return IrreducibilityVerdict(INCONCLUSIVE, assignment=assignment, note="no certified slice")
+
+
+def _has_linear_variable(terms, support, k):
+    """Does a variable occur in exactly one of ``terms``, to the first
+    power?  ``support`` holds each term's slots; the scan stops once all
+    k used slots are seen in two terms."""
+    seen, twice = set(), set()
+    for slots in support:
+        twice |= seen & slots
+        if len(twice) == k:
+            return False
+        seen |= slots
+    once = seen - twice
+    return any(i in once for pairs, _ in terms for i, e in pairs if e == 1)
 
 
 def _reducible(f, witness, assignment, note):

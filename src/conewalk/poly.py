@@ -79,6 +79,7 @@ from .errors import (
 _WIDTH = 16  # bits per field
 _FIELD = (1 << _WIDTH) - 1
 _LIMIT = 1 << (_WIDTH - 1)  # the guard bit; values of a field lie below it
+_DIGITS = 4300  # the most digits of a number in polynomial text
 _BIAS = 1 << (_WIDTH - 2)  # added to a parameter exponent or degree
 
 
@@ -688,6 +689,15 @@ def _error(message, text, k):
     return ParseError(message, pos)
 
 
+def _decimal(text, parts, k):
+    """The int of part ``k``, a decimal token.  One of more than
+    ``_DIGITS`` digits, which ``int`` refuses at Python's default limit,
+    is a ParseError at the token."""
+    if len(parts[k]) > _DIGITS:
+        raise _error(f"number of {len(parts[k])} digits, more than {_DIGITS}", text, k)
+    return int(parts[k])
+
+
 def _factor_error(text, parts, k):
     """The ParseError for part ``k``, a factor that is no name of the
     universe and no unsigned decimal int."""
@@ -771,6 +781,7 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
     monomials keep the order of their first appearance in ``text``.  An
     exponent, or a degree, that leaves its field is a ``ParseError`` at
     its name, or at its term when the field fills up one factor at a time.
+    So is a number of more than ``_DIGITS`` digits, at the number.
     """
     f = _parse_canonical(text, universe)
     if f is not None:
@@ -801,7 +812,7 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
                 if v is None:
                     if not atom.isdecimal():
                         raise _factor_error(text, parts, i)
-                    v = ints[atom] = int(atom)
+                    v = ints[atom] = _decimal(text, parts, i)
                 scalar *= v
             elif "^" not in op:
                 key += unit
@@ -813,7 +824,7 @@ def parse_poly(text: str, universe: VarUniverse) -> SparsePoly:
                 if e is None:
                     if not parts[i].isdecimal():
                         raise _error("expected integer exponent after '^'", text, i - 1)
-                    e = ints[parts[i]] = int(parts[i])
+                    e = ints[parts[i]] = _decimal(text, parts, i)
                 if op != "^" and e:
                     if atom not in universe.ring.invertible:
                         kind = "variable" if atom in universe.names else "parameter"

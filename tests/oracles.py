@@ -1359,3 +1359,21 @@ def _field_protocol_bifactor(uni):
 
 #: the field-protocol bivariate reference: ``ref_bi.factor_bivariate(F, f, rng)``
 ref_bi = _field_protocol_bifactor(ref_uni)
+
+
+def reference_absolutely_irreducible(p, f, rng):
+    """Reference decision by factoring over extension fields: a squarefree
+    f is absolutely irreducible iff it is irreducible over GF(p) and over
+    GF(p^l) for every prime l dividing its total degree (the conjugate
+    absolute factors of a GF(p)-irreducible f all have the same degree).
+    Every factorization runs on the field-protocol reference."""
+    _, fs = ref_bi.factor_bivariate(PrimeField(p), f, rng)
+    if len(fs) > 1 or fs[0][1] > 1:
+        return False
+    for ell, _ in prime_powers(ref_bi.total_degree(f)):
+        E = extension_field(p, ell, rng)
+        lifted = [[E.scalar(c) for c in col] for col in f]
+        _, fs_ext = ref_bi.factor_bivariate(E, lifted, rng)
+        if len(fs_ext) > 1:
+            return False
+    return True

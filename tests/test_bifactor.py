@@ -8,13 +8,12 @@ import pytest
 
 from conewalk import bifactor as bi
 from conewalk import unifactor as uni
-from conewalk.coeffs import prime_powers
 from conewalk.errors import ConewalkError, FactorizationFailure, FactorsNotCoprime
 from oracles import (
     PrimeField,
-    extension_field,
     hensel_pair_quadratic,
     ref_bi,
+    reference_absolutely_irreducible,
     smooth_point_at_infinity_by_forms,
     smooth_rational_point_generic,
 )
@@ -22,24 +21,6 @@ from oracles import (
 # the kernels take p; factor_bivariate alone takes a field handle
 F101 = PrimeField(101)
 F7 = PrimeField(7)
-
-
-def reference_absolutely_irreducible(p, f, rng):
-    """Reference decision by factoring over extension fields: a squarefree
-    f is absolutely irreducible iff it is irreducible over GF(p) and over
-    GF(p^l) for every prime l dividing its total degree (the conjugate
-    absolute factors of a GF(p)-irreducible f all have the same degree).
-    Every factorization runs on the field-protocol reference."""
-    _, fs = ref_bi.factor_bivariate(PrimeField(p), f, rng)
-    if len(fs) > 1 or fs[0][1] > 1:
-        return False
-    for ell, _ in prime_powers(bi.total_degree(f)):
-        E = extension_field(p, ell, rng)
-        lifted = [[E.scalar(c) for c in col] for col in f]
-        _, fs_ext = ref_bi.factor_bivariate(E, lifted, rng)
-        if len(fs_ext) > 1:
-            return False
-    return True
 
 
 def rand_biv(p, rng, dmax=3, terms=5):

@@ -549,6 +549,33 @@ def test_state_with_unparsable_text_is_a_usage_error(tmp_path, capsys, path, tex
 
 
 @pytest.mark.parametrize(
+    "path, text, position",
+    [(("f0",), "1" * 5000, 0), (("a", "2,1"), "x0^" + "1" * 5000, 3), (("a0",), "x1 + " + "7" * 4301, 5)],
+    ids=["scalar", "exponent", "second-term"],
+)
+def test_state_with_a_number_too_long_is_a_usage_error(tmp_path, capsys, path, text, position):
+    """A number of more than 4300 digits in a field is one error line
+    naming the field and the number's position, exit 2."""
+    state = tmp_path / "s0.json"
+    run(
+        capsys,
+        "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
+        "--p", "101", "--out", str(state),
+    )
+    data = json.loads(state.read_text())
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = text
+    state.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--state", str(state), "--seed", "1")
+    assert code == 2 and out == ""
+    field = path[0] if len(path) == 1 else f'a["{path[1]}"]'
+    needle = f"state {field} does not parse: number of "
+    _assert_one_error_line(err, str(state), needle, f"(at position {position})")
+
+
+@pytest.mark.parametrize(
     "path, name",
     [(("f0",), "z2"), (("f0",), "z"), (("f0",), "w"), (("a", "1,2"), "z2"), (("h_poly",), "w")],
 )
@@ -837,6 +864,27 @@ def test_paper_bound_d8_walk_bytes_pinned(tmp_path, capsys):
         "s0.json": "d9e9860bbc6655b42bc437efff8b3a1c5b9c3dfca4448521ceb30aced6d15390",
         "s77.json": "2412d96b1771962a76f68cb9d46ce6720637ce3e54d7b907bfd2dd3af763a9dc",
         "report": "a6cc95659e6d6ed8e5cbef903856533bbe5fa812d031ebadc89d32ab25b6bc1a",
+    }
+
+
+def test_paper_bound_d9_walk_bytes_pinned(tmp_path, capsys):
+    """The d = 9 witness of ``bounds --table``, (n, r, s) = (7, 126, 189):
+    one construct, 189 cone steps in one induct, then verify at the end
+    station, write these exact state and report bytes."""
+    s0, s189 = tmp_path / "s0.json", tmp_path / "s189.json"
+    assert run(capsys, "construct", "base", "--n", "7", "--m", "2", "--r", "126", "--d", "9",
+               "--p", "101", "--seed", "1", "--out", str(s0))[0] == 0
+    assert run(capsys, "induct", "--state", str(s0), "--steps", "189", "--seed", "2",
+               "--out", str(s189))[0] == 0
+    code, out, _ = run(capsys, "verify", "--state", str(s189), "--trials", "3", "--seed", "3", "--json")
+    assert code == 0
+    assert json.loads(s189.read_text())["e"] == [0] * 126
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (s0, s189)}
+    digests["report"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {
+        "s0.json": "febb4590cdee713b9af254168e61c1f6c6d1d3da805f76e7766ca7ab462d7f1e",
+        "s189.json": "fe093838894a94b7b0672f745d684cf79eaaee4c80d833574b12886ce30a8e7f",
+        "report": "f67e71a721c68c758600766a93ab0ece4cdfe71fcc4853874fd5df859ffeefc1",
     }
 
 

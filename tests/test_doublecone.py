@@ -284,6 +284,52 @@ def test_verify_state_catches_corruption(base_state):
     assert "state-homogeneous" in failed
 
 
+def _with_field(state, label, poly):
+    """A copy of ``state`` with one field replaced: "f0", "a0" or (i, j)."""
+    a = dict(state.a)
+    fields = {"f0": state.f0, "a0": state.a0}
+    if label in fields:
+        fields[label] = poly
+    else:
+        a[label] = poly
+    return HypersurfaceState(
+        bp=state.bp,
+        s=state.s,
+        universe=state.universe,
+        a=a,
+        e=list(state.e),
+        h_poly=state.h_poly,
+        params=dict(state.params),
+        **fields,
+    )
+
+
+def _homogeneity(state):
+    check = verify_state(state, irreducibility_trials=2, seed=1)[0]
+    assert check["check"] == "state-homogeneous" and check["expected"] == (state.d, True)
+    return check["got"], check["pass"]
+
+
+def test_state_homogeneous_names_the_first_field_off_its_degree(base_state):
+    """A passing state reads (d, True); a failing one reads the label of
+    the first field off its degree, in the order f0, a0, a[i,j] by column
+    then row, with that field's degree and homogeneity."""
+    st1 = induct_step(base_state, j0=1, seed=1)
+    assert _homogeneity(st1) == ((5, True), True)
+    x0 = SparsePoly.variable(st1.universe, "x0")
+    low = _with_field(st1, (2, 3), st1.a[(2, 3)].divide_by_monomial("x0", 1))
+    assert _homogeneity(low) == (("a[2,3]", 2, True), False)
+    raised = _with_field(low, (1, 1), st1.a[(1, 1)] * x0)
+    assert _homogeneity(raised) == (("a[1,1]", 5, True), False)
+    mixed = _with_field(raised, "f0", st1.f0 + x0)
+    assert _homogeneity(mixed) == (("f0", 5, False), False)
+    # the oracle takes forms only: the pivot check fails, undecided
+    checks = verify_state(mixed, irreducibility_trials=2, seed=1)
+    pivot = next(c for c in checks if c["check"] == "irreducible-f0a0")
+    assert (pivot["got"], pivot["pass"], pivot["failure_bound"]) == ("Inconclusive", False, 1.0)
+    assert _homogeneity(_with_field(st1, "a0", st1.a0 + x0**2)) == (("a0", 5, False), False)
+
+
 def test_symbolic_state_must_absorb_before_next_family(base_state):
     st1 = induct_step(base_state, j0=1, seed=1, symbolic=True)
     with pytest.raises(ValueError):
@@ -415,6 +461,30 @@ def test_long_walk_d7_exhausts_budget_exactly():
     # the final pivot is still certified irreducible, at a loose bound
     final = verify_state(states[-1], irreducibility_trials=8, seed=5)
     assert all(c["pass"] for c in final)
+
+
+def test_walk_pivots_after_the_base_are_certified_by_their_linear_variable(monkeypatch):
+    """On the (n, m, r, d, p) = (3, 2, 6, 7, 101) walk every station
+    s >= 1 has the pivot x0^6*z_s + B with z_s absent from B: its verify
+    certifies it from the terms, with no slice.  The base pivot has no
+    such variable and is certified by a slice."""
+    from conewalk import doublecone, factorizer
+
+    verdicts = []
+
+    def recording(*args, **kwargs):
+        verdicts.append(factorizer.probably_irreducible(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(doublecone, "probably_irreducible", recording)
+    states = _walk(build_base_state(BaseParams(n=3, m=2, r=6, d=7, p=101)), 9, seed=7001)
+    for st in states:
+        assert all(c["pass"] for c in verify_station(st, trials=3, seed=st.s))
+    base, *later = verdicts
+    assert base.verdict == "Irreducible" and base.trials >= 1 and base.note == ""
+    assert [(v.verdict, v.trials, v.note, v.failure_bound) for v in later] == [
+        ("Irreducible", 0, "linear variable", 0.0)
+    ] * 9
 
 
 def test_walk_with_modulus_three():

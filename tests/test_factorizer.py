@@ -610,3 +610,109 @@ def test_slices_have_no_limit_on_the_used_variables():
     terms = {tuple(3 * (j == i) for j in range(n)): rng.randrange(1, 101) for i in range(n)}
     v = probably_irreducible(SparsePoly.from_residues(universe, terms), trials=3, seed=1)
     assert v.verdict == IRREDUCIBLE and v.trials >= 1 and v.failure_bound == 0.0
+
+
+def _monomial(n, idx, degree, rng):
+    """An exponent tuple of ``degree`` in the positions ``idx`` of n slots."""
+    e = [0] * n
+    for _ in range(degree):
+        e[rng.choice(idx)] += 1
+    return tuple(e)
+
+
+def _linear_forms():
+    """{e: c} for 200 seeded forms c*m*z + B over GF(101) in 4 to 8
+    variables, of degree 2..8 in turn, with B free of z.  About a third
+    give every term of B a variable of m; the others put a pure power in
+    B.  Two in five use z and two more variables, the rest up to six."""
+    rng = random.Random(31)
+    cases = []
+    for k in range(200):
+        n, d = rng.randint(4, 8), 2 + k % 7
+        z = rng.randrange(n)
+        width = 2 if rng.random() < 0.4 else rng.randint(1, min(n - 1, 5))
+        others = rng.sample([i for i in range(n) if i != z], width)
+        m = list(_monomial(n, others, d - 1, rng))
+        m[z] = 1
+        terms = {tuple(m): rng.randrange(1, 101)}
+        shared = rng.choice([i for i in others if m[i]]) if rng.random() < 0.3 else None
+        if shared is None:
+            power = rng.choice(others)
+            terms[tuple(d * (i == power) for i in range(n))] = rng.randrange(1, 101)
+        for _ in range(rng.randint(0, 5)):
+            e = list(_monomial(n, others, d - (shared is not None), rng))
+            if shared is not None:
+                e[shared] += 1
+            terms[tuple(e)] = rng.randrange(1, 101)
+        cases.append(terms)
+    return cases
+
+
+def _from_terms(terms):
+    n = len(next(iter(terms)))
+    return SparsePoly.from_residues(VarUniverse(tuple(f"x{i}" for i in range(n)), RING101), terms)
+
+
+def test_a_linear_variable_certifies_exactly_when_no_variable_divides():
+    """c*m*z + B with z absent from B: a factor free of z divides c*m, so
+    it is a monomial, and with no variable dividing every term the form is
+    absolutely irreducible.  The oracle answers from the terms alone, with
+    no slice: certified, or a variable factor.  In at most three used
+    variables the extension-field reference agrees, on the chart at a
+    used variable that does not divide the form."""
+    from conewalk import bifactor as bi
+    from oracles import reference_absolutely_irreducible
+
+    seen = Counter()
+    for terms in _linear_forms():
+        f = _from_terms(terms)
+        used = [i for i in range(len(f.universe)) if any(e[i] for e in terms)]
+        dividing = [i for i in used if all(e[i] for e in terms)]
+        v = probably_irreducible(f, params={}, trials=2, seed=1)
+        want = (REDUCIBLE, "variable factor") if dividing else (IRREDUCIBLE, "linear variable")
+        assert (v.verdict, v.note, v.trials, v.failure_bound) == (*want, 0, 0.0), f
+        free = [i for i in used if i not in dividing]
+        if len(used) <= 3 and free:
+            axes = [i for i in used if i != free[-1]]
+            chart = {tuple(e[i] for i in axes) + (0,) * (3 - len(used)): c for e, c in terms.items()}
+            reference = reference_absolutely_irreducible(101, bi.from_dict(101, chart), random.Random(0))
+            assert reference == (v.verdict == IRREDUCIBLE), f
+        seen[v.verdict, len(used) <= 3] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+
+def test_a_variable_in_one_term_to_a_higher_power_certifies_nothing():
+    """x4^2*x0^2 - x1^2*(x2 + x3)^2 splits, though x4 and x0 each occur in
+    one term, and x2, x3 occur to the first power: only a variable that
+    is both alone in its term and linear there certifies."""
+    u5 = VarUniverse(tuple(f"x{i}" for i in range(5)), RING101)
+    f = parse_poly("x4^2*x0^2 - x1^2*x2^2 - 2*x1^2*x2*x3 - x1^2*x3^2", u5)
+    v = probably_irreducible(f, params={}, trials=3, seed=0)
+    assert v.verdict == INCONCLUSIVE and v.note != "linear variable"
+
+
+def _divisible(terms):
+    """Does some variable divide every term?"""
+    return any(all(e[i] for e in terms) for i in range(len(next(iter(terms)))))
+
+
+def test_a_product_is_never_certified():
+    """Seeded products G*H over GF(101) in 4 to 8 variables, of degree at
+    most 8, with no variable factor, every other G of the shape c*m*z + B:
+    none is Irreducible."""
+    rng = random.Random(37)
+    linear = [terms for terms in _linear_forms() if sum(next(iter(terms))) < 8 and not _divisible(terms)]
+
+    def form(n, degree):
+        """Two pure powers and up to three more terms."""
+        idx = rng.sample(range(n), rng.randint(2, n))
+        terms = {tuple(degree * (i == j) for i in range(n)): rng.randrange(1, 101) for j in idx[:2]}
+        terms.update((_monomial(n, idx, degree, rng), rng.randrange(1, 101)) for _ in range(rng.randint(0, 3)))
+        return terms
+
+    for k in range(60):
+        g = linear[k // 2] if k % 2 else form(rng.randint(4, 8), rng.randint(1, 4))
+        n, dg = len(next(iter(g))), sum(next(iter(g)))
+        f = _from_terms(g) * _from_terms(form(n, rng.randint(1, 8 - dg)))
+        v = probably_irreducible(f, params={}, trials=1, seed=k)
+        assert v.verdict != IRREDUCIBLE and v.note != "variable factor", f

@@ -268,6 +268,23 @@ def test_parse_error_carries_position():
         assert str(exc.value) == f"{message} (at position {position})"
 
 
+def test_a_number_past_the_digit_limit_is_a_positioned_parse_error():
+    """int refuses more than 4300 digits at Python's default limit; the
+    parser refuses them itself, at the number, as a scalar and as an
+    exponent, and still reads 4300 digits (leading zeros included)."""
+    for text, position, digits in (
+        ("1" * 5000, 0, 5000),
+        ("x0^" + "1" * 5000, 3, 5000),
+        ("x1 - 2*" + "3" * 4301 + "*x0", 7, 4301),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, U3)
+        assert exc.value.position == position, text
+        assert str(exc.value) == f"number of {digits} digits, more than 4300 (at position {position})"
+    assert parse_poly("2" * 4300, U3) == SparsePoly.constant(U3, int("2" * 4300) % 101)
+    assert parse_poly("x0^" + "0" * 4299 + "2", U3) == V("x0") ** 2
+
+
 def test_parse_whitespace_insensitive():
     a = parse_poly("x0^2+100*x1*x2", U3)
     b = parse_poly("  x0^2  +  100 * x1 * x2 ", U3)
