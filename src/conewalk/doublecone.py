@@ -312,7 +312,9 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
     a_{i,j} of degree d - i, with no defining polynomial built; a
     failing entry's ``got`` is (label, degree, homogeneous?) of the
     first nonzero field off its degree, in the order f0, a0, then
-    a[i,j] by column j and row i."""
+    a[i,j] by column j and row i.  A pivot f0 + a0 that the oracle
+    cannot take (zero, no form of degree >= 1, or of degree deg over
+    p <= deg^2) is ``Inconclusive`` without calling it."""
     checks = []
     d = state.d
     fields = [("f0", 0, state.f0), ("a0", 0, state.a0)] + [
@@ -351,10 +353,13 @@ def verify_state(state: HypersurfaceState, irreducibility_trials: int = 20, seed
     for name in state.universe.ring.names:
         v = state.params[name]
         assignment[name] = v if isinstance(v, int) else rng.randrange(1, state.p)
+    # the oracle raises on anything but a nonzero form of degree deg >= 1
+    # over p > deg^2, so any other pivot is Inconclusive here and the report
+    # is still written
     pivot = state.f0 + state.a0
-    if not pivot.is_zero() and not pivot.degree_info()[1]:
-        # state-homogeneous has failed on f0 or a0, and the oracle takes forms only
-        verdict = IrreducibilityVerdict(INCONCLUSIVE, note="pivot is not a form")
+    deg, form = (0, True) if pivot.is_zero() else pivot.degree_info()
+    if deg < 1 or not form or state.p <= deg * deg:
+        verdict = IrreducibilityVerdict(INCONCLUSIVE, note="pivot outside the oracle's domain")
     else:
         verdict = probably_irreducible(pivot, params=assignment, trials=irreducibility_trials, seed=seed)
     checks.append(

@@ -52,7 +52,10 @@ writes ``" + "`` between terms, least non-negative residues, and
 with a strict reader that accepts the emitter's output alone, and the
 polynomial keeps that text; ``canonical_string`` returns it, or emits
 once and keeps the result.  So a state field that a step leaves
-unchanged is saved again without being emitted.
+unchanged is saved again without being emitted.  The strict reader
+looks each factor text up in its universe's table, which holds every
+name and each power ``name^e`` the reader has accepted, so that a
+power is checked once per universe; a refused text is never added.
 """
 
 from __future__ import annotations
@@ -174,8 +177,11 @@ class VarUniverse:
     _slots: dict = field(init=False, repr=False, compare=False)
     _layout: _Layout = field(init=False, repr=False, compare=False)
     _units: dict = field(init=False, repr=False, compare=False)  # the unit of every name
-    # (rank, unit) of every name, ranked in the order a canonical term
-    # writes its factors: parameters in ring order, then variables
+    # The canonical factor texts read so far, each with (rank, key step):
+    # every name, ranked in the order a canonical term writes its factors
+    # (parameters in ring order, then variables), with its unit; and each
+    # power ``name^e`` that ``_parse_canonical`` has accepted, with the
+    # name's rank and e times its unit.
     _factors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -188,7 +194,9 @@ class VarUniverse:
         object.__setattr__(self, "_layout", _layout(len(self.names), self.ring.nparams))
         object.__setattr__(self, "_units", dict(zip(self._slots, self._layout.units)))
         ranked = enumerate(self.ring.names + self.names)
-        object.__setattr__(self, "_factors", {name: (k, self._units[name]) for k, name in ranked})
+        # a name with a "^" in it is no factor text: the grammar splits it
+        factors = {name: (k, self._units[name]) for k, name in ranked if "^" not in name}
+        object.__setattr__(self, "_factors", factors)
 
     def __len__(self):
         return len(self.names)
@@ -720,6 +728,22 @@ def _canonical_int(text):
     return v if str(v) == text else None
 
 
+def _power_factor(universe, factor):
+    """(rank, key step) of a canonical power ``name^e``, e >= 2 or e < 0
+    at an invertible parameter, now kept in the universe's table of
+    factor texts; None for any other text, which the table never holds."""
+    name, caret, exp = factor.partition("^")
+    entry = universe._factors.get(name)
+    if entry is None or not caret:
+        return None
+    e = _canonical_int(exp)
+    if e is None or not (2 <= e < _LIMIT or (-_LIMIT < e < 0 and name in universe.ring.invertible)):
+        return None
+    rank, unit = entry
+    entry = universe._factors[factor] = rank, e * unit
+    return entry
+
+
 def _parse_canonical(text, universe):
     """The polynomial of a text that ``canonical_string`` writes, carrying
     that text; None for any other text.
@@ -727,12 +751,13 @@ def _parse_canonical(text, universe):
     A canonical term is an optional scalar, in [2, p) or, alone, in
     [1, p), then factors ``name`` or ``name^e`` (e >= 2, or e < 0 at an
     invertible parameter) in rank order, each name once; terms are joined
-    by " + " in strictly descending key order.  A key that sets a guard
-    bit ends the reading, so that the general loop names the error."""
+    by " + " in strictly descending key order.  Each factor text is looked
+    up in the universe's table, which ``_power_factor`` extends by a power
+    the first time one is read.  A key that sets a guard bit ends the
+    reading, so that the general loop names the error."""
     ranked = universe._factors
     layout = universe._layout
     base, guard, p = layout.base, layout.guard, universe.ring.p
-    invertible = universe.ring.invertible
     terms = {}
     last = 1 << (layout.top + _WIDTH)  # above every key
     for term in [] if text == "0" else text.split(" + "):
@@ -746,18 +771,11 @@ def _parse_canonical(text, universe):
             del factors[0]
         key, rank = base, -1
         for factor in factors:
-            name, caret, exp = factor.partition("^")
-            entry = ranked.get(name)
+            entry = ranked.get(factor) or _power_factor(universe, factor)
             if entry is None or entry[0] <= rank:
                 return None
-            rank, unit = entry
-            if caret:
-                e = _canonical_int(exp)
-                if e is None or not (2 <= e < _LIMIT or (-_LIMIT < e < 0 and name in invertible)):
-                    return None
-                key += e * unit
-            else:
-                key += unit
+            rank, step = entry
+            key += step
             if key & guard:
                 return None
         if key >= last:

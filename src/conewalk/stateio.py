@@ -3,14 +3,18 @@
 A state file round-trips losslessly through the polynomial text
 grammar; its provenance log is append-only.  Every check entry of a
 report is built by ``check_entry``; a report lists its entries in a
-fixed order with summary counts.  All dumps use sorted keys and a
-fixed layout so identical runs produce identical bytes.
+fixed order with summary counts.  Every state, report and ``--json``
+result is written by ``dumps_canonical``: sorted keys and a two-space
+indent, so identical runs produce identical bytes.  It writes exactly
+what ``json.dumps(obj, indent=2, sort_keys=True)`` writes, without the
+pure-Python encoder that any ``indent`` sends ``json`` to.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _string
 
 from .basecase import BaseParams, HypersurfaceState, check_walk_size, z_product
 from .errors import InputTooLarge, ParseError
@@ -23,8 +27,58 @@ DIMS_KEYS = ("n", "m", "r", "s", "d")
 _A_KEY = re.compile(r"([1-9][0-9]{0,8}),([1-9][0-9]{0,8})")
 
 
+# the text of a scalar of exactly one of these types
+_SCALAR = {
+    str: _string,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    It writes dicts with str keys, lists and tuples, str, int, float,
+    bool and None, as ``json`` does; any other type, or a key that is no
+    str, raises TypeError.  The program writes neither."""
+    return _value(obj, "\n") + "\n"
+
+
+def _value(o, nl):
+    """The text of ``o``, whose nested lines start with ``nl``.  A type
+    derives from at most one of dict, list or tuple, str, int and float,
+    so the containers, which reach here most, are tested first; bool is
+    tested before int, of which it is a subclass."""
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        # _string refuses a key that is no str
+        items = [
+            f"{_string(k)}: {f(v) if (f := _SCALAR.get(type(v := o[k]))) else _value(v, inner)}"
+            for k in sorted(o)
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [f(v) if (f := _SCALAR.get(type(v))) else _value(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        # NaN and +-Infinity as json writes them
+        return json.dumps(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def state_to_dict(state: HypersurfaceState) -> dict:
@@ -77,6 +131,7 @@ def _parse_field(text, universe, where, allowed):
 
 def state_from_dict(d: dict) -> HypersurfaceState:
     _require_keys(d, ("schema_version",), "state")
+    _require_type(d["schema_version"], int, "schema_version")
     if d["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d['schema_version']!r}")
     _require_keys(d, STATE_KEYS, "state")
@@ -90,6 +145,8 @@ def state_from_dict(d: dict) -> HypersurfaceState:
     _require_type(d["e"], list, "e")
     for k, v in enumerate(d["e"]):
         _require_type(v, int, f"e[{k}]")
+        if v < 0:
+            raise ValueError(f"state e[{k}] must be >= 0, got {v}")
     for key in ("f0", "a0", "h_poly"):
         _require_type(d[key], str, key)
     for key, text in d["a"].items():
@@ -118,7 +175,7 @@ def state_from_dict(d: dict) -> HypersurfaceState:
     # later steps.  A ladder value of a valid state is below d, so each
     # e_j counts at most d: the file's e cannot make the universe, whose
     # packed keys grow with it, as large as it likes.
-    later = sum(min(max(ej, 0), dims["d"]) for ej in d["e"])
+    later = sum(min(ej, dims["d"]) for ej in d["e"])
     check_walk_size(dims["n"], r, s + later)
     universe = coordinate_universe(dims["n"], r, s + later, bp.ring())
     ring = universe.ring

@@ -9,6 +9,7 @@ import pytest
 from conewalk import cli
 from conewalk.cli import main
 from conewalk.skeleton import ChainSkeleton, DualGraph, FgModule, skeleton_to_json
+from conewalk.stateio import load_state
 
 
 def run(capsys, *argv):
@@ -331,6 +332,29 @@ def test_verify_exit_one_on_corrupted_state(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("case", ["p-below-d-squared", "zero-pivot"])
+def test_verify_decides_a_pivot_the_oracle_cannot_take(tmp_path, capsys, case):
+    """A zero pivot f0 + a0, or one of degree d over p <= d^2, is decided
+    before the oracle is called: ``irreducible-f0a0`` is Inconclusive, the
+    full report is written, and verify exits 1."""
+    state, report = tmp_path / "s0.json", tmp_path / "r.json"
+    p = "31" if case == "p-below-d-squared" else "101"
+    assert run(capsys, "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "7",
+               "--p", p, "--seed", "1", "--out", str(state))[0] == 0
+    if case == "zero-pivot":
+        data = json.loads(state.read_text())
+        data["a0"] = (-load_state(str(state)).f0).canonical_string()
+        state.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--state", str(state), "--seed", "3", "--report", str(report))
+    assert (code, err) == (1, "")
+    checks = {c["check"]: c for c in json.loads(report.read_text())["checks"]}
+    pivot = checks.pop("irreducible-f0a0")
+    assert (pivot["got"], pivot["pass"], pivot["failure_bound"]) == ("Inconclusive", False, 1.0)
+    assert "h-poly-shape" in checks and "minor-det-tz" in checks
+    assert all(c["pass"] for c in checks.values()), [k for k, c in checks.items() if not c["pass"]]
+    assert out.endswith("18/19 checks passed\n")
+
+
 def test_construct_rejects_bad_parameters(capsys):
     code, _, err = run(
         capsys,
@@ -426,6 +450,8 @@ def test_state_that_is_not_json_is_a_usage_error(tmp_path, capsys):
         (("params", "lam"), None, 'state params.lam must be "symbolic" or an integer'),
         (("params", "mu"), 3, "state params keys are ['lam', 'mu', 'pi', 'rho', 't']"),
         (("params", "lam"), 202, "state params.lam is invertible, but 202 is 0 mod 101"),
+        (("e", 2), -1, "state e[2] must be >= 0, got -1"),
+        (("schema_version",), True, "state schema_version must be an integer, got bool"),
     ],
 )
 def test_state_with_a_mistyped_value_is_a_usage_error(tmp_path, capsys, path, value, needle):

@@ -247,6 +247,38 @@ def test_one_way_out_of_the_cli():
     assert not returns, returns
 
 
+def test_one_json_writer():
+    """Every JSON text the package writes comes from
+    ``stateio.dumps_canonical``: ``json.dump`` and ``json.dumps`` appear
+    only in its writer ``stateio._value``, called on one float with no
+    other argument, and no call anywhere passes ``indent``, which sends
+    ``json`` to its pure-Python encoder."""
+    found = []
+    for name, tree in _trees():
+        for owner in tree.body:
+            where = f"{name}:{getattr(owner, 'name', '<module>')}"
+            allowed = set()
+            for node in ast.walk(owner):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                    found += [f"{where}:{node.lineno}: from json import {a.name}" for a in node.names
+                              if a.name in ("dump", "dumps")]
+                if isinstance(node, ast.Call):
+                    if any(k.arg == "indent" for k in node.keywords):
+                        found.append(f"{where}:{node.lineno}: indent=")
+                    if where == "stateio.py:_value" and len(node.args) == 1 and not node.keywords:
+                        allowed.add(node.func)
+            for node in ast.walk(owner):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("dump", "dumps")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"
+                    and node not in allowed
+                ):
+                    found.append(f"{where}:{node.lineno}: json.{node.attr}")
+    assert not found, found
+
+
 MODULES = {path.stem for path in SOURCES}
 
 

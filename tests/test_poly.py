@@ -999,6 +999,52 @@ def test_strict_reader_leaves_every_error_to_the_general_loop(text):
         assert parse_poly(text, U3) == want
 
 
+def test_strict_reader_keeps_each_power_it_reads_in_the_universe():
+    """A text that repeats its factors gives the general loop's terms.  The
+    universe's table of factor texts then holds each power read, with its
+    name's rank and e times its unit, and nothing else new; a second
+    reading in the same universe gives the same terms and carried text."""
+    u = VarUniverse(("x0", "x1", "x2"), RING)
+    names = dict(u._factors)
+    f = P("3*x0^3*x1^2 + x0^3*x1*x2 + x0^2*x1^2*x2 - x0^2*x2^3 + lam^-2*x0^3*x1^2 + lam^-2*x1^2*x2^3 + lam^2*x2^3")
+    text = f.canonical_string()
+    assert text == (
+        "3*x0^3*x1^2 + lam^-2*x0^3*x1^2 + x0^3*x1*x2 + x0^2*x1^2*x2 + 100*x0^2*x2^3"
+        " + lam^-2*x1^2*x2^3 + lam^2*x2^3"
+    )
+    for _ in range(2):
+        g = parse_poly(text, u)
+        assert g.canonical_string() is text
+        assert list(g.terms.items()) == list(_general(text, u).terms.items())
+    powers = {k: v for k, v in u._factors.items() if k not in names}
+    assert set(powers) == {"lam^-2", "lam^2", "x0^2", "x0^3", "x1^2", "x2^3"}
+    for power, (rank, step) in powers.items():
+        name, e = power.split("^")
+        assert (rank, step) == (names[name][0], int(e) * names[name][1])
+    assert u._factors.keys() - powers.keys() == names.keys()
+
+
+@pytest.mark.parametrize("text, factor", [
+    ("x0^1*x1", "x0^1"), ("x0^01*x1", "x0^01"), ("pi^-1*x0", "pi^-1"), ("x0^-2", "x0^-2"),
+    ("x0^2*x1^1", "x1^1"), ("x0^32768", "x0^32768"), ("x0^+2", "x0^+2"),
+])
+def test_a_refused_factor_text_is_refused_again(text, factor):
+    """A factor text the strict reader refuses never enters the table, so
+    its second appearance in the same universe is refused as the first
+    was, and the general loop reads or refuses it as before."""
+    def outcome(universe):
+        try:
+            return parse_poly(text, universe).to_dict()
+        except ParseError as ex:
+            return ex.position
+
+    u = VarUniverse(("x0", "x1", "x2"), RING)
+    for _ in range(2):
+        assert _parse_canonical(text, u) is None
+        assert factor not in u._factors
+        assert outcome(u) == outcome(U3)
+
+
 def test_a_one_term_power_is_repeated_multiplication():
     """A one-term power, one key computed at once, gives the terms of
     repeated multiplication on random monomials with negative ``lam``

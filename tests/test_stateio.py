@@ -1,13 +1,15 @@
 """State files round-trip bit-exactly through the text grammar."""
 
+import hashlib
 import json
+import math
 
 import pytest
 
 from conewalk.basecase import BaseParams, build_base_state
 from conewalk.cli import main
 from conewalk.doublecone import induct_step
-from conewalk.poly import SparsePoly, _parse_canonical
+from conewalk.poly import SparsePoly, _parse_canonical, parse_poly
 from conewalk.stateio import (
     dumps_canonical,
     make_report,
@@ -63,6 +65,76 @@ def test_provenance_appends():
 def test_dumps_deterministic():
     st = build_base_state(BP)
     assert dumps_canonical(state_to_dict(st)) == dumps_canonical(state_to_dict(st))
+
+
+def _json_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_canonical_writes_what_json_writes():
+    """Byte for byte ``json.dumps(indent=2, sort_keys=True)``, on nested
+    dicts, lists and tuples of unicode and control-character strings,
+    ints of every size, floats with NaN, +-inf and -0.0, bools, None and
+    empty containers."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    text = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF))
+    scalar = (
+        text
+        | st.integers()
+        | st.integers(-(10**300), 10**300)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, True, False, None, "", "\x00\x1f\x7f\"\\"])
+    )
+    values = st.recursive(
+        scalar,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(text, inner, max_size=4),
+        max_leaves=30,
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(values)
+    def check(obj):
+        assert dumps_canonical(obj) == _json_dumps(obj)
+
+    check()
+    for obj in ({}, [], (), {"": {}}, [[], {}, ()], "\u2603\U0001f600"):
+        assert dumps_canonical(obj) == _json_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: "x"}, {"a": {2: 3}}, {None: 0}, {1, 2}, [frozenset()], {"a": object()}])
+def test_dumps_canonical_refuses_what_the_program_never_writes(obj):
+    """A key that is no str, or a value of no JSON type, raises TypeError."""
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
+
+
+def test_d8_witness_end_state_loads_with_pinned_terms_and_texts(tmp_path, capsys):
+    """The d = 8 witness end state, (n, r, s) = (6, 62, 77): every field
+    loads through the strict reader with the general loop's terms, in the
+    same order, and carries the file's text; the terms and texts hash as
+    they did before the reader kept a table of factor texts."""
+    s0, s77 = tmp_path / "s0.json", tmp_path / "s77.json"
+    assert main(["construct", "base", "--n", "6", "--m", "2", "--r", "62", "--d", "8",
+                 "--p", "101", "--seed", "1", "--out", str(s0)]) == 0
+    assert main(["induct", "--state", str(s0), "--steps", "77", "--seed", "2", "--out", str(s77)]) == 0
+    capsys.readouterr()
+    data = json.loads(s77.read_text())
+    st = state_from_dict(data)
+    fields = {"f0": st.f0, "a0": st.a0, "h_poly": st.h_poly, **{f"{i},{j}": f for (i, j), f in st.a.items()}}
+    texts = _fields(data)
+    digest = hashlib.sha256()
+    for where, f in fields.items():
+        text = texts[where]
+        assert f.canonical_string() is text
+        general = parse_poly(" " + text, st.universe)
+        assert list(f.terms.items()) == list(general.terms.items()), where
+        digest.update(repr((where, list(f.terms.items()), f._text)).encode())
+    assert sum(len(f.terms) for f in fields.values()) == 429
+    assert digest.hexdigest() == "d392eb2538e90c95077f384fa153ce9ad3c4ef0977372327abca6495de5cb979"
 
 
 def test_report_shape():
