@@ -187,29 +187,16 @@ def cj_degree(j: int) -> int:
     return bin(j).count("1")
 
 
-def build_h(bp: BaseParams, h_choice: str, universe: VarUniverse) -> SparsePoly:
-    """The degree-d irreducible pivot: sum x_i^d, or the chain form
-    x0^d + sum x_{i-1} x_i^(d-1) used when the characteristic divides d.
-
-    p > d is enforced, so p never divides d; the "char-divides-d"
-    choice builds the chain form for inspection.
-    """
-    if h_choice not in ("default", "char-divides-d"):
-        raise ValueError(f"unknown h_choice {h_choice!r}")
-    if h_choice == "char-divides-d":
-        total = SparsePoly.variable(universe, "x0", bp.d)
-        for i in range(1, bp.n + 1):
-            total = total + SparsePoly.variable(universe, f"x{i - 1}") * SparsePoly.variable(
-                universe, f"x{i}", bp.d - 1
-            )
-        return total
+def build_h(bp: BaseParams, universe: VarUniverse) -> SparsePoly:
+    """The degree-d pivot, the Fermat form sum x_i^d: smooth, hence
+    irreducible, since p > d."""
     total = SparsePoly.zero(universe)
     for i in range(bp.n + 1):
         total = total + SparsePoly.variable(universe, f"x{i}", bp.d)
     return total
 
 
-def build_base_state(bp: BaseParams, h_choice: str = "default") -> HypersurfaceState:
+def build_base_state(bp: BaseParams) -> HypersurfaceState:
     """The s = 0 state: f0 = rho*h + x0^(d-deg g)*g, top column
     a[(m, j)] = x0^(d-m-deg c_j)*c_j, everything else zero.  Its universe
     holds z1..z_{sum e}, one z per step the ladder allows, and serves the
@@ -218,7 +205,7 @@ def build_base_state(bp: BaseParams, h_choice: str = "default") -> HypersurfaceS
     check_walk_size(bp.n, bp.r, sum(e))
     universe = coordinate_universe(bp.n, bp.r, sum(e), bp.ring())
     g = build_g(bp, universe)
-    h = build_h(bp, h_choice, universe)
+    h = build_h(bp, universe)
     f0 = SparsePoly.param(universe, "rho") * h + SparsePoly.variable(
         universe, "x0", bp.d - bp.deg_g
     ) * g
@@ -240,5 +227,6 @@ def build_base_state(bp: BaseParams, h_choice: str = "default") -> HypersurfaceS
         h_poly=z_product(universe, 0),
         params={name: "symbolic" for name in bp.ring().names},
     )
-    state.log("construct", n=bp.n, m=bp.m, r=bp.r, d=bp.d, p=bp.p, h_choice=h_choice)
+    # "default" names the pivot form build_h in the provenance record
+    state.log("construct", n=bp.n, m=bp.m, r=bp.r, d=bp.d, p=bp.p, h_choice="default")
     return state

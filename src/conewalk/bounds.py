@@ -50,16 +50,6 @@ def closed_form_S(n: int, m: int) -> int:
     return int(value)
 
 
-def sandwich_check(n: int, m: int) -> bool:
-    """(floor(n/m) - 1)(2^(n-1) - 1) <= S(n, m) <= floor(n/m)(2^(n-1) - 1)."""
-    if n < 2 or m < 2:
-        raise ValueError("need n, m >= 2")
-    s = sum_S(n, m)
-    lo = (n // m - 1) * (2 ** (n - 1) - 1)
-    hi = (n // m) * (2 ** (n - 1) - 1)
-    return lo <= s <= hi
-
-
 @dataclass(frozen=True)
 class BoundQuery:
     d: int
@@ -109,27 +99,3 @@ def max_N(d: int, m: int) -> int:
     if d < m + 2:
         raise ValueError("need d >= m + 2")
     return max(n + (2**n - 2) + sum_S(n, m) for n in range(2, d - m + 1))
-
-
-def step_budget(n: int, m: int, d: int, r: int) -> int:
-    """Total ladder budget sum_j floor((d - m - popcount(j)) / m), j = 1..r.
-
-    This is the number of cone steps available from the seed state.
-    """
-    total = 0
-    for j in range(1, r + 1):
-        deg_cj = bin(j).count("1")
-        total += (d - m - deg_cj) // m
-    return total
-
-
-def step_budget_closed_form(n: int, m: int, d: int) -> int:
-    """sum_{l=1}^{n-1} C(n,l) floor((d-m-l)/m): the closed count of the
-    ladder budget at r = 2^n - 2.
-
-    The all-ones exponent pattern (l = n) belongs to the reserved last
-    y-coordinate, which never participates in the induction; the
-    published l = n variant of this count agrees exactly when
-    d < 2m + n, and overcounts by floor((d-m-n)/m) otherwise.
-    """
-    return sum(comb(n, l) * ((d - m - l) // m) for l in range(1, n))

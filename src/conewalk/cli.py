@@ -33,8 +33,7 @@ from .stateio import dumps_canonical, load_state, make_report, read_json, save_s
 
 def _require_seed(args) -> int:
     if args.json and args.seed is None:
-        print("error: --seed is mandatory in --json mode", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("--seed is mandatory in --json mode")
     return args.seed if args.seed is not None else 0
 
 
@@ -91,7 +90,7 @@ def cmd_bounds(args) -> int:
 def cmd_construct(args) -> int:
     seed = _require_seed(args)
     bp = BaseParams(n=args.n, m=args.m, r=args.r, d=args.d, p=args.p)
-    state = build_base_state(bp, h_choice=args.h_choice)
+    state = build_base_state(bp)
     if args.seed is not None:
         rng = random.Random(seed)
         state.params["pi"] = rng.randrange(1, args.p)
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--r", type=int, required=True)
     cb.add_argument("--d", type=int, required=True)
     cb.add_argument("--p", type=int, required=True)
-    cb.add_argument("--h-choice", choices=["default", "char-divides-d"], default="default")
     cb.add_argument("--seed", type=int, default=None, help="assign pi/rho sampling values")
     cb.add_argument("--out", required=True)
     cb.add_argument("--json", action="store_true")

@@ -62,37 +62,6 @@ def ff_inv_int(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def sqrt_mod(a: int, p: int):
-    """A square root of a mod p, or None if a is a non-residue (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 @dataclass(frozen=True)
 class ParamRing:
     """A prime p below ``P_LIMIT`` and a fixed tuple of named

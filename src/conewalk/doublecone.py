@@ -41,14 +41,12 @@ import random
 from dataclasses import dataclass
 
 from .basecase import HypersurfaceState, z_product
-from .coeffs import sqrt_mod
 from .errors import (
     ConewalkError,
     DivisionFailure,
     EjExhausted,
     EjTooSmall,
     IndexOutOfRange,
-    SamplingExhausted,
     StepInvariantViolated,
 )
 from .factorizer import INCONCLUSIVE, IRREDUCIBLE, IrreducibilityVerdict, probably_irreducible
@@ -64,7 +62,6 @@ class DoubleConeFamily:
     F2: SparsePoly
     Y0_eq: SparsePoly
     Y1_eq: SparsePoly
-    Z_eq: SparsePoly
 
 
 def choose_j0(state: HypersurfaceState) -> int:
@@ -158,7 +155,6 @@ def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
         F2=F2,
         Y0_eq=SparsePoly.sum_of(universe, [core, z_term]),
         Y1_eq=SparsePoly.sum_of(universe, [core, w_term]),
-        Z_eq=core,
     )
 
 
@@ -394,101 +390,3 @@ def verify_station(state: HypersurfaceState, trials: int = 20, seed: int = 0) ->
         got = f"{type(ex).__name__}: {ex}"
         return checks + [check_entry("family-construction", "family", "family equations assembled", got)]
     return checks + verify_singular_minors(fam)
-
-
-# -- numeric smoothness sampling --------------------------------------------
-
-
-def smoothness_sample(
-    fam: DoubleConeFamily,
-    samples: int,
-    params: dict,
-    seed: int = 0,
-    budget_factor: int = 200,
-) -> dict:
-    """Sample points of the specialized family with x0 != 0 and check the
-    Jacobian of (F1, F2) has rank 2 at each.
-
-    Points are produced by drawing all coordinates except z, w and
-    solving F1 = F2 = 0 for them (a quadratic in z).  Note t*x0^2 =
-    -z*w forces z != 0 wherever x0 != 0, so every sampled point also
-    has x0*z != 0.
-    """
-    p = fam.state.p
-    for name in ("lam", "t"):
-        v = params.get(name)
-        if v is None:
-            raise ValueError(f"parameter {name!r} must be assigned")
-        if v % p == 0:
-            raise ValueError(f"parameter {name!r} must be nonzero")
-
-    u = fam.state.universe
-    rng = random.Random(seed)
-    iz, iw, ix0 = map(u.index, ("z", "w", "x0"))
-
-    z_core = fam.Z_eq.specialize(params)
-    b_poly = (
-        SparsePoly.variable(u, "x0", fam.state.d - 2)
-        * (
-            SparsePoly.param(u, "lam") * SparsePoly.variable(u, f"y{fam.j0}")
-            + SparsePoly.variable(u, "x0")
-        )
-    ).specialize(params)
-    # F1 uses every variable of F2 (x0, z, w); a variable it does not use
-    # gives a zero Jacobian column, which no 2x2 minor needs
-    used = fam.F1.variables()
-    grads = []
-    for eq in (fam.F1, fam.F2):
-        grads.append([eq.partial_derivative(name).specialize(params) for name in used])
-
-    t_val = params["t"] % p
-
-    found = 0
-    rank2 = 0
-    attempts = 0
-    budget = budget_factor * samples
-    while found < samples:
-        attempts += 1
-        if attempts > budget:
-            raise SamplingExhausted(
-                f"found {found}/{samples} region points in {budget} attempts"
-            )
-        point = [rng.randrange(p) for _ in u.names]
-        point[ix0] = rng.randrange(1, p)
-        point[iz] = 0
-        point[iw] = 0
-        a_val = z_core.eval_point(point)
-        b_val = b_poly.eval_point(point)
-        c_val = pow(point[ix0], fam.state.d - 1, p)
-        rhs = t_val * pow(point[ix0], 2, p) % p  # z*w = -rhs
-        if b_val == 0:
-            if a_val == 0:
-                continue
-            z_val = -a_val * pow(c_val, -1, p) % p
-        else:
-            disc = (a_val * a_val + 4 * c_val * rhs % p * b_val) % p
-            root = sqrt_mod(disc, p)
-            if root is None:
-                continue
-            z_val = (-a_val + root) * pow(2 * c_val, -1, p) % p
-            if z_val == 0:
-                z_val = (-a_val - root) * pow(2 * c_val, -1, p) % p
-        if z_val == 0:
-            continue
-        w_val = -rhs * pow(z_val, -1, p) % p
-        point[iz], point[iw] = z_val, w_val
-        found += 1
-        j = [[g.eval_point(point) for g in row] for row in grads]
-        has_rank2 = any(
-            (j[0][c1] * j[1][c2] - j[0][c2] * j[1][c1]) % p
-            for c1 in range(len(used))
-            for c2 in range(c1 + 1, len(used))
-        )
-        if has_rank2:
-            rank2 += 1
-    return {
-        "samples": samples,
-        "rank2": rank2,
-        "attempts": attempts,
-        "pass": rank2 == samples,
-    }

@@ -92,10 +92,6 @@ class StepInvariantViolated(ConewalkError):
     """A cone step produced a state whose ladder values or degrees are off."""
 
 
-class SamplingExhausted(ConewalkError):
-    """Point sampling budget ran out before a region point was found."""
-
-
 # -- inputs ----------------------------------------------------------------
 
 class InputTooLarge(ConewalkError, ValueError):

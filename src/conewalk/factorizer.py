@@ -1,7 +1,6 @@
 """Irreducibility oracle over GF(p).
 
-``univariate_factor`` is a complete factorization for single-variable
-inputs.  ``probably_irreducible`` decides absolute irreducibility of a
+``probably_irreducible`` decides absolute irreducibility of a
 homogeneous polynomial of degree d in k used variables:
 
 - d = 1 is ``Irreducible``;
@@ -54,7 +53,6 @@ from dataclasses import dataclass, field
 from math import prod
 
 from . import bifactor as bi
-from . import unifactor as uni
 from .coeffs import ff_inv_int
 from .errors import (
     DegreeTooLargeForPrime,
@@ -84,33 +82,6 @@ class IrreducibilityVerdict:
         """0.0 for the exact answers Irreducible and Reducible, 1.0 for
         Inconclusive."""
         return 1.0 if self.verdict == INCONCLUSIVE else 0.0
-
-
-def univariate_factor(a: SparsePoly, assignment: dict | None = None, seed: int = 0):
-    """Complete factorization over GF(p) for a single-variable polynomial.
-
-    Returns (unit, factors) where unit is the leading coefficient, an
-    int in [0, p), and factors is a list of (monic irreducible
-    SparsePoly, multiplicity); unit * prod factor^mult == a, specialized
-    at ``assignment``.  A parameter of ``a`` left unassigned raises
-    ``UnassignedParameter`` (``SparsePoly.specialize``).
-    """
-    if a.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    universe = a.universe
-    if len(universe) != 1:
-        raise ValueError("univariate_factor expects a single-variable universe")
-    coeffs = [0] * (a.total_degree() + 1)
-    for pairs, c in a.specialize(assignment or {}).exponent_items():
-        coeffs[sum(e for _, e in pairs)] = c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    unit, factors = uni.factor(universe.ring.p, coeffs, random.Random(seed))
-    out = []
-    for g, mult in factors:
-        terms = {(i,): c for i, c in enumerate(g) if c}
-        out.append((SparsePoly.from_residues(universe, terms), mult))
-    return unit, out
 
 
 def probably_irreducible(

@@ -8,7 +8,7 @@ at an invertible parameter (``lam``).  Parameter-only values such as
 ``-lam^-1`` or ``t*lam`` are ordinary polynomials (``SparsePoly.param``).
 Parameters are evaluated in one loop, ``SparsePoly.substitute``, which
 keeps the parameters it is not given; ``specialize`` is that loop at a
-total assignment, and ``eval_point`` takes a parameter-free polynomial.
+total assignment.
 
 A key is one int of 16-bit fields.  From the high bits down they hold
 the total variable degree, the exponents of the variables in universe
@@ -24,8 +24,8 @@ of the result key, and raises ``ExponentOverflow`` (in ``parse_poly``, a
 positioned ``ParseError``); no field carries into the next.  The layout
 is private to this module, and so is exponent arithmetic: other modules
 read a term through ``exponent_items``, its nonzero variable exponents as
-(slot, exponent) pairs.  ``to_dict`` and ``specialize_params`` give
-exponent tuples, one slot per name, for the tests and the benchmark.
+(slot, exponent) pairs.  ``specialize_params`` gives variable exponent
+tuples, one slot per name, for the tests and the benchmark.
 
 Only the public constructor and ``parse_poly`` check terms.  Arithmetic
 builds its results from checked operands through ``_poly``, unchecked
@@ -312,13 +312,6 @@ class SparsePoly:
         return _poly(universe, {universe._layout.base: c} if c else {})
 
     @classmethod
-    def from_residues(cls, universe: VarUniverse, terms: dict) -> "SparsePoly":
-        """The parameter-free polynomial with terms {variable exponents:
-        residue}; the inverse of ``specialize_params``."""
-        zero = (0,) * universe.ring.nparams
-        return cls(universe, {tuple(exps) + zero: c for exps, c in terms.items()})
-
-    @classmethod
     def variable(cls, universe: VarUniverse, name: str, exp: int = 1) -> "SparsePoly":
         slot = universe.index(name)
         if exp < 0:
@@ -331,12 +324,6 @@ class SparsePoly:
         if exp < 0 and name not in universe.ring.invertible:
             raise ValueError(f"negative exponent at non-invertible parameter {name!r}")
         return _poly(universe, {universe._layout.monomial(slot, exp): 1})
-
-    def to_dict(self) -> dict:
-        """{full exponent tuple: residue}, variables then parameters, in
-        term order; the constructor takes it back."""
-        unpack = self.universe._layout.unpack
-        return {unpack(k): c for k, c in self.terms.items()}
 
     # -- basic predicates --
 
@@ -590,23 +577,6 @@ class SparsePoly:
         not read, so call it on a ``specialize``d polynomial."""
         nonzero = self.universe._layout.nonzero
         return [(tuple(nonzero(k)), c) for k, c in self.terms.items()]
-
-    def eval_point(self, point) -> int:
-        """The value in [0, p) at a point of a parameter-free polynomial;
-        a term with a parameter raises ``UnassignedParameter``."""
-        p = self.universe.ring.p
-        layout = self.universe._layout
-        if len(point) != len(self.universe):
-            raise ValueError("point length mismatch")
-        pmask = (1 << layout.pbits) - 1
-        total = 0
-        for k, c in self.terms.items():
-            if k & pmask != layout.base:
-                raise UnassignedParameter("a term has a parameter: specialize before evaluating")
-            for i, e in layout.nonzero(k):
-                c = c * pow(point[i], e, p) % p
-            total += c
-        return total % p
 
     def exact_quotient(self, g: "SparsePoly") -> "SparsePoly | None":
         """self / g when g divides self exactly, else None (also for g = 0);

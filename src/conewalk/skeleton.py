@@ -4,14 +4,14 @@ The combinatorial stand-in for a two-step degeneration analysis: each
 vertex of a loop-free simple graph carries finitely generated modules
 (one-cycle and zero-cycle slots), each edge carries a zero-cycle
 module, and incidence data consists of integer matrices.  Two maps are
-assembled from this data:
+built from this data:
 
 * ``psi_map``: vertex one-cycles to edge zero-cycles, the difference of
   the two incidence images across each edge (lower endpoint positive).
-* ``phi_map``: vertex one-cycles to vertex zero-cycles, from one edge
-  rule summed over the edges: an edge {a, b} pushes the incidence image
-  of each end's one-cycles into the other end's zero-cycles, and
-  subtracts each end's own push o inter on its diagonal.
+* phi: vertex one-cycles to vertex zero-cycles, from one edge rule
+  summed over the edges: an edge {a, b} pushes the incidence image of
+  each end's one-cycles into the other end's zero-cycles, and subtracts
+  each end's own push o inter on its diagonal.
 
 Every block is added into the matrix where it lands.  A module may have
 no generators: its maps are matrices without rows or columns, and a
@@ -21,7 +21,7 @@ block through it is zero.
 vertex (e, n) carries CH0[e] only, as its one-cycle and its zero-cycle
 module: the pullback part, whose incidence and push maps to both
 neighbouring edge copies are the identity.  ``phi_map_subdivided`` is
-the edge rule of ``phi_map`` on the r copies of each edge.
+phi of the subdivision: the edge rule on the r copies of each edge.
 
 Modules are presented over Z (ring 0) or Z/c; elements are int tuples
 reduced coordinate-wise.  The transfer demo requires free modules.
@@ -231,7 +231,7 @@ def _compose(push, inter, ident):
     return push if inter is None else matmul(push, inter)
 
 
-def _edge_blocks(end_a, end_b, ident=None):
+def _edge_blocks(end_a, end_b, ident):
     """phi's four blocks from one edge {a, b}, whose ends are given as
     (label, inter, push): push_b o inter_a at (b, a), push_a o inter_b at
     (a, b), and -push o inter of each end on its diagonal.  A map given
@@ -249,17 +249,6 @@ def _edge_blocks(end_a, end_b, ident=None):
 def _end(sk, e, v):
     """The end v of the edge e, as ``_edge_blocks`` takes it."""
     return v, sk.inter[(e, v)], sk.push[(e, v)]
-
-
-def phi_map(sk: ChainSkeleton) -> LinearMap:
-    """Vertex-row block matrix: the edge rule of ``_edge_blocks`` summed
-    over the edges."""
-    src = [(v, sk.ch1[v]) for v in sk.graph.vertices]
-    dst = [(v, sk.ch0_vertex[v]) for v in sk.graph.vertices]
-    blocks = []
-    for e in sk.graph.edges:
-        blocks += _edge_blocks(*(_end(sk, e, v) for v in e))
-    return _assemble(src, dst, blocks, sk.ring)
 
 
 # -- subdivision -------------------------------------------------------------
@@ -305,7 +294,7 @@ def subdivide(sk: ChainSkeleton, r: int) -> SubdividedSkeleton:
 
 def phi_map_subdivided(ssk: SubdividedSkeleton) -> LinearMap:
     """The assembled vertex-to-vertex map of the subdivision: the edge
-    rule of ``phi_map`` on each of the r copies of a base edge, with the
+    rule of phi on each of the r copies of a base edge, with the
     identity as incidence and push map at the fresh vertices."""
     sk = ssk.base
     nbase = len(sk.graph.vertices)
@@ -459,34 +448,8 @@ def surjectivity_transfer_demo(
 # -- JSON interchange ----------------------------------------------------------
 
 
-def module_to_json(mod: FgModule) -> dict:
-    return {"ring": mod.ring, "rank": mod.rank, "factors": list(mod.factors)}
-
-
 def module_from_json(d) -> FgModule:
     return FgModule(ring=d["ring"], rank=d["rank"], factors=tuple(d.get("factors", ())))
-
-
-def skeleton_to_json(sk: ChainSkeleton) -> dict:
-    def edge_key(e):
-        return f"{e[0]}|{e[1]}"
-
-    return {
-        "vertices": list(sk.graph.vertices),
-        "edges": [list(e) for e in sk.graph.edges],
-        "ch1": {str(v): module_to_json(sk.ch1[v]) for v in sk.graph.vertices},
-        "ch0_vertex": {str(v): module_to_json(sk.ch0_vertex[v]) for v in sk.graph.vertices},
-        "ch0_edge": {edge_key(e): module_to_json(sk.ch0_edge[e]) for e in sk.graph.edges},
-        "inter": {
-            f"{edge_key(e)}@{v}": sk.inter[(e, v)] for e in sk.graph.edges for v in e
-        },
-        "push": {
-            f"{edge_key(e)}@{v}": sk.push[(e, v)]
-            for e in sk.graph.edges
-            for v in e
-            if (e, v) in sk.push
-        },
-    }
 
 
 def skeleton_from_json(d) -> ChainSkeleton:

@@ -1,25 +1,28 @@
 """Slow, independent reference computations that the tests compare the
 package against; nothing in the package calls them."""
 
+import random
 import re
 from itertools import combinations
-from math import gcd
+from math import comb, gcd, prod
 from operator import add
 from types import SimpleNamespace
 
 from conewalk import gfext
 from conewalk.basecase import BaseParams, build_cj, build_g, cj_degree
+from conewalk.bounds import sum_S
 from conewalk.coeffs import ff_inv_int, is_prime, prime_powers
 from conewalk.errors import (
     DivisionFailure,
     FactorizationFailure,
     FactorsNotCoprime,
     ParseError,
+    UnassignedParameter,
     ZeroInverse,
     ZeroPolynomial,
 )
 from conewalk.poly import SparsePoly, VarUniverse, coordinate_universe
-from conewalk.skeleton import ChainSkeleton, DualGraph
+from conewalk.skeleton import ChainSkeleton, DualGraph, LinearMap
 
 
 def max_abs_minor_gcd(A, k):
@@ -101,6 +104,173 @@ def subdivision_skeleton(sk, r):
     )
 
 
+def phi_map(sk):
+    """The vertex-to-vertex obstruction map of the ``ChainSkeleton`` sk,
+    dense: for each edge e and each pair (a, b) of its ends, the block
+    push_b o inter_a from a's one-cycles to b's zero-cycles, negated when
+    a = b, added where it lands; reduced mod the ring."""
+    def starts(mods):
+        out, pos = {}, 0
+        for v in sk.graph.vertices:
+            out[v], pos = pos, pos + mods[v].ngens
+        return out, pos
+
+    col, ncols = starts(sk.ch1)
+    row, nrows = starts(sk.ch0_vertex)
+    M = [[0] * ncols for _ in range(nrows)]
+    for e in sk.graph.edges:
+        for a in e:
+            inter = sk.inter[(e, a)]
+            for b in e:
+                sign = -1 if a == b else 1
+                for i, prow in enumerate(sk.push[(e, b)]):
+                    for j in range(sk.ch1[a].ngens):
+                        M[row[b] + i][col[a] + j] += sign * sum(x * inter[k][j] for k, x in enumerate(prow))
+    if sk.ring:
+        M = [[v % sk.ring for v in r] for r in M]
+    src = [(v, sk.ch1[v]) for v in sk.graph.vertices]
+    dst = [(v, sk.ch0_vertex[v]) for v in sk.graph.vertices]
+    return LinearMap(src=src, dst=dst, matrix=M)
+
+
+def skeleton_to_json(sk):
+    """The graph-file JSON of a ``ChainSkeleton``, which
+    ``skeleton_from_json`` reads back."""
+    def key(e):
+        return f"{e[0]}|{e[1]}"
+
+    def module(mod):
+        return {"ring": mod.ring, "rank": mod.rank, "factors": list(mod.factors)}
+
+    ends = [(e, v) for e in sk.graph.edges for v in e]
+    return {
+        "vertices": list(sk.graph.vertices),
+        "edges": [list(e) for e in sk.graph.edges],
+        "ch1": {str(v): module(sk.ch1[v]) for v in sk.graph.vertices},
+        "ch0_vertex": {str(v): module(sk.ch0_vertex[v]) for v in sk.graph.vertices},
+        "ch0_edge": {key(e): module(sk.ch0_edge[e]) for e in sk.graph.edges},
+        "inter": {f"{key(e)}@{v}": sk.inter[(e, v)] for e, v in ends},
+        "push": {f"{key(e)}@{v}": sk.push[(e, v)] for e, v in ends if (e, v) in sk.push},
+    }
+
+
+def sandwich_check(n, m):
+    """(floor(n/m) - 1)(2^(n-1) - 1) <= S(n, m) <= floor(n/m)(2^(n-1) - 1)."""
+    return (n // m - 1) * (2 ** (n - 1) - 1) <= sum_S(n, m) <= (n // m) * (2 ** (n - 1) - 1)
+
+
+def step_budget(m, d, r):
+    """The ladder budget sum_{j=1}^{r} floor((d - m - popcount(j)) / m):
+    the cone steps available from the base state."""
+    return sum((d - m - bin(j).count("1")) // m for j in range(1, r + 1))
+
+
+def step_budget_closed_form(n, m, d):
+    """sum_{l=1}^{n-1} C(n,l) floor((d-m-l)/m): the closed count of the
+    ladder budget at r = 2^n - 2.
+
+    The all-ones exponent pattern (l = n) belongs to the reserved last
+    y-coordinate, which never participates in the induction; the
+    published l = n variant of this count agrees exactly when
+    d < 2m + n, and overcounts by floor((d-m-n)/m) otherwise.
+    """
+    return sum(comb(n, l) * ((d - m - l) // m) for l in range(1, n))
+
+
+def to_dict(f):
+    """{full exponent tuple: residue} of a ``SparsePoly`` or a
+    ``TuplePoly``, variables then parameters, in term order; the
+    constructor takes it back."""
+    if isinstance(f, TuplePoly):
+        return dict(f.terms)
+    unpack = f.universe._layout.unpack
+    return {unpack(k): c for k, c in f.terms.items()}
+
+
+def from_residues(universe, terms):
+    """The parameter-free polynomial with terms {variable exponents:
+    residue}; the inverse of ``specialize_params``."""
+    zero = (0,) * universe.ring.nparams
+    return SparsePoly(universe, {tuple(exps) + zero: c for exps, c in terms.items()})
+
+
+def eval_point(f, point):
+    """The value in [0, p) at a point of a parameter-free polynomial; a
+    term with a parameter raises ``UnassignedParameter``."""
+    p, nv = f.universe.ring.p, len(f.universe)
+    total = 0
+    for exps, c in to_dict(f).items():
+        if any(exps[nv:]):
+            raise UnassignedParameter("a term has a parameter: specialize before evaluating")
+        total += c * prod(pow(x, e, p) for x, e in zip(point, exps))
+    return total % p
+
+
+class SamplingExhausted(Exception):
+    """``smoothness_sample`` ran out of attempts before finding its points."""
+
+
+def smoothness_sample(fam, samples, params, seed=0, budget_factor=200):
+    """A numeric cross-check of the family's smoothness off {x0 = 0}:
+    sample points of (F1, F2) at ``params`` with x0 != 0 and count those
+    where the Jacobian has rank 2.
+
+    All coordinates but z, w are drawn and F1 = F2 = 0 is solved for
+    them, a quadratic in z.  Since t*x0^2 = -z*w, every sampled point
+    also has z != 0.
+    """
+    state, p = fam.state, fam.state.p
+    for name in ("lam", "t"):
+        if params.get(name) is None or params[name] % p == 0:
+            raise ValueError(f"parameter {name!r} must be assigned and nonzero")
+    u = state.universe
+    rng = random.Random(seed)
+    iz, iw, ix0 = map(u.index, ("z", "w", "x0"))
+    z_core = state.defining_polynomial().specialize(params)
+    b_poly = (
+        SparsePoly.variable(u, "x0", state.d - 2)
+        * (SparsePoly.param(u, "lam") * SparsePoly.variable(u, f"y{fam.j0}") + SparsePoly.variable(u, "x0"))
+    ).specialize(params)
+    # a variable F1 does not use gives a zero Jacobian column, which no 2x2 minor needs
+    used = fam.F1.variables()
+    grads = [[eq.partial_derivative(name).specialize(params) for name in used] for eq in (fam.F1, fam.F2)]
+    t_val = params["t"] % p
+    found = rank2 = attempts = 0
+    while found < samples:
+        attempts += 1
+        if attempts > budget_factor * samples:
+            raise SamplingExhausted(f"found {found}/{samples} region points in {attempts - 1} attempts")
+        point = [rng.randrange(p) for _ in u.names]
+        point[ix0] = rng.randrange(1, p)
+        point[iz] = point[iw] = 0
+        a_val, b_val = eval_point(z_core, point), eval_point(b_poly, point)
+        c_val = pow(point[ix0], state.d - 1, p)
+        rhs = t_val * pow(point[ix0], 2, p) % p  # z*w = -rhs
+        if b_val == 0:
+            if a_val == 0:
+                continue
+            z_val = -a_val * pow(c_val, -1, p) % p
+        else:
+            disc = (a_val * a_val + 4 * c_val * rhs % p * b_val) % p
+            root = next((x for x in range(p) if x * x % p == disc), None)
+            if root is None:
+                continue
+            z_val = (-a_val + root) * pow(2 * c_val, -1, p) % p
+            if z_val == 0:
+                z_val = (-a_val - root) * pow(2 * c_val, -1, p) % p
+        if z_val == 0:
+            continue
+        point[iz], point[iw] = z_val, -rhs * pow(z_val, -1, p) % p
+        found += 1
+        j = [[eval_point(g, point) for g in row] for row in grads]
+        rank2 += any(
+            (j[0][c1] * j[1][c2] - j[0][c2] * j[1][c1]) % p
+            for c1 in range(len(used))
+            for c2 in range(c1 + 1, len(used))
+        )
+    return {"samples": samples, "rank2": rank2, "attempts": attempts, "pass": rank2 == samples}
+
+
 def build_F(bp: BaseParams, universe: VarUniverse | None = None) -> SparsePoly:
     """g*x0^(m+n-deg g) + sum_j x0^(n-deg c_j) c_j y_j^m + (-1)^n x1..xn y_{r+1}^m."""
     if universe is None:
@@ -135,7 +305,7 @@ def defining_polynomial_by_fold(state) -> SparsePoly:
 def min_param_exp(f: SparsePoly, name: str) -> int:
     """Least exponent of the parameter ``name`` over the terms of f (0 for f = 0)."""
     i = len(f.universe) + f.universe.ring.index(name)
-    return min((exps[i] for exps in f.to_dict()), default=0)
+    return min((exps[i] for exps in to_dict(f)), default=0)
 
 
 def clear_param_denominators(f: SparsePoly, name: str) -> SparsePoly:
@@ -150,7 +320,7 @@ def set_param_zero(f: SparsePoly, name: str) -> SparsePoly:
     """Substitute the parameter ``name`` by 0, after clearing its denominators."""
     cleared = clear_param_denominators(f, name)
     i = len(f.universe) + f.universe.ring.index(name)
-    return SparsePoly(f.universe, {e: c for e, c in cleared.to_dict().items() if e[i] == 0})
+    return SparsePoly(f.universe, {e: c for e, c in to_dict(cleared).items() if e[i] == 0})
 
 
 def hensel_pair_quadratic(F, f, g0, h0, T):
@@ -312,7 +482,7 @@ def canonical_string(f) -> str:
     """The canonical text of f, a ``SparsePoly`` or a ``TuplePoly``, terms
     ordered by ``term_sort_key`` on the variable part and then on the
     parameter part."""
-    terms = f.to_dict()
+    terms = to_dict(f)
     if not terms:
         return "0"
     nv = len(f.universe)
@@ -430,9 +600,6 @@ class TuplePoly:
         p = universe.ring.p
         self.universe = universe
         self.terms = {tuple(k): r for k, v in terms.items() if (r := v % p)}
-
-    def to_dict(self):
-        return dict(self.terms)
 
     def _combine(self, other, sign):
         out = dict(self.terms)

@@ -16,7 +16,7 @@ import pytest
 
 from conewalk import unifactor as uni
 from conewalk.basecase import BaseParams, build_base_state
-from conewalk.bounds import applicable, closed_form_S, max_N, sandwich_check, sum_S
+from conewalk.bounds import applicable, closed_form_S, max_N, sum_S
 from conewalk.doublecone import (
     build_family,
     choose_j0,
@@ -25,7 +25,6 @@ from conewalk.doublecone import (
     verify_state,
 )
 from conewalk.errors import EjExhausted
-from conewalk.factorizer import univariate_factor
 from conewalk.poly import SparsePoly, VarUniverse, parse_poly
 from conewalk.skeleton import (
     ChainSkeleton,
@@ -37,7 +36,7 @@ from conewalk.skeleton import (
     unit_skeleton,
 )
 
-from oracles import max_abs_minor_gcd
+from oracles import max_abs_minor_gcd, sandwich_check
 
 
 def _report(k, label, t0):

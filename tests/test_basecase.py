@@ -13,7 +13,7 @@ from conewalk.basecase import (
 from conewalk.errors import IndexOutOfRange
 from conewalk.poly import SparsePoly, coordinate_universe, parse_poly
 
-from oracles import build_F, defining_polynomial_by_fold
+from oracles import build_F, defining_polynomial_by_fold, step_budget, to_dict
 
 BP32 = BaseParams(n=3, m=2, r=6, d=5, p=101)
 BP22 = BaseParams(n=2, m=2, r=2, d=4, p=101)
@@ -98,7 +98,7 @@ def test_F_shape():
     # coefficient of y_{r+1}^m is (-1)^n x1...xn
     i_last = u.index(f"y{BP32.r + 1}")
     collected = {}
-    for exps, c in F.to_dict().items():
+    for exps, c in to_dict(F).items():
         if exps[i_last] == BP32.m:
             rest = list(exps)
             rest[i_last] = 0
@@ -106,7 +106,7 @@ def test_F_shape():
     expected = -(
         SparsePoly.variable(u, "x1") * SparsePoly.variable(u, "x2") * SparsePoly.variable(u, "x3")
     )
-    assert collected == expected.to_dict()
+    assert collected == to_dict(expected)
 
 
 def test_F_yj_cofactor_divisibility():
@@ -115,7 +115,7 @@ def test_F_yj_cofactor_divisibility():
     for j in range(1, BP32.r + 1):
         ij = u.index(f"y{j}")
         cofactor_terms = {}
-        for exps, c in F.to_dict().items():
+        for exps, c in to_dict(F).items():
             if exps[ij] == BP32.m:
                 rest = list(exps)
                 rest[ij] = 0
@@ -126,13 +126,7 @@ def test_F_yj_cofactor_divisibility():
 
 def test_h_choices():
     u = coordinate_universe(3, 6, 0, BP32.ring())
-    h = build_h(BP32, "default", u)
-    assert h == parse_poly("x0^5 + x1^5 + x2^5 + x3^5", u)
-    hc = build_h(BP32, "char-divides-d", u)
-    assert hc == parse_poly("x0^5 + x0*x1^4 + x1*x2^4 + x2*x3^4", u)
-    assert hc.degree_info() == (5, True)
-    with pytest.raises(ValueError):
-        build_h(BP32, "bogus", u)
+    assert build_h(BP32, u) == parse_poly("x0^5 + x1^5 + x2^5 + x3^5", u)
 
 
 def test_base_state_e_values():
@@ -166,31 +160,27 @@ def test_base_state_matches_regrouped_F():
     F = build_F(BP32, u)
     # strip the y_{r+1}^m term from F
     i_last = u.index(f"y{BP32.r + 1}")
-    stripped = SparsePoly(u, {e: c for e, c in F.to_dict().items() if e[i_last] == 0})
-    expected = SparsePoly.param(u, "rho") * build_h(BP32, "default", u) + SparsePoly.variable(
+    stripped = SparsePoly(u, {e: c for e, c in to_dict(F).items() if e[i_last] == 0})
+    expected = SparsePoly.param(u, "rho") * build_h(BP32, u) + SparsePoly.variable(
         u, "x0", BP32.d - BP32.m - BP32.n
     ) * stripped
     assert st.defining_polynomial() == expected
 
 
 def test_step_budget_matches_state():
-    from conewalk.bounds import step_budget
-
     st = build_base_state(BP32)
-    assert sum(st.e) == step_budget(BP32.n, BP32.m, BP32.d, BP32.r) == 3
+    assert sum(st.e) == step_budget(BP32.m, BP32.d, BP32.r) == 3
 
 
 def test_ladder_values_match_formula_at_n4():
     """All 14 columns at n = 4: ladder values equal the closed formula
     and their sum equals the step budget."""
-    from conewalk.bounds import step_budget
-
     bp = BaseParams(n=4, m=2, r=14, d=8, p=101)
     st = build_base_state(bp)
     for j in range(1, 15):
         assert st.e[j - 1] == (8 - 2 - cj_degree(j)) // 2
         assert st.recompute_e(j) == st.e[j - 1]
-    assert sum(st.e) == step_budget(4, 2, 8, 14)
+    assert sum(st.e) == step_budget(2, 8, 14)
     assert st.defining_polynomial().degree_info() == (8, True)
 
 
@@ -215,7 +205,7 @@ def test_defining_polynomial_is_the_repeated_addition_fold():
 
     def same(state):
         got, want = state.defining_polynomial(), defining_polynomial_by_fold(state)
-        assert list(got.to_dict().items()) == list(want.to_dict().items())
+        assert list(to_dict(got).items()) == list(to_dict(want).items())
         return got
 
     for seed in (1, 2, 3):

@@ -7,11 +7,10 @@ from conewalk.bounds import (
     applicable,
     closed_form_S,
     max_N,
-    sandwich_check,
-    step_budget,
-    step_budget_closed_form,
     sum_S,
 )
+
+from oracles import sandwich_check, step_budget, step_budget_closed_form
 
 
 def test_sum_values():
@@ -104,7 +103,7 @@ def test_step_budget_identity():
     for n in range(2, 13):
         for m in (2, 3, 4, 5):
             for d in range(m + n, 21):
-                assert step_budget(n, m, d, 2**n - 2) == step_budget_closed_form(n, m, d)
+                assert step_budget(m, d, 2**n - 2) == step_budget_closed_form(n, m, d)
 
 
 def test_step_budget_published_variant_in_valid_range():
@@ -115,4 +114,4 @@ def test_step_budget_published_variant_in_valid_range():
         for m in (2, 3):
             for d in range(m + n, min(2 * m + n, 21)):
                 full = sum(comb(n, l) * ((d - m - l) // m) for l in range(1, n + 1))
-                assert step_budget(n, m, d, 2**n - 2) == full, (n, m, d)
+                assert step_budget(m, d, 2**n - 2) == full, (n, m, d)

@@ -8,8 +8,9 @@ import pytest
 
 from conewalk import cli
 from conewalk.cli import main
-from conewalk.skeleton import ChainSkeleton, DualGraph, FgModule, skeleton_to_json
+from conewalk.skeleton import ChainSkeleton, DualGraph, FgModule
 from conewalk.stateio import load_state
+from oracles import skeleton_to_json
 
 
 def run(capsys, *argv):
@@ -151,9 +152,23 @@ def test_verify_json_requires_seed(tmp_path, capsys):
         "construct", "base", "--n", "2", "--m", "2", "--r", "2", "--d", "5",
         "--p", "101", "--out", str(s0),
     )
+    code, out, err = run(capsys, "verify", "--state", str(s0), "--json")
+    assert code == 2 and out == ""
+    assert err == "error: --seed is mandatory in --json mode\n"
+
+
+def test_construct_takes_no_h_choice(tmp_path, capsys):
+    """``construct base`` builds the one pivot form, sum x_i^d, and
+    rejects ``--h-choice`` as argparse rejects any unknown option."""
+    s0 = tmp_path / "s0.json"
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--state", str(s0), "--json"])
-    assert exc.value.code == 2
+        main([
+            "construct", "base", "--n", "2", "--m", "2", "--r", "2", "--d", "5",
+            "--p", "101", "--out", str(s0), "--h-choice", "default",
+        ])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and not s0.exists()
+    assert out.err.splitlines()[-1] == "conewalk: error: unrecognized arguments: --h-choice default"
 
 
 def test_json_outputs_byte_identical(tmp_path, capsys):

@@ -10,16 +10,15 @@ from conewalk.doublecone import (
     build_family,
     choose_j0,
     induct_step,
-    smoothness_sample,
     split_column,
     transformed_column,
     verify_singular_minors,
     verify_state,
     verify_station,
 )
-from conewalk.errors import EjExhausted, EjTooSmall, IndexOutOfRange, SamplingExhausted
+from conewalk.errors import EjExhausted, EjTooSmall, IndexOutOfRange
 from conewalk.poly import SparsePoly, parse_poly
-from oracles import set_param_zero
+from oracles import SamplingExhausted, set_param_zero, smoothness_sample, step_budget
 
 BP = BaseParams(n=3, m=2, r=6, d=5, p=101)
 
@@ -39,26 +38,29 @@ def test_family_equation_shapes(family):
     assert family.F2.degree_info() == (2, True)
     assert family.Y0_eq.degree_info() == (5, True)
     assert family.Y1_eq.degree_info() == (5, True)
-    assert family.Z_eq.degree_info() == (5, True)
+    core = family.state.defining_polynomial()
+    assert core.degree_info() == (5, True)
     u = family.state.universe
     t = SparsePoly.param(u, "t")
     x0 = SparsePoly.variable(u, "x0")
     z = SparsePoly.variable(u, "z")
     w = SparsePoly.variable(u, "w")
     assert family.F2 == t * x0**2 + z * w
-    # F1 = Z_eq + x0^(d-1) z + x0^(d-2)(lam y_{j0} + x0) w and the component
+    # F1 = core + x0^(d-1) z + x0^(d-2)(lam y_{j0} + x0) w and the component
     # equations drop exactly one of the two tails
     lam = SparsePoly.param(u, "lam")
     yj = SparsePoly.variable(u, "y1")
     ztail = x0**4 * z
     wtail = x0**3 * (lam * yj + x0) * w
-    assert family.F1 == family.Z_eq + ztail + wtail
-    assert family.Y0_eq == family.Z_eq + ztail
-    assert family.Y1_eq == family.Z_eq + wtail
+    assert family.F1 == core + ztail + wtail
+    assert family.Y0_eq == core + ztail
+    assert family.Y1_eq == core + wtail
 
 
 def test_regroup_round_trip(family, base_state):
-    assert family.Z_eq == base_state.defining_polynomial()
+    """The core the two component equations share, Y0 + Y1 - F1, is the
+    state's defining polynomial."""
+    assert family.Y0_eq + family.Y1_eq - family.F1 == base_state.defining_polynomial()
 
 
 def test_split_column_degrees(base_state):
@@ -208,7 +210,7 @@ def test_walk_and_families_share_one_universe(base_state):
         for j in range(1, st.r + 1):
             if st.e[j - 1] >= 1:
                 fam = build_family(st, j)
-                for poly in (fam.F1, fam.F2, fam.Y0_eq, fam.Y1_eq, fam.Z_eq):
+                for poly in (fam.F1, fam.F2, fam.Y0_eq, fam.Y1_eq):
                     assert poly.universe is st.universe
 
 
@@ -399,7 +401,7 @@ def test_lambda_zero_specialization(family):
     # the cleared equation keeps the x0^(d-1) w tail
     d = family.state.d
     w_tail = SparsePoly.variable(u, "x0", d - 1) * SparsePoly.variable(u, "w")
-    diff = y10 - family.Z_eq - w_tail
+    diff = y10 - family.state.defining_polynomial() - w_tail
     assert diff.is_zero()
 
 
@@ -437,11 +439,9 @@ def test_division_failure_on_inconsistent_state(base_state):
 def test_long_walk_d7_exhausts_budget_exactly():
     """Nine steps at (n, m, d) = (3, 2, 7): the ladder budget is met
     exactly and the structural checks hold at every station."""
-    from conewalk.bounds import step_budget
-
     bp = BaseParams(n=3, m=2, r=6, d=7, p=101)
     st = build_base_state(bp)
-    budget = step_budget(3, 2, 7, 6)
+    budget = step_budget(2, 7, 6)
     assert budget == 9 and st.e == [2, 2, 1, 2, 1, 1]
     states = [st]
     while True:
@@ -490,11 +490,9 @@ def test_walk_pivots_after_the_base_are_certified_by_their_linear_variable(monke
 def test_walk_with_modulus_three():
     """(n, m, d) = (3, 3, 9): l = 3 exercises the full binomial-weighted
     transform; six steps of budget, exact spot identity at i = 2."""
-    from conewalk.bounds import step_budget
-
     bp = BaseParams(n=3, m=3, r=6, d=9, p=101)
     st = build_base_state(bp)
-    assert step_budget(3, 3, 9, 6) == 6 and st.e == [1] * 6
+    assert step_budget(3, 9, 6) == 6 and st.e == [1] * 6
     states = [st]
     while True:
         try:

@@ -9,58 +9,19 @@ import pytest
 
 from conewalk import unifactor as uni
 from conewalk.coeffs import ParamCoeff, ParamRing
-from conewalk.errors import DegreeTooLargeForPrime, DivisionFailure, InputTooLarge, ZeroPolynomial
+from conewalk.errors import DegreeTooLargeForPrime, DivisionFailure, InputTooLarge
 from conewalk.factorizer import (
     INCONCLUSIVE,
     IRREDUCIBLE,
     REDUCIBLE,
     probably_irreducible,
-    univariate_factor,
 )
 from conewalk.poly import SparsePoly, VarUniverse, parse_poly
-from oracles import exact_divide, horner_slice
+from oracles import eval_point, exact_divide, from_residues, horner_slice
 
 RING101 = ParamRing(101)
 U3 = VarUniverse(("x0", "x1", "x2"), RING101)
 U4 = VarUniverse(("x0", "x1", "x2", "x3"), RING101)
-U1_7 = VarUniverse(("x0",), ParamRing(7))
-U1_5 = VarUniverse(("x0",), ParamRing(5))
-
-
-def test_univariate_examples():
-    unit, fs = univariate_factor(parse_poly("x0^2 + 6", U1_7))
-    assert unit == 1
-    assert sorted(f.canonical_string() for f, _ in fs) == ["x0 + 1", "x0 + 6"]
-
-    unit, fs = univariate_factor(parse_poly("x0^2 + 1", U1_7))
-    assert len(fs) == 1 and fs[0][1] == 1  # irreducible
-
-    unit, fs = univariate_factor(parse_poly("x0^3", U1_5))
-    assert fs == [(parse_poly("x0", U1_5), 3)]
-
-
-def test_univariate_zero_raises():
-    with pytest.raises(ZeroPolynomial):
-        univariate_factor(SparsePoly.zero(U1_7))
-
-
-def test_univariate_remultiplication_exact():
-    rng = random.Random(0)
-    for _ in range(60):
-        terms = {
-            (k,): rng.randrange(7) for k in range(rng.randint(1, 6) + 1)
-        }
-        f = SparsePoly(
-            U1_7,
-            {e: ParamCoeff.from_int(ParamRing(7), c) for e, c in terms.items() if c},
-        )
-        if f.is_zero():
-            continue
-        unit, fs = univariate_factor(f, seed=rng.randrange(1000))
-        prod = SparsePoly.constant(U1_7, unit)
-        for g, m in fs:
-            prod = prod * g**m
-        assert prod == f
 
 
 def test_conic_irreducible():
@@ -192,19 +153,6 @@ def test_linear_monomial_is_irreducible():
         v = probably_irreducible(parse_poly(text, U3), trials=3, seed=0)
         assert v.verdict == IRREDUCIBLE and v.failure_bound == 0.0, text
         assert v.witness is None
-
-
-def test_unspecialized_parameter_error():
-    from conewalk.errors import UnassignedParameter
-
-    f = SparsePoly.param(U1_7, "pi") * SparsePoly.variable(U1_7, "x0") + SparsePoly.constant(
-        U1_7, 1
-    )
-    with pytest.raises(UnassignedParameter):
-        univariate_factor(f)
-    # with an assignment it factors fine
-    unit, fs = univariate_factor(f, assignment={"pi": 2})
-    assert unit == 2
 
 
 def test_reducible_always_carries_verified_factor():
@@ -538,13 +486,13 @@ def test_slice_is_the_input_on_the_sampled_plane():
                 while True:
                     a, b, c = ([replay.randrange(p) for _ in u.names] for _ in range(3))
                     rows = [{k: vec[i] for k, i in enumerate(used)} for vec in (a, b, c)]
-                    if bi.rank_mod_p(rows, p) == 3 and f.eval_point(b):
+                    if bi.rank_mod_p(rows, p) == 3 and eval_point(f, b):
                         break
                 for _ in range(6):
                     u0, v0 = rng.randrange(p), rng.randrange(p)
                     point = [a[i] * u0 + b[i] * v0 + c[i] for i in range(len(u))]
                     got = uni.eval_at(p, bi.eval_u(p, slice_poly, u0), v0)
-                    assert got == f.eval_point(point), (p, idx, d)
+                    assert got == eval_point(f, point), (p, idx, d)
                 checked += 1
     assert checked == 36
 
@@ -608,7 +556,7 @@ def test_slices_have_no_limit_on_the_used_variables():
     n, rng = sys.getrecursionlimit() + 100, random.Random(1)
     universe = VarUniverse(tuple(f"x{i}" for i in range(n)), RING101)
     terms = {tuple(3 * (j == i) for j in range(n)): rng.randrange(1, 101) for i in range(n)}
-    v = probably_irreducible(SparsePoly.from_residues(universe, terms), trials=3, seed=1)
+    v = probably_irreducible(from_residues(universe, terms), trials=3, seed=1)
     assert v.verdict == IRREDUCIBLE and v.trials >= 1 and v.failure_bound == 0.0
 
 
@@ -650,7 +598,7 @@ def _linear_forms():
 
 def _from_terms(terms):
     n = len(next(iter(terms)))
-    return SparsePoly.from_residues(VarUniverse(tuple(f"x{i}" for i in range(n)), RING101), terms)
+    return from_residues(VarUniverse(tuple(f"x{i}" for i in range(n)), RING101), terms)
 
 
 def test_a_linear_variable_certifies_exactly_when_no_variable_divides():

@@ -1,10 +1,13 @@
 """Source rules the package relies on, checked on its syntax trees."""
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "conewalk").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "conewalk").glob("*.py"))
 
 
 def _trees():
@@ -111,8 +114,8 @@ def test_term_keys_are_read_only_in_poly():
 
 def test_exponent_tuples_stay_in_poly():
     """A term's exponents are read as (slot, exponent) pairs of its
-    nonzero fields: outside ``poly`` no module calls ``specialize_params``
-    or ``to_dict``, the views with one slot per variable of the universe
+    nonzero fields: outside ``poly`` no module calls ``specialize_params``,
+    the view with one slot per variable of the universe, or a ``to_dict``
     (a module's own function of that name, as ``bi.to_dict``, aside)."""
     found = []
     for name, tree in _trees():
@@ -231,9 +234,11 @@ def test_one_field_handle_site():
 def test_one_way_out_of_the_cli():
     """A CLI result leaves through ``cli._emit``, the one ``print`` to
     standard output; a usage error reaches ``main`` as a ValueError, so
-    ``main`` is the one function that returns the exit code 2."""
+    ``main`` is the one function that returns the exit code 2, and no
+    code in ``cli`` names ``SystemExit``, which would skip ``main``."""
     [tree] = [tree for name, tree in _trees() if name == "cli.py"]
     prints, returns = [], []
+    exits = [f"{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "SystemExit"]
     for owner in tree.body:
         name = getattr(owner, "name", "<module>")
         for node in ast.walk(owner):
@@ -245,6 +250,7 @@ def test_one_way_out_of_the_cli():
                     returns.append(f"{name}:{node.lineno}")
     assert not prints, prints
     assert not returns, returns
+    assert not exits, exits
 
 
 def test_one_json_writer():
@@ -280,6 +286,28 @@ def test_one_json_writer():
 
 
 MODULES = {path.stem for path in SOURCES}
+
+
+def test_readme_names_resolve():
+    """Every backticked dotted name in the README is an attribute path of
+    the package: ``conewalk.mod``, ``mod.name``, or ``Name.attr`` for a
+    class or function ``Name`` that a module defines."""
+    import conewalk
+
+    roots = {"conewalk": conewalk}
+    for stem in sorted(MODULES - {"__init__"}):
+        module = roots[stem] = importlib.import_module(f"conewalk.{stem}")
+        roots.update({k: v for k, v in vars(module).items() if getattr(v, "__module__", None) == module.__name__})
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", (ROOT / "README.md").read_text())
+    absent, missing = object(), []
+    for name in names:
+        head, *rest = name.split(".")
+        obj = roots.get(head, absent)
+        for attr in rest:
+            obj = getattr(obj, attr, absent)
+        if obj is absent:
+            missing.append(name)
+    assert names and not missing, missing
 
 
 class _Package:
@@ -521,10 +549,9 @@ class _References(ast.NodeVisitor):
 
 def _references(package):
     """Every reference made in src/ and bench/."""
-    root = Path(__file__).resolve().parents[1]
     found = []
     for folder in ("src", "bench"):
-        for path in sorted((root / folder).rglob("*.py")):
+        for path in sorted((ROOT / folder).rglob("*.py")):
             stem = path.stem if folder == "src" else f"bench/{path.stem}"
             tree = ast.parse(path.read_text(), filename=str(path))
             visitor = _References(package, stem, tree)
@@ -574,41 +601,19 @@ def _is_dataclass(cls):
     return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
 
 
-#: public API that only the README and the tests reach, kept on purpose
-DOCUMENTED_API = {
-    "univariate_factor": "the README's complete univariate factorization over GF(p)",
-    "smoothness_sample": "a README verifier that the verify command is still to wire in",
-    "phi_map": "the README's vertex-to-vertex obstruction map",
-    "skeleton_to_json": "inverse of skeleton_from_json for the README's graph files",
-    "SparsePoly.to_dict": "the README's exponent-tuple view, the inverse of the constructor",
-    "sandwich_check": "the README's sandwich estimates",
-    "step_budget": "the paper's ladder budget, not yet printed by the bounds command",
-    "step_budget_closed_form": "its closed form, not yet printed by the bounds command",
-}
-
-
 def test_no_public_api_that_nothing_calls():
     """Every public function, class and method of the package is referred
-    to in src/ or bench/ outside its own definition, or is documented API
-    listed in ``DOCUMENTED_API``; a reference from tests alone, or from
-    the definition's own body, does not count, and every listed name must
-    still be defined.  References are matched by owner: ``bi.deg_u`` is
-    bifactor's ``deg_u`` and nothing else, ``self.f`` and an annotated or
-    constructed receiver name their class's member, and only an attribute
-    on a receiver of unknown class counts for a same-named member of
-    every used class (see ``_References``)."""
+    to in src/ or bench/ outside its own definition; a reference from
+    tests alone, or from the definition's own body, does not count.
+    References are matched by owner: ``bi.deg_u`` is bifactor's ``deg_u``
+    and nothing else, ``self.f`` and an annotated or constructed receiver
+    name their class's member, and only an attribute on a receiver of
+    unknown class counts for a same-named member of every used class (see
+    ``_References``)."""
     package = _Package()
     used = _used(package, _references(package))
-    defined = list(_public(package, "api"))
-    found = [
-        f"{where}: {qualname}"
-        for where, qualname, key in defined
-        if key not in used and qualname not in DOCUMENTED_API
-    ]
+    found = [f"{where}: {qualname}" for where, qualname, key in _public(package, "api") if key not in used]
     assert not found, found
-    # an allow-list entry whose definition is gone would hide nothing
-    stale = sorted(set(DOCUMENTED_API) - {qualname for _, qualname, _ in defined})
-    assert not stale, stale
 
 
 #: dataclass fields that only the tests read, kept on purpose

@@ -12,11 +12,9 @@ from conewalk.skeleton import (
     DualGraph,
     FgModule,
     cokernel_torsion,
-    phi_map,
     phi_map_subdivided,
     psi_map,
     skeleton_from_json,
-    skeleton_to_json,
     subdivide,
     surjectivity_transfer_demo,
     telescope_check,
@@ -24,7 +22,7 @@ from conewalk.skeleton import (
     _offsets,
 )
 
-from oracles import max_abs_minor_gcd, subdivision_skeleton
+from oracles import max_abs_minor_gcd, phi_map, skeleton_to_json, subdivision_skeleton
 
 
 def identity_matrix(k):
