@@ -16,6 +16,9 @@ from .errors import InputTooLarge, UnassignedParameter, ZeroInverse
 
 DEFAULT_PARAMS = ("pi", "lam", "rho", "t")
 DEFAULT_INVERTIBLE = frozenset({"lam"})
+#: the cone step's fresh parameters: a step bakes its drawn values into
+#: the new column, so a state's coefficients name neither
+STEP_PARAMS = ("lam", "t")
 #: p of a ``ParamRing``, so of every polynomial and walk, lies below
 #: this: room for p > d^2 up to d = 63, and each row of the oracle's
 #: root-search tables within 32 kB; ``InputTooLarge`` otherwise, before

@@ -27,12 +27,10 @@ a step adds 1 to s and takes 1 from e_{j0}, so the sum is fixed, and
 the universe already holds every z_k of the walk and the family's z, w.
 Each station and each family is built in the state's own universe.
 
-Parameters lam and t are fresh transcendentals per step.  A baked step
-builds the column with its drawn (seeded random nonzero) lam and t; a
-symbolic step builds it with the parameters, by the same builder.  A
-state whose coefficients still mention lam or t (from a symbolic step)
-must absorb them into the ground field before the next family is
-built; ``induct_step`` does this automatically.
+Parameters lam and t are fresh transcendentals per step.  A step
+builds the column with its drawn (seeded random nonzero) lam and t, so
+no state's coefficients name them; a loaded state is held to that by
+``stateio``.  The family's equations name them, as its parameters.
 """
 
 from __future__ import annotations
@@ -92,49 +90,11 @@ def split_column(state: HypersurfaceState, j0: int):
     return out
 
 
-def _symbolic_params(state: HypersurfaceState) -> list:
-    """The step parameters, of lam and t, that f0, a0 or some a_{i,j}
-    still mentions, in sorted order.  h_poly is z1...zs and names none."""
-    polys = [state.f0, state.a0, *state.a.values()]
-    return [name for name in ("lam", "t") if any(poly.uses_param(name) for poly in polys)]
-
-
-def absorb_step_params(state: HypersurfaceState, seed: int) -> HypersurfaceState:
-    """Bake any symbolic lam/t left in the coefficients into the ground
-    field, using seeded random nonzero values drawn in sorted name order,
-    by one ``SparsePoly.substitute`` per coefficient.  Returns a new
-    state; the state itself when none is left."""
-    names = _symbolic_params(state)
-    if not names:
-        return state
-    rng = random.Random(seed)
-    values = {name: rng.randrange(1, state.p) for name in names}
-    new = HypersurfaceState(
-        bp=state.bp,
-        s=state.s,
-        universe=state.universe,
-        f0=state.f0.substitute(values),
-        a0=state.a0.substitute(values),
-        a={k: v.substitute(values) for k, v in state.a.items()},
-        e=list(state.e),
-        h_poly=state.h_poly,
-        params=dict(state.params),
-        provenance=list(state.provenance),
-    )
-    new.log("absorb", values=values, seed=seed)
-    return new
-
-
 def build_family(state: HypersurfaceState, j0: int) -> DoubleConeFamily:
-    """The family equations over the given state and column.
-
-    The state's coefficients must not mention lam or t: those names are
-    the *current* step's fresh transcendentals.
-    """
+    """The family equations over the given state and column; their lam
+    and t are the step's fresh transcendentals, which the state's
+    coefficients do not name."""
     _validate_j0(state, j0)
-    names = _symbolic_params(state)
-    if names:
-        raise ValueError(f"state coefficients still mention {names[0]!r}; absorb them first")
     universe = state.universe
     d = state.d
     yj = SparsePoly.variable(universe, f"y{j0}")
@@ -181,20 +141,12 @@ def transformed_column(a_sub, d, z, lam_inv, t_lam) -> list:
     return out
 
 
-def induct_step(
-    state: HypersurfaceState,
-    j0: int | None = None,
-    seed: int = 0,
-    symbolic: bool = False,
-) -> HypersurfaceState:
+def induct_step(state: HypersurfaceState, j0: int | None = None, seed: int = 0) -> HypersurfaceState:
     """One cone step: transform column j0, take up z_{s+1}, decrement e_{j0}.
 
-    By default the step's lam/t are seeded random nonzero values, baked
-    into the new column as it is built (ground-field absorption); with
-    ``symbolic=True`` they are kept as symbols, in which case the next
-    step will absorb them itself.
+    The step's lam/t are seeded random nonzero values, baked into the
+    new column as it is built and recorded in provenance.
     """
-    state = absorb_step_params(state, seed=(seed << 1) ^ 0x5EED)
     if j0 is None:
         j0 = choose_j0(state)
     _validate_j0(state, j0)
@@ -204,18 +156,15 @@ def induct_step(
     rng = random.Random(seed)
     lam_val = rng.randrange(1, p)
     t_val = rng.randrange(1, p)
-    if symbolic:
-        lam_inv = SparsePoly.param(universe, "lam", -1)
-        t_lam = SparsePoly.param(universe, "t") * SparsePoly.param(universe, "lam")
-    else:
-        lam_inv = SparsePoly.constant(universe, pow(lam_val, -1, p))
-        t_lam = SparsePoly.constant(universe, t_val * lam_val)
+    lam_inv = SparsePoly.constant(universe, pow(lam_val, -1, p))
+    t_lam = SparsePoly.constant(universe, t_val * lam_val)
     z_new = SparsePoly.variable(universe, f"z{state.s + 1}")
     column = transformed_column(split_column(state, j0), d, z_new, lam_inv, t_lam)
 
     a_new = dict(state.a)
     for i in range(1, m + 1):
         a_new[(i, j0)] = column[i]
+    # the file keeps "symbolic" for lam and t; provenance holds the values
     params = dict(state.params)
     params["lam"] = "symbolic"
     params["t"] = "symbolic"
@@ -243,11 +192,8 @@ def induct_step(
             deg, hom = poly.degree_info()
             if not hom or deg != d - i:
                 raise StepInvariantViolated(f"transformed a'_{i} has wrong degree")
-    step_entry = {"j0": j0, "seed": seed, "symbolic": symbolic}
-    if not symbolic:
-        step_entry["lam"] = lam_val
-        step_entry["t"] = t_val
-    new.log("induct", **step_entry)
+    # "symbolic": false stays in the entry: without it every state's bytes change
+    new.log("induct", j0=j0, seed=seed, symbolic=False, lam=lam_val, t=t_val)
     return new
 
 
@@ -386,7 +332,7 @@ def verify_station(state: HypersurfaceState, trials: int = 20, seed: int = 0) ->
     except EjExhausted:
         exhausted = "ladder exhausted"
         return checks + [check_entry("family-minors-skipped", "ladder", exhausted, exhausted)]
-    except (ConewalkError, ValueError) as ex:
+    except ConewalkError as ex:
         got = f"{type(ex).__name__}: {ex}"
         return checks + [check_entry("family-construction", "family", "family equations assembled", got)]
     return checks + verify_singular_minors(fam)

@@ -6,9 +6,8 @@ then one per parameter of the universe's ``ParamRing``.  Variable
 exponents are non-negative; a parameter exponent may be negative only
 at an invertible parameter (``lam``).  Parameter-only values such as
 ``-lam^-1`` or ``t*lam`` are ordinary polynomials (``SparsePoly.param``).
-Parameters are evaluated in one loop, ``SparsePoly.substitute``, which
-keeps the parameters it is not given; ``specialize`` is that loop at a
-total assignment.
+Parameters are evaluated in one loop, ``SparsePoly.specialize``, to a
+parameter-free polynomial.
 
 A key is one int of 16-bit fields.  From the high bits down they hold
 the total variable degree, the exponents of the variables in universe
@@ -446,12 +445,6 @@ class SparsePoly:
     def _param_slot(self, name: str) -> int:
         return len(self.universe) + self.universe.ring.index(name)
 
-    def _uses_slot(self, slot):
-        layout = self.universe._layout
-        mask = layout.field_mask(slot)
-        zero = layout.biases[slot] << layout.shifts[slot]
-        return any(k & mask != zero for k in self.terms)
-
     def variables(self) -> tuple:
         """The names of the variables some term uses, in universe order."""
         # a variable's field in the OR of the keys is nonzero iff some term's is
@@ -466,8 +459,21 @@ class SparsePoly:
         # the lowest nonzero field of the OR is the last variable used
         return layout.top // _WIDTH - ((used & -used).bit_length() - 1) // _WIDTH if used else 0
 
-    def uses_param(self, name: str) -> bool:
-        return self._uses_slot(self._param_slot(name))
+    def parameters(self) -> tuple:
+        """The names of the parameters some term uses, in ring order, from
+        one pass over the keys: a parameter is used when its field differs
+        from the parameter-free key's in some term's parameter part."""
+        layout = self.universe._layout
+        base, pmask = layout.base, (1 << layout.pbits) - 1
+        parts = {k & pmask for k in self.terms}
+        parts.discard(base)
+        if not parts:
+            return ()
+        used = 0
+        for part in parts:
+            used |= part ^ base
+        shifts = layout.shifts[layout.nv:]
+        return tuple(name for name, s in zip(self.universe.ring.names, shifts) if used >> s & _FIELD)
 
     # -- divisibility by variable powers --
 
@@ -521,50 +527,40 @@ class SparsePoly:
 
     # -- evaluation / specialization --
 
-    def substitute(self, values: dict) -> "SparsePoly":
-        """The polynomial with each parameter named in ``values`` that some
-        term uses evaluated, in one pass, and the others kept symbolic;
-        ``self`` when no term uses one of them.  An invertible parameter
-        assigned 0 raises ``InvertibleAssignedZero``."""
+    def specialize(self, assignment: dict) -> "SparsePoly":
+        """The parameter-free polynomial at ``assignment``: each parameter
+        part of a term is evaluated once, and the terms in one pass;
+        ``self`` when no term uses a parameter.  A parameter that some
+        term uses and ``assignment`` lacks raises ``UnassignedParameter``,
+        and an invertible one assigned 0 ``InvertibleAssignedZero``."""
         ring = self.universe.ring
         layout = self.universe._layout
-        p = ring.p
-        evaluated = []
-        for slot, name in enumerate(ring.names, len(self.universe)):
-            if name in values and self._uses_slot(slot):
-                v = values[name] % p
-                if v == 0 and name in ring.invertible:
-                    raise InvertibleAssignedZero(f"invertible parameter {name!r} assigned 0")
-                evaluated.append((slot, v, layout.units[slot]))
-        if not evaluated:
-            return self
+        p, base = ring.p, layout.base
         pmask = (1 << layout.pbits) - 1
-        parts = {}  # the value and the key step of each parameter part met
+        parts = {k & pmask for k in self.terms}
+        if parts <= {base}:
+            return self
+        slots = list(enumerate(ring.names, len(self.universe)))
+        values = {}  # the value and the key step of each parameter part
+        for part in parts:
+            m = 1
+            for slot, name in slots:
+                e = layout.exponent(part, slot)
+                if e:
+                    if name not in assignment:
+                        raise UnassignedParameter(f"parameter {name!r} not assigned")
+                    v = assignment[name] % p
+                    if v == 0 and name in ring.invertible:
+                        raise InvertibleAssignedZero(f"invertible parameter {name!r} assigned 0")
+                    m = m * _power(v, e, p) % p
+            # every parameter exponent goes to 0: the part becomes base
+            values[part] = m, part - base
         acc = {}
         for k, c in self.terms.items():
-            pk = k & pmask
-            part = parts.get(pk)
-            if part is None:
-                m, step = 1, 0
-                for slot, v, unit in evaluated:
-                    e = layout.exponent(pk, slot)
-                    m = m * _power(v, e, p) % p
-                    step += e * unit
-                part = parts[pk] = m, step
-            k -= part[1]  # the evaluated fields at exponent 0
-            acc[k] = acc.get(k, 0) + c * part[0]
-        # dropping some exponents can take the parameter degree out of its field
-        layout.check(acc)
+            m, step = values[k & pmask]
+            k -= step
+            acc[k] = acc.get(k, 0) + c * m
         return _poly(self.universe, _reduced(acc, p))
-
-    def specialize(self, assignment: dict) -> "SparsePoly":
-        """The parameter-free polynomial: ``substitute`` at an assignment
-        that must hold every parameter some term uses, or
-        ``UnassignedParameter`` is raised."""
-        for slot, name in enumerate(self.universe.ring.names, len(self.universe)):
-            if name not in assignment and self._uses_slot(slot):
-                raise UnassignedParameter(f"parameter {name!r} not assigned")
-        return self.substitute(assignment)
 
     def specialize_params(self, assignment: dict) -> dict:
         """``specialize`` as {variable exponent tuple: residue}."""

@@ -17,6 +17,7 @@ import re
 from json.encoder import encode_basestring_ascii as _string
 
 from .basecase import BaseParams, HypersurfaceState, check_walk_size, z_product
+from .coeffs import STEP_PARAMS
 from .errors import InputTooLarge, ParseError
 from .poly import coordinate_universe, parse_poly
 
@@ -118,7 +119,7 @@ def _require_type(value, kind, where):
 def _parse_field(text, universe, where, allowed):
     """The polynomial of one state field; it may use only the first
     ``allowed`` variables of the walk's universe, x0..xn, y1..y{r+1},
-    z1..zs."""
+    z1..zs, and no step parameter."""
     try:
         poly = parse_poly(text, universe)
     except ParseError as ex:
@@ -126,6 +127,9 @@ def _parse_field(text, universe, where, allowed):
     if poly.variable_span() > allowed:
         extra = [name for name in poly.variables() if universe.index(name) >= allowed]
         raise ValueError(f"state {where} uses {', '.join(extra)}, outside x0..xn, y1..y(r+1), z1..zs")
+    step = [name for name in poly.parameters() if name in STEP_PARAMS]
+    if step:
+        raise ValueError(f"state {where} uses {', '.join(step)}, a parameter of the cone step, not of a state")
     return poly
 
 

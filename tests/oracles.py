@@ -9,9 +9,10 @@ from operator import add
 from types import SimpleNamespace
 
 from conewalk import gfext
-from conewalk.basecase import BaseParams, build_cj, build_g, cj_degree
+from conewalk.basecase import BaseParams, HypersurfaceState, build_cj, build_g, cj_degree
 from conewalk.bounds import sum_S
 from conewalk.coeffs import ff_inv_int, is_prime, prime_powers
+from conewalk.doublecone import induct_step, split_column, transformed_column
 from conewalk.errors import (
     DivisionFailure,
     FactorizationFailure,
@@ -300,6 +301,58 @@ def defining_polynomial_by_fold(state) -> SparsePoly:
             ypow = ypow * yj
             total = total + state.a[(i, j)] * ypow
     return total
+
+
+def symbolic_column(state, j0):
+    """The new column [a'_0, ..., a'_m] of a cone step over ``state`` at
+    column j0 with lam and t kept as parameters: ``transformed_column``
+    at lam^-1 and t*lam themselves, where a step passes their drawn
+    values."""
+    u = state.universe
+    lam_inv = SparsePoly.param(u, "lam", -1)
+    t_lam = SparsePoly.param(u, "t") * SparsePoly.param(u, "lam")
+    z = SparsePoly.variable(u, f"z{state.s + 1}")
+    return transformed_column(split_column(state, j0), state.d, z, lam_inv, t_lam)
+
+
+def symbolic_station(state, j0, seed=0):
+    """The station after that symbolic step: ``induct_step``'s station
+    with the ``symbolic_column``, logged as an ``induct`` entry with
+    ``"symbolic": true`` and no values.  No state file may hold one."""
+    column = symbolic_column(state, j0)
+    new = HypersurfaceState(
+        bp=state.bp,
+        s=state.s + 1,
+        universe=state.universe,
+        f0=state.f0,
+        a0=column[0],
+        a={**state.a, **{(i, j0): column[i] for i in range(1, state.m + 1)}},
+        e=[ej - (j == j0) for j, ej in enumerate(state.e, 1)],
+        h_poly=state.h_poly * SparsePoly.variable(state.universe, f"z{state.s + 1}"),
+        params={**state.params, "lam": "symbolic", "t": "symbolic"},
+        provenance=list(state.provenance),
+    )
+    new.log("induct", j0=j0, seed=seed, symbolic=True)
+    return new
+
+
+def bake_step(f, step):
+    """``f`` with the lam and t of a provenance ``induct`` entry put in,
+    by the tuple-keyed reference, one name at a time."""
+    ref = TuplePoly(f.universe, to_dict(f)).substitute_param("lam", step["lam"]).substitute_param("t", step["t"])
+    return SparsePoly(f.universe, ref.terms)
+
+
+def baked_step_and_column(state, j0, seed):
+    """(``induct_step``'s station, ``symbolic_column``) over ``state`` at
+    column j0, once the station's a0 and column j0 are checked to be the
+    symbolic column at the lam and t its provenance records."""
+    baked = induct_step(state, j0=j0, seed=seed)
+    column = symbolic_column(state, j0)
+    step = baked.provenance[-1]
+    got = [baked.a0, *(baked.a[(i, j0)] for i in range(1, state.m + 1))]
+    assert got == [bake_step(f, step) for f in column], (j0, seed, step)
+    return baked, column
 
 
 def min_param_exp(f: SparsePoly, name: str) -> int:

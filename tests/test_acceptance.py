@@ -36,7 +36,7 @@ from conewalk.skeleton import (
     unit_skeleton,
 )
 
-from oracles import max_abs_minor_gcd, sandwich_check
+from oracles import baked_step_and_column, max_abs_minor_gcd, sandwich_check
 
 
 def _report(k, label, t0):
@@ -130,35 +130,33 @@ def test_criterion_06_induction_pipeline():
     budget = sum(comb(3, l) * ((3 - l) // 2) for l in range(1, 4))
     assert sum(state.e) == budget == 3
 
-    from conewalk.doublecone import absorb_step_params
-
     states = [state]
     split_snapshots = []
     for k in range(3):
-        # absorb the previous step's symbols first so the snapshot of the
-        # split column matches what the step actually transforms
-        prev = absorb_step_params(states[-1], seed=3000 + k)
+        # each baked step is checked against the symbolic column over the
+        # station it steps from, at the lam and t it records
+        prev = states[-1]
         j0 = choose_j0(prev)
-        nxt = induct_step(prev, seed=1000 + k, symbolic=True)
+        nxt, column = baked_step_and_column(prev, j0, seed=1000 + k)
         a_sub = [prev.a0] + [prev.a[(i, j0)].divide_by_monomial("x0", i) for i in range(1, 3)]
-        split_snapshots.append((prev, nxt, j0, a_sub))
+        split_snapshots.append((nxt, column, j0, a_sub))
         states.append(nxt)
     with pytest.raises(EjExhausted):
         induct_step(states[-1], seed=2000)
     assert [s.s for s in states] == [0, 1, 2, 3]
 
     # transformed-coefficient spot identities at every step (l = 2)
-    for prev, nxt, j0, a_sub in split_snapshots:
+    for nxt, column, j0, a_sub in split_snapshots:
         u = nxt.universe
         zs = SparsePoly.variable(u, f"z{nxt.s}")
         x0 = SparsePoly.variable(u, "x0")
         lam_inv = SparsePoly.param(u, "lam", -1)
         t_lam = SparsePoly.param(u, "t") * SparsePoly.param(u, "lam")
-        assert nxt.a[(2, j0)] == zs**2 * a_sub[2]
-        assert nxt.a[(1, j0)] == zs * (a_sub[1] - (x0**2 * a_sub[2] * lam_inv).scale(2)) + (
+        assert column[2] == zs**2 * a_sub[2]
+        assert column[1] == zs * (a_sub[1] - (x0**2 * a_sub[2] * lam_inv).scale(2)) + (
             x0**4 * t_lam
         )
-        assert nxt.a0 == a_sub[0] - x0**2 * a_sub[1] * lam_inv + (
+        assert column[0] == a_sub[0] - x0**2 * a_sub[1] * lam_inv + (
             x0**4 * a_sub[2] * lam_inv * lam_inv
         ) + x0**4 * zs
 

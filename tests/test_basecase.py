@@ -13,7 +13,7 @@ from conewalk.basecase import (
 from conewalk.errors import IndexOutOfRange
 from conewalk.poly import SparsePoly, coordinate_universe, parse_poly
 
-from oracles import build_F, defining_polynomial_by_fold, step_budget, to_dict
+from oracles import build_F, defining_polynomial_by_fold, step_budget, symbolic_station, to_dict
 
 BP32 = BaseParams(n=3, m=2, r=6, d=5, p=101)
 BP22 = BaseParams(n=2, m=2, r=2, d=4, p=101)
@@ -196,12 +196,13 @@ def test_base_universe_holds_the_whole_walk():
 
 def test_defining_polynomial_is_the_repeated_addition_fold():
     """The one-dict sum gives the terms, in order, of adding f0, a0 and
-    each a[(i, j)] * y_j^i one at a time: along seeded walks, symbolic
-    steps among them, at every station of the d = 8 witness walk, and on
-    states with zero columns and an a0 that cancels terms of f0."""
+    each a[(i, j)] * y_j^i one at a time: along seeded walks, and at the
+    station of a symbolic step from each of their stations, at every
+    station of the d = 8 witness walk, and on states with zero columns
+    and an a0 that cancels terms of f0."""
     import dataclasses
 
-    from conewalk.doublecone import induct_step
+    from conewalk.doublecone import choose_j0, induct_step
 
     def same(state):
         got, want = state.defining_polynomial(), defining_polynomial_by_fold(state)
@@ -212,7 +213,8 @@ def test_defining_polynomial_is_the_repeated_addition_fold():
         st = build_base_state(BP32)
         same(st)
         for k in range(sum(st.e)):
-            st = induct_step(st, seed=100 * seed + k, symbolic=k == seed - 1)
+            same(symbolic_station(st, choose_j0(st)))
+            st = induct_step(st, seed=100 * seed + k)
             same(st)
     st = build_base_state(BaseParams(n=6, m=2, r=62, d=8, p=101))  # the d = 8 witness
     same(st)

@@ -10,7 +10,7 @@ from conewalk import cli
 from conewalk.cli import main
 from conewalk.skeleton import ChainSkeleton, DualGraph, FgModule
 from conewalk.stateio import load_state
-from oracles import skeleton_to_json
+from oracles import skeleton_to_json, symbolic_station
 
 
 def run(capsys, *argv):
@@ -379,20 +379,27 @@ def test_construct_rejects_bad_parameters(capsys):
     assert code == 2
 
 
-def test_verify_reports_family_error_on_symbolic_state(tmp_path, capsys):
-    """A hand-saved symbolic-step state cannot host the next family until
-    its lam/t are absorbed; verify reports that as a failed check."""
+def test_a_state_naming_a_step_parameter_is_refused_at_load(tmp_path, capsys):
+    """lam and t are the cone step's parameters: a state whose a0 names
+    lam, as a symbolic step's station does, or whose a["1,1"] names t,
+    gets one error line naming the field from verify and from induct,
+    exit 2, and no file written."""
     from conewalk.basecase import BaseParams, build_base_state
-    from conewalk.doublecone import induct_step
-    from conewalk.stateio import save_state
+    from conewalk.stateio import save_state, state_to_dict, write_json
 
     st = build_base_state(BaseParams(n=3, m=2, r=6, d=5, p=101))
-    st1 = induct_step(st, j0=1, seed=3, symbolic=True)
-    path = tmp_path / "sym.json"
-    save_state(st1, path)
-    code, out, _ = run(capsys, "verify", "--state", str(path), "--seed", "2", "--trials", "4")
-    assert code == 1
-    assert "family-construction" in out
+    sym, hand = tmp_path / "sym.json", tmp_path / "hand.json"
+    save_state(symbolic_station(st, 1, seed=3), sym)
+    data = state_to_dict(st)
+    data["a"]["1,1"] += " + t*x0^4"
+    write_json(hand, data, "state file")
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    for path, field in ((sym, "state a0 uses lam,"), (hand, 'state a["1,1"] uses t,')):
+        for argv in (["verify", "--trials", "4", "--report", str(report)], ["induct", "--steps", "3", "--out", str(out)]):
+            code, stdout, err = run(capsys, *argv, "--state", str(path), "--seed", "2")
+            assert code == 2 and stdout == ""
+            _assert_one_error_line(err, f"state file {path}: {field} a parameter of the cone step")
+    assert not out.exists() and not report.exists()
 
 
 def _assert_one_error_line(err, *needles):
@@ -799,10 +806,36 @@ def test_skeleton_bad_input_file_is_a_usage_error(tmp_path, capsys, case, argv, 
     _assert_one_error_line(err, *(n.format(path=path) for n in needles))
 
 
+def test_step_parameters_are_scanned_at_load_not_at_each_step(tmp_path, capsys, monkeypatch):
+    """``induct`` on the d = 8 witness base state, (n, m, r) = (6, 2, 62),
+    asks each loaded field once which parameters it uses, and no step
+    asks again: one step and ten make the same 3 + m*r calls."""
+    from conewalk.poly import SparsePoly
+
+    s0 = tmp_path / "s0.json"
+    assert run(capsys, "construct", "base", "--n", "6", "--m", "2", "--r", "62", "--d", "8",
+               "--p", "101", "--seed", "1", "--out", str(s0))[0] == 0
+    parameters = SparsePoly.parameters
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return parameters(f)
+
+    monkeypatch.setattr(SparsePoly, "parameters", counted)
+    counts = []
+    for k in (1, 10):
+        calls.clear()
+        assert run(capsys, "induct", "--state", str(s0), "--steps", str(k), "--seed", "2",
+                   "--out", str(tmp_path / f"s{k}.json"))[0] == 0
+        counts.append(len(calls))
+    assert counts == [3 + 2 * 62] * 2
+
+
 def test_state_and_report_bytes_pinned(tmp_path, capsys):
-    """construct, a baked induct, verify --json, and one symbolic cone step
-    (lam^-1, t*lam and multi-parameter terms) write these exact bytes."""
-    from conewalk.doublecone import induct_step
+    """construct, a baked induct and verify --json write these exact
+    bytes; so does the station of one symbolic cone step (lam^-1, t*lam
+    and multi-parameter terms), which verify refuses to load."""
     from conewalk.stateio import load_state, save_state
 
     s0, s2, sym = (tmp_path / name for name in ("s0.json", "s2.json", "sym.json"))
@@ -814,47 +847,24 @@ def test_state_and_report_bytes_pinned(tmp_path, capsys):
     )
     assert run(capsys, "induct", "--state", str(s0), "--steps", "2", "--seed", "5",
                "--out", str(s2))[0] == 0
-    save_state(induct_step(load_state(s0), j0=1, seed=3, symbolic=True), sym)
+    save_state(symbolic_station(load_state(s0), 1, seed=3), sym)
     assert "lam^-1*" in sym.read_text() and "lam*t*" in sym.read_text()
     codes = []
     for state, report in zip((s2, sym), reports):
         code, out, _ = run(capsys, "verify", "--state", str(state), "--seed", "3",
                            "--trials", "6", "--report", str(report), "--json")
-        assert out == report.read_text()
+        assert out == (report.read_text() if code == 0 else "")
         codes.append(code)
-    assert codes == [0, 1]  # the symbolic state cannot host the next family
+    assert codes == [0, 2]  # the symbolic state names lam: a usage error
+    assert not reports[1].exists()
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in (s0, s2, sym, *reports)}
+               for path in (s0, s2, sym, reports[0])}
     assert digests == {
         "s0.json": "38062fe4e887ecdbab31eb62b559f14416d3e81921be18e1bdc0ec9d65db6c4e",
         "s2.json": "acb3d67b7c151d736d4d43d3dea2c78b40cf8cd8c99004f7d079fac394163bc9",
         "sym.json": "24033fe944e50cafe93c6b968fa0b7afe5b3b68fa59e4feb546945049b0b7562",
         "r2.json": "289f7b3aa8404a0c3fea9cb1ffff887597a84af1a50eb8b7a53509812dd446cc",
-        "rsym.json": "fefed867f8f7fce18b3b436582c354157f261947ab3400bb80bee6bd28a02e67",
     }
-
-
-def test_absorbed_symbolic_state_bytes_pinned(tmp_path, capsys):
-    """A state left symbolic by the library's cone step, then stepped by
-    ``induct --steps 1``, which absorbs its lam and t first, writes these
-    exact bytes."""
-    from conewalk.doublecone import induct_step
-    from conewalk.stateio import load_state, save_state
-
-    s0, sym, out = (tmp_path / name for name in ("s0.json", "sym.json", "absorbed.json"))
-    assert run(capsys, "construct", "base", "--n", "3", "--m", "2", "--r", "6", "--d", "5",
-               "--p", "101", "--seed", "4", "--out", str(s0))[0] == 0
-    save_state(induct_step(load_state(s0), j0=1, seed=3, symbolic=True), sym)
-    assert run(capsys, "induct", "--state", str(sym), "--steps", "1", "--seed", "8",
-               "--out", str(out))[0] == 0
-    ops = [entry["op"] for entry in json.loads(out.read_text())["provenance"]]
-    assert ops[-3:] == ["induct", "absorb", "induct"]
-    state = load_state(out)
-    for poly in [state.f0, state.a0, *state.a.values()]:
-        assert not poly.uses_param("lam") and not poly.uses_param("t")
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "c0a286deb38f17b056375c98baab68de89178ec6bbbfdc553cd647117de85fc5"
-    )
 
 
 def test_ladder_station_bytes_pinned(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from conewalk.basecase import BaseParams, HypersurfaceState, build_base_state
 from conewalk.doublecone import (
-    absorb_step_params,
     build_family,
     choose_j0,
     induct_step,
@@ -18,7 +17,15 @@ from conewalk.doublecone import (
 )
 from conewalk.errors import EjExhausted, EjTooSmall, IndexOutOfRange
 from conewalk.poly import SparsePoly, parse_poly
-from oracles import SamplingExhausted, set_param_zero, smoothness_sample, step_budget
+from oracles import (
+    SamplingExhausted,
+    bake_step,
+    baked_step_and_column,
+    set_param_zero,
+    smoothness_sample,
+    step_budget,
+    symbolic_station,
+)
 
 BP = BaseParams(n=3, m=2, r=6, d=5, p=101)
 
@@ -102,19 +109,21 @@ def test_minor_identities_configuration_sweep(n, m, r, steps, d):
 
 
 def test_top_coefficient_identity(base_state):
-    """a'_l = z_{s+1}^l a_l for l >= 2: single summand, both deltas vanish."""
-    st1 = induct_step(base_state, j0=1, seed=1, symbolic=True)
+    """a'_l = z_{s+1}^l a_l for l >= 2: single summand, both deltas vanish;
+    the baked step's a'_l is the same, since it names neither lam nor t."""
+    st1, column = baked_step_and_column(base_state, 1, seed=1)
     a_sub = [base_state.a0] + [base_state.a[(i, 1)].divide_by_monomial("x0", i) for i in (1, 2)]
     z1 = SparsePoly.variable(st1.universe, "z1")
-    assert st1.a[(2, 1)] == z1**2 * a_sub[2]
+    assert column[2] == z1**2 * a_sub[2] == st1.a[(2, 1)]
 
 
 def test_expanded_low_coefficients_l2(base_state):
     """For l = 2:
     a'_0 = a_0 - lam^-1 x0^2 a_1 + lam^-2 x0^4 a_2 + x0^(d-1) z_{s+1}
     a'_1 = z_{s+1} (a_1 - 2 lam^-1 x0^2 a_2) + t lam x0^(d-1)
+    on the symbolic column, which the baked step is at its lam and t.
     """
-    st1 = induct_step(base_state, j0=1, seed=1, symbolic=True)
+    st1, column = baked_step_and_column(base_state, 1, seed=1)
     u = st1.universe
     a0, a1, a2 = (
         base_state.a0,
@@ -132,10 +141,10 @@ def test_expanded_low_coefficients_l2(base_state):
         + x0**4 * a2 * lam_inv * lam_inv
         + x0**4 * z1
     )
-    assert st1.a0 == expected_a0
+    assert column[0] == expected_a0
 
     expected_a1 = z1 * (a1 - (x0**2 * a2 * lam_inv).scale(2)) + x0**4 * t_lam
-    assert st1.a[(1, 1)] == expected_a1
+    assert column[1] == expected_a1
 
 
 def test_divisibility_transport_symbolic():
@@ -151,7 +160,7 @@ def test_divisibility_transport_symbolic():
     bp = BaseParams(n=3, m=2, r=6, d=7, p=101)
     st = build_base_state(bp)
     assert st.e[0] == 2
-    st1 = induct_step(st, j0=1, seed=1, symbolic=True)
+    st1, sym = baked_step_and_column(st, 1, seed=1)
     u = st1.universe
     a_sub = [st.a0] + [st.a[(i, 1)].divide_by_monomial("x0", i) for i in (1, 2)]
     e = st.e[0] - 1
@@ -162,8 +171,10 @@ def test_divisibility_transport_symbolic():
     column = transformed_column(a_sub, bp.d, z1, lam_inv, SparsePoly.zero(u))
     for i in (1, 2):
         assert column[i].monomial_divides("x0", i * e)
-    # and the full transformed column keeps the state-level ladder at e_j - 1
+    # and the full transformed column, symbolic or baked, keeps the
+    # state-level ladder at e_j - 1
     for i in (1, 2):
+        assert sym[i].monomial_divides("x0", i * e)
         assert st1.a[(i, 1)].monomial_divides("x0", i * e)
 
 
@@ -172,23 +183,18 @@ def test_divisibility_transport_symbolic():
     [(3, 2, 6, 5, 0), (3, 2, 6, 7, 3), (2, 2, 2, 5, 1), (3, 3, 6, 9, 2), (4, 3, 2, 7, 0), (4, 2, 14, 12, 5)],
 )
 def test_baked_step_is_the_symbolic_step_at_its_drawn_values(n, m, r, d, steps):
-    """A baked step is the symbolic step with the provenance's lam and t
-    substituted into a0 and column j0; nothing else differs."""
+    """A baked step is the symbolic column with the provenance's lam and t
+    substituted into a0 and column j0; nothing else differs from the
+    symbolic step's station."""
     st = build_base_state(BaseParams(n=n, m=m, r=r, d=d, p=101))
     for k in range(steps):
         st = induct_step(st, seed=900 + k)
+    j0 = choose_j0(st)
     for seed in (1, 2, 3):
-        baked = induct_step(st, seed=seed)
-        sym = induct_step(st, seed=seed, symbolic=True)
-        step = baked.provenance[-1]
-        j0 = step["j0"]
-
-        def bake(poly):
-            return poly.substitute({"lam": step["lam"]}).substitute({"t": step["t"]})
-
-        assert baked.a0 == bake(sym.a0)
-        for i in range(1, m + 1):
-            assert baked.a[(i, j0)] == bake(sym.a[(i, j0)])
+        baked, column = baked_step_and_column(st, j0, seed)
+        assert baked.provenance[-1]["j0"] == j0
+        sym = symbolic_station(st, j0, seed)
+        assert [sym.a0, *(sym.a[(i, j0)] for i in range(1, m + 1))] == column
         assert baked.a == {**sym.a, **{(i, j0): baked.a[(i, j0)] for i in range(1, m + 1)}}
         assert (baked.f0, baked.h_poly, baked.e, baked.s) == (sym.f0, sym.h_poly, sym.e, sym.s)
 
@@ -332,26 +338,6 @@ def test_state_homogeneous_names_the_first_field_off_its_degree(base_state):
     assert _homogeneity(_with_field(st1, "a0", st1.a0 + x0**2)) == (("a0", 5, False), False)
 
 
-def test_symbolic_state_must_absorb_before_next_family(base_state):
-    st1 = induct_step(base_state, j0=1, seed=1, symbolic=True)
-    with pytest.raises(ValueError):
-        build_family(st1, 2)
-    st1a = absorb_step_params(st1, seed=5)
-    fam = build_family(st1a, 2)
-    assert all(c["pass"] for c in verify_singular_minors(fam))
-
-
-def test_verify_station_on_a_symbolic_state_fails_family_construction(base_state):
-    """A state left symbolic by a step cannot carry a family: its one
-    failing entry is the last, ``family-construction``, naming the error."""
-    st1 = induct_step(base_state, j0=1, seed=1, symbolic=True)
-    checks = verify_station(st1, trials=4, seed=7)
-    failed = [c for c in checks if not c["pass"]]
-    assert failed == [checks[-1]]
-    assert failed[0]["check"] == "family-construction"
-    assert failed[0]["got"].startswith("ValueError: ")
-
-
 def test_verify_station_on_an_exhausted_ladder_skips_the_family(base_state):
     st = _walk(base_state, 3, seed=40)[-1]
     assert st.e == [0] * 6
@@ -366,12 +352,6 @@ def test_verify_station_mid_walk_ends_with_the_minor_checks(base_state):
     assert checks[:-3] == verify_state(st, irreducibility_trials=4, seed=7)
     assert [c["check"] for c in checks[-3:]] == ["minor-det-tz", "y0-z-derivative", "y1-w-derivative"]
     assert all(c["pass"] for c in checks)
-
-
-def test_absorption_is_idempotent(base_state):
-    st1 = induct_step(base_state, j0=1, seed=1)
-    again = absorb_step_params(st1, seed=9)
-    assert again.a0 == st1.a0 and again.f0 == st1.f0
 
 
 def test_smoothness_sampling(family):
@@ -397,7 +377,7 @@ def test_lambda_zero_specialization(family):
     """The Y1 equation after clearing lam-denominators and sending lam to 0."""
     y10 = set_param_zero(family.Y1_eq, "lam")
     u = family.state.universe
-    assert not y10.uses_param("lam")
+    assert "lam" not in y10.parameters()
     # the cleared equation keeps the x0^(d-1) w tail
     d = family.state.d
     w_tail = SparsePoly.variable(u, "x0", d - 1) * SparsePoly.variable(u, "w")
@@ -406,11 +386,11 @@ def test_lambda_zero_specialization(family):
 
 
 def test_fresh_parameters_per_step(base_state):
-    """After a default (absorbing) step, the state mentions neither lam
-    nor t, so the next family's derivative identities stay exact."""
+    """After a step, which bakes its lam and t, the state mentions
+    neither, so the next family's derivative identities stay exact."""
     st1 = induct_step(base_state, seed=77)
     for poly in [st1.f0, st1.a0, *st1.a.values()]:
-        assert not poly.uses_param("lam") and not poly.uses_param("t")
+        assert not {"lam", "t"} & set(poly.parameters())
     fam = build_family(st1, choose_j0(st1))
     assert all(c["pass"] for c in verify_singular_minors(fam))
 
@@ -508,15 +488,15 @@ def test_walk_with_modulus_three():
         ]
         assert all(c["pass"] for c in checks), idx
 
-    st1 = induct_step(st, j0=1, seed=1, symbolic=True)
+    st1, column = baked_step_and_column(st, 1, seed=1)
     u = st1.universe
     z1 = SparsePoly.variable(u, "z1")
     x0 = SparsePoly.variable(u, "x0")
     a3 = st.a[(3, 1)].divide_by_monomial("x0", 3)
     a2 = st.a[(2, 1)].divide_by_monomial("x0", 2)
     lam_inv = SparsePoly.param(u, "lam", -1)
-    assert st1.a[(3, 1)] == z1**3 * a3
-    assert st1.a[(2, 1)] == z1**2 * (a2 + (x0**2 * a3 * lam_inv).scale(-3))
+    assert column[3] == z1**3 * a3 == st1.a[(3, 1)]
+    assert column[2] == z1**2 * (a2 + (x0**2 * a3 * lam_inv).scale(-3))
 
 
 @pytest.mark.parametrize("n,m,r,d", [(3, 2, 6, 5), (3, 3, 6, 9), (2, 2, 2, 5), (3, 2, 6, 7)])
@@ -525,11 +505,12 @@ def test_transform_agrees_with_closed_substitution(n, m, r, d):
     the binomial-weighted coefficient assembly used by induct_step, and
     the direct substitution y_j -> y_j z_{s+1} - lam^-1 x0^2 applied to
     the old column sum (with the two tail terms), expanded by plain
-    polynomial powering."""
+    polynomial powering.  The baked step's is that at its lam and t."""
     bp = BaseParams(n=n, m=m, r=r, d=d, p=101)
     st = build_base_state(bp)
     j0 = choose_j0(st)
-    st1 = induct_step(st, j0=j0, seed=3, symbolic=True)
+    baked, _ = baked_step_and_column(st, j0, seed=3)
+    st1 = symbolic_station(st, j0, seed=3)
     u = st1.universe
     zs = SparsePoly.variable(u, f"z{st1.s}")
     x0 = SparsePoly.variable(u, "x0")
@@ -549,3 +530,4 @@ def test_transform_agrees_with_closed_substitution(n, m, r, d):
         rhs = rhs + ai * target**i
     rhs = rhs + x0 ** (d - 1) * zs + x0 ** (d - 1) * yj * t_lam
     assert st1.defining_polynomial() == rhs
+    assert baked.defining_polynomial() == bake_step(rhs, baked.provenance[-1])

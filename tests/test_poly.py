@@ -9,11 +9,12 @@ import pytest
 
 from conewalk.basecase import BaseParams, build_base_state, z_product
 from conewalk.coeffs import ParamCoeff, ParamRing
-from conewalk.doublecone import induct_step
+from conewalk.doublecone import choose_j0, induct_step
 from conewalk.errors import (
     DivisionFailure,
     ExponentOverflow,
     ParseError,
+    UnassignedParameter,
     UniverseMismatch,
     UnknownVariable,
     ZeroPolynomial,
@@ -29,6 +30,7 @@ from oracles import (
     min_param_exp,
     parse_poly_scanner,
     set_param_zero,
+    symbolic_station,
     to_dict,
 )
 
@@ -343,9 +345,9 @@ def test_ladder_state_round_trips_through_both_parsers():
     state = build_base_state(BaseParams(n=3, m=2, r=6, d=5, p=101))
     for k in range(2):
         state = induct_step(state, seed=40 + k)
-    state = induct_step(state, seed=50, symbolic=True)  # lam^-1 and t stay symbolic
+    state = symbolic_station(state, choose_j0(state))  # lam^-1 and t stay symbolic
     polys = [state.f0, state.a0, state.h_poly, *state.a.values()]
-    assert any(f.uses_param("lam") for f in polys)
+    assert any("lam" in f.parameters() for f in polys)
     for f in polys:
         text = f.canonical_string()
         got = parse_poly(text, state.universe)
@@ -500,8 +502,8 @@ def test_parse_is_the_sum_of_single_term_parses():
 
 def test_flat_terms_properties():
     """On random polynomials with negative lam exponents: the text round
-    trip, ``specialize_params`` as a ring homomorphism, and substitution
-    before specialization."""
+    trip, ``specialize_params`` as a ring homomorphism, and ``specialize``
+    as the tuple-keyed reference's."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -521,10 +523,9 @@ def test_flat_terms_properties():
         assert spec(a * b) == spec(a) * spec(b)
         assert spec(a + b) == spec(a) + spec(b)
         assert spec(-a) == -spec(a)
-        for name in RING.names:
-            baked = a.substitute({name: values[name]})
-            assert not baked.uses_param(name)
-            assert baked.specialize_params(values) == a.specialize_params(values)
+        baked = a.specialize(values)
+        assert baked.parameters() == ()
+        assert baked.specialize_params({}) == TuplePoly(U3, to_dict(a)).specialize_params(values)
 
     check()
 
@@ -598,9 +599,11 @@ def test_packed_keys_match_the_tuple_reference():
         for name in u.names[:3] + u.names[-2:]:
             assert to_dict(a.partial_derivative(name)) == ra.partial_derivative(name).terms
         values = {name: rng.randrange(1, 101) for name in RING.names}
+        want = ra
         for name in RING.names:
             assert to_dict(a.param_derivative(name)) == ra.param_derivative(name).terms
-            assert to_dict(a.substitute({name: values[name]})) == ra.substitute_param(name, values[name]).terms
+            want = want.substitute_param(name, values[name])
+        assert to_dict(a.specialize(values)) == want.terms
         assert a.specialize_params(values) == ra.specialize_params(values)
         assert a.variables() == ra.variables()
         assert (a * b).variables() == (ra * rb).variables()
@@ -613,7 +616,7 @@ def test_packed_keys_match_the_tuple_reference():
 def test_exponent_out_of_its_field_is_a_typed_error():
     # the largest exponents that fit, and one past them
     assert V("x0", 32767).total_degree() == 32767
-    assert SparsePoly.param(U3, "lam", -16384).uses_param("lam")
+    assert SparsePoly.param(U3, "lam", -16384).parameters() == ("lam",)
     for make in [
         lambda: SparsePoly.variable(U3, "x0", 32768),
         lambda: SparsePoly.variable(U3, "x0", 70000),
@@ -625,8 +628,6 @@ def test_exponent_out_of_its_field_is_a_typed_error():
         lambda: V("x0", 16384) ** 2,
         lambda: SparsePoly.param(U3, "lam", -16384) * SparsePoly.param(U3, "lam", -1),
         lambda: SparsePoly.param(U3, "lam", -16384).param_derivative("lam"),
-        lambda: (SparsePoly.param(U3, "pi", 16383) * SparsePoly.param(U3, "rho") *
-                 SparsePoly.param(U3, "lam", -1)).substitute({"lam": 3}),
     ]:
         with pytest.raises(ExponentOverflow):
             make()
@@ -763,19 +764,20 @@ def test_specialize_is_the_parameter_free_polynomial():
         values = {name: rng.randrange(1, 101) for name in RING.names}
         g = f.specialize(values)
         assert g == from_residues(U3, f.specialize_params(values))
-        assert not any(map(g.uses_param, RING.names)) and g.specialize({}) is g
+        assert g.parameters() == () and g.specialize({}) is g
         point = [rng.randrange(101) for _ in U3.names]
         assert eval_point(g, point) == eval_point(f.specialize(values), point)
-        assert (g is f) == (not any(map(f.uses_param, RING.names)))
+        assert (g is f) == (f.parameters() == ())
 
 
 def test_substitute_of_several_parameters_is_one_name_at_a_time():
-    """``substitute`` of two to four parameters at once, on seeded
-    polynomials with negative ``lam`` exponents, gives the terms of the
-    tuple-keyed reference substituting one name at a time, and the
-    polynomial itself when no term uses a name it is given.  A parameter
-    degree that leaves its field once lam^-1 is dropped is an
-    ``ExponentOverflow``."""
+    """``specialize`` at a full assignment, on seeded polynomials with
+    negative ``lam`` exponents, gives the terms of the tuple-keyed
+    reference substituting one name at a time, and the polynomial itself
+    when no term uses a parameter.  A parameter that some term uses and
+    the assignment lacks is an ``UnassignedParameter``.  Every parameter
+    exponent goes to 0, so a parameter degree at the edge of its field
+    cannot leave it."""
     rng = random.Random(29)
     negative = 0
     for _ in range(300):
@@ -785,19 +787,18 @@ def test_substitute_of_several_parameters_is_one_name_at_a_time():
             terms[tuple(rng.randint(0, 3) for _ in U3.names) + pexps] = rng.randrange(1, 101)
             negative += pexps[1] < 0
         f = SparsePoly(U3, terms)
-        values = {name: rng.randrange(1, 101) for name in rng.sample(RING.names, rng.randint(2, 4))}
+        values = {name: rng.randrange(1, 101) for name in rng.sample(RING.names, 4)}
         want = TuplePoly(U3, terms)
         for name, v in values.items():
             want = want.substitute_param(name, v)
-        assert to_dict(f.substitute(values)) == want.terms, (terms, values)
+        assert to_dict(f.specialize(values)) == want.terms, (terms, values)
     assert negative > 100
-    for f in [P("pi*x0 + rho^2*x1 + 3"), P("x0*x1"), SparsePoly.zero(U3)]:
-        assert f.substitute({"lam": 5, "t": 7}) is f
+    for f in [P("x0*x1"), P("3"), SparsePoly.zero(U3)]:
+        assert f.specialize({"lam": 5, "t": 7}) is f
     f = SparsePoly.param(U3, "pi", 16383) * P("rho*lam^-1")  # parameter degree 16383
-    assert to_dict(f.substitute({"rho": 2})) == {(0, 0, 0, 16383, -1, 0, 0): 2}
-    with pytest.raises(ExponentOverflow):
-        f.substitute({"lam": 3, "t": 7})
-
+    with pytest.raises(UnassignedParameter):
+        f.specialize({"lam": 3, "t": 7})
+    assert to_dict(f.specialize({"pi": 1, "rho": 2, "lam": 3})) == {(0, 0, 0, 0, 0, 0, 0): 2 * 34 % 101}
 
 def test_exact_quotient_of_a_walk_pivot_times_a_linear_form():
     """The pivot z1*...*z77 of the d = 8 witness's end station, in the

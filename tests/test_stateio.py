@@ -16,6 +16,7 @@ from conewalk.stateio import (
     state_from_dict,
     state_to_dict,
 )
+from oracles import symbolic_station
 
 BP = BaseParams(n=3, m=2, r=6, d=5, p=101)
 
@@ -149,16 +150,19 @@ def test_report_shape():
 
 
 def test_roundtrip_symbolic_step_state():
-    """States written after a symbolic step carry Laurent coefficients;
-    the grammar must carry them losslessly."""
-    st = build_base_state(BP)
-    st1 = induct_step(st, j0=1, seed=3, symbolic=True)
-    assert st1.a0.uses_param("lam")
-    d = state_to_dict(st1)
-    back = state_from_dict(json.loads(json.dumps(d)))
-    assert back.a0 == st1.a0
-    assert back.a == st1.a
-    assert back.defining_polynomial() == st1.defining_polynomial()
+    """The station of a symbolic step carries Laurent coefficients in lam
+    and t: the grammar carries them losslessly, each written text goes
+    back through the strict reader alone, and the loader refuses the
+    state, naming its first field that uses a step parameter."""
+    st1 = symbolic_station(build_base_state(BP), 1, seed=3)
+    assert st1.a0.parameters() == ("lam",) and "t" in st1.a[(1, 1)].parameters()
+    d = json.loads(json.dumps(state_to_dict(st1)))
+    polys = {"f0": st1.f0, "a0": st1.a0, "h_poly": st1.h_poly, **{f"{i},{j}": f for (i, j), f in st1.a.items()}}
+    for where, text in _fields(d).items():
+        assert parse_poly(" " + text, st1.universe) == polys[where], where
+        assert _parse_canonical(text, st1.universe) == polys[where], where
+    with pytest.raises(ValueError, match=r"^state a0 uses lam, a parameter of the cone step"):
+        state_from_dict(d)
 
 
 def _fields(data):
@@ -198,8 +202,3 @@ def test_every_state_the_cli_writes_loads_with_its_texts_carried(tmp_path, capsy
     capsys.readouterr()
     for path in written:
         _loads_with_every_text_carried(json.loads(path.read_text()), monkeypatch)
-
-
-def test_a_symbolic_step_state_loads_with_its_texts_carried(monkeypatch):
-    st = induct_step(build_base_state(BP), j0=1, seed=3, symbolic=True)
-    _loads_with_every_text_carried(state_to_dict(st), monkeypatch)
